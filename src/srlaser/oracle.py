@@ -4,9 +4,16 @@ Builds the exact Liouvillian of N two-level atoms coupled to a truncated
 cavity mode (optionally plus a weak filter mode), finds its stationary
 density matrix, evaluates exact moment derivatives for arbitrary states,
 and computes emission spectra through the quantum regression theorem.
-Everything here is deliberately direct and unoptimised: this module is
-the trust anchor the fast moment-closure solver is checked against, and
-the two routes must stay independent.
+Everything here is deliberately direct: this module is the trust anchor
+the fast moment-closure solver is checked against, and the two routes
+must stay independent.
+
+Every term of the master equation conserves q(ket) - q(bra), where q
+counts cavity photons, filter photons and excited atoms, so the
+Liouvillian is block diagonal in that charge.  The stationary state is a
+sparse LU solve of the charge-0 block alone, and the spectrum is a
+resolvent of the charge -1 block, which holds a rho_ss and has no zero
+eigenvalue, so nothing is propagated in time.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -37,6 +44,14 @@ def _destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
+def _lift(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
+    """op acting on factor `site` of a tensor product with factor sizes dims."""
+    out = np.eye(1, dtype=complex)
+    for k, d in enumerate(dims):
+        out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
+    return out
+
+
 class HilbertSpace:
     """Operator factory for the composite space.
 
@@ -65,22 +80,16 @@ class HilbertSpace:
                 f"superoperator dimension {self.dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
             )
         self._atom_offset = 1 if m_max is None else 2
-        self.a = self._lift(_destroy(n_max + 1), 0)
+        self.a = _lift(_destroy(n_max + 1), 0, self.dims)
         self.ad = self.a.conj().T
         if m_max is not None:
-            self.f = self._lift(_destroy(m_max + 1), 1)
+            self.f = _lift(_destroy(m_max + 1), 1, self.dims)
             self.fd = self.f.conj().T
         else:
             self.f = self.fd = None
-        self.sm = [self._lift(_SM, self._atom_offset + i) for i in range(n_atoms)]
+        self.sm = [_lift(_SM, self._atom_offset + i, self.dims) for i in range(n_atoms)]
         self.sp = [op.conj().T for op in self.sm]
-        self.sz = [self._lift(_SZ, self._atom_offset + i) for i in range(n_atoms)]
-
-    def _lift(self, op: np.ndarray, site: int) -> np.ndarray:
-        out = np.eye(1, dtype=complex)
-        for k, d in enumerate(self.dims):
-            out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
-        return out
+        self.sz = [_lift(_SZ, self._atom_offset + i, self.dims) for i in range(n_atoms)]
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -234,23 +243,39 @@ def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
     )
 
 
-def _solve_stationary(liouv: sp.csr_matrix, d: int) -> np.ndarray:
-    """Stationary vec(rho): replace one row with the trace functional."""
-    size = d * d
-    trace_idx = np.arange(d) * (d + 1)
-    b = np.zeros(size, dtype=complex)
+def _sector(space: HilbertSpace, charge: int) -> np.ndarray:
+    """Row-major vec indices of the entries rho[i, j] with q_i - q_j = charge.
+
+    q counts cavity photons, filter photons and excited atoms: the sum of
+    the basis state's occupation digits.  The Liouvillian never mixes two
+    sectors.
+    """
+    q = np.zeros(1, dtype=int)
+    for d in space.dims:
+        q = (q[:, None] + np.arange(d)).reshape(-1)
+    return np.flatnonzero((q[:, None] - q[None, :]).reshape(-1) == charge)
+
+
+def _factor(block: sp.spmatrix, what: str):
+    """Sparse LU of a Liouvillian block; a singular block is a typed error."""
+    try:
+        return spla.splu(block.tocsc())
+    except RuntimeError as exc:
+        raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
+
+
+def _solve_stationary(liouv: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
+    """Stationary rho from the charge-0 block, its first row (the entry
+    rho[0, 0]) replaced by the trace functional."""
+    d = space.dim
+    idx = _sector(space, 0)
+    trace_row = sp.csr_matrix((idx // d == idx % d).astype(complex))
+    block = sp.vstack([trace_row, liouv[idx[1:]][:, idx]])
+    b = np.zeros(idx.size, dtype=complex)
     b[0] = 1.0
-    if size <= 4096:
-        mat = liouv.toarray()
-        mat[0, :] = 0.0
-        mat[0, trace_idx] = 1.0
-        x = np.linalg.solve(mat, b)
-    else:
-        mat = liouv.tolil(copy=True)
-        mat[0, :] = 0.0
-        mat[0, trace_idx] = 1.0
-        x = spla.splu(mat.tocsc()).solve(b)
-    rho = x.reshape(d, d)
+    vec = np.zeros(d * d, dtype=complex)
+    vec[idx] = _factor(block, "no unique stationary state").solve(b)
+    rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     return rho
@@ -259,7 +284,7 @@ def _solve_stationary(liouv: sp.csr_matrix, d: int) -> np.ndarray:
 def _steady_once(params: SystemParams, n_max: int, probe=None,
                  m_max: int | None = None) -> OracleResult:
     space = build_space(params, n_max, m_max)
-    rho = _solve_stationary(_superoperator(space, params, probe), space.dim)
+    rho = _solve_stationary(_superoperator(space, params, probe), space)
     h = hamiltonian(space, params, probe)
     channels = lindblad_channels(space, params, probe)
     drho = apply_liouvillian(rho, h, channels)
@@ -368,15 +393,14 @@ def product_state(space: HilbertSpace, cavity_amps, bloch,
     return rho
 
 
-def oracle_spectrum(params: SystemParams, n_max: int, omega_grid,
-                    decay_cut: float = 1e-6, max_windows: int = 40):
+def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     """Emission spectrum via the quantum regression theorem.
 
-    Propagates X(tau) = exp(L tau)[a rho_ss] with a sparse
-    exponential-action integrator, samples C(tau) = Tr[a^dag X(tau)]
-    until the envelope has decayed below decay_cut of C(0), and Fourier
-    transforms Re integral_0^T C(tau) e^{i omega tau} d tau on the given
-    grid.  Returns a unit-peak-normalised SpectrumScan.
+    S(omega) = Re integral_0^inf Tr[a^dag exp(L tau)(a rho_ss)] e^{i omega tau}
+    d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
+    the charge -1 block of L, which has no zero eigenvalue, so each grid
+    point is one sparse LU solve of that block, exact at omega = 0 too.
+    Returns a unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan  # local import to keep layering one-way
 
@@ -385,9 +409,9 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid,
         raise ValueError("omega_grid must be a 1-d grid with >= 2 points")
     result = oracle_steady_state(params, n_max=n_max)
     space = result.space
-    liouv = _superoperator(space, params)
-    x = (space.a @ result.rho).reshape(-1)
-    ad_vec = space.ad.T.reshape(-1)  # Tr[ad X] = sum(ad.T * X)
+    idx = _sector(space, -1)
+    x = (space.a @ result.rho).reshape(-1)[idx]
+    ad_vec = space.ad.T.reshape(-1)[idx]  # Tr[ad X] = sum(ad.T * X)
 
     c0 = ad_vec @ x
     if abs(c0) < 1e-14:
@@ -395,44 +419,12 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid,
             omega=omega_grid, intensity=np.zeros_like(omega_grid), method="oracle"
         )
 
-    rate_fast = max(
-        params.kappa,
-        params.gamma + params.eta + 4.0 * params.chi,
-        math.sqrt(params.n_atoms) * params.g,
-        abs(params.detuning),
-        1e-300,
-    )
-    dtau = min(0.1 / rate_fast, math.pi / (8.0 * max(np.max(np.abs(omega_grid)), 0.1 * rate_fast)))
-    window = 40.0 * (1.0 / rate_fast)
-    samples = [c0]
-    taus = [0.0]
-    t0 = 0.0
-    for _ in range(max_windows):
-        num = max(int(math.ceil(window / dtau)), 8) + 1
-        states = spla.expm_multiply(liouv, x, start=0.0, stop=window, num=num, endpoint=True)
-        corr = states @ ad_vec
-        step = window / (num - 1)
-        taus.extend(t0 + step * np.arange(1, num))
-        samples.extend(corr[1:])
-        x = states[-1]
-        t0 += window
-        if np.max(np.abs(corr[1:])) < decay_cut * abs(c0):
-            break
-        window *= 1.5
-    else:
-        raise SimulationError(
-            "correlation function had not decayed after the propagation budget"
-        )
-
-    taus = np.asarray(taus)
-    samples = np.asarray(samples)
-    # trapezoid weights on the (non-uniform across windows) tau grid
-    weights = np.empty_like(taus)
-    weights[0] = 0.5 * (taus[1] - taus[0])
-    weights[-1] = 0.5 * (taus[-1] - taus[-2])
-    weights[1:-1] = 0.5 * (taus[2:] - taus[:-2])
-    phases = np.exp(1j * np.outer(omega_grid, taus))
-    intensity = (phases @ (weights * samples)).real
+    block = _superoperator(space, params)[idx][:, idx]
+    eye = sp.identity(idx.size, dtype=complex, format="csr")
+    intensity = np.array([
+        -(ad_vec @ _factor(block + 1j * w * eye, "undamped correlation").solve(x)).real
+        for w in omega_grid
+    ])
     peak = np.max(intensity)
     if peak <= 0.0:
         raise SimulationError("spectrum has no positive peak; grid may miss the line")
@@ -539,22 +531,12 @@ def consistency_report(seed: int = 7) -> list[dict]:
 def atomic_collective_ops(n_atoms: int) -> dict[str, np.ndarray]:
     """J operators on the bare 2^N atomic space (no cavity factor)."""
     dims = [2] * n_atoms
-
-    def lift(op, site):
-        out = np.eye(1, dtype=complex)
-        for k, d in enumerate(dims):
-            out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
-        return out
-
-    jp = sum(lift(_SP, i) for i in range(n_atoms))
-    jm = sum(lift(_SM, i) for i in range(n_atoms))
-    jz = 0.5 * sum(lift(_SZ, i) for i in range(n_atoms))
+    singles = {name: [_lift(op, i, dims) for i in range(n_atoms)]
+               for name, op in (("sz", _SZ), ("sp", _SP), ("sm", _SM))}
+    jp = sum(singles["sp"])
+    jm = sum(singles["sm"])
+    jz = 0.5 * sum(singles["sz"])
     j2 = 0.5 * (jp @ jm + jm @ jp) + jz @ jz
-    singles = {
-        "sz": [lift(_SZ, i) for i in range(n_atoms)],
-        "sp": [lift(_SP, i) for i in range(n_atoms)],
-        "sm": [lift(_SM, i) for i in range(n_atoms)],
-    }
     return {"jp": jp, "jm": jm, "jz": jz, "j2": j2, **singles}
 
 

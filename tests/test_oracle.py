@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from srlaser.errors import CutoffError, MemoryBudgetError
+from srlaser.errors import CutoffError, MemoryBudgetError, SimulationError
 from srlaser.model import SystemParams
 from srlaser.oracle import (
     HilbertSpace,
+    _sector,
     atomic_collective_ops,
     build_liouvillian,
     build_space,
@@ -18,7 +19,7 @@ from srlaser.oracle import (
     oracle_steady_state,
     product_state,
 )
-from srlaser.spectrum import fit_lorentzian
+from srlaser.spectrum import FilterProbe, fit_lorentzian
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,45 @@ def test_qrt_linewidth_matches_cavity_broadened_atom():
     assert abs(fit.center) < 0.05 * expected
 
 
+def test_spectrum_is_finite_at_zero_frequency():
+    # the resolvent block has no zero eigenvalue, so omega = 0 is a plain solve
+    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    grid = np.linspace(-1.0, 1.0, 41)
+    assert grid[20] == 0.0
+    scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
+    assert np.all(np.isfinite(scan.intensity))
+    assert np.max(scan.intensity) == 1.0
+
+
+def test_non_unique_stationary_state_is_a_typed_error():
+    # no loss and no pump: every function of H is stationary
+    params = SystemParams(n_atoms=1, g=0.1, kappa=0.0, gamma=0.0, eta=0.0)
+    with pytest.raises(SimulationError, match="singular"):
+        oracle_steady_state(params)
+    with pytest.raises(SimulationError, match="singular"):
+        oracle_spectrum(params, n_max=3, omega_grid=np.linspace(-1.0, 1.0, 5))
+
+
 # ------------------------------------------------------------ self-consistency
+
+@pytest.mark.parametrize("charge", [-1, 0, 1])
+def test_liouvillian_never_mixes_charge_sectors(charge):
+    # q = photons + filter photons + excited atoms; L conserves q(ket) - q(bra)
+    params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    probe = FilterProbe(big_g=0.05, beta=0.1, omega_f=0.2)
+    liouv = build_liouvillian(params, 3, probe=probe, m_max=2)
+    space = HilbertSpace(2, 3, 2)
+    idx = _sector(space, charge)
+    rng = np.random.default_rng(11)
+    vec = np.zeros(space.dim**2, dtype=complex)
+    vec[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    out = liouv @ vec
+    inside = np.zeros(out.size, dtype=bool)
+    inside[idx] = True
+    assert np.max(np.abs(out[inside])) > 0.1
+    assert np.max(np.abs(out[~inside])) < 1e-14 * np.max(np.abs(out))
+
 
 def test_trace_functional_is_left_null_vector():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
