@@ -104,10 +104,6 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _config_echo(params: SystemParams) -> dict:
-    return params_to_config(params)
-
-
 def cmd_presets(args) -> int:
     payload = {}
     for name in sorted(PRESET_NAMES):
@@ -122,7 +118,7 @@ def cmd_steady(args) -> int:
     rates = derived(params)
     point = dicke_numbers(state, params)
     payload = {
-        "config": _config_echo(params),
+        "config": params_to_config(params),
         "photon_number": state.photon_number,
         "inversion": state.inversion,
         "atom_photon_re": state.atom_photon.real,
@@ -246,7 +242,7 @@ def cmd_limits(args) -> int:
     inputs = AnalyticInputs.from_params(params, m_eff=point.m_eff)
     limits = limit_linewidths(inputs)
     payload = {
-        "config": _config_echo(params),
+        "config": params_to_config(params),
         "m_eff": point.m_eff,
         "n_purcell_hz": to_hz(limits.n_purcell),
         "collective_rabi_hz": to_hz(limits.collective_rabi),

@@ -6,19 +6,19 @@ photon number as a function of its frequency omega_f traces out the
 emission spectrum convolved with a Lorentzian of width beta.  Two
 independent evaluation routes are provided: the adiabatic closed form
 (frozen lasing steady state, exact in the weak-probe limit) and the full
-extended moment system solved point by point; their agreement bounds the
-probe back-action.
+extended moment system solved on the whole frequency grid at once; their
+agreement bounds the probe back-action.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .cumulant import (MomentState, SolverConfig, _rates, _rhs_vec,
-                       scaled_residual, steady_state)
+from .cumulant import (MomentState, SolverConfig, _jacobian, _rates, _rhs_vec,
+                       steady_state)
 from .errors import FitError, ProbeError, SimulationError
 from .model import SystemParams
 
@@ -73,24 +73,27 @@ class ExtendedState:
         )
 
 
-def _ext_rhs_vec(x: np.ndarray, params: SystemParams, probe: FilterProbe) -> np.ndarray:
+def _filter_widths(params: SystemParams, probe: FilterProbe) -> tuple[float, float]:
+    """Half-widths of the filter-cavity and filter-atom coherences."""
+    return (0.5 * (probe.beta + params.kappa),
+            0.5 * (probe.beta + params.gamma + params.eta) + 2.0 * params.chi)
+
+
+def _ext_rhs(x: np.ndarray, params: SystemParams, probe: FilterProbe,
+             omega_f) -> np.ndarray:
+    """Extended time derivative of x, shaped (11,) or (11, M) with omega_f (M,)."""
     n, cr, ci, s, pr, pi, fn, yr, yi, zr, zi = x
     g, big_g = params.g, probe.big_g
     nn = params.n_atoms
-    beta = probe.beta
-    d1 = probe.omega_f - params.omega_c
-    d2 = probe.omega_f - params.omega_a
-    b1 = 0.5 * (beta + params.kappa)
-    b2 = 0.5 * (beta + params.gamma + params.eta) + 2.0 * params.chi
-    base = _rhs_vec(x[:6], params)
-    out = np.empty(11)
-    out[0] = base[0] - 2.0 * big_g * yi
-    out[1] = base[1] - big_g * zi
-    out[2] = base[2] - big_g * zr
-    out[3] = base[3]
-    out[4] = base[4]
-    out[5] = base[5]
-    out[6] = 2.0 * big_g * yi - beta * fn
+    d1 = omega_f - params.omega_c
+    d2 = omega_f - params.omega_a
+    b1, b2 = _filter_widths(params, probe)
+    out = np.empty_like(x)
+    out[:6] = _rhs_vec(x[:6], params)
+    out[0] -= 2.0 * big_g * yi
+    out[1] -= big_g * zi
+    out[2] -= big_g * zr
+    out[6] = 2.0 * big_g * yi - probe.beta * fn
     out[7] = -d1 * yi - b1 * yr + g * nn * zi
     out[8] = d1 * yr - b1 * yi + big_g * (n - fn) - g * nn * zr
     out[9] = -d2 * zi - b2 * zr + big_g * ci - g * s * yi
@@ -98,42 +101,52 @@ def _ext_rhs_vec(x: np.ndarray, params: SystemParams, probe: FilterProbe) -> np.
     return out
 
 
-def _ext_jacobian(x: np.ndarray, params: SystemParams, probe: FilterProbe) -> np.ndarray:
-    from .cumulant import _jacobian
-
-    n, cr, ci, s, pr, pi, fn, yr, yi, zr, zi = x
+def _ext_template(params: SystemParams, probe: FilterProbe) -> np.ndarray:
+    """Extended Jacobian without its state- and omega_f-dependent entries."""
     g, big_g = params.g, probe.big_g
     nn = params.n_atoms
-    beta = probe.beta
-    d1 = probe.omega_f - params.omega_c
-    d2 = probe.omega_f - params.omega_a
-    b1 = 0.5 * (beta + params.kappa)
-    b2 = 0.5 * (beta + params.gamma + params.eta) + 2.0 * params.chi
+    b1, b2 = _filter_widths(params, probe)
     jac = np.zeros((11, 11))
-    jac[:6, :6] = _jacobian(x[:6], params)
+    jac[:6, :6] = _jacobian(np.zeros(6), params)
     jac[0, 8] = -2.0 * big_g
     jac[1, 10] = -big_g
     jac[2, 9] = -big_g
     jac[6, 8] = 2.0 * big_g
-    jac[6, 6] = -beta
-    jac[7, 8] = -d1
+    jac[6, 6] = -probe.beta
     jac[7, 7] = -b1
     jac[7, 10] = g * nn
-    jac[8, 7] = d1
     jac[8, 8] = -b1
     jac[8, 0] = big_g
     jac[8, 6] = -big_g
     jac[8, 9] = -g * nn
-    jac[9, 10] = -d2
     jac[9, 9] = -b2
     jac[9, 2] = big_g
-    jac[9, 8] = -g * s
-    jac[9, 3] = -g * yi
-    jac[10, 9] = d2
     jac[10, 10] = -b2
     jac[10, 1] = big_g
-    jac[10, 7] = g * s
-    jac[10, 3] = g * yr
+    return jac
+
+
+def _ext_jacobian(x: np.ndarray, omega_f: np.ndarray, params: SystemParams,
+                  template: np.ndarray) -> np.ndarray:
+    """Stacked (M, 11, 11) Jacobians of _ext_rhs at the M columns of x."""
+    n, _, ci, s = x[:4]
+    yr, yi = x[7], x[8]
+    g = params.g
+    d1 = omega_f - params.omega_c
+    d2 = omega_f - params.omega_a
+    jac = np.repeat(template[None], x.shape[1], axis=0)
+    jac[:, 2, 0] = -g * s
+    jac[:, 2, 3] = -g * (n + 0.5)
+    jac[:, 4, 2] = -2.0 * g * s
+    jac[:, 4, 3] = -2.0 * g * ci
+    jac[:, 7, 8] = -d1
+    jac[:, 8, 7] = d1
+    jac[:, 9, 10] = -d2
+    jac[:, 10, 9] = d2
+    jac[:, 9, 8] = -g * s
+    jac[:, 10, 7] = g * s
+    jac[:, 9, 3] = -g * yi
+    jac[:, 10, 3] = g * yr
     return jac
 
 
@@ -143,85 +156,105 @@ def filter_rhs(ext: ExtendedState, params: SystemParams,
     x = ext.as_vector()
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite extended state")
-    return ExtendedState.from_vector(_ext_rhs_vec(x, params, probe))
+    return ExtendedState.from_vector(_ext_rhs(x, params, probe, probe.omega_f))
 
 
-def _filter_freqs(params: SystemParams, probe: FilterProbe):
-    """Complex pole frequencies of the filter-coupled response."""
-    d1 = probe.omega_f - params.omega_c
-    d2 = probe.omega_f - params.omega_a
-    b1 = 0.5 * (probe.beta + params.kappa)
-    b2 = 0.5 * (probe.beta + params.gamma + params.eta) + 2.0 * params.chi
-    return complex(d1, b1), complex(d2, b2)
+def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
+                    omega_f):
+    """Adiabatic filter moments of a frozen lasing state, over an omega_f array.
+
+    Returns (F, y, z), each shaped like omega_f: the filter photon number
+    F = -(2 G^2 / beta) Im[(w2 n + N g conj(c)) / (w1 w2 + N g^2 s)],
+    y = <a f^dag> and z = <sigma^- f^dag>, with w1, w2 the complex
+    filter-cavity and filter-atom frequencies.  Exact in the weak-probe
+    limit; it also seeds the extended Newton solve.
+    """
+    omega_f = np.asarray(omega_f, dtype=float)
+    b1, b2 = _filter_widths(params, probe)
+    w1 = omega_f - params.omega_c + 1j * b1
+    w2 = omega_f - params.omega_a + 1j * b2
+    denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
+    if np.any(denom == 0.0):
+        raise SimulationError("filter response denominator vanished")
+    conj_c = base.atom_photon.conjugate()
+    ratio = (w2 * base.photon_number + params.n_atoms * params.g * conj_c) / denom
+    y = -probe.big_g * ratio
+    z = -(probe.big_g * conj_c + params.g * base.inversion * y) / w2
+    return -(2.0 * probe.big_g**2 / probe.beta) * ratio.imag, y, z
 
 
 def closed_form_point(base: MomentState, params: SystemParams,
                       probe: FilterProbe) -> float:
-    """Filter photon number for a frozen lasing steady state.
+    """Filter photon number at probe.omega_f for a frozen lasing steady state."""
+    return float(filter_response(base, params, probe, probe.omega_f)[0])
 
-    F = -(2 G^2 / beta) Im[(w2 n + N g conj(c)) / (w1 w2 + N g^2 s)]
-    with w1, w2 the complex filter-cavity and filter-atom frequencies.
+
+def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState,
+                     omega_f: np.ndarray, max_iter: int = 40) -> np.ndarray:
+    """Extended steady states at every omega_f at once, as an (11, M) array.
+
+    One Newton iteration on all M points, seeded with the frozen closed
+    form; each step is one stacked solve over the points still running.
+    A point stops when its residual is zero or non-finite, or exceeds
+    half the previous one: quadratic convergence reaches the round-off
+    floor in a handful of steps.  Its best iterate is then validated
+    against a loose physical bound.
     """
-    w1, w2 = _filter_freqs(params, probe)
-    denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
-    if denom == 0.0:
-        raise SimulationError("filter response denominator vanished")
-    numer = w2 * base.photon_number + params.n_atoms * params.g * base.atom_photon.conjugate()
-    return float(-(2.0 * probe.big_g**2 / probe.beta) * (numer / denom).imag)
-
-
-def _closed_form_seed(base: MomentState, params: SystemParams,
-                      probe: FilterProbe) -> np.ndarray:
-    """Extended-state seed: base moments plus adiabatic filter moments."""
-    w1, w2 = _filter_freqs(params, probe)
-    denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
-    y = -probe.big_g * (w2 * base.photon_number
-                        + params.n_atoms * params.g * base.atom_photon.conjugate()) / denom
-    z = -(probe.big_g * base.atom_photon.conjugate() + params.g * base.inversion * y) / w2
-    fn = 2.0 * probe.big_g * y.imag / probe.beta
-    x = np.concatenate([
-        base.as_vector(), [fn, y.real, y.imag, z.real, z.imag],
-    ])
-    return x
+    fn, y, z = filter_response(base, params, probe, omega_f)
+    x = np.vstack([np.repeat(base.as_vector()[:, None], omega_f.size, axis=1),
+                   fn, y.real, y.imag, z.real, z.imag])
+    template = _ext_template(params, probe)
+    best = x.copy()
+    best_norm = np.full(omega_f.size, np.inf)
+    norm = np.full(omega_f.size, np.inf)
+    live = np.arange(omega_f.size)
+    for _ in range(max_iter):
+        r = _ext_rhs(x[:, live], params, probe, omega_f[live])
+        prev = norm[live]
+        cur = norm[live] = np.max(np.abs(r), axis=0)
+        better = live[cur < best_norm[live]]
+        best[:, better] = x[:, better]
+        best_norm[better] = norm[better]
+        going = np.isfinite(cur) & (cur != 0.0) & (cur <= 0.5 * prev)
+        live, r = live[going], r[:, going]
+        if live.size == 0:
+            break
+        jac = _ext_jacobian(x[:, live], omega_f[live], params, template)
+        try:
+            step = np.linalg.solve(jac, -r.T[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"extended Newton failed for omega_f in [{omega_f[live].min():.6e}, "
+                f"{omega_f[live].max():.6e}]: {exc}"
+            ) from exc
+        x[:, live] += step.T
+    rate_scale = np.maximum(
+        max(params.kappa, probe.beta, params.gamma + params.eta, 4.0 * params.chi,
+            math.sqrt(params.n_atoms) * params.g, probe.big_g),
+        np.maximum(np.abs(omega_f - params.omega_c), np.abs(omega_f - params.omega_a)),
+    )
+    floor = 1e-8 * rate_scale * (1.0 + np.max(np.abs(best), axis=0))
+    bad = np.flatnonzero(~np.all(np.isfinite(best), axis=0) | (best_norm > floor))
+    if bad.size:
+        k = bad[0]
+        raise SimulationError(
+            f"extended Newton stalled at omega_f = {omega_f[k]:.6e}: residual "
+            f"{best_norm[k]:.3e} (bound {floor[k]:.3e})"
+        )
+    return best
 
 
 def extended_steady_state(params: SystemParams, probe: FilterProbe,
                           base: MomentState, max_iter: int = 40) -> ExtendedState:
-    """Full self-consistent steady state of the probed system.
+    """Full self-consistent steady state of the probed system at probe.omega_f.
 
-    Newton iteration on the 11-component system, seeded with the frozen
-    closed form.  The iteration runs until the residual stalls at its
-    round-off floor (quadratic convergence makes that a handful of
-    steps); the result is then validated against a loose physical bound.
+    The one-point case of scan(method="ode"): Newton on the 11-component
+    system, seeded with the frozen closed form, run until the residual
+    stalls at its round-off floor and then checked against a loose
+    physical bound.
     """
-    x = _closed_form_seed(base, params, probe)
-    if not np.all(np.isfinite(x)):
-        raise SimulationError("closed-form seed is not finite")
-    rate_scale = max(params.kappa, probe.beta, params.gamma + params.eta,
-                     4.0 * params.chi, abs(probe.omega_f - params.omega_c),
-                     abs(probe.omega_f - params.omega_a),
-                     math.sqrt(params.n_atoms) * params.g, probe.big_g)
-    best = x
-    best_norm = math.inf
-    norm = math.inf
-    for _ in range(max_iter):
-        r = _ext_rhs_vec(x, params, probe)
-        prev_norm, norm = norm, float(np.max(np.abs(r)))
-        if np.isfinite(norm) and norm < best_norm:
-            best, best_norm = x, norm
-        if norm == 0.0 or norm > 0.5 * prev_norm:
-            break  # converged to the round-off floor (or diverging)
-        try:
-            step = np.linalg.solve(_ext_jacobian(x, params, probe), -r)
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(f"extended Newton failed: {exc}") from exc
-        x = x + step
-    floor = 1e-8 * rate_scale * (1.0 + float(np.max(np.abs(best))))
-    if not np.all(np.isfinite(best)) or best_norm > floor:
-        raise SimulationError(
-            f"extended Newton stalled at residual {best_norm:.3e} (bound {floor:.3e})"
-        )
-    return ExtendedState.from_vector(best)
+    x = _extended_newton(params, probe, base, np.array([probe.omega_f]), max_iter)
+    return ExtendedState.from_vector(x[:, 0])
 
 
 @dataclass(frozen=True)
@@ -253,8 +286,11 @@ def scan(params: SystemParams, probe: FilterProbe, grid,
     """Sweep the filter frequency across grid and record its occupation.
 
     method "closed_form" freezes the lasing steady state (computed once)
-    and evaluates the adiabatic response; "ode" re-solves the full
-    extended system at every point, including probe back-action.
+    and evaluates the adiabatic filter_response on the grid; "ode" solves
+    the full extended system, including probe back-action, at all grid
+    points at once: one Newton iteration with a stacked 11 x 11 solve per
+    step.  A point that does not converge raises SimulationError naming
+    its omega_f.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -264,24 +300,9 @@ def scan(params: SystemParams, probe: FilterProbe, grid,
     if base is None:
         base = steady_state(params, cfg)
     if method == "closed_form":
-        w1 = grid - params.omega_c + 1j * 0.5 * (probe.beta + params.kappa)
-        w2 = grid - params.omega_a + 1j * (
-            0.5 * (probe.beta + params.gamma + params.eta) + 2.0 * params.chi
-        )
-        denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
-        numer = w2 * base.photon_number \
-            + params.n_atoms * params.g * base.atom_photon.conjugate()
-        intensity = -(2.0 * probe.big_g**2 / probe.beta) * (numer / denom).imag
+        intensity = filter_response(base, params, probe, grid)[0]
     elif method == "ode":
-        intensity = np.empty_like(grid)
-        for k, omega_f in enumerate(grid):
-            shifted = replace(probe, omega_f=float(omega_f))
-            try:
-                intensity[k] = extended_steady_state(params, shifted, base).filter_number
-            except SimulationError as exc:
-                raise SimulationError(
-                    f"extended solve failed at omega_f = {omega_f:.6e}: {exc}"
-                ) from exc
+        intensity = _extended_newton(params, probe, base, grid)[6]
     else:
         raise ValueError(f"unknown method {method!r}")
     return SpectrumScan(omega=grid, intensity=intensity, method=method)
@@ -299,6 +320,20 @@ class LorentzianFit:
 def _lorentzian(omega, amplitude, center, fwhm, offset):
     half = 0.5 * abs(fwhm)
     return amplitude * half**2 / ((omega - center) ** 2 + half**2) + offset
+
+
+def _lorentzian_jacobian(omega, amplitude, center, fwhm, offset):
+    """Columns d/d(amplitude, center, fwhm, offset) of _lorentzian."""
+    half = 0.5 * abs(fwhm)
+    dw = omega - center
+    denom = dw**2 + half**2
+    shape = half**2 / denom
+    return np.column_stack([
+        shape,
+        2.0 * amplitude * shape * dw / denom,
+        np.sign(fwhm) * amplitude * half * dw**2 / denom**2,
+        np.ones_like(omega),
+    ])
 
 
 def _initial_guess(omega, intensity):
@@ -350,8 +385,11 @@ def fit_lorentzian(scan_data: SpectrumScan) -> LorentzianFit:
     def residuals(theta):
         return (_lorentzian(omega, *theta) - intensity) / y_scale
 
+    def jacobian(theta):
+        return _lorentzian_jacobian(omega, *theta) / y_scale
+
     result = least_squares(
-        residuals,
+        residuals, jac=jacobian,
         x0=np.array([amplitude, center, fwhm, offset]),
         x_scale=[y_scale, w_scale, w_scale, y_scale],
         xtol=1e-12, ftol=1e-14, gtol=1e-14, max_nfev=1000,

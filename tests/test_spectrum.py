@@ -1,11 +1,14 @@
 """Filter-cavity spectroscopy: probe physics, fitting, route agreement."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from srlaser import spectrum
 from srlaser.cumulant import MomentState, steady_state
-from srlaser.errors import FitError
+from srlaser.errors import FitError, SimulationError
 from srlaser.model import SystemParams, preset
 from srlaser.oracle import (
     build_space,
@@ -19,7 +22,11 @@ from srlaser.spectrum import (
     FilterProbe,
     LorentzianFit,
     SpectrumScan,
+    _ext_jacobian,
+    _ext_rhs,
+    _ext_template,
     _lorentzian,
+    _lorentzian_jacobian,
     auto_probe,
     closed_form_point,
     extended_steady_state,
@@ -100,7 +107,6 @@ def test_scan_grid_matches_pointwise_closed_form(desk_params):
     probe = FilterProbe(big_g=1e-4, beta=0.05)
     grid = np.linspace(-0.4, 0.4, 9)
     swept = scan(desk_params, probe, grid, base=base)
-    import dataclasses
     for omega_f, value in swept.points:
         single = closed_form_point(
             base, desk_params, dataclasses.replace(probe, omega_f=omega_f)
@@ -117,6 +123,67 @@ def test_extended_steady_state_is_stationary(desk_params):
     assert ext.filter_number > 0.0
 
 
+def _detuned_sr88():
+    params = preset("sr88", n_atoms=1000)
+    return params.updated(eta=10.0 * params.gamma, chi=0.3 * params.gamma,
+                          omega_a=0.01 * params.kappa)
+
+
+@pytest.mark.parametrize("case", ["desk", "detuned_sr88"])
+def test_batched_ode_scan_matches_pointwise_newton(case, desk_params):
+    if case == "desk":
+        params, probe = desk_params, FilterProbe(big_g=1e-3, beta=0.02)
+        grid = np.linspace(-0.35, 0.35, 21)
+    else:
+        params = _detuned_sr88()
+        probe = FilterProbe(big_g=1e-3 * params.kappa, beta=1e-3 * params.kappa)
+        grid = np.linspace(-0.05, 0.05, 21) * params.kappa
+    base = steady_state(params)
+    swept = scan(params, probe, grid, method="ode", base=base)
+    single = [
+        extended_steady_state(params, dataclasses.replace(probe, omega_f=w), base)
+        .filter_number for w in grid
+    ]
+    assert np.max(np.abs(swept.intensity - single)) < 1e-12 * np.max(single)
+
+
+def test_ode_scan_names_the_grid_point_that_cannot_converge(desk_params, monkeypatch):
+    # a point whose residual turns non-finite stops at once; the others
+    # finish, and the error names the failed frequency
+    base = steady_state(desk_params)
+    grid = np.linspace(-0.35, 0.35, 21)
+    real_rhs = spectrum._ext_rhs
+    calls = []
+
+    def poisoned(x, params, probe, omega_f):
+        calls.append(omega_f.size)
+        out = real_rhs(x, params, probe, omega_f)
+        out[:, omega_f == grid[7]] = np.inf
+        return out
+
+    monkeypatch.setattr(spectrum, "_ext_rhs", poisoned)
+    with pytest.raises(SimulationError, match=f"omega_f = {grid[7]:.6e}"):
+        scan(desk_params, FilterProbe(big_g=1e-3, beta=0.02), grid,
+             method="ode", base=base)
+    assert len(calls) < 10
+
+
+def test_extended_jacobian_matches_central_differences():
+    params = SystemParams(n_atoms=4, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4)
+    probe = FilterProbe(big_g=0.07, beta=0.3)
+    omega = np.array([-0.5, 0.1, 0.8])
+    x = np.random.default_rng(5).normal(size=(11, omega.size))
+    jac = _ext_jacobian(x, omega, params, _ext_template(params, probe))
+    h = 1e-6
+    for j in range(11):
+        dx = np.zeros((11, 1))
+        dx[j] = h
+        fd = (_ext_rhs(x + dx, params, probe, omega)
+              - _ext_rhs(x - dx, params, probe, omega)) / (2.0 * h)
+        assert np.max(np.abs(jac[:, :, j].T - fd)) < 1e-8
+
+
 # ------------------------------------------------------------------- fitting
 
 def test_lorentzian_fit_recovers_exact_parameters():
@@ -128,6 +195,20 @@ def test_lorentzian_fit_recovers_exact_parameters():
     assert abs(fit.center) < 1e-9 * width
     assert rel_err(fit.amplitude, 1.0) < 1e-9
     assert abs(fit.offset - 0.05) < 1e-9
+
+
+@pytest.mark.parametrize("fwhm", [0.7, -0.7])
+def test_lorentzian_jacobian_matches_central_differences(fwhm):
+    omega = np.linspace(-3.0, 3.0, 41)
+    theta = np.array([1.3, 0.2, fwhm, 0.05])
+    jac = _lorentzian_jacobian(omega, *theta)
+    for k in range(4):
+        h = 1e-6 * max(abs(theta[k]), 1.0)
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        fd = (_lorentzian(omega, *up) - _lorentzian(omega, *down)) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - fd)) < 1e-6 * np.max(np.abs(fd))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
