@@ -73,13 +73,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_params(args) -> SystemParams:
+# config-file keys that only `sweep` reads; the rest describe the system
+_SWEEP_KEYS = ("n_list", "eta_grid", "observables", "output_path", "workers")
+
+
+def _read_config(args) -> tuple[dict, dict]:
+    """The --config file's JSON object, split into system keys and sweep keys."""
     config: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+    system = {k: v for k, v in config.items() if k not in _SWEEP_KEYS}
+    return system, {k: v for k, v in config.items() if k in _SWEEP_KEYS}
+
+
+def _resolve_params(args) -> SystemParams:
+    config, _ = _read_config(args)
     # explicit flags win over config-file values
     if getattr(args, "preset", None):
         config["preset"] = args.preset
@@ -87,9 +98,7 @@ def _resolve_params(args) -> SystemParams:
         config["n_atoms"] = args.n
     if getattr(args, "eta_hz", None) is not None:
         config["eta_hz"] = args.eta_hz
-    known = {k: v for k, v in config.items()
-             if k not in ("n_list", "eta_grid", "observables", "output_path", "workers")}
-    return load_config(known)
+    return load_config(config)
 
 
 def _emit(text: str, out_path) -> None:
@@ -171,20 +180,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-    base_keys = {k: v for k, v in file_cfg.items()
-                 if k not in ("n_list", "eta_grid", "observables", "output_path", "workers")}
+    base_keys, sweep_cfg = _read_config(args)
     if args.preset:
         base_keys["preset"] = args.preset
     base = load_config(base_keys)
 
     if args.n is not None:
         n_list = [args.n]
-    elif "n_list" in file_cfg:
-        n_list = file_cfg["n_list"]
+    elif "n_list" in sweep_cfg:
+        n_list = sweep_cfg["n_list"]
     elif "n_atoms" in base_keys:
         n_list = [base_keys["n_atoms"]]
     else:
@@ -192,16 +196,16 @@ def cmd_sweep(args) -> int:
 
     if args.eta_hz is not None:
         grid = EtaGrid(min_hz=args.eta_hz, max_hz=args.eta_hz, points=1)
-    elif "eta_grid" in file_cfg:
-        grid = EtaGrid(**file_cfg["eta_grid"])
+    elif "eta_grid" in sweep_cfg:
+        grid = EtaGrid(**sweep_cfg["eta_grid"])
     else:
         raise ValueError("sweep needs --eta-hz or an eta_grid in the config file")
 
-    obs = Observables(**file_cfg.get("observables", {}))
-    out_path = args.out or file_cfg.get("output_path")
+    obs = Observables(**sweep_cfg.get("observables", {}))
+    out_path = args.out or sweep_cfg.get("output_path")
     if not out_path:
         raise ValueError("sweep needs --out or an output_path in the config file")
-    workers = args.workers or file_cfg.get("workers", 1)
+    workers = args.workers or sweep_cfg.get("workers", 1)
 
     cfg = SweepConfig(base=base, n_list=tuple(n_list), eta_grid=grid,
                       observables=obs, output_path=str(out_path), workers=workers)

@@ -8,12 +8,14 @@ Everything here is deliberately direct: this module is the trust anchor
 the fast moment-closure solver is checked against, and the two routes
 must stay independent.
 
-Every term of the master equation conserves q(ket) - q(bra), where q
-counts cavity photons, filter photons and excited atoms, so the
-Liouvillian is block diagonal in that charge.  The stationary state is a
-sparse LU solve of the charge-0 block alone, and the spectrum is a
-resolvent of the charge -1 block, which holds a rho_ss and has no zero
-eigenvalue, so nothing is propagated in time.
+L rho = K rho + rho K^dag + sum_k r_k c_k rho c_k^dag, with the effective
+Hamiltonian K = -iH - 1/2 sum_k r_k c_k^dag c_k.  Every term conserves
+q(ket) - q(bra), where q counts cavity photons, filter photons and excited
+atoms, so the Liouvillian is block diagonal in that charge.  It is
+assembled once per Fock cutoff: the stationary state is a sparse LU solve
+of its charge-0 block alone, and the spectrum is a resolvent of its
+charge -1 block, which holds a rho_ss and has no zero eigenvalue, so
+nothing is propagated in time.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -21,8 +23,7 @@ matrices are vectorised row-major.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,9 +92,6 @@ class HilbertSpace:
         self.sp = [op.conj().T for op in self.sm]
         self.sz = [_lift(_SZ, self._atom_offset + i, self.dims) for i in range(n_atoms)]
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
 
 def build_space(params: SystemParams, n_max: int, m_max: int | None = None) -> HilbertSpace:
     return HilbertSpace(params.n_atoms, n_max, m_max)
@@ -130,15 +128,32 @@ def lindblad_channels(space: HilbertSpace, params: SystemParams,
     return [(r, c) for r, c in channels if r > 0.0]
 
 
+def _k_form(h, channels):
+    """Sparse K = -iH - 1/2 sum r c^dag c, as the one product
+    [1, c_1^dag, ...] @ [-iH; -r_1 c_1 / 2; ...], and the sparse channels."""
+    jumps = [(rate, sp.csr_matrix(c)) for rate, c in channels]
+    ident = sp.identity(h.shape[0], dtype=complex, format="csr")
+    left = sp.vstack([ident] + [c for _, c in jumps], format="csr").conj().T
+    right = sp.vstack([-1j * sp.csr_matrix(h)] + [-0.5 * rate * c for rate, c in jumps],
+                      format="csr")
+    return (left @ right).tocsr(), jumps
+
+
+def _apply(rho: np.ndarray, k, jumps) -> np.ndarray:
+    # X A^dag = (A X^dag)^dag keeps every product sparse-times-dense
+    rho_h = rho.conj().T
+    out = k @ rho + (k @ rho_h).conj().T
+    for rate, c in jumps:
+        out = out + rate * (c @ (c @ rho_h).conj().T)
+    return out
+
+
 def apply_liouvillian(rho: np.ndarray, h: np.ndarray,
                       channels: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Matrix-form action of the Liouvillian on a density matrix."""
-    out = -1j * (h @ rho - rho @ h)
-    for rate, c in channels:
-        cd = c.conj().T
-        cdc = cd @ c
-        out = out + rate * (c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc))
-    return out
+    """Matrix-form action K rho + rho K^dag + sum r c rho c^dag of the
+    Liouvillian, with sparse K and c; it never goes through the vectorised
+    assembly, so it checks the sector solves independently."""
+    return _apply(rho, *_k_form(h, channels))
 
 
 def build_liouvillian(params: SystemParams, n_max: int, probe=None,
@@ -147,23 +162,21 @@ def build_liouvillian(params: SystemParams, n_max: int, probe=None,
     if probe is not None and m_max is None:
         raise ValueError("a filter probe requires an explicit m_max cutoff")
     space = build_space(params, n_max, m_max)
-    return _superoperator(space, params, probe)
+    return _superoperator(space, *_k_form(hamiltonian(space, params, probe),
+                                          lindblad_channels(space, params, probe)))
 
 
-def _superoperator(space: HilbertSpace, params: SystemParams, probe=None) -> sp.csr_matrix:
-    d = space.dim
-    ident = sp.identity(d, dtype=complex, format="csr")
-    h = sp.csr_matrix(hamiltonian(space, params, probe))
-    liouv = -1j * (sp.kron(h, ident) - sp.kron(ident, h.T))
-    for rate, c in lindblad_channels(space, params, probe):
-        c = sp.csr_matrix(c)
-        cd = c.conj().T
-        cdc = (cd @ c).tocsr()
-        liouv = liouv + rate * (
-            sp.kron(c, c.conj())
-            - 0.5 * (sp.kron(cdc, ident) + sp.kron(ident, cdc.T))
-        )
-    return liouv.tocsr()
+def _superoperator(space: HilbertSpace, k, jumps) -> sp.csr_matrix:
+    """Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
+    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c): 2 + len(jumps) krons."""
+    ident = sp.identity(space.dim, dtype=complex, format="csr")
+    terms = [sp.kron(k, ident, "coo"), sp.kron(ident, k.conj(), "coo")]
+    terms += [sp.kron(rate * c, c.conj(), "coo") for rate, c in jumps]
+    data, row, col = (np.concatenate([getattr(t, part) for t in terms])
+                      for part in ("data", "row", "col"))
+    del terms  # free the per-term arrays before the CSR build
+    # one CSR build sums the overlapping entries of all terms
+    return sp.csr_matrix((data, (row, col)), shape=(space.dim**2,) * 2)
 
 
 @dataclass(frozen=True)
@@ -204,6 +217,8 @@ class OracleResult:
     n_max: int
     residual: float
     eigmin: float
+    # the cutoff's assembled Liouvillian, reused for the spectrum's resolvent
+    liouvillian: sp.csr_matrix | None = field(default=None, repr=False)
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
@@ -220,27 +235,14 @@ def collective_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
 
 
 def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
-    n = _expect(space.ad @ space.a, rho).real
-    c = _expect(space.a @ space.sp[0], rho)
-    s = _expect(space.sz[0], rho).real
-    if space.n_atoms >= 2:
-        p = _expect(space.sp[0] @ space.sm[1], rho)
-        zz = _expect(space.sz[0] @ space.sz[1], rho).real
-    else:
-        p = 0.0 + 0.0j
-        zz = 1.0
+    mom = {name: _expect(op, rho) for name, op in _moment_ops(space).items()}
+    for name in ("photon_number", "inversion", "filter_number"):
+        if name in mom:
+            mom[name] = mom[name].real
+    mom.setdefault("pair_corr", 0.0 + 0.0j)
+    zz = _expect(space.sz[0] @ space.sz[1], rho).real if space.n_atoms >= 2 else 1.0
     j2 = _expect(collective_ops(space)["j2"], rho).real
-    extra = {}
-    if space.f is not None:
-        extra = {
-            "filter_number": _expect(space.fd @ space.f, rho).real,
-            "cross_photon": _expect(space.a @ space.fd, rho),
-            "cross_atom": _expect(space.sm[0] @ space.fd, rho),
-        }
-    return OracleMoments(
-        photon_number=n, atom_photon=c, inversion=s, pair_corr=p,
-        zz_corr=zz, j_squared=j2, **extra,
-    )
+    return OracleMoments(zz_corr=zz, j_squared=j2, **mom)
 
 
 def _sector(space: HilbertSpace, charge: int) -> np.ndarray:
@@ -284,15 +286,15 @@ def _solve_stationary(liouv: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
 def _steady_once(params: SystemParams, n_max: int, probe=None,
                  m_max: int | None = None) -> OracleResult:
     space = build_space(params, n_max, m_max)
-    rho = _solve_stationary(_superoperator(space, params, probe), space)
-    h = hamiltonian(space, params, probe)
-    channels = lindblad_channels(space, params, probe)
-    drho = apply_liouvillian(rho, h, channels)
-    residual = float(np.max(np.abs(drho)))
+    k, jumps = _k_form(hamiltonian(space, params, probe),
+                       lindblad_channels(space, params, probe))
+    liouv = _superoperator(space, k, jumps)
+    rho = _solve_stationary(liouv, space)
+    residual = float(np.max(np.abs(_apply(rho, k, jumps))))
     eigmin = float(np.linalg.eigvalsh(rho)[0])
     return OracleResult(
         rho=rho, space=space, moments=moments_from_rho(space, rho),
-        n_max=n_max, residual=residual, eigmin=eigmin,
+        n_max=n_max, residual=residual, eigmin=eigmin, liouvillian=liouv,
     )
 
 
@@ -311,26 +313,39 @@ def oracle_steady_state(params: SystemParams, n_max: int = 6, probe=None,
     """Stationary state with automatic Fock-cutoff convergence.
 
     Solves at n_max and n_max + 2 and requires every reported moment to
-    agree to drift_tol relative; otherwise the cutoff is raised, at most
-    max_rounds times.
+    agree to drift_tol relative; otherwise the cutoff is raised by 2, at
+    most max_rounds times.  Each round's upper solve is the next round's
+    lower one, so every cutoff is assembled and solved once.
     """
-    cutoff = n_max
-    drift = math.inf
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    low = _steady_once(params, n_max, probe, m_max)
     for _ in range(max_rounds):
-        low = _steady_once(params, cutoff, probe, m_max)
-        high = _steady_once(params, cutoff + 2, probe, m_max)
+        high = _steady_once(params, low.n_max + 2, probe, m_max)
         drift = _moment_drift(low.moments, high.moments)
         if drift < drift_tol:
             return high
-        cutoff += 2
+        low = high
     raise CutoffError(
-        f"moments still drift {drift:.2e} (> {drift_tol:.0e}) at n_max={cutoff + 2}",
+        f"moments still drift {drift:.2e} (> {drift_tol:.0e}) at n_max={high.n_max}",
         drift=drift,
     )
 
 
-_TRACKED = ("photon_number", "atom_photon", "inversion", "pair_corr")
-_TRACKED_FILTER = _TRACKED + ("filter_number", "cross_photon", "cross_atom")
+def _moment_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
+    """The tracked moments' operators, keyed by moment name."""
+    ops = {
+        "photon_number": space.ad @ space.a,
+        "atom_photon": space.a @ space.sp[0],
+        "inversion": space.sz[0],
+    }
+    if space.n_atoms >= 2:
+        ops["pair_corr"] = space.sp[0] @ space.sm[1]
+    if space.f is not None:
+        ops["filter_number"] = space.fd @ space.f
+        ops["cross_photon"] = space.a @ space.fd
+        ops["cross_atom"] = space.sm[0] @ space.fd
+    return ops
 
 
 def moment_derivatives(params: SystemParams, rho: np.ndarray,
@@ -343,18 +358,7 @@ def moment_derivatives(params: SystemParams, rho: np.ndarray,
     drho = apply_liouvillian(
         rho, hamiltonian(space, params, probe), lindblad_channels(space, params, probe)
     )
-    ops = {
-        "photon_number": space.ad @ space.a,
-        "atom_photon": space.a @ space.sp[0],
-        "inversion": space.sz[0],
-    }
-    if space.n_atoms >= 2:
-        ops["pair_corr"] = space.sp[0] @ space.sm[1]
-    if space.f is not None:
-        ops["filter_number"] = space.fd @ space.f
-        ops["cross_photon"] = space.a @ space.fd
-        ops["cross_atom"] = space.sm[0] @ space.fd
-    return {name: _expect(op, drho) for name, op in ops.items()}
+    return {name: _expect(op, drho) for name, op in _moment_ops(space).items()}
 
 
 def product_state(space: HilbertSpace, cavity_amps, bloch,
@@ -400,6 +404,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
     the charge -1 block of L, which has no zero eigenvalue, so each grid
     point is one sparse LU solve of that block, exact at omega = 0 too.
+    L is the matrix the stationary solve assembled, not a second build.
     Returns a unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan  # local import to keep layering one-way
@@ -419,7 +424,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
             omega=omega_grid, intensity=np.zeros_like(omega_grid), method="oracle"
         )
 
-    block = _superoperator(space, params)[idx][:, idx]
+    block = result.liouvillian[idx][:, idx]
     eye = sp.identity(idx.size, dtype=complex, format="csr")
     intensity = np.array([
         -(ad_vec @ _factor(block + 1j * w * eye, "undamped correlation").solve(x)).real
@@ -452,16 +457,20 @@ def derivative_match_error(params: SystemParams, n_states: int = 25,
 
     rng = np.random.default_rng(seed)
     space = build_space(params, n_max)
+    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
+    ops = _moment_ops(space)
     worst = 0.0
     for _ in range(n_states):
         amps, bloch = _random_product_inputs(rng)
         rho = product_state(space, amps, bloch)
-        mom = moments_from_rho(space, rho)
-        exact = moment_derivatives(params, rho, space)
+        drho = _apply(rho, k, jumps)
+        mom = {name: _expect(op, rho) for name, op in ops.items()}
+        exact = {name: _expect(op, drho) for name, op in ops.items()}
         approx = rhs(
             MomentState(
-                photon_number=mom.photon_number, atom_photon=mom.atom_photon,
-                inversion=mom.inversion, pair_corr=mom.pair_corr,
+                photon_number=mom["photon_number"].real,
+                atom_photon=mom["atom_photon"], inversion=mom["inversion"].real,
+                pair_corr=mom.get("pair_corr", 0j),
             ),
             params,
         )

@@ -196,6 +196,14 @@ def test_sweep_requires_grid_and_output(capsys, tmp_path):
     assert "output_path" in err
 
 
+def test_sweep_rejects_a_config_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([1, 2]))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(path)])
+    assert code == 2
+    assert "usage error: config file must hold a JSON object" in err
+
+
 def test_oracle_check_reports_all_green(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, _, err = run_cli(capsys, ["oracle-check", "--out", str(report_path)])

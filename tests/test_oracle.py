@@ -4,16 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from srlaser import oracle
 from srlaser.errors import CutoffError, MemoryBudgetError, SimulationError
 from srlaser.model import SystemParams
 from srlaser.oracle import (
     HilbertSpace,
     _sector,
+    apply_liouvillian,
     atomic_collective_ops,
     build_liouvillian,
     build_space,
     derivative_match_error,
     dicke_basis,
+    hamiltonian,
+    lindblad_channels,
     moment_derivatives,
     oracle_spectrum,
     oracle_steady_state,
@@ -111,6 +115,21 @@ def test_liouvillian_never_mixes_charge_sectors(charge):
     assert np.max(np.abs(out[~inside])) < 1e-14 * np.max(np.abs(out))
 
 
+def test_superoperator_matches_matrix_form():
+    # the kron assembly and the matrix form must agree on any operator,
+    # including non-Hermitian ones such as the charge -1 block's vectors
+    params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    probe = FilterProbe(big_g=0.05, beta=0.1, omega_f=0.2)
+    space = HilbertSpace(2, 3, 2)
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    vec = build_liouvillian(params, 3, probe=probe, m_max=2) @ rho.reshape(-1)
+    mat = apply_liouvillian(rho, hamiltonian(space, params, probe),
+                            lindblad_channels(space, params, probe)).reshape(-1)
+    assert np.linalg.norm(vec - mat) <= 1e-12 * np.linalg.norm(mat)
+
+
 def test_trace_functional_is_left_null_vector():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4)
@@ -181,6 +200,47 @@ def test_cutoff_error_reports_residual_drift():
     with pytest.raises(CutoffError, match="drift") as excinfo:
         oracle_steady_state(params, n_max=0, max_rounds=1)
     assert excinfo.value.drift > 1e-6
+
+
+def _count_calls(monkeypatch, name, log, key):
+    real = getattr(oracle, name)
+
+    def counted(*args):
+        log.append(key(args))
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+
+
+def test_climb_assembles_each_cutoff_once(monkeypatch):
+    # each round's upper solve is the next round's lower one
+    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    cutoffs = []
+    _count_calls(monkeypatch, "_superoperator", cutoffs, lambda args: args[0].n_max)
+    assert oracle_steady_state(params, n_max=6).n_max == 10
+    assert cutoffs == [6, 8, 10]
+
+
+def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
+    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    assembled, solved = [], []
+    _count_calls(monkeypatch, "_superoperator", assembled, lambda args: args[0].n_max)
+    _count_calls(monkeypatch, "_solve_stationary", solved, lambda args: args[1].n_max)
+    oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 5))
+    assert len(solved) >= 2
+    assert len(assembled) <= len(solved)
+
+
+def test_max_rounds_must_be_positive():
+    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    with pytest.raises(ValueError, match="max_rounds"):
+        oracle_steady_state(params, max_rounds=0)
+
+
+def test_cutoff_error_names_the_highest_cutoff_solved():
+    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    with pytest.raises(CutoffError, match="at n_max=2$"):
+        oracle_steady_state(params, n_max=0, max_rounds=1)
 
 
 def test_space_validation_and_memory_budget():
