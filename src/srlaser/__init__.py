@@ -17,8 +17,8 @@ from .dicke import (BranchRates, DickePoint, Regime, classify_regime,
                     collective_threshold, dicke_numbers, lowering_amplitude,
                     pump_branching)
 from .errors import (BelowThresholdError, ConvergenceError, CutoffError,
-                     FitError, MemoryBudgetError, PhysicalityWarning,
-                     ProbeError, SimulationError, StiffIntegrationError)
+                     FitError, MemoryBudgetError, ProbeError,
+                     SimulationError, StiffIntegrationError)
 from .model import (ETA_EXP, PRESET_NAMES, DerivedRates, SystemParams,
                     derived, from_hz, load_config, params_to_config, preset,
                     to_hz)
@@ -39,8 +39,8 @@ __all__ = [
     "collective_threshold", "dicke_numbers", "lowering_amplitude",
     "pump_branching",
     "BelowThresholdError", "ConvergenceError", "CutoffError", "FitError",
-    "MemoryBudgetError", "PhysicalityWarning", "ProbeError",
-    "SimulationError", "StiffIntegrationError",
+    "MemoryBudgetError", "ProbeError", "SimulationError",
+    "StiffIntegrationError",
     "ETA_EXP", "PRESET_NAMES", "DerivedRates", "SystemParams", "derived",
     "from_hz", "load_config", "params_to_config", "preset", "to_hz",
     "oracle_spectrum", "oracle_steady_state", "product_state",

@@ -13,16 +13,18 @@ x = (n, Re c, Im c, s, Re p, Im p).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConvergenceError, PhysicalityWarning, StiffIntegrationError
+from .errors import ConvergenceError, StiffIntegrationError
 from .model import SystemParams
 
 _PHYS_EPS = 1e-9
+_REL_TOL = 1e-8  # DOP853 tolerances
+_ABS_TOL = 1e-12
+_NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -65,32 +67,16 @@ class MomentState:
         if abs(self.inversion) > 1.0 + eps:
             raise ValueError(f"inversion {self.inversion} outside [-1, 1]")
 
-    def cauchy_schwarz_delta(self) -> float:
-        """Fractional excess of |c|^2 over n (1+s)/2; diagnostic only."""
-        bound = self.photon_number * 0.5 * (1.0 + self.inversion)
-        excess = abs(self.atom_photon) ** 2
-        if excess == 0.0:
-            return 0.0
-        if bound <= 0.0:
-            return math.inf
-        return excess / bound - 1.0
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
     t_max: float | None = None
     newton_tol: float | None = None  # None -> 1e-10 * max(1, kappa)
-    newton_max_iter: int = 60
 
 
 @dataclass(frozen=True)
 class SteadyStateInfo:
     scaled_residual: float
-    newton_converged: bool
-    used_continuation: bool
-    relaxed_fallback: bool
 
 
 def initial_state(params: SystemParams) -> MomentState:
@@ -198,13 +184,13 @@ def fixed_point_g0(params: SystemParams, s_fallback: float = -1.0) -> MomentStat
     return MomentState(0.0, 0.0 + 0.0j, s, 0.0 + 0.0j)
 
 
-def _integrate_raw(x0, params, t_final, cfg):
+def _integrate_raw(x0, params, t_final):
     # trial steps may transiently overflow on stiff points; they get rejected
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
             lambda _, y: _rhs_vec(y, params),
             (0.0, t_final), x0, method="DOP853",
-            rtol=cfg.rel_tol, atol=cfg.abs_tol, dense_output=False,
+            rtol=_REL_TOL, atol=_ABS_TOL, dense_output=False,
         )
     if not sol.success:
         raise StiffIntegrationError(
@@ -224,7 +210,7 @@ def integrate(state0: MomentState, params: SystemParams,
     cfg = cfg or SolverConfig()
     state0.validate()
     t_final = cfg.t_max if cfg.t_max is not None else default_t_max(params)
-    sol = _integrate_raw(state0.as_vector(), params, t_final, cfg)
+    sol = _integrate_raw(state0.as_vector(), params, t_final)
     return [(float(t), MomentState.from_vector(y)) for t, y in zip(sol.t, sol.y.T)]
 
 
@@ -253,16 +239,16 @@ def _polish(x, params, res):
     return x, res
 
 
-def _newton(x0, params, tol, max_iter):
+def _newton(x0, params, tol):
     with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_loop(x0, params, tol, max_iter)
+        return _newton_loop(x0, params, tol)
 
 
-def _newton_loop(x0, params, tol, max_iter):
+def _newton_loop(x0, params, tol):
     x = np.array(x0, dtype=float)
     best = x.copy()
     best_res = scaled_residual(x, params)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         res = scaled_residual(x, params)
         if res < best_res:
             best, best_res = x.copy(), res
@@ -345,18 +331,6 @@ def _resonant_seed(params: SystemParams) -> np.ndarray | None:
     return best
 
 
-def _continuation(params, tol, max_iter):
-    x = fixed_point_g0(params).as_vector()
-    if params.g == 0.0:
-        return _newton(x, params, tol, max_iter)
-    for g_step in np.geomspace(params.g / 1e3, params.g, 10):
-        stepped = params.updated(g=g_step)
-        x, res, ok = _newton(x, stepped, tol, max_iter)
-        if not ok or not _is_physical(x, eps=1e-6):
-            return x, res, False
-    return x, scaled_residual(x, params), _is_physical(x)
-
-
 _RELAX_HORIZONS = (30.0, 150.0, 750.0, 4e3, 2e4, 1e5, 3e5)
 
 
@@ -365,7 +339,7 @@ def _relax(params, cfg):
     x = initial_state(params).as_vector()
     r0 = scaled_residual(x, params)
     if r0 == 0.0:
-        return x, 0.0, r0
+        return x
     tau = 1.0 / _fast_rate(params)
     t_cap = cfg.t_max if cfg.t_max is not None else default_t_max(params)
     t_done = 0.0
@@ -374,90 +348,48 @@ def _relax(params, cfg):
         t_target = min(horizon * tau, t_cap)
         if t_target <= t_done:
             continue
-        sol = _integrate_raw(x, params, t_target - t_done, cfg)
-        x = sol.y[:, -1]
+        x = _integrate_raw(x, params, t_target - t_done).y[:, -1]
         t_done = t_target
         new_res = scaled_residual(x, params)
-        if new_res < 1e-6 * r0:
-            return x, new_res, r0
-        if new_res > 0.9 * res:  # stalled: slow manifold reached
-            return x, new_res, r0
+        # settled, or stalled on the slow manifold
+        if new_res < 1e-6 * r0 or new_res > 0.9 * res:
+            break
         res = new_res
         if t_done >= t_cap:
             break
-    return x, scaled_residual(x, params), r0
+    return x
 
 
 def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
                  return_info: bool = False):
-    """Stationary moments via relaxation plus damped Newton.
+    """Stationary moments in three stages, or a ConvergenceError.
 
-    Integrates the transient away on the fast time scale, then polishes
-    with Newton on the analytic Jacobian down to the scaled-residual
-    tolerance.  If Newton fails or lands on an unphysical root, the exact
-    resonant fixed point (stable root of the reduced quadratic) is used
-    as a fresh Newton seed, then a continuation in g from the closed-form
-    g = 0 solution; as a last resort a well-relaxed physical state is
-    returned with a warning.
+    1. Relaxation: integrate the transient away on the fast time scale.
+    2. Damped Newton on the analytic Jacobian from the relaxed state, down
+       to the scaled-residual tolerance.
+    3. If that fails or lands on an unphysical root: Newton seeded with
+       the exact resonant fixed point (the stable root of the reduced
+       quadratic), which exists only on resonance.
+
+    A returned state is a physical root within the tolerance.  Otherwise
+    ConvergenceError is raised, carrying stage 2's best scaled residual.
     """
     cfg = cfg or SolverConfig()
     tol = _newton_tol(params, cfg)
-    x_relax, res_relax, res_start = _relax(params, cfg)
-
-    used_continuation = False
-    x, res, ok = _newton(x_relax, params, tol, cfg.newton_max_iter)
-    if not ok or not _is_physical(x):
-        ok = False
+    x, res, ok = _newton(_relax(params, cfg), params, tol)
+    ok = ok and _is_physical(x)
+    if not ok:
         seed = _resonant_seed(params)
         if seed is not None:
-            x_seed, res_seed, ok_seed = _newton(seed, params, tol, cfg.newton_max_iter)
+            x_seed, res_seed, ok_seed = _newton(seed, params, tol)
             if ok_seed and _is_physical(x_seed):
                 x, res, ok = x_seed, res_seed, True
     if not ok:
-        used_continuation = True
-        x_cont, res_cont, ok_cont = _continuation(params, tol, cfg.newton_max_iter)
-        if ok_cont and _is_physical(x_cont):
-            x, res, ok = x_cont, res_cont, True
-
-    relaxed_fallback = False
-    if not ok:
-        relax_ok = res_relax < 1e-6 * res_start or res_relax < tol * 1e6
-        if _is_physical(x_relax) and relax_ok:
-            warnings.warn(
-                "Newton refinement failed; returning the relaxation result "
-                f"(scaled residual {res_relax:.3e})",
-                PhysicalityWarning,
-            )
-            x, res = x_relax, res_relax
-            relaxed_fallback = True
-        else:
-            raise ConvergenceError(
-                f"no physical steady state found (best scaled residual {res:.3e})",
-                best_residual=res,
-            )
-
+        raise ConvergenceError(
+            f"no physical steady state found (best scaled residual {res:.3e})",
+            best_residual=res,
+        )
     state = MomentState.from_vector(x)
     if return_info:
-        return state, SteadyStateInfo(
-            scaled_residual=res,
-            newton_converged=ok and not relaxed_fallback,
-            used_continuation=used_continuation,
-            relaxed_fallback=relaxed_fallback,
-        )
+        return state, SteadyStateInfo(scaled_residual=res)
     return state
-
-
-def trajectory_to_rows(trajectory) -> list[dict]:
-    """Flatten an integrate() trajectory for CSV/JSON export."""
-    rows = []
-    for t, state in trajectory:
-        rows.append({
-            "t_s": t,
-            "photon_number": state.photon_number,
-            "atom_photon_re": state.atom_photon.real,
-            "atom_photon_im": state.atom_photon.imag,
-            "inversion": state.inversion,
-            "pair_corr_re": state.pair_corr.real,
-            "pair_corr_im": state.pair_corr.imag,
-        })
-    return rows

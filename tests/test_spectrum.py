@@ -8,7 +8,7 @@ import pytest
 
 from srlaser import spectrum
 from srlaser.cumulant import MomentState, steady_state
-from srlaser.errors import FitError, SimulationError
+from srlaser.errors import FitError, ProbeError, SimulationError
 from srlaser.model import SystemParams, preset
 from srlaser.oracle import (
     build_space,
@@ -262,6 +262,47 @@ def test_collective_line_sits_at_the_rabi_splitting_scale():
     result = linewidth(params, base=base, probe=probe)
     split = 2.0 * np.sqrt(params.n_atoms) * params.g
     assert rel_err(result.delta_nu, split) < 0.2
+
+
+def _fake_ode_scans(monkeypatch, bent):
+    """Make scan(method="ode") a flat line, bent where bent(big_g, first_big_g).
+
+    Returns the big_g of every ODE scan, in call order; closed-form scans
+    stay real, so the narrowing passes run as usual.
+    """
+    real_scan = spectrum.scan
+    couplings = []
+
+    def fake(params, probe, grid, method="closed_form", base=None):
+        if method != "ode":
+            return real_scan(params, probe, grid, method, base)
+        couplings.append(probe.big_g)
+        intensity = np.ones(grid.size)
+        if bent(probe.big_g, couplings[0]):
+            intensity[0] = 0.5
+        return SpectrumScan(omega=grid, intensity=intensity, method=method)
+
+    monkeypatch.setattr(spectrum, "scan", fake)
+    return couplings
+
+
+def test_auto_probe_halves_the_coupling_until_backaction_vanishes(desk_params,
+                                                                  monkeypatch):
+    # only the first round's full-strength scan feels the probe
+    couplings = _fake_ode_scans(monkeypatch, lambda g, first: g == first)
+    probe = auto_probe(desk_params, base=steady_state(desk_params))
+    first = couplings[0]
+    assert couplings == [first, first / 2, first / 2, first / 4]
+    assert probe.big_g == first / 2
+
+
+def test_auto_probe_gives_up_after_seven_rounds(desk_params, monkeypatch):
+    # alternate halvings are bent, so no full/half pair ever agrees
+    couplings = _fake_ode_scans(
+        monkeypatch, lambda g, first: round(np.log2(first / g)) % 2 == 0)
+    with pytest.raises(ProbeError, match="back-action-free"):
+        auto_probe(desk_params, base=steady_state(desk_params))
+    assert couplings == [couplings[0] / 2**k for r in range(7) for k in (r, r + 1)]
 
 
 @pytest.mark.xfail(
