@@ -77,6 +77,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SteadyStateInfo:
     scaled_residual: float
+    growth_rate: float  # max real part of the Jacobian's eigenvalues
 
 
 def initial_state(params: SystemParams) -> MomentState:
@@ -276,59 +277,35 @@ def _newton_loop(x0, params, tol):
     return x, res, res < tol
 
 
-def _resonant_roots(params: SystemParams) -> list[np.ndarray]:
-    """Exact fixed points on resonance, where cr = pi = 0.
+def _closed_form_root(params: SystemParams) -> np.ndarray | None:
+    """The physical fixed point in closed form, at any detuning.
 
-    Eliminating n, ci and pr from the stationarity conditions leaves a
-    quadratic in the inversion s; each admissible root is expanded back
-    into a full state vector.
+    Stationarity gives pi = 0 and cr = -delta ci / gamma_c; the ci row is
+    then the resonant one with gamma_c -> gamma_c + delta^2 / gamma_c.
+    Eliminating n, ci and pr leaves a quadratic q in the inversion s with
+    q(-1) >= 0 >= q(d0), d0 the g = 0 inversion, and ci <= 0 exactly when
+    s <= d0: its smaller root is the one physical fixed point.  None when
+    g, kappa or gamma_p vanishes, where the elimination does not hold.
     """
-    g = params.g
-    _, gamma_p = _rates(params)
-    if g <= 0.0 or params.detuning != 0.0 or params.kappa <= 0.0 or gamma_p <= 0.0:
-        return []
-    gamma_c = _rates(params)[0]
+    g, kappa, delta = params.g, params.kappa, params.detuning
+    gamma_c, gamma_p = _rates(params)
+    if g <= 0.0 or kappa <= 0.0 or gamma_p <= 0.0:
+        return None
+    gamma_eff = gamma_c + delta * delta / gamma_c
     nn = params.n_atoms
     a_lin = params.gamma - params.eta
     b_lin = params.gamma + params.eta
-    k_gain = 2.0 * g * g * nn / params.kappa + 2.0 * g * g * (nn - 1) / gamma_p
+    k_gain = 2.0 * g * g * nn / kappa + 2.0 * g * g * (nn - 1) / gamma_p
     qa = k_gain * b_lin
-    qb = k_gain * a_lin - gamma_c * b_lin - 2.0 * g * g
-    qc = -(gamma_c * a_lin + 2.0 * g * g)
-    if qa == 0.0:
-        s_candidates = [-qc / qb] if qb != 0.0 else []
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return []
-        root = math.sqrt(disc)
-        s_candidates = [(-qb + root) / (2.0 * qa), (-qb - root) / (2.0 * qa)]
-    out = []
-    for s in s_candidates:
-        if abs(s) > 1.0 + 1e-9:
-            continue
-        ci = (a_lin + b_lin * s) / (4.0 * g)
-        if ci > 1e-300:
-            continue
-        n = -2.0 * g * nn * ci / params.kappa
-        pr = -2.0 * g * s * ci / gamma_p
-        out.append(np.array([n, 0.0, ci, s, pr, 0.0]))
-    return out
-
-
-def _resonant_seed(params: SystemParams) -> np.ndarray | None:
-    """The dynamically stable physical resonant fixed point, if any."""
-    roots = _resonant_roots(params)
-    if not roots:
-        return None
-    best, best_growth = None, math.inf
-    for x in roots:
-        if not _is_physical(x):
-            continue
-        growth = float(np.max(np.linalg.eigvals(_jacobian(x, params)).real))
-        if growth < best_growth:
-            best, best_growth = x, growth
-    return best
+    qb = k_gain * a_lin - gamma_eff * b_lin - 2.0 * g * g
+    qc = -(gamma_eff * a_lin + 2.0 * g * g)
+    root = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))  # > 0 up to rounding
+    # the smaller root, in whichever form avoids cancellation
+    s = (-qb - root) / (2.0 * qa) if qb > 0.0 else 2.0 * qc / (root - qb)
+    ci = (a_lin + b_lin * s) / (4.0 * g)
+    n = -2.0 * g * nn * ci / kappa
+    pr = -2.0 * g * s * ci / gamma_p
+    return np.array([n, -delta * ci / gamma_c, ci, s, pr, 0.0])
 
 
 _RELAX_HORIZONS = (30.0, 150.0, 750.0, 4e3, 2e4, 1e5, 3e5)
@@ -367,19 +344,29 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     1. Relaxation: integrate the transient away on the fast time scale.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
-    3. If that fails or lands on an unphysical root: Newton seeded with
-       the exact resonant fixed point (the stable root of the reduced
-       quadratic), which exists only on resonance.
+    3. If that fails or lands on an unphysical root: Newton from the
+       closed-form physical root, which exists at any detuning.
 
     A returned state is a physical root within the tolerance.  Otherwise
-    ConvergenceError is raised, carrying stage 2's best scaled residual.
+    ConvergenceError is raised, carrying stage 2's best scaled residual;
+    kappa = 0 at or above transparency raises at once.  The info's
+    growth_rate is the largest real part of the Jacobian's eigenvalues at
+    the returned state: positive where the closure is unstable there.
     """
     cfg = cfg or SolverConfig()
+    if (params.kappa == 0.0 and params.g > 0.0
+            and params.eta >= params.gamma and params.eta + params.gamma > 0.0):
+        raise ConvergenceError(
+            "no physical steady state: with kappa = 0 and eta >= gamma the "
+            "only fixed point has photon number -(1 + d0) / (2 d0) with "
+            "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
+            "infinite"
+        )
     tol = _newton_tol(params, cfg)
     x, res, ok = _newton(_relax(params, cfg), params, tol)
     ok = ok and _is_physical(x)
     if not ok:
-        seed = _resonant_seed(params)
+        seed = _closed_form_root(params)
         if seed is not None:
             x_seed, res_seed, ok_seed = _newton(seed, params, tol)
             if ok_seed and _is_physical(x_seed):
@@ -391,5 +378,6 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
         )
     state = MomentState.from_vector(x)
     if return_info:
-        return state, SteadyStateInfo(scaled_residual=res)
+        growth = float(np.max(np.linalg.eigvals(_jacobian(x, params)).real))
+        return state, SteadyStateInfo(scaled_residual=res, growth_rate=growth)
     return state

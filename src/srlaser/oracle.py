@@ -222,7 +222,7 @@ class OracleResult:
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
-    return complex(np.trace(op @ rho))
+    return complex(np.einsum("ij,ji->", op, rho))
 
 
 def _collective(sp, sm, sz) -> dict[str, np.ndarray]:

@@ -178,7 +178,11 @@ def test_acceptance_05_flagship_photon_number() -> None:
     strict=True,
     reason="deconvolved width at the flagship point measures 3841 Hz, 36% below "
     "the 6 kHz reference (gate is the window [4200, 7800] Hz); the photon number "
-    "at the same operating point is inside its gate",
+    "at the same operating point is inside its gate. 3841 Hz is the response "
+    "pole of w1 w2 + N g^2 s at the fixed point (3840.7 Hz), and that fixed point "
+    "is Hopf-unstable in the closure: the Jacobian's top eigenvalue is "
+    "1.01e5 + 9.54e6 i rad/s, so the probe linearises about a state the closure "
+    "does not stay in",
 )
 def test_acceptance_06_flagship_linewidth() -> None:
     t0 = time.perf_counter()

@@ -1,13 +1,18 @@
 """Moment-closure solver: exact limits, oracle agreement, solver plumbing."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from srlaser.cumulant import (
     MomentState,
     SolverConfig,
+    _closed_form_root,
+    _is_physical,
     _jacobian,
+    _newton,
     fixed_point_g0,
     initial_state,
     integrate,
@@ -16,7 +21,7 @@ from srlaser.cumulant import (
     steady_state,
 )
 from srlaser.errors import ConvergenceError
-from srlaser.model import SystemParams, preset
+from srlaser.model import ETA_EXP, SystemParams, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
 from conftest import rel_err
@@ -100,6 +105,7 @@ def test_steady_state_reports_converged_info(desk_params):
     state, info = steady_state(desk_params, return_info=True)
     assert info.scaled_residual < 1e-9
     assert scaled_residual(state.as_vector(), desk_params) == info.scaled_residual
+    assert info.growth_rate == pytest.approx(-0.21, rel=1e-6)
 
 
 def test_steady_state_is_linearly_stable(desk_params):
@@ -122,13 +128,13 @@ def test_frozen_steady_state_regression_values():
     assert rel_err(s87.inversion, 6.9455263743e-3) < 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="sr88, N = 1e5, eta = 1.23 gamma, omega_a = 0.01 kappa raises "
-    "ConvergenceError although its best scaled residual is 5.8e-11: the "
-    "relaxation stops at its plateau check, Newton lands on the unphysical "
-    "n = -0.5 root, and the resonant seed is skipped off resonance",
-)
+def test_flagship_fixed_point_is_hopf_unstable():
+    # the returned root is the physical one even where it is unstable
+    flagship = preset("sr88", n_atoms=100000, eta=ETA_EXP)
+    _, info = steady_state(flagship, return_info=True)
+    assert info.growth_rate == pytest.approx(1.0145e5, rel=1e-3)
+
+
 def test_detuned_steady_state_is_found():
     params = preset("sr88", n_atoms=100000)
     params = params.updated(eta=1.23 * params.gamma, omega_a=0.01 * params.kappa)
@@ -136,17 +142,60 @@ def test_detuned_steady_state_is_found():
     assert state.photon_number > 0.0
 
 
+# the closed-form roots; stage 2 lands on the unphysical n = -5.3e-8 here
+_DETUNED_SR87_ROOTS = {30_000: (4.6772572e-4, 1.5608042e-3),
+                       100_000: (9.1487803e-2, 2.0727675e-2)}
+
+
 @pytest.mark.parametrize("n_atoms,eta_over_gamma", [(30_000, 6.0), (100_000, 300.0)])
 def test_detuned_sr87_returns_only_stationary_states(n_atoms, eta_over_gamma):
-    # both used to come back as s = -1 at scaled residual 0.075 and 3.77
     params = preset("sr87", n_atoms=n_atoms)
     params = params.updated(eta=eta_over_gamma * params.gamma,
                             omega_a=0.01 * params.kappa)
-    try:
-        state = steady_state(params)
-    except ConvergenceError:
-        return
+    state = steady_state(params)
     assert scaled_residual(state.as_vector(), params) <= 1e-10 * max(1.0, params.kappa)
+    photons, inversion = _DETUNED_SR87_ROOTS[n_atoms]
+    assert rel_err(state.photon_number, photons) < 1e-6
+    assert rel_err(state.inversion, inversion) < 1e-6
+
+
+def _root_inputs(count: int):
+    rng = np.random.default_rng(2018)
+    for i in range(count):
+        base = preset(("sr87", "sr88")[i % 2])
+        corner = i % 10 == 0  # sr87, N = 1, |delta| 3-5 kappa
+        n_atoms = 1 if corner else int(round(10.0 ** rng.uniform(0.0, 6.0)))
+        eta = base.gamma * 10.0 ** rng.uniform(-3.0, 4.0)
+        chi = 0.0 if rng.random() < 0.5 else base.gamma * 10.0 ** rng.uniform(-3.0, 2.0)
+        if corner:
+            delta = rng.choice((-1.0, 1.0)) * rng.uniform(3.0, 5.0) * base.kappa
+        else:
+            delta = 0.0 if rng.random() < 0.3 else rng.uniform(-5.0, 5.0) * base.kappa
+        yield base.updated(n_atoms=n_atoms, eta=eta, chi=chi, omega_a=float(delta))
+
+
+def test_closed_form_root_is_the_physical_fixed_point():
+    for params in _root_inputs(2000):
+        x = _closed_form_root(params)
+        d0 = (params.eta - params.gamma) / (params.eta + params.gamma)
+        assert _is_physical(x), params
+        assert -1.0 <= x[3] <= d0, params
+        tol = 1e-10 * max(1.0, params.kappa)
+        polished, res, ok = _newton(x, params, tol)
+        assert ok and res <= tol and _is_physical(polished), params
+
+
+@pytest.mark.parametrize("gamma,eta,photons", [(0.01, 0.2, None), (0.2, 0.01, 0.05263)])
+def test_lossless_cavity_above_transparency_raises_at_once(gamma, eta, photons):
+    # kappa = 0 forces ci = 0 and s = d0, so n = -(1 + d0) / (2 d0)
+    params = SystemParams(n_atoms=3, g=0.25, kappa=0.0, gamma=gamma, eta=eta)
+    t0 = time.perf_counter()
+    if photons is None:
+        with pytest.raises(ConvergenceError, match="kappa = 0"):
+            steady_state(params)
+    else:
+        assert steady_state(params).photon_number == pytest.approx(photons, rel=1e-4)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.xfail(
