@@ -25,8 +25,9 @@ from .model import (ETA_EXP, PRESET_NAMES, DerivedRates, SystemParams,
 from .oracle import (oracle_spectrum, oracle_steady_state, product_state,
                      moment_derivatives)
 from .spectrum import (FilterProbe, LinewidthResult, LorentzianFit,
-                       SpectrumScan, auto_probe, closed_form_point,
-                       fit_lorentzian, linewidth, scan)
+                       ResponsePoles, SpectrumScan, auto_probe,
+                       closed_form_point, fit_lorentzian, linewidth,
+                       pole_linewidth, scan)
 from .sweep import EtaGrid, Observables, SweepConfig, SweepRow, run_grid
 
 __all__ = [
@@ -45,7 +46,8 @@ __all__ = [
     "from_hz", "load_config", "params_to_config", "preset", "to_hz",
     "oracle_spectrum", "oracle_steady_state", "product_state",
     "moment_derivatives",
-    "FilterProbe", "LinewidthResult", "LorentzianFit", "SpectrumScan",
-    "auto_probe", "closed_form_point", "fit_lorentzian", "linewidth", "scan",
+    "FilterProbe", "LinewidthResult", "LorentzianFit", "ResponsePoles",
+    "SpectrumScan", "auto_probe", "closed_form_point", "fit_lorentzian",
+    "linewidth", "pole_linewidth", "scan",
     "EtaGrid", "Observables", "SweepConfig", "SweepRow", "run_grid",
 ]

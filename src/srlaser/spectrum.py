@@ -72,10 +72,10 @@ class ExtendedState:
         )
 
 
-def _filter_widths(params: SystemParams, probe: FilterProbe) -> tuple[float, float]:
+def _filter_widths(params: SystemParams, beta: float) -> tuple[float, float]:
     """Half-widths of the filter-cavity and filter-atom coherences."""
-    return (0.5 * (probe.beta + params.kappa),
-            0.5 * (probe.beta + params.gamma + params.eta) + 2.0 * params.chi)
+    return (0.5 * (beta + params.kappa),
+            0.5 * (beta + params.gamma + params.eta) + 2.0 * params.chi)
 
 
 def _ext_rhs(x: np.ndarray, params: SystemParams, probe: FilterProbe,
@@ -86,7 +86,7 @@ def _ext_rhs(x: np.ndarray, params: SystemParams, probe: FilterProbe,
     nn = params.n_atoms
     d1 = omega_f - params.omega_c
     d2 = omega_f - params.omega_a
-    b1, b2 = _filter_widths(params, probe)
+    b1, b2 = _filter_widths(params, probe.beta)
     out = np.empty_like(x)
     out[:6] = _rhs_vec(x[:6], params)
     out[0] -= 2.0 * big_g * yi
@@ -104,7 +104,7 @@ def _ext_template(params: SystemParams, probe: FilterProbe) -> np.ndarray:
     """Extended Jacobian without its state- and omega_f-dependent entries."""
     g, big_g = params.g, probe.big_g
     nn = params.n_atoms
-    b1, b2 = _filter_widths(params, probe)
+    b1, b2 = _filter_widths(params, probe.beta)
     jac = np.zeros((11, 11))
     jac[:6, :6] = _jacobian(np.zeros(6), params)
     jac[0, 8] = -2.0 * big_g
@@ -158,6 +158,21 @@ def filter_rhs(ext: ExtendedState, params: SystemParams,
     return ExtendedState.from_vector(_ext_rhs(x, params, probe, probe.omega_f))
 
 
+def _response_terms(base: MomentState, params: SystemParams, beta: float, omega_f):
+    """w1, w2 and the numerator and denominator of the filter response ratio.
+
+    w1 and w2 are the complex filter-cavity and filter-atom frequencies;
+    the ratio (w2 n + N g conj(c)) / (w1 w2 + N g^2 s) carries the whole
+    adiabatic response.
+    """
+    b1, b2 = _filter_widths(params, beta)
+    w1 = omega_f - params.omega_c + 1j * b1
+    w2 = omega_f - params.omega_a + 1j * b2
+    numer = w2 * base.photon_number + params.n_atoms * params.g * base.atom_photon.conjugate()
+    denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
+    return w1, w2, numer, denom
+
+
 def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
                     omega_f):
     """Adiabatic filter moments of a frozen lasing state, over an omega_f array.
@@ -168,17 +183,13 @@ def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
     filter-cavity and filter-atom frequencies.  Exact in the weak-probe
     limit; it also seeds the extended Newton solve.
     """
-    omega_f = np.asarray(omega_f, dtype=float)
-    b1, b2 = _filter_widths(params, probe)
-    w1 = omega_f - params.omega_c + 1j * b1
-    w2 = omega_f - params.omega_a + 1j * b2
-    denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
+    _, w2, numer, denom = _response_terms(base, params, probe.beta,
+                                          np.asarray(omega_f, dtype=float))
     if np.any(denom == 0.0):
         raise SimulationError("filter response denominator vanished")
-    conj_c = base.atom_photon.conjugate()
-    ratio = (w2 * base.photon_number + params.n_atoms * params.g * conj_c) / denom
+    ratio = numer / denom
     y = -probe.big_g * ratio
-    z = -(probe.big_g * conj_c + params.g * base.inversion * y) / w2
+    z = -(probe.big_g * base.atom_photon.conjugate() + params.g * base.inversion * y) / w2
     return -(2.0 * probe.big_g**2 / probe.beta) * ratio.imag, y, z
 
 
@@ -186,6 +197,56 @@ def closed_form_point(base: MomentState, params: SystemParams,
                       probe: FilterProbe) -> float:
     """Filter photon number at probe.omega_f for a frozen lasing steady state."""
     return float(filter_response(base, params, probe, probe.omega_f)[0])
+
+
+@dataclass(frozen=True)
+class ResponsePoles:
+    """The two poles of the zero-probe filter response and their residues.
+
+    poles[0] is the narrow pole.  Each pole k adds a line of FWHM
+    2 |Im poles[k]| and peak weight |residues[k]| / |Im poles[k]| to the
+    spectrum; delta_nu is the narrow one's FWHM, rad/s.
+    """
+
+    poles: np.ndarray
+    residues: np.ndarray
+    delta_nu: float
+
+    @property
+    def broad_weight(self) -> float:
+        """Peak height of the broad pole's Lorentzian over the narrow one's.
+
+        Small when the line is one Lorentzian of width delta_nu; nan when
+        the response has no residue at all (n = c = 0).
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            peak = np.abs(self.residues) / np.abs(self.poles.imag)
+            return float(peak[1] / peak[0])
+
+
+def pole_linewidth(params: SystemParams, base: MomentState) -> ResponsePoles:
+    """Emission linewidth from the poles of the filter response, no probe or fit.
+
+    At zero filter width the response ratio (w2 n + N g conj(c)) /
+    (w1 w2 + N g^2 s) is rational in omega_f with a quadratic
+    denominator, so it is exactly the sum of two pole terms, one per root.
+    Where the broad one carries no weight, the line is one Lorentzian and
+    the narrow root's 2 |Im| is the width that linewidth() measures with a
+    probe and a fit.
+    """
+    w1, w2, _, d0 = _response_terms(base, params, 0.0, 0.0)
+    # denominator = omega^2 - 2 half omega + d0; the larger root first,
+    # the smaller from the product of the roots, without cancellation
+    half = -0.5 * (w1 + w2)
+    root = np.sqrt(half**2 - d0)
+    big = half + root if abs(half + root) >= abs(half - root) else half - root
+    small = d0 / big if big != 0.0 else big
+    poles = np.array(sorted((small, big), key=lambda p: abs(p.imag)))
+    numer = _response_terms(base, params, 0.0, poles)[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residues = numer / (poles - poles[::-1])
+    return ResponsePoles(poles=poles, residues=residues,
+                         delta_nu=2.0 * abs(float(poles[0].imag)))
 
 
 def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState,

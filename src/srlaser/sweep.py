@@ -25,7 +25,7 @@ from .cumulant import steady_state
 from .dicke import classify_regime, dicke_numbers
 from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
 from .model import SystemParams, from_hz, params_to_config, to_hz
-from .spectrum import linewidth
+from .spectrum import linewidth, pole_linewidth
 
 COLUMNS = (
     "n_atoms", "eta_hz", "photon_number", "inversion", "pair_corr_re",
@@ -33,6 +33,12 @@ COLUMNS = (
     "delta_nu_hz", "delta_nu_eq3_hz", "delta_nu_eq4_hz", "status",
 )
 STATUS_VALUES = ("ok", "solver_error", "fit_error")
+
+# Largest peak height of the broad response pole, relative to the narrow
+# one, at which a line counts as one Lorentzian and delta_nu_hz is the
+# narrow pole's width.  Every cell of the sr87/sr88 linewidth grids is
+# below 1.5e-3; the two-mode desk lines (N = 2, 3) are above 5.2e-2.
+ONE_LORENTZIAN_WEIGHT = 1e-2
 
 # 9 significant digits, scientific: deterministic across platforms and
 # exactly round-trippable through float().
@@ -181,7 +187,15 @@ def _cell_key(n_atoms: int, eta_hz: float) -> tuple:
 
 def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
                   obs: Observables) -> SweepRow:
-    """One grid cell; failures are recorded in the row, never raised."""
+    """One grid cell; failures are recorded in the row, never raised.
+
+    delta_nu_hz is the width of the narrow pole of the zero-probe filter
+    response (pole_linewidth) where the broad pole's relative peak weight
+    is below ONE_LORENTZIAN_WEIGHT, so that the line is one Lorentzian.
+    Elsewhere, and where the response has no weight at all, it is the
+    filter-probe pipeline's deconvolved fit width (linewidth), and a
+    pipeline failure makes the row a fit_error.
+    """
     params = base.updated(n_atoms=int(n_atoms), eta=from_hz(eta_hz))
     empty = dict(photon_number=None, inversion=None, pair_corr_re=None,
                  j_eff=None, m_eff=None, j_over_n=None, m_over_n=None,
@@ -216,8 +230,11 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
             eq4 = float("nan")
         fields.update(delta_nu_eq3_hz=eq3, delta_nu_eq4_hz=eq4)
     if obs.linewidth:
+        poles = pole_linewidth(params, state)
         try:
-            fields.update(delta_nu_hz=to_hz(linewidth(params, base=state).delta_nu))
+            width = (poles.delta_nu if poles.broad_weight < ONE_LORENTZIAN_WEIGHT
+                     else linewidth(params, base=state).delta_nu)
+            fields.update(delta_nu_hz=to_hz(width))
         except (SimulationError, FitError, ProbeError):
             status = "fit_error"
     return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status=status, **fields)

@@ -9,7 +9,7 @@ import pytest
 from srlaser import spectrum
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
-from srlaser.model import SystemParams, preset
+from srlaser.model import ETA_EXP, SystemParams, preset, to_hz
 from srlaser.oracle import (
     build_space,
     moment_derivatives,
@@ -33,8 +33,10 @@ from srlaser.spectrum import (
     filter_rhs,
     fit_lorentzian,
     linewidth,
+    pole_linewidth,
     scan,
 )
+from srlaser.sweep import ONE_LORENTZIAN_WEIGHT
 
 from conftest import rel_err
 
@@ -262,6 +264,59 @@ def test_collective_line_sits_at_the_rabi_splitting_scale():
     result = linewidth(params, base=base, probe=probe)
     split = 2.0 * np.sqrt(params.n_atoms) * params.g
     assert rel_err(result.delta_nu, split) < 0.2
+
+
+# ------------------------------------------------------- response poles
+
+def test_decoupled_poles_are_the_bare_cavity_and_atom_widths():
+    params = SystemParams(n_atoms=3, g=0.0, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03)
+    poles = pole_linewidth(params, steady_state(params))
+    widths = 2.0 * np.abs(poles.poles.imag)
+    assert widths == pytest.approx([0.01 + 0.2 + 4 * 0.03, 1.0], rel=1e-14)
+    assert poles.delta_nu == widths[0]
+    # n = c = 0: the response has no weight, so it is no Lorentzian line
+    assert np.all(poles.residues == 0.0)
+    assert np.isnan(poles.broad_weight)
+
+
+def test_flagship_pole_is_the_pipeline_width():
+    params = preset("sr88", n_atoms=100_000, eta=ETA_EXP)
+    base = steady_state(params)
+    poles = pole_linewidth(params, base)
+    assert poles.delta_nu == pytest.approx(24132.0, rel=1e-4)
+    assert to_hz(poles.delta_nu) == pytest.approx(3840.7, rel=1e-4)
+    assert poles.broad_weight < ONE_LORENTZIAN_WEIGHT
+    assert rel_err(poles.delta_nu, linewidth(params, base=base).delta_nu) < 1e-4
+
+
+@pytest.mark.parametrize("n_atoms, weight", [(2, 0.0525), (3, 0.0537)])
+def test_desk_line_has_a_weighted_broad_pole(n_atoms, weight):
+    # at small N the broad pole adds a visible second Lorentzian
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    poles = pole_linewidth(params, steady_state(params))
+    assert poles.poles.shape == poles.residues.shape == (2,)
+    assert abs(poles.poles[0].imag) < abs(poles.poles[1].imag)
+    assert np.all(poles.residues != 0.0)
+    assert poles.broad_weight == pytest.approx(weight, rel=1e-2)
+    assert poles.broad_weight > ONE_LORENTZIAN_WEIGHT
+
+
+# the lowest sr87 pump of the sweep grids, eta = gamma, holds a plateau state;
+# 10^(3/39) gamma is the grid's next point
+@pytest.mark.parametrize("name, n_atoms, eta_gamma", [
+    ("sr87", 10_000, 10 ** (3 / 39)), ("sr87", 10_000, 1e3),
+    ("sr87", 1_000_000, 10 ** (3 / 39)), ("sr87", 1_000_000, 1e3),
+    ("sr88", 1_000, 2.0), ("sr88", 1_000, 100.0),
+    ("sr88", 100_000, 2.0), ("sr88", 100_000, 100.0),
+])
+def test_pole_width_matches_pipeline_on_sweep_cells(name, n_atoms, eta_gamma):
+    params = preset(name, n_atoms=n_atoms)
+    params = params.updated(eta=eta_gamma * params.gamma)
+    base = steady_state(params)
+    poles = pole_linewidth(params, base)
+    assert poles.broad_weight < ONE_LORENTZIAN_WEIGHT
+    assert rel_err(poles.delta_nu, linewidth(params, base=base).delta_nu) < 1e-3
 
 
 def _fake_ode_scans(monkeypatch, bent):

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from srlaser import sweep
+from srlaser.cumulant import steady_state
+from srlaser.errors import FitError
 from srlaser.model import SystemParams, from_hz, preset, to_hz
+from srlaser.spectrum import linewidth
 from srlaser.sweep import (
     COLUMNS,
     EtaGrid,
@@ -128,12 +132,28 @@ def test_linewidth_and_analytic_observables(tmp_path):
     assert row.delta_nu_eq3_hz is not None
 
 
+def test_lorentzian_cell_takes_its_width_from_the_response_pole(monkeypatch):
+    base = preset("sr88")
+    eta_hz = 20.0 * to_hz(base.gamma)
+    params = base.updated(n_atoms=10_000, eta=from_hz(eta_hz))
+    pipeline = to_hz(linewidth(params, base=steady_state(params)).delta_nu)
+
+    def refuse(*args, **kwargs):
+        raise FitError("the filter-probe pipeline ran on a Lorentzian line")
+
+    monkeypatch.setattr(sweep, "linewidth", refuse)
+    row = evaluate_cell(base, 10_000, eta_hz, Observables(linewidth=True))
+    assert row.status == "ok"
+    assert row.delta_nu_hz == pytest.approx(pipeline, rel=1e-3)
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="sr87, N = 1e4, eta = 1.02 gamma ends in fit_error because the "
-    "steady state is the plateau n = 6.37e-9 (scaled residual 6.5e-7), not "
-    "the exact resonant root n = 9.53e-7; seeded with that root, linewidth "
-    "returns 0.00957 Hz. The steady-state solver is at fault, not the fit",
+    reason="sr87, N = 1e4, eta = 1.02 gamma returns ok with 0.01221 Hz, the "
+    "response-pole width of the plateau state n = 6.37e-9 (scaled residual "
+    "6.5e-7), not of the exact resonant root n = 9.53e-7, whose pole and "
+    "linewidth() both give 0.00957 Hz. The steady-state solver is at fault, "
+    "not the width",
 )
 def test_near_threshold_sr87_cell_has_a_linewidth():
     base = preset("sr87")
