@@ -26,8 +26,7 @@ from .oracle import (oracle_spectrum, oracle_steady_state, product_state,
                      moment_derivatives)
 from .spectrum import (FilterProbe, LinewidthResult, LorentzianFit,
                        ResponsePoles, SpectrumScan, auto_probe,
-                       closed_form_point, fit_lorentzian, linewidth,
-                       pole_linewidth, scan)
+                       fit_lorentzian, linewidth, pole_linewidth, scan)
 from .sweep import EtaGrid, Observables, SweepConfig, SweepRow, run_grid
 
 __all__ = [
@@ -47,7 +46,7 @@ __all__ = [
     "oracle_spectrum", "oracle_steady_state", "product_state",
     "moment_derivatives",
     "FilterProbe", "LinewidthResult", "LorentzianFit", "ResponsePoles",
-    "SpectrumScan", "auto_probe", "closed_form_point", "fit_lorentzian",
+    "SpectrumScan", "auto_probe", "fit_lorentzian",
     "linewidth", "pole_linewidth", "scan",
     "EtaGrid", "Observables", "SweepConfig", "SweepRow", "run_grid",
 ]

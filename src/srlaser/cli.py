@@ -205,7 +205,7 @@ def cmd_sweep(args) -> int:
     out_path = args.out or sweep_cfg.get("output_path")
     if not out_path:
         raise ValueError("sweep needs --out or an output_path in the config file")
-    workers = args.workers or sweep_cfg.get("workers", 1)
+    workers = sweep_cfg.get("workers", 1) if args.workers is None else args.workers
 
     cfg = SweepConfig(base=base, n_list=tuple(n_list), eta_grid=grid,
                       observables=obs, output_path=str(out_path), workers=workers)

@@ -52,8 +52,13 @@ class SystemParams:
     omega_c: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.n_atoms) != self.n_atoms or self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
+        try:
+            n_atoms = int(self.n_atoms)
+        except (TypeError, ValueError, OverflowError):
+            n_atoms = 0
+        if n_atoms != self.n_atoms or n_atoms < 1:
+            raise ValueError(f"n_atoms must be an integer >= 1, got {self.n_atoms!r}")
+        object.__setattr__(self, "n_atoms", n_atoms)
         for name in _RATE_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
@@ -175,7 +180,7 @@ def load_config(config: dict) -> SystemParams:
             fields[field] = from_hz(config[key])
     detuning = from_hz(config.get("detuning_hz", 0.0))
     return SystemParams(
-        n_atoms=int(config.get("n_atoms", 1)),
+        n_atoms=config.get("n_atoms", 1),
         eta=from_hz(config.get("eta_hz", 0.0)),
         chi=from_hz(config.get("chi_hz", 0.0)),
         omega_a=detuning,

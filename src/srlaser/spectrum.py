@@ -193,12 +193,6 @@ def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
     return -(2.0 * probe.big_g**2 / probe.beta) * ratio.imag, y, z
 
 
-def closed_form_point(base: MomentState, params: SystemParams,
-                      probe: FilterProbe) -> float:
-    """Filter photon number at probe.omega_f for a frozen lasing steady state."""
-    return float(filter_response(base, params, probe, probe.omega_f)[0])
-
-
 @dataclass(frozen=True)
 class ResponsePoles:
     """The two poles of the zero-probe filter response and their residues.
@@ -249,8 +243,12 @@ def pole_linewidth(params: SystemParams, base: MomentState) -> ResponsePoles:
                          delta_nu=2.0 * abs(float(poles[0].imag)))
 
 
+# Newton steps of the extended solve; it stalls at round-off in a handful.
+_NEWTON_STEPS = 40
+
+
 def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState,
-                     omega_f: np.ndarray, max_iter: int = 40) -> np.ndarray:
+                     omega_f: np.ndarray) -> np.ndarray:
     """Extended steady states at every omega_f at once, as an (11, M) array.
 
     One Newton iteration on all M points, seeded with the frozen closed
@@ -268,7 +266,7 @@ def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState
     best_norm = np.full(omega_f.size, np.inf)
     norm = np.full(omega_f.size, np.inf)
     live = np.arange(omega_f.size)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         r = _ext_rhs(x[:, live], params, probe, omega_f[live])
         prev = norm[live]
         cur = norm[live] = np.max(np.abs(r), axis=0)
@@ -305,7 +303,7 @@ def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState
 
 
 def extended_steady_state(params: SystemParams, probe: FilterProbe,
-                          base: MomentState, max_iter: int = 40) -> ExtendedState:
+                          base: MomentState) -> ExtendedState:
     """Full self-consistent steady state of the probed system at probe.omega_f.
 
     The one-point case of scan(method="ode"): Newton on the 11-component
@@ -313,7 +311,7 @@ def extended_steady_state(params: SystemParams, probe: FilterProbe,
     stalls at its round-off floor and then checked against a loose
     physical bound.
     """
-    x = _extended_newton(params, probe, base, np.array([probe.omega_f]), max_iter)
+    x = _extended_newton(params, probe, base, np.array([probe.omega_f]))
     return ExtendedState.from_vector(x[:, 0])
 
 
@@ -435,7 +433,7 @@ def fit_lorentzian(scan_data: SpectrumScan) -> LorentzianFit:
         raise FitError("no line: scan is flat")
     amplitude, center, fwhm, offset, span_checked = _initial_guess(omega, intensity)
     if span_checked and (omega[-1] - omega[0]) < 1.5 * fwhm:
-        raise ValueError(
+        raise FitError(
             "scan span is narrower than 3 estimated half-widths; widen the grid"
         )
 
@@ -478,28 +476,23 @@ class LinewidthResult:
     scan: SpectrumScan
 
 
-def _probe_class_narrow(params: SystemParams) -> bool:
-    """Millihertz-class transitions need a much deeper beta floor."""
-    return params.gamma < 1e-6 * params.kappa
-
-
-def auto_probe(params: SystemParams, base: MomentState | None = None,
-               check_backaction: bool = True) -> FilterProbe:
+def auto_probe(params: SystemParams, base: MomentState | None = None) -> FilterProbe:
     """Choose beta and big_g so the probe resolves the line faithfully.
 
-    Iteratively narrows beta to a tenth of the current deconvolved-width
-    estimate with big_g = min(1e-3 kappa, 1e-2 sqrt(beta * width)), then
-    verifies on the full extended system that halving big_g moves the
-    normalised line shape by < 0.5 % point-wise.  The returned probe's
-    omega_f holds the fitted line centre.
+    One rule for every line: up to 16 closed-form passes, each narrowing
+    beta to a tenth of the current deconvolved-width estimate with
+    big_g = min(1e-3 kappa, 1e-2 sqrt(beta * width)), until the estimate
+    moves by < 5 %.  An estimate below 1e-12 kappa raises ProbeError.  The
+    designed probe is then checked once on the full extended system:
+    halving big_g must move the normalised line shape by < 0.5 %
+    point-wise, or ProbeError reports the measured change.  The returned
+    probe's omega_f holds the fitted line centre.
     """
     if base is None:
         base = steady_state(params)
     kappa = params.kappa
     _, gamma_p = _rates(params)
-    narrow_class = _probe_class_narrow(params)
-    floor = (1e-12 if narrow_class else 1e-6) * kappa
-    max_passes = 16 if narrow_class else 3
+    floor = 1e-12 * kappa
 
     beta = kappa / 10.0
     big_g = 1e-3 * kappa
@@ -507,7 +500,7 @@ def auto_probe(params: SystemParams, base: MomentState | None = None,
     split = 2.0 * math.sqrt(params.n_atoms) * params.g
     half_window = 2.0 * (kappa + gamma_p + split + abs(params.detuning)) + 10.0 * beta
     est = None
-    for _ in range(max_passes):
+    for _ in range(16):
         grid = np.linspace(center - half_window, center + half_window, 201)
         probe = FilterProbe(big_g=big_g, beta=beta, omega_f=center)
         fit = fit_lorentzian(scan(params, probe, grid, base=base))
@@ -527,23 +520,14 @@ def auto_probe(params: SystemParams, base: MomentState | None = None,
         if converged:
             break
 
-    probe = FilterProbe(big_g=big_g, beta=beta, omega_f=center)
-    if check_backaction:
-        grid = np.linspace(center - half_window, center + half_window, 21)
-        for _ in range(7):
-            full = scan(params, probe, grid, method="ode", base=base)
-            halved_probe = FilterProbe(
-                big_g=0.5 * probe.big_g, beta=probe.beta, omega_f=center
-            )
-            half = scan(params, halved_probe, grid, method="ode", base=base)
-            shape_full = full.intensity / np.max(full.intensity)
-            shape_half = half.intensity / np.max(half.intensity)
-            if np.max(np.abs(shape_full - shape_half)) < 5e-3:
-                break
-            probe = halved_probe
-        else:
-            raise ProbeError("could not reach a back-action-free probe coupling")
-    return probe
+    grid = np.linspace(center - half_window, center + half_window, 21)
+    full, half = (scan(params, FilterProbe(big_g=g, beta=beta, omega_f=center), grid,
+                       method="ode", base=base).intensity for g in (big_g, 0.5 * big_g))
+    change = float(np.max(np.abs(full / np.max(full) - half / np.max(half))))
+    if not change < 5e-3:
+        raise ProbeError(f"halving the probe coupling {big_g:.3e} rad/s moves the "
+                         f"line shape by {change:.3e} (gate 5e-3)")
+    return FilterProbe(big_g=big_g, beta=beta, omega_f=center)
 
 
 def linewidth(params: SystemParams, base: MomentState | None = None,

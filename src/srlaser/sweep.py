@@ -94,11 +94,9 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        n_list = tuple(int(n) for n in self.n_list)
+        n_list = tuple(self.base.updated(n_atoms=n).n_atoms for n in self.n_list)
         if len(n_list) == 0:
             raise ValueError("n_list must not be empty")
-        if any(n < 1 for n in n_list):
-            raise ValueError("all atom numbers must be >= 1")
         object.__setattr__(self, "n_list", n_list)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")

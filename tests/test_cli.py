@@ -9,7 +9,9 @@ import pytest
 
 from srlaser import __version__
 from srlaser.cli import main
-from srlaser.model import to_hz
+from srlaser.cumulant import steady_state
+from srlaser.model import load_config, to_hz
+from srlaser.spectrum import pole_linewidth
 
 
 def run_cli(capsys, argv):
@@ -53,6 +55,33 @@ def test_solver_failure_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["spectrum", "--config", str(path)])
     assert code == 1
     assert "no line" in err
+
+
+def test_fit_failure_on_a_detuned_line_exits_one(capsys, tmp_path):
+    # the first probe pass misjudges this line, so the next scan is too narrow
+    path = tmp_path / "detuned.json"
+    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 10000,
+                                "eta_hz": 153786.25, "detuning_hz": 160000}))
+    code, _, err = run_cli(capsys, ["spectrum", "--config", str(path)])
+    assert code == 1
+    assert "error: scan span is narrower" in err
+
+
+def test_non_integral_atom_number_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "fraction.json"
+    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 100.7}))
+    code, _, err = run_cli(capsys, ["steady", "--config", str(path)])
+    assert code == 2
+    assert "n_atoms" in err
+
+
+def test_sweep_with_zero_workers_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, [
+        "sweep", "--preset", "sr88", "--n", "2", "--eta-hz", "100",
+        "--out", str(tmp_path / "sweep.csv"), "--workers", "0",
+    ])
+    assert code == 2
+    assert "usage error: workers must be >= 1" in err
 
 
 def test_version_flag(capsys):
@@ -149,6 +178,19 @@ def test_spectrum_out_file_convention(capsys, tmp_path, desk_config):
     record = json.loads(out)
     assert record["beta_hz"] > 0.0
     assert record["delta_nu_hz"] == pytest.approx(to_hz(0.2096), rel=5e-3)
+
+
+def test_spectrum_resolves_a_strongly_driven_sr88_line(capsys, tmp_path):
+    params = load_config({"preset": "sr88", "n_atoms": 100000,
+                          "eta_hz": 41557652.475})
+    pole = to_hz(pole_linewidth(params, steady_state(params)).delta_nu)
+    code, out, _ = run_cli(capsys, [
+        "spectrum", "--preset", "sr88", "--n", "100000",
+        "--eta-hz", "41557652.475", "--out", str(tmp_path / "scan.csv"),
+    ])
+    assert code == 0
+    assert pole == pytest.approx(0.04956, rel=1e-3)
+    assert json.loads(out)["delta_nu_hz"] == pytest.approx(pole, rel=1e-6)
 
 
 def test_dicke_map_csv_header(capsys, desk_config):

@@ -26,6 +26,17 @@ def test_rejects_nonpositive_atom_count():
         SystemParams(n_atoms=-3, g=1.0, kappa=1.0, gamma=0.1)
 
 
+def test_rejects_non_integral_atom_count():
+    with pytest.raises(ValueError, match="n_atoms"):
+        SystemParams(n_atoms=2.5, g=1.0, kappa=1.0, gamma=0.1)
+    with pytest.raises(ValueError, match="n_atoms"):
+        load_config({"preset": "sr88", "n_atoms": 100.7})
+    with pytest.raises(ValueError, match="n_atoms"):
+        load_config({"preset": "sr88", "n_atoms": math.inf})
+    p = load_config({"preset": "sr88", "n_atoms": 1000.0})
+    assert p.n_atoms == 1000 and isinstance(p.n_atoms, int)
+
+
 @pytest.mark.parametrize("field", ["g", "kappa", "gamma", "eta", "chi"])
 def test_rejects_negative_and_nonfinite_rates(field):
     with pytest.raises(ValueError, match=field):

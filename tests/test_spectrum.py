@@ -9,7 +9,7 @@ import pytest
 from srlaser import spectrum
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
-from srlaser.model import ETA_EXP, SystemParams, preset, to_hz
+from srlaser.model import ETA_EXP, SystemParams, from_hz, preset, to_hz
 from srlaser.oracle import (
     build_space,
     moment_derivatives,
@@ -28,8 +28,8 @@ from srlaser.spectrum import (
     _lorentzian,
     _lorentzian_jacobian,
     auto_probe,
-    closed_form_point,
     extended_steady_state,
+    filter_response,
     filter_rhs,
     fit_lorentzian,
     linewidth,
@@ -110,9 +110,7 @@ def test_scan_grid_matches_pointwise_closed_form(desk_params):
     grid = np.linspace(-0.4, 0.4, 9)
     swept = scan(desk_params, probe, grid, base=base)
     for omega_f, value in swept.points:
-        single = closed_form_point(
-            base, desk_params, dataclasses.replace(probe, omega_f=omega_f)
-        )
+        single = filter_response(base, desk_params, probe, omega_f)[0]
         assert rel_err(value, single) < 1e-12
 
 
@@ -235,7 +233,7 @@ def test_fit_rejects_flat_and_tiny_scans():
 def test_fit_rejects_scan_narrower_than_the_line():
     grid = np.linspace(-0.8, 0.8, 41)
     data = 1.0 / (1.0 + grid**4)  # flat-topped: estimated width ~ full span
-    with pytest.raises(ValueError, match="widen"):
+    with pytest.raises(FitError, match="widen"):
         fit_lorentzian(SpectrumScan(omega=grid, intensity=data, method="x"))
 
 
@@ -260,8 +258,7 @@ def test_collective_line_sits_at_the_rabi_splitting_scale():
     params = preset("sr88", n_atoms=100)
     params = params.updated(eta=1e-2 * params.gamma)
     base = steady_state(params)
-    probe = auto_probe(params, base=base, check_backaction=False)
-    result = linewidth(params, base=base, probe=probe)
+    result = linewidth(params, base=base)
     split = 2.0 * np.sqrt(params.n_atoms) * params.g
     assert rel_err(result.delta_nu, split) < 0.2
 
@@ -319,12 +316,44 @@ def test_pole_width_matches_pipeline_on_sweep_cells(name, n_atoms, eta_gamma):
     assert rel_err(poles.delta_nu, linewidth(params, base=base).delta_nu) < 1e-3
 
 
-def _fake_ode_scans(monkeypatch, bent):
-    """Make scan(method="ode") a flat line, bent where bent(big_g, first_big_g).
+# strongly driven sr88 narrows its line to 9-105 mHz, about 1e-7 kappa
+@pytest.mark.parametrize("eta_hz, detuning_kappa", [
+    (27489309.278097197, 0.0), (217069959.3537564, 0.0), (75e6, 0.1),
+])
+def test_strongly_driven_sr88_line_is_resolved(eta_hz, detuning_kappa):
+    params = preset("sr88", n_atoms=100_000)
+    params = params.updated(eta=from_hz(eta_hz), omega_a=detuning_kappa * params.kappa)
+    base = steady_state(params)
+    poles = pole_linewidth(params, base)
+    assert poles.delta_nu < 1e-6 * params.kappa
+    assert rel_err(linewidth(params, base=base).delta_nu, poles.delta_nu) < 1e-8
 
-    Returns the big_g of every ODE scan, in call order; closed-form scans
-    stay real, so the narrowing passes run as usual.
-    """
+
+@pytest.mark.xfail(
+    strict=True, raises=FitError,
+    reason="the first 201-point pass spans +-9.8e7 rad/s with a 9.8e5 rad/s step, "
+    "a thousand times the 911.66 rad/s (145.09 Hz) line at 3.79367e6 rad/s, "
+    "so it cannot resolve it; its fitted FWHM, 8.6e4, is below beta = 1.0e5, "
+    "max(observed - beta, 1e-3 beta) clamps the estimate to 1e-3 beta, and "
+    "the second window, [3.79023e6, 3.79089e6], centred where the first pass "
+    "put the line (3.79056e6), misses it by 3e3 rad/s: the fit does not "
+    "converge. 15 of the 144 detuned_grid cells fail this way (1 at 0.1 "
+    "kappa, 8 at kappa, 6 at 5 kappa), all single Lorentzians",
+)
+def test_far_detuned_single_lorentzian_is_resolved():
+    params = preset("sr88", n_atoms=100_000)
+    params = params.updated(omega_a=5.0 * params.kappa, eta=from_hz(44595.27))
+    base = steady_state(params)
+    poles = pole_linewidth(params, base)
+    assert poles.delta_nu == pytest.approx(911.66, rel=1e-5)
+    assert poles.broad_weight == pytest.approx(4.7e-7, rel=0.01)
+    assert rel_err(linewidth(params, base=base).delta_nu, poles.delta_nu) < 1e-3
+
+
+def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
+                                                                  monkeypatch):
+    # closed-form scans stay real, so the narrowing passes run as usual; the
+    # ODE scan at the designed coupling is bent, the one at half of it flat
     real_scan = spectrum.scan
     couplings = []
 
@@ -333,31 +362,14 @@ def _fake_ode_scans(monkeypatch, bent):
             return real_scan(params, probe, grid, method, base)
         couplings.append(probe.big_g)
         intensity = np.ones(grid.size)
-        if bent(probe.big_g, couplings[0]):
+        if len(couplings) == 1:
             intensity[0] = 0.5
         return SpectrumScan(omega=grid, intensity=intensity, method=method)
 
     monkeypatch.setattr(spectrum, "scan", fake)
-    return couplings
-
-
-def test_auto_probe_halves_the_coupling_until_backaction_vanishes(desk_params,
-                                                                  monkeypatch):
-    # only the first round's full-strength scan feels the probe
-    couplings = _fake_ode_scans(monkeypatch, lambda g, first: g == first)
-    probe = auto_probe(desk_params, base=steady_state(desk_params))
-    first = couplings[0]
-    assert couplings == [first, first / 2, first / 2, first / 4]
-    assert probe.big_g == first / 2
-
-
-def test_auto_probe_gives_up_after_seven_rounds(desk_params, monkeypatch):
-    # alternate halvings are bent, so no full/half pair ever agrees
-    couplings = _fake_ode_scans(
-        monkeypatch, lambda g, first: round(np.log2(first / g)) % 2 == 0)
-    with pytest.raises(ProbeError, match="back-action-free"):
+    with pytest.raises(ProbeError, match="moves the line shape by 5.000e-01"):
         auto_probe(desk_params, base=steady_state(desk_params))
-    assert couplings == [couplings[0] / 2**k for r in range(7) for k in (r, r + 1)]
+    assert couplings == [couplings[0], couplings[0] / 2]
 
 
 @pytest.mark.xfail(

@@ -147,6 +147,25 @@ def test_lorentzian_cell_takes_its_width_from_the_response_pole(monkeypatch):
     assert row.delta_nu_hz == pytest.approx(pipeline, rel=1e-3)
 
 
+def test_failed_cells_are_error_rows_and_are_recomputed(tmp_path):
+    # kappa = 0 above transparency has no steady state; g = 0 has no line
+    lossless = _desk_base().updated(kappa=0.0)
+    dark = _desk_base().updated(g=0.0)
+    for base, status in ((lossless, "solver_error"), (dark, "fit_error")):
+        path = tmp_path / f"{status}.csv"
+        cfg = SweepConfig(
+            base=base, n_list=(2,),
+            eta_grid=EtaGrid(min_hz=to_hz(0.2), max_hz=to_hz(0.2), points=1),
+            observables=Observables(linewidth=True), output_path=str(path),
+        )
+        for _ in range(2):
+            (row,) = run_grid(cfg)
+            assert row.status == status
+            assert row.delta_nu_hz is None
+            meta = json.loads(Path(str(path) + ".meta.json").read_text())
+            assert (meta["computed"], meta["resumed"]) == (1, 0)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="sr87, N = 1e4, eta = 1.02 gamma returns ok with 0.01221 Hz, the "
@@ -223,6 +242,9 @@ def test_sweep_config_validation(tmp_path):
         SweepConfig(base=_desk_base(), n_list=(), eta_grid=grid)
     with pytest.raises(ValueError, match=">= 1"):
         SweepConfig(base=_desk_base(), n_list=(0,), eta_grid=grid)
+    with pytest.raises(ValueError, match="n_atoms"):
+        SweepConfig(base=_desk_base(), n_list=(2.9,), eta_grid=grid)
+    assert SweepConfig(base=_desk_base(), n_list=(3.0,), eta_grid=grid).n_list == (3,)
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers=0)
     with pytest.raises(OSError, match="does not exist"):
