@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from . import __version__
 from .analytic import AnalyticInputs, crossover_linewidth, limit_linewidths, tieri_linewidth
@@ -87,6 +87,18 @@ def _read_config(args) -> tuple[dict, dict]:
             raise ValueError("config file must hold a JSON object")
     system = {k: v for k, v in config.items() if k not in _SWEEP_KEYS}
     return system, {k: v for k, v in config.items() if k in _SWEEP_KEYS}
+
+
+def _from_config(cls, value, key: str):
+    """cls(**value) for a config-file object; a wrong shape or key is a usage error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    unknown = set(value) - {f.name for f in fields(cls)}
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(value)
+    if unknown or missing:
+        raise ValueError(f"{key}: unknown keys {sorted(unknown)}, "
+                         f"missing keys {sorted(missing)}")
+    return cls(**value)
 
 
 def _resolve_params(args) -> SystemParams:
@@ -189,6 +201,8 @@ def cmd_sweep(args) -> int:
         n_list = [args.n]
     elif "n_list" in sweep_cfg:
         n_list = sweep_cfg["n_list"]
+        if not isinstance(n_list, list):
+            raise ValueError(f"n_list must be a JSON list, got {n_list!r}")
     elif "n_atoms" in base_keys:
         n_list = [base_keys["n_atoms"]]
     else:
@@ -197,11 +211,11 @@ def cmd_sweep(args) -> int:
     if args.eta_hz is not None:
         grid = EtaGrid(min_hz=args.eta_hz, max_hz=args.eta_hz, points=1)
     elif "eta_grid" in sweep_cfg:
-        grid = EtaGrid(**sweep_cfg["eta_grid"])
+        grid = _from_config(EtaGrid, sweep_cfg["eta_grid"], "eta_grid")
     else:
         raise ValueError("sweep needs --eta-hz or an eta_grid in the config file")
 
-    obs = Observables(**sweep_cfg.get("observables", {}))
+    obs = _from_config(Observables, sweep_cfg.get("observables", {}), "observables")
     out_path = args.out or sweep_cfg.get("output_path")
     if not out_path:
         raise ValueError("sweep needs --out or an output_path in the config file")

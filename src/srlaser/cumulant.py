@@ -110,28 +110,29 @@ def _rhs_vec(x: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M)."""
     n, _, ci, s, _, _ = x
     g = params.g
     nn = params.n_atoms
     delta = params.detuning
     gamma_c, gamma_p = _rates(params)
-    jac = np.zeros((6, 6))
-    jac[0, 0] = -params.kappa
-    jac[0, 2] = -2.0 * g * nn
-    jac[1, 1] = -gamma_c
-    jac[1, 2] = -delta
-    jac[1, 5] = g * (nn - 1)
-    jac[2, 0] = -g * s
-    jac[2, 1] = delta
-    jac[2, 2] = -gamma_c
-    jac[2, 3] = -g * (n + 0.5)
-    jac[2, 4] = -g * (nn - 1)
-    jac[3, 2] = 4.0 * g
-    jac[3, 3] = -(params.gamma + params.eta)
-    jac[4, 2] = -2.0 * g * s
-    jac[4, 3] = -2.0 * g * ci
-    jac[4, 4] = -gamma_p
-    jac[5, 5] = -gamma_p
+    jac = np.zeros(np.shape(n) + (6, 6))
+    jac[..., 0, 0] = -params.kappa
+    jac[..., 0, 2] = -2.0 * g * nn
+    jac[..., 1, 1] = -gamma_c
+    jac[..., 1, 2] = -delta
+    jac[..., 1, 5] = g * (nn - 1)
+    jac[..., 2, 0] = -g * s
+    jac[..., 2, 1] = delta
+    jac[..., 2, 2] = -gamma_c
+    jac[..., 2, 3] = -g * (n + 0.5)
+    jac[..., 2, 4] = -g * (nn - 1)
+    jac[..., 3, 2] = 4.0 * g
+    jac[..., 3, 3] = -(params.gamma + params.eta)
+    jac[..., 4, 2] = -2.0 * g * s
+    jac[..., 4, 3] = -2.0 * g * ci
+    jac[..., 4, 4] = -gamma_p
+    jac[..., 5, 5] = -gamma_p
     return jac
 
 

@@ -102,16 +102,14 @@ def pump_branching(n: int, j: float, m: float, eta: float) -> BranchRates:
     _check_triangle(n, j, m)
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
+    up_j = eta * (n - 2.0 * j) * (j + m + 1.0) * (j + m + 2.0) \
+        / (4.0 * (j + 1.0) * (2.0 * j + 1.0))
     if j < _TRIANGLE_EPS:
         # J = 0 carries no in-shell or down channel; everything raises J.
-        up_j = eta * (n - 2.0 * j) * (j + m + 1.0) * (j + m + 2.0) \
-            / (4.0 * (j + 1.0) * (2.0 * j + 1.0))
         return BranchRates(0.0, 0.0, up_j)
     up_in_j = eta * (2.0 + n) * (j - m) * (j + m + 1.0) / (4.0 * j * (j + 1.0))
     down_j = eta * (n + 2.0 * j + 2.0) * (j - m) * (j - m - 1.0) \
         / (4.0 * j * (2.0 * j + 1.0))
-    up_j = eta * (n - 2.0 * j) * (j + m + 1.0) * (j + m + 2.0) \
-        / (4.0 * (j + 1.0) * (2.0 * j + 1.0))
     return BranchRates(up_in_j, down_j, up_j)
 
 

@@ -166,15 +166,10 @@ def load_config(config: dict) -> SystemParams:
             "gamma": params.gamma,
         }
     else:
-        fields = {}
         for key in ("g_hz", "kappa_hz", "gamma_hz"):
             if key not in config:
                 raise ValueError(f"config without preset requires {key}")
-        fields = {
-            "g": from_hz(config["g_hz"]),
-            "kappa": from_hz(config["kappa_hz"]),
-            "gamma": from_hz(config["gamma_hz"]),
-        }
+        fields = {}
     for key, field in (("g_hz", "g"), ("kappa_hz", "kappa"), ("gamma_hz", "gamma")):
         if key in config:
             fields[field] = from_hz(config[key])

@@ -23,7 +23,7 @@ matrices are vectorised row-major.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,9 +34,11 @@ from .model import SystemParams
 
 MAX_ATOMS = 6
 MAX_SUPEROP_DIM = 2**20  # cap on d^2 for the vectorised Liouvillian
+# relative change of every reported moment between cutoffs n_max and
+# n_max + 2 below which the stationary state counts as converged
+DRIFT_TOL = 1e-6
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
-_SP = _SM.conj().T
 _SZ = np.diag([-1.0, 1.0]).astype(complex)
 _ID2 = np.eye(2, dtype=complex)
 
@@ -91,10 +93,6 @@ class HilbertSpace:
         self.sm = [_lift(_SM, self._atom_offset + i, self.dims) for i in range(n_atoms)]
         self.sp = [op.conj().T for op in self.sm]
         self.sz = [_lift(_SZ, self._atom_offset + i, self.dims) for i in range(n_atoms)]
-
-
-def build_space(params: SystemParams, n_max: int, m_max: int | None = None) -> HilbertSpace:
-    return HilbertSpace(params.n_atoms, n_max, m_max)
 
 
 def hamiltonian(space: HilbertSpace, params: SystemParams,
@@ -161,7 +159,7 @@ def build_liouvillian(params: SystemParams, n_max: int, probe=None,
     """Vectorised (row-major) Liouvillian as a sparse matrix."""
     if probe is not None and m_max is None:
         raise ValueError("a filter probe requires an explicit m_max cutoff")
-    space = build_space(params, n_max, m_max)
+    space = HilbertSpace(params.n_atoms, n_max, m_max)
     return _superoperator(space, *_k_form(hamiltonian(space, params, probe),
                                           lindblad_channels(space, params, probe)))
 
@@ -192,21 +190,8 @@ class OracleMoments:
     cross_atom: complex | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "photon_number": self.photon_number,
-            "atom_photon": self.atom_photon,
-            "inversion": self.inversion,
-            "pair_corr": self.pair_corr,
-            "zz_corr": self.zz_corr,
-            "j_squared": self.j_squared,
-        }
-        if self.filter_number is not None:
-            out.update(
-                filter_number=self.filter_number,
-                cross_photon=self.cross_photon,
-                cross_atom=self.cross_atom,
-            )
-        return out
+        """The moments that were computed: the filter ones only with a filter mode."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass
@@ -234,11 +219,6 @@ def _collective(sp, sm, sz) -> dict[str, np.ndarray]:
     return {"jp": jp, "jm": jm, "jz": jz, "j2": j2}
 
 
-def collective_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Collective spin operators J+-, Jz, J^2 lifted to the full space."""
-    return _collective(space.sp, space.sm, space.sz)
-
-
 def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
     mom = {name: _expect(op, rho) for name, op in _moment_ops(space).items()}
     for name in ("photon_number", "inversion", "filter_number"):
@@ -246,7 +226,7 @@ def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
             mom[name] = mom[name].real
     mom.setdefault("pair_corr", 0.0 + 0.0j)
     zz = _expect(space.sz[0] @ space.sz[1], rho).real if space.n_atoms >= 2 else 1.0
-    j2 = _expect(collective_ops(space)["j2"], rho).real
+    j2 = _expect(_collective(space.sp, space.sm, space.sz)["j2"], rho).real
     return OracleMoments(zz_corr=zz, j_squared=j2, **mom)
 
 
@@ -288,11 +268,9 @@ def _solve_stationary(liouv: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
     return rho
 
 
-def _steady_once(params: SystemParams, n_max: int, probe=None,
-                 m_max: int | None = None) -> OracleResult:
-    space = build_space(params, n_max, m_max)
-    k, jumps = _k_form(hamiltonian(space, params, probe),
-                       lindblad_channels(space, params, probe))
+def _steady_once(params: SystemParams, n_max: int) -> OracleResult:
+    space = HilbertSpace(params.n_atoms, n_max)
+    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
     liouv = _superoperator(space, k, jumps)
     rho = _solve_stationary(liouv, space)
     residual = float(np.max(np.abs(_apply(rho, k, jumps))))
@@ -305,34 +283,34 @@ def _steady_once(params: SystemParams, n_max: int, probe=None,
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
     drift = 0.0
+    b_dict = b.as_dict()
     for key, va in a.as_dict().items():
-        vb = b.as_dict()[key]
+        vb = b_dict[key]
         scale = max(abs(va), abs(vb), 1e-12)
         drift = max(drift, abs(va - vb) / scale)
     return drift
 
 
-def oracle_steady_state(params: SystemParams, n_max: int = 6, probe=None,
-                        m_max: int | None = None, max_rounds: int = 3,
-                        drift_tol: float = 1e-6) -> OracleResult:
+def oracle_steady_state(params: SystemParams, n_max: int = 6,
+                        max_rounds: int = 3) -> OracleResult:
     """Stationary state with automatic Fock-cutoff convergence.
 
     Solves at n_max and n_max + 2 and requires every reported moment to
-    agree to drift_tol relative; otherwise the cutoff is raised by 2, at
+    agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2, at
     most max_rounds times.  Each round's upper solve is the next round's
     lower one, so every cutoff is assembled and solved once.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    low = _steady_once(params, n_max, probe, m_max)
+    low = _steady_once(params, n_max)
     for _ in range(max_rounds):
-        high = _steady_once(params, low.n_max + 2, probe, m_max)
+        high = _steady_once(params, low.n_max + 2)
         drift = _moment_drift(low.moments, high.moments)
-        if drift < drift_tol:
+        if drift < DRIFT_TOL:
             return high
         low = high
     raise CutoffError(
-        f"moments still drift {drift:.2e} (> {drift_tol:.0e}) at n_max={high.n_max}",
+        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.n_max}",
         drift=drift,
     )
 
@@ -461,7 +439,7 @@ def derivative_match_error(params: SystemParams, n_states: int = 25,
     from .cumulant import MomentState, rhs
 
     rng = np.random.default_rng(seed)
-    space = build_space(params, n_max)
+    space = HilbertSpace(params.n_atoms, n_max)
     k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
     ops = _moment_ops(space)
     worst = 0.0
@@ -543,10 +521,9 @@ def consistency_report(seed: int = 7) -> list[dict]:
 # Pure atomic-space helpers for collective-spin tests -----------------------
 
 def atomic_collective_ops(n_atoms: int) -> dict[str, np.ndarray]:
-    """J operators on the bare 2^N atomic space (no cavity factor)."""
-    dims = [2] * n_atoms
-    singles = {name: [_lift(op, i, dims) for i in range(n_atoms)]
-               for name, op in (("sz", _SZ), ("sp", _SP), ("sm", _SM))}
+    """J operators on the bare 2^N atomic space (no cavity factor), N <= MAX_ATOMS."""
+    space = HilbertSpace(n_atoms, 0)  # a one-state cavity adds no factor
+    singles = {"sz": space.sz, "sp": space.sp, "sm": space.sm}
     return {**_collective(**singles), **singles}
 
 

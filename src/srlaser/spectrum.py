@@ -38,10 +38,6 @@ class FilterProbe:
         if not math.isfinite(self.omega_f):
             raise ValueError("omega_f must be finite")
 
-    def weakness(self, kappa: float) -> float:
-        """big_g^2 / (kappa beta): must stay << 1 for a faithful probe."""
-        return self.big_g**2 / (kappa * self.beta)
-
 
 @dataclass(frozen=True)
 class ExtendedState:
@@ -100,52 +96,40 @@ def _ext_rhs(x: np.ndarray, params: SystemParams, probe: FilterProbe,
     return out
 
 
-def _ext_template(params: SystemParams, probe: FilterProbe) -> np.ndarray:
-    """Extended Jacobian without its state- and omega_f-dependent entries."""
+def _ext_jacobian(x: np.ndarray, omega_f: np.ndarray, params: SystemParams,
+                  probe: FilterProbe) -> np.ndarray:
+    """Stacked (M, 11, 11) Jacobians of _ext_rhs at the M columns of x."""
+    s, yr, yi = x[3], x[7], x[8]
     g, big_g = params.g, probe.big_g
     nn = params.n_atoms
     b1, b2 = _filter_widths(params, probe.beta)
-    jac = np.zeros((11, 11))
-    jac[:6, :6] = _jacobian(np.zeros(6), params)
-    jac[0, 8] = -2.0 * big_g
-    jac[1, 10] = -big_g
-    jac[2, 9] = -big_g
-    jac[6, 8] = 2.0 * big_g
-    jac[6, 6] = -probe.beta
-    jac[7, 7] = -b1
-    jac[7, 10] = g * nn
-    jac[8, 8] = -b1
-    jac[8, 0] = big_g
-    jac[8, 6] = -big_g
-    jac[8, 9] = -g * nn
-    jac[9, 9] = -b2
-    jac[9, 2] = big_g
-    jac[10, 10] = -b2
-    jac[10, 1] = big_g
-    return jac
-
-
-def _ext_jacobian(x: np.ndarray, omega_f: np.ndarray, params: SystemParams,
-                  template: np.ndarray) -> np.ndarray:
-    """Stacked (M, 11, 11) Jacobians of _ext_rhs at the M columns of x."""
-    n, _, ci, s = x[:4]
-    yr, yi = x[7], x[8]
-    g = params.g
     d1 = omega_f - params.omega_c
     d2 = omega_f - params.omega_a
-    jac = np.repeat(template[None], x.shape[1], axis=0)
-    jac[:, 2, 0] = -g * s
-    jac[:, 2, 3] = -g * (n + 0.5)
-    jac[:, 4, 2] = -2.0 * g * s
-    jac[:, 4, 3] = -2.0 * g * ci
+    jac = np.zeros((x.shape[1], 11, 11))
+    jac[:, :6, :6] = _jacobian(x[:6], params)
+    jac[:, 0, 8] = -2.0 * big_g
+    jac[:, 1, 10] = -big_g
+    jac[:, 2, 9] = -big_g
+    jac[:, 6, 6] = -probe.beta
+    jac[:, 6, 8] = 2.0 * big_g
+    jac[:, 7, 7] = -b1
     jac[:, 7, 8] = -d1
+    jac[:, 7, 10] = g * nn
+    jac[:, 8, 0] = big_g
+    jac[:, 8, 6] = -big_g
     jac[:, 8, 7] = d1
-    jac[:, 9, 10] = -d2
-    jac[:, 10, 9] = d2
-    jac[:, 9, 8] = -g * s
-    jac[:, 10, 7] = g * s
+    jac[:, 8, 8] = -b1
+    jac[:, 8, 9] = -g * nn
+    jac[:, 9, 2] = big_g
     jac[:, 9, 3] = -g * yi
+    jac[:, 9, 8] = -g * s
+    jac[:, 9, 9] = -b2
+    jac[:, 9, 10] = -d2
+    jac[:, 10, 1] = big_g
     jac[:, 10, 3] = g * yr
+    jac[:, 10, 7] = g * s
+    jac[:, 10, 9] = d2
+    jac[:, 10, 10] = -b2
     return jac
 
 
@@ -261,7 +245,6 @@ def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState
     fn, y, z = filter_response(base, params, probe, omega_f)
     x = np.vstack([np.repeat(base.as_vector()[:, None], omega_f.size, axis=1),
                    fn, y.real, y.imag, z.real, z.imag])
-    template = _ext_template(params, probe)
     best = x.copy()
     best_norm = np.full(omega_f.size, np.inf)
     norm = np.full(omega_f.size, np.inf)
@@ -277,7 +260,7 @@ def _extended_newton(params: SystemParams, probe: FilterProbe, base: MomentState
         live, r = live[going], r[:, going]
         if live.size == 0:
             break
-        jac = _ext_jacobian(x[:, live], omega_f[live], params, template)
+        jac = _ext_jacobian(x[:, live], omega_f[live], params, probe)
         try:
             step = np.linalg.solve(jac, -r.T[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,6 @@ from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
 from .model import SystemParams, from_hz, params_to_config, to_hz
 from .spectrum import linewidth, pole_linewidth
 
-COLUMNS = (
-    "n_atoms", "eta_hz", "photon_number", "inversion", "pair_corr_re",
-    "j_eff", "m_eff", "j_over_n", "m_over_n", "regime",
-    "delta_nu_hz", "delta_nu_eq3_hz", "delta_nu_eq4_hz", "status",
-)
 STATUS_VALUES = ("ok", "solver_error", "fit_error")
 
 # Largest peak height of the broad response pole, relative to the narrow
@@ -55,6 +51,9 @@ class EtaGrid:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.min_hz) and math.isfinite(self.max_hz)):
+            raise ValueError(f"min_hz and max_hz must be finite, got "
+                             f"{self.min_hz} and {self.max_hz}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if self.points < 1:
@@ -106,56 +105,48 @@ class SweepConfig:
         payload = {
             "base": params_to_config(self.base),
             "n_list": list(self.n_list),
-            "eta_grid": {
-                "min_hz": self.eta_grid.min_hz, "max_hz": self.eta_grid.max_hz,
-                "points": self.eta_grid.points, "spacing": self.eta_grid.spacing,
-            },
-            "observables": {
-                "photons": self.observables.photons,
-                "dicke": self.observables.dicke,
-                "linewidth": self.observables.linewidth,
-                "analytic": self.observables.analytic,
-            },
+            "eta_grid": asdict(self.eta_grid),
+            "observables": asdict(self.observables),
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
+    """One grid cell; the field order is the CSV column order."""
+
     n_atoms: int
     eta_hz: float
-    photon_number: float | None
-    inversion: float | None
-    pair_corr_re: float | None
-    j_eff: float | None
-    m_eff: float | None
-    j_over_n: float | None
-    m_over_n: float | None
-    regime: str | None
-    delta_nu_hz: float | None
-    delta_nu_eq3_hz: float | None
-    delta_nu_eq4_hz: float | None
+    photon_number: float | None = None
+    inversion: float | None = None
+    pair_corr_re: float | None = None
+    j_eff: float | None = None
+    m_eff: float | None = None
+    j_over_n: float | None = None
+    m_over_n: float | None = None
+    regime: str | None = None
+    delta_nu_hz: float | None = None
+    delta_nu_eq3_hz: float | None = None
+    delta_nu_eq4_hz: float | None = None
     status: str
 
 
-def _fmt_cell(value) -> str:
+COLUMNS = tuple(f.name for f in fields(SweepRow))
+_REQUIRED = frozenset(f.name for f in fields(SweepRow) if f.default is MISSING)
+# the columns written with str() and parsed with these; every other
+# column is a float in _FMT
+_EXACT = {"n_atoms": int, "regime": str, "status": str}
+
+
+def _fmt_cell(name: str, value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    return _FMT % value
+    return str(value) if name in _EXACT else _FMT % value
 
 
 def row_to_line(row: SweepRow) -> str:
-    cells = [str(row.n_atoms), _FMT % row.eta_hz]
-    cells += [_fmt_cell(getattr(row, name)) for name in COLUMNS[2:13]]
-    cells.append(row.status)
-    return ",".join(cells)
-
-
-def _parse_opt(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+    return ",".join(_fmt_cell(name, getattr(row, name)) for name in COLUMNS)
 
 
 def parse_row(line: str) -> SweepRow:
@@ -163,20 +154,15 @@ def parse_row(line: str) -> SweepRow:
     cells = line.split(",")
     if len(cells) != len(COLUMNS):
         raise ValueError(f"expected {len(COLUMNS)} fields, got {len(cells)}")
-    if cells[13] not in STATUS_VALUES:
-        raise ValueError(f"bad status {cells[13]!r}")
-    regime = cells[9] if cells[9] != "" else None
-    if regime is not None and not regime.replace("-", "_").replace("_", "").isalpha():
-        raise ValueError(f"bad regime label {cells[9]!r}")
-    return SweepRow(
-        n_atoms=int(cells[0]), eta_hz=float(cells[1]),
-        photon_number=_parse_opt(cells[2]), inversion=_parse_opt(cells[3]),
-        pair_corr_re=_parse_opt(cells[4]), j_eff=_parse_opt(cells[5]),
-        m_eff=_parse_opt(cells[6]), j_over_n=_parse_opt(cells[7]),
-        m_over_n=_parse_opt(cells[8]), regime=regime,
-        delta_nu_hz=_parse_opt(cells[10]), delta_nu_eq3_hz=_parse_opt(cells[11]),
-        delta_nu_eq4_hz=_parse_opt(cells[12]), status=cells[13],
-    )
+    raw = dict(zip(COLUMNS, cells))
+    if raw["status"] not in STATUS_VALUES:
+        raise ValueError(f"bad status {raw['status']!r}")
+    regime = raw["regime"]
+    if regime and not regime.replace("-", "_").replace("_", "").isalpha():
+        raise ValueError(f"bad regime label {regime!r}")
+    # a blank optional cell is left to its None default
+    return SweepRow(**{name: _EXACT.get(name, float)(cell) for name, cell in raw.items()
+                       if cell != "" or name in _REQUIRED})
 
 
 def _cell_key(n_atoms: int, eta_hz: float) -> tuple:
@@ -195,25 +181,20 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     pipeline failure makes the row a fit_error.
     """
     params = base.updated(n_atoms=int(n_atoms), eta=from_hz(eta_hz))
-    empty = dict(photon_number=None, inversion=None, pair_corr_re=None,
-                 j_eff=None, m_eff=None, j_over_n=None, m_over_n=None,
-                 regime=None, delta_nu_hz=None, delta_nu_eq3_hz=None,
-                 delta_nu_eq4_hz=None)
     try:
         state = steady_state(params)
     except SimulationError:
-        return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz,
-                        status="solver_error", **empty)
+        return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status="solver_error")
 
     point = dicke_numbers(state, params)
-    fields = dict(empty)
+    values = {}
     status = "ok"
     if obs.photons:
-        fields.update(photon_number=state.photon_number,
+        values.update(photon_number=state.photon_number,
                       inversion=state.inversion,
                       pair_corr_re=state.pair_corr.real)
     if obs.dicke:
-        fields.update(j_eff=point.j_eff, m_eff=point.m_eff,
+        values.update(j_eff=point.j_eff, m_eff=point.m_eff,
                       j_over_n=point.j_over_n, m_over_n=point.m_over_n,
                       regime=classify_regime(state, params).label)
     if obs.analytic:
@@ -226,16 +207,16 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
             eq4 = to_hz(crossover_linewidth(inputs))
         except ValueError:
             eq4 = float("nan")
-        fields.update(delta_nu_eq3_hz=eq3, delta_nu_eq4_hz=eq4)
+        values.update(delta_nu_eq3_hz=eq3, delta_nu_eq4_hz=eq4)
     if obs.linewidth:
         poles = pole_linewidth(params, state)
         try:
             width = (poles.delta_nu if poles.broad_weight < ONE_LORENTZIAN_WEIGHT
                      else linewidth(params, base=state).delta_nu)
-            fields.update(delta_nu_hz=to_hz(width))
+            values.update(delta_nu_hz=to_hz(width))
         except (SimulationError, FitError, ProbeError):
             status = "fit_error"
-    return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status=status, **fields)
+    return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status=status, **values)
 
 
 def _cell_worker(args) -> SweepRow:

@@ -30,6 +30,9 @@ def test_tieri_balanced_pump_is_below_threshold():
     p = SystemParams(n_atoms=100, g=0.1, kappa=1.0, gamma=0.05, eta=0.05)
     with pytest.raises(BelowThresholdError):
         tieri_linewidth(AnalyticInputs.from_params(p, 0.0), p.eta, p.gamma)
+    dark = p.updated(gamma=0.0, eta=0.0)
+    with pytest.raises(BelowThresholdError, match="d0 undefined"):
+        tieri_linewidth(AnalyticInputs.from_params(dark, 0.0), dark.eta, dark.gamma)
 
 
 def test_tieri_weak_gain_is_below_threshold():

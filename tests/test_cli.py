@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from srlaser import __version__
+from srlaser import __version__, cli, oracle
 from srlaser.cli import main
-from srlaser.cumulant import steady_state
+from srlaser.cumulant import MomentState, steady_state
 from srlaser.model import load_config, to_hz
 from srlaser.spectrum import pole_linewidth
 
@@ -84,6 +84,23 @@ def test_sweep_with_zero_workers_is_a_usage_error(capsys, tmp_path):
     assert "usage error: workers must be >= 1" in err
 
 
+@pytest.mark.parametrize("key,value,named", [
+    ("observables", {"linewdith": True}, "linewdith"),
+    ("eta_grid", {"min": 1000.0, "max_hz": 2000.0, "points": 2}, "'min'"),
+    ("eta_grid", [1, 2], "[1, 2]"),
+    ("n_list", 100, "100"),
+])
+def test_sweep_config_typo_is_a_usage_error(capsys, tmp_path, key, value, named):
+    config = {"preset": "sr88", "n_list": [2], "output_path": str(tmp_path / "s.csv"),
+              "eta_grid": {"min_hz": 1000.0, "max_hz": 2000.0, "points": 2}}
+    config[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(path)])
+    assert code == 2
+    assert err.startswith(f"usage error: {key}") and named in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
@@ -156,6 +173,16 @@ def test_limits_reports_closed_form_scales(capsys):
     assert payload["delta_nu_eq3_hz"] is None  # unpumped: below lasing domain
     assert "delta_nu_eq3_note" in payload
     assert payload["delta_nu_eq4_hz"] == pytest.approx(146810.3, rel=1e-4)
+
+
+def test_limits_reports_a_null_crossover_width_outside_its_domain(capsys, monkeypatch):
+    # a fully inverted ensemble drives eq. 4's radicand negative
+    monkeypatch.setattr(cli, "steady_state", lambda params: MomentState(0.0, 0j, 1.0, 0j))
+    code, out, _ = run_cli(capsys, ["limits", "--preset", "sr88", "--n", "100"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["delta_nu_eq4_hz"] is None
+    assert "negative radicand" in payload["delta_nu_eq4_note"]
 
 
 def test_spectrum_stdout_convention(capsys, desk_config):
@@ -236,6 +263,21 @@ def test_sweep_requires_grid_and_output(capsys, tmp_path):
     )
     assert code == 2
     assert "output_path" in err
+    code, _, err = run_cli(capsys, [
+        "sweep", "--preset", "sr88", "--eta-hz", "100", "--out", str(tmp_path / "s.csv"),
+    ])
+    assert code == 2
+    assert "usage error: sweep needs --n or an n_list" in err
+
+
+def test_sweep_takes_the_atom_number_of_the_config(capsys, tmp_path, desk_config):
+    out_csv = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, [
+        "sweep", "--config", desk_config, "--eta-hz", "0.03", "--out", str(out_csv),
+    ])
+    assert code == 0
+    assert "1 rows (1 ok)" in err
+    assert out_csv.read_text().splitlines()[1].startswith("2,")
 
 
 def test_sweep_rejects_a_config_that_is_not_an_object(capsys, tmp_path):
@@ -254,3 +296,13 @@ def test_oracle_check_reports_all_green(capsys, tmp_path):
     report = json.loads(report_path.read_text())
     assert len(report) == 6
     assert all(entry["pass"] for entry in report)
+
+
+def test_oracle_check_exits_one_when_a_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "consistency_report", lambda: [
+        {"test": "steady_photon_closure_n3", "max_error": 0.5, "pass": False},
+    ])
+    code, out, err = run_cli(capsys, ["oracle-check"])
+    assert code == 1
+    assert json.loads(out)[0]["pass"] is False
+    assert "FAILED: steady_photon_closure_n3" in err

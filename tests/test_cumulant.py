@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from srlaser import cumulant
 from srlaser.cumulant import (
     MomentState,
     SolverConfig,
@@ -183,6 +184,26 @@ def test_closed_form_root_is_the_physical_fixed_point():
         tol = 1e-10 * max(1.0, params.kappa)
         polished, res, ok = _newton(x, params, tol)
         assert ok and res <= tol and _is_physical(polished), params
+
+
+def test_closed_form_root_needs_coupling_loss_and_decoherence(desk_params):
+    for changes in ({"g": 0.0}, {"kappa": 0.0}, {"gamma": 0.0, "eta": 0.0, "chi": 0.0}):
+        assert _closed_form_root(desk_params.updated(**changes)) is None
+
+
+def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk_params):
+    residuals = []
+
+    def stalled(x0, params, tol):
+        residuals.append(scaled_residual(x0, params))
+        return np.array(x0, dtype=float), residuals[-1], False
+
+    monkeypatch.setattr(cumulant, "_newton", stalled)
+    with pytest.raises(ConvergenceError, match="no physical steady state found") as excinfo:
+        steady_state(desk_params)
+    # stage 2 from the relaxed state, stage 3 from the closed-form root
+    assert len(residuals) == 2 and residuals[0] != residuals[1]
+    assert excinfo.value.best_residual == residuals[0]
 
 
 @pytest.mark.parametrize("gamma,eta,photons", [(0.01, 0.2, None), (0.2, 0.01, 0.05263)])

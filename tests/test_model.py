@@ -48,6 +48,8 @@ def test_rejects_negative_and_nonfinite_rates(field):
 def test_detuning_is_atom_minus_cavity():
     p = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=0.1, omega_a=3.0, omega_c=1.0)
     assert p.detuning == 2.0
+    with pytest.raises(ValueError, match="omega_a must be finite"):
+        p.updated(omega_a=math.inf)
 
 
 def test_updated_returns_modified_copy():

@@ -13,7 +13,6 @@ from srlaser.oracle import (
     apply_liouvillian,
     atomic_collective_ops,
     build_liouvillian,
-    build_space,
     derivative_match_error,
     dicke_basis,
     hamiltonian,
@@ -85,6 +84,14 @@ def test_spectrum_is_finite_at_zero_frequency():
     assert np.max(scan.intensity) == 1.0
 
 
+def test_dark_system_has_an_all_zero_spectrum():
+    # no coupling and no pump: a rho_ss = 0, so there is no signal to normalise
+    params = SystemParams(n_atoms=2, g=0.0, kappa=1.0, gamma=0.01, eta=0.0)
+    scan = oracle_spectrum(params, n_max=2, omega_grid=np.linspace(-1.0, 1.0, 5))
+    assert scan.method == "oracle"
+    assert np.all(scan.intensity == 0.0)
+
+
 def test_non_unique_stationary_state_is_a_typed_error():
     # no loss and no pump: every function of H is stationary
     params = SystemParams(n_atoms=1, g=0.1, kappa=0.0, gamma=0.0, eta=0.0)
@@ -134,7 +141,7 @@ def test_trace_functional_is_left_null_vector():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4)
     liouv = build_liouvillian(params, 4)
-    d = build_space(params, 4).dim
+    d = HilbertSpace(params.n_atoms, 4).dim
     trace_vec = np.zeros(d * d)
     trace_vec[np.arange(d) * (d + 1)] = 1.0
     assert np.max(np.abs(trace_vec @ liouv)) < 1e-12
@@ -170,7 +177,7 @@ def test_steady_state_is_permutation_symmetric(desk3_result):
 
 def test_pump_derivative_from_ground_vacuum():
     params = SystemParams(n_atoms=1, g=0.2, kappa=1.0, gamma=0.3, eta=0.4)
-    space = build_space(params, 4)
+    space = HilbertSpace(params.n_atoms, 4)
     rho = product_state(space, [1.0], (0.0, 0.0, -1.0))
     derivs = moment_derivatives(params, rho, space)
     # from the ground state only the pump acts: d<sigma_z>/dt = 2 eta
@@ -258,7 +265,7 @@ def test_space_validation_and_memory_budget():
 
 def test_product_state_normalizes_and_validates():
     params = SystemParams(n_atoms=2, g=0.1, kappa=1.0, gamma=0.1, eta=0.1)
-    space = build_space(params, 3)
+    space = HilbertSpace(params.n_atoms, 3)
     rho_scaled = product_state(space, [2.0, 0.0], (0.0, 0.0, -1.0))
     rho_unit = product_state(space, [1.0], (0.0, 0.0, -1.0))
     assert np.max(np.abs(rho_scaled - rho_unit)) < 1e-14
@@ -272,8 +279,8 @@ def test_product_state_normalizes_and_validates():
 
 def test_moment_derivatives_rejects_mismatched_state():
     params = SystemParams(n_atoms=2, g=0.1, kappa=1.0, gamma=0.1, eta=0.1)
-    small = build_space(params, 2)
-    big = build_space(params, 4)
+    small = HilbertSpace(params.n_atoms, 2)
+    big = HilbertSpace(params.n_atoms, 4)
     rho = product_state(big, [1.0], (0.0, 0.0, -1.0))
     with pytest.raises(ValueError, match="does not match"):
         moment_derivatives(params, rho, small)

@@ -11,7 +11,7 @@ from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
 from srlaser.model import ETA_EXP, SystemParams, from_hz, preset, to_hz
 from srlaser.oracle import (
-    build_space,
+    HilbertSpace,
     moment_derivatives,
     moments_from_rho,
     oracle_spectrum,
@@ -24,7 +24,6 @@ from srlaser.spectrum import (
     SpectrumScan,
     _ext_jacobian,
     _ext_rhs,
-    _ext_template,
     _lorentzian,
     _lorentzian_jacobian,
     auto_probe,
@@ -48,7 +47,7 @@ def test_filter_rhs_is_exact_on_product_states():
     params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4)
     probe = FilterProbe(big_g=0.07, beta=0.3, omega_f=0.2)
-    space = build_space(params, 3, m_max=2)
+    space = HilbertSpace(params.n_atoms, 3, m_max=2)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(6):
@@ -174,7 +173,7 @@ def test_extended_jacobian_matches_central_differences():
     probe = FilterProbe(big_g=0.07, beta=0.3)
     omega = np.array([-0.5, 0.1, 0.8])
     x = np.random.default_rng(5).normal(size=(11, omega.size))
-    jac = _ext_jacobian(x, omega, params, _ext_template(params, probe))
+    jac = _ext_jacobian(x, omega, params, probe)
     h = 1e-6
     for j in range(11):
         dx = np.zeros((11, 1))
@@ -397,7 +396,6 @@ def test_probe_validation():
         FilterProbe(big_g=0.1, beta=-1.0)
     with pytest.raises(ValueError, match="omega_f"):
         FilterProbe(big_g=0.1, beta=0.1, omega_f=float("nan"))
-    assert FilterProbe(big_g=0.1, beta=0.5).weakness(kappa=2.0) == pytest.approx(0.01)
 
 
 def test_scan_validation(desk_params):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -81,12 +82,14 @@ def test_corrupt_lines_are_quarantined(tmp_path):
     path = tmp_path / "grid.csv"
     run_grid(_small_config(path))
     clean = path.read_bytes()
+    duplicate = clean.decode().splitlines()[1]
     with open(path, "a") as fh:
-        fh.write("this,is,not,a,row\n")
+        fh.write("this,is,not,a,row\n\n" + duplicate + "\n")
     run_grid(_small_config(path))
     assert path.read_bytes() == clean
+    # a blank line is skipped; a second row for a cell is quarantined
     sidecar = Path(str(path) + ".quarantine").read_text()
-    assert "this,is,not,a,row" in sidecar
+    assert sidecar.splitlines() == ["this,is,not,a,row", duplicate]
 
 
 # ------------------------------------------------------------- cell contents
@@ -232,6 +235,10 @@ def test_grid_validation():
         EtaGrid(min_hz=0.0, max_hz=2.0, points=4)
     with pytest.raises(ValueError, match="spacing"):
         EtaGrid(min_hz=1.0, max_hz=2.0, points=4, spacing="cubic")
+    with pytest.raises(ValueError, match="finite"):
+        EtaGrid(min_hz=1000.0, max_hz=math.inf, points=3)
+    with pytest.raises(ValueError, match="finite"):
+        EtaGrid(min_hz=math.nan, max_hz=2.0, points=3)
     linear = EtaGrid(min_hz=0.0, max_hz=2.0, points=3, spacing="linear")
     assert linear.values_hz().tolist() == [0.0, 1.0, 2.0]
 
@@ -252,6 +259,9 @@ def test_sweep_config_validation(tmp_path):
             base=_desk_base(), n_list=(2,), eta_grid=grid,
             output_path=str(tmp_path / "missing" / "out.csv"),
         ))
+    with pytest.raises(OSError, match="not writable"):
+        run_grid(SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid,
+                             output_path=str(tmp_path)))
 
 
 def test_config_hash_tracks_physics_not_plumbing(tmp_path):
