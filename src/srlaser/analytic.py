@@ -72,10 +72,13 @@ def crossover_linewidth(inputs: AnalyticInputs) -> float:
     """Pole linewidth valid across the whole crossover.
 
     Delta_nu = (Gamma + kappa)/2 * (sqrt(1 + 4 (Gamma/kappa
-    - 2 M Gamma_c / kappa) / (Gamma/kappa + 1)^2) - 1).
+    - 2 M Gamma_c / kappa) / (Gamma/kappa + 1)^2) - 1).  Undefined for a
+    lossless cavity, kappa = 0, which raises ValueError.
     """
     d = inputs.derived
     kappa = inputs.kappa
+    if kappa <= 0.0:
+        raise ValueError(f"kappa = {kappa:.4e}; the formula needs a lossy cavity")
     big_gamma = d.big_gamma
     ratio = big_gamma / kappa
     radicand = 1.0 + 4.0 * (ratio - 2.0 * inputs.m_eff * d.purcell / kappa) \
@@ -89,7 +92,8 @@ def limit_linewidths(inputs: AnalyticInputs) -> LimitLinewidths:
     """The four limits: N Gamma_c, 2 sqrt(N) g, (Gamma kappa - 4 N g^2)/
     (Gamma + kappa), and kappa."""
     d = inputs.derived
-    strong_pump = (d.big_gamma * inputs.kappa - inputs.kappa * d.c_collective) \
+    # 4 N g^2 = 4 (sqrt(N) g)^2 stays finite at kappa = 0, where N Gamma_c is not
+    strong_pump = (d.big_gamma * inputs.kappa - 4.0 * d.collective_coupling**2) \
         / (d.big_gamma + inputs.kappa)
     return LimitLinewidths(
         n_purcell=d.c_collective,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, fields
 
@@ -267,6 +268,9 @@ def cmd_limits(args) -> int:
         "strong_pump_hz": to_hz(limits.strong_pump),
         "cavity_hz": to_hz(limits.cavity),
     }
+    if not math.isfinite(limits.n_purcell):
+        payload["n_purcell_hz"] = None
+        payload["n_purcell_note"] = "N 4 g^2 / kappa is infinite: the cavity is lossless"
     try:
         payload["delta_nu_eq3_hz"] = to_hz(
             tieri_linewidth(inputs, eta=params.eta, gamma=params.gamma))
@@ -278,7 +282,7 @@ def cmd_limits(args) -> int:
     except ValueError as exc:
         payload["delta_nu_eq4_hz"] = None
         payload["delta_nu_eq4_note"] = str(exc)
-    print(f"collective Purcell {payload['n_purcell_hz']:.6g} Hz, "
+    print(f"collective Purcell {to_hz(limits.n_purcell):.6g} Hz, "
           f"collective Rabi {payload['collective_rabi_hz']:.6g} Hz",
           file=sys.stderr)
     _emit(_json(payload), args.out)

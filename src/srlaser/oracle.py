@@ -11,11 +11,12 @@ must stay independent.
 L rho = K rho + rho K^dag + sum_k r_k c_k rho c_k^dag, with the effective
 Hamiltonian K = -iH - 1/2 sum_k r_k c_k^dag c_k.  Every term conserves
 q(ket) - q(bra), where q counts cavity photons, filter photons and excited
-atoms, so the Liouvillian is block diagonal in that charge.  It is
-assembled once per Fock cutoff: the stationary state is a sparse LU solve
-of its charge-0 block alone, and the spectrum is a resolvent of its
-charge -1 block, which holds a rho_ss and has no zero eigenvalue, so
-nothing is propagated in time.
+atoms, so the Liouvillian is block diagonal in that charge, and only the
+block being solved is assembled.  Each Fock cutoff assembles and LU-solves
+its charge-0 block once for the stationary state.  The spectrum is a
+resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
+and has no zero eigenvalue; a few block-diagonal stacks, one sparse LU
+each, solve the whole grid, so nothing is propagated in time.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -78,6 +79,8 @@ class HilbertSpace:
             self.dims.append(m_max + 1)
         self.dims.extend([2] * n_atoms)
         self.dim = int(np.prod(self.dims))
+        # q of each basis state: the sum of its occupation digits
+        self.charge = np.indices(self.dims).reshape(len(self.dims), -1).sum(axis=0)
         if self.dim**2 > MAX_SUPEROP_DIM:
             raise MemoryBudgetError(
                 f"superoperator dimension {self.dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
@@ -164,17 +167,27 @@ def build_liouvillian(params: SystemParams, n_max: int, probe=None,
                                           lindblad_channels(space, params, probe)))
 
 
-def _superoperator(space: HilbertSpace, k, jumps) -> sp.csr_matrix:
+def _superoperator(space: HilbertSpace, k, jumps, charge=None) -> sp.csr_matrix:
     """Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
-    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c): 2 + len(jumps) krons."""
-    ident = sp.identity(space.dim, dtype=complex, format="csr")
-    terms = [sp.kron(k, ident, "coo"), sp.kron(ident, k.conj(), "coo")]
-    terms += [sp.kron(rate * c, c.conj(), "coo") for rate, c in jumps]
-    data, row, col = (np.concatenate([getattr(t, part) for t in terms])
-                      for part in ("data", "row", "col"))
-    del terms  # free the per-term arrays before the CSR build
+    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c), each term broadcast from
+    its factors' COO entries.  With a charge, only that sector's rows are
+    kept, numbered within it; every term conserves q, so its columns too."""
+    d, q = space.dim, space.charge
+    k, ident = k.tocoo(), sp.identity(d, dtype=complex, format="coo")
+    jumps = [(rate, c.tocoo()) for rate, c in jumps]
+    data, row, col = [], [], []
+    for rate, a, b in [(1.0, k, ident), (1.0, ident, k)] + [(r, c, c) for r, c in jumps]:
+        keep = np.s_[:] if charge is None else q[a.row][:, None] - q[b.row] == charge
+        data.append((rate * a.data[:, None] * b.data.conj())[keep].ravel())
+        row.append((a.row[:, None] * d + b.row)[keep].ravel())
+        col.append((a.col[:, None] * d + b.col)[keep].ravel())
+    data, row, col = (np.concatenate(part) for part in (data, row, col))
+    size = d * d
+    if charge is not None:
+        idx = _sector(space, charge)
+        row, col, size = np.searchsorted(idx, row), np.searchsorted(idx, col), idx.size
     # one CSR build sums the overlapping entries of all terms
-    return sp.csr_matrix((data, (row, col)), shape=(space.dim**2,) * 2)
+    return sp.csr_matrix((data, (row, col)), shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -200,10 +213,12 @@ class OracleResult:
     space: HilbertSpace
     moments: OracleMoments
     n_max: int
-    residual: float
-    eigmin: float
-    # the cutoff's assembled Liouvillian, reused for the spectrum's resolvent
-    liouvillian: sp.csr_matrix | None = field(default=None, repr=False)
+    # the cutoff's sparse K and jumps, from which the spectrum assembles
+    # its charge -1 block
+    k_form: tuple = field(repr=False)
+    # max |L rho| and the least eigenvalue of rho, set on the returned cutoff
+    residual: float = float("nan")
+    eigmin: float = float("nan")
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
@@ -231,16 +246,11 @@ def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
 
 
 def _sector(space: HilbertSpace, charge: int) -> np.ndarray:
-    """Row-major vec indices of the entries rho[i, j] with q_i - q_j = charge.
-
-    q counts cavity photons, filter photons and excited atoms: the sum of
-    the basis state's occupation digits.  The Liouvillian never mixes two
-    sectors.
-    """
-    q = np.zeros(1, dtype=int)
-    for d in space.dims:
-        q = (q[:, None] + np.arange(d)).reshape(-1)
-    return np.flatnonzero((q[:, None] - q[None, :]).reshape(-1) == charge)
+    """Row-major vec indices, in increasing order, of the entries rho[i, j]
+    with q_i - q_j = charge, where q counts cavity photons, filter photons
+    and excited atoms.  The Liouvillian never mixes two sectors."""
+    q = space.charge
+    return np.flatnonzero((q[:, None] - q).reshape(-1) == charge)
 
 
 def _factor(block: sp.spmatrix, what: str):
@@ -251,17 +261,17 @@ def _factor(block: sp.spmatrix, what: str):
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
-def _solve_stationary(liouv: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
+def _solve_stationary(block: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
     """Stationary rho from the charge-0 block, its first row (the entry
     rho[0, 0]) replaced by the trace functional."""
     d = space.dim
     idx = _sector(space, 0)
     trace_row = sp.csr_matrix((idx // d == idx % d).astype(complex))
-    block = sp.vstack([trace_row, liouv[idx[1:]][:, idx]])
     b = np.zeros(idx.size, dtype=complex)
     b[0] = 1.0
     vec = np.zeros(d * d, dtype=complex)
-    vec[idx] = _factor(block, "no unique stationary state").solve(b)
+    vec[idx] = _factor(sp.vstack([trace_row, block[1:]]),
+                       "no unique stationary state").solve(b)
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -271,14 +281,9 @@ def _solve_stationary(liouv: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
 def _steady_once(params: SystemParams, n_max: int) -> OracleResult:
     space = HilbertSpace(params.n_atoms, n_max)
     k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
-    liouv = _superoperator(space, k, jumps)
-    rho = _solve_stationary(liouv, space)
-    residual = float(np.max(np.abs(_apply(rho, k, jumps))))
-    eigmin = float(np.linalg.eigvalsh(rho)[0])
-    return OracleResult(
-        rho=rho, space=space, moments=moments_from_rho(space, rho),
-        n_max=n_max, residual=residual, eigmin=eigmin, liouvillian=liouv,
-    )
+    rho = _solve_stationary(_superoperator(space, k, jumps, 0), space)
+    return OracleResult(rho=rho, space=space, moments=moments_from_rho(space, rho),
+                        n_max=n_max, k_form=(k, jumps))
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
@@ -307,6 +312,8 @@ def oracle_steady_state(params: SystemParams, n_max: int = 6,
         high = _steady_once(params, low.n_max + 2)
         drift = _moment_drift(low.moments, high.moments)
         if drift < DRIFT_TOL:
+            high.residual = float(np.max(np.abs(_apply(high.rho, *high.k_form))))
+            high.eigmin = float(np.linalg.eigvalsh(high.rho)[0])
             return high
         low = high
     raise CutoffError(
@@ -386,8 +393,8 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     S(omega) = Re integral_0^inf Tr[a^dag exp(L tau)(a rho_ss)] e^{i omega tau}
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
     the charge -1 block of L, which has no zero eigenvalue, so each grid
-    point is one sparse LU solve of that block, exact at omega = 0 too.
-    L is the matrix the stationary solve assembled, not a second build.
+    point is a sparse solve of that block, exact at omega = 0 too.  The
+    block-diagonal stacks of these systems hold at most d^2 unknowns each.
     Returns a unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan  # local import to keep layering one-way
@@ -407,12 +414,20 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
             omega=omega_grid, intensity=np.zeros_like(omega_grid), method="oracle"
         )
 
-    block = result.liouvillian[idx][:, idx]
-    eye = sp.identity(idx.size, dtype=complex, format="csr")
-    intensity = np.array([
-        -(ad_vec @ _factor(block + 1j * w * eye, "undamped correlation").solve(x)).real
-        for w in omega_grid
-    ])
+    block = _superoperator(space, *result.k_form, -1).tocoo()
+    n = idx.size
+    per_stack = space.dim**2 // n
+    intensity = []
+    for start in range(0, omega_grid.size, per_stack):
+        omega = omega_grid[start:start + per_stack]
+        m = omega.size
+        # system j of the stack sits at offset n j, with i omega_j on its diagonal
+        at, diag = n * np.arange(m)[:, None], np.arange(n * m)
+        stack = sp.csc_matrix((np.append(np.tile(block.data, m), np.repeat(1j * omega, n)),
+                               (np.append(at + block.row, diag), np.append(at + block.col, diag))))
+        sol = _factor(stack, "undamped correlation").solve(np.tile(x, m))
+        intensity.extend(-(sol.reshape(m, n) @ ad_vec).real)
+    intensity = np.array(intensity)
     peak = np.max(intensity)
     if peak <= 0.0:
         raise SimulationError("spectrum has no positive peak; grid may miss the line")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,13 @@ ONE_LORENTZIAN_WEIGHT = 1e-2
 _FMT = "%.8e"
 
 
+def _require(value, kind, name: str) -> None:
+    """A config value of the wrong type (a JSON string, a bool) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EtaGrid:
     """Pump-rate scan axis, external units (Hz)."""
@@ -51,6 +59,9 @@ class EtaGrid:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
+        _require(self.min_hz, numbers.Real, "min_hz")
+        _require(self.max_hz, numbers.Real, "max_hz")
+        _require(self.points, numbers.Integral, "points")
         if not (math.isfinite(self.min_hz) and math.isfinite(self.max_hz)):
             raise ValueError(f"min_hz and max_hz must be finite, got "
                              f"{self.min_hz} and {self.max_hz}")
@@ -97,6 +108,7 @@ class SweepConfig:
         if len(n_list) == 0:
             raise ValueError("n_list must not be empty")
         object.__setattr__(self, "n_list", n_list)
+        _require(self.workers, numbers.Integral, "workers")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

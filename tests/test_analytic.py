@@ -96,6 +96,12 @@ def test_crossover_strong_pump_form():
     assert crossover_linewidth(ai) == pytest.approx(expected, rel=1e-2)
 
 
+def test_crossover_lossless_cavity_raises():
+    ai = _inputs(2, 0.04, 0.0, m_eff=-0.8, gamma=0.1, eta=0.01)
+    with pytest.raises(ValueError, match="lossy cavity"):
+        crossover_linewidth(ai)
+
+
 def test_crossover_cavity_asymptote():
     # Gamma far above every other rate: width saturates at kappa
     ai = _inputs(100, math.sqrt(1.0 / 400.0), 1.0, m_eff=0.0, eta=400.0)
@@ -202,6 +208,13 @@ def test_strong_pump_identity():
         lim = limit_linewidths(AnalyticInputs.from_params(p, 0.0))
         alt = (d.big_gamma - d.c_collective) / (d.big_gamma / p.kappa + 1.0)
         assert lim.strong_pump == pytest.approx(alt, rel=1e-12)
+
+
+def test_strong_pump_limit_of_a_lossless_cavity():
+    # kappa = 0: (Gamma kappa - 4 N g^2)/(Gamma + kappa) = -4 N g^2 / Gamma
+    lim = limit_linewidths(_inputs(2, 0.04, 0.0, m_eff=-0.8, gamma=0.1, eta=0.01))
+    assert lim.strong_pump == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
+    assert lim.n_purcell == math.inf
 
 
 def test_limits_empty_ensemble():

@@ -101,6 +101,28 @@ def test_sweep_config_typo_is_a_usage_error(capsys, tmp_path, key, value, named)
     assert err.startswith(f"usage error: {key}") and named in err
 
 
+@pytest.mark.parametrize("key,value,field", [
+    ("workers", "2", "workers"),
+    ("workers", 1.5, "workers"),
+    ("eta_grid", {"min_hz": 1000.0, "max_hz": 2000.0, "points": "2"}, "points"),
+    ("eta_grid", {"min_hz": 1000.0, "max_hz": 2000.0, "points": True}, "points"),
+    ("eta_grid", {"min_hz": "1000", "max_hz": 2000.0, "points": 2}, "min_hz"),
+    ("eta_grid", {"min_hz": 1000.0, "max_hz": "2e3", "points": 2}, "max_hz"),
+])
+def test_sweep_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, value,
+                                                          field):
+    config = {"preset": "sr88", "n_list": [2], "output_path": str(tmp_path / "s.csv"),
+              "eta_grid": {"min_hz": 1000.0, "max_hz": 2000.0, "points": 2}}
+    config[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(path)])
+    bad = value[field] if isinstance(value, dict) else value
+    assert code == 2
+    assert err.startswith(f"usage error: {field} must be") and repr(bad) in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
@@ -183,6 +205,25 @@ def test_limits_reports_a_null_crossover_width_outside_its_domain(capsys, monkey
     payload = json.loads(out)
     assert payload["delta_nu_eq4_hz"] is None
     assert "negative radicand" in payload["delta_nu_eq4_note"]
+
+
+def test_limits_of_a_lossless_cavity_is_strict_json(capsys, tmp_path):
+    # below transparency at kappa = 0: a steady state exists, eq. 4 does not
+    path = tmp_path / "lossless.json"
+    path.write_text(json.dumps({"n_atoms": 2, "g_hz": 0.04, "kappa_hz": 0,
+                                "gamma_hz": 0.1, "eta_hz": 0.01}))
+    code, out, _ = run_cli(capsys, ["limits", "--config", str(path)])
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["delta_nu_eq4_hz"] is None
+    assert "lossy cavity" in payload["delta_nu_eq4_note"]
+    assert payload["n_purcell_hz"] is None
+    assert "infinite" in payload["n_purcell_note"]
+    assert payload["strong_pump_hz"] == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
 
 
 def test_spectrum_stdout_convention(capsys, desk_config):

@@ -1,8 +1,12 @@
 """Exact-diagonalization reference solver: self-consistency and known limits."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from srlaser import oracle
 from srlaser.errors import CutoffError, MemoryBudgetError, SimulationError
@@ -84,6 +88,57 @@ def test_spectrum_is_finite_at_zero_frequency():
     assert np.max(scan.intensity) == 1.0
 
 
+def test_stacked_spectrum_matches_per_frequency_solves():
+    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    grid = np.linspace(-1.0, 1.0, 41)
+    scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
+    result = oracle_steady_state(params, n_max=4)
+    space = result.space
+    idx = _sector(space, -1)
+    assert space.dim**2 // idx.size < grid.size / 2  # three stacks or more
+    block = build_liouvillian(params, result.n_max)[idx][:, idx]
+    x = (space.a @ result.rho).reshape(-1)[idx]
+    ad_vec = space.ad.T.reshape(-1)[idx]
+    eye = sp.identity(idx.size, dtype=complex, format="csc")
+    direct = np.array([-(ad_vec @ spla.spsolve((block + 1j * w * eye).tocsc(), x)).real
+                       for w in grid])
+    assert np.max(np.abs(scan.intensity - direct / direct.max())) < 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
+    # (L + i omega) X = a rho_ss, checked through the matrix form of L
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    grid = np.linspace(-1.0, 1.0, 41)
+    solutions = []
+    real_factor = oracle._factor
+
+    def recording(block, what):
+        lu = real_factor(block, what)
+        if what != "undamped correlation":
+            return lu
+
+        def solve(b):
+            solutions.append(lu.solve(b))
+            return solutions[-1]
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(oracle, "_factor", recording)
+    oracle_spectrum(params, n_max=4, omega_grid=grid)
+    result = oracle_steady_state(params, n_max=4)
+    space = result.space
+    idx = _sector(space, -1)
+    assert len(solutions) > 1
+    h, channels = hamiltonian(space, params), lindblad_channels(space, params)
+    target = space.a @ result.rho
+    for w, sol in zip(grid, np.concatenate(solutions).reshape(grid.size, idx.size)):
+        vec = np.zeros(space.dim**2, dtype=complex)
+        vec[idx] = sol
+        xmat = vec.reshape(space.dim, space.dim)
+        resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
+        assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
+
+
 def test_dark_system_has_an_all_zero_spectrum():
     # no coupling and no pump: a rho_ss = 0, so there is no signal to normalise
     params = SystemParams(n_atoms=2, g=0.0, kappa=1.0, gamma=0.01, eta=0.0)
@@ -135,6 +190,24 @@ def test_superoperator_matches_matrix_form():
     mat = apply_liouvillian(rho, hamiltonian(space, params, probe),
                             lindblad_channels(space, params, probe)).reshape(-1)
     assert np.linalg.norm(vec - mat) <= 1e-12 * np.linalg.norm(mat)
+
+
+@pytest.mark.parametrize("with_filter", [False, True])
+@pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
+def test_sector_block_is_the_slice_of_the_full_liouvillian(charge, with_filter):
+    params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    probe = FilterProbe(big_g=0.05, beta=0.1, omega_f=0.2) if with_filter else None
+    m_max = 2 if with_filter else None
+    space = HilbertSpace(2, 3, m_max)
+    k, jumps = oracle._k_form(hamiltonian(space, params, probe),
+                              lindblad_channels(space, params, probe))
+    block = oracle._superoperator(space, k, jumps, charge)
+    full = build_liouvillian(params, 3, probe=probe, m_max=m_max)
+    idx = _sector(space, charge)
+    assert block.shape == (idx.size, idx.size)
+    assert abs(block).max() > 0.1
+    assert abs(block - full[idx][:, idx]).max() <= 1e-15 * abs(full).max()
 
 
 def test_trace_functional_is_left_null_vector():
@@ -229,13 +302,17 @@ def test_climb_assembles_each_cutoff_once(monkeypatch):
 
 
 def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
+    # every cutoff assembles its charge-0 block once; the spectrum reuses the
+    # returned cutoff's K form for its charge -1 block, assembled once; no
+    # solve path assembles the full matrix (charge None)
     params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     assembled, solved = [], []
-    _count_calls(monkeypatch, "_superoperator", assembled, lambda args: args[0].n_max)
+    _count_calls(monkeypatch, "_superoperator", assembled,
+                 lambda args: (args[0].n_max, args[3] if len(args) > 3 else None))
     _count_calls(monkeypatch, "_solve_stationary", solved, lambda args: args[1].n_max)
     oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 5))
-    assert len(solved) >= 2
-    assert len(assembled) <= len(solved)
+    assert solved == [4, 6]
+    assert assembled == [(4, 0), (6, 0), (6, -1)]
 
 
 def test_max_rounds_must_be_positive():

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srlaser import sweep
@@ -135,6 +136,15 @@ def test_linewidth_and_analytic_observables(tmp_path):
     assert row.delta_nu_eq3_hz is not None
 
 
+def test_lossless_cavity_cell_has_nan_analytic_widths():
+    # below transparency at kappa = 0 a steady state exists; eqs. 3 and 4 do not
+    base = SystemParams(n_atoms=2, g=from_hz(0.04), kappa=0.0, gamma=from_hz(0.1),
+                        eta=0.0)
+    row = evaluate_cell(base, 2, 0.01, Observables(analytic=True))
+    assert row.status == "ok"
+    assert math.isnan(row.delta_nu_eq3_hz) and math.isnan(row.delta_nu_eq4_hz)
+
+
 def test_lorentzian_cell_takes_its_width_from_the_response_pole(monkeypatch):
     base = preset("sr88")
     eta_hz = 20.0 * to_hz(base.gamma)
@@ -240,6 +250,10 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="finite"):
         EtaGrid(min_hz=math.nan, max_hz=2.0, points=3)
     linear = EtaGrid(min_hz=0.0, max_hz=2.0, points=3, spacing="linear")
+    for key, value in (("min_hz", "1.0"), ("max_hz", None), ("points", "4"), ("points", 4.0)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            EtaGrid(**{"min_hz": 1.0, "max_hz": 2.0, "points": 4, key: value})
+    assert EtaGrid(min_hz=np.float64(1.0), max_hz=2, points=np.int64(2)).points == 2
     assert linear.values_hz().tolist() == [0.0, 1.0, 2.0]
 
 
@@ -254,6 +268,8 @@ def test_sweep_config_validation(tmp_path):
     assert SweepConfig(base=_desk_base(), n_list=(3.0,), eta_grid=grid).n_list == (3,)
     with pytest.raises(ValueError, match="workers"):
         SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers=0)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers="2")
     with pytest.raises(OSError, match="does not exist"):
         run_grid(SweepConfig(
             base=_desk_base(), n_list=(2,), eta_grid=grid,
