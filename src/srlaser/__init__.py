@@ -22,8 +22,6 @@ from .errors import (BelowThresholdError, ConvergenceError, CutoffError,
 from .model import (ETA_EXP, PRESET_NAMES, DerivedRates, SystemParams,
                     derived, from_hz, load_config, params_to_config, preset,
                     to_hz)
-from .oracle import (oracle_spectrum, oracle_steady_state, product_state,
-                     moment_derivatives)
 from .spectrum import (FilterProbe, LinewidthResult, LorentzianFit,
                        ResponsePoles, SpectrumScan, auto_probe,
                        fit_lorentzian, linewidth, pole_linewidth, scan)
@@ -50,3 +48,16 @@ __all__ = [
     "linewidth", "pole_linewidth", "scan",
     "EtaGrid", "Observables", "SweepConfig", "SweepRow", "run_grid",
 ]
+
+# The oracle imports scipy.sparse when it loads, so its names are imported
+# on first access (PEP 562) and `import srlaser` needs numpy only.
+_ORACLE_NAMES = frozenset(("oracle_spectrum", "oracle_steady_state",
+                           "product_state", "moment_derivatives"))
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

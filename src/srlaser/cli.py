@@ -158,6 +158,11 @@ def cmd_steady(args) -> int:
             "collective_coupling_hz": to_hz(rates.collective_coupling),
         },
     }
+    rates_hz = payload["derived"]
+    for key, formula in (("purcell", "4 g^2 / kappa"), ("c_collective", "N 4 g^2 / kappa")):
+        if not math.isfinite(rates_hz[key + "_hz"]):
+            rates_hz[key + "_hz"] = None
+            rates_hz[key + "_note"] = f"{formula} is infinite: the cavity is lossless"
     print(f"photon number {state.photon_number:.6g}, inversion "
           f"{state.inversion:.6g}, regime {payload['regime']}", file=sys.stderr)
     _emit(_json(payload), args.out)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, StiffIntegrationError
 from .model import SystemParams
@@ -184,6 +183,14 @@ def fixed_point_g0(params: SystemParams, s_fallback: float = -1.0) -> MomentStat
     total = params.gamma + params.eta
     s = (params.eta - params.gamma) / total if total > 0.0 else s_fallback
     return MomentState(0.0, 0.0 + 0.0j, s, 0.0 + 0.0j)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call so that
+    importing this module does not load scipy.integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _integrate_raw(x0, params, t_final):

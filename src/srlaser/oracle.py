@@ -50,10 +50,8 @@ def _destroy(dim: int) -> np.ndarray:
 
 def _lift(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
     """op acting on factor `site` of a tensor product with factor sizes dims."""
-    out = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims):
-        out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
-    return out
+    left, right = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
+    return np.kron(np.kron(np.eye(left, dtype=complex), op), np.eye(right, dtype=complex))
 
 
 class HilbertSpace:
@@ -130,14 +128,12 @@ def lindblad_channels(space: HilbertSpace, params: SystemParams,
 
 
 def _k_form(h, channels):
-    """Sparse K = -iH - 1/2 sum r c^dag c, as the one product
-    [1, c_1^dag, ...] @ [-iH; -r_1 c_1 / 2; ...], and the sparse channels."""
-    jumps = [(rate, sp.csr_matrix(c)) for rate, c in channels]
-    ident = sp.identity(h.shape[0], dtype=complex, format="csr")
-    left = sp.vstack([ident] + [c for _, c in jumps], format="csr").conj().T
-    right = sp.vstack([-1j * sp.csr_matrix(h)] + [-0.5 * rate * c for rate, c in jumps],
-                      format="csr")
-    return (left @ right).tocsr(), jumps
+    """Sparse K = -iH - 1/2 sum r c^dag c, formed densely like H and
+    converted once, and the sparse channels."""
+    k = -1j * h
+    for rate, c in channels:
+        k = k - 0.5 * rate * (c.conj().T @ c)
+    return sp.csr_matrix(k), [(rate, sp.csr_matrix(c)) for rate, c in channels]
 
 
 def _apply(rho: np.ndarray, k, jumps) -> np.ndarray:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cumulant import MomentState, _jacobian, _rates, _rhs_vec, steady_state
 from .errors import FitError, ProbeError, SimulationError
@@ -407,6 +406,8 @@ def _initial_guess(omega, intensity):
 
 def fit_lorentzian(scan_data: SpectrumScan) -> LorentzianFit:
     """Least-squares Lorentzian fit with half-max-crossing initialisation."""
+    from scipy.optimize import least_squares
+
     omega = scan_data.omega
     intensity = scan_data.intensity
     if omega.size < 8:

@@ -111,7 +111,17 @@ def test_acceptance_03_branching_sum_rule() -> None:
     "boundary (gate 1%; 0.83% from 60*kappa up) and bare-kappa limit to 1.94% at "
     "M = 0, 2.91% at M = +N/2, for Gamma = 100*kappa (gate 1%; only M = -N/2 "
     "passes at 0.97%); the collective-decay and strong-pump limits pass at "
-    "0.009% and 0.08%",
+    "0.009% and 0.08%. With u = 4 (Gamma kappa - 8 M g^2) / (kappa + Gamma)^2, "
+    "eq. 4 is (kappa + Gamma)(sqrt(1 + u) - 1)/2 and the closure's exact narrow "
+    "pole is (kappa + Gamma)(1 - sqrt(1 - u))/2, equal to first order in u: the "
+    "collective-decay (u <= 8e-5) and strong-pump (u = 3.3e-3) limits are exact "
+    "to first order and pass. The other two hold only at finite u. Bare kappa "
+    "at u = 0.039: eq. 4's second-order term -u/2 is the 1.94% at M = 0, and "
+    "the exact pole misses kappa by 1.01/0.00/1.01% at M = -N/2, 0, +N/2, "
+    "because 8 |M| g^2 is 1% of Gamma kappa there. Collective Rabi at u = 3600: "
+    "the pole's discriminant is negative, both poles have width "
+    "(kappa + Gamma)/2 and 2 sqrt(N) g is their splitting; eq. 4 continues "
+    "there as about 2 sqrt(N) g - (kappa + Gamma)/2, which is the 1.65%",
 )
 def test_acceptance_04_crossover_limit_suite() -> None:
     t0 = time.perf_counter()

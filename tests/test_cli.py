@@ -20,6 +20,23 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity extensions."""
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def lossless_config(tmp_path):
+    # below transparency at kappa = 0: a steady state exists, eq. 4 does not
+    path = tmp_path / "lossless.json"
+    path.write_text(json.dumps({"n_atoms": 2, "g_hz": 0.04, "kappa_hz": 0,
+                                "gamma_hz": 0.1, "eta_hz": 0.01}))
+    return str(path)
+
+
 @pytest.fixture
 def desk_config(tmp_path):
     path = tmp_path / "desk.json"
@@ -207,23 +224,25 @@ def test_limits_reports_a_null_crossover_width_outside_its_domain(capsys, monkey
     assert "negative radicand" in payload["delta_nu_eq4_note"]
 
 
-def test_limits_of_a_lossless_cavity_is_strict_json(capsys, tmp_path):
-    # below transparency at kappa = 0: a steady state exists, eq. 4 does not
-    path = tmp_path / "lossless.json"
-    path.write_text(json.dumps({"n_atoms": 2, "g_hz": 0.04, "kappa_hz": 0,
-                                "gamma_hz": 0.1, "eta_hz": 0.01}))
-    code, out, _ = run_cli(capsys, ["limits", "--config", str(path)])
+def test_limits_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
+    code, out, _ = run_cli(capsys, ["limits", "--config", lossless_config])
     assert code == 0
-
-    def reject(name):
-        raise ValueError(f"non-finite JSON constant {name}")
-
-    payload = json.loads(out, parse_constant=reject)
+    payload = strict_json(out)
     assert payload["delta_nu_eq4_hz"] is None
     assert "lossy cavity" in payload["delta_nu_eq4_note"]
     assert payload["n_purcell_hz"] is None
     assert "infinite" in payload["n_purcell_note"]
     assert payload["strong_pump_hz"] == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
+
+
+def test_steady_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
+    code, out, _ = run_cli(capsys, ["steady", "--config", lossless_config])
+    assert code == 0
+    rates = strict_json(out)["derived"]
+    for key in ("purcell", "c_collective"):
+        assert rates[f"{key}_hz"] is None
+        assert "lossless" in rates[f"{key}_note"]
+    assert rates["big_gamma_hz"] == pytest.approx(0.11, rel=1e-12)
 
 
 def test_spectrum_stdout_convention(capsys, desk_config):

@@ -1,0 +1,66 @@
+"""Cold start: the CLI and the package load scipy only where it is called.
+
+This test session has imported scipy already, so each check runs a fresh
+interpreter under ``-X importtime``, which lists every module it imports.
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import srlaser
+import srlaser.cumulant
+
+SRC = str(Path(srlaser.__file__).resolve().parents[1])
+SCIPY = {"scipy", "scipy.integrate", "scipy.optimize", "scipy.sparse"}
+
+
+def run_fresh(*args):
+    """Run ``python -X importtime *args`` on this checkout's sources.
+
+    Returns the completed process and the set of modules it imported.
+    """
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc, imported
+
+
+def test_importing_the_cli_loads_no_scipy():
+    proc, imported = run_fresh("-c", "import srlaser.cli")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "numpy" in imported
+    assert not SCIPY & imported
+
+
+def test_presets_runs_without_scipy():
+    proc, imported = run_fresh("-m", "srlaser.cli", "presets")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert set(json.loads(proc.stdout)) == {"sr87", "sr88"}
+    assert not SCIPY & imported
+
+
+def test_oracle_names_resolve_on_first_access():
+    proc, imported = run_fresh(
+        "-c", "import srlaser, sys\n"
+              "assert 'srlaser.oracle' not in sys.modules\n"
+              "from srlaser import oracle_steady_state\n"
+              "print(oracle_steady_state.__module__)")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["srlaser.oracle"]
+    assert "scipy.sparse" in imported
+
+
+def test_solve_ivp_stays_a_module_attribute_of_cumulant():
+    # benchmark tracers wrap it where the package looks it up
+    sol = srlaser.cumulant.solve_ivp(lambda _, y: -y, (0.0, 1.0), [1.0],
+                                     method="DOP853", rtol=1e-10, atol=1e-12)
+    assert sol.success
+    assert math.isclose(sol.y[0, -1], math.exp(-1.0), rel_tol=1e-9)

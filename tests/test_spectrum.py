@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srlaser import spectrum
+from srlaser.analytic import AnalyticInputs, crossover_linewidth
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
 from srlaser.model import ETA_EXP, SystemParams, from_hz, preset, to_hz
@@ -284,6 +285,51 @@ def test_flagship_pole_is_the_pipeline_width():
     assert to_hz(poles.delta_nu) == pytest.approx(3840.7, rel=1e-4)
     assert poles.broad_weight < ONE_LORENTZIAN_WEIGHT
     assert rel_err(poles.delta_nu, linewidth(params, base=base).delta_nu) < 1e-4
+
+
+def _resonant_narrow_pole(params, base):
+    """Closed-form narrow pole width at zero detuning and chi = 0, u and M.
+
+    delta_nu = 1/2 (kappa + Gamma)(1 - sqrt(1 - u)) with
+    u = 4 (Gamma kappa - 8 M g^2) / (kappa + Gamma)^2, Gamma = eta + gamma
+    and M = N s / 2, written as u / (1 + sqrt(1 - u)) to avoid cancellation.
+    """
+    big_gamma = params.eta + params.gamma
+    m = params.n_atoms * base.inversion / 2
+    u = 4 * (big_gamma * params.kappa - 8 * m * params.g**2) / (params.kappa + big_gamma)**2
+    return 0.5 * (params.kappa + big_gamma) * u / (1 + np.sqrt(1 - u)), u, m
+
+
+def test_resonant_narrow_pole_has_a_closed_form():
+    rng = np.random.default_rng(4)
+    second_order = 0
+    for name in ("sr88", "sr87") * 8:
+        params = preset(name, n_atoms=int(10 ** rng.uniform(2, 5)))
+        params = params.updated(eta=params.gamma * 10 ** rng.uniform(0.5, 3))
+        base = steady_state(params)
+        pole = pole_linewidth(params, base).delta_nu
+        closed, u, m = _resonant_narrow_pole(params, base)
+        assert rel_err(closed, pole) < 1e-10
+        # Eq. 4 is 1/2 (kappa + Gamma)(sqrt(1 + u) - 1), the same width to
+        # first order in u; below u = 1e-4 the round-off of its
+        # sqrt(1 + u) - 1, about 1e-16 / u, would hide the u^2 term
+        if u >= 1e-4:
+            eq4 = crossover_linewidth(AnalyticInputs.from_params(params, m_eff=m))
+            assert abs(eq4 / pole - 1 + u / 2) < u**2 / 4
+            second_order += 1
+    assert second_order >= 4
+
+
+def test_flagship_eq4_misses_the_pole_by_its_second_order_term():
+    params = preset("sr88", n_atoms=100_000, eta=ETA_EXP)
+    base = steady_state(params)
+    pole = pole_linewidth(params, base).delta_nu
+    closed, u, m = _resonant_narrow_pole(params, base)
+    assert rel_err(closed, pole) < 1e-10
+    assert u == pytest.approx(0.0787, rel=1e-3)
+    eq4 = crossover_linewidth(AnalyticInputs.from_params(params, m_eff=m))
+    assert eq4 / pole - 1 == pytest.approx(-0.03862, rel=1e-3)
+    assert abs(eq4 / pole - 1 + u / 2) < u**2 / 4
 
 
 @pytest.mark.parametrize("n_atoms, weight", [(2, 0.0525), (3, 0.0537)])
