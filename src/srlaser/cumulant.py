@@ -292,12 +292,14 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     then the resonant one with gamma_c -> gamma_c + delta^2 / gamma_c.
     Eliminating n, ci and pr leaves a quadratic q in the inversion s with
     q(-1) >= 0 >= q(d0), d0 the g = 0 inversion, and ci <= 0 exactly when
-    s <= d0: its smaller root is the one physical fixed point.  None when
-    g, kappa or gamma_p vanishes, where the elimination does not hold.
+    s <= d0: its smaller root is the one physical fixed point; at g = 0 it
+    is fixed_point_g0.  None when kappa or gamma_p, which it divides by, is 0.
     """
     g, kappa, delta = params.g, params.kappa, params.detuning
     gamma_c, gamma_p = _rates(params)
-    if g <= 0.0 or kappa <= 0.0 or gamma_p <= 0.0:
+    if g == 0.0:
+        return fixed_point_g0(params).as_vector()
+    if kappa <= 0.0 or gamma_p <= 0.0:
         return None
     gamma_eff = gamma_c + delta * delta / gamma_c
     nn = params.n_atoms

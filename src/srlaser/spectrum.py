@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulant import MomentState, _jacobian, _rates, _rhs_vec, steady_state
+from .cumulant import MomentState, _jacobian, _rhs_vec, steady_state
 from .errors import FitError, ProbeError, SimulationError
 from .model import SystemParams
 
@@ -463,46 +463,42 @@ class LinewidthResult:
 def auto_probe(params: SystemParams, base: MomentState | None = None) -> FilterProbe:
     """Choose beta and big_g so the probe resolves the line faithfully.
 
-    One rule for every line: up to 16 closed-form passes, each narrowing
-    beta to a tenth of the current deconvolved-width estimate with
-    big_g = min(1e-3 kappa, 1e-2 sqrt(beta * width)), until the estimate
-    moves by < 5 %.  An estimate below 1e-12 kappa raises ProbeError.  The
-    designed probe is then checked once on the full extended system:
-    halving big_g must move the normalised line shape by < 0.5 %
-    point-wise, or ProbeError reports the measured change.  The returned
-    probe's omega_f holds the fitted line centre.
+    The design starts at the narrow response pole (pole_linewidth): its
+    real part is the centre and its FWHM the width estimate.  Each estimate
+    sets beta = estimate / 10, big_g = min(1e-3 kappa, 1e-2 sqrt(beta *
+    estimate)) and a 201-point closed-form pass over +-3 (estimate + beta)
+    whose fitted FWHM minus beta is the next estimate, until it moves by
+    < 5 %.  An estimate below 1e-12 kappa, or 16 passes without settling,
+    raise ProbeError, as does a settled probe whose coupling, halved on the
+    full extended system, moves the normalised line shape by >= 0.5 %
+    point-wise.  The returned probe's omega_f holds the fitted line centre.
     """
     if base is None:
         base = steady_state(params)
     kappa = params.kappa
-    _, gamma_p = _rates(params)
     floor = 1e-12 * kappa
 
-    beta = kappa / 10.0
-    big_g = 1e-3 * kappa
-    center = params.omega_c
-    split = 2.0 * math.sqrt(params.n_atoms) * params.g
-    half_window = 2.0 * (kappa + gamma_p + split + abs(params.detuning)) + 10.0 * beta
-    est = None
+    def design(est):
+        beta = est / 10.0
+        return beta, min(1e-3 * kappa, 1e-2 * math.sqrt(beta * est)), 3.0 * (est + beta)
+
+    pole = pole_linewidth(params, base)
+    center, est = float(pole.poles[0].real), pole.delta_nu
+    beta, big_g, half_window = design(est)
     for _ in range(16):
         grid = np.linspace(center - half_window, center + half_window, 201)
         probe = FilterProbe(big_g=big_g, beta=beta, omega_f=center)
         fit = fit_lorentzian(scan(params, probe, grid, base=base))
-        observed = fit.fwhm
-        center = fit.center
-        new_est = max(observed - beta, 1e-3 * beta)
-        if new_est < floor:
-            raise ProbeError(
-                f"line estimate {new_est:.3e} rad/s is below the resolvable "
-                f"floor {floor:.3e}"
-            )
-        converged = est is not None and abs(new_est - est) < 0.05 * est
-        est = new_est
-        beta = est / 10.0
-        big_g = min(1e-3 * kappa, 1e-2 * math.sqrt(beta * est))
-        half_window = 3.0 * (est + beta)
-        if converged:
+        center, previous, est = fit.center, est, fit.fwhm - beta
+        if est < floor:
+            raise ProbeError(f"line estimate {est:.3e} rad/s is below the "
+                             f"resolvable floor {floor:.3e}")
+        beta, big_g, half_window = design(est)
+        if abs(est - previous) < 0.05 * previous:
             break
+    else:
+        raise ProbeError(f"the probe design did not settle in 16 passes: its last "
+                         f"two line estimates are {previous:.3e} and {est:.3e} rad/s")
 
     grid = np.linspace(center - half_window, center + half_window, 21)
     full, half = (scan(params, FilterProbe(big_g=g, beta=beta, omega_f=center), grid,

@@ -74,14 +74,28 @@ def test_solver_failure_exits_one(capsys, tmp_path):
     assert "no line" in err
 
 
-def test_fit_failure_on_a_detuned_line_exits_one(capsys, tmp_path):
-    # the first probe pass misjudges this line, so the next scan is too narrow
+def test_detuned_line_is_fitted_at_its_pole(capsys, tmp_path):
+    # a 4.9e3 rad/s line 5.0e5 rad/s off resonance: the probe starts at its pole
+    config = {"preset": "sr88", "n_atoms": 10000, "eta_hz": 153786.25,
+              "detuning_hz": 160000}
+    params = load_config(config)
+    pole = to_hz(pole_linewidth(params, steady_state(params)).delta_nu)
     path = tmp_path / "detuned.json"
-    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 10000,
-                                "eta_hz": 153786.25, "detuning_hz": 160000}))
+    path.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, ["spectrum", "--config", str(path),
+                                    "--out", str(tmp_path / "scan.csv")])
+    assert code == 0
+    assert json.loads(out)["delta_nu_hz"] == pytest.approx(pole, rel=1e-3)
+
+
+def test_unsettled_probe_design_exits_one(capsys, tmp_path):
+    # two comparable Lorentzians: the fitted width keeps moving as beta narrows
+    path = tmp_path / "two_mode.json"
+    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 1000,
+                                "eta_hz": 153786.25, "detuning_hz": 800000}))
     code, _, err = run_cli(capsys, ["spectrum", "--config", str(path)])
     assert code == 1
-    assert "error: scan span is narrower" in err
+    assert "did not settle in 16 passes" in err
 
 
 def test_non_integral_atom_number_is_a_usage_error(capsys, tmp_path):
@@ -243,6 +257,18 @@ def test_steady_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
         assert rates[f"{key}_hz"] is None
         assert "lossless" in rates[f"{key}_note"]
     assert rates["big_gamma_hz"] == pytest.approx(0.11, rel=1e-12)
+
+
+def test_steady_of_decoupled_atoms_in_a_lossless_cavity(capsys, tmp_path):
+    # g = 0 leaves the atoms at their pumped inversion d0 and the cavity empty
+    path = tmp_path / "decoupled.json"
+    path.write_text(json.dumps({"n_atoms": 2, "g_hz": 0, "kappa_hz": 0,
+                                "gamma_hz": 0.1, "eta_hz": 0.01}))
+    code, out, _ = run_cli(capsys, ["steady", "--config", str(path)])
+    assert code == 0
+    payload = strict_json(out)
+    assert payload["photon_number"] == 0.0
+    assert payload["inversion"] == pytest.approx((0.01 - 0.1) / 0.11, rel=1e-12)
 
 
 def test_spectrum_stdout_convention(capsys, desk_config):

@@ -186,9 +186,12 @@ def test_closed_form_root_is_the_physical_fixed_point():
         assert ok and res <= tol and _is_physical(polished), params
 
 
-def test_closed_form_root_needs_coupling_loss_and_decoherence(desk_params):
-    for changes in ({"g": 0.0}, {"kappa": 0.0}, {"gamma": 0.0, "eta": 0.0, "chi": 0.0}):
+def test_closed_form_root_needs_loss_and_decoherence(desk_params):
+    for changes in ({"kappa": 0.0}, {"gamma": 0.0, "eta": 0.0, "chi": 0.0}):
         assert _closed_form_root(desk_params.updated(**changes)) is None
+    decoupled = desk_params.updated(g=0.0, kappa=0.0)
+    assert np.array_equal(_closed_form_root(decoupled),
+                          fixed_point_g0(decoupled).as_vector())
 
 
 def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk_params):

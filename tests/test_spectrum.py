@@ -374,17 +374,6 @@ def test_strongly_driven_sr88_line_is_resolved(eta_hz, detuning_kappa):
     assert rel_err(linewidth(params, base=base).delta_nu, poles.delta_nu) < 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True, raises=FitError,
-    reason="the first 201-point pass spans +-9.8e7 rad/s with a 9.8e5 rad/s step, "
-    "a thousand times the 911.66 rad/s (145.09 Hz) line at 3.79367e6 rad/s, "
-    "so it cannot resolve it; its fitted FWHM, 8.6e4, is below beta = 1.0e5, "
-    "max(observed - beta, 1e-3 beta) clamps the estimate to 1e-3 beta, and "
-    "the second window, [3.79023e6, 3.79089e6], centred where the first pass "
-    "put the line (3.79056e6), misses it by 3e3 rad/s: the fit does not "
-    "converge. 15 of the 144 detuned_grid cells fail this way (1 at 0.1 "
-    "kappa, 8 at kappa, 6 at 5 kappa), all single Lorentzians",
-)
 def test_far_detuned_single_lorentzian_is_resolved():
     params = preset("sr88", n_atoms=100_000)
     params = params.updated(omega_a=5.0 * params.kappa, eta=from_hz(44595.27))
@@ -393,6 +382,47 @@ def test_far_detuned_single_lorentzian_is_resolved():
     assert poles.delta_nu == pytest.approx(911.66, rel=1e-5)
     assert poles.broad_weight == pytest.approx(4.7e-7, rel=0.01)
     assert rel_err(linewidth(params, base=base).delta_nu, poles.delta_nu) < 1e-3
+
+
+@pytest.mark.parametrize("omega_a_kappa, eta", [(0.0, ETA_EXP), (5.0, from_hz(44595.27))],
+                         ids=["flagship", "far_detuned"])
+def test_auto_probe_starts_at_the_narrow_pole(monkeypatch, omega_a_kappa, eta):
+    params = preset("sr88", n_atoms=100_000)
+    params = params.updated(omega_a=omega_a_kappa * params.kappa, eta=eta)
+    base = steady_state(params)
+    pole = pole_linewidth(params, base)
+    real_scan = spectrum.scan
+    calls = []
+
+    def counting(params, probe, grid, method="closed_form", base=None):
+        calls.append((method, grid))
+        return real_scan(params, probe, grid, method, base)
+
+    monkeypatch.setattr(spectrum, "scan", counting)
+    auto_probe(params, base=base)
+    # one closed-form pass settles the design, then the back-action pair
+    assert [method for method, _ in calls] == ["closed_form", "ode", "ode"]
+    first = calls[0][1]
+    half_window = 0.5 * (first[-1] - first[0])
+    assert abs(0.5 * (first[0] + first[-1]) - pole.poles[0].real) < 1e-9 * half_window
+    assert half_window == pytest.approx(3.3 * pole.delta_nu, rel=1e-12)
+
+
+def test_fit_narrower_than_the_filter_is_below_the_floor(desk_params, monkeypatch):
+    # a fitted FWHM below beta is a negative width estimate, below any floor
+    base = steady_state(desk_params)
+    beta = pole_linewidth(desk_params, base).delta_nu / 10.0
+    fits = []
+
+    def narrow(scan_data):
+        fits.append(scan_data)
+        return LorentzianFit(amplitude=1.0, center=0.0, fwhm=0.5 * beta, offset=0.0,
+                             rms_residual=0.0)
+
+    monkeypatch.setattr(spectrum, "fit_lorentzian", narrow)
+    with pytest.raises(ProbeError, match="below the resolvable floor"):
+        auto_probe(desk_params, base=base)
+    assert len(fits) == 1
 
 
 def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
