@@ -318,44 +318,29 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     return np.array([n, -delta * ci / gamma_c, ci, s, pr, 0.0])
 
 
-_RELAX_HORIZONS = (30.0, 150.0, 750.0, 4e3, 2e4, 1e5, 3e5)
-
-
 def _relax(params, cfg):
-    """Integrate the fast transient away; stop on residual drop or plateau."""
+    """Integrate the fast transient away: 30 fast time constants from the
+    initial state, or to cfg.t_max (default_t_max) if that is shorter.
+    An initial state that is already stationary is returned untouched."""
     x = initial_state(params).as_vector()
-    r0 = scaled_residual(x, params)
-    if r0 == 0.0:
+    if scaled_residual(x, params) == 0.0:
         return x
-    tau = 1.0 / _fast_rate(params)
     t_cap = cfg.t_max if cfg.t_max is not None else default_t_max(params)
-    t_done = 0.0
-    res = r0
-    for horizon in _RELAX_HORIZONS:
-        t_target = min(horizon * tau, t_cap)
-        if t_target <= t_done:
-            continue
-        x = _integrate_raw(x, params, t_target - t_done).y[:, -1]
-        t_done = t_target
-        new_res = scaled_residual(x, params)
-        # settled, or stalled on the slow manifold
-        if new_res < 1e-6 * r0 or new_res > 0.9 * res:
-            break
-        res = new_res
-        if t_done >= t_cap:
-            break
-    return x
+    t_final = min(30.0 / _fast_rate(params), t_cap)
+    return _integrate_raw(x, params, t_final).y[:, -1]
 
 
 def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
                  return_info: bool = False):
     """Stationary moments in three stages, or a ConvergenceError.
 
-    1. Relaxation: integrate the transient away on the fast time scale.
+    1. Relaxation: one DOP853 integration over 30 fast time constants
+       (cfg.t_max if shorter), which removes the fast transient only.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
     3. If that fails or lands on an unphysical root: Newton from the
-       closed-form physical root, which exists at any detuning.
+       closed-form physical root, which exists at any detuning.  This
+       stage, not a longer relaxation, settles the slow inputs.
 
     A returned state is a physical root within the tolerance.  Otherwise
     ConvergenceError is raised, carrying stage 2's best scaled residual;

@@ -15,6 +15,7 @@ REGIME_SUBRADIANT = "subradiant"
 REGIME_SUPERRADIANT = "superradiant"
 REGIME_SUPERRADIANT_LASING = "superradiant_lasing"
 REGIME_CONVENTIONAL = "conventional-like"
+REGIME_DECOUPLED = "decoupled"
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,8 @@ def pump_branching(n: int, j: float, m: float, eta: float) -> BranchRates:
 def classify_regime(state: MomentState, params: SystemParams) -> Regime:
     """Operating-regime label from pump strength and photon number.
 
-    Evaluation order: subradiant when the pump is below the single-atom
+    Evaluation order: decoupled when g = 0, since no atom couples to the
+    cavity; subradiant when the pump is below the single-atom
     cavity-enhanced decay rate; superradiant while the cavity holds less
     than one photon; superradiant lasing once eta also exceeds gamma; the
     remainder is conventional-like.
@@ -125,7 +127,9 @@ def classify_regime(state: MomentState, params: SystemParams) -> Regime:
     if math.isnan(n_photons):
         raise ValueError("photon_number is NaN; cannot classify")
     purcell = derived(params).purcell
-    if params.eta < purcell:
+    if params.g == 0.0:
+        label = REGIME_DECOUPLED
+    elif params.eta < purcell:
         label = REGIME_SUBRADIANT
     elif n_photons < 1.0:
         label = REGIME_SUPERRADIANT

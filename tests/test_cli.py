@@ -269,6 +269,7 @@ def test_steady_of_decoupled_atoms_in_a_lossless_cavity(capsys, tmp_path):
     payload = strict_json(out)
     assert payload["photon_number"] == 0.0
     assert payload["inversion"] == pytest.approx((0.01 - 0.1) / 0.11, rel=1e-12)
+    assert payload["regime"] == "decoupled"
 
 
 def test_spectrum_stdout_convention(capsys, desk_config):

@@ -22,7 +22,7 @@ from srlaser.cumulant import (
     steady_state,
 )
 from srlaser.errors import ConvergenceError
-from srlaser.model import ETA_EXP, SystemParams, preset
+from srlaser.model import ETA_EXP, SystemParams, from_hz, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
 from conftest import rel_err
@@ -220,6 +220,36 @@ def test_lossless_cavity_above_transparency_raises_at_once(gamma, eta, photons):
     else:
         assert steady_state(params).photon_number == pytest.approx(photons, rel=1e-4)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 1e-6])
+def test_small_kappa_returns_the_closed_form_root_at_once(kappa, desk_params):
+    # kappa is the slowest rate here; the relaxation stops at 30 fast time
+    # constants and the closed-form root settles the state
+    params = desk_params.updated(kappa=kappa)
+    t0 = time.perf_counter()
+    state = steady_state(params)
+    assert time.perf_counter() - t0 < 2.0
+    assert rel_err(state.as_vector(), _closed_form_root(params)) < 1e-9
+
+
+def test_relaxation_is_one_integration_over_the_fast_transient(monkeypatch):
+    horizons = []
+    integrate_raw = cumulant._integrate_raw
+
+    def counted(x0, params, t_final):
+        horizons.append(t_final)
+        return integrate_raw(x0, params, t_final)
+
+    monkeypatch.setattr(cumulant, "_integrate_raw", counted)
+    # threshold_grid's slowest cell: a stepped relaxation integrates it five times
+    params = preset("sr88", n_atoms=100_000, eta=from_hz(6.28258230e7))
+    rate = cumulant._fast_rate(params)
+    state = steady_state(params)
+    assert horizons == [30.0 / rate]
+    horizons.clear()
+    assert steady_state(params, SolverConfig(t_max=5.0 / rate)) == state
+    assert horizons == [5.0 / rate]
 
 
 @pytest.mark.xfail(

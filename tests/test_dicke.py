@@ -19,6 +19,7 @@ from srlaser import (
 )
 from srlaser.dicke import (
     REGIME_CONVENTIONAL,
+    REGIME_DECOUPLED,
     REGIME_SUBRADIANT,
     REGIME_SUPERRADIANT,
     REGIME_SUPERRADIANT_LASING,
@@ -188,6 +189,10 @@ def test_classify_order_of_evaluation():
     assert classify_regime(_state(n=10.0), p).label == REGIME_SUPERRADIANT_LASING
     weak_pump = p.updated(eta=4.1, gamma=4.2, chi=0.0)
     assert classify_regime(_state(n=10.0), weak_pump).label == REGIME_CONVENTIONAL
+    # g = 0 comes first: purcell = 0 would otherwise pass every pump test
+    decoupled = p.updated(g=0.0)
+    assert classify_regime(_state(n=0.0), decoupled).label == REGIME_DECOUPLED
+    assert classify_regime(_state(n=10.0), decoupled).label == REGIME_DECOUPLED
 
 
 def test_classify_flagship_point_is_superradiant_lasing():

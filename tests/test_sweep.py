@@ -210,6 +210,8 @@ def test_row_codec_round_trip():
     assert parsed.delta_nu_hz is None
     assert parsed.regime == "superradiant"
     assert parsed.n_atoms == 4
+    decoupled = evaluate_cell(_desk_base().updated(g=0.0), 2, 30.0, Observables())
+    assert parse_row(row_to_line(decoupled)).regime == "decoupled"
 
 
 def test_parse_row_rejects_malformed_lines():
