@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dop853 import solve_ivp
 from .errors import ConvergenceError, StiffIntegrationError
 from .model import SystemParams
 
@@ -90,7 +91,13 @@ def _rates(params: SystemParams):
     return gamma_c, gamma_p
 
 
-def _rhs_vec(x: np.ndarray, params: SystemParams) -> np.ndarray:
+def _rhs_vec(x, params: SystemParams) -> np.ndarray:
+    """Time derivative of the state vector x.
+
+    x may be an array or, from the integrator, a list of Python floats,
+    whose scalar arithmetic costs half that of numpy scalars and rounds the
+    same.
+    """
     n, cr, ci, s, pr, pi = x
     g, kappa = params.g, params.kappa
     gamma, eta = params.gamma, params.eta
@@ -185,21 +192,12 @@ def fixed_point_g0(params: SystemParams, s_fallback: float = -1.0) -> MomentStat
     return MomentState(0.0, 0.0 + 0.0j, s, 0.0 + 0.0j)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call so that
-    importing this module does not load scipy.integrate."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def _integrate_raw(x0, params, t_final):
     # trial steps may transiently overflow on stiff points; they get rejected
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
-            lambda _, y: _rhs_vec(y, params),
-            (0.0, t_final), x0, method="DOP853",
-            rtol=_REL_TOL, atol=_ABS_TOL, dense_output=False,
+            lambda _, y: _rhs_vec(y.tolist(), params),
+            (0.0, t_final), x0, method="DOP853", rtol=_REL_TOL, atol=_ABS_TOL,
         )
     if not sol.success:
         raise StiffIntegrationError(
@@ -214,7 +212,8 @@ def integrate(state0: MomentState, params: SystemParams,
     """Adaptive explicit time integration from state0.
 
     Returns the solver's accepted steps as (t, MomentState) pairs.  The
-    horizon is cfg.t_max, defaulting to 1e3 over the slowest nonzero rate.
+    horizon is cfg.t_max, defaulting to 1e3 over the slowest nonzero rate;
+    a zero horizon returns state0 twice, a negative one raises ValueError.
     """
     cfg = cfg or SolverConfig()
     state0.validate()
@@ -293,12 +292,18 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     Eliminating n, ci and pr leaves a quadratic q in the inversion s with
     q(-1) >= 0 >= q(d0), d0 the g = 0 inversion, and ci <= 0 exactly when
     s <= d0: its smaller root is the one physical fixed point; at g = 0 it
-    is fixed_point_g0.  None when kappa or gamma_p, which it divides by, is 0.
+    is fixed_point_g0.  A lossless cavity (kappa = 0) forces ci = 0, so
+    s = d0 and every coherence vanishes, leaving n = -(1 + d0) / (2 d0),
+    physical only below transparency (d0 < 0).  None above it, or when
+    gamma_p, which the lossy root divides by, is 0.
     """
     g, kappa, delta = params.g, params.kappa, params.detuning
     gamma_c, gamma_p = _rates(params)
     if g == 0.0:
         return fixed_point_g0(params).as_vector()
+    if kappa == 0.0 and params.gamma > params.eta:
+        d0 = fixed_point_g0(params).inversion
+        return np.array([-(1.0 + d0) / (2.0 * d0), 0.0, 0.0, d0, 0.0, 0.0])
     if kappa <= 0.0 or gamma_p <= 0.0:
         return None
     gamma_eff = gamma_c + delta * delta / gamma_c
@@ -320,7 +325,8 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
 
 def _relax(params, cfg):
     """Integrate the fast transient away: 30 fast time constants from the
-    initial state, or to cfg.t_max (default_t_max) if that is shorter.
+    initial state, or to cfg.t_max (default_t_max) if that is shorter, with
+    the package's DOP853 (srlaser.dop853), which steps as scipy's does.
     An initial state that is already stationary is returned untouched."""
     x = initial_state(params).as_vector()
     if scaled_residual(x, params) == 0.0:
@@ -335,7 +341,8 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants
-       (cfg.t_max if shorter), which removes the fast transient only.
+       (cfg.t_max if shorter), which removes the fast transient only.  The
+       integrator is srlaser.dop853, so no scipy module is loaded.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
     3. If that fails or lands on an unphysical root: Newton from the

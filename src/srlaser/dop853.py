@@ -1,0 +1,192 @@
+"""Explicit Runge-Kutta integration with the Dormand-Prince 8(5,3) pair.
+
+The tableau and step-size control are those of Hairer, Norsett & Wanner,
+*Solving Ordinary Differential Equations I*, Sec. II.10, in the form that
+``scipy.integrate.solve_ivp(method="DOP853")`` implements them: the same
+initial step, stage sums, error norm and controller, so the two take the
+same steps and evaluate the right-hand side the same number of times.
+Dense output, events and backward integration are left out, which keeps
+scipy.integrate out of the import graph.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+N_STAGES = 12
+
+C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+
+# A[s, :s] combines the stages before stage s; row 0 is empty.
+A = np.zeros((N_STAGES, N_STAGES))
+A[1, :1] = [5.26001519587677318785587544488e-2]
+A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+A[3, :3] = [2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]
+A[4, :4] = [2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1]
+A[5, :5] = [3.7037037037037037037037037037e-2, 0.0, 0.0,
+            1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1]
+A[6, :6] = [3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2, -1.7578125e-2]
+A[7, :7] = [3.70920001185047927108779319836e-2, 0.0, 0.0,
+            1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+            -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3]
+A[8, :8] = [6.24110958716075717114429577812e-1, 0.0, 0.0,
+            -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+            2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+            -4.34898841810699588477366255144e1]
+A[9, :9] = [4.77662536438264365890433908527e-1, 0.0, 0.0,
+            -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+            2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+            -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2]
+A[10, :10] = [-9.3714243008598732571704021658e-1, 0.0, 0.0,
+              5.18637242884406370830023853209, 1.09143734899672957818500254654,
+              -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+              2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+              -3.0467644718982195003823669022]
+A[11, :11] = [2.27331014751653820792359768449, 0.0, 0.0,
+              -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+              -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+              -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+              1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1]
+
+# Eighth-order weights of the step (the tableau's row 12).
+B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+
+# Fifth- and third-order error weights over the 12 stages and f(t + h).
+E3 = np.zeros(N_STAGES + 1)
+E3[:-1] = B
+E3[0] -= 0.244094488188976377952755905512
+E3[8] -= 0.733846688281611857341361741547
+E3[11] -= 0.220588235294117647058823529412e-1
+E5 = np.zeros(N_STAGES + 1)
+E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+]
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2  # bounds on the step-size change after one trial step
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
+SUCCESS = "The solver successfully reached the end of the integration interval."
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """Accepted steps: t shaped (m,), y shaped (n, m); nfev counts calls of fun."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, span, rtol, atol):
+    """Hairer's starting step for an error estimate of order 7 (span > 0)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, span)
+
+
+def _error_norm(K, h, scale):
+    err5_norm_2 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
+    err3_norm_2 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+
+def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
+    """Integrate y' = fun(t, y) forward over t_span = (t0, tf) with DOP853.
+
+    Returns an OdeResult with every accepted step.  If the step size falls
+    below ten ulps of t, success is False and t, y end at the last accepted
+    step.  A zero-length span returns y0 twice, as scipy does.
+    """
+    if method != "DOP853":
+        raise ValueError(f"only method='DOP853' is implemented, got {method!r}")
+    t0, tf = map(float, t_span)
+    if tf < t0:
+        raise ValueError(f"t_span must not run backwards, got {t_span}")
+    y = np.asarray(y0, dtype=float)
+    f = np.asarray(fun(t0, y), dtype=float)
+    nfev = 1
+    ts, ys = [t0], [y]
+    if tf == t0:
+        return OdeResult(np.array([t0, t0]), np.stack([y, y], axis=1), nfev, True, SUCCESS)
+    h_abs = _initial_step(fun, t0, y, f, tf - t0, rtol, atol)
+    nfev += 1
+    K = np.empty((N_STAGES + 1, y.size))
+    stages = [(s, c, K[:s].T, A[s, :s]) for s, c in enumerate(C.tolist()) if s > 0]
+    t = t0
+    while t < tf:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return OdeResult(np.array(ts), np.stack(ys, axis=1), nfev, False,
+                                 TOO_SMALL_STEP)
+            t_new = min(t + h_abs, tf)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, c, k_before, a in stages:
+                K[s] = fun(t + c * h, y + np.dot(k_before, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, B)
+            f_new = np.asarray(fun(t + h, y_new), dtype=float)
+            K[-1] = f_new
+            nfev += N_STAGES
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norm(K, h, scale)
+            if error_norm < 1:
+                factor = (MAX_FACTOR if error_norm == 0
+                          else min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return OdeResult(np.array(ts), np.stack(ys, axis=1), nfev, True, SUCCESS)

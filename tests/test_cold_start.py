@@ -1,5 +1,10 @@
 """Cold start: the CLI and the package load scipy only where it is called.
 
+Steady states integrate on the package's own DOP853, so every command that
+solves for them runs on numpy alone; scipy is loaded by the spectrum fit
+(``least_squares``), the oracle (``scipy.sparse``) and the sweeps that fit
+two-mode lines.
+
 This test session has imported scipy already, so each check runs a fresh
 interpreter under ``-X importtime``, which lists every module it imports.
 """
@@ -11,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import srlaser
 import srlaser.cumulant
@@ -44,6 +51,18 @@ def test_presets_runs_without_scipy():
     proc, imported = run_fresh("-m", "srlaser.cli", "presets")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert set(json.loads(proc.stdout)) == {"sr87", "sr88"}
+    assert not SCIPY & imported
+
+
+@pytest.mark.parametrize("command", [
+    "steady --preset sr88 --n 1000 --eta-hz 75000",
+    "limits --preset sr88 --n 1000 --eta-hz 75000",
+    "dicke-map --preset sr87 --n 10000 --eta-hz 100",
+])
+def test_pumped_commands_run_without_scipy(command):
+    proc, imported = run_fresh("-m", "srlaser.cli", *command.split())
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip()
     assert not SCIPY & imported
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from srlaser.cumulant import (
     scaled_residual,
     steady_state,
 )
-from srlaser.errors import ConvergenceError
-from srlaser.model import ETA_EXP, SystemParams, from_hz, preset
+from srlaser.errors import ConvergenceError, StiffIntegrationError
+from srlaser.model import ETA_EXP, SystemParams, from_hz, load_config, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
 from conftest import rel_err
@@ -194,6 +195,19 @@ def test_closed_form_root_needs_loss_and_decoherence(desk_params):
                           fixed_point_g0(decoupled).as_vector())
 
 
+@pytest.mark.parametrize("changes", [{}, {"chi": 0.3}, {"omega_a": 2.0, "chi": 0.05}],
+                         ids=["resonant", "dephased", "detuned"])
+def test_lossless_cavity_below_transparency_has_a_closed_form(changes):
+    # test_cli's lossless_config: kappa = 0 and eta < gamma, so d0 < 0
+    params = load_config({"n_atoms": 2, "g_hz": 0.04, "kappa_hz": 0,
+                          "gamma_hz": 0.1, "eta_hz": 0.01}).updated(**changes)
+    x = _closed_form_root(params)
+    d0 = (params.eta - params.gamma) / (params.eta + params.gamma)
+    assert x.tolist() == [-(1.0 + d0) / (2.0 * d0), 0.0, 0.0, d0, 0.0, 0.0]
+    assert scaled_residual(x, params) <= 1e-15
+    assert np.max(np.abs(x - steady_state(params).as_vector())) <= 1e-12
+
+
 def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk_params):
     residuals = []
 
@@ -266,6 +280,82 @@ def test_weakly_pumped_sr87_reaches_resonant_root():
     state = steady_state(params)
     assert rel_err(state.photon_number, 1.93080378e-6) < 1e-6
     assert rel_err(state.inversion, -3.08928605e-3) < 1e-6
+
+
+# ----------------------------------------------------------- DOP853 stepper
+
+def _scipy_dop853(fun, t_span, y0):
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-8, atol=1e-12)
+
+
+_STEP_INPUTS = {
+    # threshold_grid's slowest cell, the sr87 plateau cell, a dephased
+    # detuned desk cell, and test_empty_cavity_decays_at_kappa's input
+    "sr88": (preset("sr88", n_atoms=100_000, eta=from_hz(6.28258230e7)), None),
+    "sr87": (preset("sr87", n_atoms=100_000, eta=preset("sr87").gamma), None),
+    "desk": (SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=0.1), None),
+    "empty": (SystemParams(n_atoms=1, g=0.0, kappa=0.7, gamma=0.0, eta=0.0),
+              MomentState(2.0, 0.0 + 0.0j, -1.0, 0.0 + 0.0j)),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_INPUTS))
+def test_dop853_steps_as_scipy_does(name):
+    params, start = _STEP_INPUTS[name]
+    x0 = (start or initial_state(params)).as_vector()
+    t_span = (0.0, 30.0 / cumulant._fast_rate(params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = cumulant.solve_ivp(lambda _, y: cumulant._rhs_vec(y.tolist(), params),
+                                  t_span, x0, method="DOP853", rtol=1e-8, atol=1e-12)
+        ref = _scipy_dop853(lambda _, y: cumulant._rhs_vec(y, params), t_span, x0)
+    assert ours.success and ref.success
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+
+
+def test_dop853_blow_up_stops_where_scipy_does():
+    def blow_up(_, y):
+        return y * y
+
+    ours = cumulant.solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853",
+                              rtol=1e-8, atol=1e-12)
+    ref = _scipy_dop853(blow_up, (0.0, 2.0), [1.0])
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message == (
+        "Required step size is less than spacing between numbers.")
+    assert ours.nfev == ref.nfev == 3590
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+
+
+def test_integration_that_cannot_step_raises_stiff_error(monkeypatch, desk_params):
+    monkeypatch.setattr(cumulant, "_rhs_vec", lambda x, params: np.square(x))
+    with pytest.raises(StiffIntegrationError, match="less than spacing"):
+        cumulant._integrate_raw(np.ones(6), desk_params, 2.0)
+
+
+def test_zero_horizon_returns_the_initial_state(desk_params):
+    start = initial_state(desk_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trajectory = integrate(start, desk_params, SolverConfig(t_max=0.0))
+        sol = cumulant.solve_ivp(lambda _, y: -y, (1.0, 1.0), [2.0])
+    assert trajectory == [(0.0, start), (0.0, start)]
+    assert sol.success
+    assert sol.t.tolist() == [1.0, 1.0] and sol.y.tolist() == [[2.0, 2.0]]
+
+
+def test_backward_horizon_and_other_methods_raise(desk_params):
+    with pytest.raises(ValueError, match="backwards"):
+        integrate(initial_state(desk_params), desk_params, SolverConfig(t_max=-1.0))
+    with pytest.raises(ValueError, match="backwards"):
+        cumulant.solve_ivp(lambda _, y: -y, (1.0, 0.0), [1.0])
+    with pytest.raises(ValueError, match="DOP853"):
+        cumulant.solve_ivp(lambda _, y: -y, (0.0, 1.0), [1.0], method="RK45")
 
 
 # -------------------------------------------------------------- state plumbing
