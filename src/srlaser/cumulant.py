@@ -58,18 +58,21 @@ class MomentState:
             pair_corr=complex(x[4], x[5]),
         )
 
-    def validate(self, eps: float = _PHYS_EPS) -> None:
+    def validate(self) -> None:
         vec = self.as_vector()
         if not np.all(np.isfinite(vec)):
             raise ValueError(f"non-finite moment state: {self}")
-        if self.photon_number < -eps:
+        if self.photon_number < -_PHYS_EPS:
             raise ValueError(f"photon_number {self.photon_number} < 0")
-        if abs(self.inversion) > 1.0 + eps:
+        if abs(self.inversion) > 1.0 + _PHYS_EPS:
             raise ValueError(f"inversion {self.inversion} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """t_max: integrate's horizon only (steady_state relaxes over 30 fast
+    time constants); newton_tol: steady_state's scaled-residual tolerance."""
+
     t_max: float | None = None
     newton_tol: float | None = None  # None -> 1e-10 * max(1, kappa)
 
@@ -156,12 +159,6 @@ def scaled_residual(x: np.ndarray, params: SystemParams) -> float:
     return float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x))))
 
 
-def _newton_tol(params: SystemParams, cfg: SolverConfig) -> float:
-    if cfg.newton_tol is not None:
-        return cfg.newton_tol
-    return 1e-10 * max(1.0, params.kappa)
-
-
 def _fast_rate(params: SystemParams) -> float:
     return max(
         params.kappa,
@@ -174,21 +171,18 @@ def _fast_rate(params: SystemParams) -> float:
     )
 
 
-def _slow_rate(params: SystemParams) -> float:
+def default_t_max(params: SystemParams) -> float:
+    """1e3 over the slowest nonzero rate of kappa, gamma, eta, 2 chi and g."""
     rates = [r for r in (params.kappa, params.gamma, params.eta,
                          2.0 * params.chi, params.g) if r > 0.0]
-    return min(rates) if rates else 0.0
+    return 1e3 / min(rates) if rates else 1.0
 
 
-def default_t_max(params: SystemParams) -> float:
-    slow = _slow_rate(params)
-    return 1e3 / slow if slow > 0.0 else 1.0
-
-
-def fixed_point_g0(params: SystemParams, s_fallback: float = -1.0) -> MomentState:
-    """Closed-form steady state of the decoupled (g = 0) system."""
+def fixed_point_g0(params: SystemParams) -> MomentState:
+    """Closed-form steady state of the decoupled (g = 0) system; with no
+    pump and no decay, the ground state."""
     total = params.gamma + params.eta
-    s = (params.eta - params.gamma) / total if total > 0.0 else s_fallback
+    s = (params.eta - params.gamma) / total if total > 0.0 else -1.0
     return MomentState(0.0, 0.0 + 0.0j, s, 0.0 + 0.0j)
 
 
@@ -197,7 +191,7 @@ def _integrate_raw(x0, params, t_final):
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
             lambda _, y: _rhs_vec(y.tolist(), params),
-            (0.0, t_final), x0, method="DOP853", rtol=_REL_TOL, atol=_ABS_TOL,
+            (0.0, t_final), x0, rtol=_REL_TOL, atol=_ABS_TOL,
         )
     if not sol.success:
         raise StiffIntegrationError(
@@ -222,66 +216,62 @@ def integrate(state0: MomentState, params: SystemParams,
     return [(float(t), MomentState.from_vector(y)) for t, y in zip(sol.t, sol.y.T)]
 
 
-def _is_physical(x: np.ndarray, eps: float = _PHYS_EPS) -> bool:
+def _is_physical(x: np.ndarray) -> bool:
     return (
         bool(np.all(np.isfinite(x)))
-        and x[0] >= -eps * max(1.0, abs(x[0]))
-        and abs(x[3]) <= 1.0 + eps
+        and x[0] >= -_PHYS_EPS * max(1.0, abs(x[0]))
+        and abs(x[3]) <= 1.0 + _PHYS_EPS
     )
 
 
-def _polish(x, params, res):
-    """Full Newton steps past the tolerance, down to round-off."""
-    for _ in range(4):
-        try:
-            step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
-        except np.linalg.LinAlgError:
-            break
-        trial = x + step
-        if not np.all(np.isfinite(trial)):
-            break
-        trial_res = scaled_residual(trial, params)
-        if trial_res >= res:
-            break
-        x, res = trial, trial_res
-    return x, res
-
-
 def _newton(x0, params, tol):
+    """Damped Newton on the analytic Jacobian; returns (x, res, ok).
+
+    Each step is halved from 1 down to 1/1024 until the scaled residual
+    falls; if none does, or the Jacobian is singular, the best iterate
+    comes back with ok False.  Below tol, up to four full steps follow
+    while the residual falls; a singular Jacobian (gamma_p = 0) ends them.
+    After _NEWTON_MAX_ITER steps: (x, res, res < tol), unpolished.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_loop(x0, params, tol)
-
-
-def _newton_loop(x0, params, tol):
-    x = np.array(x0, dtype=float)
-    best = x.copy()
-    best_res = scaled_residual(x, params)
-    for _ in range(_NEWTON_MAX_ITER):
+        x = np.array(x0, dtype=float)
+        best = x.copy()
+        best_res = scaled_residual(x, params)
+        for _ in range(_NEWTON_MAX_ITER):
+            res = scaled_residual(x, params)
+            if res < best_res:
+                best, best_res = x.copy(), res
+            if res < tol:
+                for _ in range(4):
+                    try:
+                        step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
+                    except np.linalg.LinAlgError:
+                        break
+                    trial = x + step
+                    if not np.all(np.isfinite(trial)):
+                        break
+                    trial_res = scaled_residual(trial, params)
+                    if trial_res >= res:
+                        break
+                    x, res = trial, trial_res
+                return x, res, True
+            try:
+                step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
+            except np.linalg.LinAlgError:
+                return best, best_res, False
+            lam = 1.0
+            while lam >= 1.0 / 1024.0:
+                trial = x + lam * step
+                if np.all(np.isfinite(trial)):
+                    trial_res = scaled_residual(trial, params)
+                    if trial_res < res:
+                        x = trial
+                        break
+                lam *= 0.5
+            else:
+                return best, best_res, False
         res = scaled_residual(x, params)
-        if res < best_res:
-            best, best_res = x.copy(), res
-        if res < tol:
-            x, res = _polish(x, params, res)
-            return x, res, True
-        try:
-            step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
-        except np.linalg.LinAlgError:
-            return best, best_res, False
-        lam = 1.0
-        accepted = False
-        while lam >= 1.0 / 1024.0:
-            trial = x + lam * step
-            if np.all(np.isfinite(trial)):
-                trial_res = scaled_residual(trial, params)
-                if trial_res < res:
-                    x = trial
-                    accepted = True
-                    break
-            lam *= 0.5
-        if not accepted:
-            return best, best_res, False
-    res = scaled_residual(x, params)
-    return x, res, res < tol
+        return x, res, res < tol
 
 
 def _closed_form_root(params: SystemParams) -> np.ndarray | None:
@@ -323,26 +313,24 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     return np.array([n, -delta * ci / gamma_c, ci, s, pr, 0.0])
 
 
-def _relax(params, cfg):
+def _relax(params):
     """Integrate the fast transient away: 30 fast time constants from the
-    initial state, or to cfg.t_max (default_t_max) if that is shorter, with
-    the package's DOP853 (srlaser.dop853), which steps as scipy's does.
-    An initial state that is already stationary is returned untouched."""
+    initial state, with the package's DOP853 (srlaser.dop853), which steps
+    as scipy's does.  An initial state that is already stationary, as
+    wherever gamma_p = 0, is returned untouched."""
     x = initial_state(params).as_vector()
     if scaled_residual(x, params) == 0.0:
         return x
-    t_cap = cfg.t_max if cfg.t_max is not None else default_t_max(params)
-    t_final = min(30.0 / _fast_rate(params), t_cap)
-    return _integrate_raw(x, params, t_final).y[:, -1]
+    return _integrate_raw(x, params, 30.0 / _fast_rate(params)).y[:, -1]
 
 
 def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
                  return_info: bool = False):
     """Stationary moments in three stages, or a ConvergenceError.
 
-    1. Relaxation: one DOP853 integration over 30 fast time constants
-       (cfg.t_max if shorter), which removes the fast transient only.  The
-       integrator is srlaser.dop853, so no scipy module is loaded.
+    1. Relaxation: one DOP853 integration over 30 fast time constants,
+       which removes the fast transient only.  The integrator is
+       srlaser.dop853, so no scipy module is loaded.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
     3. If that fails or lands on an unphysical root: Newton from the
@@ -354,6 +342,10 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     kappa = 0 at or above transparency raises at once.  The info's
     growth_rate is the largest real part of the Jacobian's eigenvalues at
     the returned state: positive where the closure is unstable there.
+
+    With gamma_p = gamma + eta + 4 chi = 0 (no pump, decay or dephasing)
+    the answer is the ground-state vacuum (0, 0, -1, 0) at scaled residual
+    0: it is stationary, and relaxation starts from it.
     """
     cfg = cfg or SolverConfig()
     if (params.kappa == 0.0 and params.g > 0.0
@@ -364,8 +356,8 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
             "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
             "infinite"
         )
-    tol = _newton_tol(params, cfg)
-    x, res, ok = _newton(_relax(params, cfg), params, tol)
+    tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, params.kappa)
+    x, res, ok = _newton(_relax(params), params, tol)
     ok = ok and _is_physical(x)
     if not ok:
         seed = _closed_form_root(params)

@@ -136,15 +136,14 @@ def _error_norm(K, h, scale):
     return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-3, atol=1e-6):
+def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     """Integrate y' = fun(t, y) forward over t_span = (t0, tf) with DOP853.
 
+    Called as scipy's solve_ivp(..., method="DOP853"), less the method.
     Returns an OdeResult with every accepted step.  If the step size falls
     below ten ulps of t, success is False and t, y end at the last accepted
     step.  A zero-length span returns y0 twice, as scipy does.
     """
-    if method != "DOP853":
-        raise ValueError(f"only method='DOP853' is implemented, got {method!r}")
     t0, tf = map(float, t_span)
     if tf < t0:
         raise ValueError(f"t_span must not run backwards, got {t_span}")

@@ -38,6 +38,8 @@ MAX_SUPEROP_DIM = 2**20  # cap on d^2 for the vectorised Liouvillian
 # relative change of every reported moment between cutoffs n_max and
 # n_max + 2 below which the stationary state counts as converged
 DRIFT_TOL = 1e-6
+MAX_ROUNDS = 3  # cutoff raises before oracle_steady_state gives up
+CHECK_SEED, CHECK_N_MAX = 7, 6  # of derivative_match_error's product states
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _SZ = np.diag([-1.0, 1.0]).astype(complex)
@@ -292,19 +294,18 @@ def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
     return drift
 
 
-def oracle_steady_state(params: SystemParams, n_max: int = 6,
-                        max_rounds: int = 3) -> OracleResult:
+def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
     """Stationary state with automatic Fock-cutoff convergence.
 
     Solves at n_max and n_max + 2 and requires every reported moment to
     agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2, at
-    most max_rounds times.  Each round's upper solve is the next round's
-    lower one, so every cutoff is assembled and solved once.
+    most MAX_ROUNDS times, so the last cutoff solved is n_max + 6.  Each
+    round's upper solve is the next round's lower one, so every cutoff is
+    assembled and solved once.  CutoffError names the last cutoff and its
+    drift.
     """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     low = _steady_once(params, n_max)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         high = _steady_once(params, low.n_max + 2)
         drift = _moment_drift(low.moments, high.moments)
         if drift < DRIFT_TOL:
@@ -438,10 +439,10 @@ def _random_product_inputs(rng, support: int = 4):
     return amps, tuple(r)
 
 
-def derivative_match_error(params: SystemParams, n_states: int = 25,
-                           seed: int = 7, n_max: int = 6) -> float:
+def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """Worst relative mismatch between the moment-closure right-hand side
-    and the exact derivatives, over seeded uncorrelated product states.
+    and the exact derivatives, over n_states uncorrelated product states
+    drawn with CHECK_SEED at cutoff CHECK_N_MAX.
 
     On such states every factorization used by the closure is an exact
     identity, so the two must agree to round-off; this pins every sign
@@ -449,8 +450,8 @@ def derivative_match_error(params: SystemParams, n_states: int = 25,
     """
     from .cumulant import MomentState, rhs
 
-    rng = np.random.default_rng(seed)
-    space = HilbertSpace(params.n_atoms, n_max)
+    rng = np.random.default_rng(CHECK_SEED)
+    space = HilbertSpace(params.n_atoms, CHECK_N_MAX)
     k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
     ops = _moment_ops(space)
     worst = 0.0
@@ -481,7 +482,7 @@ def derivative_match_error(params: SystemParams, n_states: int = 25,
     return worst
 
 
-def consistency_report(seed: int = 7) -> list[dict]:
+def consistency_report() -> list[dict]:
     """Cross-validation suite between this solver and the moment closure.
 
     Returns one record {test, max_error, pass} per check; meant for the
@@ -491,8 +492,7 @@ def consistency_report(seed: int = 7) -> list[dict]:
     desk = dict(g=0.25, kappa=1.0, gamma=0.01, eta=0.2, chi=0.03)
     for n_atoms, n_states in ((2, 10), (3, 8), (4, 5)):
         err = derivative_match_error(
-            SystemParams(n_atoms=n_atoms, **desk), n_states=n_states, seed=seed
-        )
+            SystemParams(n_atoms=n_atoms, **desk), n_states=n_states)
         report.append({
             "test": f"derivative_match_n{n_atoms}",
             "max_error": err, "pass": bool(err < 1e-10),

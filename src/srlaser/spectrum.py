@@ -132,15 +132,6 @@ def _ext_jacobian(x: np.ndarray, omega_f: np.ndarray, params: SystemParams,
     return jac
 
 
-def filter_rhs(ext: ExtendedState, params: SystemParams,
-               probe: FilterProbe) -> ExtendedState:
-    """Time derivative of the extended (laser + filter) moment set."""
-    x = ext.as_vector()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite extended state")
-    return ExtendedState.from_vector(_ext_rhs(x, params, probe, probe.omega_f))
-
-
 def _response_terms(base: MomentState, params: SystemParams, beta: float, omega_f):
     """w1, w2 and the numerator and denominator of the filter response ratio.
 
@@ -321,24 +312,21 @@ class SpectrumScan:
 
 
 def scan(params: SystemParams, probe: FilterProbe, grid,
-         method: str = "closed_form",
-         base: MomentState | None = None) -> SpectrumScan:
+         method: str = "closed_form", *, base: MomentState) -> SpectrumScan:
     """Sweep the filter frequency across grid and record its occupation.
 
-    method "closed_form" freezes the lasing steady state (computed once)
-    and evaluates the adiabatic filter_response on the grid; "ode" solves
-    the full extended system, including probe back-action, at all grid
-    points at once: one Newton iteration with a stacked 11 x 11 solve per
-    step.  A point that does not converge raises SimulationError naming
-    its omega_f.
+    base is the lasing steady state (steady_state(params)).  method
+    "closed_form" freezes it and evaluates the adiabatic filter_response on
+    the grid; "ode" solves the full extended system, including probe
+    back-action, at all grid points at once: one Newton iteration with a
+    stacked 11 x 11 solve per step.  A point that does not converge raises
+    SimulationError naming its omega_f.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be 1-d with at least 2 points")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if base is None:
-        base = steady_state(params)
     if method == "closed_form":
         intensity = filter_response(base, params, probe, grid)[0]
     elif method == "ode":
@@ -460,8 +448,9 @@ class LinewidthResult:
     scan: SpectrumScan
 
 
-def auto_probe(params: SystemParams, base: MomentState | None = None) -> FilterProbe:
-    """Choose beta and big_g so the probe resolves the line faithfully.
+def auto_probe(params: SystemParams, base: MomentState) -> FilterProbe:
+    """Choose beta and big_g so the probe resolves the line of the lasing
+    steady state base (steady_state(params)) faithfully.
 
     The design starts at the narrow response pole (pole_linewidth): its
     real part is the centre and its FWHM the width estimate.  Each estimate
@@ -473,8 +462,6 @@ def auto_probe(params: SystemParams, base: MomentState | None = None) -> FilterP
     full extended system, moves the normalised line shape by >= 0.5 %
     point-wise.  The returned probe's omega_f holds the fitted line centre.
     """
-    if base is None:
-        base = steady_state(params)
     kappa = params.kappa
     floor = 1e-12 * kappa
 

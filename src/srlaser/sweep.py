@@ -4,7 +4,8 @@ Every cell is evaluated independently (steady state, collective spin
 numbers, regime label, optional linewidth and closed-form predictions)
 and written as one CSV row in a fixed sort order with fixed formatting,
 so identical configs always produce byte-identical files.  An existing
-output file is treated as a checkpoint: completed ok rows are kept,
+output file is treated as a checkpoint: if its metadata sidecar records
+the same base parameters and observables, completed ok rows are kept,
 corrupt lines are quarantined to a sidecar, and only the complement is
 recomputed.
 """
@@ -16,7 +17,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -277,8 +277,11 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
 
     Rows come back (and are written) sorted by (n_atoms, eta_hz)
     regardless of execution order or worker count.  A JSON sidecar
-    records the config hash, code version and wall time; those never
-    enter the CSV itself.
+    (path + ".meta.json") records the base parameters, observables,
+    config hash, code version and wall time, none of which enter the CSV.
+    Existing rows are reused only if the sidecar records the same base
+    parameters and observables (a larger n_list or pump grid resumes);
+    otherwise ValueError names the path before anything is written.
     """
     t0 = time.monotonic()
     out = Path(cfg.output_path)
@@ -292,7 +295,18 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
 
     kept: dict = {}
     quarantined: list[str] = []
+    meta_path = Path(str(out) + ".meta.json")
+    physics = {"base": params_to_config(cfg.base), "observables": asdict(cfg.observables)}
     if out.stat().st_size > 0:
+        try:
+            recorded = json.loads(meta_path.read_text())
+        except (OSError, ValueError):
+            recorded = None
+        if not isinstance(recorded, dict) or any(
+                recorded.get(key) != value for key, value in physics.items()):
+            raise ValueError(f"{out} holds rows, but {meta_path.name} is missing or "
+                             "records other base parameters or observables; remove "
+                             "the file or choose another output path")
         kept, quarantined = load_checkpoint(out)
 
     eta_values = cfg.eta_grid.values_hz()
@@ -303,6 +317,8 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
                for n, eta in cells if _cell_key(n, eta) not in kept]
 
     if cfg.workers > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             computed = list(pool.map(_cell_worker, pending, chunksize=1))
     else:
@@ -326,6 +342,7 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
                 fh.write(line + "\n")
 
     meta = {
+        **physics,
         "config_hash": cfg.config_hash(),
         "code_version": _package_version(),
         "wall_time_s": time.monotonic() - t0,
@@ -335,7 +352,7 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
         "quarantined": len(quarantined),
         "columns": list(COLUMNS),
     }
-    with open(str(out) + ".meta.json", "w") as fh:
+    with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -61,7 +61,7 @@ def test_acceptance_02_closure_matches_oracle_derivatives() -> None:
     for n in (2, 3, 4):
         p = SystemParams(n_atoms=n, g=0.25, kappa=1.0, gamma=0.01,
                          eta=0.2, chi=0.03)
-        errs[n] = derivative_match_error(p, n_states=25, seed=7)
+        errs[n] = derivative_match_error(p, n_states=25)
     worst = max(errs.values())
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 30.0

@@ -367,6 +367,17 @@ def test_sweep_takes_the_atom_number_of_the_config(capsys, tmp_path, desk_config
     assert out_csv.read_text().splitlines()[1].startswith("2,")
 
 
+def test_sweep_into_a_file_of_other_physics_exits_2(capsys, tmp_path):
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["sweep", "--n", "2", "--eta-hz", "100", "--out", str(out_csv)]
+    assert run_cli(capsys, argv + ["--preset", "sr88"])[0] == 0
+    written = out_csv.read_bytes()
+    code, _, err = run_cli(capsys, argv + ["--preset", "sr87"])
+    assert code == 2
+    assert f"{out_csv} holds rows, but sweep.csv.meta.json is missing or " in err
+    assert out_csv.read_bytes() == written
+
+
 def test_sweep_rejects_a_config_that_is_not_an_object(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps([1, 2]))

@@ -53,7 +53,6 @@ def test_fixed_point_g0_population_balance():
     assert state.photon_number == 0.0
     dead = SystemParams(n_atoms=2, g=0.0, kappa=1.0, gamma=0.0, eta=0.0)
     assert fixed_point_g0(dead).inversion == -1.0
-    assert fixed_point_g0(dead, s_fallback=0.25).inversion == 0.25
 
 
 def test_empty_cavity_decays_at_kappa():
@@ -236,6 +235,38 @@ def test_lossless_cavity_above_transparency_raises_at_once(gamma, eta, photons):
     assert time.perf_counter() - t0 < 1.0
 
 
+_NO_PUMP_NO_DECAY = {
+    "desk": SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.0, eta=0.0),
+    "desk_detuned": SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.0, eta=0.0,
+                                 omega_a=0.3),
+    "sr88": preset("sr88", n_atoms=1000, gamma=0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_NO_PUMP_NO_DECAY))
+def test_no_pump_and_no_decay_is_the_ground_state_vacuum(monkeypatch, name):
+    # gamma_p = 0: the initial state is stationary and the closed-form root
+    # does not exist; the Jacobian's pi row is 0, so the polish step after
+    # Newton's first residual check meets a singular Jacobian and stops
+    params = _NO_PUMP_NO_DECAY[name]
+    assert _closed_form_root(params) is None
+    singular = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    state, info = steady_state(params, return_info=True)
+    assert state == MomentState(0.0, 0j, -1.0, 0j)
+    assert info.scaled_residual == 0.0
+    assert len(singular) == 1 and not np.any(singular[0][5])
+
+
 @pytest.mark.parametrize("kappa", [1e-3, 1e-6])
 def test_small_kappa_returns_the_closed_form_root_at_once(kappa, desk_params):
     # kappa is the slowest rate here; the relaxation stops at 30 fast time
@@ -259,11 +290,8 @@ def test_relaxation_is_one_integration_over_the_fast_transient(monkeypatch):
     # threshold_grid's slowest cell: a stepped relaxation integrates it five times
     params = preset("sr88", n_atoms=100_000, eta=from_hz(6.28258230e7))
     rate = cumulant._fast_rate(params)
-    state = steady_state(params)
+    steady_state(params)
     assert horizons == [30.0 / rate]
-    horizons.clear()
-    assert steady_state(params, SolverConfig(t_max=5.0 / rate)) == state
-    assert horizons == [5.0 / rate]
 
 
 @pytest.mark.xfail(
@@ -309,7 +337,7 @@ def test_dop853_steps_as_scipy_does(name):
     t_span = (0.0, 30.0 / cumulant._fast_rate(params))
     with np.errstate(over="ignore", invalid="ignore"):
         ours = cumulant.solve_ivp(lambda _, y: cumulant._rhs_vec(y.tolist(), params),
-                                  t_span, x0, method="DOP853", rtol=1e-8, atol=1e-12)
+                                  t_span, x0, rtol=1e-8, atol=1e-12)
         ref = _scipy_dop853(lambda _, y: cumulant._rhs_vec(y, params), t_span, x0)
     assert ours.success and ref.success
     assert ours.nfev == ref.nfev
@@ -321,8 +349,7 @@ def test_dop853_blow_up_stops_where_scipy_does():
     def blow_up(_, y):
         return y * y
 
-    ours = cumulant.solve_ivp(blow_up, (0.0, 2.0), [1.0], method="DOP853",
-                              rtol=1e-8, atol=1e-12)
+    ours = cumulant.solve_ivp(blow_up, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-12)
     ref = _scipy_dop853(blow_up, (0.0, 2.0), [1.0])
     assert not ours.success and not ref.success
     assert ours.message == ref.message == (
@@ -354,8 +381,6 @@ def test_backward_horizon_and_other_methods_raise(desk_params):
         integrate(initial_state(desk_params), desk_params, SolverConfig(t_max=-1.0))
     with pytest.raises(ValueError, match="backwards"):
         cumulant.solve_ivp(lambda _, y: -y, (1.0, 0.0), [1.0])
-    with pytest.raises(ValueError, match="DOP853"):
-        cumulant.solve_ivp(lambda _, y: -y, (0.0, 1.0), [1.0], method="RK45")
 
 
 # -------------------------------------------------------------- state plumbing

@@ -278,7 +278,7 @@ def test_cutoff_is_raised_until_moments_converge():
 def test_cutoff_error_reports_residual_drift():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     with pytest.raises(CutoffError, match="drift") as excinfo:
-        oracle_steady_state(params, n_max=0, max_rounds=1)
+        oracle_steady_state(params, n_max=0)
     assert excinfo.value.drift > 1e-6
 
 
@@ -315,16 +315,11 @@ def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
     assert assembled == [(4, 0), (6, 0), (6, -1)]
 
 
-def test_max_rounds_must_be_positive():
-    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    with pytest.raises(ValueError, match="max_rounds"):
-        oracle_steady_state(params, max_rounds=0)
-
-
 def test_cutoff_error_names_the_highest_cutoff_solved():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    with pytest.raises(CutoffError, match="at n_max=2$"):
-        oracle_steady_state(params, n_max=0, max_rounds=1)
+    # MAX_ROUNDS = 3 raises from n_max = 0 to 6
+    with pytest.raises(CutoffError, match="at n_max=6$"):
+        oracle_steady_state(params, n_max=0)
 
 
 def test_space_validation_and_memory_budget():

@@ -93,6 +93,44 @@ def test_corrupt_lines_are_quarantined(tmp_path):
     assert sidecar.splitlines() == ["this,is,not,a,row", duplicate]
 
 
+def _sr88_config(path, base=None, observables=Observables()):
+    return SweepConfig(base=base or preset("sr88"), n_list=(1000,),
+                       eta_grid=EtaGrid(1e4, 1e5, 3), observables=observables,
+                       output_path=str(path))
+
+
+def test_resume_refuses_rows_of_other_physics(tmp_path):
+    path = tmp_path / "grid.csv"
+    run_grid(_sr88_config(path))
+    written = path.read_bytes()
+    sr88 = preset("sr88")
+    doubled = sr88.updated(g=2.0 * sr88.g)
+    for cfg in (_sr88_config(path, base=doubled),
+                _sr88_config(path, observables=Observables(linewidth=True, analytic=True))):
+        with pytest.raises(ValueError, match="grid.csv holds rows, but"):
+            run_grid(cfg)
+        assert path.read_bytes() == written
+    # the rows a resumed run would have reused differ from a fresh run's
+    fresh = run_grid(_sr88_config(tmp_path / "fresh.csv", base=doubled))
+    assert [row.photon_number for row in fresh] == pytest.approx(
+        [8.06048561, 75.12, 286.08], rel=1e-4)
+    stale = [parse_row(line) for line in written.decode().splitlines()[1:]]
+    assert [row.photon_number for row in stale] == pytest.approx(
+        [7.81666241, 73.84, 276.45], rel=1e-4)
+
+
+def test_resume_without_a_sidecar_raises(tmp_path):
+    path = tmp_path / "grid.csv"
+    run_grid(_small_config(path))
+    written = path.read_bytes()
+    meta = Path(str(path) + ".meta.json")
+    meta.unlink()
+    with pytest.raises(ValueError, match="grid.csv.meta.json is missing"):
+        run_grid(_small_config(path))
+    assert path.read_bytes() == written
+    assert not meta.exists()
+
+
 # ------------------------------------------------------------- cell contents
 
 def test_decoupled_single_cell_matches_closed_form(tmp_path):
