@@ -13,7 +13,7 @@ from .analytic import (AnalyticInputs, LimitLinewidths, crossover_linewidth,
                        limit_linewidths, tieri_linewidth)
 from .cumulant import (MomentState, SolverConfig, initial_state, integrate,
                        rhs, steady_state)
-from .dicke import (BranchRates, DickePoint, Regime, classify_regime,
+from .dicke import (BranchRates, DickePoint, classify_regime,
                     collective_threshold, dicke_numbers, lowering_amplitude,
                     pump_branching)
 from .errors import (BelowThresholdError, ConvergenceError, CutoffError,
@@ -33,7 +33,7 @@ __all__ = [
     "limit_linewidths", "tieri_linewidth",
     "MomentState", "SolverConfig", "initial_state", "integrate", "rhs",
     "steady_state",
-    "BranchRates", "DickePoint", "Regime", "classify_regime",
+    "BranchRates", "DickePoint", "classify_regime",
     "collective_threshold", "dicke_numbers", "lowering_amplitude",
     "pump_branching",
     "BelowThresholdError", "ConvergenceError", "CutoffError", "FitError",

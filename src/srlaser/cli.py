@@ -149,7 +149,7 @@ def cmd_steady(args) -> int:
         "pair_corr_im": state.pair_corr.imag,
         "j_eff": point.j_eff,
         "m_eff": point.m_eff,
-        "regime": classify_regime(state, params).label,
+        "regime": classify_regime(state, params),
         "derived": {
             "purcell_hz": to_hz(rates.purcell),
             "big_gamma_hz": to_hz(rates.big_gamma),
@@ -247,11 +247,11 @@ def cmd_dicke_map(args) -> int:
         "N,eta_hz,J,M,J_over_N,M_over_N,regime",
         "%d,%.8e,%.8e,%.8e,%.8e,%.8e,%s" % (
             params.n_atoms, to_hz(params.eta), point.j_eff, point.m_eff,
-            point.j_over_n, point.m_over_n, regime.label),
+            point.j_over_n, point.m_over_n, regime),
     ]
     threshold = collective_threshold(params)
     print(f"J/N {point.j_over_n:.4f}, M/N {point.m_over_n:.4f}, "
-          f"regime {regime.label}, collective threshold N > "
+          f"regime {regime}, collective threshold N > "
           f"{threshold.n_threshold:.4g} "
           f"({'exceeded' if threshold.exceeded else 'not exceeded'})",
           file=sys.stderr)

@@ -70,10 +70,8 @@ class MomentState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """t_max: integrate's horizon only (steady_state relaxes over 30 fast
-    time constants); newton_tol: steady_state's scaled-residual tolerance."""
+    """newton_tol: steady_state's scaled-residual tolerance."""
 
-    t_max: float | None = None
     newton_tol: float | None = None  # None -> 1e-10 * max(1, kappa)
 
 
@@ -171,13 +169,6 @@ def _fast_rate(params: SystemParams) -> float:
     )
 
 
-def default_t_max(params: SystemParams) -> float:
-    """1e3 over the slowest nonzero rate of kappa, gamma, eta, 2 chi and g."""
-    rates = [r for r in (params.kappa, params.gamma, params.eta,
-                         2.0 * params.chi, params.g) if r > 0.0]
-    return 1e3 / min(rates) if rates else 1.0
-
-
 def fixed_point_g0(params: SystemParams) -> MomentState:
     """Closed-form steady state of the decoupled (g = 0) system; with no
     pump and no decay, the ground state."""
@@ -202,17 +193,14 @@ def _integrate_raw(x0, params, t_final):
 
 
 def integrate(state0: MomentState, params: SystemParams,
-              cfg: SolverConfig | None = None) -> list[tuple[float, MomentState]]:
-    """Adaptive explicit time integration from state0.
+              t_max: float) -> list[tuple[float, MomentState]]:
+    """Adaptive explicit time integration from state0 to t_max.
 
-    Returns the solver's accepted steps as (t, MomentState) pairs.  The
-    horizon is cfg.t_max, defaulting to 1e3 over the slowest nonzero rate;
-    a zero horizon returns state0 twice, a negative one raises ValueError.
+    Returns the solver's accepted steps as (t, MomentState) pairs.  A zero
+    horizon returns state0 twice, a negative one raises ValueError.
     """
-    cfg = cfg or SolverConfig()
     state0.validate()
-    t_final = cfg.t_max if cfg.t_max is not None else default_t_max(params)
-    sol = _integrate_raw(state0.as_vector(), params, t_final)
+    sol = _integrate_raw(state0.as_vector(), params, t_max)
     return [(float(t), MomentState.from_vector(y)) for t, y in zip(sol.t, sol.y.T)]
 
 
@@ -279,13 +267,18 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
 
     Stationarity gives pi = 0 and cr = -delta ci / gamma_c; the ci row is
     then the resonant one with gamma_c -> gamma_c + delta^2 / gamma_c.
-    Eliminating n, ci and pr leaves a quadratic q in the inversion s with
-    q(-1) >= 0 >= q(d0), d0 the g = 0 inversion, and ci <= 0 exactly when
-    s <= d0: its smaller root is the one physical fixed point; at g = 0 it
-    is fixed_point_g0.  A lossless cavity (kappa = 0) forces ci = 0, so
-    s = d0 and every coherence vanishes, leaving n = -(1 + d0) / (2 d0),
-    physical only below transparency (d0 < 0).  None above it, or when
-    gamma_p, which the lossy root divides by, is 0.
+    Eliminating n, ci and pr leaves a quadratic in t = d0 - s, d0 the g = 0
+    inversion: k b t^2 + B t - C = 0 with k = 2 g^2 N / kappa + 2 g^2
+    (N - 1) / gamma_p, a = gamma - eta, b = gamma + eta, B = k a +
+    gamma_eff b + 2 g^2 and C = 2 g^2 (1 + d0) >= 0.  Since ci <= 0
+    exactly when s <= d0, its one root t >= 0 is the physical fixed point.
+    It is taken in the form without cancellation, and the moments follow
+    from it with no difference of near-equal terms: ci = -b t / (4 g),
+    n = N b t / (2 kappa), s = d0 - t.  At g = 0 it is fixed_point_g0.
+    A lossless cavity (kappa = 0) forces ci = 0, so s = d0 and every
+    coherence vanishes, leaving n = -(1 + d0) / (2 d0), physical only below
+    transparency (d0 < 0).  None above it, or when gamma_p, which the lossy
+    root divides by, is 0.
     """
     g, kappa, delta = params.g, params.kappa, params.detuning
     gamma_c, gamma_p = _rates(params)
@@ -298,17 +291,18 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
         return None
     gamma_eff = gamma_c + delta * delta / gamma_c
     nn = params.n_atoms
+    d0 = fixed_point_g0(params).inversion
     a_lin = params.gamma - params.eta
     b_lin = params.gamma + params.eta
     k_gain = 2.0 * g * g * nn / kappa + 2.0 * g * g * (nn - 1) / gamma_p
     qa = k_gain * b_lin
-    qb = k_gain * a_lin - gamma_eff * b_lin - 2.0 * g * g
-    qc = -(gamma_eff * a_lin + 2.0 * g * g)
-    root = math.sqrt(max(qb * qb - 4.0 * qa * qc, 0.0))  # > 0 up to rounding
-    # the smaller root, in whichever form avoids cancellation
-    s = (-qb - root) / (2.0 * qa) if qb > 0.0 else 2.0 * qc / (root - qb)
-    ci = (a_lin + b_lin * s) / (4.0 * g)
-    n = -2.0 * g * nn * ci / kappa
+    qb = k_gain * a_lin + gamma_eff * b_lin + 2.0 * g * g
+    qc = 2.0 * g * g * (1.0 + d0)
+    root = math.sqrt(qb * qb + 4.0 * qa * qc)
+    t = 2.0 * qc / (qb + root) if qb > 0.0 else (root - qb) / (2.0 * qa)
+    s = d0 - t
+    ci = -b_lin * t / (4.0 * g)
+    n = nn * b_lin * t / (2.0 * kappa)
     pr = -2.0 * g * s * ci / gamma_p
     return np.array([n, -delta * ci / gamma_c, ci, s, pr, 0.0])
 

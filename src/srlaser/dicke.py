@@ -44,15 +44,6 @@ class BranchRates:
 
 
 @dataclass(frozen=True)
-class Regime:
-    label: str
-    purcell: float
-    gamma: float
-    eta: float
-    photon_number: float
-
-
-@dataclass(frozen=True)
 class CollectiveThreshold:
     n_threshold: float
     exceeded: bool
@@ -114,8 +105,9 @@ def pump_branching(n: int, j: float, m: float, eta: float) -> BranchRates:
     return BranchRates(up_in_j, down_j, up_j)
 
 
-def classify_regime(state: MomentState, params: SystemParams) -> Regime:
-    """Operating-regime label from pump strength and photon number.
+def classify_regime(state: MomentState, params: SystemParams) -> str:
+    """Operating-regime label (one of the REGIME_* strings) from pump
+    strength and photon number.
 
     Evaluation order: decoupled when g = 0, since no atom couples to the
     cavity; subradiant when the pump is below the single-atom
@@ -126,21 +118,15 @@ def classify_regime(state: MomentState, params: SystemParams) -> Regime:
     n_photons = state.photon_number
     if math.isnan(n_photons):
         raise ValueError("photon_number is NaN; cannot classify")
-    purcell = derived(params).purcell
     if params.g == 0.0:
-        label = REGIME_DECOUPLED
-    elif params.eta < purcell:
-        label = REGIME_SUBRADIANT
-    elif n_photons < 1.0:
-        label = REGIME_SUPERRADIANT
-    elif params.eta > params.gamma:
-        label = REGIME_SUPERRADIANT_LASING
-    else:
-        label = REGIME_CONVENTIONAL
-    return Regime(
-        label=label, purcell=purcell, gamma=params.gamma,
-        eta=params.eta, photon_number=n_photons,
-    )
+        return REGIME_DECOUPLED
+    if params.eta < derived(params).purcell:
+        return REGIME_SUBRADIANT
+    if n_photons < 1.0:
+        return REGIME_SUPERRADIANT
+    if params.eta > params.gamma:
+        return REGIME_SUPERRADIANT_LASING
+    return REGIME_CONVENTIONAL
 
 
 def collective_threshold(params: SystemParams) -> CollectiveThreshold:

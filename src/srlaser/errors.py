@@ -18,11 +18,7 @@ class StiffIntegrationError(SimulationError):
 
 
 class FitError(SimulationError):
-    """Line-shape fit did not converge; carries the best fit so far."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Line-shape fit found no line, or did not converge."""
 
 
 class ProbeError(SimulationError):

@@ -407,9 +407,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
 
     c0 = ad_vec @ x
     if abs(c0) < 1e-14:
-        return SpectrumScan(
-            omega=omega_grid, intensity=np.zeros_like(omega_grid), method="oracle"
-        )
+        return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
     block = _superoperator(space, *result.k_form, -1).tocoo()
     n = idx.size
@@ -428,7 +426,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     peak = np.max(intensity)
     if peak <= 0.0:
         raise SimulationError("spectrum has no positive peak; grid may miss the line")
-    return SpectrumScan(omega=omega_grid, intensity=intensity / peak, method="oracle")
+    return SpectrumScan(omega=omega_grid, intensity=intensity / peak)
 
 
 def _random_product_inputs(rng, support: int = 4):

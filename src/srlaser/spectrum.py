@@ -290,11 +290,13 @@ def extended_steady_state(params: SystemParams, probe: FilterProbe,
 
 @dataclass(frozen=True)
 class SpectrumScan:
-    """Filter photon number versus filter frequency."""
+    """Filter photon number (intensity) versus filter frequency omega, rad/s.
+
+    Both are 1-d float arrays of one length, omega strictly increasing.
+    """
 
     omega: np.ndarray
     intensity: np.ndarray
-    method: str
 
     def __post_init__(self) -> None:
         omega = np.asarray(self.omega, dtype=float)
@@ -333,7 +335,7 @@ def scan(params: SystemParams, probe: FilterProbe, grid,
         intensity = _extended_newton(params, probe, base, grid)[6]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return SpectrumScan(omega=grid, intensity=intensity, method=method)
+    return SpectrumScan(omega=grid, intensity=intensity)
 
 
 @dataclass(frozen=True)
@@ -434,9 +436,9 @@ def fit_lorentzian(scan_data: SpectrumScan) -> LorentzianFit:
         ),
     )
     if not result.success and result.status != 0:
-        raise FitError(f"fit failed: {result.message}", best=fit)
+        raise FitError(f"fit failed: {result.message}")
     if result.status == 0:
-        raise FitError("fit did not converge within the evaluation budget", best=fit)
+        raise FitError("fit did not converge within the evaluation budget")
     return fit
 
 
@@ -497,17 +499,16 @@ def auto_probe(params: SystemParams, base: MomentState) -> FilterProbe:
     return FilterProbe(big_g=big_g, beta=beta, omega_f=center)
 
 
-def linewidth(params: SystemParams, base: MomentState | None = None,
-              probe: FilterProbe | None = None) -> LinewidthResult:
+def linewidth(params: SystemParams, base: MomentState | None = None) -> LinewidthResult:
     """End-to-end deconvolved emission linewidth (FWHM, rad/s).
 
-    steady state -> automatic probe -> 101-point closed-form scan around
-    the line -> Lorentzian fit -> subtract the filter width beta.
+    steady state (unless base is given) -> automatic probe -> 101-point
+    closed-form scan over +-60 beta around the line -> Lorentzian fit ->
+    subtract the filter width beta.
     """
     if base is None:
         base = steady_state(params)
-    if probe is None:
-        probe = auto_probe(params, base=base)
+    probe = auto_probe(params, base=base)
     est = 10.0 * probe.beta  # auto_probe sets beta = estimate / 10
     grid = np.linspace(probe.omega_f - 6.0 * est, probe.omega_f + 6.0 * est, 101)
     scan_data = scan(params, probe, grid, base=base)

@@ -11,7 +11,6 @@ recomputed.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import numbers
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analytic import AnalyticInputs, crossover_linewidth, tieri_linewidth
 from .cumulant import steady_state
 from .dicke import classify_regime, dicke_numbers
@@ -112,17 +112,6 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    def config_hash(self) -> str:
-        """Identity of the physics config; excludes output path and workers."""
-        payload = {
-            "base": params_to_config(self.base),
-            "n_list": list(self.n_list),
-            "eta_grid": asdict(self.eta_grid),
-            "observables": asdict(self.observables),
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
 
 @dataclass(frozen=True, kw_only=True)
 class SweepRow:
@@ -208,7 +197,7 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     if obs.dicke:
         values.update(j_eff=point.j_eff, m_eff=point.m_eff,
                       j_over_n=point.j_over_n, m_over_n=point.m_over_n,
-                      regime=classify_regime(state, params).label)
+                      regime=classify_regime(state, params))
     if obs.analytic:
         inputs = AnalyticInputs.from_params(params, m_eff=point.m_eff)
         try:
@@ -264,21 +253,14 @@ def load_checkpoint(path: Path):
     return kept, quarantined
 
 
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("srlaser")
-    except Exception:
-        return "unknown"
-
-
 def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the full grid, honoring any checkpoint at the output path.
 
     Rows come back (and are written) sorted by (n_atoms, eta_hz)
     regardless of execution order or worker count.  A JSON sidecar
     (path + ".meta.json") records the base parameters, observables,
-    config hash, code version and wall time, none of which enter the CSV.
+    package version (srlaser.__version__), wall time and row counts, none
+    of which enter the CSV.
     Existing rows are reused only if the sidecar records the same base
     parameters and observables (a larger n_list or pump grid resumes);
     otherwise ValueError names the path before anything is written.
@@ -343,8 +325,7 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
 
     meta = {
         **physics,
-        "config_hash": cfg.config_hash(),
-        "code_version": _package_version(),
+        "code_version": __version__,
         "wall_time_s": time.monotonic() - t0,
         "rows": len(ordered_keys),
         "computed": len(computed),

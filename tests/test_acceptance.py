@@ -192,7 +192,9 @@ def test_acceptance_05_flagship_photon_number() -> None:
     "pole of w1 w2 + N g^2 s at the fixed point (3840.7 Hz), and that fixed point "
     "is Hopf-unstable in the closure: the Jacobian's top eigenvalue is "
     "1.01e5 + 9.54e6 i rad/s, so the probe linearises about a state the closure "
-    "does not stay in",
+    "does not stay in. At N = 1e5 on resonance the fixed point is unstable for "
+    "pumps in the band [1.05, 6.09] gamma, and the flagship (3.18 gamma) lies "
+    "inside it (test_sr88_hopf_band_edges pins the band edges)",
 )
 def test_acceptance_06_flagship_linewidth() -> None:
     t0 = time.perf_counter()

@@ -10,7 +10,6 @@ import pytest
 from srlaser import cumulant
 from srlaser.cumulant import (
     MomentState,
-    SolverConfig,
     _closed_form_root,
     _is_physical,
     _jacobian,
@@ -58,7 +57,7 @@ def test_fixed_point_g0_population_balance():
 def test_empty_cavity_decays_at_kappa():
     params = SystemParams(n_atoms=1, g=0.0, kappa=0.7, gamma=0.0, eta=0.0)
     start = MomentState(2.0, 0.0 + 0.0j, -1.0, 0.0 + 0.0j)
-    trajectory = integrate(start, params, SolverConfig(t_max=5.0))
+    trajectory = integrate(start, params, 5.0)
     for t, state in trajectory:
         expected = 2.0 * np.exp(-params.kappa * t)
         assert abs(state.photon_number - expected) < 1e-6 * expected
@@ -85,8 +84,7 @@ def test_steady_photon_number_tracks_oracle(desk_params_n4):
 
 def test_long_integration_reaches_newton_fixed_point(desk_params):
     target = steady_state(desk_params)
-    trajectory = integrate(initial_state(desk_params), desk_params,
-                           SolverConfig(t_max=3000.0))
+    trajectory = integrate(initial_state(desk_params), desk_params, 3000.0)
     _, last = trajectory[-1]
     assert rel_err(last.photon_number, target.photon_number) < 1e-6
     assert rel_err(last.inversion, target.inversion) < 1e-6
@@ -96,8 +94,7 @@ def test_flagship_point_relaxes_to_steady_state():
     params = preset("sr88", n_atoms=100)
     params = params.updated(eta=10.0 * params.gamma)
     target = steady_state(params)
-    trajectory = integrate(initial_state(params), params,
-                           SolverConfig(t_max=40.0 / params.gamma))
+    trajectory = integrate(initial_state(params), params, 40.0 / params.gamma)
     _, last = trajectory[-1]
     assert rel_err(last.photon_number, target.photon_number) < 1e-6
 
@@ -134,6 +131,22 @@ def test_flagship_fixed_point_is_hopf_unstable():
     flagship = preset("sr88", n_atoms=100000, eta=ETA_EXP)
     _, info = steady_state(flagship, return_info=True)
     assert info.growth_rate == pytest.approx(1.0145e5, rel=1e-3)
+
+
+# sr88 on resonance: the fixed point is unstable exactly inside a pump band
+# that tends to [1.01, 6.09] gamma as N grows and is empty at N = 500
+@pytest.mark.parametrize("n_atoms,eta_over_gamma,unstable", [
+    (500, 3.18, False),
+    (1_000, 1.6, False), (1_000, 1.7, True), (1_000, 4.3, True), (1_000, 4.45, False),
+    (10_000, 1.07, False), (10_000, 1.2, True), (10_000, 5.9, True), (10_000, 5.95, False),
+    (100_000, 1.03, False), (100_000, 1.07, True), (100_000, 6.05, True),
+    (100_000, 6.15, False),
+])
+def test_sr88_hopf_band_edges(n_atoms, eta_over_gamma, unstable):
+    params = preset("sr88", n_atoms=n_atoms)
+    _, info = steady_state(params.updated(eta=eta_over_gamma * params.gamma),
+                           return_info=True)
+    assert (info.growth_rate > 0.0) == unstable
 
 
 def test_detuned_steady_state_is_found():
@@ -184,6 +197,28 @@ def test_closed_form_root_is_the_physical_fixed_point():
         tol = 1e-10 * max(1.0, params.kappa)
         polished, res, ok = _newton(x, params, tol)
         assert ok and res <= tol and _is_physical(polished), params
+
+
+def _grid_inputs():
+    """sr88 at five detunings and sr87 on resonance, up to far over-pumped."""
+    for delta in (0.0, 0.01, 0.1, 1.0, 5.0):
+        for n_atoms in (100, 1_000, 10_000, 100_000):
+            base = preset("sr88", n_atoms=n_atoms)
+            for eta in base.gamma * np.geomspace(1e-2, 1e5, 40):
+                yield base.updated(eta=float(eta), omega_a=delta * base.kappa)
+    for n_atoms in (10_000, 100_000, 1_000_000):
+        base = preset("sr87", n_atoms=n_atoms)
+        for eta in base.gamma * np.geomspace(1.0, 1e3, 40):
+            yield base.updated(eta=float(eta))
+
+
+def test_closed_form_root_meets_the_newton_tolerance_unpolished():
+    # the moments follow from t = d0 - s with no cancellation, so even at
+    # s -> 1 the root needs no Newton step
+    misses = [(p.n_atoms, p.eta / p.gamma, p.detuning / p.kappa)
+              for p in _grid_inputs()
+              if not scaled_residual(_closed_form_root(p), p) < 1e-10 * max(1.0, p.kappa)]
+    assert misses == []
 
 
 def test_closed_form_root_needs_loss_and_decoherence(desk_params):
@@ -369,7 +404,7 @@ def test_zero_horizon_returns_the_initial_state(desk_params):
     start = initial_state(desk_params)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        trajectory = integrate(start, desk_params, SolverConfig(t_max=0.0))
+        trajectory = integrate(start, desk_params, 0.0)
         sol = cumulant.solve_ivp(lambda _, y: -y, (1.0, 1.0), [2.0])
     assert trajectory == [(0.0, start), (0.0, start)]
     assert sol.success
@@ -378,7 +413,7 @@ def test_zero_horizon_returns_the_initial_state(desk_params):
 
 def test_backward_horizon_and_other_methods_raise(desk_params):
     with pytest.raises(ValueError, match="backwards"):
-        integrate(initial_state(desk_params), desk_params, SolverConfig(t_max=-1.0))
+        integrate(initial_state(desk_params), desk_params, -1.0)
     with pytest.raises(ValueError, match="backwards"):
         cumulant.solve_ivp(lambda _, y: -y, (1.0, 0.0), [1.0])
 
@@ -408,4 +443,4 @@ def test_rhs_rejects_non_finite_state(desk_params):
 
 def test_integrate_validates_initial_state(desk_params):
     with pytest.raises(ValueError, match="photon_number"):
-        integrate(MomentState(-2.0, 0j, 0.0, 0j), desk_params)
+        integrate(MomentState(-2.0, 0j, 0.0, 0j), desk_params, 1.0)

@@ -190,7 +190,7 @@ def test_lorentzian_fit_recovers_exact_parameters():
     width = 2.0 * np.pi * 100.0
     grid = np.linspace(-5.0 * width, 5.0 * width, 61)
     data = _lorentzian(grid, 1.0, 0.0, width, 0.05)
-    fit = fit_lorentzian(SpectrumScan(omega=grid, intensity=data, method="closed_form"))
+    fit = fit_lorentzian(SpectrumScan(omega=grid, intensity=data))
     assert rel_err(fit.fwhm, width) < 1e-9
     assert abs(fit.center) < 1e-9 * width
     assert rel_err(fit.amplitude, 1.0) < 1e-9
@@ -218,23 +218,23 @@ def test_lorentzian_fit_tolerates_percent_noise(seed):
     clean = _lorentzian(grid, 1.0, 0.0, width, 0.05)
     rng = np.random.default_rng(seed)
     noisy = clean * (1.0 + 0.01 * rng.normal(size=grid.size))
-    fit = fit_lorentzian(SpectrumScan(omega=grid, intensity=noisy, method="closed_form"))
+    fit = fit_lorentzian(SpectrumScan(omega=grid, intensity=noisy))
     assert rel_err(fit.fwhm, width) < 0.02
 
 
 def test_fit_rejects_flat_and_tiny_scans():
     grid = np.linspace(-1.0, 1.0, 21)
     with pytest.raises(FitError, match="no line"):
-        fit_lorentzian(SpectrumScan(omega=grid, intensity=np.ones(21), method="x"))
+        fit_lorentzian(SpectrumScan(omega=grid, intensity=np.ones(21)))
     with pytest.raises(ValueError, match=">= 8"):
-        fit_lorentzian(SpectrumScan(omega=grid[:5], intensity=grid[:5] ** 2, method="x"))
+        fit_lorentzian(SpectrumScan(omega=grid[:5], intensity=grid[:5] ** 2))
 
 
 def test_fit_rejects_scan_narrower_than_the_line():
     grid = np.linspace(-0.8, 0.8, 41)
     data = 1.0 / (1.0 + grid**4)  # flat-topped: estimated width ~ full span
     with pytest.raises(FitError, match="widen"):
-        fit_lorentzian(SpectrumScan(omega=grid, intensity=data, method="x"))
+        fit_lorentzian(SpectrumScan(omega=grid, intensity=data))
 
 
 # -------------------------------------------------------------- end to end
@@ -249,8 +249,10 @@ def test_deconvolved_width_is_probe_independent(desk_params):
             big_g=min(1e-3, 1e-2 * np.sqrt(beta * reference.delta_nu)),
             beta=beta, omega_f=reference.probe.omega_f,
         )
-        other = linewidth(desk_params, base=base, probe=probe)
-        assert rel_err(other.delta_nu, reference.delta_nu) < 0.05
+        # linewidth's own window: 101 points over +-60 beta around the line
+        grid = np.linspace(probe.omega_f - 60.0 * beta, probe.omega_f + 60.0 * beta, 101)
+        fit = fit_lorentzian(scan(desk_params, probe, grid, base=base))
+        assert rel_err(fit.fwhm - beta, reference.delta_nu) < 0.05
 
 
 def test_collective_line_sits_at_the_rabi_splitting_scale():
@@ -439,7 +441,7 @@ def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
         intensity = np.ones(grid.size)
         if len(couplings) == 1:
             intensity[0] = 0.5
-        return SpectrumScan(omega=grid, intensity=intensity, method=method)
+        return SpectrumScan(omega=grid, intensity=intensity)
 
     monkeypatch.setattr(spectrum, "scan", fake)
     with pytest.raises(ProbeError, match="moves the line shape by 5.000e-01"):
@@ -487,6 +489,6 @@ def test_scan_validation(desk_params):
 
 def test_scan_container_validation():
     with pytest.raises(ValueError, match="matching"):
-        SpectrumScan(omega=np.arange(4.0), intensity=np.arange(3.0), method="x")
+        SpectrumScan(omega=np.arange(4.0), intensity=np.arange(3.0))
     with pytest.raises(ValueError, match="increasing"):
-        SpectrumScan(omega=np.array([0.0, 0.0]), intensity=np.zeros(2), method="x")
+        SpectrumScan(omega=np.array([0.0, 0.0]), intensity=np.zeros(2))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import srlaser
 from srlaser import sweep
 from srlaser.cumulant import steady_state
 from srlaser.errors import FitError
@@ -129,6 +130,25 @@ def test_resume_without_a_sidecar_raises(tmp_path):
         run_grid(_small_config(path))
     assert path.read_bytes() == written
     assert not meta.exists()
+
+
+def test_resume_reads_sidecars_that_carry_a_config_hash(tmp_path):
+    # sidecars of earlier versions also hold a config_hash and read
+    # "unknown" as the code version; only base and observables are compared
+    path = tmp_path / "grid.csv"
+    run_grid(_small_config(path, n_list=(2,)))
+    meta_path = Path(str(path) + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    assert "config_hash" not in meta
+    assert meta["code_version"] == srlaser.__version__
+    old = {key: meta[key] for key in ("base", "observables", "columns", "rows")}
+    old.update(config_hash="9" * 64, code_version="unknown", wall_time_s=0.5,
+               computed=3, resumed=0, quarantined=0)
+    meta_path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    run_grid(_small_config(path, n_list=(2, 3)))
+    meta = json.loads(meta_path.read_text())
+    assert (meta["resumed"], meta["computed"]) == (3, 3)
+    assert "config_hash" not in meta and meta["code_version"] == srlaser.__version__
 
 
 # ------------------------------------------------------------- cell contents
@@ -319,14 +339,3 @@ def test_sweep_config_validation(tmp_path):
         run_grid(SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid,
                              output_path=str(tmp_path)))
 
-
-def test_config_hash_tracks_physics_not_plumbing(tmp_path):
-    cfg = _small_config(tmp_path / "x.csv")
-    same_physics = _small_config(tmp_path / "elsewhere.csv", workers=1)
-    assert cfg.config_hash() == same_physics.config_hash()
-    shifted = SweepConfig(
-        base=cfg.base, n_list=cfg.n_list,
-        eta_grid=EtaGrid(min_hz=to_hz(0.05), max_hz=to_hz(0.6), points=3),
-        output_path=cfg.output_path,
-    )
-    assert shifted.config_hash() != cfg.config_hash()
