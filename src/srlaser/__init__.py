@@ -9,8 +9,8 @@ are angular frequencies (rad/s); external interfaces use Hz.
 
 __version__ = "0.1.0"
 
-from .analytic import (AnalyticInputs, LimitLinewidths, crossover_linewidth,
-                       limit_linewidths, tieri_linewidth)
+from .analytic import (LimitLinewidths, crossover_linewidth, limit_linewidths,
+                       tieri_linewidth)
 from .cumulant import (MomentState, SolverConfig, initial_state, integrate,
                        rhs, steady_state)
 from .dicke import (BranchRates, DickePoint, classify_regime,
@@ -29,8 +29,8 @@ from .sweep import EtaGrid, Observables, SweepConfig, SweepRow, run_grid
 
 __all__ = [
     "__version__",
-    "AnalyticInputs", "LimitLinewidths", "crossover_linewidth",
-    "limit_linewidths", "tieri_linewidth",
+    "LimitLinewidths", "crossover_linewidth", "limit_linewidths",
+    "tieri_linewidth",
     "MomentState", "SolverConfig", "initial_state", "integrate", "rhs",
     "steady_state",
     "BranchRates", "DickePoint", "classify_regime",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import MISSING, asdict, fields
 
 from . import __version__
-from .analytic import AnalyticInputs, crossover_linewidth, limit_linewidths, tieri_linewidth
+from .analytic import crossover_linewidth, limit_linewidths, tieri_linewidth
 from .cumulant import steady_state
 from .dicke import classify_regime, collective_threshold, dicke_numbers
 from .errors import BelowThresholdError, SimulationError
@@ -251,9 +251,8 @@ def cmd_dicke_map(args) -> int:
     ]
     threshold = collective_threshold(params)
     print(f"J/N {point.j_over_n:.4f}, M/N {point.m_over_n:.4f}, "
-          f"regime {regime}, collective threshold N > "
-          f"{threshold.n_threshold:.4g} "
-          f"({'exceeded' if threshold.exceeded else 'not exceeded'})",
+          f"regime {regime}, collective threshold N > {threshold:.4g} "
+          f"({'exceeded' if params.n_atoms > threshold else 'not exceeded'})",
           file=sys.stderr)
     _emit("\n".join(lines), args.out)
     return 0
@@ -263,8 +262,7 @@ def cmd_limits(args) -> int:
     params = _resolve_params(args)
     state = steady_state(params)
     point = dicke_numbers(state, params)
-    inputs = AnalyticInputs.from_params(params, m_eff=point.m_eff)
-    limits = limit_linewidths(inputs)
+    limits = limit_linewidths(params)
     payload = {
         "config": params_to_config(params),
         "m_eff": point.m_eff,
@@ -277,13 +275,12 @@ def cmd_limits(args) -> int:
         payload["n_purcell_hz"] = None
         payload["n_purcell_note"] = "N 4 g^2 / kappa is infinite: the cavity is lossless"
     try:
-        payload["delta_nu_eq3_hz"] = to_hz(
-            tieri_linewidth(inputs, eta=params.eta, gamma=params.gamma))
+        payload["delta_nu_eq3_hz"] = to_hz(tieri_linewidth(params))
     except BelowThresholdError as exc:
         payload["delta_nu_eq3_hz"] = None
         payload["delta_nu_eq3_note"] = str(exc)
     try:
-        payload["delta_nu_eq4_hz"] = to_hz(crossover_linewidth(inputs))
+        payload["delta_nu_eq4_hz"] = to_hz(crossover_linewidth(params, point.m_eff))
     except ValueError as exc:
         payload["delta_nu_eq4_hz"] = None
         payload["delta_nu_eq4_note"] = str(exc)

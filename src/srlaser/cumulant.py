@@ -332,8 +332,11 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
        stage, not a longer relaxation, settles the slow inputs.
 
     A returned state is a physical root within the tolerance.  Otherwise
-    ConvergenceError is raised, carrying stage 2's best scaled residual;
-    kappa = 0 at or above transparency raises at once.  The info's
+    ConvergenceError is raised, carrying stage 2's best scaled residual.
+    A coupled lossless cavity (kappa = 0, g > 0, gamma + eta > 0) skips
+    the stages: below transparency the answer is the closed-form root, and
+    at or above it, where that root does not exist, ConvergenceError is
+    raised at once.  The info's
     growth_rate is the largest real part of the Jacobian's eigenvalues at
     the returned state: positive where the closure is unstable there.
 
@@ -342,28 +345,31 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     0: it is stationary, and relaxation starts from it.
     """
     cfg = cfg or SolverConfig()
-    if (params.kappa == 0.0 and params.g > 0.0
-            and params.eta >= params.gamma and params.eta + params.gamma > 0.0):
-        raise ConvergenceError(
-            "no physical steady state: with kappa = 0 and eta >= gamma the "
-            "only fixed point has photon number -(1 + d0) / (2 d0) with "
-            "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
-            "infinite"
-        )
-    tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, params.kappa)
-    x, res, ok = _newton(_relax(params), params, tol)
-    ok = ok and _is_physical(x)
-    if not ok:
-        seed = _closed_form_root(params)
-        if seed is not None:
-            x_seed, res_seed, ok_seed = _newton(seed, params, tol)
-            if ok_seed and _is_physical(x_seed):
-                x, res, ok = x_seed, res_seed, True
-    if not ok:
-        raise ConvergenceError(
-            f"no physical steady state found (best scaled residual {res:.3e})",
-            best_residual=res,
-        )
+    if params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0:
+        x = _closed_form_root(params)
+        if x is None:
+            raise ConvergenceError(
+                "no physical steady state: with kappa = 0 and eta >= gamma the "
+                "only fixed point has photon number -(1 + d0) / (2 d0) with "
+                "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
+                "infinite"
+            )
+        res = scaled_residual(x, params)
+    else:
+        tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, params.kappa)
+        x, res, ok = _newton(_relax(params), params, tol)
+        ok = ok and _is_physical(x)
+        if not ok:
+            seed = _closed_form_root(params)
+            if seed is not None:
+                x_seed, res_seed, ok_seed = _newton(seed, params, tol)
+                if ok_seed and _is_physical(x_seed):
+                    x, res, ok = x_seed, res_seed, True
+        if not ok:
+            raise ConvergenceError(
+                f"no physical steady state found (best scaled residual {res:.3e})",
+                best_residual=res,
+            )
     state = MomentState.from_vector(x)
     if return_info:
         growth = float(np.max(np.linalg.eigvals(_jacobian(x, params)).real))

@@ -43,12 +43,6 @@ class BranchRates:
         return self.up_in_j + self.down_j + self.up_j
 
 
-@dataclass(frozen=True)
-class CollectiveThreshold:
-    n_threshold: float
-    exceeded: bool
-
-
 def dicke_numbers(state: MomentState, params: SystemParams,
                   zz_corr: float | None = None) -> DickePoint:
     """Effective (J, M) from second-order moments.
@@ -129,9 +123,9 @@ def classify_regime(state: MomentState, params: SystemParams) -> str:
     return REGIME_CONVENTIONAL
 
 
-def collective_threshold(params: SystemParams) -> CollectiveThreshold:
-    """Atom number above which sqrt(N) g exceeds kappa."""
+def collective_threshold(params: SystemParams) -> float:
+    """Atom number (kappa / g)^2 above which sqrt(N) g exceeds kappa; inf
+    at g = 0."""
     if params.g == 0.0:
-        return CollectiveThreshold(math.inf, False)
-    n_threshold = (params.kappa / params.g) ** 2
-    return CollectiveThreshold(n_threshold, params.n_atoms > n_threshold)
+        return math.inf
+    return (params.kappa / params.g) ** 2

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import AnalyticInputs, crossover_linewidth, tieri_linewidth
+from .analytic import crossover_linewidth, tieri_linewidth
 from .cumulant import steady_state
 from .dicke import classify_regime, dicke_numbers
 from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
@@ -199,13 +199,12 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
                       j_over_n=point.j_over_n, m_over_n=point.m_over_n,
                       regime=classify_regime(state, params))
     if obs.analytic:
-        inputs = AnalyticInputs.from_params(params, m_eff=point.m_eff)
         try:
-            eq3 = to_hz(tieri_linewidth(inputs, eta=params.eta, gamma=params.gamma))
+            eq3 = to_hz(tieri_linewidth(params))
         except BelowThresholdError:
             eq3 = float("nan")
         try:
-            eq4 = to_hz(crossover_linewidth(inputs))
+            eq4 = to_hz(crossover_linewidth(params, point.m_eff))
         except ValueError:
             eq4 = float("nan")
         values.update(delta_nu_eq3_hz=eq3, delta_nu_eq4_hz=eq4)
@@ -228,14 +227,13 @@ def load_checkpoint(path: Path):
     """Split an existing CSV into reusable ok rows and quarantined lines.
 
     Returns (ok_lines keyed by cell, quarantined raw lines).  Valid rows
-    with non-ok status are simply dropped so they get recomputed.
+    with non-ok status are simply dropped so they get recomputed.  The file
+    must not be empty; run_grid reads only a non-empty one.
     """
     kept: dict = {}
     quarantined: list[str] = []
     text = path.read_text()
     lines = text.splitlines()
-    if not lines:
-        return kept, quarantined
     start = 1 if lines[0] == ",".join(COLUMNS) else 0
     for line in lines[start:]:
         if line == "":

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from srlaser.analytic import AnalyticInputs, crossover_linewidth, tieri_linewidth
+from srlaser.analytic import crossover_linewidth, tieri_linewidth
 from srlaser.cumulant import steady_state
 from srlaser.dicke import dicke_numbers, pump_branching
 from srlaser.model import SystemParams, derived, preset, to_hz
@@ -132,7 +132,7 @@ def test_acceptance_04_crossover_limit_suite() -> None:
     for ngc in (2e-5, 1e-5):
         g = np.sqrt(ngc / 400.0)
         p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=ngc * 1e-4)
-        v = crossover_linewidth(AnalyticInputs.from_params(p, m_eff=-50.0))
+        v = crossover_linewidth(p, -50.0)
         worst_a = max(worst_a, abs(v - derived(p).c_collective) / derived(p).c_collective)
     details.append(f"collective decay {worst_a * 100:.3f}%")
 
@@ -141,13 +141,13 @@ def test_acceptance_04_crossover_limit_suite() -> None:
     p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=0.1)
     d = derived(p)
     expect = (d.big_gamma * p.kappa - 4.0 * 100 * g * g) / (d.big_gamma + p.kappa)
-    v = crossover_linewidth(AnalyticInputs.from_params(p, m_eff=50.0))
+    v = crossover_linewidth(p, 50.0)
     err_c = abs(v - expect) / expect
     details.append(f"strong pump {err_c * 100:.3f}%")
 
     # collective-Rabi limit at its 30*kappa domain edge
     p = SystemParams(n_atoms=100, g=1.5, kappa=1.0, gamma=0.0, eta=0.0)
-    v = crossover_linewidth(AnalyticInputs.from_params(p, m_eff=-50.0))
+    v = crossover_linewidth(p, -50.0)
     err_b = abs(v - 30.0) / 30.0
     details.append(f"collective Rabi {err_b * 100:.2f}% at 30*kappa")
 
@@ -155,7 +155,7 @@ def test_acceptance_04_crossover_limit_suite() -> None:
     errs_d = []
     for m in (-50.0, 0.0, 50.0):
         p = SystemParams(n_atoms=100, g=0.05, kappa=1.0, gamma=0.0, eta=100.0)
-        v = crossover_linewidth(AnalyticInputs.from_params(p, m_eff=m))
+        v = crossover_linewidth(p, m)
         errs_d.append(abs(v - 1.0))
     details.append("bare kappa " + "/".join(f"{e * 100:.2f}%" for e in errs_d)
                    + " at M = -N/2, 0, +N/2")
@@ -239,8 +239,7 @@ def test_acceptance_08_intermediate_pump_corridor() -> None:
     for eta in np.geomspace(10 * p.gamma, 100 * p.gamma, 8):
         pp = p.updated(eta=float(eta))
         st = steady_state(pp)
-        inp = AnalyticInputs.from_params(pp, m_eff=dicke_numbers(st, pp).m_eff)
-        ref = tieri_linewidth(inp, eta=pp.eta, gamma=pp.gamma)
+        ref = tieri_linewidth(pp)
         num = linewidth(pp, base=st).delta_nu
         devs.append(abs(num - ref) / ref)
     dt = time.perf_counter() - t0

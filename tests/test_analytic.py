@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from srlaser import (
-    AnalyticInputs,
     BelowThresholdError,
-    DerivedRates,
     SystemParams,
     crossover_linewidth,
     derived,
@@ -19,33 +17,27 @@ from srlaser import (
 )
 
 
-def _inputs(n, g, kappa, m_eff, gamma=0.0, eta=0.0, chi=0.0):
-    p = SystemParams(n_atoms=n, g=g, kappa=kappa, gamma=gamma, eta=eta, chi=chi)
-    return AnalyticInputs.from_params(p, m_eff)
-
-
 # ------------------------------------------------------- mean-field formula
 
 def test_tieri_balanced_pump_is_below_threshold():
     p = SystemParams(n_atoms=100, g=0.1, kappa=1.0, gamma=0.05, eta=0.05)
     with pytest.raises(BelowThresholdError):
-        tieri_linewidth(AnalyticInputs.from_params(p, 0.0), p.eta, p.gamma)
-    dark = p.updated(gamma=0.0, eta=0.0)
+        tieri_linewidth(p)
     with pytest.raises(BelowThresholdError, match="d0 undefined"):
-        tieri_linewidth(AnalyticInputs.from_params(dark, 0.0), dark.eta, dark.gamma)
+        tieri_linewidth(p.updated(gamma=0.0, eta=0.0))
 
 
 def test_tieri_weak_gain_is_below_threshold():
     # C d0 < Gamma: tiny coupling cannot sustain the mean-field solution
     p = SystemParams(n_atoms=2, g=1e-4, kappa=1.0, gamma=0.01, eta=0.2)
     with pytest.raises(BelowThresholdError, match="below"):
-        tieri_linewidth(AnalyticInputs.from_params(p, 0.0), p.eta, p.gamma)
+        tieri_linewidth(p)
 
 
 def test_tieri_regression_value():
     # frozen by direct evaluation at sr88, N=1e4, eta=20 gamma
     p = preset("sr88", n_atoms=10**4, eta=20 * preset("sr88").gamma)
-    v = tieri_linewidth(AnalyticInputs.from_params(p, 0.0), p.eta, p.gamma)
+    v = tieri_linewidth(p)
     assert v == pytest.approx(2.5063854896e3, rel=1e-9)
     assert to_hz(v) == pytest.approx(398.9036, rel=1e-6)
 
@@ -59,7 +51,7 @@ def test_tieri_matches_direct_arithmetic():
     expected = (0.5 * (big_c + big_gamma) / (big_c * d0 - big_gamma)
                 * big_gamma / (p.eta + p.gamma)
                 * 4.0 * p.g**2 * p.kappa / (p.kappa + big_gamma) ** 2)
-    v = tieri_linewidth(AnalyticInputs.from_params(p, 0.0), p.eta, p.gamma)
+    v = tieri_linewidth(p)
     assert v == pytest.approx(expected, rel=1e-13)
 
 
@@ -67,7 +59,7 @@ def test_tieri_matches_direct_arithmetic():
 
 def test_crossover_regression_value():
     p = preset("sr88", n_atoms=10**4, eta=20 * preset("sr88").gamma)
-    v = crossover_linewidth(AnalyticInputs.from_params(p, -1234.5))
+    v = crossover_linewidth(p, -1234.5)
     assert v == pytest.approx(5.7699430478e6, rel=1e-9)
 
 
@@ -75,51 +67,45 @@ def test_crossover_collective_purcell_limit():
     # M=-N/2, Gamma=0, weak collective coupling: result -> N Gamma_c
     for two_rabi, tol in ((1e-2, 1e-3), (5e-3, 1e-3)):
         g = two_rabi / (2.0 * math.sqrt(100))
-        ai = _inputs(100, g, 1.0, m_eff=-50.0)
-        assert crossover_linewidth(ai) == pytest.approx(
-            ai.derived.c_collective, rel=tol)
+        p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0)
+        assert crossover_linewidth(p, -50.0) == pytest.approx(
+            derived(p).c_collective, rel=tol)
 
 
 def test_crossover_collective_rabi_limit():
     # M=-N/2, Gamma=0, deep strong coupling: result -> 2 sqrt(N) g
     g = 100.0 / (2.0 * math.sqrt(100))
-    ai = _inputs(100, g, 1.0, m_eff=-50.0)
-    rabi = 2.0 * ai.derived.collective_coupling
-    assert crossover_linewidth(ai) == pytest.approx(rabi, rel=1e-2)
+    p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0)
+    rabi = 2.0 * derived(p).collective_coupling
+    assert crossover_linewidth(p, -50.0) == pytest.approx(rabi, rel=1e-2)
 
 
 def test_crossover_strong_pump_form():
     # M=+N/2 at small radicand reduces to (Gamma kappa - 4 N g^2)/(Gamma + kappa)
     g = math.sqrt(0.099 / 400.0)
-    ai = _inputs(100, g, 1.0, m_eff=50.0, eta=0.1)
+    p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=0.1)
     expected = (0.1 - 4 * 100 * g * g) / 1.1
-    assert crossover_linewidth(ai) == pytest.approx(expected, rel=1e-2)
+    assert crossover_linewidth(p, 50.0) == pytest.approx(expected, rel=1e-2)
 
 
 def test_crossover_lossless_cavity_raises():
-    ai = _inputs(2, 0.04, 0.0, m_eff=-0.8, gamma=0.1, eta=0.01)
+    p = SystemParams(n_atoms=2, g=0.04, kappa=0.0, gamma=0.1, eta=0.01)
     with pytest.raises(ValueError, match="lossy cavity"):
-        crossover_linewidth(ai)
+        crossover_linewidth(p, -0.8)
 
 
 def test_crossover_cavity_asymptote():
     # Gamma far above every other rate: width saturates at kappa
-    ai = _inputs(100, math.sqrt(1.0 / 400.0), 1.0, m_eff=0.0, eta=400.0)
-    assert crossover_linewidth(ai) == pytest.approx(1.0, rel=1e-2)
+    p = SystemParams(n_atoms=100, g=math.sqrt(1.0 / 400.0), kappa=1.0, gamma=0.0,
+                     eta=400.0)
+    assert crossover_linewidth(p, 0.0) == pytest.approx(1.0, rel=1e-2)
 
 
 def test_crossover_negative_radicand_raises():
     # deep inverted collective coupling at Gamma=0 drives the radicand negative
-    ai = _inputs(100, 1.0, 1.0, m_eff=50.0)
+    p = SystemParams(n_atoms=100, g=1.0, kappa=1.0, gamma=0.0)
     with pytest.raises(ValueError, match="radicand"):
-        crossover_linewidth(ai)
-
-
-def _raw_inputs(kappa, gamma_big, purcell, n, m):
-    d = DerivedRates(purcell=purcell, big_gamma=gamma_big,
-                     c_collective=n * purcell, d0=None,
-                     collective_coupling=0.5 * math.sqrt(n * purcell * kappa))
-    return AnalyticInputs(derived=d, kappa=kappa, m_eff=m, n_atoms=n)
+        crossover_linewidth(p, 50.0)
 
 
 def test_crossover_small_radicand_expansion():
@@ -134,12 +120,14 @@ def test_crossover_small_radicand_expansion():
         purcell = (gamma_big - delta) / 100.0  # 2 M Gamma_c = Gamma - delta
         cases.append((1.0, gamma_big, purcell, 100, 50.0))
     for kappa, gamma_big, purcell, n, m in cases:
-        ai = _raw_inputs(kappa, gamma_big, purcell, n, m)
+        # kappa = 1, so purcell = 4 g^2 and Gamma = gamma with no pump or dephasing
+        p = SystemParams(n_atoms=n, g=math.sqrt(purcell / 4.0), kappa=kappa,
+                         gamma=gamma_big)
         arg = 4.0 * (gamma_big / kappa - 2.0 * m * purcell / kappa) \
             / (gamma_big / kappa + 1.0) ** 2
         assert abs(arg) < 1e-2
         expansion = (gamma_big - 2.0 * m * purcell) / (gamma_big / kappa + 1.0)
-        assert crossover_linewidth(ai) == pytest.approx(expansion, rel=1e-2)
+        assert crossover_linewidth(p, m) == pytest.approx(expansion, rel=1e-2)
 
 
 def test_crossover_strictly_decreasing_in_m():
@@ -147,7 +135,7 @@ def test_crossover_strictly_decreasing_in_m():
     values = []
     for m in np.linspace(-500.0, 500.0, 101):
         try:
-            values.append(crossover_linewidth(AnalyticInputs.from_params(p, m)))
+            values.append(crossover_linewidth(p, m))
         except ValueError:
             break  # radicand turns negative at large M and stays negative
     assert len(values) > 20
@@ -171,7 +159,7 @@ def test_crossover_sign_tracks_net_damping():
         m = rng.uniform(-0.5, 0.5) * n
         d = derived(p)
         try:
-            v = crossover_linewidth(AnalyticInputs.from_params(p, m))
+            v = crossover_linewidth(p, m)
         except ValueError:
             continue
         if d.big_gamma > 2.0 * m * d.purcell:
@@ -186,7 +174,7 @@ def test_crossover_sign_tracks_net_damping():
 
 def test_limit_values_sr88():
     p = preset("sr88", n_atoms=100)
-    lim = limit_linewidths(AnalyticInputs.from_params(p, 0.0))
+    lim = limit_linewidths(p)
     assert to_hz(lim.collective_rabi) == pytest.approx(212e3, rel=1e-12)
     assert lim.n_purcell == pytest.approx(derived(p).c_collective, rel=1e-12)
     assert lim.cavity == p.kappa
@@ -205,24 +193,14 @@ def test_strong_pump_identity():
             chi=10.0 ** rng.uniform(-6, 0),
         )
         d = derived(p)
-        lim = limit_linewidths(AnalyticInputs.from_params(p, 0.0))
+        lim = limit_linewidths(p)
         alt = (d.big_gamma - d.c_collective) / (d.big_gamma / p.kappa + 1.0)
         assert lim.strong_pump == pytest.approx(alt, rel=1e-12)
 
 
 def test_strong_pump_limit_of_a_lossless_cavity():
     # kappa = 0: (Gamma kappa - 4 N g^2)/(Gamma + kappa) = -4 N g^2 / Gamma
-    lim = limit_linewidths(_inputs(2, 0.04, 0.0, m_eff=-0.8, gamma=0.1, eta=0.01))
+    lim = limit_linewidths(SystemParams(n_atoms=2, g=0.04, kappa=0.0, gamma=0.1, eta=0.01))
     assert lim.strong_pump == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
     assert lim.n_purcell == math.inf
 
-
-def test_limits_empty_ensemble():
-    # N=0 is inexpressible as SystemParams; the analytic record allows it
-    d = DerivedRates(purcell=0.04, big_gamma=0.3, c_collective=0.0, d0=None,
-                     collective_coupling=0.0)
-    ai = AnalyticInputs(derived=d, kappa=2.0, m_eff=0.0, n_atoms=0)
-    lim = limit_linewidths(ai)
-    assert lim.n_purcell == 0.0
-    assert lim.collective_rabi == 0.0
-    assert lim.strong_pump == pytest.approx(0.3 * 2.0 / 2.3, rel=1e-12)

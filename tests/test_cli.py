@@ -252,7 +252,9 @@ def test_limits_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
 def test_steady_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
     code, out, _ = run_cli(capsys, ["steady", "--config", lossless_config])
     assert code == 0
-    rates = strict_json(out)["derived"]
+    payload = strict_json(out)
+    assert payload["pair_corr_re"] == 0.0  # the closed form, with no coherence
+    rates = payload["derived"]
     for key in ("purcell", "c_collective"):
         assert rates[f"{key}_hz"] is None
         assert "lossless" in rates[f"{key}_note"]
@@ -316,6 +318,17 @@ def test_dicke_map_csv_header(capsys, desk_config):
     assert cells[0] == "2"
     assert float(cells[2]) <= 1.0 + 1e-9  # J <= N/2
     assert "collective threshold" in err
+
+
+@pytest.mark.parametrize("argv,verdict", [
+    (["--preset", "sr88", "--n", "228", "--eta-hz", "75000"], "N > 227.8 (exceeded)"),
+    (["--preset", "sr88", "--n", "227", "--eta-hz", "75000"], "N > 227.8 (not exceeded)"),
+], ids=["above", "below"])
+def test_dicke_map_compares_n_with_the_collective_threshold(capsys, argv, verdict):
+    # (kappa / g)^2 = (160 / 10.6)^2 = 227.8 atoms for sr88
+    code, _, err = run_cli(capsys, ["dicke-map", *argv])
+    assert code == 0
+    assert f"collective threshold {verdict}" in err
 
 
 def test_sweep_jsonl_echo(capsys, tmp_path, desk_config):

@@ -85,3 +85,12 @@ def test_solve_ivp_stays_a_module_attribute_of_cumulant():
                                      rtol=1e-10, atol=1e-12)
     assert sol.success
     assert math.isclose(sol.y[0, -1], math.exp(-1.0), rel_tol=1e-9)
+
+
+def test_every_exported_name_resolves():
+    # the oracle's names resolve through the package's lazy __getattr__
+    missing = [name for name in srlaser.__all__ if not hasattr(srlaser, name)]
+    assert missing == []
+    assert srlaser.oracle_steady_state is srlaser.oracle.oracle_steady_state
+    with pytest.raises(AttributeError, match="no attribute 'AnalyticInputs'"):
+        srlaser.AnalyticInputs

@@ -211,16 +211,14 @@ def test_classify_rejects_nan():
 # -------------------------------------------------------------- thresholds
 
 def test_collective_threshold_values():
-    sr88 = collective_threshold(preset("sr88", n_atoms=1000))
-    assert sr88.n_threshold == pytest.approx((160.0 / 10.6) ** 2, rel=1e-12)
-    assert sr88.exceeded
+    # the atom number (kappa / g)^2 above which sqrt(N) g exceeds kappa
+    sr88 = collective_threshold(preset("sr88"))
+    assert sr88 == pytest.approx((160.0 / 10.6) ** 2, rel=1e-12)
 
-    sr87 = collective_threshold(preset("sr87", n_atoms=10**5))
-    assert sr87.n_threshold == pytest.approx(4.407e9, rel=1e-3)
-    assert not sr87.exceeded
+    sr87 = collective_threshold(preset("sr87"))
+    assert sr87 == pytest.approx(4.407e9, rel=1e-3)
 
-    equal = collective_threshold(SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.1))
-    assert equal.n_threshold == 1.0 and equal.exceeded
+    assert collective_threshold(SystemParams(n_atoms=2, g=1.0, kappa=1.0, gamma=0.1)) == 1.0
 
     no_coupling = collective_threshold(SystemParams(n_atoms=2, g=0.0, kappa=1.0, gamma=0.1))
-    assert math.isinf(no_coupling.n_threshold) and not no_coupling.exceeded
+    assert no_coupling == math.inf

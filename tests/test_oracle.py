@@ -348,6 +348,21 @@ def test_product_state_normalizes_and_validates():
         product_state(space, [1.0], (0.0, 0.0, -1.0), filter_amps=[1.0])
 
 
+def test_product_state_puts_the_filter_in_vacuum_by_default():
+    space = HilbertSpace(2, 2, m_max=2)
+    rho = product_state(space, [1.0, 1.0], (0.0, 0.0, -1.0))
+    explicit = product_state(space, [1.0, 1.0], (0.0, 0.0, -1.0), filter_amps=[1.0])
+    assert np.array_equal(rho, explicit)
+    assert np.trace(space.fd @ space.f @ rho).real == 0.0
+
+
+def test_hamiltonian_rejects_a_probe_without_a_filter_mode():
+    params = SystemParams(n_atoms=1, g=0.1, kappa=1.0, gamma=0.1)
+    probe = FilterProbe(big_g=1e-3, beta=0.1, omega_f=0.0)
+    with pytest.raises(ValueError, match="without a filter mode"):
+        hamiltonian(HilbertSpace(1, 2), params, probe)
+
+
 def test_moment_derivatives_rejects_mismatched_state():
     params = SystemParams(n_atoms=2, g=0.1, kappa=1.0, gamma=0.1, eta=0.1)
     small = HilbertSpace(params.n_atoms, 2)

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from srlaser import spectrum
-from srlaser.analytic import AnalyticInputs, crossover_linewidth
+from srlaser.analytic import crossover_linewidth
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
 from srlaser.model import ETA_EXP, SystemParams, from_hz, preset, to_hz
@@ -230,6 +231,31 @@ def test_fit_rejects_flat_and_tiny_scans():
         fit_lorentzian(SpectrumScan(omega=grid[:5], intensity=grid[:5] ** 2))
 
 
+def test_fit_from_a_one_sided_half_maximum_recovers_the_width():
+    # the right half-maximum, at +1, lies past the grid's end at 0.6, so the
+    # initial guess falls back to a quarter of the span and skips the span check
+    grid = np.linspace(-3.0, 0.6, 61)
+    data = _lorentzian(grid, 1.0, 0.0, 2.0, 0.0)
+    assert spectrum._initial_guess(grid, data)[4] is False
+    fit = fit_lorentzian(SpectrumScan(omega=grid, intensity=data))
+    assert fit.fwhm == pytest.approx(2.0, rel=1e-9)
+
+
+def test_fit_that_exhausts_its_evaluations_raises(monkeypatch):
+    import scipy.optimize
+
+    def exhausted(fun, x0, **kwargs):
+        return SimpleNamespace(x=x0, fun=fun(x0), success=False, status=0,
+                               message="maximum evaluations")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", exhausted)
+    width = 2.0 * np.pi * 100.0
+    grid = np.linspace(-5.0 * width, 5.0 * width, 61)
+    data = _lorentzian(grid, 1.0, 0.0, width, 0.05)
+    with pytest.raises(FitError, match="did not converge"):
+        fit_lorentzian(SpectrumScan(omega=grid, intensity=data))
+
+
 def test_fit_rejects_scan_narrower_than_the_line():
     grid = np.linspace(-0.8, 0.8, 41)
     data = 1.0 / (1.0 + grid**4)  # flat-topped: estimated width ~ full span
@@ -316,7 +342,7 @@ def test_resonant_narrow_pole_has_a_closed_form():
         # first order in u; below u = 1e-4 the round-off of its
         # sqrt(1 + u) - 1, about 1e-16 / u, would hide the u^2 term
         if u >= 1e-4:
-            eq4 = crossover_linewidth(AnalyticInputs.from_params(params, m_eff=m))
+            eq4 = crossover_linewidth(params, m)
             assert abs(eq4 / pole - 1 + u / 2) < u**2 / 4
             second_order += 1
     assert second_order >= 4
@@ -329,7 +355,7 @@ def test_flagship_eq4_misses_the_pole_by_its_second_order_term():
     closed, u, m = _resonant_narrow_pole(params, base)
     assert rel_err(closed, pole) < 1e-10
     assert u == pytest.approx(0.0787, rel=1e-3)
-    eq4 = crossover_linewidth(AnalyticInputs.from_params(params, m_eff=m))
+    eq4 = crossover_linewidth(params, m)
     assert eq4 / pole - 1 == pytest.approx(-0.03862, rel=1e-3)
     assert abs(eq4 / pole - 1 + u / 2) < u**2 / 4
 
@@ -425,6 +451,29 @@ def test_fit_narrower_than_the_filter_is_below_the_floor(desk_params, monkeypatc
     with pytest.raises(ProbeError, match="below the resolvable floor"):
         auto_probe(desk_params, base=base)
     assert len(fits) == 1
+
+
+@pytest.mark.parametrize("excess", [0.0, -0.1])
+def test_linewidth_rejects_a_fit_no_wider_than_the_filter(desk_params, monkeypatch,
+                                                          excess):
+    base = steady_state(desk_params)
+    probe = FilterProbe(big_g=1e-4, beta=0.02, omega_f=0.0)
+    monkeypatch.setattr(spectrum, "auto_probe", lambda params, base: probe)
+    monkeypatch.setattr(spectrum, "fit_lorentzian", lambda scan_data: LorentzianFit(
+        amplitude=1.0, center=0.0, fwhm=probe.beta * (1.0 + excess), offset=0.0,
+        rms_residual=0.0))
+    with pytest.raises(ProbeError, match="does not exceed the filter width"):
+        linewidth(desk_params, base=base)
+
+
+def test_filter_response_with_a_vanishing_denominator_raises():
+    # N = 1, g = kappa = gamma = beta = 1, eta = 0 and s = 1: at omega_f = 0,
+    # w1 w2 = (i)(i) = -1 cancels N g^2 s = 1 exactly
+    params = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=1.0, eta=0.0)
+    base = MomentState(0.0, 0.0j, 1.0, 0.0j)
+    probe = FilterProbe(big_g=1e-3, beta=1.0, omega_f=0.0)
+    with pytest.raises(SimulationError, match="denominator vanished"):
+        filter_response(base, params, probe, np.array([-1.0, 0.0, 1.0]))
 
 
 def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
