@@ -92,28 +92,48 @@ def _rates(params: SystemParams):
     return gamma_c, gamma_p
 
 
-def _rhs_vec(x, params: SystemParams) -> np.ndarray:
-    """Time derivative of the state vector x.
+def _rhs(params: SystemParams):
+    """The time derivative as f(x) -> list of the six components.
 
-    x may be an array or, from the integrator, a list of Python floats,
-    whose scalar arithmetic costs half that of numpy scalars and rounds the
-    same.
+    The parameter products are formed once per params, not on each of an
+    integration's hundreds of calls, and in the order that the expression
+    written out in full forms them left to right (-2 g N, g (N - 1), -2 g,
+    4 g, -delta, -gamma_p), so every component rounds as it would.  x may
+    be a sequence of Python floats, whose scalar arithmetic costs half that
+    of numpy scalars and rounds the same, or arrays, whose elementwise
+    arithmetic also rounds the same: one formula serves the integrator
+    (floats), Newton (a (6,) array) and the spectrum ((6, M) arrays).
     """
-    n, cr, ci, s, pr, pi = x
     g, kappa = params.g, params.kappa
     gamma, eta = params.gamma, params.eta
     nn = params.n_atoms
     delta = params.detuning
     gamma_c, gamma_p = _rates(params)
-    source = s * n + (nn - 1) * pr + 0.5 * (1.0 + s)
-    return np.array([
-        -2.0 * g * nn * ci - kappa * n,
-        -delta * ci - gamma_c * cr + g * (nn - 1) * pi,
-        delta * cr - gamma_c * ci - g * source,
-        4.0 * g * ci - gamma * (1.0 + s) + eta * (1.0 - s),
-        -2.0 * g * s * ci - gamma_p * pr,
-        -gamma_p * pi,
-    ])
+    n_gain = -2.0 * g * nn
+    pair_gain = g * (nn - 1)
+    m2g = -2.0 * g
+    g4 = 4.0 * g
+    m_delta = -delta
+    m_gamma_p = -gamma_p
+
+    def f(x):
+        n, cr, ci, s, pr, pi = x
+        source = s * n + (nn - 1) * pr + 0.5 * (1.0 + s)
+        return [
+            n_gain * ci - kappa * n,
+            m_delta * ci - gamma_c * cr + pair_gain * pi,
+            delta * cr - gamma_c * ci - g * source,
+            g4 * ci - gamma * (1.0 + s) + eta * (1.0 - s),
+            m2g * s * ci - gamma_p * pr,
+            m_gamma_p * pi,
+        ]
+
+    return f
+
+
+def _rhs_vec(x, params: SystemParams) -> np.ndarray:
+    """Time derivative of the state vector x, shaped (6,) or (6, M)."""
+    return np.array(_rhs(params)(x))
 
 
 def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
@@ -179,9 +199,10 @@ def fixed_point_g0(params: SystemParams) -> MomentState:
 
 def _integrate_raw(x0, params, t_final):
     # trial steps may transiently overflow on stiff points; they get rejected
+    f = _rhs(params)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
-            lambda _, y: _rhs_vec(y.tolist(), params),
+            lambda _, y: f(y.tolist()),
             (0.0, t_final), x0, rtol=_REL_TOL, atol=_ABS_TOL,
         )
     if not sol.success:
@@ -309,9 +330,12 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
 
 def _relax(params):
     """Integrate the fast transient away: 30 fast time constants from the
-    initial state, with the package's DOP853 (srlaser.dop853), which steps
-    as scipy's does.  An initial state that is already stationary, as
-    wherever gamma_p = 0, is returned untouched."""
+    initial state, with the package's DOP853 (srlaser.dop853), which takes
+    scipy's steps bit for bit.  The right-hand side is built once by _rhs
+    and evaluated on Python floats, which round as the array form does, so
+    the relaxed state is the one scipy's DOP853 reaches.  An initial state
+    that is already stationary, as wherever gamma_p = 0, is returned
+    untouched."""
     x = initial_state(params).as_vector()
     if scaled_residual(x, params) == 0.0:
         return x

@@ -1,0 +1,36 @@
+"""Smoke test of the benchmark harness against the package as it stands.
+
+One smoke pass per workload, traced, so that a renamed or re-imported name
+the benchmark probes (``srlaser.cumulant.solve_ivp``, ``scaled_residual``,
+``rhs``, ``SolverConfig.newton_tol``) fails here rather than in a
+benchmark run.
+"""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench import trace, workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_traced_smoke_pass_is_clean(name, tmp_path):
+    workload = workloads.prepare(name, 1, smoke=True)
+    recorder = trace.Recorder()
+    tracer = trace.Tracer(recorder)
+    with trace.Patches() as patches:
+        tracer.install(patches)
+        recorder.install(patches)
+        result = workload.run_pass(tmp_path, recorder)
+    assert patches.missing == []
+    assert result.problems == []
+    assert result.failed == 0
+    if name != "oracle_small":
+        assert tracer.durations("cumulant.solve_ivp")
+        assert tracer.counts["cumulant.scaled_residual"] > 0

@@ -371,14 +371,53 @@ def test_dop853_steps_as_scipy_does(name):
     params, start = _STEP_INPUTS[name]
     x0 = (start or initial_state(params)).as_vector()
     t_span = (0.0, 30.0 / cumulant._fast_rate(params))
+    f = cumulant._rhs(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        ours = cumulant.solve_ivp(lambda _, y: cumulant._rhs_vec(y.tolist(), params),
+        # ours integrates what _integrate_raw passes, scipy the array form
+        ours = cumulant.solve_ivp(lambda _, y: f(y.tolist()),
                                   t_span, x0, rtol=1e-8, atol=1e-12)
         ref = _scipy_dop853(lambda _, y: cumulant._rhs_vec(y, params), t_span, x0)
     assert ours.success and ref.success
     assert ours.nfev == ref.nfev
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.y, ref.y)
+
+
+def _rhs_written_out(x, params):
+    """The right-hand side with every product written out left to right,
+    as _rhs_vec spelled it before _rhs hoisted the parameter products."""
+    n, cr, ci, s, pr, pi = x
+    g, kappa = params.g, params.kappa
+    gamma, eta = params.gamma, params.eta
+    nn = params.n_atoms
+    delta = params.detuning
+    gamma_c, gamma_p = cumulant._rates(params)
+    source = s * n + (nn - 1) * pr + 0.5 * (1.0 + s)
+    return np.array([
+        -2.0 * g * nn * ci - kappa * n,
+        -delta * ci - gamma_c * cr + g * (nn - 1) * pi,
+        delta * cr - gamma_c * ci - g * source,
+        4.0 * g * ci - gamma * (1.0 + s) + eta * (1.0 - s),
+        -2.0 * g * s * ci - gamma_p * pr,
+        -gamma_p * pi,
+    ])
+
+
+@pytest.mark.parametrize("params", [
+    _STEP_INPUTS["sr87"][0],
+    _STEP_INPUTS["sr88"][0],
+    _STEP_INPUTS["sr88"][0].updated(omega_a=0.7 * _STEP_INPUTS["sr88"][0].kappa),
+    _STEP_INPUTS["desk"][0],
+], ids=["sr87", "sr88", "sr88_detuned", "desk"])
+def test_rhs_rounds_as_the_written_out_formula(params):
+    rng = np.random.default_rng(7)
+    sign = rng.choice([-1.0, 1.0], size=(6, 200))
+    x = sign * 10.0 ** rng.uniform(-9.0, 5.0, size=(6, 200))
+    x[3] = rng.uniform(-1.0, 1.0, size=200)
+    f = cumulant._rhs(params)
+    for col in x.T:
+        assert np.array_equal(f(col.tolist()), _rhs_written_out(col.tolist(), params))
+    assert np.array_equal(cumulant._rhs_vec(x, params), _rhs_written_out(x, params))
 
 
 def test_dop853_blow_up_stops_where_scipy_does():
@@ -396,7 +435,7 @@ def test_dop853_blow_up_stops_where_scipy_does():
 
 
 def test_integration_that_cannot_step_raises_stiff_error(monkeypatch, desk_params):
-    monkeypatch.setattr(cumulant, "_rhs_vec", lambda x, params: np.square(x))
+    monkeypatch.setattr(cumulant, "_rhs", lambda params: lambda x: [v * v for v in x])
     with pytest.raises(StiffIntegrationError, match="less than spacing"):
         cumulant._integrate_raw(np.ones(6), desk_params, 2.0)
 
