@@ -132,35 +132,61 @@ def _rhs(params: SystemParams):
 
 
 def _rhs_vec(x, params: SystemParams) -> np.ndarray:
-    """Time derivative of the state vector x, shaped (6,) or (6, M)."""
-    return np.array(_rhs(params)(x))
+    """Time derivative of the state vector x, shaped (6,) or (6, M).
+
+    A (6,) x is evaluated on its Python floats, which cost less than
+    numpy scalars and round the same; (6, M) stays on arrays, for the
+    spectrum.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array(_rhs(params)(x.tolist() if x.ndim == 1 else x))
 
 
-def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M)."""
-    n, _, ci, s, _, _ = x
+def _jacobian_of(params: SystemParams):
+    """The Jacobian of _rhs as jac(x): (6, 6) at x shaped (6,), (M, 6, 6)
+    at x shaped (6, M).
+
+    The twelve entries that do not depend on x are formed once per params;
+    each call copies them and fills the four that do, (-g) s, (-g) (n +
+    1/2), (-2 g) s and (-2 g) ci, grouped as the expression written out in
+    full groups them, so every entry rounds as it would.
+    """
     g = params.g
     nn = params.n_atoms
     delta = params.detuning
     gamma_c, gamma_p = _rates(params)
-    jac = np.zeros(np.shape(n) + (6, 6))
-    jac[..., 0, 0] = -params.kappa
-    jac[..., 0, 2] = -2.0 * g * nn
-    jac[..., 1, 1] = -gamma_c
-    jac[..., 1, 2] = -delta
-    jac[..., 1, 5] = g * (nn - 1)
-    jac[..., 2, 0] = -g * s
-    jac[..., 2, 1] = delta
-    jac[..., 2, 2] = -gamma_c
-    jac[..., 2, 3] = -g * (n + 0.5)
-    jac[..., 2, 4] = -g * (nn - 1)
-    jac[..., 3, 2] = 4.0 * g
-    jac[..., 3, 3] = -(params.gamma + params.eta)
-    jac[..., 4, 2] = -2.0 * g * s
-    jac[..., 4, 3] = -2.0 * g * ci
-    jac[..., 4, 4] = -gamma_p
-    jac[..., 5, 5] = -gamma_p
+    const = np.zeros((6, 6))
+    const[0, 0] = -params.kappa
+    const[0, 2] = -2.0 * g * nn
+    const[1, 1] = -gamma_c
+    const[1, 2] = -delta
+    const[1, 5] = g * (nn - 1)
+    const[2, 1] = delta
+    const[2, 2] = -gamma_c
+    const[2, 4] = -g * (nn - 1)
+    const[3, 2] = 4.0 * g
+    const[3, 3] = -(params.gamma + params.eta)
+    const[4, 4] = -gamma_p
+    const[5, 5] = -gamma_p
+    m_g = -g
+    m2g = -2.0 * g
+
+    def jac(x):
+        n, _, ci, s, _, _ = x
+        out = np.empty(np.shape(n) + (6, 6))
+        out[...] = const
+        out[..., 2, 0] = m_g * s
+        out[..., 2, 3] = m_g * (n + 0.5)
+        out[..., 4, 2] = m2g * s
+        out[..., 4, 3] = m2g * ci
+        return out
+
     return jac
+
+
+def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M)."""
+    return _jacobian_of(params)(x)
 
 
 def rhs(state: MomentState, params: SystemParams) -> MomentState:
@@ -171,10 +197,18 @@ def rhs(state: MomentState, params: SystemParams) -> MomentState:
     return MomentState.from_vector(_rhs_vec(x, params))
 
 
+def _residual(r: np.ndarray, x: np.ndarray) -> float:
+    # ndarray.max propagates NaN, which the Newton line search relies on
+    return float((np.abs(r) / np.maximum(1.0, np.abs(x))).max())
+
+
 def scaled_residual(x: np.ndarray, params: SystemParams) -> float:
-    """max_i |rhs_i| / max(1, |x_i|): a rad/s-valued stationarity measure."""
-    r = _rhs_vec(x, params)
-    return float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x))))
+    """max_i |rhs_i| / max(1, |x_i|): a rad/s-valued stationarity measure.
+
+    Newton computes the same number with the same helper, from the rhs it
+    already holds, so this function counts only the checks made outside it.
+    """
+    return _residual(_rhs_vec(x, params), x)
 
 
 def _fast_rate(params: SystemParams) -> float:
@@ -241,45 +275,54 @@ def _newton(x0, params, tol):
     comes back with ok False.  Below tol, up to four full steps follow
     while the residual falls; a singular Jacobian (gamma_p = 0) ends them.
     After _NEWTON_MAX_ITER steps: (x, res, res < tol), unpolished.
+
+    The rhs and the Jacobian's constant entries are built once per call,
+    and each iterate is evaluated once: an accepted trial carries its rhs
+    and residual into the next step.
     """
+    f = _rhs(params)
+    jacobian = _jacobian_of(params)
+
+    def evaluate(x):
+        r = np.array(f(x.tolist()))
+        return r, _residual(r, x)
+
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.array(x0, dtype=float)
-        best = x.copy()
-        best_res = scaled_residual(x, params)
+        r, res = evaluate(x)
+        best, best_res = x.copy(), res
         for _ in range(_NEWTON_MAX_ITER):
-            res = scaled_residual(x, params)
             if res < best_res:
                 best, best_res = x.copy(), res
             if res < tol:
                 for _ in range(4):
                     try:
-                        step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
+                        step = np.linalg.solve(jacobian(x), -r)
                     except np.linalg.LinAlgError:
                         break
                     trial = x + step
                     if not np.all(np.isfinite(trial)):
                         break
-                    trial_res = scaled_residual(trial, params)
+                    trial_r, trial_res = evaluate(trial)
                     if trial_res >= res:
                         break
-                    x, res = trial, trial_res
+                    x, r, res = trial, trial_r, trial_res
                 return x, res, True
             try:
-                step = np.linalg.solve(_jacobian(x, params), -_rhs_vec(x, params))
+                step = np.linalg.solve(jacobian(x), -r)
             except np.linalg.LinAlgError:
                 return best, best_res, False
             lam = 1.0
             while lam >= 1.0 / 1024.0:
                 trial = x + lam * step
                 if np.all(np.isfinite(trial)):
-                    trial_res = scaled_residual(trial, params)
+                    trial_r, trial_res = evaluate(trial)
                     if trial_res < res:
-                        x = trial
+                        x, r, res = trial, trial_r, trial_res
                         break
                 lam *= 0.5
             else:
                 return best, best_res, False
-        res = scaled_residual(x, params)
         return x, res, res < tol
 
 

@@ -10,11 +10,13 @@ scipy.integrate out of the import graph.
 
 The arithmetic is scipy's to the bit, at less call overhead.  Stage sums
 call ``ndarray.dot``, the BLAS call behind the ``np.dot`` dispatcher that
-scipy goes through, and the squared error norms take ``sqrt(v . v) ** 2``,
-which is what ``np.linalg.norm(v) ** 2`` computes for 1-D v.  The stage
-sums stay in numpy: summed term by term in Python they round differently
-from BLAS in the last bit, for about two in three sums, and the steps
-would drift from scipy's.
+scipy goes through, and the squared error norms take ``math.sqrt(v . v)
+** 2``, which is what ``np.linalg.norm(v) ** 2`` computes for 1-D v.  The
+error norm's scalar arithmetic runs on Python floats, whose IEEE
+operations round as numpy's float64 scalars do.  The stage sums stay in
+numpy: summed term by term in Python they round differently from BLAS in
+the last bit, for about two in three sums, and the steps would drift from
+scipy's.
 """
 from __future__ import annotations
 
@@ -137,8 +139,8 @@ def _initial_step(fun, t0, y0, f0, span, rtol, atol):
 
 def _sq_norm(v):
     """np.linalg.norm(v) ** 2 for 1-D v, computed as norm does it, less
-    norm's checks."""
-    return np.sqrt(v.dot(v)) ** 2
+    norm's checks, as a Python float."""
+    return math.sqrt(v.dot(v)) ** 2
 
 
 def _error_norm(K, h, scale):
@@ -147,7 +149,9 @@ def _error_norm(K, h, scale):
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    if denom == 0.0:  # 0.01 * err3 underflowed: numpy's 0 / 0, not Python's raise
+        return math.nan
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):

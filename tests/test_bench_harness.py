@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark harness against the package as it stands.
+"""The benchmark harness against the package as it stands.
 
 One smoke pass per workload, traced, so that a renamed or re-imported name
 the benchmark probes (``srlaser.cumulant.solve_ivp``, ``scaled_residual``,
 ``rhs``, ``SolverConfig.newton_tol``) fails here rather than in a
-benchmark run.
+benchmark run.  One full default-seed pass per grid workload, checked
+against the recorded reference CSVs and the Newton tolerance, so that a
+moved reference cell fails here too.
 """
 from __future__ import annotations
 
@@ -34,3 +36,17 @@ def test_traced_smoke_pass_is_clean(name, tmp_path):
     if name != "oracle_small":
         assert tracer.durations("cumulant.solve_ivp")
         assert tracer.counts["cumulant.scaled_residual"] > 0
+
+
+@pytest.mark.parametrize("name", [w for w in workloads.WORKLOADS if w != "oracle_small"])
+def test_default_seed_pass_matches_the_references(name, tmp_path):
+    workload = workloads.prepare(name, workloads.DEFAULT_SEED)
+    assert workload.reference is not None
+    recorder = trace.Recorder()
+    with trace.Patches() as patches:
+        recorder.install(patches)  # keeps each steady state for the residual check
+        result = workload.run_pass(tmp_path, recorder)
+    assert patches.missing == []
+    assert result.problems == []
+    assert result.failed == 0
+    assert len(recorder.states) > 0

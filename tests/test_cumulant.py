@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from srlaser import cumulant
+from srlaser import cumulant, dop853
 from srlaser.cumulant import (
     MomentState,
     _closed_form_root,
@@ -403,21 +403,175 @@ def _rhs_written_out(x, params):
     ])
 
 
-@pytest.mark.parametrize("params", [
+_ROUNDING_INPUTS = pytest.mark.parametrize("params", [
     _STEP_INPUTS["sr87"][0],
     _STEP_INPUTS["sr88"][0],
     _STEP_INPUTS["sr88"][0].updated(omega_a=0.7 * _STEP_INPUTS["sr88"][0].kappa),
     _STEP_INPUTS["desk"][0],
 ], ids=["sr87", "sr88", "sr88_detuned", "desk"])
-def test_rhs_rounds_as_the_written_out_formula(params):
+
+
+def _seeded_states():
+    """200 states as one (6, 200) array: moments of either sign over 14
+    decades, the inversion in [-1, 1]."""
     rng = np.random.default_rng(7)
     sign = rng.choice([-1.0, 1.0], size=(6, 200))
     x = sign * 10.0 ** rng.uniform(-9.0, 5.0, size=(6, 200))
     x[3] = rng.uniform(-1.0, 1.0, size=200)
+    return x
+
+
+@_ROUNDING_INPUTS
+def test_rhs_rounds_as_the_written_out_formula(params):
+    x = _seeded_states()
     f = cumulant._rhs(params)
     for col in x.T:
         assert np.array_equal(f(col.tolist()), _rhs_written_out(col.tolist(), params))
     assert np.array_equal(cumulant._rhs_vec(x, params), _rhs_written_out(x, params))
+
+
+def _jacobian_written_out(x, params):
+    """The Jacobian with every entry written out, as _jacobian spelled it
+    before _jacobian_of formed the constant entries once per params."""
+    n, _, ci, s, _, _ = x
+    g = params.g
+    nn = params.n_atoms
+    delta = params.detuning
+    gamma_c, gamma_p = cumulant._rates(params)
+    jac = np.zeros(np.shape(n) + (6, 6))
+    jac[..., 0, 0] = -params.kappa
+    jac[..., 0, 2] = -2.0 * g * nn
+    jac[..., 1, 1] = -gamma_c
+    jac[..., 1, 2] = -delta
+    jac[..., 1, 5] = g * (nn - 1)
+    jac[..., 2, 0] = -g * s
+    jac[..., 2, 1] = delta
+    jac[..., 2, 2] = -gamma_c
+    jac[..., 2, 3] = -g * (n + 0.5)
+    jac[..., 2, 4] = -g * (nn - 1)
+    jac[..., 3, 2] = 4.0 * g
+    jac[..., 3, 3] = -(params.gamma + params.eta)
+    jac[..., 4, 2] = -2.0 * g * s
+    jac[..., 4, 3] = -2.0 * g * ci
+    jac[..., 4, 4] = -gamma_p
+    jac[..., 5, 5] = -gamma_p
+    return jac
+
+
+@_ROUNDING_INPUTS
+def test_jacobian_rounds_as_the_written_out_formula(params):
+    x = _seeded_states()
+    jac = cumulant._jacobian_of(params)
+    for col in x.T:
+        assert np.array_equal(jac(col), _jacobian_written_out(col, params))
+    assert np.array_equal(jac(x), _jacobian_written_out(x, params))
+    assert np.array_equal(_jacobian(x, params), _jacobian_written_out(x, params))
+
+
+def _newton_written_out(x0, params, tol):
+    """Damped Newton as written before it carried each iterate's rhs and
+    residual forward: it evaluates the rhs afresh for every residual and
+    every step, through the public helpers."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.array(x0, dtype=float)
+        best = x.copy()
+        best_res = scaled_residual(x, params)
+        for _ in range(cumulant._NEWTON_MAX_ITER):
+            res = scaled_residual(x, params)
+            if res < best_res:
+                best, best_res = x.copy(), res
+            if res < tol:
+                for _ in range(4):
+                    try:
+                        step = np.linalg.solve(_jacobian(x, params),
+                                               -cumulant._rhs_vec(x, params))
+                    except np.linalg.LinAlgError:
+                        break
+                    trial = x + step
+                    if not np.all(np.isfinite(trial)):
+                        break
+                    trial_res = scaled_residual(trial, params)
+                    if trial_res >= res:
+                        break
+                    x, res = trial, trial_res
+                return x, res, True
+            try:
+                step = np.linalg.solve(_jacobian(x, params), -cumulant._rhs_vec(x, params))
+            except np.linalg.LinAlgError:
+                return best, best_res, False
+            lam = 1.0
+            while lam >= 1.0 / 1024.0:
+                trial = x + lam * step
+                if np.all(np.isfinite(trial)):
+                    trial_res = scaled_residual(trial, params)
+                    if trial_res < res:
+                        x = trial
+                        break
+                lam *= 0.5
+            else:
+                return best, best_res, False
+        res = scaled_residual(x, params)
+        return x, res, res < tol
+
+
+def _newton_starts():
+    for params in _root_inputs(200):
+        yield "closed form", _closed_form_root(params), params
+    cells = list(_grid_inputs())
+    # every 15th cell, which takes in the sr87 plateau cell (N = 1e5, eta =
+    # gamma, index 840), and four where Newton from the relaxed state
+    # returns its best iterate with ok False
+    for i in sorted(set(range(0, len(cells), 15)) | {63, 148, 739, 788}):
+        yield "relaxed", cumulant._relax(cells[i]), cells[i]
+    # gamma_p = 0: the polish ends on a singular Jacobian
+    params = _NO_PUMP_NO_DECAY["sr88"]
+    yield "no pump, no decay", initial_state(params).as_vector(), params
+
+
+def test_newton_takes_the_written_out_iterates():
+    outcomes = set()
+    for kind, x0, params in _newton_starts():
+        tol = 1e-10 * max(1.0, params.kappa)
+        x, res, ok = _newton(x0, params, tol)
+        x_ref, res_ref, ok_ref = _newton_written_out(x0, params, tol)
+        assert np.array_equal(x, x_ref), (kind, params)
+        assert res == res_ref and ok == ok_ref, (kind, params)
+        outcomes.add((kind, ok))
+    assert outcomes == {("closed form", True), ("relaxed", True), ("relaxed", False),
+                        ("no pump, no decay", True)}
+
+
+def test_scaled_residual_of_an_overflowing_rhs_is_nan(desk_params):
+    # s n = +inf and (N - 1) pr = -inf: the source term is inf - inf.  The
+    # residual must stay NaN, so that a line-search trial landing here is
+    # rejected (trial_res < res is False); Python's max would drop it.
+    x = np.array([1e308, 0.0, 0.0, 10.0, -1e308, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(cumulant._rhs_vec(x, desk_params)[2])
+        assert np.isnan(scaled_residual(x, desk_params))
+
+
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    # a line-search trial that is accepted carries its rhs into the next
+    # step; only the residual check before the first step evaluates x0
+    params = _STEP_INPUTS["sr88"][0]
+    x0 = cumulant._relax(params)
+    evaluated = []
+    make_rhs = cumulant._rhs
+
+    def recording(p):
+        f = make_rhs(p)
+
+        def g(x):
+            evaluated.append(tuple(float(v) for v in x))
+            return f(x)
+
+        return g
+
+    monkeypatch.setattr(cumulant, "_rhs", recording)
+    _, _, ok = _newton(x0, params, 1e-10 * max(1.0, params.kappa))
+    assert ok and len(evaluated) >= 3
+    assert len(set(evaluated)) == len(evaluated)
 
 
 def test_dop853_blow_up_stops_where_scipy_does():
@@ -432,6 +586,15 @@ def test_dop853_blow_up_stops_where_scipy_does():
     assert ours.nfev == ref.nfev == 3590
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.y, ref.y)
+
+
+def test_error_norm_whose_weighted_sum_underflows_is_nan():
+    # err5 squares to 0 and 0.01 err3 underflows to 0 while err3 does not;
+    # scipy's numpy scalars give 0 / 0 = nan there, which rejects the step
+    K = np.zeros((dop853.N_STAGES + 1, 1))
+    K[0, 0] = 1.0
+    scale = np.array([abs(dop853.E3[0]) / 1.5e-161])
+    assert np.isnan(dop853._error_norm(K, 1.0, scale))
 
 
 def test_integration_that_cannot_step_raises_stiff_error(monkeypatch, desk_params):
