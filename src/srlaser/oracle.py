@@ -12,11 +12,19 @@ L rho = K rho + rho K^dag + sum_k r_k c_k rho c_k^dag, with the effective
 Hamiltonian K = -iH - 1/2 sum_k r_k c_k^dag c_k.  Every term conserves
 q(ket) - q(bra), where q counts cavity photons, filter photons and excited
 atoms, so the Liouvillian is block diagonal in that charge, and only the
-block being solved is assembled.  Each Fock cutoff assembles and LU-solves
-its charge-0 block once for the stationary state.  The spectrum is a
-resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
-and has no zero eigenvalue; a few block-diagonal stacks, one sparse LU
-each, solve the whole grid, so nothing is propagated in time.
+block being solved is assembled.  Every term also treats the atoms alike
+(one g, gamma, eta and chi), so L maps permutation-invariant operators to
+permutation-invariant operators; rho_ss and a rho_ss are such operators.
+Each block is therefore assembled in the orthonormal basis of the sector's
+orbits under atom permutations (_orbits), which has O(N^3) rather than
+4^N atomic entries per pair of mode occupations.  Each Fock cutoff
+assembles and LU-solves its charge-0 orbit block once for the stationary
+state, the permutation-invariant one.  The spectrum is a resolvent of the
+returned cutoff's charge -1 orbit block, which holds a rho_ss and has no
+zero eigenvalue; a few block-diagonal stacks, one sparse LU each, solve
+the whole grid, so nothing is propagated in time.  The assembly itself
+still runs over the product basis's entries, and `build_liouvillian`
+returns the full product-basis matrix.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -79,8 +87,9 @@ class HilbertSpace:
             self.dims.append(m_max + 1)
         self.dims.extend([2] * n_atoms)
         self.dim = int(np.prod(self.dims))
-        # q of each basis state: the sum of its occupation digits
-        self.charge = np.indices(self.dims).reshape(len(self.dims), -1).sum(axis=0)
+        # each basis state's occupation digits, one row per factor; q is their sum
+        self.digits = np.indices(self.dims).reshape(len(self.dims), -1)
+        self.charge = self.digits.sum(axis=0)
         if self.dim**2 > MAX_SUPEROP_DIM:
             raise MemoryBudgetError(
                 f"superoperator dimension {self.dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
@@ -169,7 +178,11 @@ def _superoperator(space: HilbertSpace, k, jumps, charge=None) -> sp.csr_matrix:
     """Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
     K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c), each term broadcast from
     its factors' COO entries.  With a charge, only that sector's rows are
-    kept, numbered within it; every term conserves q, so its columns too."""
+    kept; every term conserves q, so its columns too.  The sector block is
+    returned in the orthonormal orbit basis of its permutation-invariant
+    operators (see _orbits): entry (r, c) goes to (orbit[r], orbit[c]) with
+    weight w[r] w[c], which is V^T L V for the sector's orbit matrix V.
+    Every term treats the atoms alike, so L V = V (V^T L V) exactly."""
     d, q = space.dim, space.charge
     k, ident = k.tocoo(), sp.identity(d, dtype=complex, format="coo")
     jumps = [(rate, c.tocoo()) for rate, c in jumps]
@@ -182,9 +195,11 @@ def _superoperator(space: HilbertSpace, k, jumps, charge=None) -> sp.csr_matrix:
     data, row, col = (np.concatenate(part) for part in (data, row, col))
     size = d * d
     if charge is not None:
-        idx = _sector(space, charge)
-        row, col, size = np.searchsorted(idx, row), np.searchsorted(idx, col), idx.size
-    # one CSR build sums the overlapping entries of all terms
+        idx, orbit, w = _orbits(space, charge)
+        row, col = np.searchsorted(idx, row), np.searchsorted(idx, col)
+        data = data * w[row] * w[col]
+        row, col, size = orbit[row], orbit[col], int(orbit.max(initial=-1)) + 1
+    # one CSR build sums the overlapping entries of all terms and orbits
     return sp.csr_matrix((data, (row, col)), shape=(size, size))
 
 
@@ -251,6 +266,35 @@ def _sector(space: HilbertSpace, charge: int) -> np.ndarray:
     return np.flatnonzero((q[:, None] - q).reshape(-1) == charge)
 
 
+def _orbits(space: HilbertSpace, charge: int):
+    """The sector's vec indices idx (as _sector), the orbit number of each
+    entry and its weight w = 1 / sqrt(orbit size).
+
+    Permuting the atoms moves rho[i, j] only among the entries with the same
+    mode (cavity and filter) occupations of i and of j and the same number
+    of atoms in each (ket, bra) pair gg, ge, eg and ee: one orbit.  Column o
+    of the orbit matrix V holds w on orbit o's entries, so V's columns are an
+    orthonormal basis of the sector's permutation-invariant operators, and
+    vec[idx] = w * x[orbit] lifts orbit coordinates x.  Orbits are numbered
+    in order of their first entry: orbit 0 of the charge-0 sector is
+    rho[0, 0] alone, and at N = 1, where every orbit is one entry, orbit[r]
+    is r and w is 1."""
+    idx = _sector(space, charge)
+    d, n = space.dim, space.n_atoms
+    ket, bra = idx // d, idx % d
+    atoms = space.digits[space._atom_offset:]
+    excited = atoms.sum(axis=0)
+    # the atom digits are the lowest, so i >> n numbers the mode occupations of i
+    key = (ket >> n) * (d >> n) + (bra >> n)
+    for count in (excited[ket], excited[bra], (atoms[:, ket] & atoms[:, bra]).sum(axis=0)):
+        key = key * (n + 1) + count
+    _, first, orbit, size = np.unique(key, return_index=True, return_inverse=True,
+                                      return_counts=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return idx, rank[orbit], 1.0 / np.sqrt(size[orbit])
+
+
 def _factor(block: sp.spmatrix, what: str):
     """Sparse LU of a Liouvillian block; a singular block is a typed error."""
     try:
@@ -260,16 +304,21 @@ def _factor(block: sp.spmatrix, what: str):
 
 
 def _solve_stationary(block: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
-    """Stationary rho from the charge-0 block, its first row (the entry
-    rho[0, 0]) replaced by the trace functional."""
-    d = space.dim
-    idx = _sector(space, 0)
-    trace_row = sp.csr_matrix((idx // d == idx % d).astype(complex))
-    b = np.zeros(idx.size, dtype=complex)
+    """Stationary rho from the charge-0 orbit block, its first row (orbit 0,
+    the entry rho[0, 0]) replaced by the trace functional, whose entry for
+    an orbit is the sum of the weights of its diagonal entries.  rho is
+    permutation invariant, so the orbit block holds it; a singular block
+    means the invariant sector has no unique stationary state."""
+    d, n = space.dim, block.shape[0]
+    idx, orbit, w = _orbits(space, 0)
+    diag = idx // d == idx % d
+    trace_row = np.bincount(orbit[diag], weights=w[diag], minlength=n)
+    b = np.zeros(n, dtype=complex)
     b[0] = 1.0
+    x = _factor(sp.vstack([sp.csr_matrix(trace_row.astype(complex)), block[1:]]),
+                "no unique stationary state").solve(b)
     vec = np.zeros(d * d, dtype=complex)
-    vec[idx] = _factor(sp.vstack([trace_row, block[1:]]),
-                       "no unique stationary state").solve(b)
+    vec[idx] = w * x[orbit]
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -390,8 +439,11 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     S(omega) = Re integral_0^inf Tr[a^dag exp(L tau)(a rho_ss)] e^{i omega tau}
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
     the charge -1 block of L, which has no zero eigenvalue, so each grid
-    point is a sparse solve of that block, exact at omega = 0 too.  The
-    block-diagonal stacks of these systems hold at most d^2 unknowns each.
+    point is a sparse solve of that block, exact at omega = 0 too.  a rho_ss
+    is permutation invariant, so its solves stay in the orbit block:
+    a rho_ss = V x and Tr[a^dag V y] = (V^T ad_vec) . y, both reduced by a
+    weighted bincount.  The block-diagonal stacks of these systems hold at
+    most d^2 unknowns each, d^2 // n systems of n orbits.
     Returns a unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan  # local import to keep layering one-way
@@ -401,16 +453,23 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
         raise ValueError("omega_grid must be a 1-d grid with >= 2 points")
     result = oracle_steady_state(params, n_max=n_max)
     space = result.space
-    idx = _sector(space, -1)
-    x = (space.a @ result.rho).reshape(-1)[idx]
-    ad_vec = space.ad.T.reshape(-1)[idx]  # Tr[ad X] = sum(ad.T * X)
+    idx, orbit, w = _orbits(space, -1)
+
+    def reduce(vec):  # V^T vec, a weighted bincount of each part
+        vec = vec.reshape(-1)[idx]
+        return (np.bincount(orbit, weights=w * vec.real)
+                + 1j * np.bincount(orbit, weights=w * vec.imag))
+
+    # a rho_ss is invariant, so it is V x; Tr[ad X] = sum(ad.T * X) = ad_vec . x
+    x = reduce(space.a @ result.rho)
+    ad_vec = reduce(space.ad.T)
 
     c0 = ad_vec @ x
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
     block = _superoperator(space, *result.k_form, -1).tocoo()
-    n = idx.size
+    n = x.size
     per_stack = space.dim**2 // n
     intensity = []
     for start in range(0, omega_grid.size, per_stack):

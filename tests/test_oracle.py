@@ -88,14 +88,16 @@ def test_spectrum_is_finite_at_zero_frequency():
     assert np.max(scan.intensity) == 1.0
 
 
-def test_stacked_spectrum_matches_per_frequency_solves():
-    params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    grid = np.linspace(-1.0, 1.0, 41)
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_stacked_spectrum_matches_per_frequency_solves(n_atoms):
+    # the reference solves the full charge -1 sector, with no orbit reduction
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    grid = np.linspace(-1.0, 1.0, 81)
     scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
     space = result.space
-    idx = _sector(space, -1)
-    assert space.dim**2 // idx.size < grid.size / 2  # three stacks or more
+    idx, orbit, _ = oracle._orbits(space, -1)
+    assert space.dim**2 // (orbit.max() + 1) < grid.size / 2  # three stacks or more
     block = build_liouvillian(params, result.n_max)[idx][:, idx]
     x = (space.a @ result.rho).reshape(-1)[idx]
     ad_vec = space.ad.T.reshape(-1)[idx]
@@ -127,13 +129,13 @@ def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
     oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
     space = result.space
-    idx = _sector(space, -1)
+    idx, orbit, weight = oracle._orbits(space, -1)
     assert len(solutions) > 1
     h, channels = hamiltonian(space, params), lindblad_channels(space, params)
     target = space.a @ result.rho
-    for w, sol in zip(grid, np.concatenate(solutions).reshape(grid.size, idx.size)):
+    for w, sol in zip(grid, np.concatenate(solutions).reshape(grid.size, -1)):
         vec = np.zeros(space.dim**2, dtype=complex)
-        vec[idx] = sol
+        vec[idx] = weight * sol[orbit]  # lifted from the orbit basis
         xmat = vec.reshape(space.dim, space.dim)
         resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
@@ -146,9 +148,11 @@ def test_dark_system_has_an_all_zero_spectrum():
     assert np.all(scan.intensity == 0.0)
 
 
-def test_non_unique_stationary_state_is_a_typed_error():
-    # no loss and no pump: every function of H is stationary
-    params = SystemParams(n_atoms=1, g=0.1, kappa=0.0, gamma=0.0, eta=0.0)
+@pytest.mark.parametrize("n_atoms", [1, 2])
+def test_non_unique_stationary_state_is_a_typed_error(n_atoms):
+    # no loss and no pump: every function of H is stationary, the
+    # permutation-invariant ones too, so the orbit block is singular
+    params = SystemParams(n_atoms=n_atoms, g=0.1, kappa=0.0, gamma=0.0, eta=0.0)
     with pytest.raises(SimulationError, match="singular"):
         oracle_steady_state(params)
     with pytest.raises(SimulationError, match="singular"):
@@ -203,10 +207,61 @@ def test_sector_block_is_the_slice_of_the_full_liouvillian(charge, with_filter):
                               lindblad_channels(space, params, probe))
     block = oracle._superoperator(space, k, jumps, charge)
     full = build_liouvillian(params, 3, probe=probe, m_max=m_max)
-    idx = _sector(space, charge)
-    assert block.shape == (idx.size, idx.size)
+    idx, orbit, w = oracle._orbits(space, charge)
+    # V: column o holds the weights of orbit o's entries
+    v = sp.csr_matrix((w, (np.arange(idx.size), orbit)))
+    sector = full[idx][:, idx]
+    assert block.shape == (v.shape[1],) * 2
     assert abs(block).max() > 0.1
-    assert abs(block - full[idx][:, idx]).max() <= 1e-15 * abs(full).max()
+    assert abs(block - v.T @ sector @ v).max() <= 1e-15 * abs(full).max()
+    # the invariant operators are closed under L, so the block is exact
+    assert abs(sector @ v - v @ block).max() <= 1e-15 * abs(full).max()
+
+
+def test_single_atom_orbits_are_the_sector_entries():
+    # at N = 1 nothing is reduced: the orbit block is the sector block
+    space = HilbertSpace(1, 4, 2)
+    for charge in (-1, 0, 1):
+        idx, orbit, w = oracle._orbits(space, charge)
+        assert np.array_equal(idx, _sector(space, charge))
+        assert np.array_equal(orbit, np.arange(idx.size))
+        assert np.all(w == 1.0)
+
+
+def _full_sector_steady_state(params, n_max):
+    """rho from an LU of the whole charge-0 sector of build_liouvillian,
+    its rho[0, 0] row replaced by the trace functional."""
+    space = HilbertSpace(params.n_atoms, n_max)
+    d = space.dim
+    idx = _sector(space, 0)
+    block = build_liouvillian(params, n_max)[idx][:, idx].tolil()
+    block[0, :] = (idx // d == idx % d).astype(complex)
+    b = np.zeros(idx.size, dtype=complex)
+    b[0] = 1.0
+    vec = np.zeros(d * d, dtype=complex)
+    vec[idx] = spla.splu(block.tocsc()).solve(b)
+    rho = vec.reshape(d, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3, 4])
+def test_stationary_state_equals_the_full_sector_solve(n_atoms):
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    result = oracle_steady_state(params, n_max=4)
+    ref = _full_sector_steady_state(params, result.n_max)
+    assert np.max(np.abs(result.rho - ref)) <= 1e-12
+
+
+def test_stationary_solve_factors_the_orbit_block(monkeypatch):
+    # N = 3, n_max = 6: the charge-0 sector's 388 entries fall in 118 orbits
+    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    shapes = []
+    _count_calls(monkeypatch, "_factor", shapes, lambda args: args[0].shape)
+    oracle._steady_once(params, 6)
+    assert _sector(HilbertSpace(3, 6), 0).size == 388
+    assert shapes == [(118, 118)]
 
 
 def test_trace_functional_is_left_null_vector():
