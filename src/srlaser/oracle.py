@@ -11,20 +11,26 @@ must stay independent.
 L rho = K rho + rho K^dag + sum_k r_k c_k rho c_k^dag, with the effective
 Hamiltonian K = -iH - 1/2 sum_k r_k c_k^dag c_k.  Every term conserves
 q(ket) - q(bra), where q counts cavity photons, filter photons and excited
-atoms, so the Liouvillian is block diagonal in that charge, and only the
-block being solved is assembled.  Every term also treats the atoms alike
-(one g, gamma, eta and chi), so L maps permutation-invariant operators to
-permutation-invariant operators; rho_ss and a rho_ss are such operators.
-Each block is therefore assembled in the orthonormal basis of the sector's
-orbits under atom permutations (_orbits), which has O(N^3) rather than
-4^N atomic entries per pair of mode occupations.  Each Fock cutoff
-assembles and LU-solves its charge-0 orbit block once for the stationary
-state, the permutation-invariant one.  The spectrum is a resolvent of the
-returned cutoff's charge -1 orbit block, which holds a rho_ss and has no
-zero eigenvalue; a few block-diagonal stacks, one sparse LU each, solve
-the whole grid, so nothing is propagated in time.  The assembly itself
-still runs over the product basis's entries, and `build_liouvillian`
-returns the full product-basis matrix.
+atoms, so the Liouvillian is block diagonal in that charge.  Every term
+also treats the atoms alike (one g, gamma, eta and chi), so L maps
+permutation-invariant operators to permutation-invariant operators;
+rho_ss and a rho_ss are such operators.  The solves therefore work in the
+orthonormal basis of a sector's orbits under atom permutations (_Orbits):
+an orbit is labelled by the cavity occupations of ket and bra and by how
+many atoms sit in each (ket, bra) pair gg, ge, eg and ee, O(N^3) labels
+per pair of cavity occupations.  Each term of L is a cavity factor times
+a sum over atoms of one 4 x 4 pair superoperator, so its block
+(_orbit_block) is written from the labels and the cavity ladder alone,
+with no product-basis operator.  Each Fock cutoff builds and LU-solves its
+charge-0 block once for the stationary state, the permutation-invariant
+one, and its moments are linear functionals of the orbit coordinates.
+Only the returned cutoff is lifted to the product basis, for the d x d
+rho, its matrix-form residual and its least eigenvalue.  The spectrum is
+a resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
+and has no zero eigenvalue; a few block-diagonal stacks, one sparse LU
+each, solve the whole grid, so nothing is propagated in time.
+`build_liouvillian` returns the full product-basis matrix, the reference
+the orbit blocks are tested against.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -32,7 +38,8 @@ matrices are vectorised row-major.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +59,13 @@ CHECK_SEED, CHECK_N_MAX = 7, 6  # of derivative_match_error's product states
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _SZ = np.diag([-1.0, 1.0]).astype(complex)
 _ID2 = np.eye(2, dtype=complex)
+# Pair superoperators on one atom's (ket, bra) pair p = 2 ket + bra (gg,
+# ge, eg, ee): row-major vec(A rho B) = (A (x) B^T) vec(rho).  The jumps
+# c rho c^dag, then sigma^- and sigma^+ on the ket and on the bra
+_DECAY, _PUMP, _DEPHASE = (np.kron(c, c) for c in (_SM, _SM.T, _SZ))
+_KET_DOWN, _KET_UP = np.kron(_SM, _ID2), np.kron(_SM.T, _ID2)
+_BRA_DOWN, _BRA_UP = np.kron(_ID2, _SM), np.kron(_ID2, _SM.T)
+_UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -62,6 +76,21 @@ def _lift(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
     """op acting on factor `site` of a tensor product with factor sizes dims."""
     left, right = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
     return np.kron(np.kron(np.eye(left, dtype=complex), op), np.eye(right, dtype=complex))
+
+
+def _product_dim(n_atoms: int, n_max: int, m_max: int | None = None) -> int:
+    """Product-basis dimension d, once the sizes are checked against the
+    oracle's limits; the orbit solves keep the same limits."""
+    if n_atoms < 1 or n_atoms > MAX_ATOMS:
+        raise ValueError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
+    if n_max < 0 or (m_max is not None and m_max < 0):
+        raise ValueError("Fock cutoffs must be >= 0")
+    dim = (n_max + 1) * (1 if m_max is None else m_max + 1) * 2**n_atoms
+    if dim**2 > MAX_SUPEROP_DIM:
+        raise MemoryBudgetError(
+            f"superoperator dimension {dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
+        )
+    return dim
 
 
 class HilbertSpace:
@@ -75,10 +104,7 @@ class HilbertSpace:
     """
 
     def __init__(self, n_atoms: int, n_max: int, m_max: int | None = None):
-        if n_atoms < 1 or n_atoms > MAX_ATOMS:
-            raise ValueError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
-        if n_max < 0 or (m_max is not None and m_max < 0):
-            raise ValueError("Fock cutoffs must be >= 0")
+        self.dim = _product_dim(n_atoms, n_max, m_max)
         self.n_atoms = n_atoms
         self.n_max = n_max
         self.m_max = m_max
@@ -86,14 +112,6 @@ class HilbertSpace:
         if m_max is not None:
             self.dims.append(m_max + 1)
         self.dims.extend([2] * n_atoms)
-        self.dim = int(np.prod(self.dims))
-        # each basis state's occupation digits, one row per factor; q is their sum
-        self.digits = np.indices(self.dims).reshape(len(self.dims), -1)
-        self.charge = self.digits.sum(axis=0)
-        if self.dim**2 > MAX_SUPEROP_DIM:
-            raise MemoryBudgetError(
-                f"superoperator dimension {self.dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
-            )
         self._atom_offset = 1 if m_max is None else 2
         self.a = _lift(_destroy(n_max + 1), 0, self.dims)
         self.ad = self.a.conj().T
@@ -166,41 +184,109 @@ def apply_liouvillian(rho: np.ndarray, h: np.ndarray,
 
 def build_liouvillian(params: SystemParams, n_max: int, probe=None,
                       m_max: int | None = None) -> sp.csr_matrix:
-    """Vectorised (row-major) Liouvillian as a sparse matrix."""
+    """Vectorised (row-major) Liouvillian as a sparse matrix.
+
+    Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
+    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c).  No solve uses it: it is
+    the product-basis reference the orbit blocks are checked against."""
     if probe is not None and m_max is None:
         raise ValueError("a filter probe requires an explicit m_max cutoff")
     space = HilbertSpace(params.n_atoms, n_max, m_max)
-    return _superoperator(space, *_k_form(hamiltonian(space, params, probe),
-                                          lindblad_channels(space, params, probe)))
+    k, jumps = _k_form(hamiltonian(space, params, probe),
+                       lindblad_channels(space, params, probe))
+    ident = sp.identity(space.dim, dtype=complex, format="csr")
+    liouv = sp.kron(k, ident) + sp.kron(ident, k.conj())
+    for rate, c in jumps:
+        liouv = liouv + rate * sp.kron(c, c.conj())
+    return liouv.tocsr()
 
 
-def _superoperator(space: HilbertSpace, k, jumps, charge=None) -> sp.csr_matrix:
-    """Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
-    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c), each term broadcast from
-    its factors' COO entries.  With a charge, only that sector's rows are
-    kept; every term conserves q, so its columns too.  The sector block is
-    returned in the orthonormal orbit basis of its permutation-invariant
-    operators (see _orbits): entry (r, c) goes to (orbit[r], orbit[c]) with
-    weight w[r] w[c], which is V^T L V for the sector's orbit matrix V.
-    Every term treats the atoms alike, so L V = V (V^T L V) exactly."""
-    d, q = space.dim, space.charge
-    k, ident = k.tocoo(), sp.identity(d, dtype=complex, format="coo")
-    jumps = [(rate, c.tocoo()) for rate, c in jumps]
-    data, row, col = [], [], []
-    for rate, a, b in [(1.0, k, ident), (1.0, ident, k)] + [(r, c, c) for r, c in jumps]:
-        keep = np.s_[:] if charge is None else q[a.row][:, None] - q[b.row] == charge
-        data.append((rate * a.data[:, None] * b.data.conj())[keep].ravel())
-        row.append((a.row[:, None] * d + b.row)[keep].ravel())
-        col.append((a.col[:, None] * d + b.col)[keep].ravel())
-    data, row, col = (np.concatenate(part) for part in (data, row, col))
-    size = d * d
-    if charge is not None:
-        idx, orbit, w = _orbits(space, charge)
-        row, col = np.searchsorted(idx, row), np.searchsorted(idx, col)
-        data = data * w[row] * w[col]
-        row, col, size = orbit[row], orbit[col], int(orbit.max(initial=-1)) + 1
-    # one CSR build sums the overlapping entries of all terms and orbits
-    return sp.csr_matrix((data, (row, col)), shape=(size, size))
+class _Orbits:
+    """The orbits of one charge sector of cavity (x) N atoms under atom
+    permutations, in the one numbering every orbit solve uses.
+
+    An orbit is labelled by the cavity occupations nk of the ket and nb of
+    the bra and by counts[p], the number of atoms in the (ket, bra) pair
+    p = 2 ket + bra: gg, ge, eg, ee.  Its basis operator is the sum of its
+    entries |i><j| over sqrt(size), size = N! / (n_gg! n_ge! n_eg! n_ee!),
+    so these operators are an orthonormal basis of the sector's
+    permutation-invariant operators, and x are the coordinates of
+    rho = sum_o x_o V_o.  The charge is nk - nb + n_eg - n_ge, so nb follows
+    from the rest, and orbits are numbered in increasing order of
+    (nk, n_ge, n_eg, n_ee): orbit 0 of the charge-0 sector is rho[0, 0], the
+    vacuum with every atom in g.  At N = 1 every orbit is one entry.
+    """
+
+    def __init__(self, n_atoms: int, n_max: int, charge: int):
+        self.dim = _product_dim(n_atoms, n_max)
+        self.n_atoms, self.n_max = n_atoms, n_max
+        ge, eg, ee = np.indices((n_atoms + 1,) * 3).reshape(3, -1)
+        few = ge + eg + ee <= n_atoms
+        nk = np.repeat(np.arange(n_max + 1), few.sum())
+        ge, eg, ee = (np.tile(c[few], n_max + 1) for c in (ge, eg, ee))
+        nb = nk + eg - ge - charge
+        keep = (nb >= 0) & (nb <= n_max)
+        self.nk, self.nb = nk[keep], nb[keep]
+        self.counts = np.stack([n_atoms - ge - eg - ee, ge, eg, ee])[:, keep]
+        self.code = self._code(self.nk, self.counts)  # increasing
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_atoms + 1)))))
+        self.sqrt_size = np.exp(0.5 * (log_fact[n_atoms] - log_fact[self.counts].sum(axis=0)))
+
+    def _code(self, nk, counts):
+        base = self.n_atoms + 1
+        return ((nk * base + counts[1]) * base + counts[2]) * base + counts[3]
+
+    def find(self, nk, counts) -> np.ndarray:
+        """Numbers of the orbits with these labels, which must exist."""
+        return np.searchsorted(self.code, self._code(nk, counts))
+
+    def atom_diagonal(self) -> np.ndarray:
+        """The orbits whose atoms all sit in gg or ee."""
+        return (self.counts[1] == 0) & (self.counts[2] == 0)
+
+
+def _orbit_block(params: SystemParams, n_max: int, charge: int):
+    """The charge block of L in the orbit basis of _Orbits, written from
+    the orbit labels and the cavity ladder.
+
+    Each term of L is a cavity factor times sum_i M^(i), one 4 x 4 pair
+    superoperator M acting on atom i's (ket, bra) pair.  On the orbit of
+    counts n the sum contributes sum_p M[p, p] n_p on the diagonal, and
+    moving one atom from pair p to pair q gives M[q, p] sqrt(n_p (n_q + 1)),
+    each times the cavity matrix elements.  Returns (orbits, CSR block)."""
+    orbits = _Orbits(params.n_atoms, n_max, charge)
+    nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
+    g, size = params.g, nk.size
+    # K's atomic part, diagonal in (g, e); the ket takes K, the bra conj(K)
+    k_atom = np.array([0.5j * params.omega_a - 0.5 * (params.eta + params.chi),
+                       -0.5j * params.omega_a - 0.5 * (params.gamma + params.chi)])
+    k_cavity = -1j * params.omega_c - 0.5 * params.kappa
+    pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
+    diag = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    # (ket photon shift, bra photon shift, M's off-diagonal part): the
+    # atomic jumps, then -i g (a^dag sigma^- + a sigma^+) on the ket and
+    # its conjugate on the bra
+    terms = [(0, 0, params.gamma * _DECAY + params.eta * _PUMP),
+             (1, 0, -1j * g * _KET_DOWN), (-1, 0, -1j * g * _KET_UP),
+             (0, 1, 1j * g * _BRA_DOWN), (0, -1, 1j * g * _BRA_UP)]
+    # one row per move: kappa a rho a^dag moves no atom (p = q), the others one
+    moves = [(-1, -1, 0, 0, params.kappa)] + [
+        (dk, db, p, q, m[q, p]) for dk, db, m in terms for q, p in zip(*np.nonzero(m))]
+    dk, db, p, q, coef = (np.array(c) for c in zip(*moves))
+    dk, db = dk[:, None], db[:, None]
+    new_nk, new_nb = nk + dk, nb + db
+    # the atom factor, then the ladder's sqrt of the larger occupation
+    amp = coef[:, None] * np.where((p == q)[:, None], 1.0,
+                                   np.sqrt(counts[p] * (counts[q] + 1.0)))
+    amp = amp * np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
+    amp = amp * np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
+    inside = (amp != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
+    new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
+    rows = np.append(np.arange(size), orbits.find(new_nk[inside], new_counts[:, inside]))
+    cols = np.append(np.arange(size), np.broadcast_to(np.arange(size), amp.shape)[inside])
+    # one CSR build sums the entries that several terms put in one place
+    block = sp.csr_matrix((np.append(diag, amp[inside]), (rows, cols)), shape=(size, size))
+    return orbits, block
 
 
 @dataclass(frozen=True)
@@ -226,10 +312,7 @@ class OracleResult:
     space: HilbertSpace
     moments: OracleMoments
     n_max: int
-    # the cutoff's sparse K and jumps, from which the spectrum assembles
-    # its charge -1 block
-    k_form: tuple = field(repr=False)
-    # max |L rho| and the least eigenvalue of rho, set on the returned cutoff
+    # max |L rho| from the matrix form of L, and the least eigenvalue of rho
     residual: float = float("nan")
     eigmin: float = float("nan")
 
@@ -258,41 +341,27 @@ def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
     return OracleMoments(zz_corr=zz, j_squared=j2, **mom)
 
 
-def _sector(space: HilbertSpace, charge: int) -> np.ndarray:
-    """Row-major vec indices, in increasing order, of the entries rho[i, j]
-    with q_i - q_j = charge, where q counts cavity photons, filter photons
-    and excited atoms.  The Liouvillian never mixes two sectors."""
-    q = space.charge
-    return np.flatnonzero((q[:, None] - q).reshape(-1) == charge)
-
-
-def _orbits(space: HilbertSpace, charge: int):
-    """The sector's vec indices idx (as _sector), the orbit number of each
-    entry and its weight w = 1 / sqrt(orbit size).
-
-    Permuting the atoms moves rho[i, j] only among the entries with the same
-    mode (cavity and filter) occupations of i and of j and the same number
-    of atoms in each (ket, bra) pair gg, ge, eg and ee: one orbit.  Column o
-    of the orbit matrix V holds w on orbit o's entries, so V's columns are an
-    orthonormal basis of the sector's permutation-invariant operators, and
-    vec[idx] = w * x[orbit] lifts orbit coordinates x.  Orbits are numbered
-    in order of their first entry: orbit 0 of the charge-0 sector is
-    rho[0, 0] alone, and at N = 1, where every orbit is one entry, orbit[r]
-    is r and w is 1."""
-    idx = _sector(space, charge)
-    d, n = space.dim, space.n_atoms
-    ket, bra = idx // d, idx % d
-    atoms = space.digits[space._atom_offset:]
-    excited = atoms.sum(axis=0)
-    # the atom digits are the lowest, so i >> n numbers the mode occupations of i
-    key = (ket >> n) * (d >> n) + (bra >> n)
-    for count in (excited[ket], excited[bra], (atoms[:, ket] & atoms[:, bra]).sum(axis=0)):
-        key = key * (n + 1) + count
-    _, first, orbit, size = np.unique(key, return_index=True, return_inverse=True,
-                                      return_counts=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return idx, rank[orbit], 1.0 / np.sqrt(size[orbit])
+def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
+    """The moments of moments_from_rho as linear functionals of charge-0
+    orbit coordinates: Tr[O rho] sums O's matrix element over each orbit's
+    entries, size / sqrt(size) = sqrt(size) times x.  The atom-symmetric
+    forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N."""
+    n = orbits.n_atoms
+    nk, nb, (gg, ge, eg, ee) = orbits.nk, orbits.nb, orbits.counts
+    s = orbits.sqrt_size * x
+    diag = orbits.atom_diagonal() & (nk == nb)
+    z = (ee - gg)[diag]
+    flip = (nk == nb) & (ge == 1) & (eg == 1)  # sigma^+_i sigma^-_j, i != j
+    hop = (nb == nk - 1) & (ge == 1) & (eg == 0)  # a sigma^+_i
+    pairs = n * (n - 1)
+    return OracleMoments(
+        photon_number=float(np.sum(nk[diag] * s[diag]).real),
+        atom_photon=complex(np.sum(np.sqrt(nk[hop]) * s[hop]) / n),
+        inversion=float(np.sum(z * s[diag]).real / n),
+        pair_corr=complex(np.sum(s[flip]) / pairs) if n >= 2 else 0.0 + 0.0j,
+        zz_corr=float(np.sum((z * z - n) * s[diag]).real / pairs) if n >= 2 else 1.0,
+        j_squared=float((np.sum((0.5 * n + 0.25 * z * z) * s[diag]) + np.sum(s[flip])).real),
+    )
 
 
 def _factor(block: sp.spmatrix, what: str):
@@ -303,34 +372,53 @@ def _factor(block: sp.spmatrix, what: str):
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
-def _solve_stationary(block: sp.csr_matrix, space: HilbertSpace) -> np.ndarray:
-    """Stationary rho from the charge-0 orbit block, its first row (orbit 0,
-    the entry rho[0, 0]) replaced by the trace functional, whose entry for
-    an orbit is the sum of the weights of its diagonal entries.  rho is
+def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
+    """Orbit coordinates of the stationary rho from the charge-0 block, its
+    first row (orbit 0, the entry rho[0, 0]) replaced by the trace
+    functional, sqrt(size) on the orbits on rho's diagonal.  rho is
     permutation invariant, so the orbit block holds it; a singular block
-    means the invariant sector has no unique stationary state."""
-    d, n = space.dim, block.shape[0]
-    idx, orbit, w = _orbits(space, 0)
-    diag = idx // d == idx % d
-    trace_row = np.bincount(orbit[diag], weights=w[diag], minlength=n)
-    b = np.zeros(n, dtype=complex)
+    means the invariant sector has no unique stationary state.  x is made
+    Hermitian (the adjoint swaps ket and bra: nk <-> nb, ge <-> eg) and of
+    unit trace."""
+    trace_row = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb),
+                         orbits.sqrt_size, 0.0)
+    b = np.zeros(block.shape[0], dtype=complex)
     b[0] = 1.0
     x = _factor(sp.vstack([sp.csr_matrix(trace_row.astype(complex)), block[1:]]),
                 "no unique stationary state").solve(b)
-    vec = np.zeros(d * d, dtype=complex)
-    vec[idx] = w * x[orbit]
-    rho = vec.reshape(d, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
+    return x / (trace_row @ x).real
+
+
+def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
+    """The product-basis d x d rho of charge-0 orbit coordinates x.
+
+    Basis state i holds i >> N photons, and its low N bits are the atoms'
+    excitations, so each entry's pair counts are popcounts."""
+    n, d = orbits.n_atoms, orbits.dim
+    ones = np.array([bin(b).count("1") for b in range(2**n)])
+    photons, atoms = np.divmod(np.arange(d), 2**n)
+    ee = ones[atoms[:, None] & atoms]
+    eg, ge = ones[atoms][:, None] - ee, ones[atoms] - ee
+    nk = np.broadcast_to(photons[:, None], ee.shape)
+    inside = nk + eg == photons + ge  # the charge-0 entries
+    counts = np.stack([n - ge - eg - ee, ge, eg, ee])[:, inside]
+    o = orbits.find(nk[inside], counts)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[inside] = x[o] / orbits.sqrt_size[o]
     return rho
 
 
-def _steady_once(params: SystemParams, n_max: int) -> OracleResult:
-    space = HilbertSpace(params.n_atoms, n_max)
-    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
-    rho = _solve_stationary(_superoperator(space, k, jumps, 0), space)
-    return OracleResult(rho=rho, space=space, moments=moments_from_rho(space, rho),
-                        n_max=n_max, k_form=(k, jumps))
+class _Stationary(NamedTuple):
+    orbits: _Orbits
+    x: np.ndarray
+    moments: OracleMoments
+
+
+def _steady_once(params: SystemParams, n_max: int) -> _Stationary:
+    orbits, block = _orbit_block(params, n_max, 0)
+    x = _solve_stationary(block, orbits)
+    return _Stationary(orbits, x, _orbit_moments(orbits, x))
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
@@ -343,29 +431,41 @@ def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
     return drift
 
 
-def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
-    """Stationary state with automatic Fock-cutoff convergence.
-
-    Solves at n_max and n_max + 2 and requires every reported moment to
+def _climb(params: SystemParams, n_max: int) -> _Stationary:
+    """Solves at n_max and n_max + 2 and requires every reported moment to
     agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2, at
     most MAX_ROUNDS times, so the last cutoff solved is n_max + 6.  Each
     round's upper solve is the next round's lower one, so every cutoff is
-    assembled and solved once.  CutoffError names the last cutoff and its
-    drift.
-    """
+    built and solved once.  CutoffError names the last cutoff and its
+    drift."""
     low = _steady_once(params, n_max)
     for _ in range(MAX_ROUNDS):
-        high = _steady_once(params, low.n_max + 2)
+        high = _steady_once(params, low.orbits.n_max + 2)
         drift = _moment_drift(low.moments, high.moments)
         if drift < DRIFT_TOL:
-            high.residual = float(np.max(np.abs(_apply(high.rho, *high.k_form))))
-            high.eigmin = float(np.linalg.eigvalsh(high.rho)[0])
             return high
         low = high
     raise CutoffError(
-        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.n_max}",
+        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.orbits.n_max}",
         drift=drift,
     )
+
+
+def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
+    """Stationary state with automatic Fock-cutoff convergence.
+
+    The climb (see _climb) solves orbit blocks only.  The returned cutoff
+    alone is lifted to the product basis: rho, its residual max |L rho|
+    from the matrix form of L, and its least eigenvalue.
+    """
+    stationary = _climb(params, n_max)
+    n_max = stationary.orbits.n_max
+    space = HilbertSpace(params.n_atoms, n_max)
+    rho = _orbit_rho(stationary.orbits, stationary.x)
+    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
+    return OracleResult(rho=rho, space=space, moments=stationary.moments, n_max=n_max,
+                        residual=float(np.max(np.abs(_apply(rho, k, jumps)))),
+                        eigmin=float(np.linalg.eigvalsh(rho)[0]))
 
 
 def _moment_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
@@ -439,11 +539,14 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     S(omega) = Re integral_0^inf Tr[a^dag exp(L tau)(a rho_ss)] e^{i omega tau}
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
     the charge -1 block of L, which has no zero eigenvalue, so each grid
-    point is a sparse solve of that block, exact at omega = 0 too.  a rho_ss
-    is permutation invariant, so its solves stay in the orbit block:
-    a rho_ss = V x and Tr[a^dag V y] = (V^T ad_vec) . y, both reduced by a
-    weighted bincount.  The block-diagonal stacks of these systems hold at
-    most d^2 unknowns each, d^2 // n systems of n orbits.
+    point is a sparse solve of that block, exact at omega = 0 too.  The
+    cutoff climb is oracle_steady_state's, on orbit blocks only.  a rho_ss
+    is permutation invariant, so its solves stay in the charge -1 orbit
+    block (_orbit_block): a lowers the ket's photons, mapping the orbit
+    (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
+    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  The
+    block-diagonal stacks of these systems hold at most d^2 unknowns each,
+    d^2 // n systems of n orbits, with d the product-basis dimension.
     Returns a unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan  # local import to keep layering one-way
@@ -451,26 +554,21 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size < 2:
         raise ValueError("omega_grid must be a 1-d grid with >= 2 points")
-    result = oracle_steady_state(params, n_max=n_max)
-    space = result.space
-    idx, orbit, w = _orbits(space, -1)
-
-    def reduce(vec):  # V^T vec, a weighted bincount of each part
-        vec = vec.reshape(-1)[idx]
-        return (np.bincount(orbit, weights=w * vec.real)
-                + 1j * np.bincount(orbit, weights=w * vec.imag))
-
-    # a rho_ss is invariant, so it is V x; Tr[ad X] = sum(ad.T * X) = ad_vec . x
-    x = reduce(space.a @ result.rho)
-    ad_vec = reduce(space.ad.T)
+    stationary = _climb(params, n_max)
+    lower, x_ss = stationary.orbits, stationary.x
+    orbits, block = _orbit_block(params, lower.n_max, -1)
+    n = orbits.nk.size
+    lit = lower.nk > 0
+    x = np.zeros(n, dtype=complex)
+    x[orbits.find(lower.nk[lit] - 1, lower.counts[:, lit])] = np.sqrt(lower.nk[lit]) * x_ss[lit]
+    ad_vec = np.where(orbits.atom_diagonal(), orbits.sqrt_size * np.sqrt(orbits.nb), 0.0)
 
     c0 = ad_vec @ x
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
-    block = _superoperator(space, *result.k_form, -1).tocoo()
-    n = x.size
-    per_stack = space.dim**2 // n
+    block = block.tocoo()
+    per_stack = orbits.dim**2 // n
     intensity = []
     for start in range(0, omega_grid.size, per_stack):
         omega = omega_grid[start:start + per_stack]

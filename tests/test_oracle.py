@@ -13,7 +13,6 @@ from srlaser.errors import CutoffError, MemoryBudgetError, SimulationError
 from srlaser.model import SystemParams
 from srlaser.oracle import (
     HilbertSpace,
-    _sector,
     apply_liouvillian,
     atomic_collective_ops,
     build_liouvillian,
@@ -22,6 +21,7 @@ from srlaser.oracle import (
     hamiltonian,
     lindblad_channels,
     moment_derivatives,
+    moments_from_rho,
     oracle_spectrum,
     oracle_steady_state,
     product_state,
@@ -29,10 +29,55 @@ from srlaser.oracle import (
 from srlaser.spectrum import FilterProbe, fit_lorentzian
 
 
+DESK = dict(g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+
+
 @pytest.fixture(scope="module")
 def desk3_result(request):
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     return params, oracle_steady_state(params, n_max=6)
+
+
+# ------------------------------------------- product-basis orbit references
+
+def _sector(space, charge):
+    """Row-major vec indices, in increasing order, of the entries rho[i, j]
+    with q_i - q_j = charge, q the photons plus excited atoms."""
+    q = np.indices(space.dims).reshape(len(space.dims), -1).sum(axis=0)
+    return np.flatnonzero((q[:, None] - q).reshape(-1) == charge)
+
+
+def _orbit_matrix(space, charge, number=None):
+    """The sector's vec indices and V, whose column o holds 1 / sqrt(size)
+    on orbit o's entries, the orbits and their sizes read off the product
+    basis.  An entry's label is the mode digits of ket and bra, then the
+    numbers of atoms in the (ket, bra) pairs gg, ge, eg and ee.  Orbits are
+    numbered by number(labels), one label per column, or in label order."""
+    idx = _sector(space, charge)
+    digits = np.indices(space.dims).reshape(len(space.dims), -1)
+    ket, bra = digits[:, idx // space.dim], digits[:, idx % space.dim]
+    n = space.n_atoms
+    k, b = ket[-n:], bra[-n:]
+    pairs = [((1 - k) * (1 - b)).sum(0), ((1 - k) * b).sum(0),
+             (k * (1 - b)).sum(0), (k * b).sum(0)]
+    labels = np.vstack([ket[:-n], bra[:-n], pairs])
+    keys, orbit, size = np.unique(labels, axis=1, return_inverse=True, return_counts=True)
+    column = np.arange(keys.shape[1]) if number is None else number(keys)
+    orbit = orbit.reshape(-1)
+    v = sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(idx.size), column[orbit])))
+    return idx, v
+
+
+def _oracle_numbering(orbits):
+    """number() for _orbit_matrix that gives each label the oracle's orbit
+    number, after checking that the two sets of labels are the same."""
+    def number(keys):
+        found = orbits.find(keys[0], keys[2:])
+        assert np.array_equal(np.sort(found), np.arange(orbits.nk.size))
+        assert np.array_equal(orbits.nb[found], keys[1])
+        assert np.array_equal(orbits.counts[:, found], keys[2:])
+        return found
+    return number
 
 
 # ---------------------------------------------------------------- known limits
@@ -68,6 +113,58 @@ def test_uncoupled_pair_is_exact_product_state():
     assert abs(result.moments.pair_corr) < 1e-13
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_uncoupled_atoms_leave_the_cavity_empty(n_atoms):
+    # g = 0: the atoms relax to their pump balance, and n = 0 exactly
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "g": 0.0})
+    result = oracle_steady_state(params, n_max=4)
+    assert result.n_max == 6
+    assert result.moments.photon_number == 0.0
+    assert abs(result.moments.inversion - 0.19 / 0.21) < 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_lossless_cavity_is_a_cutoff_error(n_atoms):
+    # kappa = 0: the photons pile up, so no cutoff converges
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "kappa": 0.0})
+    with pytest.raises(CutoffError, match="at n_max=10$"):
+        oracle_steady_state(params, n_max=4)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_undriven_atoms_end_in_the_vacuum_or_in_a_singular_block(n_atoms):
+    # gamma = eta = 0: one atom gives its photon to the cavity and stops in
+    # the vacuum; from N = 2 the subradiant states are dark, so the
+    # permutation-invariant stationary state is not unique
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "gamma": 0.0, "eta": 0.0})
+    if n_atoms >= 2:
+        with pytest.raises(SimulationError, match="singular"):
+            oracle_steady_state(params, n_max=4)
+        return
+    result = oracle_steady_state(params, n_max=4)
+    assert result.rho[0, 0] == 1.0
+    assert result.moments.photon_number == 0.0
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_unpumped_atoms_end_in_the_ground_vacuum(n_atoms):
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "eta": 0.0})
+    result = oracle_steady_state(params, n_max=4)
+    assert result.rho[0, 0] == 1.0
+    assert result.moments.photon_number == 0.0
+    assert result.moments.inversion == -1.0
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_over_pumped_atoms_barely_emit(n_atoms):
+    # eta = 50 kappa: the pump dephases each atom far faster than g, so
+    # n is about 0.005 per atom (0.004923, 0.009895, 0.014918 at N = 1 to 3)
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "eta": 50.0})
+    result = oracle_steady_state(params, n_max=4)
+    assert result.moments.photon_number == pytest.approx(0.005 * n_atoms, rel=0.02)
+    assert result.moments.inversion > 0.999
+
+
 def test_qrt_linewidth_matches_cavity_broadened_atom():
     # weakly coupled single atom: emission FWHM = gamma + eta + 4 g^2 / kappa
     params = SystemParams(n_atoms=1, g=0.01, kappa=1.0, gamma=0.01, eta=0.005)
@@ -96,8 +193,9 @@ def test_stacked_spectrum_matches_per_frequency_solves(n_atoms):
     scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
     space = result.space
-    idx, orbit, _ = oracle._orbits(space, -1)
-    assert space.dim**2 // (orbit.max() + 1) < grid.size / 2  # three stacks or more
+    idx = _sector(space, -1)
+    orbits = oracle._Orbits(n_atoms, result.n_max, -1)
+    assert space.dim**2 // orbits.nk.size < grid.size / 2  # three stacks or more
     block = build_liouvillian(params, result.n_max)[idx][:, idx]
     x = (space.a @ result.rho).reshape(-1)[idx]
     ad_vec = space.ad.T.reshape(-1)[idx]
@@ -129,13 +227,14 @@ def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
     oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
     space = result.space
-    idx, orbit, weight = oracle._orbits(space, -1)
+    orbits = oracle._Orbits(n_atoms, result.n_max, -1)
+    idx, v = _orbit_matrix(space, -1, _oracle_numbering(orbits))
     assert len(solutions) > 1
     h, channels = hamiltonian(space, params), lindblad_channels(space, params)
     target = space.a @ result.rho
     for w, sol in zip(grid, np.concatenate(solutions).reshape(grid.size, -1)):
         vec = np.zeros(space.dim**2, dtype=complex)
-        vec[idx] = weight * sol[orbit]  # lifted from the orbit basis
+        vec[idx] = v @ sol  # lifted from the orbit basis
         xmat = vec.reshape(space.dim, space.dim)
         resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
@@ -198,34 +297,48 @@ def test_superoperator_matches_matrix_form():
 @pytest.mark.parametrize("with_filter", [False, True])
 @pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
 def test_sector_block_is_the_slice_of_the_full_liouvillian(charge, with_filter):
+    # V^T L V on the sector's slice of the product-basis L; the invariant
+    # operators are closed under L, the filter's terms too, so L V = V V^T L V
     params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4, omega_c=-0.1)
     probe = FilterProbe(big_g=0.05, beta=0.1, omega_f=0.2) if with_filter else None
     m_max = 2 if with_filter else None
-    space = HilbertSpace(2, 3, m_max)
-    k, jumps = oracle._k_form(hamiltonian(space, params, probe),
-                              lindblad_channels(space, params, probe))
-    block = oracle._superoperator(space, k, jumps, charge)
     full = build_liouvillian(params, 3, probe=probe, m_max=m_max)
-    idx, orbit, w = oracle._orbits(space, charge)
-    # V: column o holds the weights of orbit o's entries
-    v = sp.csr_matrix((w, (np.arange(idx.size), orbit)))
+    idx, v = _orbit_matrix(HilbertSpace(2, 3, m_max), charge)
     sector = full[idx][:, idx]
-    assert block.shape == (v.shape[1],) * 2
+    block = v.T @ sector @ v
     assert abs(block).max() > 0.1
-    assert abs(block - v.T @ sector @ v).max() <= 1e-15 * abs(full).max()
-    # the invariant operators are closed under L, so the block is exact
     assert abs(sector @ v - v @ block).max() <= 1e-15 * abs(full).max()
+    if not with_filter:  # the oracle's block, built from counts, is this one
+        orbits, counted = oracle._orbit_block(params, 3, charge)
+        idx, v = _orbit_matrix(HilbertSpace(2, 3), charge, _oracle_numbering(orbits))
+        assert abs(counted - v.T @ sector @ v).max() <= 1e-15 * abs(full).max()
+
+
+@pytest.mark.parametrize("charge", [0, -1])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 5])
+def test_count_built_block_is_the_projected_liouvillian(n_atoms, charge):
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    orbits, block = oracle._orbit_block(params, 3, charge)
+    space = HilbertSpace(n_atoms, 3)
+    full = build_liouvillian(params, 3)
+    idx, v = _orbit_matrix(space, charge, _oracle_numbering(orbits))
+    projected = v.T @ full[idx][:, idx] @ v
+    assert abs(block).max() > 0.1
+    assert abs(block - projected).max() <= 1e-14 * abs(full).max()
+    # the orbit sizes of the multinomial formula are the counted ones
+    assert np.allclose(orbits.sqrt_size, 1.0 / v.max(axis=0).toarray().ravel(),
+                       rtol=1e-15, atol=0.0)
 
 
 def test_single_atom_orbits_are_the_sector_entries():
-    # at N = 1 nothing is reduced: the orbit block is the sector block
-    space = HilbertSpace(1, 4, 2)
+    # at N = 1 nothing is reduced: every orbit is one entry of the sector
+    space = HilbertSpace(1, 4)
     for charge in (-1, 0, 1):
-        idx, orbit, w = oracle._orbits(space, charge)
-        assert np.array_equal(idx, _sector(space, charge))
-        assert np.array_equal(orbit, np.arange(idx.size))
-        assert np.all(w == 1.0)
+        orbits = oracle._Orbits(1, 4, charge)
+        assert orbits.nk.size == _sector(space, charge).size
+        assert np.all(orbits.sqrt_size == 1.0)
 
 
 def _full_sector_steady_state(params, n_max):
@@ -252,6 +365,16 @@ def test_stationary_state_equals_the_full_sector_solve(n_atoms):
     result = oracle_steady_state(params, n_max=4)
     ref = _full_sector_steady_state(params, result.n_max)
     assert np.max(np.abs(result.rho - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_orbit_moments_equal_the_moments_of_the_lifted_rho(n_atoms):
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
+                          chi=0.03, omega_a=0.4, omega_c=-0.1)
+    result = oracle_steady_state(params, n_max=4)
+    lifted = moments_from_rho(result.space, result.rho).as_dict()
+    for name, value in result.moments.as_dict().items():
+        assert abs(value - lifted[name]) <= 1e-12 * max(1.0, abs(lifted[name])), name
 
 
 def test_stationary_solve_factors_the_orbit_block(monkeypatch):
@@ -350,23 +473,33 @@ def test_climb_assembles_each_cutoff_once(monkeypatch):
     # each round's upper solve is the next round's lower one
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     cutoffs = []
-    _count_calls(monkeypatch, "_superoperator", cutoffs, lambda args: args[0].n_max)
+    _count_calls(monkeypatch, "_orbit_block", cutoffs, lambda args: args[1])
     assert oracle_steady_state(params, n_max=6).n_max == 10
     assert cutoffs == [6, 8, 10]
 
 
 def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
-    # every cutoff assembles its charge-0 block once; the spectrum reuses the
-    # returned cutoff's K form for its charge -1 block, assembled once; no
-    # solve path assembles the full matrix (charge None)
+    # every cutoff builds its charge-0 block once; the spectrum builds the
+    # returned cutoff's charge -1 block once, and nothing else
     params = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     assembled, solved = [], []
-    _count_calls(monkeypatch, "_superoperator", assembled,
-                 lambda args: (args[0].n_max, args[3] if len(args) > 3 else None))
+    _count_calls(monkeypatch, "_orbit_block", assembled, lambda args: args[1:])
     _count_calls(monkeypatch, "_solve_stationary", solved, lambda args: args[1].n_max)
     oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 5))
     assert solved == [4, 6]
     assert assembled == [(4, 0), (6, 0), (6, -1)]
+
+
+def test_product_basis_is_built_only_at_the_returned_cutoff(monkeypatch):
+    # the climb solves orbit blocks only; rho, its residual and eigmin need
+    # the product basis once, and the spectrum needs it not at all
+    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    built = []
+    _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
+    assert oracle_steady_state(params, n_max=6).n_max == 10
+    assert built == [10]
+    oracle_spectrum(params, n_max=6, omega_grid=np.linspace(-1.0, 1.0, 5))
+    assert built == [10]
 
 
 def test_cutoff_error_names_the_highest_cutoff_solved():

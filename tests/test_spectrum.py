@@ -315,6 +315,31 @@ def test_flagship_pole_is_the_pipeline_width():
     assert rel_err(poles.delta_nu, linewidth(params, base=base).delta_nu) < 1e-4
 
 
+def test_claim_b_strongly_driven_sr88_narrows_further():
+    # the abstract's claim (b): driving sr88 harder narrows its line, as the
+    # pumped atoms build up the cavity field.  At N = 1e5 the pole width
+    # falls monotonically from 87.5 kHz at eta = gamma to 8.6 mHz at
+    # 2.15e4 gamma while n grows from 14 to 2.1e7 (its peak, 2.17e7, sits
+    # near 1.7e4 gamma); over-pumped, at 4.64e4 gamma, the line collapses
+    p = preset("sr88", n_atoms=100_000)
+    widths, photons = [], []
+    for eta in np.geomspace(p.gamma, 2.15e4 * p.gamma, 41):
+        params = p.updated(eta=float(eta))
+        base = steady_state(params)
+        widths.append(to_hz(pole_linewidth(params, base).delta_nu))
+        photons.append(base.photon_number)
+    assert np.all(np.diff(widths) < 0.0)
+    assert widths[0] == pytest.approx(87.5e3, rel=1e-3)
+    assert widths[-1] == pytest.approx(8.6e-3, rel=1e-2)
+    assert photons[0] == pytest.approx(14.0, rel=1e-2)
+    assert photons[-1] == pytest.approx(2.1e7, rel=3e-2)
+    assert max(photons) == pytest.approx(2.17e7, rel=1e-2)
+    over = p.updated(eta=4.64e4 * p.gamma)
+    base = steady_state(over)
+    assert base.photon_number == pytest.approx(4.18, rel=1e-2)
+    assert to_hz(pole_linewidth(over, base).delta_nu) == pytest.approx(30.8e3, rel=1e-2)
+
+
 def _resonant_narrow_pole(params, base):
     """Closed-form narrow pole width at zero detuning and chi = 0, u and M.
 
@@ -498,6 +523,18 @@ def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
     assert couplings == [couplings[0], couplings[0] / 2]
 
 
+def _desk_widths(n_atoms):
+    """linewidth() at desk parameters and the FWHM of a Lorentzian fit to
+    the oracle's spectrum on the pipeline's 81-point grid."""
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    pipeline = linewidth(params)
+    est = 10.0 * pipeline.probe.beta
+    grid = np.linspace(pipeline.probe.omega_f - 4.0 * est,
+                       pipeline.probe.omega_f + 4.0 * est, 81)
+    oracle_fit = fit_lorentzian(oracle_spectrum(params, n_max=6, omega_grid=grid))
+    return pipeline.delta_nu, oracle_fit.fwhm
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known closure gap: at N = 2 the exact two-time correlator decays "
@@ -507,13 +544,22 @@ def test_auto_probe_raises_when_halving_the_coupling_moves_the_line(desk_params,
     "1.90x, 2.04x, 2.17x and 2.28x the pipeline's at N = 1 to 5",
 )
 def test_pipeline_linewidth_matches_oracle_at_small_n():
-    params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    pipeline = linewidth(params)
-    est = 10.0 * pipeline.probe.beta
-    grid = np.linspace(pipeline.probe.omega_f - 4.0 * est,
-                       pipeline.probe.omega_f + 4.0 * est, 81)
-    oracle_fit = fit_lorentzian(oracle_spectrum(params, n_max=6, omega_grid=grid))
-    assert rel_err(pipeline.delta_nu, oracle_fit.fwhm) < 0.15
+    pipeline, oracle = _desk_widths(2)
+    assert rel_err(pipeline, oracle) < 0.15
+
+
+def test_desk_width_table_quoted_by_the_small_n_reasons():
+    # the measured values that the reason above and acceptance 10's quote,
+    # each to the digits quoted
+    pipeline, oracle = np.array([_desk_widths(n) for n in range(1, 6)]).T
+    quoted = [
+        (pipeline, [0.2066, 0.2096, 0.2112, 0.2121, 0.2127], 1e-4),
+        (oracle, [0.3442, 0.3978, 0.4304, 0.4599, 0.4854], 1e-4),
+        (oracle / pipeline, [1.67, 1.90, 2.04, 2.17, 2.28], 1e-2),
+        (pipeline / oracle, [0.60, 0.53, 0.49, 0.46, 0.44], 1e-2),
+    ]
+    for measured, values, unit in quoted:
+        assert np.all(np.abs(measured - values) <= 0.5 * unit), (measured, values)
 
 
 # ------------------------------------------------------------- input checking
