@@ -24,13 +24,18 @@ a sum over atoms of one 4 x 4 pair superoperator, so its block
 with no product-basis operator.  Each Fock cutoff builds and LU-solves its
 charge-0 block once for the stationary state, the permutation-invariant
 one, and its moments are linear functionals of the orbit coordinates.
-Only the returned cutoff is lifted to the product basis, for the d x d
-rho, its matrix-form residual and its least eigenvalue.  The spectrum is
-a resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
+The residual max |L rho| is read off that block too.  Only the returned
+cutoff is lifted to the product basis, for the d x d rho and its least
+eigenvalue.  The moment derivatives that check the closure act on
+identical-atom product states, which are permutation invariant; every
+checked moment has charge 0 and L conserves charge, so the derivatives
+are the charge-0 block applied to the states' charge-0 orbit
+coordinates.  The spectrum is a resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
 and has no zero eigenvalue; a few block-diagonal stacks, one sparse LU
 each, solve the whole grid, so nothing is propagated in time.
-`build_liouvillian` returns the full product-basis matrix, the reference
-the orbit blocks are tested against.
+`build_liouvillian` returns the full product-basis matrix, and
+`apply_liouvillian` and `moment_derivatives` act with the matrix form of
+L: they are the references the orbit routes are tested against.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -165,21 +170,18 @@ def _k_form(h, channels):
     return sp.csr_matrix(k), [(rate, sp.csr_matrix(c)) for rate, c in channels]
 
 
-def _apply(rho: np.ndarray, k, jumps) -> np.ndarray:
+def apply_liouvillian(rho: np.ndarray, h: np.ndarray,
+                      channels: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Matrix-form action K rho + rho K^dag + sum r c rho c^dag of the
+    Liouvillian, with sparse K and c; it never goes through the vectorised
+    assembly, so it checks the sector solves independently."""
+    k, jumps = _k_form(h, channels)
     # X A^dag = (A X^dag)^dag keeps every product sparse-times-dense
     rho_h = rho.conj().T
     out = k @ rho + (k @ rho_h).conj().T
     for rate, c in jumps:
         out = out + rate * (c @ (c @ rho_h).conj().T)
     return out
-
-
-def apply_liouvillian(rho: np.ndarray, h: np.ndarray,
-                      channels: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Matrix-form action K rho + rho K^dag + sum r c rho c^dag of the
-    Liouvillian, with sparse K and c; it never goes through the vectorised
-    assembly, so it checks the sector solves independently."""
-    return _apply(rho, *_k_form(h, channels))
 
 
 def build_liouvillian(params: SystemParams, n_max: int, probe=None,
@@ -312,7 +314,8 @@ class OracleResult:
     space: HilbertSpace
     moments: OracleMoments
     n_max: int
-    # max |L rho| from the matrix form of L, and the least eigenvalue of rho
+    # max |L rho| over rho's entries, from the orbit block, and the least
+    # eigenvalue of rho
     residual: float = float("nan")
     eigmin: float = float("nan")
 
@@ -409,8 +412,17 @@ def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _max_entry(orbits: _Orbits, y: np.ndarray) -> float:
+    """max |entry| of the operator with orbit coordinates y: each entry of
+    orbit o holds y_o / sqrt(size_o)."""
+    return float(np.max(np.abs(y) / orbits.sqrt_size))
+
+
 class _Stationary(NamedTuple):
+    """One cutoff's stationary state: its charge-0 orbits and block, the
+    orbit coordinates x and their moments."""
     orbits: _Orbits
+    block: sp.csr_matrix
     x: np.ndarray
     moments: OracleMoments
 
@@ -418,7 +430,7 @@ class _Stationary(NamedTuple):
 def _steady_once(params: SystemParams, n_max: int) -> _Stationary:
     orbits, block = _orbit_block(params, n_max, 0)
     x = _solve_stationary(block, orbits)
-    return _Stationary(orbits, x, _orbit_moments(orbits, x))
+    return _Stationary(orbits, block, x, _orbit_moments(orbits, x))
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
@@ -454,18 +466,19 @@ def _climb(params: SystemParams, n_max: int) -> _Stationary:
 def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
     """Stationary state with automatic Fock-cutoff convergence.
 
-    The climb (see _climb) solves orbit blocks only.  The returned cutoff
-    alone is lifted to the product basis: rho, its residual max |L rho|
-    from the matrix form of L, and its least eigenvalue.
+    The climb (see _climb) solves orbit blocks only.  L rho lies in the
+    orbit span, so the residual max |L rho| is read off the returned
+    block times x (_max_entry).  The returned cutoff alone is lifted to
+    the product basis, for rho and its least eigenvalue.
     """
     stationary = _climb(params, n_max)
-    n_max = stationary.orbits.n_max
-    space = HilbertSpace(params.n_atoms, n_max)
-    rho = _orbit_rho(stationary.orbits, stationary.x)
-    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
-    return OracleResult(rho=rho, space=space, moments=stationary.moments, n_max=n_max,
-                        residual=float(np.max(np.abs(_apply(rho, k, jumps)))),
-                        eigmin=float(np.linalg.eigvalsh(rho)[0]))
+    orbits, x = stationary.orbits, stationary.x
+    rho = _orbit_rho(orbits, x)
+    return OracleResult(
+        rho=rho, space=HilbertSpace(params.n_atoms, orbits.n_max),
+        moments=stationary.moments, n_max=orbits.n_max,
+        residual=_max_entry(orbits, stationary.block @ x),
+        eigmin=float(np.linalg.eigvalsh(rho)[0]))
 
 
 def _moment_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
@@ -506,13 +519,7 @@ def product_state(space: HilbertSpace, cavity_amps, bloch,
     (I + r . sigma) / 2.
     """
     def _pure(amps, dim):
-        vec = np.zeros(dim, dtype=complex)
-        amps = np.asarray(amps, dtype=complex)
-        vec[: len(amps)] = amps[:dim]
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("state amplitudes are all zero")
-        vec = vec / norm
+        vec = _unit_vector(amps, dim)
         return np.outer(vec, vec.conj())
 
     rho = _pure(cavity_amps, space.n_max + 1)
@@ -522,15 +529,43 @@ def product_state(space: HilbertSpace, cavity_amps, bloch,
         rho = np.kron(rho, _pure(filter_amps, space.m_max + 1))
     elif filter_amps is not None:
         raise ValueError("filter amplitudes given but space has no filter mode")
+    atom = _atom_state(bloch)
+    for _ in range(space.n_atoms):
+        rho = np.kron(rho, atom)
+    return rho
+
+
+def _unit_vector(amps, dim: int) -> np.ndarray:
+    """Fock amplitudes padded / truncated to dim entries and normalised."""
+    vec = np.zeros(dim, dtype=complex)
+    amps = np.asarray(amps, dtype=complex)
+    vec[: len(amps)] = amps[:dim]
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        raise ValueError("state amplitudes are all zero")
+    return vec / norm
+
+
+def _atom_state(bloch) -> np.ndarray:
+    """One atom's density matrix (I + r . sigma) / 2."""
     rx, ry, rz = bloch
     if rx * rx + ry * ry + rz * rz > 1.0 + 1e-12:
         raise ValueError("Bloch vector must satisfy |r| <= 1")
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-    atom = 0.5 * (_ID2 + rx * sx + ry * sy + rz * _SZ)
-    for _ in range(space.n_atoms):
-        rho = np.kron(rho, atom)
-    return rho
+    return 0.5 * (_ID2 + rx * sx + ry * sy + rz * _SZ)
+
+
+def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
+    """Charge-0 orbit coordinates of product_state(space, cavity_amps, bloch)
+    with no filter mode.  Each entry of orbit o holds c[nk] conj(c[nb]) times
+    prod_p atom_p^counts[p], atom_p the atom's matrix element on pair p
+    (gg, ge, eg, ee), so x_o is sqrt(size_o) times that; the state's other
+    charges are dropped."""
+    c = _unit_vector(cavity_amps, orbits.n_max + 1)
+    atom = _atom_state(bloch).ravel()[:, None]
+    return (orbits.sqrt_size * c[orbits.nk] * c[orbits.nb].conj()
+            * np.prod(atom**orbits.counts, axis=0))
 
 
 def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
@@ -601,36 +636,32 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
 
     On such states every factorization used by the closure is an exact
     identity, so the two must agree to round-off; this pins every sign
-    and rate convention in the moment equations.
+    and rate convention in the moment equations.  The states are
+    permutation invariant and the checked moments have charge 0, so the
+    exact derivatives are the moments of the charge-0 orbit block times
+    the states' orbit coordinates (_product_orbit_state); the block is
+    built once per call.
     """
     from .cumulant import MomentState, rhs
 
     rng = np.random.default_rng(CHECK_SEED)
-    space = HilbertSpace(params.n_atoms, CHECK_N_MAX)
-    k, jumps = _k_form(hamiltonian(space, params), lindblad_channels(space, params))
-    ops = _moment_ops(space)
+    orbits, block = _orbit_block(params, CHECK_N_MAX, 0)
     worst = 0.0
     for _ in range(n_states):
-        amps, bloch = _random_product_inputs(rng)
-        rho = product_state(space, amps, bloch)
-        drho = _apply(rho, k, jumps)
-        mom = {name: _expect(op, rho) for name, op in ops.items()}
-        exact = {name: _expect(op, drho) for name, op in ops.items()}
+        x = _product_orbit_state(orbits, *_random_product_inputs(rng))
+        mom, exact = _orbit_moments(orbits, x), _orbit_moments(orbits, block @ x)
         approx = rhs(
-            MomentState(
-                photon_number=mom["photon_number"].real,
-                atom_photon=mom["atom_photon"], inversion=mom["inversion"].real,
-                pair_corr=mom.get("pair_corr", 0j),
-            ),
+            MomentState(photon_number=mom.photon_number, atom_photon=mom.atom_photon,
+                        inversion=mom.inversion, pair_corr=mom.pair_corr),
             params,
         )
         pairs = [
-            (exact["photon_number"], complex(approx.photon_number)),
-            (exact["atom_photon"], approx.atom_photon),
-            (exact["inversion"], complex(approx.inversion)),
+            (exact.photon_number, approx.photon_number),
+            (exact.atom_photon, approx.atom_photon),
+            (exact.inversion, approx.inversion),
         ]
         if params.n_atoms >= 2:
-            pairs.append((exact["pair_corr"], approx.pair_corr))
+            pairs.append((exact.pair_corr, approx.pair_corr))
         floor = 1e-3 * max(max(abs(a), abs(b)) for a, b in pairs)
         for a, b in pairs:
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor, 1e-300))

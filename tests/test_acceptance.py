@@ -105,6 +105,38 @@ def test_acceptance_03_branching_sum_rule() -> None:
     assert dt < 1.0
 
 
+def _crossover_limit_errors(rabi: float = 30.0) -> dict:
+    """Relative errors of Eq. 4 against its four limits, at the points
+    acceptance 04 checks; the collective-Rabi limit is taken where
+    2 sqrt(N) g = rabi * kappa."""
+    # collective-decay limit, radicand argument < 1e-4
+    worst_a = 0.0
+    for ngc in (2e-5, 1e-5):
+        g = np.sqrt(ngc / 400.0)
+        p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=ngc * 1e-4)
+        v = crossover_linewidth(p, -50.0)
+        worst_a = max(worst_a, abs(v - derived(p).c_collective) / derived(p).c_collective)
+
+    # strong-pump limit at small radicand
+    g = np.sqrt(0.099 / 400.0)
+    p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=0.1)
+    d = derived(p)
+    expect = (d.big_gamma * p.kappa - 4.0 * 100 * g * g) / (d.big_gamma + p.kappa)
+    err_c = abs(crossover_linewidth(p, 50.0) - expect) / expect
+
+    # collective-Rabi limit, at its 30*kappa domain edge by default
+    p = SystemParams(n_atoms=100, g=rabi / 20.0, kappa=1.0, gamma=0.0, eta=0.0)
+    err_b = abs(crossover_linewidth(p, -50.0) - rabi) / rabi
+
+    # bare-cavity limit at Gamma = 100 * max(kappa, N Gamma_c)
+    errs_d = []
+    for m in (-50.0, 0.0, 50.0):
+        p = SystemParams(n_atoms=100, g=0.05, kappa=1.0, gamma=0.0, eta=100.0)
+        errs_d.append(abs(crossover_linewidth(p, m) - 1.0))
+    return {"collective_decay": worst_a, "strong_pump": err_c,
+            "collective_rabi": err_b, "bare_kappa": errs_d}
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="collective-Rabi limit recovered to 1.65% at the 2*sqrt(N)*g = 30*kappa "
@@ -125,40 +157,16 @@ def test_acceptance_03_branching_sum_rule() -> None:
 )
 def test_acceptance_04_crossover_limit_suite() -> None:
     t0 = time.perf_counter()
-    details = []
-
-    # collective-decay limit, radicand argument < 1e-4
-    worst_a = 0.0
-    for ngc in (2e-5, 1e-5):
-        g = np.sqrt(ngc / 400.0)
-        p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=ngc * 1e-4)
-        v = crossover_linewidth(p, -50.0)
-        worst_a = max(worst_a, abs(v - derived(p).c_collective) / derived(p).c_collective)
-    details.append(f"collective decay {worst_a * 100:.3f}%")
-
-    # strong-pump limit at small radicand
-    g = np.sqrt(0.099 / 400.0)
-    p = SystemParams(n_atoms=100, g=g, kappa=1.0, gamma=0.0, eta=0.1)
-    d = derived(p)
-    expect = (d.big_gamma * p.kappa - 4.0 * 100 * g * g) / (d.big_gamma + p.kappa)
-    v = crossover_linewidth(p, 50.0)
-    err_c = abs(v - expect) / expect
-    details.append(f"strong pump {err_c * 100:.3f}%")
-
-    # collective-Rabi limit at its 30*kappa domain edge
-    p = SystemParams(n_atoms=100, g=1.5, kappa=1.0, gamma=0.0, eta=0.0)
-    v = crossover_linewidth(p, -50.0)
-    err_b = abs(v - 30.0) / 30.0
-    details.append(f"collective Rabi {err_b * 100:.2f}% at 30*kappa")
-
-    # bare-cavity limit at Gamma = 100 * max(kappa, N Gamma_c)
-    errs_d = []
-    for m in (-50.0, 0.0, 50.0):
-        p = SystemParams(n_atoms=100, g=0.05, kappa=1.0, gamma=0.0, eta=100.0)
-        v = crossover_linewidth(p, m)
-        errs_d.append(abs(v - 1.0))
-    details.append("bare kappa " + "/".join(f"{e * 100:.2f}%" for e in errs_d)
-                   + " at M = -N/2, 0, +N/2")
+    errs = _crossover_limit_errors()
+    worst_a, err_c = errs["collective_decay"], errs["strong_pump"]
+    err_b, errs_d = errs["collective_rabi"], errs["bare_kappa"]
+    details = [
+        f"collective decay {worst_a * 100:.3f}%",
+        f"strong pump {err_c * 100:.3f}%",
+        f"collective Rabi {err_b * 100:.2f}% at 30*kappa",
+        "bare kappa " + "/".join(f"{e * 100:.2f}%" for e in errs_d)
+        + " at M = -N/2, 0, +N/2",
+    ]
 
     dt = time.perf_counter() - t0
     ok = (worst_a < 1e-3 and err_c < 1e-2 and err_b < 1e-2
@@ -169,6 +177,16 @@ def test_acceptance_04_crossover_limit_suite() -> None:
     assert dt < 1.0
     assert err_b < 1e-2
     assert max(errs_d) < 1e-2
+
+
+def test_crossover_limit_errors_quoted_by_acceptance_04() -> None:
+    # the percentages acceptance 04's reason quotes, each to the digits quoted
+    errs = _crossover_limit_errors()
+    assert f"{errs['collective_rabi'] * 100:.2f}" == "1.65"
+    assert f"{_crossover_limit_errors(60.0)['collective_rabi'] * 100:.2f}" == "0.83"
+    assert [f"{e * 100:.2f}" for e in errs["bare_kappa"]] == ["0.97", "1.94", "2.91"]
+    assert f"{errs['collective_decay'] * 100:.3f}" == "0.009"
+    assert f"{errs['strong_pump'] * 100:.2f}" == "0.08"
 
 
 def test_acceptance_05_flagship_photon_number() -> None:

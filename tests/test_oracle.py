@@ -436,6 +436,40 @@ def test_pump_derivative_from_ground_vacuum():
     assert abs(derivs["atom_photon"]) < 1e-13
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_orbit_derivatives_of_product_states_match_the_matrix_form(n_atoms):
+    # derivative_match_error's states and route against moment_derivatives
+    params = SystemParams(n_atoms=n_atoms, chi=0.03, omega_a=0.4, omega_c=-0.3, **DESK)
+    orbits, block = oracle._orbit_block(params, oracle.CHECK_N_MAX, 0)
+    space = HilbertSpace(n_atoms, oracle.CHECK_N_MAX)
+    rng = np.random.default_rng(oracle.CHECK_SEED)
+    for _ in range(5):
+        amps, bloch = oracle._random_product_inputs(rng)
+        x = oracle._product_orbit_state(orbits, amps, bloch)
+        rho = product_state(space, amps, bloch)
+        moments = oracle._orbit_moments(orbits, x).as_dict()
+        for name, value in moments_from_rho(space, rho).as_dict().items():
+            assert abs(moments[name] - value) <= 1e-12 * abs(value), name
+        derivs = oracle._orbit_moments(orbits, block @ x)
+        for name, value in moment_derivatives(params, rho, space).items():
+            assert abs(getattr(derivs, name) - value) <= 1e-12 * abs(value), name
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_residual_is_the_matrix_form_residual(n_atoms):
+    params = SystemParams(n_atoms=n_atoms, chi=0.03, omega_a=0.4, omega_c=-0.3, **DESK)
+    result = oracle_steady_state(params, n_max=4)
+    h, channels = hamiltonian(result.space, params), lindblad_channels(result.space, params)
+    matrix = apply_liouvillian(result.rho, h, channels)
+    assert abs(result.residual - np.max(np.abs(matrix))) <= 1e-15
+    # the stationary residual is round-off; off the stationary state the
+    # same read-off is the matrix form's max |L rho| to round-off
+    orbits, block = oracle._orbit_block(params, result.n_max, 0)
+    x = orbits.sqrt_size * np.random.default_rng(n_atoms).normal(size=orbits.nk.size) + 0j
+    matrix = apply_liouvillian(oracle._orbit_rho(orbits, x), h, channels)
+    assert abs(oracle._max_entry(orbits, block @ x) / np.max(np.abs(matrix)) - 1.0) < 1e-12
+
+
 def test_closure_rhs_is_exact_on_product_states():
     params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03)
@@ -500,6 +534,24 @@ def test_product_basis_is_built_only_at_the_returned_cutoff(monkeypatch):
     assert built == [10]
     oracle_spectrum(params, n_max=6, omega_grid=np.linspace(-1.0, 1.0, 5))
     assert built == [10]
+
+
+def test_consistency_checks_build_no_matrix_form_operators(monkeypatch):
+    # the derivative checks and the residual act with orbit blocks; only
+    # each returned stationary state builds the product basis, for rho
+    params = SystemParams(n_atoms=3, chi=0.03, **DESK)
+    built, k_forms, hamiltonians = [], [], []
+    _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
+    _count_calls(monkeypatch, "_k_form", k_forms, lambda args: None)
+    _count_calls(monkeypatch, "hamiltonian", hamiltonians, lambda args: None)
+    assert derivative_match_error(params, n_states=3) < 1e-10
+    assert built == [] and k_forms == []
+    assert oracle_steady_state(params, n_max=6).n_max == 10
+    assert hamiltonians == [] and k_forms == []
+    built.clear()
+    assert all(check["pass"] for check in oracle.consistency_report())
+    assert len(built) == 3
+    assert hamiltonians == [] and k_forms == []
 
 
 def test_cutoff_error_names_the_highest_cutoff_solved():
