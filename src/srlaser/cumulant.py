@@ -92,29 +92,27 @@ def _rates(params: SystemParams):
     return gamma_c, gamma_p
 
 
-def _rhs(params: SystemParams):
-    """The time derivative as f(x) -> list of the six components.
+def _coefficients(params: SystemParams) -> tuple:
+    """The numbers _rhs's formula reads, as _formula takes them.
 
     The parameter products are formed once per params, not on each of an
     integration's hundreds of calls, and in the order that the expression
     written out in full forms them left to right (-2 g N, g (N - 1), -2 g,
-    4 g, -delta, -gamma_p), so every component rounds as it would.  x may
-    be a sequence of Python floats, whose scalar arithmetic costs half that
-    of numpy scalars and rounds the same, or arrays, whose elementwise
-    arithmetic also rounds the same: one formula serves the integrator
-    (floats), Newton (a (6,) array) and the spectrum ((6, M) arrays).
+    4 g, -delta, -gamma_p), so every component rounds as it would.
     """
-    g, kappa = params.g, params.kappa
-    gamma, eta = params.gamma, params.eta
+    g = params.g
     nn = params.n_atoms
     delta = params.detuning
     gamma_c, gamma_p = _rates(params)
-    n_gain = -2.0 * g * nn
-    pair_gain = g * (nn - 1)
-    m2g = -2.0 * g
-    g4 = 4.0 * g
-    m_delta = -delta
-    m_gamma_p = -gamma_p
+    return (g, params.kappa, params.gamma, params.eta, nn, delta, gamma_c, gamma_p,
+            -2.0 * g * nn, g * (nn - 1), -2.0 * g, 4.0 * g, -delta, -gamma_p)
+
+
+def _formula(g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
+             n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p):
+    """The time derivative as f(x) -> list of the six components, from
+    _coefficients' numbers: scalars for one state, or arrays shaped (M,)
+    of per-row numbers for a batch of M states."""
 
     def f(x):
         n, cr, ci, s, pr, pi = x
@@ -129,6 +127,31 @@ def _rhs(params: SystemParams):
         ]
 
     return f
+
+
+def _rhs(params: SystemParams):
+    """The time derivative as f(x) -> list of the six components.
+
+    x may be a sequence of Python floats, whose scalar arithmetic costs
+    half that of numpy scalars and rounds the same, or arrays, whose
+    elementwise arithmetic also rounds the same: one formula serves the
+    integrator (floats), Newton (a (6,) array) and the spectrum ((6, M)
+    arrays).  _rhs_rows evaluates the same formula on per-row numbers.
+    """
+    return _formula(*_coefficients(params))
+
+
+def _rhs_rows(params_list):
+    """The batch right-hand side fun(t, y, rows) of srlaser.dop853's
+    batched solve_ivp: row i of y (m, 6) evaluated with the numbers of
+    params_list[rows[i]].  Each entry's arithmetic is the one _rhs(params)
+    does on Python floats, with the same operands, so it rounds the same."""
+    table = np.array([_coefficients(p) for p in params_list], dtype=float).T
+
+    def fun(_, y, rows):
+        return np.array(_formula(*table[:, rows])(y.T)).T
+
+    return fun
 
 
 def _rhs_vec(x, params: SystemParams) -> np.ndarray:
@@ -378,20 +401,63 @@ def _relax(params):
     and evaluated on Python floats, which round as the array form does, so
     the relaxed state is the one scipy's DOP853 reaches.  An initial state
     that is already stationary, as wherever gamma_p = 0, is returned
-    untouched."""
+    untouched.  relax_all relaxes many params at once to the same bits."""
     x = initial_state(params).as_vector()
     if scaled_residual(x, params) == 0.0:
         return x
     return _integrate_raw(x, params, 30.0 / _fast_rate(params)).y[:, -1]
 
 
+def relax_all(params_list) -> list:
+    """_relax of each params, in one batched DOP853 integration.
+
+    Each entry is the state that _relax(params) returns, bit for bit, to be
+    passed to steady_state(params, relaxed=...).  It is None where
+    steady_state does not relax (a coupled lossless cavity), and where the
+    integration failed: that cell then relaxes alone in steady_state and
+    raises there as it would have.  Batching pays from a few states on; a
+    single state relaxes faster alone.
+    """
+    out: list = [None] * len(params_list)
+    todo, starts = [], []
+    for i, params in enumerate(params_list):
+        if _closed_form_only(params):
+            continue
+        x = initial_state(params).as_vector()
+        if scaled_residual(x, params) == 0.0:
+            out[i] = x
+        else:
+            todo.append(i)
+            starts.append(x)
+    if not todo:
+        return out
+    rows = [params_list[i] for i in todo]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            _rhs_rows(rows), (0.0, np.array([30.0 / _fast_rate(p) for p in rows])),
+            np.array(starts), rtol=_REL_TOL, atol=_ABS_TOL,
+        )
+    for i, x, ok in zip(todo, sol.y, sol.success):
+        if ok:
+            out[i] = x
+    return out
+
+
+def _closed_form_only(params: SystemParams) -> bool:
+    """A coupled lossless cavity, which steady_state solves in closed form."""
+    return params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0
+
+
 def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
-                 return_info: bool = False):
+                 return_info: bool = False, *, relaxed: np.ndarray | None = None):
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants,
        which removes the fast transient only.  The integrator is
-       srlaser.dop853, so no scipy module is loaded.
+       srlaser.dop853, so no scipy module is loaded.  A caller that has
+       relaxed many params at once passes this stage's result as
+       relaxed, the entry of relax_all(...) for params; the stages that
+       follow are the same.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
     3. If that fails or lands on an unphysical root: Newton from the
@@ -412,7 +478,7 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     0: it is stationary, and relaxation starts from it.
     """
     cfg = cfg or SolverConfig()
-    if params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0:
+    if _closed_form_only(params):
         x = _closed_form_root(params)
         if x is None:
             raise ConvergenceError(
@@ -424,7 +490,8 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
         res = scaled_residual(x, params)
     else:
         tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, params.kappa)
-        x, res, ok = _newton(_relax(params), params, tol)
+        start = _relax(params) if relaxed is None else relaxed
+        x, res, ok = _newton(start, params, tol)
         ok = ok and _is_physical(x)
         if not ok:
             seed = _closed_form_root(params)

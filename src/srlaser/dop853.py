@@ -17,6 +17,23 @@ operations round as numpy's float64 scalars do.  The stage sums stay in
 numpy: summed term by term in Python they round differently from BLAS in
 the last bit, for about two in three sums, and the steps would drift from
 scipy's.
+
+``solve_ivp`` also integrates a batch: M independent rows, y0 shaped
+(M, n), each with its own end time.  Each row takes the steps that its own
+1-D call takes, with its own step size, accept/reject decisions and
+too-small-step failure; rows that end are dropped from the arrays, so a
+batch costs one numpy pass per trial step over the rows still stepping.
+Stacked ``np.matmul`` hands each row to BLAS as ``ndarray.dot`` does, and
+the stage sums and the error norms' dot products round as the 1-D loop's
+(the tests compare the two bit for bit).  The controller's powers do not vectorise: the
+error norm's squares and the 1/8th powers are libm ``pow`` calls on Python
+floats (or numpy scalars) in the 1-D loop, and numpy's vectorised
+``power`` and ``square`` round differently from ``pow`` in the last bit
+for some inputs (x * x for about one random x in 1,200, the vectorised
+x ** 0.125 for about one in 20), so the batch takes them on Python
+floats too.  Where the
+1-D loop relies on Python's ``max``/``min`` keeping the first argument
+when the second is NaN, the batch uses ``_first_max``/``_first_min``.
 """
 from __future__ import annotations
 
@@ -117,6 +134,18 @@ class OdeResult:
     message: str
 
 
+@dataclass(frozen=True)
+class RowsResult:
+    """The last accepted step of each row of a batch: y shaped (M, n),
+    success shaped (M,), nfev the calls of fun summed over the rows and
+    row_nfev (M,) each row's share, which is its 1-D call's nfev."""
+
+    y: np.ndarray
+    success: np.ndarray
+    nfev: int
+    row_nfev: np.ndarray
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -161,7 +190,12 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     Returns an OdeResult with every accepted step.  If the step size falls
     below ten ulps of t, success is False and t, y end at the last accepted
     step.  A zero-length span returns y0 twice, as scipy does.
+
+    A y0 shaped (M, n) is a batch of M rows, integrated from t0 to the
+    per-row end times tf (a scalar or shaped (M,)); see _solve_rows.
     """
+    if np.ndim(y0) == 2:
+        return _solve_rows(fun, t_span, y0, rtol, atol)
     t0, tf = map(float, t_span)
     if tf < t0:
         raise ValueError(f"t_span must not run backwards, got {t_span}")
@@ -207,3 +241,138 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
         ts.append(t)
         ys.append(y)
     return OdeResult(np.array(ts), np.stack(ys, axis=1), nfev, True, SUCCESS)
+
+
+def _first_max(a, b):
+    """Python's max(a, b) entry by entry: b only where b > a, so a NaN b
+    leaves a, as max(0.2, nan) == 0.2."""
+    return np.where(b > a, b, a)
+
+
+def _first_min(a, b):
+    """Python's min(a, b) entry by entry: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _powers(x, p):
+    """x ** p entry by entry with libm's pow, on Python floats."""
+    return np.array([v ** p for v in x.tolist()])
+
+
+def _row_dots(v):
+    """v[i].dot(v[i]) for each row of v shaped (m, n), to the same bits."""
+    return np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _row_sq_norms(v):
+    """_sq_norm of each row, the square taken with pow as ``** 2`` takes it."""
+    return _powers(np.sqrt(_row_dots(v)), 2)
+
+
+def _initial_steps(fun, t0, y0, f0, span, rtol, atol, rows):
+    """_initial_step for each row of y0 shaped (m, n)."""
+    scale = atol + np.abs(y0) * rtol
+    root_n = y0.shape[1] ** 0.5
+    d0 = np.sqrt(_row_dots(y0 / scale)) / root_n
+    d1 = np.sqrt(_row_dots(f0 / scale)) / root_n
+    # both branches are computed on every row; a row that the 1-D code
+    # takes the other way round may divide by 0 here, unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = _first_min(h0, span)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0[:, None] * f0, rows), dtype=float)
+    d2 = np.sqrt(_row_dots((f1 - f0) / scale)) / root_n / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    with np.errstate(divide="ignore"):
+        power = _powers(0.01 / _first_max(d1, d2), 1 / 8)
+    h1 = np.where(flat, _first_max(1e-6, h0 * 1e-3), power)
+    return _first_min(_first_min(100 * h0, h1), span)
+
+
+def _error_norms(K, h, scale):
+    """_error_norm for each row: K shaped (m, 13, n), h and scale per row."""
+    Kt = K.transpose(0, 2, 1)
+    err5_norm_2 = _row_sq_norms(Kt @ E5 / scale)
+    err3_norm_2 = _row_sq_norms(Kt @ E3 / scale)
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    # denom == 0 with err5 == 0 is numpy's 0 / 0, NaN, as in _error_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
+    return np.where((err5_norm_2 == 0) & (err3_norm_2 == 0), 0.0, norm)
+
+
+def _keep(mask, *arrays):
+    return tuple(a[mask] for a in arrays)
+
+
+def _solve_rows(fun, t_span, y0, rtol, atol):
+    """Integrate the M rows of y0 (M, n) from t0 to tf[i] each; a RowsResult.
+
+    fun(t, y, rows) takes the times (m,) and states (m, n) of the rows
+    still stepping and their indices (m,) into y0, and returns the
+    derivatives (m, n).  Each trial step evaluates every such row, and
+    each row's accept/reject and next step size follow the 1-D loop in
+    solve_ivp line for line, so a row's final y, success and nfev are
+    those of its own 1-D call.
+    """
+    t0 = float(t_span[0])
+    y_out = np.array(y0, dtype=float)
+    n_rows, n = y_out.shape
+    tf_all = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n_rows,))
+    if np.any(tf_all < t0):
+        raise ValueError(f"t_span must not run backwards, got {t_span}")
+    idx = np.arange(n_rows)
+    f = np.asarray(fun(np.full(n_rows, t0), y_out, idx), dtype=float)
+    nfev = np.ones(n_rows, dtype=int)
+    success = np.ones(n_rows, dtype=bool)
+    idx = idx[tf_all > t0]  # a zero-length span ends at y0, as in solve_ivp
+    if not idx.size:
+        return RowsResult(y_out, success, int(nfev.sum()), nfev)
+    t, tf, y, f = np.full(idx.size, t0), tf_all[idx], y_out[idx], f[idx]
+    h_abs = _initial_steps(fun, t0, y, f, tf - t0, rtol, atol, idx)
+    nfev[idx] += 1
+    min_step = np.zeros(idx.size)
+    fresh = np.ones(idx.size, dtype=bool)  # rows that begin a new step
+    rejected = np.zeros(idx.size, dtype=bool)
+    K = np.empty((idx.size, N_STAGES + 1, n))
+    stages = [(s, c, A[s, :s]) for s, c in enumerate(C.tolist()) if s > 0]
+    while idx.size:
+        min_step = np.where(fresh, 10 * np.abs(np.nextafter(t, np.inf) - t), min_step)
+        h_abs = np.where(fresh, _first_max(h_abs, min_step), h_abs)
+        stuck = h_abs < min_step
+        if stuck.any():  # these rows stop at their last accepted step
+            success[idx[stuck]] = False
+            y_out[idx[stuck]] = y[stuck]
+            idx, t, tf, y, f, h_abs, min_step, rejected = _keep(
+                ~stuck, idx, t, tf, y, f, h_abs, min_step, rejected)
+            if not idx.size:
+                break
+        t_new = _first_min(t + h_abs, tf)
+        h = t_new - t
+        h_abs = np.abs(h)
+        k = K[:idx.size]
+        k[:, 0] = f
+        for s, c, a in stages:
+            k[:, s] = fun(t + c * h, y + (k[:, :s].transpose(0, 2, 1) @ a) * h[:, None], idx)
+        y_new = y + h[:, None] * (k[:, :-1].transpose(0, 2, 1) @ B)
+        f_new = np.asarray(fun(t + h, y_new, idx), dtype=float)
+        k[:, -1] = f_new
+        nfev[idx] += N_STAGES
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _error_norms(k, h, scale)
+        accepted = error_norm < 1
+        # error_norm == 0 takes MAX_FACTOR; 1.0 only keeps pow defined there
+        grow = SAFETY * _powers(np.where(error_norm == 0, 1.0, error_norm), ERROR_EXPONENT)
+        factor = np.where(error_norm == 0, MAX_FACTOR, _first_min(MAX_FACTOR, grow))
+        h_abs = h_abs * np.where(accepted, np.where(rejected, _first_min(1.0, factor), factor),
+                                 _first_max(MIN_FACTOR, grow))
+        rejected, fresh = ~accepted, accepted
+        t = np.where(accepted, t_new, t)
+        y = np.where(accepted[:, None], y_new, y)
+        f = np.where(accepted[:, None], f_new, f)
+        done = accepted & ~(t < tf)
+        if done.any():
+            y_out[idx[done]] = y[done]
+            idx, t, tf, y, f, h_abs, min_step, fresh, rejected = _keep(
+                ~done, idx, t, tf, y, f, h_abs, min_step, fresh, rejected)
+    return RowsResult(y_out, success, int(nfev.sum()), nfev)

@@ -26,8 +26,9 @@ charge-0 block once for the stationary state, the permutation-invariant
 one, and its moments are linear functionals of the orbit coordinates.
 The residual max |L rho| is read off that block too.  Only the returned
 cutoff is lifted to the product basis, for the d x d rho and its least
-eigenvalue.  The moment derivatives that check the closure act on
-identical-atom product states, which are permutation invariant; every
+eigenvalue; the result builds that basis's operators
+(`OracleResult.space`) only when they are read.  The moment derivatives
+that check the closure act on identical-atom product states, which are permutation invariant; every
 checked moment has charge 0 and L conserves charge, so the derivatives
 are the charge-0 block applied to the states' charge-0 orbit
 coordinates.  The spectrum is a resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
@@ -44,6 +45,7 @@ matrices are vectorised row-major.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -311,13 +313,18 @@ class OracleMoments:
 @dataclass
 class OracleResult:
     rho: np.ndarray
-    space: HilbertSpace
+    n_atoms: int
     moments: OracleMoments
     n_max: int
     # max |L rho| over rho's entries, from the orbit block, and the least
     # eigenvalue of rho
     residual: float = float("nan")
     eigmin: float = float("nan")
+
+    @cached_property
+    def space(self) -> HilbertSpace:
+        """rho's product basis, built on first access: no solve needs it."""
+        return HilbertSpace(self.n_atoms, self.n_max)
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
@@ -469,13 +476,14 @@ def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
     The climb (see _climb) solves orbit blocks only.  L rho lies in the
     orbit span, so the residual max |L rho| is read off the returned
     block times x (_max_entry).  The returned cutoff alone is lifted to
-    the product basis, for rho and its least eigenvalue.
+    the product basis, for rho and its least eigenvalue; the result's
+    HilbertSpace is built on first access to .space.
     """
     stationary = _climb(params, n_max)
     orbits, x = stationary.orbits, stationary.x
     rho = _orbit_rho(orbits, x)
     return OracleResult(
-        rho=rho, space=HilbertSpace(params.n_atoms, orbits.n_max),
+        rho=rho, n_atoms=params.n_atoms,
         moments=stationary.moments, n_max=orbits.n_max,
         residual=_max_entry(orbits, stationary.block @ x),
         eigmin=float(np.linalg.eigvalsh(rho)[0]))

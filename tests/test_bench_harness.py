@@ -3,9 +3,12 @@
 One smoke pass per workload, traced, so that a renamed or re-imported name
 the benchmark probes (``srlaser.cumulant.solve_ivp``, ``scaled_residual``,
 ``rhs``, ``SolverConfig.newton_tol``) fails here rather than in a
-benchmark run.  One full default-seed pass per workload, checked against
-the recorded references (the grids' CSVs and the Newton tolerance, the
-oracle's moments and spectra), so that a moved reference fails here too.
+benchmark run.  A traced smoke pass of each grid workload must see every
+cell's relaxation, batched per grid, and every cell's steady state, so
+that a batch that goes round the probed names fails here too.  One full
+default-seed pass per workload, checked against the recorded references
+(the grids' CSVs and the Newton tolerance, the oracle's moments and
+spectra), so that a moved reference fails here too.
 """
 from __future__ import annotations
 
@@ -19,23 +22,55 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench import trace, workloads  # noqa: E402
+from srlaser import sweep  # noqa: E402
 
 
-@pytest.mark.parametrize("name", workloads.WORKLOADS)
-def test_traced_smoke_pass_is_clean(name, tmp_path):
-    workload = workloads.prepare(name, 1, smoke=True)
+def _traced(run):
+    """run(recorder) under the benchmark's tracer; (result, tracer, recorder)."""
     recorder = trace.Recorder()
     tracer = trace.Tracer(recorder)
     with trace.Patches() as patches:
         tracer.install(patches)
         recorder.install(patches)
-        result = workload.run_pass(tmp_path, recorder)
+        result = run(recorder)
     assert patches.missing == []
+    return result, tracer, recorder
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_traced_smoke_pass_is_clean(name, tmp_path):
+    workload = workloads.prepare(name, 1, smoke=True)
+    result, tracer, _ = _traced(lambda recorder: workload.run_pass(tmp_path, recorder))
     assert result.problems == []
     assert result.failed == 0
     if name != "oracle_small":
         assert tracer.durations("cumulant.solve_ivp")
         assert tracer.counts["cumulant.scaled_residual"] > 0
+
+
+@pytest.mark.parametrize("name", [w for w in workloads.WORKLOADS if w != "oracle_small"])
+def test_traced_grid_pass_sees_every_relaxation_and_state(name, tmp_path):
+    # run_grid relaxes each grid's cells in one batch, through the probed
+    # cumulant.solve_ivp, and hands every cell to the probed evaluate_cell
+    # and steady_state; a batch that went round them would lose the
+    # integrations' nfev or the cells' states from the benchmark
+    workload = workloads.prepare(name, 1, smoke=True)
+    result, tracer, recorder = _traced(lambda rec: workload.run_pass(tmp_path, rec))
+    assert result.problems == [] and result.failed == 0
+    cells = [(cfg, n, float(eta)) for _, cfg in workload.grids
+             for n in cfg.n_list for eta in cfg.eta_grid.values_hz()]
+    assert len(cells) == workload.cells
+    assert len(tracer.durations("cumulant.solve_ivp")) == len(workload.grids)
+    assert len(recorder.states) == len(cells)
+    assert len(tracer.durations("sweep.evaluate_cell")) == len(cells)
+
+    def one_by_one(rec):  # each cell relaxed alone, on the 1-D loop
+        for cfg, n, eta in cells:
+            sweep.evaluate_cell(cfg.base, n, eta, cfg.observables)
+
+    _, alone, _ = _traced(one_by_one)
+    assert len(alone.durations("cumulant.solve_ivp")) == len(cells)
+    assert sum(tracer.extras["nfev"]) == sum(alone.extras["nfev"]) > 0
 
 
 @pytest.mark.parametrize("name", workloads.WORKLOADS)

@@ -339,11 +339,25 @@ def test_relaxation_is_one_integration_over_the_fast_transient(monkeypatch):
     "sr87's 1e-2 rad/s atomic rates",
 )
 def test_weakly_pumped_sr87_reaches_resonant_root():
+    state, _ = _weakly_pumped_sr87()
+    assert rel_err(state.photon_number, 1.93080378e-6) < 1e-6
+    assert rel_err(state.inversion, -3.08928605e-3) < 1e-6
+
+
+def _weakly_pumped_sr87():
+    """steady_state at sr87, N = 1e5, eta = gamma, and its scaled residual."""
     params = preset("sr87", n_atoms=100000)
     params = params.updated(eta=params.gamma)
     state = steady_state(params)
-    assert rel_err(state.photon_number, 1.93080378e-6) < 1e-6
-    assert rel_err(state.inversion, -3.08928605e-3) < 1e-6
+    return state, scaled_residual(state.as_vector(), params)
+
+
+def test_plateau_state_quoted_by_the_weakly_pumped_sr87_reason():
+    # the state the reason above quotes, each value to the digits quoted
+    state, residual = _weakly_pumped_sr87()
+    assert f"{state.photon_number:.2e}" == "6.27e-09"
+    assert f"{state.inversion:.2e}" == "-1.00e-05"
+    assert f"{residual:.1e}" == "9.5e-08"
 
 
 # ----------------------------------------------------------- DOP853 stepper
@@ -586,6 +600,131 @@ def test_dop853_blow_up_stops_where_scipy_does():
     assert ours.nfev == ref.nfev == 3590
     assert np.array_equal(ours.t, ref.t)
     assert np.array_equal(ours.y, ref.y)
+
+
+# A batch mixes the _STEP_INPUTS cells with two rows that fail: the blow-up
+# of the test above, y' = y * y on six components, which stops on a
+# too-small step at t = 1, and a right-hand side that turns NaN past
+# t = 0.5, whose NaN error norms shrink the step by MIN_FACTOR (Python's
+# max(0.2, nan)) until it is too small.  Their fun takes t shaped y[..., 0].
+_FAILING = {
+    "blow_up": (lambda t, y: y * y, 2.0),
+    "nan_wall": (lambda t, y: np.where(np.expand_dims(t, -1) > 0.5, np.nan, -y), 1.0),
+}
+_BATCH = ("sr88", "sr87", "desk", "empty", "blow_up", "nan_wall")
+
+
+def _own_call(name):
+    """fun, end time and start of the 1-D integration of one batch row."""
+    if name in _FAILING:
+        return (*_FAILING[name], np.ones(6))
+    params, start = _STEP_INPUTS[name]
+    f = cumulant._rhs(params)
+    return ((lambda _, y: f(y.tolist())), 30.0 / cumulant._fast_rate(params),
+            (start or initial_state(params)).as_vector())
+
+
+def _batched(names):
+    """One batched solve_ivp over the rows names, on cumulant's batch rhs."""
+    kinds = np.array(names)
+    cells = [i for i, name in enumerate(names) if name not in _FAILING]
+    rhs = cumulant._rhs_rows([_STEP_INPUTS[names[i]][0] for i in cells])
+    cell_of = np.full(len(names), -1)
+    cell_of[cells] = np.arange(len(cells))
+
+    def fun(t, y, rows):
+        out = np.empty_like(y)
+        for name, (f, _) in _FAILING.items():
+            mine = kinds[rows] == name
+            out[mine] = f(t[mine], y[mine])
+        mine = cell_of[rows] >= 0
+        if mine.any():
+            out[mine] = rhs(t[mine], y[mine], cell_of[rows][mine])
+        return out
+
+    calls = [_own_call(name) for name in names]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cumulant.solve_ivp(fun, (0.0, np.array([c[1] for c in calls])),
+                                  np.array([c[2] for c in calls]), rtol=1e-8, atol=1e-12)
+
+
+def test_batch_rows_step_as_their_own_calls():
+    own = {}
+    for name in _BATCH:
+        fun, t_final, start = _own_call(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            own[name] = cumulant.solve_ivp(fun, (0.0, t_final), start,
+                                           rtol=1e-8, atol=1e-12)
+    assert [own[name].success for name in _BATCH] == [True] * 4 + [False] * 2
+    for names in (_BATCH, _BATCH[::-1], ("blow_up", "desk"), ("sr87",),
+                  ("empty", "nan_wall", "sr88", "sr88")):
+        batch = _batched(names)
+        assert isinstance(batch.nfev, int)
+        assert batch.nfev == sum(batch.row_nfev) == sum(own[name].nfev for name in names)
+        for i, name in enumerate(names):
+            assert batch.success[i] == own[name].success
+            assert batch.row_nfev[i] == own[name].nfev
+            assert np.array_equal(batch.y[i], own[name].y[:, -1])
+
+
+def test_batch_step_control_rounds_as_the_1d_loop():
+    # random inputs over a wide range, where numpy's vectorised power and
+    # square round differently from pow in some entries
+    rng = np.random.default_rng(5)
+    m = 20_000
+    K = rng.standard_normal((m, dop853.N_STAGES + 1, 6)) * 10.0 ** rng.uniform(-9, 9, (m, 1, 1))
+    K[:50] = 0.0
+    K[50:100] = 0.0
+    K[50:100, 0, 0] = 1.0  # with scale below, err5 squares to 0 and 0.01 err3 underflows
+    h = 10.0 ** rng.uniform(-9, 0, m)
+    scale = 10.0 ** rng.uniform(-12, 3, (m, 6))
+    scale[50:100] = abs(dop853.E3[0]) / 1.5e-161
+    norms = dop853._error_norms(K, h, scale)
+    assert np.isnan(norms[50:100]).all() and not norms[:50].any()
+    assert np.array_equal(norms, [dop853._error_norm(k, step, s)
+                                  for k, step, s in zip(K, h.tolist(), scale)], equal_nan=True)
+
+    y0, f0 = K[:2000, 1], K[:2000, 2]
+    span = 10.0 ** rng.uniform(-6, 3, 2000)
+    rates = 10.0 ** rng.uniform(-3, 3, 2000)
+    steps = dop853._initial_steps(lambda t, y, rows: rates[rows, None] * y * y - y,
+                                  0.0, y0, f0, span, 1e-8, 1e-12, np.arange(2000))
+    assert np.array_equal(steps, [
+        dop853._initial_step(lambda t, y, r=r: r * y * y - y, 0.0, y, f, s, 1e-8, 1e-12)
+        for y, f, s, r in zip(y0, f0, span.tolist(), rates.tolist())])
+
+
+def test_relax_all_is_relax_of_each_params(monkeypatch):
+    desk = _STEP_INPUTS["desk"][0]
+    still = desk.updated(gamma=0.0, eta=0.0, chi=0.0)  # gamma_p = 0: already stationary
+    lossless = desk.updated(kappa=0.0)  # steady_state's closed form, never relaxed
+    inputs = [_STEP_INPUTS["sr88"][0], lossless, desk, still, _STEP_INPUTS["sr87"][0]]
+    batches = []
+    solve_ivp = cumulant.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        batches.append(np.shape(y0))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(cumulant, "solve_ivp", counted)
+    relaxed = cumulant.relax_all(inputs)
+    assert batches == [(3, 6)]
+    assert relaxed[1] is None
+    for params, x in zip(inputs, relaxed):
+        if x is not None:
+            assert np.array_equal(x, cumulant._relax(params))
+            assert steady_state(params, relaxed=x) == steady_state(params)
+    assert cumulant.relax_all([]) == []
+
+
+def test_relax_all_matches_relax_on_a_threshold_scan():
+    # sr88 from far below to far above threshold: with numpy's vectorised
+    # power in the step control, a fifth of these rows end on other bits
+    sr88 = preset("sr88")
+    inputs = [sr88.updated(n_atoms=n, eta=pump * sr88.gamma)
+              for n in (100, 1_000, 10_000, 100_000) for pump in np.geomspace(1e-2, 1e5, 10)]
+    for params, x in zip(inputs, cumulant.relax_all(inputs)):
+        assert np.array_equal(x, cumulant._relax(params))
 
 
 def test_error_norm_whose_weighted_sum_underflows_is_nan():

@@ -526,19 +526,23 @@ def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
 
 def test_product_basis_is_built_only_at_the_returned_cutoff(monkeypatch):
     # the climb solves orbit blocks only; rho, its residual and eigmin need
-    # the product basis once, and the spectrum needs it not at all
+    # no product-basis operator, result.space builds them once, on first
+    # access, at the returned cutoff, and the spectrum needs them not at all
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     built = []
     _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
-    assert oracle_steady_state(params, n_max=6).n_max == 10
+    result = oracle_steady_state(params, n_max=6)
+    assert result.n_max == 10 and built == []
+    assert result.space is result.space
+    assert (result.space.n_atoms, result.space.n_max, result.space.dim) == (3, 10, 88)
     assert built == [10]
     oracle_spectrum(params, n_max=6, omega_grid=np.linspace(-1.0, 1.0, 5))
     assert built == [10]
 
 
 def test_consistency_checks_build_no_matrix_form_operators(monkeypatch):
-    # the derivative checks and the residual act with orbit blocks; only
-    # each returned stationary state builds the product basis, for rho
+    # the derivative checks and the residual act with orbit blocks, and no
+    # check reads a returned state's product basis
     params = SystemParams(n_atoms=3, chi=0.03, **DESK)
     built, k_forms, hamiltonians = [], [], []
     _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
@@ -547,10 +551,9 @@ def test_consistency_checks_build_no_matrix_form_operators(monkeypatch):
     assert derivative_match_error(params, n_states=3) < 1e-10
     assert built == [] and k_forms == []
     assert oracle_steady_state(params, n_max=6).n_max == 10
-    assert hamiltonians == [] and k_forms == []
-    built.clear()
+    assert built == [] and hamiltonians == [] and k_forms == []
     assert all(check["pass"] for check in oracle.consistency_report())
-    assert len(built) == 3
+    assert built == []
     assert hamiltonians == [] and k_forms == []
 
 

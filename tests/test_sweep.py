@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import srlaser
-from srlaser import sweep
-from srlaser.cumulant import steady_state
-from srlaser.errors import FitError
+from srlaser import cumulant, sweep
+from srlaser.cumulant import scaled_residual, steady_state
+from srlaser.errors import FitError, StiffIntegrationError
 from srlaser.model import SystemParams, from_hz, preset, to_hz
 from srlaser.spectrum import linewidth
 from srlaser.sweep import (
@@ -65,6 +65,57 @@ def test_worker_count_does_not_change_output(tmp_path):
     run_grid(_small_config(tmp_path / "serial.csv", workers=1))
     run_grid(_small_config(tmp_path / "pool.csv", workers=2))
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+
+
+def _count_integrations(monkeypatch):
+    """Record the y0 shape of every cumulant.solve_ivp call."""
+    shapes = []
+    solve_ivp = cumulant.solve_ivp
+
+    def counted(fun, t_span, y0, **kwargs):
+        shapes.append(np.shape(y0))
+        return solve_ivp(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(cumulant, "solve_ivp", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pending_cells_relax_in_one_batch_to_the_cell_by_cell_bytes(
+        tmp_path, monkeypatch, workers):
+    cfg = _small_config(tmp_path / "grid.csv", workers=workers)
+    shapes = _count_integrations(monkeypatch)
+    rows = run_grid(cfg)
+    assert shapes == [(6, 6)]  # in this process, also with a worker pool
+    alone = [evaluate_cell(cfg.base, n, eta, cfg.observables)
+             for n in cfg.n_list for eta in cfg.eta_grid.values_hz().tolist()]
+    assert shapes[1:] == [(6,)] * 6
+    assert [row_to_line(r) for r in rows] == [row_to_line(r) for r in alone]
+
+
+def test_single_pending_cell_relaxes_alone(tmp_path, monkeypatch):
+    shapes = _count_integrations(monkeypatch)
+    (row,) = run_grid(SweepConfig(
+        base=_desk_base(), n_list=(3,), eta_grid=EtaGrid(to_hz(0.2), to_hz(0.2), 1),
+        output_path=str(tmp_path / "one.csv")))
+    assert shapes == [(6,)] and row.status == "ok"
+
+
+def test_cell_whose_batch_row_fails_relaxes_alone_and_is_a_solver_error(
+        tmp_path, monkeypatch):
+    # y' = y * y + 1 on every component blows up near t = pi / 2, well
+    # inside the desk cells' relaxation horizon of 30 / kappa
+    monkeypatch.setattr(cumulant, "_formula",
+                        lambda *numbers: lambda x: [v * v + 1.0 for v in x])
+    cfg = _small_config(tmp_path / "grid.csv", n_list=(2,))
+    cells = [sweep._cell_params(cfg.base, 2, eta) for eta in cfg.eta_grid.values_hz()]
+    assert cumulant.relax_all(cells) == [None] * 3
+    shapes = _count_integrations(monkeypatch)
+    rows = run_grid(cfg)
+    assert shapes == [(3, 6)] + [(6,)] * 3
+    assert [row.status for row in rows] == ["solver_error"] * 3
+    with pytest.raises(StiffIntegrationError, match="less than spacing"):
+        steady_state(cells[0])
 
 
 def test_resume_computes_only_the_complement(tmp_path):
@@ -245,12 +296,42 @@ def test_failed_cells_are_error_rows_and_are_recomputed(tmp_path):
     "linewidth() both give 0.00957 Hz. The steady-state solver is at fault, "
     "not the width",
 )
-def test_near_threshold_sr87_cell_has_a_linewidth():
-    base = preset("sr87")
-    row = evaluate_cell(base, 10_000, 1.02 * to_hz(base.gamma),
-                        Observables(linewidth=True))
+def test_near_threshold_sr87_cell_has_a_linewidth(tmp_path, monkeypatch):
+    row, _ = _near_threshold_sr87_cell(tmp_path, monkeypatch)
     assert row.status == "ok"
     assert row.delta_nu_hz == pytest.approx(0.00957, rel=1e-2)
+
+
+def _near_threshold_sr87_cell(tmp_path, monkeypatch):
+    """The sr87 N = 1e4, eta = 1.02 gamma row of a run_grid call, which
+    relaxes it in one batch with N = 1e5, and the scaled residual of the
+    steady state the cell holds."""
+    base = preset("sr87")
+    eta_hz = 1.02 * to_hz(base.gamma)
+    held = {}
+    solve = sweep.steady_state
+
+    def keep(params, **kwargs):
+        held[params.n_atoms] = (params, solve(params, **kwargs))
+        return held[params.n_atoms][1]
+
+    monkeypatch.setattr(sweep, "steady_state", keep)
+    row = run_grid(SweepConfig(
+        base=base, n_list=(10_000, 100_000), eta_grid=EtaGrid(eta_hz, eta_hz, 1),
+        observables=Observables(linewidth=True), output_path=str(tmp_path / "sr87.csv"),
+    ))[0]
+    assert row.n_atoms == 10_000
+    params, state = held[10_000]
+    return row, scaled_residual(state.as_vector(), params)
+
+
+def test_plateau_cell_quoted_by_the_near_threshold_sr87_reason(tmp_path, monkeypatch):
+    # the cell the reason above quotes, each value to the digits quoted
+    row, residual = _near_threshold_sr87_cell(tmp_path, monkeypatch)
+    assert row.status == "ok"
+    assert f"{row.photon_number:.2e}" == "6.37e-09"
+    assert f"{row.delta_nu_hz:.4g}" == "0.01221"
+    assert f"{residual:.1e}" == "6.5e-07"
 
 
 # ------------------------------------------------------------------ the codec
