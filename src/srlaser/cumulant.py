@@ -143,13 +143,21 @@ def _rhs(params: SystemParams):
 
 def _rhs_rows(params_list):
     """The batch right-hand side fun(t, y, rows) of srlaser.dop853's
-    batched solve_ivp: row i of y (m, 6) evaluated with the numbers of
-    params_list[rows[i]].  Each entry's arithmetic is the one _rhs(params)
-    does on Python floats, with the same operands, so it rounds the same."""
+    batched solve_ivp and of _newton: row i of y (m, 6), or each of the
+    states y[i] (m, k, 6), evaluated with the numbers of
+    params_list[rows[i]].  Each entry's arithmetic is the one
+    _rhs(params) does on Python floats, with the same operands, so it
+    rounds the same.  The per-row numbers are gathered once for each rows
+    array and kept until another one comes.  Only dop853 gains from this:
+    it passes the same array for as long as its set of rows is unchanged,
+    while _newton builds a new one every round."""
     table = np.array([_coefficients(p) for p in params_list], dtype=float).T
+    gathered = [None, None]  # the last rows array and its formula
 
     def fun(_, y, rows):
-        return np.array(_formula(*table[:, rows])(y.T)).T
+        if rows is not gathered[0]:
+            gathered[:] = rows, _formula(*table[:, rows])
+        return np.array(gathered[1](y.T)).T
 
     return fun
 
@@ -165,15 +173,9 @@ def _rhs_vec(x, params: SystemParams) -> np.ndarray:
     return np.array(_rhs(params)(x.tolist() if x.ndim == 1 else x))
 
 
-def _jacobian_of(params: SystemParams):
-    """The Jacobian of _rhs as jac(x): (6, 6) at x shaped (6,), (M, 6, 6)
-    at x shaped (6, M).
-
-    The twelve entries that do not depend on x are formed once per params;
-    each call copies them and fills the four that do, (-g) s, (-g) (n +
-    1/2), (-2 g) s and (-2 g) ci, grouped as the expression written out in
-    full groups them, so every entry rounds as it would.
-    """
+def _jacobian_parts(params: SystemParams):
+    """The twelve entries of _rhs's Jacobian that do not depend on x, as a
+    (6, 6) array, and the factors -g and -2 g of the four that do."""
     g = params.g
     nn = params.n_atoms
     delta = params.detuning
@@ -191,25 +193,32 @@ def _jacobian_of(params: SystemParams):
     const[3, 3] = -(params.gamma + params.eta)
     const[4, 4] = -gamma_p
     const[5, 5] = -gamma_p
-    m_g = -g
-    m2g = -2.0 * g
+    return const, -g, -2.0 * g
 
-    def jac(x):
-        n, _, ci, s, _, _ = x
-        out = np.empty(np.shape(n) + (6, 6))
-        out[...] = const
-        out[..., 2, 0] = m_g * s
-        out[..., 2, 3] = m_g * (n + 0.5)
-        out[..., 4, 2] = m2g * s
-        out[..., 4, 3] = m2g * ci
-        return out
 
-    return jac
+def _fill_jacobian(out, m_g, m2g, x):
+    """Write the four entries that depend on x, (-g) s, (-g) (n + 1/2),
+    (-2 g) s and (-2 g) ci, into out (..., 6, 6), grouped as the expression
+    written out in full groups them, so every entry rounds as it would.
+    x is shaped (6,) or (6, M); m_g and m2g are numbers or shaped (M,)."""
+    n, _, ci, s, _, _ = x
+    out[..., 2, 0] = m_g * s
+    out[..., 2, 3] = m_g * (n + 0.5)
+    out[..., 4, 2] = m2g * s
+    out[..., 4, 3] = m2g * ci
+    return out
 
 
 def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M)."""
-    return _jacobian_of(params)(x)
+    """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M).
+
+    The twelve entries that do not depend on x are copied from
+    _jacobian_parts, and _fill_jacobian fills in the four that do.
+    """
+    const, m_g, m2g = _jacobian_parts(params)
+    out = np.empty(np.shape(x[0]) + (6, 6))
+    out[...] = const
+    return _fill_jacobian(out, m_g, m2g, x)
 
 
 def rhs(state: MomentState, params: SystemParams) -> MomentState:
@@ -220,9 +229,11 @@ def rhs(state: MomentState, params: SystemParams) -> MomentState:
     return MomentState.from_vector(_rhs_vec(x, params))
 
 
-def _residual(r: np.ndarray, x: np.ndarray) -> float:
+def _residual(r: np.ndarray, x: np.ndarray):
+    """max_i |r_i| / max(1, |x_i|) over the last axis: a number for (6,)
+    arrays, one per row for (..., 6)."""
     # ndarray.max propagates NaN, which the Newton line search relies on
-    return float((np.abs(r) / np.maximum(1.0, np.abs(x))).max())
+    return (np.abs(r) / np.maximum(1.0, np.abs(x))).max(axis=-1)
 
 
 def scaled_residual(x: np.ndarray, params: SystemParams) -> float:
@@ -231,7 +242,7 @@ def scaled_residual(x: np.ndarray, params: SystemParams) -> float:
     Newton computes the same number with the same helper, from the rhs it
     already holds, so this function counts only the checks made outside it.
     """
-    return _residual(_rhs_vec(x, params), x)
+    return float(_residual(_rhs_vec(x, params), x))
 
 
 def _fast_rate(params: SystemParams) -> float:
@@ -290,63 +301,107 @@ def _is_physical(x: np.ndarray) -> bool:
     )
 
 
-def _newton(x0, params, tol):
-    """Damped Newton on the analytic Jacobian; returns (x, res, ok).
+# the damping ladder of a Newton step: lam = 1, 1/2, ..., 1/1024
+_LADDER = np.ldexp(1.0, -np.arange(11))
 
-    Each step is halved from 1 down to 1/1024 until the scaled residual
-    falls; if none does, or the Jacobian is singular, the best iterate
-    comes back with ok False.  Below tol, up to four full steps follow
-    while the residual falls; a singular Jacobian (gamma_p = 0) ends them.
-    After _NEWTON_MAX_ITER steps: (x, res, res < tol), unpolished.
 
-    The rhs and the Jacobian's constant entries are built once per call,
-    and each iterate is evaluated once: an accepted trial carries its rhs
-    and residual into the next step.
+def _newton_steps(jac, r):
+    """The Newton steps of the rows, solving jac (m, 6, 6) @ step = -r
+    (m, 6); returns (steps, solved).  A stacked solve raises if any one
+    system is singular, so then, and for a single row, the rows are solved
+    one by one and only the singular ones are not solved."""
+    if len(r) > 1:
+        try:
+            return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], np.ones(len(r), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+    steps = np.zeros_like(r)
+    solved = np.ones(len(r), dtype=bool)
+    for i, (a, b) in enumerate(zip(jac, r)):
+        try:
+            steps[i] = np.linalg.solve(a, -b)
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return steps, solved
+
+
+def _newton(x0, params_list, tols):
+    """Damped Newton on the analytic Jacobian for the rows of x0 (M, 6),
+    row i with params_list[i] and tolerance tols[i]; returns (x (M, 6),
+    res (M,), ok (M,)).
+
+    Per row: each step is halved from 1 down to 1/1024 until the scaled
+    residual falls; if none does, or the Jacobian is singular, the row ends
+    with ok False.  Every accepted step lowers the residual, so the
+    iterate a row ends on is its best.  Below tol, up to four full steps
+    follow while the residual falls; a singular Jacobian (gamma_p = 0), or
+    a full step that leaves x as it is, ends them.  After _NEWTON_MAX_ITER
+    steps: (x, res, res < tol), unpolished.
+
+    The rows run in lock-step.  Each round solves the Jacobians of the
+    rows still running in one stacked solve, and evaluates their trials in
+    one call of _rhs_rows: every rung of the ladder while any row is still
+    stepping, the full step alone once all of them polish.  A row takes
+    the first rung whose residual falls, which is the trial that trying
+    the rungs in turn accepts, so each row ends on the iterates of a
+    Newton run on it alone, bit for bit.  An accepted trial carries its
+    rhs and residual into the next round.
     """
-    f = _rhs(params)
-    jacobian = _jacobian_of(params)
-
-    def evaluate(x):
-        r = np.array(f(x.tolist()))
-        return r, _residual(r, x)
-
+    rhs = _rhs_rows(params_list)
+    parts = [_jacobian_parts(p) for p in params_list]
+    const = np.array([c for c, _, _ in parts])
+    m_g = np.array([m for _, m, _ in parts])
+    m2g = np.array([m for _, _, m in parts])
+    tols = np.asarray(tols, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.array(x0, dtype=float)
-        r, res = evaluate(x)
-        best, best_res = x.copy(), res
-        for _ in range(_NEWTON_MAX_ITER):
-            if res < best_res:
-                best, best_res = x.copy(), res
-            if res < tol:
-                for _ in range(4):
-                    try:
-                        step = np.linalg.solve(jacobian(x), -r)
-                    except np.linalg.LinAlgError:
-                        break
-                    trial = x + step
-                    if not np.all(np.isfinite(trial)):
-                        break
-                    trial_r, trial_res = evaluate(trial)
-                    if trial_res >= res:
-                        break
-                    x, r, res = trial, trial_r, trial_res
-                return x, res, True
-            try:
-                step = np.linalg.solve(jacobian(x), -r)
-            except np.linalg.LinAlgError:
-                return best, best_res, False
-            lam = 1.0
-            while lam >= 1.0 / 1024.0:
-                trial = x + lam * step
-                if np.all(np.isfinite(trial)):
-                    trial_r, trial_res = evaluate(trial)
-                    if trial_res < res:
-                        x, r, res = trial, trial_r, trial_res
-                        break
-                lam *= 0.5
-            else:
-                return best, best_res, False
-        return x, res, res < tol
+        n_rows = len(x)
+        r = rhs(None, x, np.arange(n_rows))
+        res = _residual(r, x)
+        ok = np.zeros(n_rows, dtype=bool)
+        taken = np.zeros(n_rows, dtype=int)  # steps taken above tol
+        polish = np.full(n_rows, -1)  # full steps taken below tol; -1 above it
+        live = np.arange(n_rows)
+        while live.size:
+            stepping = polish[live] < 0
+            capped = stepping & (taken[live] == _NEWTON_MAX_ITER)
+            ok[live[capped]] = res[live[capped]] < tols[live[capped]]
+            live, stepping = live[~capped], stepping[~capped]
+            below = stepping & (res[live] < tols[live])
+            polish[live[below]] = 0
+            stepping &= ~below
+
+            xl = x[live]
+            jac = _fill_jacobian(const[live], m_g[live], m2g[live], xl.T)
+            step, solved = _newton_steps(jac, r[live])
+            # a singular Jacobian ends a row; so does a polish step that is not
+            # finite or leaves x as it is, whose residual could not fall
+            full = xl + step
+            still = ~np.isfinite(full).all(axis=-1) | (full == xl).all(axis=-1)
+            ends = ~solved | (~stepping & still)
+            ok[live[~stepping & ends]] = True
+            live, stepping, xl, step = live[~ends], stepping[~ends], xl[~ends], step[~ends]
+            if not live.size:
+                break
+
+            lams = _LADDER if stepping.any() else _LADDER[:1]
+            trials = xl[:, None, :] + lams[:, None] * step[:, None, :]
+            m = len(trials)
+            trial_r = rhs(None, trials, live)
+            trial_res = _residual(trial_r, trials)
+            accept = np.isfinite(trials).all(axis=-1) & (trial_res < res[live, None])
+            accept[~stepping, 1:] = False
+            pick = np.arange(m), accept.argmax(axis=1)
+            moved = accept[pick]
+            rows = live[moved]
+            x[rows], r[rows], res[rows] = (
+                trials[pick][moved], trial_r[pick][moved], trial_res[pick][moved])
+            taken[live[stepping & moved]] += 1
+            polish[live[~stepping & moved]] += 1
+            done = ~stepping & (~moved | (polish[live] == 4))
+            ok[live[done]] = True
+            live = live[moved & ~done]
+    return x, res, ok
 
 
 def _closed_form_root(params: SystemParams) -> np.ndarray | None:
@@ -411,12 +466,11 @@ def _relax(params):
 def relax_all(params_list) -> list:
     """_relax of each params, in one batched DOP853 integration.
 
-    Each entry is the state that _relax(params) returns, bit for bit, to be
-    passed to steady_state(params, relaxed=...).  It is None where
-    steady_state does not relax (a coupled lossless cavity), and where the
-    integration failed: that cell then relaxes alone in steady_state and
-    raises there as it would have.  Batching pays from a few states on; a
-    single state relaxes faster alone.
+    Each entry is the state that _relax(params) returns, bit for bit: the
+    start of solve_all's Newton stages.  It is None where steady_state
+    does not relax (a coupled lossless cavity), and where the integration
+    failed.  Batching pays from a few states on; a single state relaxes
+    faster alone.
     """
     out: list = [None] * len(params_list)
     todo, starts = [], []
@@ -448,21 +502,71 @@ def _closed_form_only(params: SystemParams) -> bool:
     return params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0
 
 
+def _newton_stages(params_list, starts, cfg: SolverConfig) -> list:
+    """steady_state's stages 2 and 3 for every params at once, from the
+    relaxed states starts (M, 6); one (x, res, ok) per params.
+
+    Stage 2 is one _newton batch from starts.  Stage 3 is one more, from
+    the closed-form roots of the rows that failed or ended unphysical.
+    A row that neither stage settles keeps stage 2's x and best residual,
+    with ok False.
+    """
+    tols = [cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, p.kappa)
+            for p in params_list]
+    x, res, ok = _newton(starts, params_list, tols)
+    ok = [bool(good) and _is_physical(v) for good, v in zip(ok, x)]
+    retry = [(i, _closed_form_root(params_list[i])) for i, good in enumerate(ok) if not good]
+    retry = [(i, seed) for i, seed in retry if seed is not None]
+    if retry:
+        x_seed, res_seed, ok_seed = _newton(
+            np.array([seed for _, seed in retry]), [params_list[i] for i, _ in retry],
+            [tols[i] for i, _ in retry])
+        for (i, _), v, rv, good in zip(retry, x_seed, res_seed, ok_seed):
+            if good and _is_physical(v):
+                x[i], res[i], ok[i] = v, rv, True
+    return [(v, float(rv), good) for v, rv, good in zip(x, res, ok)]
+
+
+def solve_all(params_list) -> list:
+    """steady_state's stages for many params at once, bit for bit.
+
+    One batched relaxation (relax_all), then the two Newton stages as
+    lock-step batches, at the default SolverConfig.  Each entry is to be
+    passed to steady_state(params, solved=...), which then returns or
+    raises what steady_state(params) would, and runs no stage again.  It
+    is None where steady_state solves params alone: a coupled lossless
+    cavity, and a relaxation that failed, which raises there.  Batching
+    pays from a few params on; a single one is solved faster alone.
+    """
+    out: list = [None] * len(params_list)
+    relaxed = relax_all(params_list)
+    todo = [i for i, x in enumerate(relaxed) if x is not None]
+    if todo:
+        rows = _newton_stages([params_list[i] for i in todo],
+                              np.array([relaxed[i] for i in todo]), SolverConfig())
+        for i, row in zip(todo, rows):
+            out[i] = row
+    return out
+
+
 def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
-                 return_info: bool = False, *, relaxed: np.ndarray | None = None):
+                 return_info: bool = False, *, solved: tuple | None = None):
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants,
        which removes the fast transient only.  The integrator is
-       srlaser.dop853, so no scipy module is loaded.  A caller that has
-       relaxed many params at once passes this stage's result as
-       relaxed, the entry of relax_all(...) for params; the stages that
-       follow are the same.
+       srlaser.dop853, so no scipy module is loaded.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance.
     3. If that fails or lands on an unphysical root: Newton from the
        closed-form physical root, which exists at any detuning.  This
        stage, not a longer relaxation, settles the slow inputs.
+
+    Stages 2 and 3 run as the batches of solve_all, here a batch of one.
+    A caller that has solved many params at once passes params' entry of
+    solve_all(params_list) as solved, and no stage runs again: the state
+    returned, or the error raised, is the one the stages give at the
+    default cfg.
 
     A returned state is a physical root within the tolerance.  Otherwise
     ConvergenceError is raised, carrying stage 2's best scaled residual.
@@ -489,16 +593,9 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
             )
         res = scaled_residual(x, params)
     else:
-        tol = cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, params.kappa)
-        start = _relax(params) if relaxed is None else relaxed
-        x, res, ok = _newton(start, params, tol)
-        ok = ok and _is_physical(x)
-        if not ok:
-            seed = _closed_form_root(params)
-            if seed is not None:
-                x_seed, res_seed, ok_seed = _newton(seed, params, tol)
-                if ok_seed and _is_physical(x_seed):
-                    x, res, ok = x_seed, res_seed, True
+        if solved is None:
+            (solved,) = _newton_stages([params], _relax(params)[None], cfg)
+        x, res, ok = solved
         if not ok:
             raise ConvergenceError(
                 f"no physical steady state found (best scaled residual {res:.3e})",

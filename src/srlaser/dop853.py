@@ -310,7 +310,9 @@ def _solve_rows(fun, t_span, y0, rtol, atol):
 
     fun(t, y, rows) takes the times (m,) and states (m, n) of the rows
     still stepping and their indices (m,) into y0, and returns the
-    derivatives (m, n).  Each trial step evaluates every such row, and
+    derivatives (m, n).  rows is one array object for as long as the set
+    of rows stepping is unchanged, so fun may keep what it derives from
+    it until another array comes.  Each trial step evaluates every such row, and
     each row's accept/reject and next step size follow the 1-D loop in
     solve_ivp line for line, so a row's final y, success and nfev are
     those of its own 1-D call.

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import crossover_linewidth, tieri_linewidth
-from .cumulant import relax_all, steady_state
+from .cumulant import solve_all, steady_state
 from .dicke import classify_regime, dicke_numbers
 from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
 from .model import SystemParams, from_hz, params_to_config, to_hz
@@ -175,11 +175,12 @@ def _cell_params(base: SystemParams, n_atoms: int, eta_hz: float) -> SystemParam
 
 
 def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
-                  obs: Observables, *, relaxed: np.ndarray | None = None) -> SweepRow:
+                  obs: Observables, *, solved: tuple | None = None) -> SweepRow:
     """One grid cell; failures are recorded in the row, never raised.
 
-    relaxed is the cell's relaxed state from relax_all, handed on to
-    steady_state; without it the cell relaxes alone, to the same bits.
+    solved is the cell's entry of cumulant.solve_all, handed on to
+    steady_state, which then runs no solver stage; without it the cell is
+    solved alone, to the same bits.
 
     delta_nu_hz is the width of the narrow pole of the zero-probe filter
     response (pole_linewidth) where the broad pole's relative peak weight
@@ -190,7 +191,7 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     """
     params = _cell_params(base, n_atoms, eta_hz)
     try:
-        state = steady_state(params, relaxed=relaxed)
+        state = steady_state(params, solved=solved)
     except SimulationError:
         return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status="solver_error")
 
@@ -227,8 +228,8 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
 
 
 def _cell_worker(args) -> SweepRow:
-    *cell, relaxed = args
-    return evaluate_cell(*cell, relaxed=relaxed)
+    *cell, solved = args
+    return evaluate_cell(*cell, solved=solved)
 
 
 def load_checkpoint(path: Path):
@@ -263,11 +264,13 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the full grid, honoring any checkpoint at the output path.
 
     Rows come back (and are written) sorted by (n_atoms, eta_hz)
-    regardless of execution order or worker count.  The pending cells are
-    relaxed together first, in one batched integration in this process
-    (cumulant.relax_all), also when workers > 1; each cell is then
-    evaluated from its relaxed state, to the bytes that relaxing it alone
-    gives.  A grid with a single pending cell relaxes it alone.
+    regardless of execution order or worker count.  The pending cells'
+    steady states are solved together first, in this process, also when
+    workers > 1 (cumulant.solve_all: one batched relaxation, then the
+    Newton stages in lock-step batches).  Each cell is then evaluated from
+    its solved state, to the bytes that solving it alone gives, so a
+    worker pool runs only the per-cell observables.  A grid with a single
+    pending cell is solved alone.
     A JSON sidecar (path + ".meta.json") records the base parameters, observables,
     package version (srlaser.__version__), wall time and row counts, none
     of which enter the CSV.
@@ -306,11 +309,11 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     wanted = {_cell_key(n, eta) for n, eta in cells}
     kept = {k: v for k, v in kept.items() if k in wanted}
     pending = [(n, eta) for n, eta in cells if _cell_key(n, eta) not in kept]
-    # a lone cell relaxes faster alone, in steady_state
-    starts = (relax_all([_cell_params(cfg.base, n, eta) for n, eta in pending])
+    # a lone cell is solved faster alone, in steady_state
+    solved = (solve_all([_cell_params(cfg.base, n, eta) for n, eta in pending])
               if len(pending) > 1 else [None] * len(pending))
-    pending = [(cfg.base, n, eta, cfg.observables, x)
-               for (n, eta), x in zip(pending, starts)]
+    pending = [(cfg.base, n, eta, cfg.observables, row)
+               for (n, eta), row in zip(pending, solved)]
 
     if cfg.workers > 1 and len(pending) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -8,11 +8,16 @@ cell's relaxation, batched per grid, and every cell's steady state, so
 that a batch that goes round the probed names fails here too.  One full
 default-seed pass per workload, checked against the recorded references
 (the grids' CSVs and the Newton tolerance, the oracle's moments and
-spectra), so that a moved reference fails here too.
+spectra), so that a moved reference fails here too.  And the sha256 of
+every grid workload's CSVs at seeds 0 and 3, so that a change meant to
+keep every output bit for bit is checked to the byte.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,3 +91,19 @@ def test_default_seed_pass_matches_the_references(name, tmp_path):
     assert result.failed == 0
     if name != "oracle_small":  # the oracle's checks are its own, not Newton's
         assert len(recorder.states) > 0
+
+
+def test_grid_csvs_keep_their_recorded_bytes(tmp_path):
+    # The 16 run_grid CSVs of the three grid workloads at seeds 0 and 3,
+    # hashed. A solver change that claims to keep every output bit for bit
+    # must leave them all as they are; one that moves a byte on purpose
+    # records the new hashes in grid_csv_sha256.json and says why.
+    recorded = json.loads((Path(__file__).parent / "grid_csv_sha256.json").read_text())
+    found = {}
+    for seed in (0, 3):
+        for name in ("threshold_grid", "detuned_grid", "linewidth_sweep"):
+            for label, cfg in workloads.grid_inputs(name, seed):
+                path = tmp_path / f"{name}_{seed}_{label}.csv"
+                sweep.run_grid(replace(cfg, output_path=str(path)))
+                found[f"{name}/{seed}/{label}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert found == recorded

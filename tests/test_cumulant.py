@@ -189,13 +189,15 @@ def _root_inputs(count: int):
 
 
 def test_closed_form_root_is_the_physical_fixed_point():
-    for params in _root_inputs(2000):
-        x = _closed_form_root(params)
+    inputs = list(_root_inputs(2000))
+    roots = [_closed_form_root(params) for params in inputs]
+    tols = [1e-10 * max(1.0, params.kappa) for params in inputs]
+    for params, x in zip(inputs, roots):
         d0 = (params.eta - params.gamma) / (params.eta + params.gamma)
         assert _is_physical(x), params
         assert -1.0 <= x[3] <= d0, params
-        tol = 1e-10 * max(1.0, params.kappa)
-        polished, res, ok = _newton(x, params, tol)
+    # one Newton batch polishes all 2000 roots
+    for params, tol, polished, res, ok in zip(inputs, tols, *_newton(np.array(roots), inputs, tols)):
         assert ok and res <= tol and _is_physical(polished), params
 
 
@@ -246,9 +248,10 @@ def test_lossless_cavity_below_transparency_has_a_closed_form(changes):
 def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk_params):
     residuals = []
 
-    def stalled(x0, params, tol):
-        residuals.append(scaled_residual(x0, params))
-        return np.array(x0, dtype=float), residuals[-1], False
+    def stalled(x0, params_list, tols):  # a Newton batch that moves no row
+        residuals.extend(scaled_residual(x, params) for x, params in zip(x0, params_list))
+        return (np.array(x0, dtype=float), np.array(residuals[-len(x0):]),
+                np.zeros(len(x0), dtype=bool))
 
     monkeypatch.setattr(cumulant, "_newton", stalled)
     with pytest.raises(ConvergenceError, match="no physical steady state found") as excinfo:
@@ -256,6 +259,31 @@ def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk
     # stage 2 from the relaxed state, stage 3 from the closed-form root
     assert len(residuals) == 2 and residuals[0] != residuals[1]
     assert excinfo.value.best_residual == residuals[0]
+
+
+def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk_params):
+    # solve_all keeps a row that neither Newton stage settles, so that
+    # steady_state raises its stage-2 residual with no stage run again
+    inputs = [desk_params, desk_params.updated(n_atoms=4)]
+    calls = []
+    newton = cumulant._newton
+
+    def stalled(x0, params_list, tols):
+        calls.append(len(x0))
+        x, res, ok = newton(x0, params_list, tols)
+        return x, res, np.zeros(len(x0), dtype=bool)
+
+    monkeypatch.setattr(cumulant, "_newton", stalled)
+    rows = cumulant.solve_all(inputs)
+    assert calls == [2, 2]  # stage 2 from the relaxed states, stage 3 from the roots
+    for params, row in zip(inputs, rows):
+        assert row[2] is False
+        with pytest.raises(ConvergenceError, match="no physical steady state found") as solved:
+            steady_state(params, solved=row)
+        with pytest.raises(ConvergenceError) as excinfo:
+            steady_state(params)
+        assert solved.value.best_residual == excinfo.value.best_residual == row[1]
+    assert calls == [2, 2, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("gamma,eta,photons", [(0.01, 0.2, None), (0.2, 0.01, 0.05263)])
@@ -446,7 +474,7 @@ def test_rhs_rounds_as_the_written_out_formula(params):
 
 def _jacobian_written_out(x, params):
     """The Jacobian with every entry written out, as _jacobian spelled it
-    before _jacobian_of formed the constant entries once per params."""
+    before its constant entries came from _jacobian_parts."""
     n, _, ci, s, _, _ = x
     g = params.g
     nn = params.n_atoms
@@ -475,10 +503,8 @@ def _jacobian_written_out(x, params):
 @_ROUNDING_INPUTS
 def test_jacobian_rounds_as_the_written_out_formula(params):
     x = _seeded_states()
-    jac = cumulant._jacobian_of(params)
     for col in x.T:
-        assert np.array_equal(jac(col), _jacobian_written_out(col, params))
-    assert np.array_equal(jac(x), _jacobian_written_out(x, params))
+        assert np.array_equal(_jacobian(col, params), _jacobian_written_out(col, params))
     assert np.array_equal(_jacobian(x, params), _jacobian_written_out(x, params))
 
 
@@ -542,17 +568,70 @@ def _newton_starts():
     yield "no pump, no decay", initial_state(params).as_vector(), params
 
 
-def test_newton_takes_the_written_out_iterates():
-    outcomes = set()
-    for kind, x0, params in _newton_starts():
-        tol = 1e-10 * max(1.0, params.kappa)
-        x, res, ok = _newton(x0, params, tol)
-        x_ref, res_ref, ok_ref = _newton_written_out(x0, params, tol)
-        assert np.array_equal(x, x_ref), (kind, params)
-        assert res == res_ref and ok == ok_ref, (kind, params)
-        outcomes.add((kind, ok))
-    assert outcomes == {("closed form", True), ("relaxed", True), ("relaxed", False),
-                        ("no pump, no decay", True)}
+def _newton_batch(starts, rows, loosen=1.0):
+    """_newton on the starts at rows, in that order, as one batch."""
+    return _newton(np.array([starts[i][1] for i in rows]), [starts[i][2] for i in rows],
+                   [loosen * 1e-10 * max(1.0, starts[i][2].kappa) for i in rows])
+
+
+def _assert_batches_take_the_written_out_iterates(starts, batches, loosen=1.0):
+    written_out = [_newton_written_out(x0, params, loosen * 1e-10 * max(1.0, params.kappa))
+                   for _, x0, params in starts]
+    for rows in batches:
+        x, res, ok = _newton_batch(starts, rows, loosen)
+        for i, x_i, res_i, ok_i in zip(rows, x, res, ok):
+            x_ref, res_ref, ok_ref = written_out[i]
+            assert np.array_equal(x_i, x_ref), starts[i]
+            assert res_i == res_ref and ok_i == ok_ref, starts[i]
+    return written_out
+
+
+def test_newton_takes_the_written_out_iterates(monkeypatch):
+    starts = list(_newton_starts())
+    # each row alone, all rows in order and shuffled, and the shuffled
+    # order cut into batches of 1, 2, 5, 20, 90 and 149 rows
+    order = np.random.default_rng(3).permutation(len(starts))
+    batches = [[i] for i in range(len(starts))] + [range(len(starts)), order]
+    batches += np.split(order, [1, 3, 8, 28, 118])
+    written_out = _assert_batches_take_the_written_out_iterates(starts, batches)
+    assert {(kind, ref[2]) for (kind, _, _), ref in zip(starts, written_out)} == {
+        ("closed form", True), ("relaxed", True), ("relaxed", False),
+        ("no pump, no decay", True)}
+    # a tolerance 1e6 times looser starts the polish far from the root, where
+    # its four full steps all lower the residual; a cap of 3 steps ends rows
+    # unpolished, some below the tolerance and some above it
+    _assert_batches_take_the_written_out_iterates(starts, batches[-7:], loosen=1e6)
+    monkeypatch.setattr(cumulant, "_NEWTON_MAX_ITER", 3)
+    capped = _assert_batches_take_the_written_out_iterates(starts, batches[-7:])
+    assert {ok for _, _, ok in capped} == {True, False}
+
+
+def test_singular_row_of_a_newton_batch_ends_alone(monkeypatch):
+    # gamma_p = 0 between ordinary rows: the stacked solve of the first
+    # round raises, the round's rows are solved one by one, and only the
+    # gamma_p = 0 row meets its singular Jacobian and ends its polish
+    starts = list(_newton_starts())
+    still = len(starts) - 1
+    assert starts[still][0] == "no pump, no decay"
+    rows = [0, still, 210, 1]
+    expected = [_newton_written_out(x0, params, 1e-10 * max(1.0, params.kappa))
+                for _, x0, params in (starts[i] for i in rows)]
+    singular = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    x, res, ok = _newton_batch(starts, rows)
+    assert [a.shape for a in singular] == [(4, 6, 6), (6, 6)]
+    assert not np.any(singular[1][5])
+    for x_i, res_i, ok_i, (x_ref, res_ref, ok_ref) in zip(x, res, ok, expected):
+        assert np.array_equal(x_i, x_ref) and res_i == res_ref and ok_i == ok_ref
 
 
 def test_scaled_residual_of_an_overflowing_rhs_is_nan(desk_params):
@@ -566,26 +645,48 @@ def test_scaled_residual_of_an_overflowing_rhs_is_nan(desk_params):
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
-    # a line-search trial that is accepted carries its rhs into the next
-    # step; only the residual check before the first step evaluates x0
+    # No state is evaluated twice: an accepted trial carries its rhs into
+    # the next step, and only the residual check before the first step
+    # evaluates x0.  A batch evaluates whole ladders, though: each round
+    # that takes a damped step evaluates all 11 rungs of a row's ladder
+    # (lam = 1 ... 1/1024), also when the full step is the one accepted,
+    # and each polish round evaluates the full step alone.
     params = _STEP_INPUTS["sr88"][0]
     x0 = cumulant._relax(params)
-    evaluated = []
-    make_rhs = cumulant._rhs
+    evaluated, per_call = [], []
+    formula = cumulant._formula
 
-    def recording(p):
-        f = make_rhs(p)
+    def recording(*numbers):
+        f = formula(*numbers)
 
-        def g(x):
-            evaluated.append(tuple(float(v) for v in x))
+        def g(x):  # x holds one state per column
+            states = np.asarray(x).reshape(6, -1).T.tolist()
+            evaluated.extend(tuple(col) for col in states)
+            per_call.append(len(states))
             return f(x)
 
         return g
 
-    monkeypatch.setattr(cumulant, "_rhs", recording)
-    _, _, ok = _newton(x0, params, 1e-10 * max(1.0, params.kappa))
+    def rounds(calls):
+        # the check of x0, the stepping rounds, then at most 4 polish rounds
+        stepping = len(calls) - 1 - calls[::-1].index(11) if 11 in calls else 0
+        return calls[0] == 1 and set(calls[1:stepping + 1]) <= {11} and \
+            calls[stepping + 1:] == [1] * (len(calls) - stepping - 1) <= [1] * 4
+
+    monkeypatch.setattr(cumulant, "_formula", recording)
+    _, _, (ok,) = _newton(x0[None], [params], [1e-10 * max(1.0, params.kappa)])
     assert ok and len(evaluated) >= 3
     assert len(set(evaluated)) == len(evaluated)
+    assert rounds(per_call) and 11 in per_call, per_call
+    # a polish step that rounds to nothing (trial == x) ends the polish
+    # without evaluating x again; it happens on 8 of these closed-form roots
+    for params in _root_inputs(20):
+        evaluated.clear()
+        per_call.clear()
+        _, _, (ok,) = _newton(_closed_form_root(params)[None], [params],
+                              [1e-10 * max(1.0, params.kappa)])
+        assert ok and len(set(evaluated)) == len(evaluated), params
+        assert rounds(per_call), (params, per_call)
 
 
 def test_dop853_blow_up_stops_where_scipy_does():
@@ -710,11 +811,14 @@ def test_relax_all_is_relax_of_each_params(monkeypatch):
     relaxed = cumulant.relax_all(inputs)
     assert batches == [(3, 6)]
     assert relaxed[1] is None
-    for params, x in zip(inputs, relaxed):
+    solved = cumulant.solve_all(inputs)
+    assert batches == [(3, 6)] * 2 and solved[1] is None
+    for params, x, row in zip(inputs, relaxed, solved):
         if x is not None:
             assert np.array_equal(x, cumulant._relax(params))
-            assert steady_state(params, relaxed=x) == steady_state(params)
+            assert steady_state(params, solved=row) == steady_state(params)
     assert cumulant.relax_all([]) == []
+    assert cumulant.solve_all([]) == []
 
 
 def test_relax_all_matches_relax_on_a_threshold_scan():
