@@ -93,7 +93,7 @@ def _rates(params: SystemParams):
 
 
 def _coefficients(params: SystemParams) -> tuple:
-    """The numbers _rhs's formula reads, as _formula takes them.
+    """The numbers _formula reads, as it takes them.
 
     The parameter products are formed once per params, not on each of an
     integration's hundreds of calls, and in the order that the expression
@@ -110,9 +110,13 @@ def _coefficients(params: SystemParams) -> tuple:
 
 def _formula(g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
              n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p):
-    """The time derivative as f(x) -> list of the six components, from
-    _coefficients' numbers: scalars for one state, or arrays shaped (M,)
-    of per-row numbers for a batch of M states."""
+    """The time derivative as f(x) -> list of the six components, for x a
+    sequence of six Python floats, from _coefficients' numbers.
+
+    This is the right-hand side of a lone state (the 1-D integration and
+    _rhs_vec of a (6,) x); arrays of states go through _stacked.  Tests pin
+    both to the formula written out in full.
+    """
 
     def f(x):
         n, cr, ci, s, pr, pi = x
@@ -129,15 +133,79 @@ def _formula(g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
     return f
 
 
-def _rhs(params: SystemParams):
-    """The time derivative as f(x) -> list of the six components.
+# The state rows of _stacked's product: x[_GATHER] is ci (4 times), s, pi,
+# n, cr, cr, n, pr, pi, n, n, s, s, s, n, pr.
+_GATHER = np.array([2, 2, 2, 2, 3, 5, 0, 1, 1, 0, 4, 5, 0, 0, 3, 3, 3, 0, 4])
 
-    x may be a sequence of Python floats, whose scalar arithmetic costs
-    half that of numpy scalars and rounds the same, or arrays, whose
-    elementwise arithmetic also rounds the same: one formula serves the
-    integrator (floats), Newton (a (6,) array) and the spectrum ((6, M)
-    arrays).  _rhs_rows evaluates the same formula on per-row numbers.
+
+def _stacked_numbers(params: SystemParams) -> tuple:
+    """The numbers _stacked reads: the factors of its product's 19 rows,
+    then 1, 1, 1 and -gamma, eta, 0.5, which turn s, -s, s into -gamma
+    (1 + s), eta (1 - s) and 0.5 (1 + s), and -g, the factor of the
+    source.  The negated ones turn _formula's a - b c into a + (-b) c,
+    the same IEEE operation; the 1s of rows 9, 12, 13 and 17 fill rows
+    that are overwritten."""
+    (g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
+     n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p) = _coefficients(params)
+    return (n_gain, m_delta, -gamma_c, g4, m2g, m_gamma_p,
+            -kappa, -gamma_c, delta, 1.0, -gamma_p,
+            pair_gain, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, nn - 1,
+            1.0, 1.0, 1.0, -gamma, eta, 0.5, -g)
+
+
+def _stacked(q, shape):
+    """The time derivative as f(x) -> (6,) + shape, for x the states
+    shaped (6,) + shape, component-stacked: shape (M,), or (k, M) for M
+    states' k trials each.  q holds _stacked_numbers' numbers, shaped (26,
+    M), one column per state along the last axis, or (26, 1) for one
+    params.  This is the right-hand side of arrays of states; a lone state
+    goes through _formula, on Python floats.  Tests pin both to the
+    formula written out in full.
+
+    Each component is _formula's, with the same operands in the same
+    order, so it rounds the same.  Every product of a per-params number
+    and a state component is one row of a single product p = q[:19] *
+    x[_GATHER], and later steps work on p's rows in place, so that the
+    sums read blocks of it: rows 0-5 hold the first term of d0..d4 and d5,
+    rows 6-10 the second term of d0..d4, rows 11-13 the third of d1..d3.
+    That is twelve array calls with the gather, where _formula takes 32
+    on arrays.  The work arrays and their views are made here, once, so
+    f(x) returns a view into them that its next call overwrites.
     """
+    if len(shape) == 2:
+        q = q[:, None]  # each state's numbers over its trials
+    xs = np.empty((19,) + shape)  # x[_GATHER]
+    p = np.empty((19,) + shape)
+    q_p, q_one, q_ends, q_source = q[:19], q[19:22], q[22:25], q[25]
+    ends, sign_s = p[9:18:4], p[14:17]  # rows 9, 13, 17; s, -s, s
+    m2gs_ci, ci, s, n = p[4], xs[0], xs[14], xs[6]
+    source, pair_pr, half = p[12], p[18], p[17]
+    first, second, middle, third = p[0:5], p[6:11], p[1:4], p[11:14]
+    derivative = p[:6]
+    mul, add = np.multiply, np.add
+
+    def f(x):
+        x.take(_GATHER, 0, xs, "wrap")
+        mul(q_p, xs, p)
+        add(sign_s, q_one, sign_s)  # 1 + s, 1 - s, 1 + s
+        mul(sign_s, q_ends, ends)  # -gamma (1 + s), eta (1 - s), 0.5 (1 + s)
+        mul(m2gs_ci, ci, m2gs_ci)  # (m2g s) ci
+        mul(s, n, source)
+        add(source, pair_pr, source)
+        add(source, half, source)  # s n + (N - 1) pr + 0.5 (1 + s)
+        mul(source, q_source, source)  # -g source
+        add(first, second, first)
+        add(middle, third, middle)
+        return derivative
+
+    return f
+
+
+def _rhs(params: SystemParams):
+    """The time derivative as f(x) -> list of the six components, for x a
+    sequence of six Python floats, whose scalar arithmetic costs half that
+    of numpy scalars and rounds the same: the integrator's form of a lone
+    state.  Arrays of states go through _stacked (_rhs_vec, _rhs_rows)."""
     return _formula(*_coefficients(params))
 
 
@@ -145,19 +213,26 @@ def _rhs_rows(params_list):
     """The batch right-hand side fun(t, y, rows) of srlaser.dop853's
     batched solve_ivp and of _newton: row i of y (m, 6), or each of the
     states y[i] (m, k, 6), evaluated with the numbers of
-    params_list[rows[i]].  Each entry's arithmetic is the one
-    _rhs(params) does on Python floats, with the same operands, so it
-    rounds the same.  The per-row numbers are gathered once for each rows
-    array and kept until another one comes.  Only dop853 gains from this:
-    it passes the same array for as long as its set of rows is unchanged,
-    while _newton builds a new one every round."""
-    table = np.array([_coefficients(p) for p in params_list], dtype=float).T
-    gathered = [None, None]  # the last rows array and its formula
+    params_list[rows[i]].  This is the array form, _stacked, on the
+    component-stacked view y.T; a lone state's integration takes _rhs on
+    Python floats.  Tests pin both to the formula written out in full.
+
+    The per-row numbers and _stacked's work arrays are made once for each
+    rows array and kept until another one comes, and the derivatives
+    returned are a view into them that the next call overwrites: dop853
+    copies each into its stages at once, and _newton passes a new rows
+    array every round.  Only dop853 gains from the reuse: it passes the
+    same array for as long as its set of rows is unchanged."""
+    # one contiguous row per number, so that a gather of rows is contiguous too
+    table = np.array([_stacked_numbers(p) for p in params_list], dtype=float).T.copy()
+    last_rows = last_shape = f = None
 
     def fun(_, y, rows):
-        if rows is not gathered[0]:
-            gathered[:] = rows, _formula(*table[:, rows])
-        return np.array(gathered[1](y.T)).T
+        nonlocal last_rows, last_shape, f
+        if rows is not last_rows or y.shape != last_shape:
+            last_rows, last_shape = rows, y.shape
+            f = _stacked(table[:, rows], y.T.shape[1:])
+        return f(y.T).T
 
     return fun
 
@@ -165,12 +240,14 @@ def _rhs_rows(params_list):
 def _rhs_vec(x, params: SystemParams) -> np.ndarray:
     """Time derivative of the state vector x, shaped (6,) or (6, M).
 
-    A (6,) x is evaluated on its Python floats, which cost less than
-    numpy scalars and round the same; (6, M) stays on arrays, for the
-    spectrum.
+    A (6,) x is evaluated by _rhs on its Python floats, which cost less
+    than numpy scalars and round the same; a (6, M) x, for the spectrum,
+    by _stacked.
     """
     x = np.asarray(x, dtype=float)
-    return np.array(_rhs(params)(x.tolist() if x.ndim == 1 else x))
+    if x.ndim == 1:
+        return np.array(_rhs(params)(x.tolist()))
+    return _stacked(np.array(_stacked_numbers(params))[:, None], x.shape[1:])(x)
 
 
 def _jacobian_parts(params: SystemParams):
@@ -385,7 +462,9 @@ def _newton(x0, params_list, tols):
                 break
 
             lams = _LADDER if stepping.any() else _LADDER[:1]
-            trials = xl[:, None, :] + lams[:, None] * step[:, None, :]
+            # laid out component-stacked, (6, k, m), as _stacked takes them,
+            # so that the trials, their rhs and residuals share one layout
+            trials = np.add(xl.T[:, None], lams[:, None] * step.T[:, None], order="C").T
             m = len(trials)
             trial_r = rhs(None, trials, live)
             trial_res = _residual(trial_r, trials)

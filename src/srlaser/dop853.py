@@ -25,20 +25,22 @@ too-small-step failure; rows that end are dropped from the arrays, so a
 batch costs one numpy pass per trial step over the rows still stepping.
 Stacked ``np.matmul`` hands each row to BLAS as ``ndarray.dot`` does, and
 the stage sums and the error norms' dot products round as the 1-D loop's
-(the tests compare the two bit for bit).  The controller's powers do not vectorise: the
-error norm's squares and the 1/8th powers are libm ``pow`` calls on Python
-floats (or numpy scalars) in the 1-D loop, and numpy's vectorised
-``power`` and ``square`` round differently from ``pow`` in the last bit
-for some inputs (x * x for about one random x in 1,200, the vectorised
-x ** 0.125 for about one in 20), so the batch takes them on Python
-floats too.  Where the
-1-D loop relies on Python's ``max``/``min`` keeping the first argument
-when the second is NaN, the batch uses ``_first_max``/``_first_min``.
+(the tests compare the two bit for bit).  The controller's powers do not
+vectorise: the error norm's squares and the 1/8th powers are libm ``pow``
+calls on Python floats (or numpy scalars) in the 1-D loop, and numpy's
+vectorised ``power`` and ``square`` round differently from ``pow`` in the
+last bit for some inputs (x * x for about one random x in 1,200, the
+vectorised x ** 0.125 for about one in 20), so the batch takes them on
+Python floats too.  Where the 1-D loop relies on Python's ``max``/``min``
+keeping the first argument when the second is NaN, the batch uses
+``_first_max``/``_first_min``, or ``np.fmax`` for max(MIN_FACTOR, x), and
+``np.minimum`` only where neither argument can be NaN.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -243,6 +245,10 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     return OdeResult(np.array(ts), np.stack(ys, axis=1), nfev, True, SUCCESS)
 
 
+# the least subnormal: SAFETY * _LEAST ** ERROR_EXPONENT exceeds MAX_FACTOR
+_LEAST = 5e-324
+
+
 def _first_max(a, b):
     """Python's max(a, b) entry by entry: b only where b > a, so a NaN b
     leaves a, as max(0.2, nan) == 0.2."""
@@ -255,8 +261,8 @@ def _first_min(a, b):
 
 
 def _powers(x, p):
-    """x ** p entry by entry with libm's pow, on Python floats."""
-    return np.array([v ** p for v in x.tolist()])
+    """x ** p entry by entry with libm's pow, on Python floats; x is 1-D."""
+    return np.fromiter(map(pow, x.tolist(), repeat(p)), float, len(x))
 
 
 def _row_dots(v):
@@ -290,15 +296,24 @@ def _initial_steps(fun, t0, y0, f0, span, rtol, atol, rows):
 
 
 def _error_norms(K, h, scale):
-    """_error_norm for each row: K shaped (m, 13, n), h and scale per row."""
+    """_error_norm for each row: K shaped (m, 13, n), h and scale per row.
+
+    Both weighted sums go into one array, so that the division by scale,
+    the row dot products, the roots and the squares are one call each for
+    the two.  err5 + err3 == 0 is err5 == 0 and err3 == 0, for squares."""
+    m = len(h)
     Kt = K.transpose(0, 2, 1)
-    err5_norm_2 = _row_sq_norms(Kt @ E5 / scale)
-    err3_norm_2 = _row_sq_norms(Kt @ E3 / scale)
+    err = np.empty((2,) + scale.shape)
+    np.matmul(Kt, E5, out=err[0])
+    np.matmul(Kt, E3, out=err[1])
+    err /= scale
+    sq = _row_sq_norms(err.reshape(2 * m, -1))
+    err5_norm_2, err3_norm_2 = sq[:m], sq[m:]
     denom = err5_norm_2 + 0.01 * err3_norm_2
     # denom == 0 with err5 == 0 is numpy's 0 / 0, NaN, as in _error_norm
     with np.errstate(divide="ignore", invalid="ignore"):
         norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * scale.shape[1])
-    return np.where((err5_norm_2 == 0) & (err3_norm_2 == 0), 0.0, norm)
+    return np.where(err5_norm_2 + err3_norm_2 == 0, 0.0, norm)
 
 
 def _keep(mask, *arrays):
@@ -312,10 +327,26 @@ def _solve_rows(fun, t_span, y0, rtol, atol):
     still stepping and their indices (m,) into y0, and returns the
     derivatives (m, n).  rows is one array object for as long as the set
     of rows stepping is unchanged, so fun may keep what it derives from
-    it until another array comes.  Each trial step evaluates every such row, and
-    each row's accept/reject and next step size follow the 1-D loop in
-    solve_ivp line for line, so a row's final y, success and nfev are
-    those of its own 1-D call.
+    it until another array comes.  Each trial step evaluates every such
+    row, and each row's accept/reject and next step size follow the 1-D
+    loop in solve_ivp, so a row's final y, success and nfev are those of
+    its own 1-D call.
+
+    One round, a trial step of every row, makes 12 calls of fun and 99
+    numpy calls besides, whatever the number of rows: 4 for each of the 11
+    stages (the stage sum, its product with h, the sum with y and the copy
+    of fun's value into its slot of K), 18 for the error norms, and the
+    rest for the step times and the step control.  Every stage time comes
+    from one broadcast, t + C h.  The step control takes the 1-D loop's
+    decisions in fewer calls.  Each row's step-size factor is min(cap,
+    max(MIN_FACTOR, grow)), where cap is MAX_FACTOR, or 1 after a
+    rejection; grow exceeds MAX_FACTOR after an error norm of 0, which is
+    raised to the least subnormal before the power.  Each row's f, y and t
+    sit side by side, as do its trial step's, after the stages in one work
+    row, so that one np.where takes the accepted steps.  The next step's
+    floor of ten ulps of t is applied at the end of the round, so the rows
+    whose rejected step fell below it leave there, together with the rows
+    that reached tf.  A row's nfev is counted when it leaves.
     """
     t0 = float(t_span[0])
     y_out = np.array(y0, dtype=float)
@@ -330,51 +361,67 @@ def _solve_rows(fun, t_span, y0, rtol, atol):
     idx = idx[tf_all > t0]  # a zero-length span ends at y0, as in solve_ivp
     if not idx.size:
         return RowsResult(y_out, success, int(nfev.sum()), nfev)
-    t, tf, y, f = np.full(idx.size, t0), tf_all[idx], y_out[idx], f[idx]
+    tf, y, f = tf_all[idx], y_out[idx], f[idx]
     h_abs = _initial_steps(fun, t0, y, f, tf - t0, rtol, atol, idx)
     nfev[idx] += 1
-    min_step = np.zeros(idx.size)
-    fresh = np.ones(idx.size, dtype=bool)  # rows that begin a new step
-    rejected = np.zeros(idx.size, dtype=bool)
-    K = np.empty((idx.size, N_STAGES + 1, n))
-    stages = [(s, c, A[s, :s]) for s, c in enumerate(C.tolist()) if s > 0]
+    h_abs = _first_max(h_abs, 10 * (math.nextafter(t0, math.inf) - t0))
+    cap = np.full(idx.size, MAX_FACTOR)
+    # a row's [f, y, t]; a trial step's [f_new, y_new, t_new] follow its
+    # stages in the row's work buffer, f_new being stage 12
+    fyt = np.concatenate([f, y, np.full((idx.size, 1), t0)], axis=1)
+    buf = np.empty((idx.size, (N_STAGES + 2) * n + 1))
+    stage_c = C[1:, None]  # C[-1] == 1: the last stage's time is that of f_new
+    matmul, mul, add = np.matmul, np.multiply, np.add
+    rounds = 0
     while idx.size:
-        min_step = np.where(fresh, 10 * np.abs(np.nextafter(t, np.inf) - t), min_step)
-        h_abs = np.where(fresh, _first_max(h_abs, min_step), h_abs)
-        stuck = h_abs < min_step
-        if stuck.any():  # these rows stop at their last accepted step
-            success[idx[stuck]] = False
-            y_out[idx[stuck]] = y[stuck]
-            idx, t, tf, y, f, h_abs, min_step, rejected = _keep(
-                ~stuck, idx, t, tf, y, f, h_abs, min_step, rejected)
-            if not idx.size:
+        m = idx.size
+        work = buf[:m]
+        k = work[:, :(N_STAGES + 1) * n].reshape(m, N_STAGES + 1, n)
+        trial = work[:, N_STAGES * n:]
+        f_new, y_new, t_new = trial[:, :n], trial[:, n:-1], trial[:, -1]
+        stages = [(k[:, s], k[:, :s].transpose(0, 2, 1), A[s, :s]) for s in range(1, N_STAGES)]
+        k_b = k[:, :-1].transpose(0, 2, 1)
+        y_s = np.empty((m, n))  # a stage's state
+        h_rows = np.empty((m, n))  # each row's h, over its components
+        while True:
+            rounds += 1
+            # contiguous copies of y and h: the stages read them 12 times
+            f, y, t = fyt[:, :n], fyt[:, n:-1].copy(), fyt[:, -1]
+            np.minimum(t + h_abs, tf, out=t_new)  # Python's min: tf is never NaN
+            h = t_new - t
+            h_abs = np.abs(h)
+            times = t + stage_c * h
+            h_rows[...] = h[:, None]
+            k[:, 0] = f
+            for (k_s, k_before, a), t_s in zip(stages, times):
+                matmul(k_before, a, out=y_s)
+                mul(y_s, h_rows, y_s)
+                add(y, y_s, y_s)
+                k_s[...] = fun(t_s, y_s, idx)
+            matmul(k_b, B, out=y_s)
+            mul(h_rows, y_s, y_s)
+            add(y, y_s, y_new)
+            f_new[...] = fun(times[-1], y_new, idx)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _error_norms(k, h, scale)
+            accepted = error_norm < 1
+            grow = SAFETY * _powers(np.maximum(error_norm, _LEAST), ERROR_EXPONENT)
+            h_abs = h_abs * np.minimum(np.fmax(grow, MIN_FACTOR), cap)
+            cap = np.where(accepted, MAX_FACTOR, 1.0)
+            fyt = np.where(accepted[:, None], trial, fyt)
+            t = fyt[:, -1]
+            min_step = 10 * (np.nextafter(t, np.inf) - t)
+            short = h_abs < min_step
+            h_abs = np.where(short, min_step, h_abs)
+            done = t >= tf
+            # a rejected row whose next step is too small stops at its last
+            # accepted step, as does a row that reached tf
+            leave = done | (short > accepted)
+            if leave.any():
                 break
-        t_new = _first_min(t + h_abs, tf)
-        h = t_new - t
-        h_abs = np.abs(h)
-        k = K[:idx.size]
-        k[:, 0] = f
-        for s, c, a in stages:
-            k[:, s] = fun(t + c * h, y + (k[:, :s].transpose(0, 2, 1) @ a) * h[:, None], idx)
-        y_new = y + h[:, None] * (k[:, :-1].transpose(0, 2, 1) @ B)
-        f_new = np.asarray(fun(t + h, y_new, idx), dtype=float)
-        k[:, -1] = f_new
-        nfev[idx] += N_STAGES
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _error_norms(k, h, scale)
-        accepted = error_norm < 1
-        # error_norm == 0 takes MAX_FACTOR; 1.0 only keeps pow defined there
-        grow = SAFETY * _powers(np.where(error_norm == 0, 1.0, error_norm), ERROR_EXPONENT)
-        factor = np.where(error_norm == 0, MAX_FACTOR, _first_min(MAX_FACTOR, grow))
-        h_abs = h_abs * np.where(accepted, np.where(rejected, _first_min(1.0, factor), factor),
-                                 _first_max(MIN_FACTOR, grow))
-        rejected, fresh = ~accepted, accepted
-        t = np.where(accepted, t_new, t)
-        y = np.where(accepted[:, None], y_new, y)
-        f = np.where(accepted[:, None], f_new, f)
-        done = accepted & ~(t < tf)
-        if done.any():
-            y_out[idx[done]] = y[done]
-            idx, t, tf, y, f, h_abs, min_step, fresh, rejected = _keep(
-                ~done, idx, t, tf, y, f, h_abs, min_step, fresh, rejected)
+        rows = idx[leave]
+        y_out[rows] = fyt[leave, n:-1]
+        success[rows] = done[leave]
+        nfev[rows] += N_STAGES * rounds
+        idx, fyt, tf, h_abs, cap = _keep(~leave, idx, fyt, tf, h_abs, cap)
     return RowsResult(y_out, success, int(nfev.sum()), nfev)

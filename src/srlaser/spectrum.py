@@ -463,8 +463,13 @@ def auto_probe(params: SystemParams, base: MomentState) -> FilterProbe:
     raise ProbeError, as does a settled probe whose coupling, halved on the
     full extended system, moves the normalised line shape by >= 0.5 %
     point-wise.  The returned probe's omega_f holds the fitted line centre.
+    A lossless cavity (kappa = 0) emits no light to probe, and raises
+    ProbeError at once.
     """
     kappa = params.kappa
+    if kappa == 0.0:
+        raise ProbeError("no light leaves a lossless cavity (kappa = 0), so there "
+                         "is no emission line to probe")
     floor = 1e-12 * kappa
 
     def design(est):

@@ -74,6 +74,13 @@ def test_solver_failure_exits_one(capsys, tmp_path):
     assert "no line" in err
 
 
+def test_spectrum_of_a_lossless_cavity_exits_one(capsys, lossless_config):
+    # a steady state exists below transparency, but no light leaves the cavity
+    code, out, err = run_cli(capsys, ["spectrum", "--config", lossless_config])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "lossless cavity" in err
+
+
 def test_detuned_line_is_fitted_at_its_pole(capsys, tmp_path):
     # a 4.9e3 rad/s line 5.0e5 rad/s off resonance: the probe starts at its pole
     config = {"preset": "sr88", "n_atoms": 10000, "eta_hz": 153786.25,

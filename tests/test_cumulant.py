@@ -472,6 +472,58 @@ def test_rhs_rounds_as_the_written_out_formula(params):
     assert np.array_equal(cumulant._rhs_vec(x, params), _rhs_written_out(x, params))
 
 
+_ROUNDING_CASES = _ROUNDING_INPUTS.mark.args[1]
+
+
+def _rows_written_out(x, params_list):
+    """_rhs_written_out of each state of x (6, ..., M) on its Python floats,
+    state x[:, ..., j] with params_list[j]."""
+    out = np.empty_like(x)
+    for pos in np.ndindex(x.shape[1:]):
+        out[(slice(None),) + pos] = _rhs_written_out(x[(slice(None),) + pos].tolist(),
+                                                     params_list[pos[-1]])
+    return out
+
+
+def _states_near_overflow():
+    """Ladder trials (6, 11, 40) of moments near 1e308, some of whose
+    products and sums overflow to inf and then meet as inf - inf = NaN."""
+    rng = np.random.default_rng(11)
+    sign = rng.choice([-1.0, 1.0], size=(6, 40))
+    x = sign * 10.0 ** rng.uniform(290.0, 308.0, size=(6, 40))
+    return x[:, None] * cumulant._LADDER[:, None]
+
+
+def test_stacked_rhs_rounds_as_the_written_out_formula():
+    # the _ROUNDING_CASES params in turn over the rows of a batch: the
+    # states as dop853 passes them, (m, 6), and as Newton's ladders, (m, k, 6);
+    # _rhs_vec's (6, M) path is pinned by the test above
+    x = _seeded_states()
+    params_list = [_ROUNDING_CASES[j % 4] for j in range(200)]
+    fun = cumulant._rhs_rows(params_list)
+    assert np.array_equal(fun(None, x.T, np.arange(200)).T, _rows_written_out(x, params_list))
+    trials = x.reshape(6, 8, 25)
+    assert np.array_equal(fun(None, trials.T, np.arange(25)).T,
+                          _rows_written_out(trials, params_list[:25]))
+    # rows gathered out of order
+    rows = np.arange(199, -1, -8)
+    assert np.array_equal(fun(None, trials.T, rows).T,
+                          _rows_written_out(trials, [params_list[j] for j in rows]))
+
+
+def test_stacked_rhs_overflows_where_the_written_out_formula_does():
+    trials = _states_near_overflow()
+    params_list = [_ROUNDING_CASES[j % 4] for j in range(40)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _rows_written_out(trials, params_list)
+        got = cumulant._rhs_rows(params_list)(None, trials.T, np.arange(40)).T
+        assert np.isinf(ref).any() and np.isnan(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(got, ref, equal_nan=True)
+        desk = _ROUNDING_CASES[3]
+        assert np.array_equal(cumulant._rhs_vec(trials[:, 0], desk),
+                              _rows_written_out(trials[:, 0], [desk] * 40), equal_nan=True)
+
+
 def _jacobian_written_out(x, params):
     """The Jacobian with every entry written out, as _jacobian spelled it
     before its constant entries came from _jacobian_parts."""
@@ -654,10 +706,10 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     params = _STEP_INPUTS["sr88"][0]
     x0 = cumulant._relax(params)
     evaluated, per_call = [], []
-    formula = cumulant._formula
+    stacked = cumulant._stacked
 
-    def recording(*numbers):
-        f = formula(*numbers)
+    def recording(q, shape):
+        f = stacked(q, shape)
 
         def g(x):  # x holds one state per column
             states = np.asarray(x).reshape(6, -1).T.tolist()
@@ -673,7 +725,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
         return calls[0] == 1 and set(calls[1:stepping + 1]) <= {11} and \
             calls[stepping + 1:] == [1] * (len(calls) - stepping - 1) <= [1] * 4
 
-    monkeypatch.setattr(cumulant, "_formula", recording)
+    monkeypatch.setattr(cumulant, "_stacked", recording)
     _, _, (ok,) = _newton(x0[None], [params], [1e-10 * max(1.0, params.kappa)])
     assert ok and len(evaluated) >= 3
     assert len(set(evaluated)) == len(evaluated)
@@ -793,6 +845,21 @@ def test_batch_step_control_rounds_as_the_1d_loop():
     assert np.array_equal(steps, [
         dop853._initial_step(lambda t, y, r=r: r * y * y - y, 0.0, y, f, s, 1e-8, 1e-12)
         for y, f, s, r in zip(y0, f0, span.tolist(), rates.tolist())])
+
+
+def test_batch_steps_at_ten_ulps_of_t_as_the_1d_loop():
+    # from t0 = 2**52, where ten ulps of t are 10, y' = -r y steps at that
+    # floor: a step begins at no less than 10 after an accepted step whose
+    # factor is below 1, and a rejected step that falls under it fails
+    t0, rates = 2.0 ** 52, np.geomspace(0.05, 1.0, 40)
+    batch = cumulant.solve_ivp(lambda t, y, rows: -rates[rows, None] * y,
+                               (t0, t0 + 4000.0), np.ones((40, 6)), rtol=1e-8, atol=1e-12)
+    own = [cumulant.solve_ivp(lambda t, y, r=r: -r * y, (t0, t0 + 4000.0), np.ones(6),
+                              rtol=1e-8, atol=1e-12) for r in rates.tolist()]
+    assert {sol.success for sol in own} == {True, False}
+    for i, sol in enumerate(own):
+        assert batch.success[i] == sol.success and batch.row_nfev[i] == sol.nfev
+        assert np.array_equal(batch.y[i], sol.y[:, -1])
 
 
 def test_relax_all_is_relax_of_each_params(monkeypatch):

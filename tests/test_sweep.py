@@ -104,7 +104,9 @@ def test_single_pending_cell_relaxes_alone(tmp_path, monkeypatch):
 def test_cell_whose_batch_row_fails_relaxes_alone_and_is_a_solver_error(
         tmp_path, monkeypatch):
     # y' = y * y + 1 on every component blows up near t = pi / 2, well
-    # inside the desk cells' relaxation horizon of 30 / kappa
+    # inside the desk cells' relaxation horizon of 30 / kappa: in the batch
+    # (the array formula) and in each cell's own integration (Python floats)
+    monkeypatch.setattr(cumulant, "_stacked", lambda q, shape: lambda x: x * x + 1.0)
     monkeypatch.setattr(cumulant, "_formula",
                         lambda *numbers: lambda x: [v * v + 1.0 for v in x])
     cfg = _small_config(tmp_path / "grid.csv", n_list=(2,))
@@ -270,14 +272,17 @@ def test_lorentzian_cell_takes_its_width_from_the_response_pole(monkeypatch):
 
 
 def test_failed_cells_are_error_rows_and_are_recomputed(tmp_path):
-    # kappa = 0 above transparency has no steady state; g = 0 has no line
+    # kappa = 0 above transparency has no steady state; below it (eta <
+    # gamma) no light leaves the cavity to probe; g = 0 has no line
     lossless = _desk_base().updated(kappa=0.0)
     dark = _desk_base().updated(g=0.0)
-    for base, status in ((lossless, "solver_error"), (dark, "fit_error")):
-        path = tmp_path / f"{status}.csv"
+    cases = ((lossless, 0.2, "solver_error"), (lossless, 0.001, "fit_error"),
+             (dark, 0.2, "fit_error"))
+    for i, (base, eta, status) in enumerate(cases):
+        path = tmp_path / f"{i}-{status}.csv"
         cfg = SweepConfig(
             base=base, n_list=(2,),
-            eta_grid=EtaGrid(min_hz=to_hz(0.2), max_hz=to_hz(0.2), points=1),
+            eta_grid=EtaGrid(min_hz=to_hz(eta), max_hz=to_hz(eta), points=1),
             observables=Observables(linewidth=True), output_path=str(path),
         )
         for _ in range(2):
