@@ -41,8 +41,7 @@ __all__ = [
     "StiffIntegrationError",
     "ETA_EXP", "PRESET_NAMES", "DerivedRates", "SystemParams", "derived",
     "from_hz", "load_config", "params_to_config", "preset", "to_hz",
-    "oracle_spectrum", "oracle_steady_state", "product_state",
-    "moment_derivatives",
+    "oracle_spectrum", "oracle_steady_state",
     "FilterProbe", "LinewidthResult", "LorentzianFit", "ResponsePoles",
     "SpectrumScan", "auto_probe", "fit_lorentzian",
     "linewidth", "pole_linewidth", "scan",
@@ -51,8 +50,7 @@ __all__ = [
 
 # The oracle imports scipy.sparse when it loads, so its names are imported
 # on first access (PEP 562) and `import srlaser` needs numpy only.
-_ORACLE_NAMES = frozenset(("oracle_spectrum", "oracle_steady_state",
-                           "product_state", "moment_derivatives"))
+_ORACLE_NAMES = frozenset(("oracle_spectrum", "oracle_steady_state"))
 
 
 def __getattr__(name):

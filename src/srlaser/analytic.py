@@ -70,11 +70,13 @@ def crossover_linewidth(params: SystemParams, m_eff: float) -> float:
 
 def limit_linewidths(params: SystemParams) -> LimitLinewidths:
     """The four limits: N Gamma_c, 2 sqrt(N) g, (Gamma kappa - 4 N g^2)/
-    (Gamma + kappa), and kappa."""
+    (Gamma + kappa), and kappa.  With neither loss nor decoherence,
+    Gamma + kappa = 0, the strong-pump limit does not exist and is nan."""
     d = derived(params)
+    loss = d.big_gamma + params.kappa
     # 4 N g^2 = 4 (sqrt(N) g)^2 stays finite at kappa = 0, where N Gamma_c is not
-    strong_pump = (d.big_gamma * params.kappa - 4.0 * d.collective_coupling**2) \
-        / (d.big_gamma + params.kappa)
+    strong_pump = (d.big_gamma * params.kappa - 4.0 * d.collective_coupling**2) / loss \
+        if loss > 0.0 else math.nan
     return LimitLinewidths(
         n_purcell=d.c_collective,
         collective_rabi=2.0 * d.collective_coupling,

@@ -232,9 +232,11 @@ def cmd_sweep(args) -> int:
     rows = run_grid(cfg)
     n_ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} rows ({n_ok} ok) -> {out_path}", file=sys.stderr)
-    if args.format == "jsonl":
+    if args.format == "jsonl":  # strict JSON: a non-finite number is null
         for row in rows:
-            print(json.dumps(asdict(row), sort_keys=True))
+            record = {key: None if isinstance(value, float) and not math.isfinite(value)
+                      else value for key, value in asdict(row).items()}
+            print(json.dumps(record, sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -274,6 +276,10 @@ def cmd_limits(args) -> int:
     if not math.isfinite(limits.n_purcell):
         payload["n_purcell_hz"] = None
         payload["n_purcell_note"] = "N 4 g^2 / kappa is infinite: the cavity is lossless"
+    if math.isnan(limits.strong_pump):
+        payload["strong_pump_hz"] = None
+        payload["strong_pump_note"] = ("(Gamma kappa - 4 N g^2) / (Gamma + kappa) does not "
+                                       "exist: Gamma + kappa = 0")
     try:
         payload["delta_nu_eq3_hz"] = to_hz(tieri_linewidth(params))
     except BelowThresholdError as exc:

@@ -363,7 +363,9 @@ def integrate(state0: MomentState, params: SystemParams,
     """Adaptive explicit time integration from state0 to t_max.
 
     Returns the solver's accepted steps as (t, MomentState) pairs.  A zero
-    horizon returns state0 twice, a negative one raises ValueError.
+    horizon returns state0 twice, a negative or non-finite one raises
+    ValueError.  A state whose derivative is not finite, or any step that
+    fails, raises StiffIntegrationError.
     """
     state0.validate()
     sol = _integrate_raw(state0.as_vector(), params, t_max)

@@ -21,8 +21,9 @@ scipy's.
 ``solve_ivp`` also integrates a batch: M independent rows, y0 shaped
 (M, n), each with its own end time.  Each row takes the steps that its own
 1-D call takes, with its own step size, accept/reject decisions and
-too-small-step failure; rows that end are dropped from the arrays, so a
-batch costs one numpy pass per trial step over the rows still stepping.
+too-small-step failure, a non-finite first step among them; rows that end
+are dropped from the arrays, so a batch costs one numpy pass per trial
+step over the rows still stepping.
 Stacked ``np.matmul`` hands each row to BLAS as ``ndarray.dot`` does, and
 the stage sums and the error norms' dot products round as the 1-D loop's
 (the tests compare the two bit for bit).  The controller's powers do not
@@ -191,7 +192,10 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     Called as scipy's solve_ivp(..., method="DOP853"), less the method.
     Returns an OdeResult with every accepted step.  If the step size falls
     below ten ulps of t, success is False and t, y end at the last accepted
-    step.  A zero-length span returns y0 twice, as scipy does.
+    step; a first step that is not finite (fun is NaN at y0) ends the call
+    the same way, at y0, where scipy would never return.  A zero-length
+    span returns y0 twice, as scipy does; a span that runs backwards or
+    has a non-finite end raises ValueError.
 
     A y0 shaped (M, n) is a batch of M rows, integrated from t0 to the
     per-row end times tf (a scalar or shaped (M,)); see _solve_rows.
@@ -199,8 +203,8 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
     if np.ndim(y0) == 2:
         return _solve_rows(fun, t_span, y0, rtol, atol)
     t0, tf = map(float, t_span)
-    if tf < t0:
-        raise ValueError(f"t_span must not run backwards, got {t_span}")
+    if not (math.isfinite(t0) and math.isfinite(tf)) or tf < t0:
+        raise ValueError(f"t_span must be finite and not run backwards, got {t_span}")
     y = np.asarray(y0, dtype=float)
     f = np.asarray(fun(t0, y), dtype=float)
     nfev = 1
@@ -209,6 +213,8 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6):
         return OdeResult(np.array([t0, t0]), np.stack([y, y], axis=1), nfev, True, SUCCESS)
     h_abs = _initial_step(fun, t0, y, f, tf - t0, rtol, atol)
     nfev += 1
+    if not math.isfinite(h_abs):  # fun is not finite at or near y0
+        return OdeResult(np.array(ts), np.stack(ys, axis=1), nfev, False, TOO_SMALL_STEP)
     K = np.empty((N_STAGES + 1, y.size))
     stages = [(s, c, K[:s].T, A[s, :s]) for s, c in enumerate(C.tolist()) if s > 0]
     t = t0
@@ -352,8 +358,8 @@ def _solve_rows(fun, t_span, y0, rtol, atol):
     y_out = np.array(y0, dtype=float)
     n_rows, n = y_out.shape
     tf_all = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n_rows,))
-    if np.any(tf_all < t0):
-        raise ValueError(f"t_span must not run backwards, got {t_span}")
+    if not (math.isfinite(t0) and np.all(np.isfinite(tf_all))) or np.any(tf_all < t0):
+        raise ValueError(f"t_span must be finite and not run backwards, got {t_span}")
     idx = np.arange(n_rows)
     f = np.asarray(fun(np.full(n_rows, t0), y_out, idx), dtype=float)
     nfev = np.ones(n_rows, dtype=int)
@@ -364,6 +370,10 @@ def _solve_rows(fun, t_span, y0, rtol, atol):
     tf, y, f = tf_all[idx], y_out[idx], f[idx]
     h_abs = _initial_steps(fun, t0, y, f, tf - t0, rtol, atol, idx)
     nfev[idx] += 1
+    finite = np.isfinite(h_abs)
+    if not finite.all():  # those rows end at y0, as in solve_ivp
+        success[idx[~finite]] = False
+        idx, tf, y, f, h_abs = _keep(finite, idx, tf, y, f, h_abs)
     h_abs = _first_max(h_abs, 10 * (math.nextafter(t0, math.inf) - t0))
     cap = np.full(idx.size, MAX_FACTOR)
     # a row's [f, y, t]; a trial step's [f_new, y_new, t_new] follow its

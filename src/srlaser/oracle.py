@@ -1,46 +1,45 @@
-"""Brute-force master-equation reference solver for small atom numbers.
+"""Exact master-equation reference solver for small atom numbers.
 
-Builds the exact Liouvillian of N two-level atoms coupled to a truncated
-cavity mode (optionally plus a weak filter mode), finds its stationary
-density matrix, evaluates exact moment derivatives for arbitrary states,
-and computes emission spectra through the quantum regression theorem.
-Everything here is deliberately direct: this module is the trust anchor
-the fast moment-closure solver is checked against, and the two routes
-must stay independent.
+Solves the Lindblad master equation of N two-level atoms coupled to a
+truncated cavity mode for its stationary state, evaluates exact moment
+derivatives on uncorrelated states, and computes emission spectra
+through the quantum regression theorem.  Everything here is deliberately
+direct: this module is the trust anchor the fast moment-closure solver
+is checked against, and the two routes must stay independent.
 
 L rho = K rho + rho K^dag + sum_k r_k c_k rho c_k^dag, with the effective
 Hamiltonian K = -iH - 1/2 sum_k r_k c_k^dag c_k.  Every term conserves
-q(ket) - q(bra), where q counts cavity photons, filter photons and excited
-atoms, so the Liouvillian is block diagonal in that charge.  Every term
-also treats the atoms alike (one g, gamma, eta and chi), so L maps
+q(ket) - q(bra), where q counts cavity photons and excited atoms, so the
+Liouvillian is block diagonal in that charge.  Every term also treats
+the atoms alike (one g, gamma, eta and chi), so L maps
 permutation-invariant operators to permutation-invariant operators;
-rho_ss and a rho_ss are such operators.  The solves therefore work in the
-orthonormal basis of a sector's orbits under atom permutations (_Orbits):
-an orbit is labelled by the cavity occupations of ket and bra and by how
-many atoms sit in each (ket, bra) pair gg, ge, eg and ee, O(N^3) labels
-per pair of cavity occupations.  Each term of L is a cavity factor times
-a sum over atoms of one 4 x 4 pair superoperator, so its block
-(_orbit_block) is written from the labels and the cavity ladder alone,
-with no product-basis operator.  Each Fock cutoff builds and LU-solves its
-charge-0 block once for the stationary state, the permutation-invariant
-one, and its moments are linear functionals of the orbit coordinates.
-The residual max |L rho| is read off that block too.  Only the returned
-cutoff is lifted to the product basis, for the d x d rho and its least
-eigenvalue; the result builds that basis's operators
-(`OracleResult.space`) only when they are read.  The moment derivatives
-that check the closure act on identical-atom product states, which are permutation invariant; every
-checked moment has charge 0 and L conserves charge, so the derivatives
-are the charge-0 block applied to the states' charge-0 orbit
-coordinates.  The spectrum is a resolvent of the returned cutoff's charge -1 block, which holds a rho_ss
-and has no zero eigenvalue; a few block-diagonal stacks, one sparse LU
-each, solve the whole grid, so nothing is propagated in time.
-`build_liouvillian` returns the full product-basis matrix, and
-`apply_liouvillian` and `moment_derivatives` act with the matrix form of
-L: they are the references the orbit routes are tested against.
+rho_ss and a rho_ss are such operators.  The module therefore works in
+the orthonormal basis of a sector's orbits under atom permutations
+(_Orbits; Kirton and Keeling, NJP 20, 015009 (2018)): an orbit is
+labelled by the cavity occupations of ket and bra and by how many atoms
+sit in each (ket, bra) pair gg, ge, eg and ee, O(N^3) labels per pair of
+cavity occupations.  Each term of L is a cavity factor times a sum over
+atoms of one 4 x 4 pair superoperator, so its block (_orbit_block) is
+written from the labels and the cavity ladder alone, with no
+product-basis operator.
 
-Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
-the atomic basis |ground> = index 0, |excited> = index 1, and density
-matrices are vectorised row-major.
+Each Fock cutoff builds and LU-solves its charge-0 block once for the
+stationary state, the permutation-invariant one, and its moments are
+linear functionals of the orbit coordinates.  The residual max |L rho|
+is read off that block too.  `OracleResult` keeps the returned cutoff's
+orbit coordinates and lifts them to the d x d product-basis rho
+(_orbit_rho) only when rho is read.  The moment derivatives that check
+the closure act on identical-atom product states, which are permutation
+invariant; every checked moment has charge 0 and L conserves charge, so
+the derivatives are the charge-0 block applied to the states' charge-0
+orbit coordinates.  The spectrum is a resolvent of the returned cutoff's
+charge -1 block, which holds a rho_ss and has no zero eigenvalue; a few
+block-diagonal stacks, one sparse LU each, solve the whole grid, so
+nothing is propagated in time.  The product-basis operators these routes
+are tested against live with the tests, not here.
+
+The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
+basis |ground> = index 0, |excited> = index 1.
 """
 from __future__ import annotations
 
@@ -75,16 +74,6 @@ _BRA_DOWN, _BRA_UP = np.kron(_ID2, _SM), np.kron(_ID2, _SM.T)
 _UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
 
 
-def _destroy(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
-def _lift(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
-    """op acting on factor `site` of a tensor product with factor sizes dims."""
-    left, right = int(np.prod(dims[:site])), int(np.prod(dims[site + 1:]))
-    return np.kron(np.kron(np.eye(left, dtype=complex), op), np.eye(right, dtype=complex))
-
-
 def _product_dim(n_atoms: int, n_max: int, m_max: int | None = None) -> int:
     """Product-basis dimension d, once the sizes are checked against the
     oracle's limits; the orbit solves keep the same limits."""
@@ -98,111 +87,6 @@ def _product_dim(n_atoms: int, n_max: int, m_max: int | None = None) -> int:
             f"superoperator dimension {dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
         )
     return dim
-
-
-class HilbertSpace:
-    """Operator factory for the composite space.
-
-    Parameters
-    ----------
-    n_atoms : number of atoms (<= MAX_ATOMS)
-    n_max : cavity Fock cutoff (highest retained Fock state)
-    m_max : filter Fock cutoff, or None for no filter mode
-    """
-
-    def __init__(self, n_atoms: int, n_max: int, m_max: int | None = None):
-        self.dim = _product_dim(n_atoms, n_max, m_max)
-        self.n_atoms = n_atoms
-        self.n_max = n_max
-        self.m_max = m_max
-        self.dims = [n_max + 1]
-        if m_max is not None:
-            self.dims.append(m_max + 1)
-        self.dims.extend([2] * n_atoms)
-        self._atom_offset = 1 if m_max is None else 2
-        self.a = _lift(_destroy(n_max + 1), 0, self.dims)
-        self.ad = self.a.conj().T
-        if m_max is not None:
-            self.f = _lift(_destroy(m_max + 1), 1, self.dims)
-            self.fd = self.f.conj().T
-        else:
-            self.f = self.fd = None
-        self.sm = [_lift(_SM, self._atom_offset + i, self.dims) for i in range(n_atoms)]
-        self.sp = [op.conj().T for op in self.sm]
-        self.sz = [_lift(_SZ, self._atom_offset + i, self.dims) for i in range(n_atoms)]
-
-
-def hamiltonian(space: HilbertSpace, params: SystemParams,
-                probe=None) -> np.ndarray:
-    """H with the atomic energy written as (omega_a / 2) sum sigma_z."""
-    h = params.omega_c * (space.ad @ space.a)
-    for i in range(space.n_atoms):
-        h = h + 0.5 * params.omega_a * space.sz[i]
-        h = h + params.g * (space.ad @ space.sm[i] + space.a @ space.sp[i])
-    if probe is not None:
-        if space.f is None:
-            raise ValueError("probe given but space was built without a filter mode")
-        h = h + probe.omega_f * (space.fd @ space.f)
-        h = h + probe.big_g * (space.ad @ space.f + space.a @ space.fd)
-    return h
-
-
-def lindblad_channels(space: HilbertSpace, params: SystemParams,
-                      probe=None) -> list[tuple[float, np.ndarray]]:
-    """(rate, collapse operator) pairs; chi multiplies the sigma_z channel."""
-    channels = [(params.kappa, space.a)]
-    for i in range(space.n_atoms):
-        if params.gamma > 0.0:
-            channels.append((params.gamma, space.sm[i]))
-        if params.eta > 0.0:
-            channels.append((params.eta, space.sp[i]))
-        if params.chi > 0.0:
-            channels.append((params.chi, space.sz[i]))
-    if probe is not None:
-        channels.append((probe.beta, space.f))
-    return [(r, c) for r, c in channels if r > 0.0]
-
-
-def _k_form(h, channels):
-    """Sparse K = -iH - 1/2 sum r c^dag c, formed densely like H and
-    converted once, and the sparse channels."""
-    k = -1j * h
-    for rate, c in channels:
-        k = k - 0.5 * rate * (c.conj().T @ c)
-    return sp.csr_matrix(k), [(rate, sp.csr_matrix(c)) for rate, c in channels]
-
-
-def apply_liouvillian(rho: np.ndarray, h: np.ndarray,
-                      channels: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Matrix-form action K rho + rho K^dag + sum r c rho c^dag of the
-    Liouvillian, with sparse K and c; it never goes through the vectorised
-    assembly, so it checks the sector solves independently."""
-    k, jumps = _k_form(h, channels)
-    # X A^dag = (A X^dag)^dag keeps every product sparse-times-dense
-    rho_h = rho.conj().T
-    out = k @ rho + (k @ rho_h).conj().T
-    for rate, c in jumps:
-        out = out + rate * (c @ (c @ rho_h).conj().T)
-    return out
-
-
-def build_liouvillian(params: SystemParams, n_max: int, probe=None,
-                      m_max: int | None = None) -> sp.csr_matrix:
-    """Vectorised (row-major) Liouvillian as a sparse matrix.
-
-    Row-major vec(A rho B) = (A (x) B^T) vec(rho), so L is
-    K (x) 1 + 1 (x) conj(K) + sum r c (x) conj(c).  No solve uses it: it is
-    the product-basis reference the orbit blocks are checked against."""
-    if probe is not None and m_max is None:
-        raise ValueError("a filter probe requires an explicit m_max cutoff")
-    space = HilbertSpace(params.n_atoms, n_max, m_max)
-    k, jumps = _k_form(hamiltonian(space, params, probe),
-                       lindblad_channels(space, params, probe))
-    ident = sp.identity(space.dim, dtype=complex, format="csr")
-    liouv = sp.kron(k, ident) + sp.kron(ident, k.conj())
-    for rate, c in jumps:
-        liouv = liouv + rate * sp.kron(c, c.conj())
-    return liouv.tocsr()
 
 
 class _Orbits:
@@ -312,50 +196,34 @@ class OracleMoments:
 
 @dataclass
 class OracleResult:
-    rho: np.ndarray
-    n_atoms: int
+    """A stationary state at the returned cutoff: its charge-0 orbit
+    coordinates x on `orbits` (_Orbits), its moments, and the residual
+    max |L rho| over rho's entries, read off the orbit block."""
+    orbits: _Orbits
+    x: np.ndarray
     moments: OracleMoments
-    n_max: int
-    # max |L rho| over rho's entries, from the orbit block, and the least
-    # eigenvalue of rho
-    residual: float = float("nan")
-    eigmin: float = float("nan")
+    residual: float
+
+    @property
+    def n_atoms(self) -> int:
+        return self.orbits.n_atoms
+
+    @property
+    def n_max(self) -> int:
+        return self.orbits.n_max
 
     @cached_property
-    def space(self) -> HilbertSpace:
-        """rho's product basis, built on first access: no solve needs it."""
-        return HilbertSpace(self.n_atoms, self.n_max)
-
-
-def _expect(op: np.ndarray, rho: np.ndarray) -> complex:
-    return complex(np.einsum("ij,ji->", op, rho))
-
-
-def _collective(sp, sm, sz) -> dict[str, np.ndarray]:
-    """J+-, Jz and J^2 from the lists of single-site sigma+, sigma-, sigma_z."""
-    jp = sum(sp)
-    jm = sum(sm)
-    jz = 0.5 * sum(sz)
-    j2 = 0.5 * (jp @ jm + jm @ jp) + jz @ jz
-    return {"jp": jp, "jm": jm, "jz": jz, "j2": j2}
-
-
-def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
-    mom = {name: _expect(op, rho) for name, op in _moment_ops(space).items()}
-    for name in ("photon_number", "inversion", "filter_number"):
-        if name in mom:
-            mom[name] = mom[name].real
-    mom.setdefault("pair_corr", 0.0 + 0.0j)
-    zz = _expect(space.sz[0] @ space.sz[1], rho).real if space.n_atoms >= 2 else 1.0
-    j2 = _expect(_collective(space.sp, space.sm, space.sz)["j2"], rho).real
-    return OracleMoments(zz_corr=zz, j_squared=j2, **mom)
+    def rho(self) -> np.ndarray:
+        """The d x d product-basis density matrix, lifted from x on first
+        read and kept: no solve, moment or residual needs it."""
+        return _orbit_rho(self.orbits, self.x)
 
 
 def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
-    """The moments of moments_from_rho as linear functionals of charge-0
-    orbit coordinates: Tr[O rho] sums O's matrix element over each orbit's
-    entries, size / sqrt(size) = sqrt(size) times x.  The atom-symmetric
-    forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N."""
+    """The moments of the rho with charge-0 orbit coordinates x, as
+    linear functionals of x: Tr[O rho] sums O's matrix element over each
+    orbit's entries, size / sqrt(size) = sqrt(size) times x.  The
+    atom-symmetric forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N."""
     n = orbits.n_atoms
     nk, nb, (gg, ge, eg, ee) = orbits.nk, orbits.nb, orbits.counts
     s = orbits.sqrt_size * x
@@ -475,72 +343,13 @@ def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
 
     The climb (see _climb) solves orbit blocks only.  L rho lies in the
     orbit span, so the residual max |L rho| is read off the returned
-    block times x (_max_entry).  The returned cutoff alone is lifted to
-    the product basis, for rho and its least eigenvalue; the result's
-    HilbertSpace is built on first access to .space.
+    block times x (_max_entry).  The result keeps the returned cutoff's
+    orbit coordinates; its product-basis rho is lifted only when read.
     """
     stationary = _climb(params, n_max)
     orbits, x = stationary.orbits, stationary.x
-    rho = _orbit_rho(orbits, x)
-    return OracleResult(
-        rho=rho, n_atoms=params.n_atoms,
-        moments=stationary.moments, n_max=orbits.n_max,
-        residual=_max_entry(orbits, stationary.block @ x),
-        eigmin=float(np.linalg.eigvalsh(rho)[0]))
-
-
-def _moment_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """The tracked moments' operators, keyed by moment name."""
-    ops = {
-        "photon_number": space.ad @ space.a,
-        "atom_photon": space.a @ space.sp[0],
-        "inversion": space.sz[0],
-    }
-    if space.n_atoms >= 2:
-        ops["pair_corr"] = space.sp[0] @ space.sm[1]
-    if space.f is not None:
-        ops["filter_number"] = space.fd @ space.f
-        ops["cross_photon"] = space.a @ space.fd
-        ops["cross_atom"] = space.sm[0] @ space.fd
-    return ops
-
-
-def moment_derivatives(params: SystemParams, rho: np.ndarray,
-                       space: HilbertSpace, probe=None) -> dict[str, complex]:
-    """Exact d<O>/dt for every tracked moment, for an arbitrary state."""
-    if rho.shape != (space.dim, space.dim):
-        raise ValueError(
-            f"state dimension {rho.shape} does not match space ({space.dim})"
-        )
-    drho = apply_liouvillian(
-        rho, hamiltonian(space, params, probe), lindblad_channels(space, params, probe)
-    )
-    return {name: _expect(op, drho) for name, op in _moment_ops(space).items()}
-
-
-def product_state(space: HilbertSpace, cavity_amps, bloch,
-                  filter_amps=None) -> np.ndarray:
-    """Uncorrelated state: pure cavity (x) [pure filter] (x) identical atoms.
-
-    cavity_amps are Fock amplitudes (padded / truncated to the cutoff and
-    normalised); bloch = (rx, ry, rz) fixes each atom's density matrix
-    (I + r . sigma) / 2.
-    """
-    def _pure(amps, dim):
-        vec = _unit_vector(amps, dim)
-        return np.outer(vec, vec.conj())
-
-    rho = _pure(cavity_amps, space.n_max + 1)
-    if space.f is not None:
-        if filter_amps is None:
-            filter_amps = [1.0]
-        rho = np.kron(rho, _pure(filter_amps, space.m_max + 1))
-    elif filter_amps is not None:
-        raise ValueError("filter amplitudes given but space has no filter mode")
-    atom = _atom_state(bloch)
-    for _ in range(space.n_atoms):
-        rho = np.kron(rho, atom)
-    return rho
+    return OracleResult(orbits=orbits, x=x, moments=stationary.moments,
+                        residual=_max_entry(orbits, stationary.block @ x))
 
 
 def _unit_vector(amps, dim: int) -> np.ndarray:
@@ -565,11 +374,13 @@ def _atom_state(bloch) -> np.ndarray:
 
 
 def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
-    """Charge-0 orbit coordinates of product_state(space, cavity_amps, bloch)
-    with no filter mode.  Each entry of orbit o holds c[nk] conj(c[nb]) times
-    prod_p atom_p^counts[p], atom_p the atom's matrix element on pair p
-    (gg, ge, eg, ee), so x_o is sqrt(size_o) times that; the state's other
-    charges are dropped."""
+    """Charge-0 orbit coordinates of an uncorrelated state with no filter
+    mode: a pure cavity with Fock amplitudes cavity_amps (padded /
+    truncated to the cutoff and normalised) and identical atoms, each in
+    the Bloch state (I + r . sigma) / 2 of bloch = (rx, ry, rz).  Each
+    entry of orbit o holds c[nk] conj(c[nb]) times prod_p atom_p^counts[p],
+    atom_p the atom's matrix element on pair p (gg, ge, eg, ee), so x_o is
+    sqrt(size_o) times that; the state's other charges are dropped."""
     c = _unit_vector(cavity_amps, orbits.n_max + 1)
     atom = _atom_state(bloch).ravel()[:, None]
     return (orbits.sqrt_size * c[orbits.nk] * c[orbits.nb].conj()
@@ -680,7 +491,9 @@ def consistency_report() -> list[dict]:
     """Cross-validation suite between this solver and the moment closure.
 
     Returns one record {test, max_error, pass} per check; meant for the
-    oracle-check CLI subcommand.
+    oracle-check CLI subcommand.  Only the N = 2 validity check lifts its
+    state to the product-basis rho, for its trace, Hermiticity and least
+    eigenvalue; every other check reads orbit coordinates.
     """
     report = []
     desk = dict(g=0.25, kappa=1.0, gamma=0.01, eta=0.2, chi=0.03)
@@ -693,10 +506,10 @@ def consistency_report() -> list[dict]:
         })
 
     params2 = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    result = oracle_steady_state(params2, n_max=6)
-    trace_err = abs(np.trace(result.rho) - 1.0)
-    herm_err = float(np.max(np.abs(result.rho - result.rho.conj().T)))
-    neg = max(0.0, -result.eigmin)
+    rho = oracle_steady_state(params2, n_max=6).rho
+    trace_err = abs(np.trace(rho) - 1.0)
+    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+    neg = max(0.0, -float(np.linalg.eigvalsh(rho)[0]))
     report.append({
         "test": "steady_state_validity_n2",
         "max_error": float(max(trace_err, herm_err, neg)),
@@ -721,31 +534,3 @@ def consistency_report() -> list[dict]:
         "max_error": float(pair), "pass": bool(pair < 1e-12),
     })
     return report
-
-
-# Pure atomic-space helpers for collective-spin tests -----------------------
-
-def atomic_collective_ops(n_atoms: int) -> dict[str, np.ndarray]:
-    """J operators on the bare 2^N atomic space (no cavity factor), N <= MAX_ATOMS."""
-    space = HilbertSpace(n_atoms, 0)  # a one-state cavity adds no factor
-    singles = {"sz": space.sz, "sp": space.sp, "sm": space.sm}
-    return {**_collective(**singles), **singles}
-
-
-def dicke_basis(n_atoms: int) -> list[tuple[float, float, np.ndarray]]:
-    """Simultaneous (J, M) eigenvectors of J^2 and Jz on 2^N atoms."""
-    ops = atomic_collective_ops(n_atoms)
-    evals, evecs = np.linalg.eigh(ops["j2"].real)
-    out = []
-    used = np.zeros(len(evals), dtype=bool)
-    jj_values = np.round(2.0 * ((np.sqrt(1.0 + 4.0 * evals) - 1.0) / 2.0)) / 2.0
-    for jj in sorted(set(jj_values)):
-        block = np.where((~used) & (np.abs(jj_values - jj) < 1e-6))[0]
-        used[block] = True
-        basis = evecs[:, block]
-        jz_block = basis.conj().T @ ops["jz"].real @ basis
-        m_vals, m_vecs = np.linalg.eigh(jz_block)
-        for m, col in zip(m_vals, m_vecs.T):
-            vec = basis @ col
-            out.append((float(jj), float(np.round(2.0 * m) / 2.0), vec))
-    return out

@@ -204,3 +204,11 @@ def test_strong_pump_limit_of_a_lossless_cavity():
     assert lim.strong_pump == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
     assert lim.n_purcell == math.inf
 
+
+@pytest.mark.parametrize("g", [0.1, 0.0])
+def test_strong_pump_limit_without_loss_or_decoherence_is_nan(g):
+    # Gamma + kappa = 0: (Gamma kappa - 4 N g^2) / (Gamma + kappa) does not exist
+    lim = limit_linewidths(SystemParams(n_atoms=2, g=g, kappa=0.0, gamma=0.0, eta=0.0))
+    assert math.isnan(lim.strong_pump)
+    assert lim.collective_rabi == 2.0 * math.sqrt(2.0) * g and lim.cavity == 0.0
+

@@ -245,7 +245,7 @@ def test_limits_reports_a_null_crossover_width_outside_its_domain(capsys, monkey
     assert "negative radicand" in payload["delta_nu_eq4_note"]
 
 
-def test_limits_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
+def test_limits_of_a_lossless_cavity_is_strict_json(capsys, tmp_path, lossless_config):
     code, out, _ = run_cli(capsys, ["limits", "--config", lossless_config])
     assert code == 0
     payload = strict_json(out)
@@ -254,6 +254,16 @@ def test_limits_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
     assert payload["n_purcell_hz"] is None
     assert "infinite" in payload["n_purcell_note"]
     assert payload["strong_pump_hz"] == pytest.approx(-4 * 2 * 0.04**2 / 0.11, rel=1e-12)
+    # with no decoherence either, Gamma + kappa = 0 and the strong-pump limit does not exist
+    for g_hz in (0.1, 0):
+        path = tmp_path / f"no_loss_g{g_hz}.json"
+        path.write_text(json.dumps({"n_atoms": 2, "g_hz": g_hz, "kappa_hz": 0,
+                                    "gamma_hz": 0, "eta_hz": 0}))
+        code, out, _ = run_cli(capsys, ["limits", "--config", str(path)])
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["strong_pump_hz"] is None
+        assert "Gamma + kappa = 0" in payload["strong_pump_note"]
 
 
 def test_steady_of_a_lossless_cavity_is_strict_json(capsys, lossless_config):
@@ -359,6 +369,24 @@ def test_sweep_jsonl_echo(capsys, tmp_path, desk_config):
     assert all(row["status"] == "ok" for row in rows)
     assert out_csv.exists()
     assert "4 rows (4 ok)" in err
+
+
+def test_sweep_jsonl_echo_of_a_below_threshold_cell_is_strict_json(capsys, tmp_path):
+    # eq. 3 does not exist below threshold: null in the echo, nan in the CSV
+    out_csv = tmp_path / "below.csv"
+    cfg_path = tmp_path / "below.json"
+    cfg_path.write_text(json.dumps({
+        "n_atoms": 2, "g_hz": 0.01, "kappa_hz": 1, "gamma_hz": 0.1,
+        "eta_grid": {"min_hz": 0.05, "max_hz": 0.05, "points": 1},
+        "observables": {"analytic": True}, "output_path": str(out_csv),
+    }))
+    code, out, _ = run_cli(capsys, ["sweep", "--config", str(cfg_path), "--format", "jsonl"])
+    assert code == 0
+    (row,) = [strict_json(line) for line in out.splitlines()]
+    assert row["status"] == "ok" and row["delta_nu_eq3_hz"] is None
+    assert row["delta_nu_eq4_hz"] == pytest.approx(0.118464418, rel=1e-8)
+    header, cells = out_csv.read_text().splitlines()
+    assert dict(zip(header.split(","), cells.split(",")))["delta_nu_eq3_hz"] == "nan"
 
 
 def test_sweep_requires_grid_and_output(capsys, tmp_path):

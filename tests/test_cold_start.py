@@ -94,3 +94,8 @@ def test_every_exported_name_resolves():
     assert srlaser.oracle_steady_state is srlaser.oracle.oracle_steady_state
     with pytest.raises(AttributeError, match="no attribute 'AnalyticInputs'"):
         srlaser.AnalyticInputs
+    # the product-basis reference lives with the tests, not in the package
+    for name in ("product_state", "moment_derivatives"):
+        assert name not in srlaser.__all__
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(srlaser, name)

@@ -931,6 +931,68 @@ def test_backward_horizon_and_other_methods_raise(desk_params):
         cumulant.solve_ivp(lambda _, y: -y, (1.0, 0.0), [1.0])
 
 
+def _bounded(fun, calls=100_000):
+    """fun, raising after `calls` calls: a solver that never ends fails."""
+    made = iter(range(calls))
+
+    def bounded(*args):
+        if next(made, None) is None:
+            raise RuntimeError(f"no end after {calls} calls")
+        return fun(*args)
+    return bounded
+
+
+def test_integrate_from_a_nan_derivative_raises_stiff_error(monkeypatch):
+    # the state passes validate(), but its rhs is [-2e301, nan, -inf,
+    # 4e300, -0, -0]: the first step is NaN, which no step test rejects
+    start = MomentState(1.0, 1e300 + 1e300j, 0.0, 0j)
+    params = SystemParams(n_atoms=10, g=1.0, kappa=1e10, gamma=0.1, eta=0.2, omega_a=-1e10)
+    rhs_of = cumulant._rhs
+    monkeypatch.setattr(cumulant, "_rhs", lambda p: _bounded(rhs_of(p)))
+    with pytest.raises(StiffIntegrationError, match="less than spacing"):
+        integrate(start, params, 1.0)
+
+
+@pytest.mark.parametrize("t_max", [np.inf, np.nan])
+def test_integrate_over_a_non_finite_horizon_raises(monkeypatch, desk_params, t_max):
+    rhs_of = cumulant._rhs
+    monkeypatch.setattr(cumulant, "_rhs", lambda p: _bounded(rhs_of(p)))
+    with pytest.raises(ValueError, match="finite"):
+        integrate(initial_state(desk_params), desk_params, t_max)
+
+
+def test_nan_first_step_ends_at_the_start_in_1d_and_batch():
+    # row 1 is NaN at y0; the others step as their own 1-D calls
+    y0 = np.ones((3, 6))
+    rates = np.array([1.0, 1.0, 2.0])
+
+    def rows_fun(t, y, rows):
+        return np.where((rows == 1)[:, None], np.nan, -rates[rows, None] * y)
+
+    own = [cumulant.solve_ivp(_bounded(lambda t, y, i=i: rows_fun(t, y[None], np.array([i]))[0]),
+                              (0.0, 1.0), y0[i], rtol=1e-8, atol=1e-12) for i in range(3)]
+    assert [sol.success for sol in own] == [True, False, True]
+    assert own[1].message == dop853.TOO_SMALL_STEP and own[1].nfev == 2
+    assert own[1].t.tolist() == [0.0] and np.array_equal(own[1].y[:, 0], y0[1])
+    batch = cumulant.solve_ivp(_bounded(rows_fun), (0.0, 1.0), y0, rtol=1e-8, atol=1e-12)
+    for i, sol in enumerate(own):
+        assert batch.success[i] == sol.success and batch.row_nfev[i] == sol.nfev
+        assert np.array_equal(batch.y[i], sol.y[:, -1])
+    every = cumulant.solve_ivp(_bounded(lambda t, y, rows: np.full_like(y, np.nan)),
+                               (0.0, 1.0), y0, rtol=1e-8, atol=1e-12)
+    assert not every.success.any() and np.array_equal(every.y, y0)
+    assert every.row_nfev.tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan, -np.inf])
+def test_non_finite_end_time_raises_in_1d_and_batch(t_end):
+    decay = _bounded(lambda t, y, *rows: -y)
+    with pytest.raises(ValueError, match="finite"):
+        cumulant.solve_ivp(decay, (0.0, t_end), [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        cumulant.solve_ivp(decay, (0.0, np.array([1.0, t_end])), np.ones((2, 1)))
+
+
 # -------------------------------------------------------------- state plumbing
 
 def test_moment_state_vector_round_trip():

@@ -25,7 +25,8 @@ from srlaser.dicke import (
     REGIME_SUPERRADIANT_LASING,
 )
 from srlaser.errors import ClosureWarning
-from srlaser.oracle import atomic_collective_ops, dicke_basis
+
+from oracle_reference import atomic_collective_ops, dicke_basis
 
 
 def _state(n=0.0, c=0j, s=0.0, p=0j):

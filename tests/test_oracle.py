@@ -11,22 +11,21 @@ import scipy.sparse.linalg as spla
 from srlaser import oracle
 from srlaser.errors import CutoffError, MemoryBudgetError, SimulationError
 from srlaser.model import SystemParams
-from srlaser.oracle import (
+from srlaser.oracle import derivative_match_error, oracle_spectrum, oracle_steady_state
+from srlaser.spectrum import FilterProbe, fit_lorentzian
+
+from oracle_reference import (
     HilbertSpace,
     apply_liouvillian,
     atomic_collective_ops,
     build_liouvillian,
-    derivative_match_error,
     dicke_basis,
     hamiltonian,
     lindblad_channels,
     moment_derivatives,
     moments_from_rho,
-    oracle_spectrum,
-    oracle_steady_state,
     product_state,
 )
-from srlaser.spectrum import FilterProbe, fit_lorentzian
 
 
 DESK = dict(g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
@@ -106,7 +105,7 @@ def test_uncoupled_pair_is_exact_product_state():
     result = oracle_steady_state(params, n_max=0)
     p_exc = params.eta / (params.eta + params.gamma)
     atom = np.diag([1.0 - p_exc, p_exc]).astype(complex)
-    cavity = np.zeros((result.space.n_max + 1,) * 2, dtype=complex)
+    cavity = np.zeros((result.n_max + 1,) * 2, dtype=complex)
     cavity[0, 0] = 1.0
     ref = np.kron(np.kron(cavity, atom), atom)
     assert np.max(np.abs(result.rho - ref)) < 1e-12
@@ -192,7 +191,7 @@ def test_stacked_spectrum_matches_per_frequency_solves(n_atoms):
     grid = np.linspace(-1.0, 1.0, 81)
     scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
-    space = result.space
+    space = HilbertSpace(result.n_atoms, result.n_max)
     idx = _sector(space, -1)
     orbits = oracle._Orbits(n_atoms, result.n_max, -1)
     assert space.dim**2 // orbits.nk.size < grid.size / 2  # three stacks or more
@@ -226,7 +225,7 @@ def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
     monkeypatch.setattr(oracle, "_factor", recording)
     oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
-    space = result.space
+    space = HilbertSpace(result.n_atoms, result.n_max)
     orbits = oracle._Orbits(n_atoms, result.n_max, -1)
     idx, v = _orbit_matrix(space, -1, _oracle_numbering(orbits))
     assert len(solutions) > 1
@@ -372,7 +371,7 @@ def test_orbit_moments_equal_the_moments_of_the_lifted_rho(n_atoms):
     params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4, omega_c=-0.1)
     result = oracle_steady_state(params, n_max=4)
-    lifted = moments_from_rho(result.space, result.rho).as_dict()
+    lifted = moments_from_rho(HilbertSpace(result.n_atoms, result.n_max), result.rho).as_dict()
     for name, value in result.moments.as_dict().items():
         assert abs(value - lifted[name]) <= 1e-12 * max(1.0, abs(lifted[name])), name
 
@@ -399,7 +398,7 @@ def test_trace_functional_is_left_null_vector():
 
 def test_stationary_state_annihilates_all_moment_derivatives(desk3_result):
     params, result = desk3_result
-    derivs = moment_derivatives(params, result.rho, result.space)
+    derivs = moment_derivatives(params, result.rho, HilbertSpace(result.n_atoms, result.n_max))
     assert set(derivs) == {"photon_number", "atom_photon", "inversion", "pair_corr"}
     for value in derivs.values():
         assert abs(value) < 1e-12
@@ -409,13 +408,13 @@ def test_steady_state_density_matrix_invariants(desk3_result):
     _, result = desk3_result
     assert abs(np.trace(result.rho) - 1.0) < 1e-12
     assert np.max(np.abs(result.rho - result.rho.conj().T)) == 0.0
-    assert result.eigmin > -1e-9
+    assert np.linalg.eigvalsh(result.rho)[0] > -1e-9
     assert result.residual < 1e-12
 
 
 def test_steady_state_is_permutation_symmetric(desk3_result):
     _, result = desk3_result
-    space, rho = result.space, result.rho
+    space, rho = HilbertSpace(result.n_atoms, result.n_max), result.rho
     sz_vals = [np.trace(space.sz[i] @ rho).real for i in range(3)]
     assert np.ptp(sz_vals) < 1e-10
     pair_vals = [
@@ -459,7 +458,8 @@ def test_orbit_derivatives_of_product_states_match_the_matrix_form(n_atoms):
 def test_residual_is_the_matrix_form_residual(n_atoms):
     params = SystemParams(n_atoms=n_atoms, chi=0.03, omega_a=0.4, omega_c=-0.3, **DESK)
     result = oracle_steady_state(params, n_max=4)
-    h, channels = hamiltonian(result.space, params), lindblad_channels(result.space, params)
+    space = HilbertSpace(result.n_atoms, result.n_max)
+    h, channels = hamiltonian(space, params), lindblad_channels(space, params)
     matrix = apply_liouvillian(result.rho, h, channels)
     assert abs(result.residual - np.max(np.abs(matrix))) <= 1e-15
     # the stationary residual is round-off; off the stationary state the
@@ -524,37 +524,47 @@ def test_spectrum_reuses_the_stationary_liouvillian(monkeypatch):
     assert assembled == [(4, 0), (6, 0), (6, -1)]
 
 
-def test_product_basis_is_built_only_at_the_returned_cutoff(monkeypatch):
-    # the climb solves orbit blocks only; rho, its residual and eigmin need
-    # no product-basis operator, result.space builds them once, on first
-    # access, at the returned cutoff, and the spectrum needs them not at all
-    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    built = []
-    _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
-    result = oracle_steady_state(params, n_max=6)
-    assert result.n_max == 10 and built == []
-    assert result.space is result.space
-    assert (result.space.n_atoms, result.space.n_max, result.space.dim) == (3, 10, 88)
-    assert built == [10]
-    oracle_spectrum(params, n_max=6, omega_grid=np.linspace(-1.0, 1.0, 5))
-    assert built == [10]
-
-
-def test_consistency_checks_build_no_matrix_form_operators(monkeypatch):
-    # the derivative checks and the residual act with orbit blocks, and no
-    # check reads a returned state's product basis
+def test_rho_is_lifted_once_and_only_when_read(monkeypatch):
+    # the climb, the moments and the residual work on orbit coordinates;
+    # rho is lifted from them on its first read and kept, and neither the
+    # spectrum nor the derivative checks lift anything
     params = SystemParams(n_atoms=3, chi=0.03, **DESK)
-    built, k_forms, hamiltonians = [], [], []
-    _count_calls(monkeypatch, "HilbertSpace", built, lambda args: args[1])
-    _count_calls(monkeypatch, "_k_form", k_forms, lambda args: None)
-    _count_calls(monkeypatch, "hamiltonian", hamiltonians, lambda args: None)
+    lifts = []
+    _count_calls(monkeypatch, "_orbit_rho", lifts, lambda args: args[0].n_max)
+    result = oracle_steady_state(params, n_max=6)
+    assert result.n_max == 10 and result.residual < 1e-12 and lifts == []
+    assert result.rho is result.rho
+    assert result.rho.shape == (88, 88)
+    assert lifts == [10]
+    oracle_spectrum(params, n_max=6, omega_grid=np.linspace(-1.0, 1.0, 5))
     assert derivative_match_error(params, n_states=3) < 1e-10
-    assert built == [] and k_forms == []
-    assert oracle_steady_state(params, n_max=6).n_max == 10
-    assert built == [] and hamiltonians == [] and k_forms == []
+    assert lifts == [10]
+
+
+def test_consistency_report_lifts_only_its_n2_validity_state(monkeypatch):
+    lifts = []
+    _count_calls(monkeypatch, "_orbit_rho", lifts, lambda args: args[0].n_atoms)
     assert all(check["pass"] for check in oracle.consistency_report())
-    assert built == []
-    assert hamiltonians == [] and k_forms == []
+    assert lifts == [2]
+
+
+def test_six_atom_state_is_measured_without_a_lift_or_eigenvalues(monkeypatch):
+    # N = 6 from n_max = 6 returns n_max = 12, where the lifted rho is
+    # 832 x 832; its moments and residual never need it
+    lifts, eigvals = [], []
+    _count_calls(monkeypatch, "_orbit_rho", lifts, lambda args: None)
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counted_eigvalsh(*args, **kwargs):
+        eigvals.append(None)
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    result = oracle_steady_state(SystemParams(n_atoms=6, **DESK), n_max=6)
+    assert result.n_max == 12
+    assert result.moments.photon_number == pytest.approx(0.5449, abs=1e-4)
+    assert result.residual < 1e-12
+    assert lifts == [] and eigvals == []
 
 
 def test_cutoff_error_names_the_highest_cutoff_solved():
@@ -573,6 +583,10 @@ def test_space_validation_and_memory_budget():
         HilbertSpace(2, -1)
     with pytest.raises(MemoryBudgetError):
         HilbertSpace(6, 16)
+    # the solves keep the same limits: N = 7 is rejected before any block is built
+    assert (oracle.MAX_ATOMS, oracle.MAX_SUPEROP_DIM) == (6, 2**20)
+    with pytest.raises(ValueError, match="n_atoms must be in 1..6"):
+        oracle_steady_state(SystemParams(n_atoms=7, **DESK))
 
 
 # ------------------------------------------------------- state/grid validation

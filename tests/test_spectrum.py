@@ -12,13 +12,7 @@ from srlaser.analytic import crossover_linewidth
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
 from srlaser.model import ETA_EXP, SystemParams, from_hz, preset, to_hz
-from srlaser.oracle import (
-    HilbertSpace,
-    moment_derivatives,
-    moments_from_rho,
-    oracle_spectrum,
-    product_state,
-)
+from srlaser.oracle import oracle_spectrum
 from srlaser.spectrum import (
     ExtendedState,
     FilterProbe,
@@ -39,6 +33,7 @@ from srlaser.spectrum import (
 from srlaser.sweep import ONE_LORENTZIAN_WEIGHT
 
 from conftest import rel_err
+from oracle_reference import HilbertSpace, moment_derivatives, moments_from_rho, product_state
 
 
 # ------------------------------------------------- probe equations vs oracle
