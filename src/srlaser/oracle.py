@@ -1,4 +1,4 @@
-"""Exact master-equation reference solver for small atom numbers.
+"""Exact master-equation reference solver, sized by orbits, not atoms.
 
 Solves the Lindblad master equation of N two-level atoms coupled to a
 truncated cavity mode for its stationary state, evaluates exact moment
@@ -24,26 +24,26 @@ written from the labels and the cavity ladder alone, with no
 product-basis operator.
 
 Each Fock cutoff builds and LU-solves its charge-0 block once for the
-stationary state, the permutation-invariant one, and its moments are
-linear functionals of the orbit coordinates.  The residual max |L rho|
-is read off that block too.  `OracleResult` keeps the returned cutoff's
-orbit coordinates and lifts them to the d x d product-basis rho
-(_orbit_rho) only when rho is read.  The moment derivatives that check
-the closure act on identical-atom product states, which are permutation
-invariant; every checked moment has charge 0 and L conserves charge, so
-the derivatives are the charge-0 block applied to the states' charge-0
-orbit coordinates.  The spectrum is a resolvent of the returned cutoff's
-charge -1 block, which holds a rho_ss and has no zero eigenvalue; a few
-block-diagonal stacks, one sparse LU each, solve the whole grid, so
-nothing is propagated in time.  The product-basis operators these routes
-are tested against live with the tests, not here.
+stationary state, the permutation-invariant one; its moments and the
+residual max |L rho| are read off the orbit coordinates and that block.
+`OracleResult` lifts the returned cutoff's coordinates to the d x d
+product-basis rho (_orbit_rho) only when rho is read.  The moment
+derivatives that check the closure act on identical-atom product states,
+which are permutation invariant; every checked moment has charge 0 and L
+conserves charge, so the derivatives are the charge-0 block applied to
+the states' charge-0 orbit coordinates.  The spectrum is a resolvent of
+the returned cutoff's charge -1 block, which holds a rho_ss and has no
+zero eigenvalue; block-diagonal stacks, one sparse LU each, solve the
+whole grid, so nothing is propagated in time.  No LU has more than
+MAX_ORBITS unknowns, and only the lift knows d.  The product-basis
+reference lives with the tests.
 
 The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
 basis |ground> = index 0, |excited> = index 1.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,8 +54,12 @@ import scipy.sparse.linalg as spla
 from .errors import CutoffError, MemoryBudgetError, SimulationError
 from .model import SystemParams
 
-MAX_ATOMS = 6
-MAX_SUPEROP_DIM = 2**20  # cap on d^2 for the vectorised Liouvillian
+# Cap on a block's orbits, so on every LU's unknowns.  One desk _steady_once
+# (one BLAS thread, 2-vCPU 8 GB Xeon) at (N, n_max) = (15, 16), 10,440 orbits:
+# 5.8 s CPU, 440 MB peak RSS; (20, 14), 16,977: 29 s, 1.0 GB; (20, 16), 20,449:
+# 43 s, 1.26 GB; (30, 11), 28,552: 79 s, 1.77 GB; (30, 12), 32,778, raises.
+MAX_ORBITS = 2**15
+MAX_SUPEROP_DIM = 2**20  # cap on the d^2 entries of a rho lifted by _orbit_rho
 # relative change of every reported moment between cutoffs n_max and
 # n_max + 2 below which the stationary state counts as converged
 DRIFT_TOL = 1e-6
@@ -74,21 +78,6 @@ _BRA_DOWN, _BRA_UP = np.kron(_ID2, _SM), np.kron(_ID2, _SM.T)
 _UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
 
 
-def _product_dim(n_atoms: int, n_max: int, m_max: int | None = None) -> int:
-    """Product-basis dimension d, once the sizes are checked against the
-    oracle's limits; the orbit solves keep the same limits."""
-    if n_atoms < 1 or n_atoms > MAX_ATOMS:
-        raise ValueError(f"n_atoms must be in 1..{MAX_ATOMS}, got {n_atoms}")
-    if n_max < 0 or (m_max is not None and m_max < 0):
-        raise ValueError("Fock cutoffs must be >= 0")
-    dim = (n_max + 1) * (1 if m_max is None else m_max + 1) * 2**n_atoms
-    if dim**2 > MAX_SUPEROP_DIM:
-        raise MemoryBudgetError(
-            f"superoperator dimension {dim}^2 exceeds budget {MAX_SUPEROP_DIM}"
-        )
-    return dim
-
-
 class _Orbits:
     """The orbits of one charge sector of cavity (x) N atoms under atom
     permutations, in the one numbering every orbit solve uses.
@@ -102,16 +91,32 @@ class _Orbits:
     rho = sum_o x_o V_o.  The charge is nk - nb + n_eg - n_ge, so nb follows
     from the rest, and orbits are numbered in increasing order of
     (nk, n_ge, n_eg, n_ee): orbit 0 of the charge-0 sector is rho[0, 0], the
-    vacuum with every atom in g.  At N = 1 every orbit is one entry.
+    vacuum with every atom in g.  At N = 1 every orbit is one entry.  More
+    than MAX_ORBITS orbits raise MemoryBudgetError before any label is built.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
-        self.dim = _product_dim(n_atoms, n_max)
+        if n_atoms < 1 or n_max < 0:
+            raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
+        # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
+        # m = (N - |t|) // 2 + 1, each with n_max + 1 - |t - charge| cavity
+        # pairs; every t in range has an orbit, so MAX_ORBITS + 1 t suffice
+        lo, hi = max(charge - n_max, -n_atoms), min(charge + n_max, n_atoms)
+        t = np.arange(lo, min(hi, lo + MAX_ORBITS) + 1.0)
+        m = (n_atoms - np.abs(t)) // 2 + 1
+        count = np.sum(m * (n_atoms - np.abs(t) + 2 - m) * (n_max + 1 - np.abs(t - charge)))
+        if count > MAX_ORBITS:
+            raise MemoryBudgetError(f"N = {n_atoms}, n_max = {n_max} has at least {count:.0f} "
+                                    f"orbits, more than MAX_ORBITS = {MAX_ORBITS}")
         self.n_atoms, self.n_max = n_atoms, n_max
-        ge, eg, ee = np.indices((n_atoms + 1,) * 3).reshape(3, -1)
-        few = ge + eg + ee <= n_atoms
-        nk = np.repeat(np.arange(n_max + 1), few.sum())
-        ge, eg, ee = (np.tile(c[few], n_max + 1) for c in (ge, eg, ee))
+        # the (n_ge, n_eg) that some cavity pair reaches, each with every n_ee
+        ge, eg = np.indices((n_atoms + 1,) * 2).reshape(2, -1)
+        few = (ge + eg <= n_atoms) & (np.abs(eg - ge - charge) <= n_max)
+        reps = n_atoms + 1 - ge[few] - eg[few]
+        ge, eg = np.repeat(ge[few], reps), np.repeat(eg[few], reps)
+        ee = np.arange(ge.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        nk = np.repeat(np.arange(n_max + 1), ge.size)
+        ge, eg, ee = (np.tile(c, n_max + 1) for c in (ge, eg, ee))
         nb = nk + eg - ge - charge
         keep = (nb >= 0) & (nb <= n_max)
         self.nk, self.nb = nk[keep], nb[keep]
@@ -185,13 +190,9 @@ class OracleMoments:
     pair_corr: complex
     zz_corr: float
     j_squared: float
-    filter_number: float | None = None
-    cross_photon: complex | None = None
-    cross_atom: complex | None = None
 
     def as_dict(self) -> dict:
-        """The moments that were computed: the filter ones only with a filter mode."""
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return asdict(self)
 
 
 @dataclass
@@ -273,7 +274,9 @@ def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
 
     Basis state i holds i >> N photons, and its low N bits are the atoms'
     excitations, so each entry's pair counts are popcounts."""
-    n, d = orbits.n_atoms, orbits.dim
+    n, d = orbits.n_atoms, (orbits.n_max + 1) * 2**orbits.n_atoms
+    if d * d > MAX_SUPEROP_DIM:
+        raise MemoryBudgetError(f"lifted rho has {d}^2 entries, more than {MAX_SUPEROP_DIM}")
     ones = np.array([bin(b).count("1") for b in range(2**n)])
     photons, atoms = np.divmod(np.arange(d), 2**n)
     ee = ones[atoms[:, None] & atoms]
@@ -309,13 +312,8 @@ def _steady_once(params: SystemParams, n_max: int) -> _Stationary:
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
-    drift = 0.0
-    b_dict = b.as_dict()
-    for key, va in a.as_dict().items():
-        vb = b_dict[key]
-        scale = max(abs(va), abs(vb), 1e-12)
-        drift = max(drift, abs(va - vb) / scale)
-    return drift
+    return max(0.0, *(abs(va - vb) / max(abs(va), abs(vb), 1e-12)
+                      for va, vb in zip(astuple(a), astuple(b))))
 
 
 def _climb(params: SystemParams, n_max: int) -> _Stationary:
@@ -398,16 +396,14 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     is permutation invariant, so its solves stay in the charge -1 orbit
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
     (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
-    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  The
-    block-diagonal stacks of these systems hold at most d^2 unknowns each,
-    d^2 // n systems of n orbits, with d the product-basis dimension.
-    Returns a unit-peak-normalised SpectrumScan.
+    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  Each
+    block-diagonal stack of these systems holds MAX_ORBITS // n systems of
+    n orbits, so no LU has more than MAX_ORBITS unknowns.  Returns a
+    unit-peak-normalised SpectrumScan.
     """
-    from .spectrum import SpectrumScan  # local import to keep layering one-way
+    from .spectrum import SpectrumScan, _checked_grid  # layering stays one-way
 
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.ndim != 1 or omega_grid.size < 2:
-        raise ValueError("omega_grid must be a 1-d grid with >= 2 points")
+    omega_grid = _checked_grid(omega_grid)
     stationary = _climb(params, n_max)
     lower, x_ss = stationary.orbits, stationary.x
     orbits, block = _orbit_block(params, lower.n_max, -1)
@@ -422,7 +418,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
     block = block.tocoo()
-    per_stack = orbits.dim**2 // n
+    per_stack = MAX_ORBITS // n
     intensity = []
     for start in range(0, omega_grid.size, per_stack):
         omega = omega_grid[start:start + per_stack]

@@ -288,6 +288,16 @@ def extended_steady_state(params: SystemParams, probe: FilterProbe,
     return ExtendedState.from_vector(x[:, 0])
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """grid as floats; ValueError unless 1-d, >= 2 points, finite, increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be 1-d with at least 2 points")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("grid must be finite and strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True)
 class SpectrumScan:
     """Filter photon number (intensity) versus filter frequency omega, rad/s.
@@ -299,14 +309,12 @@ class SpectrumScan:
     intensity: np.ndarray
 
     def __post_init__(self) -> None:
-        omega = np.asarray(self.omega, dtype=float)
+        omega = _checked_grid(self.omega)
         intensity = np.asarray(self.intensity, dtype=float)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "intensity", intensity)
-        if omega.ndim != 1 or omega.shape != intensity.shape:
+        if omega.shape != intensity.shape:
             raise ValueError("omega and intensity must be matching 1-d arrays")
-        if omega.size >= 2 and np.any(np.diff(omega) <= 0.0):
-            raise ValueError("omega grid must be strictly increasing")
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -324,11 +332,7 @@ def scan(params: SystemParams, probe: FilterProbe, grid,
     stacked 11 x 11 solve per step.  A point that does not converge raises
     SimulationError naming its omega_f.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be 1-d with at least 2 points")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing")
+    grid = _checked_grid(grid)
     if method == "closed_form":
         intensity = filter_response(base, params, probe, grid)[0]
     elif method == "ode":

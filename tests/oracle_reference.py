@@ -11,23 +11,51 @@ their Dicke basis.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
-matrices are vectorised row-major.  Sizes are checked against the
-oracle's own limits (`oracle._product_dim`).
+matrices are vectorised row-major.  Every operator here is a dense
+d x d matrix, so d^2 is capped at the oracle's lift cap
+(`oracle.MAX_SUPEROP_DIM`), the filter mode included.
 """
 from __future__ import annotations
+
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from srlaser.errors import MemoryBudgetError
 from srlaser.model import SystemParams
 from srlaser.oracle import (
     _SM,
     _SZ,
+    MAX_SUPEROP_DIM,
     OracleMoments,
     _atom_state,
-    _product_dim,
     _unit_vector,
 )
+
+
+@dataclass(frozen=True)
+class ReferenceMoments(OracleMoments):
+    """The oracle's moments plus the filter mode's, set only with a filter."""
+    filter_number: float | None = None
+    cross_photon: complex | None = None
+    cross_atom: complex | None = None
+
+    def as_dict(self) -> dict:
+        """The moments that were computed: the filter ones only with a filter mode."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
+def _product_dim(n_atoms: int, n_max: int, m_max: int | None = None) -> int:
+    """Product-basis dimension d, once the sizes are checked."""
+    if n_atoms < 1:
+        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
+    if n_max < 0 or (m_max is not None and m_max < 0):
+        raise ValueError("Fock cutoffs must be >= 0")
+    dim = (n_max + 1) * (1 if m_max is None else m_max + 1) * 2**n_atoms
+    if dim**2 > MAX_SUPEROP_DIM:
+        raise MemoryBudgetError(f"product dimension {dim}^2 exceeds budget {MAX_SUPEROP_DIM}")
+    return dim
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -45,7 +73,7 @@ class HilbertSpace:
 
     Parameters
     ----------
-    n_atoms : number of atoms (<= MAX_ATOMS)
+    n_atoms : number of atoms (>= 1)
     n_max : cavity Fock cutoff (highest retained Fock state)
     m_max : filter Fock cutoff, or None for no filter mode
     """
@@ -158,7 +186,7 @@ def _collective(sp, sm, sz) -> dict[str, np.ndarray]:
     return {"jp": jp, "jm": jm, "jz": jz, "j2": j2}
 
 
-def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
+def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> ReferenceMoments:
     mom = {name: _expect(op, rho) for name, op in _moment_ops(space).items()}
     for name in ("photon_number", "inversion", "filter_number"):
         if name in mom:
@@ -166,7 +194,7 @@ def moments_from_rho(space: HilbertSpace, rho: np.ndarray) -> OracleMoments:
     mom.setdefault("pair_corr", 0.0 + 0.0j)
     zz = _expect(space.sz[0] @ space.sz[1], rho).real if space.n_atoms >= 2 else 1.0
     j2 = _expect(_collective(space.sp, space.sm, space.sz)["j2"], rho).real
-    return OracleMoments(zz_corr=zz, j_squared=j2, **mom)
+    return ReferenceMoments(zz_corr=zz, j_squared=j2, **mom)
 
 
 def _moment_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
@@ -226,7 +254,7 @@ def product_state(space: HilbertSpace, cavity_amps, bloch,
 # Pure atomic-space helpers for collective-spin tests -----------------------
 
 def atomic_collective_ops(n_atoms: int) -> dict[str, np.ndarray]:
-    """J operators on the bare 2^N atomic space (no cavity factor), N <= MAX_ATOMS."""
+    """J operators on the bare 2^N atomic space (no cavity factor)."""
     space = HilbertSpace(n_atoms, 0)  # a one-state cavity adds no factor
     singles = {"sz": space.sz, "sp": space.sp, "sm": space.sm}
     return {**_collective(**singles), **singles}

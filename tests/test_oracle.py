@@ -1,6 +1,8 @@
 """Exact-diagonalization reference solver: self-consistency and known limits."""
 from __future__ import annotations
 
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -193,8 +195,6 @@ def test_stacked_spectrum_matches_per_frequency_solves(n_atoms):
     result = oracle_steady_state(params, n_max=4)
     space = HilbertSpace(result.n_atoms, result.n_max)
     idx = _sector(space, -1)
-    orbits = oracle._Orbits(n_atoms, result.n_max, -1)
-    assert space.dim**2 // orbits.nk.size < grid.size / 2  # three stacks or more
     block = build_liouvillian(params, result.n_max)[idx][:, idx]
     x = (space.a @ result.rho).reshape(-1)[idx]
     ad_vec = space.ad.T.reshape(-1)[idx]
@@ -222,11 +222,13 @@ def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
             return solutions[-1]
         return SimpleNamespace(solve=solve)
 
+    result = oracle_steady_state(params, n_max=4)
+    orbits = oracle._Orbits(n_atoms, result.n_max, -1)
+    # a cap of 10 systems per stack puts the 41 points in five stacks
+    monkeypatch.setattr(oracle, "MAX_ORBITS", 10 * orbits.nk.size)
     monkeypatch.setattr(oracle, "_factor", recording)
     oracle_spectrum(params, n_max=4, omega_grid=grid)
-    result = oracle_steady_state(params, n_max=4)
     space = HilbertSpace(result.n_atoms, result.n_max)
-    orbits = oracle._Orbits(n_atoms, result.n_max, -1)
     idx, v = _orbit_matrix(space, -1, _oracle_numbering(orbits))
     assert len(solutions) > 1
     h, channels = hamiltonian(space, params), lindblad_channels(space, params)
@@ -237,6 +239,24 @@ def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
         xmat = vec.reshape(space.dim, space.dim)
         resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
+
+
+def test_spectrum_stacks_are_sized_by_max_orbits(monkeypatch):
+    # no stack LU has more than MAX_ORBITS unknowns, and how the grid is
+    # split into stacks does not move the spectrum
+    params = SystemParams(n_atoms=2, **DESK)
+    grid = np.linspace(-1.0, 1.0, 81)
+    shapes = []
+    _count_calls(monkeypatch, "_factor", shapes, lambda args: (args[1], args[0].shape[0]))
+    one = oracle_spectrum(params, n_max=4, omega_grid=grid).intensity
+    n = oracle._Orbits(2, oracle_steady_state(params, n_max=4).n_max, -1).nk.size
+    assert [s for what, s in shapes if what == "undamped correlation"] == [81 * n]
+    shapes.clear()
+    monkeypatch.setattr(oracle, "MAX_ORBITS", 30 * n)
+    split = oracle_spectrum(params, n_max=4, omega_grid=grid).intensity
+    assert [s for what, s in shapes if what == "undamped correlation"] == [30 * n, 30 * n, 21 * n]
+    assert max(s for _, s in shapes) <= oracle.MAX_ORBITS
+    assert np.max(np.abs(split - one)) <= 1e-12
 
 
 def test_dark_system_has_an_all_zero_spectrum():
@@ -578,15 +598,79 @@ def test_space_validation_and_memory_budget():
     with pytest.raises(ValueError):
         HilbertSpace(0, 4)
     with pytest.raises(ValueError):
-        HilbertSpace(7, 4)
-    with pytest.raises(ValueError):
         HilbertSpace(2, -1)
     with pytest.raises(MemoryBudgetError):
         HilbertSpace(6, 16)
-    # the solves keep the same limits: N = 7 is rejected before any block is built
-    assert (oracle.MAX_ATOMS, oracle.MAX_SUPEROP_DIM) == (6, 2**20)
-    with pytest.raises(ValueError, match="n_atoms must be in 1..6"):
-        oracle_steady_state(SystemParams(n_atoms=7, **DESK))
+    assert HilbertSpace(7, 2).dim == 384  # the reference caps d, not N
+    # the solves are capped by orbits alone, the lift by d^2
+    assert (oracle.MAX_ORBITS, oracle.MAX_SUPEROP_DIM) == (2**15, 2**20)
+    with pytest.raises(ValueError):
+        oracle._Orbits(0, 4, 0)
+    with pytest.raises(ValueError):
+        oracle._Orbits(2, -1, 0)
+    assert oracle._Orbits(30, 11, 0).nk.size == 28_552
+    with pytest.raises(MemoryBudgetError, match="at least 32778 orbits"):
+        oracle._Orbits(30, 12, 0)
+
+
+@pytest.mark.parametrize("n_atoms, n_max, charge", [
+    (1, 0, 0), (1, 3, -1), (2, 0, 2), (2, 5, 2), (5, 1, -2), (7, 2, 0), (12, 0, 1), (9, 20, -1)])
+def test_orbit_count_is_checked_exactly(monkeypatch, n_atoms, n_max, charge):
+    # the closed-form count is the number of orbits built
+    size = oracle._Orbits(n_atoms, n_max, charge).nk.size
+    monkeypatch.setattr(oracle, "MAX_ORBITS", size)
+    assert oracle._Orbits(n_atoms, n_max, charge).nk.size == size
+    monkeypatch.setattr(oracle, "MAX_ORBITS", size - 1)
+    with pytest.raises(MemoryBudgetError, match=f"at least {size} orbits"):
+        oracle._Orbits(n_atoms, n_max, charge)
+
+
+def test_over_cap_atom_number_raises_before_any_large_allocation():
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="MAX_ORBITS"):
+            oracle_steady_state(SystemParams(n_atoms=10**6, **DESK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 50e6
+
+
+def test_seven_atom_stationary_state_lifts_to_a_stationary_rho():
+    # N = 7, n_max = 2: d = 384, past the product-basis cap of N = 6
+    params = SystemParams(n_atoms=7, **DESK)
+    stationary = oracle._steady_once(params, 2)
+    rho = oracle._orbit_rho(stationary.orbits, stationary.x)
+    space = HilbertSpace(7, 2)
+    resid = apply_liouvillian(rho, hamiltonian(space, params), lindblad_channels(space, params))
+    assert rho.shape == (384, 384)
+    assert np.max(np.abs(resid)) < 1e-12
+
+
+def test_ten_atom_state_is_solved_but_too_large_to_lift():
+    # from n_max = 10 the climb returns n_max = 16 (4,022 orbits); the
+    # lifted rho would have (17 * 2**10)^2 entries
+    result = oracle_steady_state(SystemParams(n_atoms=10, **DESK), n_max=10)
+    assert result.n_max == 16
+    assert result.moments.photon_number == pytest.approx(0.90876, abs=1e-4)
+    assert result.residual < 1e-12
+    with pytest.raises(MemoryBudgetError, match="lifted rho"):
+        result.rho
+
+
+def test_largest_block_of_the_product_cap_is_still_solved_and_lifted():
+    # N = 2, n_max = 255 was the largest block under d^2 <= 2**20; one
+    # cutoff more is still solved but no longer lifts
+    stationary = oracle._steady_once(SystemParams(n_atoms=2, **DESK), 255)
+    orbits, x = stationary.orbits, stationary.x
+    assert orbits.nk.size == 2552
+    assert oracle._max_entry(orbits, stationary.block @ x) < 1e-12
+    assert oracle._orbit_rho(orbits, x).shape == (1024, 1024)
+    bigger = oracle._Orbits(2, 256, 0)
+    with pytest.raises(MemoryBudgetError, match="lifted rho"):
+        oracle._orbit_rho(bigger, np.zeros(bigger.nk.size, dtype=complex))
 
 
 # ------------------------------------------------------- state/grid validation

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from srlaser import spectrum
+from srlaser import oracle, spectrum
 from srlaser.analytic import crossover_linewidth
 from srlaser.cumulant import MomentState, steady_state
 from srlaser.errors import FitError, ProbeError, SimulationError
@@ -577,6 +578,29 @@ def test_scan_validation(desk_params):
         scan(desk_params, probe, [0.0, 0.1], base=base, method="magic")
     with pytest.raises(ValueError, match="1-d"):
         scan(desk_params, probe, [0.0], base=base)
+
+
+@pytest.mark.parametrize("grid", [
+    [0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [-np.inf, 0.0, 1.0], [0.0, 1.0, np.inf],
+    [1.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0], [[0.0, 1.0], [2.0, 3.0]]])
+@pytest.mark.parametrize("route", ["closed_form", "ode", "oracle"])
+def test_bad_grids_raise_before_any_work(monkeypatch, desk_params, route, grid):
+    # one check for both spectrum routes: a non-finite, non-increasing or
+    # short grid is a ValueError, with no warning and before any solve
+    base = steady_state(desk_params)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a bad grid")
+
+    monkeypatch.setattr(spectrum, "filter_response", no_work)
+    monkeypatch.setattr(spectrum, "_extended_newton", no_work)
+    monkeypatch.setattr(oracle, "_climb", no_work)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="grid"):
+        warnings.simplefilter("error")
+        if route == "oracle":
+            oracle_spectrum(desk_params.updated(n_atoms=1), n_max=2, omega_grid=grid)
+        else:
+            scan(desk_params, FilterProbe(big_g=1e-4, beta=0.05), grid, route, base=base)
 
 
 def test_scan_container_validation():
