@@ -31,12 +31,14 @@ product-basis rho (_orbit_rho) only when rho is read.  The moment
 derivatives that check the closure act on identical-atom product states,
 which are permutation invariant; every checked moment has charge 0 and L
 conserves charge, so the derivatives are the charge-0 block applied to
-the states' charge-0 orbit coordinates.  The spectrum is a resolvent of
-the returned cutoff's charge -1 block, which holds a rho_ss and has no
-zero eigenvalue; block-diagonal stacks, one sparse LU each, solve the
-whole grid, so nothing is propagated in time.  No LU has more than
-MAX_ORBITS unknowns, and only the lift knows d.  The product-basis
-reference lives with the tests.
+the states' charge-0 orbit coordinates, all states in one product.  The
+spectrum is a resolvent of the returned cutoff's charge -1 block, which
+holds a rho_ss and has no zero eigenvalue.  That block is factored once,
+and the whole grid is read off a shift-invert Krylov reduced model whose
+order grows until two successive models agree to MODEL_TOL of the peak,
+so nothing is propagated in time and no LU has more than MAX_ORBITS
+unknowns.  Only the lift knows d.  The product-basis reference lives
+with the tests.
 
 The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
 basis |ground> = index 0, |excited> = index 1.
@@ -48,6 +50,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -59,7 +62,14 @@ from .model import SystemParams
 # 5.8 s CPU, 440 MB peak RSS; (20, 14), 16,977: 29 s, 1.0 GB; (20, 16), 20,449:
 # 43 s, 1.26 GB; (30, 11), 28,552: 79 s, 1.77 GB; (30, 12), 32,778, raises.
 MAX_ORBITS = 2**15
-MAX_SUPEROP_DIM = 2**20  # cap on the d^2 entries of a rho lifted by _orbit_rho
+# cap on the entries of a dense array whose size grows with the problem:
+# the d^2 of a rho lifted by _orbit_rho, the m n of the spectrum's Krylov basis
+MAX_SUPEROP_DIM = 2**20
+# two successive reduced spectrum models (_reduced_model) that agree on the
+# grid to this fraction of the peak end the model's growth; the tests hold
+# the spectrum to direct solves at 1e-12 of the peak
+MODEL_TOL = 1e-13
+MODEL_STEP = 10  # Arnoldi steps between two reduced models
 # relative change of every reported moment between cutoffs n_max and
 # n_max + 2 below which the stationary state counts as converged
 DRIFT_TOL = 1e-6
@@ -220,27 +230,38 @@ class OracleResult:
         return _orbit_rho(self.orbits, self.x)
 
 
-def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
-    """The moments of the rho with charge-0 orbit coordinates x, as
-    linear functionals of x: Tr[O rho] sums O's matrix element over each
-    orbit's entries, size / sqrt(size) = sqrt(size) times x.  The
-    atom-symmetric forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N."""
+def _moment_rows(orbits: _Orbits, x: np.ndarray) -> tuple:
+    """The moments of each row of x (k, n), charge-0 orbit coordinates, as
+    linear functionals of the row: Tr[O rho] sums O's matrix element over
+    each orbit's entries, size / sqrt(size) = sqrt(size) times x.  The
+    atom-symmetric forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N.
+    Returns OracleMoments' fields in order, each an array of k.  Every sum
+    runs along a contiguous row (compress, not a mask index, which leaves
+    rows strided), so a row's moments round as that row alone would."""
     n = orbits.n_atoms
     nk, nb, (gg, ge, eg, ee) = orbits.nk, orbits.nb, orbits.counts
     s = orbits.sqrt_size * x
     diag = orbits.atom_diagonal() & (nk == nb)
-    z = (ee - gg)[diag]
-    flip = (nk == nb) & (ge == 1) & (eg == 1)  # sigma^+_i sigma^-_j, i != j
+    z, on_diag = (ee - gg)[diag], s.compress(diag, axis=-1)
+    # sum of the orbits of sigma^+_i sigma^-_j, i != j
+    flip = s.compress((nk == nb) & (ge == 1) & (eg == 1), axis=-1).sum(axis=-1)
     hop = (nb == nk - 1) & (ge == 1) & (eg == 0)  # a sigma^+_i
     pairs = n * (n - 1)
-    return OracleMoments(
-        photon_number=float(np.sum(nk[diag] * s[diag]).real),
-        atom_photon=complex(np.sum(np.sqrt(nk[hop]) * s[hop]) / n),
-        inversion=float(np.sum(z * s[diag]).real / n),
-        pair_corr=complex(np.sum(s[flip]) / pairs) if n >= 2 else 0.0 + 0.0j,
-        zz_corr=float(np.sum((z * z - n) * s[diag]).real / pairs) if n >= 2 else 1.0,
-        j_squared=float((np.sum((0.5 * n + 0.25 * z * z) * s[diag]) + np.sum(s[flip])).real),
+    rows = x.shape[0]
+    return (
+        np.sum(nk[diag] * on_diag, axis=-1).real,
+        np.sum(np.sqrt(nk[hop]) * s.compress(hop, axis=-1), axis=-1) / n,
+        np.sum(z * on_diag, axis=-1).real / n,
+        flip / pairs if n >= 2 else np.zeros(rows, dtype=complex),
+        np.sum((z * z - n) * on_diag, axis=-1).real / pairs if n >= 2 else np.ones(rows),
+        (np.sum((0.5 * n + 0.25 * z * z) * on_diag, axis=-1) + flip).real,
     )
+
+
+def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
+    """The moments of the rho with charge-0 orbit coordinates x: the one-row
+    case of _moment_rows."""
+    return OracleMoments(*(field[0].item() for field in _moment_rows(orbits, x[None])))
 
 
 def _factor(block: sp.spmatrix, what: str):
@@ -261,10 +282,17 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     unit trace."""
     trace_row = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb),
                          orbits.sqrt_size, 0.0)
+    # the bordered matrix's CSR arrays: the trace row's nonzeros, then
+    # block rows 1.. as they are
+    on = np.flatnonzero(trace_row)
+    below = block.indptr[1]
+    bordered = sp.csr_matrix((np.append(trace_row[on].astype(complex), block.data[below:]),
+                              np.append(on, block.indices[below:]),
+                              np.append(0, block.indptr[1:] - below + on.size)),
+                             shape=block.shape)
     b = np.zeros(block.shape[0], dtype=complex)
     b[0] = 1.0
-    x = _factor(sp.vstack([sp.csr_matrix(trace_row.astype(complex)), block[1:]]),
-                "no unique stationary state").solve(b)
+    x = _factor(bordered, "no unique stationary state").solve(b)
     x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
     return x / (trace_row @ x).real
 
@@ -385,20 +413,87 @@ def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
             * np.prod(atom**orbits.counts, axis=0))
 
 
+class _Model(NamedTuple):
+    """A reduced model of the resolvent: the Krylov basis V_m, kept as its
+    m x n transpose (row j is column j of V_m), and per grid point the
+    coordinates y of (A + i omega)^-1 x ~ V_m y and -Re ad^T V_m y."""
+    basis: np.ndarray
+    coords: np.ndarray
+    spectrum: np.ndarray
+
+
+def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> _Model:
+    """Shift-invert Krylov model reduction of -Re ad^T (A + i omega)^-1 x,
+    with lu the LU of A (Pade via Lanczos: Feldmann and Freund, IEEE Trans.
+    CAD 14, 639 (1995); rational Krylov: Ruhe, SIAM J. Sci. Comput. 19, 1535
+    (1998)).
+
+    (A + i omega)^-1 x = (I + i omega A^-1)^-1 b with b = A^-1 x.  Arnoldi
+    on A^-1 from b, with Gram-Schmidt run twice per step, gives an
+    orthonormal V_m and a Hessenberg H_m with A^-1 V_m = V_m H_m + h v e_m^T,
+    so the solution is about V_m (I + i omega H_m)^-1 e1 |b|.  With the
+    Schur form H_m = Z T Z^H that is one back substitution on the
+    triangular I + i omega T, run for the whole grid at once.  m grows by
+    MODEL_STEP until the spectra of two successive models agree on the grid
+    to MODEL_TOL of the larger one's peak, or the Krylov space is exhausted
+    (m = n, or a step adds no direction), where the model is exact.  A
+    basis of more than MAX_SUPEROP_DIM entries raises MemoryBudgetError."""
+    n = x.size
+    start = lu.solve(x)
+    scale = np.linalg.norm(start)
+    basis = np.empty((0, n), dtype=complex)
+    hess = np.empty((1, 0), dtype=complex)  # H_m and its subdiagonal row m
+    v, last, exhausted = start / scale, None, False
+    while True:
+        m, size = basis.shape[0], min(basis.shape[0] + MODEL_STEP, n)
+        if size * n > MAX_SUPEROP_DIM:
+            raise MemoryBudgetError(f"a Krylov basis of {size} x {n} is more than "
+                                    f"MAX_SUPEROP_DIM = {MAX_SUPEROP_DIM} entries")
+        basis = np.concatenate([basis, np.empty((size - m, n), dtype=complex)])
+        hess = np.pad(hess, ((0, size - m), (0, size - m)))
+        for j in range(m, size):
+            basis[j] = v
+            w = before = lu.solve(v)
+            for _ in range(2):
+                h = (basis[:j + 1] @ w.conj()).conj()
+                w = w - h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            hess[j + 1, j] = norm = np.linalg.norm(w)
+            if norm <= np.finfo(float).eps * np.linalg.norm(before):
+                basis, hess, exhausted = basis[:j + 1], hess[:j + 2, :j + 1], True
+                break
+            v = w / norm
+        m = basis.shape[0]
+        tri, z = la.schur(hess[:m], output="complex")
+        # row k of (I + i omega T) u = Z^H e1 is u_k (1 + i omega T_kk)
+        # + i omega sum_{l > k} T_kl u_l = conj(Z_0k)
+        den = 1.0 + np.multiply.outer(tri.diagonal(), 1j * omega)
+        u, gain = z[0].conj()[:, None] / den, 1j * omega / den
+        for k in range(m - 2, -1, -1):
+            u[k] -= gain[k] * (tri[k, k + 1:] @ u[k + 1:])
+        coords = scale * (z @ u).T
+        spectrum = -(coords @ (basis @ ad_vec)).real
+        if exhausted or m == n or (last is not None and np.max(np.abs(spectrum - last))
+                                   <= MODEL_TOL * np.max(np.abs(spectrum))):
+            return _Model(basis, coords, spectrum)
+        last = spectrum
+
+
 def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     """Emission spectrum via the quantum regression theorem.
 
     S(omega) = Re integral_0^inf Tr[a^dag exp(L tau)(a rho_ss)] e^{i omega tau}
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
-    the charge -1 block of L, which has no zero eigenvalue, so each grid
-    point is a sparse solve of that block, exact at omega = 0 too.  The
+    the charge -1 block A of L, which has no zero eigenvalue, so nothing is
+    propagated in time and omega = 0 is as regular as any other point.  The
     cutoff climb is oracle_steady_state's, on orbit blocks only.  a rho_ss
-    is permutation invariant, so its solves stay in the charge -1 orbit
+    is permutation invariant, so the resolvent stays in the charge -1 orbit
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
     (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
-    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  Each
-    block-diagonal stack of these systems holds MAX_ORBITS // n systems of
-    n orbits, so no LU has more than MAX_ORBITS unknowns.  Returns a
+    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  A is
+    factored once, and the whole grid is read off a rational reduced model
+    of the resolvent (_reduced_model), whose order grows until two
+    successive models agree to MODEL_TOL of the peak.  Returns a
     unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan, _checked_grid  # layering stays one-way
@@ -407,9 +502,8 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     stationary = _climb(params, n_max)
     lower, x_ss = stationary.orbits, stationary.x
     orbits, block = _orbit_block(params, lower.n_max, -1)
-    n = orbits.nk.size
     lit = lower.nk > 0
-    x = np.zeros(n, dtype=complex)
+    x = np.zeros(orbits.nk.size, dtype=complex)
     x[orbits.find(lower.nk[lit] - 1, lower.counts[:, lit])] = np.sqrt(lower.nk[lit]) * x_ss[lit]
     ad_vec = np.where(orbits.atom_diagonal(), orbits.sqrt_size * np.sqrt(orbits.nb), 0.0)
 
@@ -417,19 +511,8 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
-    block = block.tocoo()
-    per_stack = MAX_ORBITS // n
-    intensity = []
-    for start in range(0, omega_grid.size, per_stack):
-        omega = omega_grid[start:start + per_stack]
-        m = omega.size
-        # system j of the stack sits at offset n j, with i omega_j on its diagonal
-        at, diag = n * np.arange(m)[:, None], np.arange(n * m)
-        stack = sp.csc_matrix((np.append(np.tile(block.data, m), np.repeat(1j * omega, n)),
-                               (np.append(at + block.row, diag), np.append(at + block.col, diag))))
-        sol = _factor(stack, "undamped correlation").solve(np.tile(x, m))
-        intensity.extend(-(sol.reshape(m, n) @ ad_vec).real)
-    intensity = np.array(intensity)
+    intensity = _reduced_model(_factor(block, "undamped correlation"), x, ad_vec,
+                               omega_grid).spectrum
     peak = np.max(intensity)
     if peak <= 0.0:
         raise SimulationError("spectrum has no positive peak; grid may miss the line")
@@ -454,29 +537,24 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     and rate convention in the moment equations.  The states are
     permutation invariant and the checked moments have charge 0, so the
     exact derivatives are the moments of the charge-0 orbit block times
-    the states' orbit coordinates (_product_orbit_state); the block is
-    built once per call.
+    the states' orbit coordinates (_product_orbit_state).  The block is
+    built and applied to the stacked states once per call, and one
+    _moment_rows call reads every state's moments and derivatives.
     """
     from .cumulant import MomentState, rhs
 
     rng = np.random.default_rng(CHECK_SEED)
     orbits, block = _orbit_block(params, CHECK_N_MAX, 0)
+    states = np.array([_product_orbit_state(orbits, *_random_product_inputs(rng))
+                       for _ in range(n_states)])
+    # rows 0..n_states-1 hold the states' moments, the rest their derivatives
+    fields = _moment_rows(orbits, np.concatenate([states, (block @ states.T).T]))
     worst = 0.0
-    for _ in range(n_states):
-        x = _product_orbit_state(orbits, *_random_product_inputs(rng))
-        mom, exact = _orbit_moments(orbits, x), _orbit_moments(orbits, block @ x)
-        approx = rhs(
-            MomentState(photon_number=mom.photon_number, atom_photon=mom.atom_photon,
-                        inversion=mom.inversion, pair_corr=mom.pair_corr),
-            params,
-        )
-        pairs = [
-            (exact.photon_number, approx.photon_number),
-            (exact.atom_photon, approx.atom_photon),
-            (exact.inversion, approx.inversion),
-        ]
-        if params.n_atoms >= 2:
-            pairs.append((exact.pair_corr, approx.pair_corr))
+    checked = 4 if params.n_atoms >= 2 else 3  # n, <a sigma^+>, <sigma_z>, pair_corr
+    for i in range(n_states):
+        # MomentState's fields are OracleMoments' first four
+        approx = astuple(rhs(MomentState(*(f[i] for f in fields[:4])), params))
+        pairs = [(f[n_states + i], b) for f, b in zip(fields[:checked], approx)]
         floor = 1e-3 * max(max(abs(a), abs(b)) for a, b in pairs)
         for a, b in pairs:
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor, 1e-300))

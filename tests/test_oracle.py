@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,59 +203,106 @@ def test_stacked_spectrum_matches_per_frequency_solves(n_atoms):
     assert np.max(np.abs(scan.intensity - direct / direct.max())) < 1e-12
 
 
+def _direct_spectrum(params, n_max, grid):
+    """The oracle's spectrum by one sparse solve of the charge -1 orbit block
+    per grid point, normalised to its peak, at the cutoff the climb returns."""
+    result = oracle_steady_state(params, n_max=n_max)
+    lower, x_ss = result.orbits, result.x
+    orbits, block = oracle._orbit_block(params, result.n_max, -1)
+    lit = lower.nk > 0
+    x = np.zeros(orbits.nk.size, dtype=complex)
+    x[orbits.find(lower.nk[lit] - 1, lower.counts[:, lit])] = np.sqrt(lower.nk[lit]) * x_ss[lit]
+    ad_vec = np.where(orbits.atom_diagonal(), orbits.sqrt_size * np.sqrt(orbits.nb), 0.0)
+    eye = sp.identity(x.size, dtype=complex, format="csc")
+    direct = np.array([-(ad_vec @ spla.splu((block + 1j * w * eye).tocsc()).solve(x)).real
+                       for w in grid])
+    return direct / direct.max()
+
+
+@pytest.mark.parametrize("n_atoms, extra", [
+    (3, dict(chi=0.03, omega_a=0.1, omega_c=-0.05)),
+    (4, {}),
+], ids=["n3-detuned-chi", "n4"])
+def test_wide_grid_spectrum_matches_per_frequency_solves(n_atoms, extra):
+    # 401 points over +-4 kappa, the line's far tails included
+    params = SystemParams(n_atoms=n_atoms, **DESK, **extra)
+    grid = np.linspace(-4.0, 4.0, 401)
+    scan = oracle_spectrum(params, n_max=6, omega_grid=grid)
+    assert np.max(np.abs(scan.intensity - _direct_spectrum(params, 6, grid))) < 1e-12
+
+
+@pytest.mark.parametrize("points", [5, 401])
+def test_spectrum_factors_one_correlation_lu_of_n_orbits(monkeypatch, points):
+    # the whole grid is read off one factorisation of the charge -1 block
+    params = SystemParams(n_atoms=2, **DESK)
+    shapes = []
+    _count_calls(monkeypatch, "_factor", shapes, lambda args: (args[1], args[0].shape))
+    oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-4.0, 4.0, points))
+    n = oracle._Orbits(2, oracle_steady_state(params, n_max=4).n_max, -1).nk.size
+    assert [s for what, s in shapes if what == "undamped correlation"] == [(n, n)]
+
+
+def _record_models(monkeypatch):
+    """The list that every _reduced_model result is appended to."""
+    models, real = [], oracle._reduced_model
+
+    def recording(*args):
+        models.append(real(*args))
+        return models[-1]
+
+    monkeypatch.setattr(oracle, "_reduced_model", recording)
+    return models
+
+
 @pytest.mark.parametrize("n_atoms", [1, 2])
-def test_stacked_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
-    # (L + i omega) X = a rho_ss, checked through the matrix form of L
+def test_reduced_model_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
+    # (L + i omega) X = a rho_ss for X = V_m y, checked through the matrix form of L
     params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     grid = np.linspace(-1.0, 1.0, 41)
-    solutions = []
-    real_factor = oracle._factor
-
-    def recording(block, what):
-        lu = real_factor(block, what)
-        if what != "undamped correlation":
-            return lu
-
-        def solve(b):
-            solutions.append(lu.solve(b))
-            return solutions[-1]
-        return SimpleNamespace(solve=solve)
-
+    models = _record_models(monkeypatch)
+    oracle_spectrum(params, n_max=4, omega_grid=grid)
     result = oracle_steady_state(params, n_max=4)
     orbits = oracle._Orbits(n_atoms, result.n_max, -1)
-    # a cap of 10 systems per stack puts the 41 points in five stacks
-    monkeypatch.setattr(oracle, "MAX_ORBITS", 10 * orbits.nk.size)
-    monkeypatch.setattr(oracle, "_factor", recording)
-    oracle_spectrum(params, n_max=4, omega_grid=grid)
     space = HilbertSpace(result.n_atoms, result.n_max)
     idx, v = _orbit_matrix(space, -1, _oracle_numbering(orbits))
-    assert len(solutions) > 1
+    (model,) = models
+    m, n = model.basis.shape
+    assert n == orbits.nk.size and m <= n
     h, channels = hamiltonian(space, params), lindblad_channels(space, params)
     target = space.a @ result.rho
-    for w, sol in zip(grid, np.concatenate(solutions).reshape(grid.size, -1)):
+    for w, coords in zip(grid, model.coords):
         vec = np.zeros(space.dim**2, dtype=complex)
-        vec[idx] = v @ sol  # lifted from the orbit basis
+        vec[idx] = v @ (model.basis.T @ coords)  # lifted from the orbit basis
         xmat = vec.reshape(space.dim, space.dim)
         resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
 
 
-def test_spectrum_stacks_are_sized_by_max_orbits(monkeypatch):
-    # no stack LU has more than MAX_ORBITS unknowns, and how the grid is
-    # split into stacks does not move the spectrum
+def test_krylov_basis_over_the_memory_bound_raises(monkeypatch):
+    # N = 2 needs 30 basis vectors of n orbits; a bound of 25 n stops it at 30
     params = SystemParams(n_atoms=2, **DESK)
-    grid = np.linspace(-1.0, 1.0, 81)
-    shapes = []
-    _count_calls(monkeypatch, "_factor", shapes, lambda args: (args[1], args[0].shape[0]))
-    one = oracle_spectrum(params, n_max=4, omega_grid=grid).intensity
     n = oracle._Orbits(2, oracle_steady_state(params, n_max=4).n_max, -1).nk.size
-    assert [s for what, s in shapes if what == "undamped correlation"] == [81 * n]
-    shapes.clear()
-    monkeypatch.setattr(oracle, "MAX_ORBITS", 30 * n)
-    split = oracle_spectrum(params, n_max=4, omega_grid=grid).intensity
-    assert [s for what, s in shapes if what == "undamped correlation"] == [30 * n, 30 * n, 21 * n]
-    assert max(s for _, s in shapes) <= oracle.MAX_ORBITS
-    assert np.max(np.abs(split - one)) <= 1e-12
+    models = _record_models(monkeypatch)
+    oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 41))
+    assert models[0].basis.shape == (30, n)
+    monkeypatch.setattr(oracle, "MAX_SUPEROP_DIM", 25 * n)
+    with pytest.raises(MemoryBudgetError, match=f"30 x {n}.*MAX_SUPEROP_DIM"):
+        oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 41))
+
+
+def test_reduced_model_stops_where_the_krylov_space_is_exhausted():
+    # A^-1 x stays in the 3 x 3 block that holds x: the model has order 3
+    # and is exact, where m = n would be 8
+    rng = np.random.default_rng(3)
+    small, large = (np.eye(k) * 2.0 + 0.3 * rng.normal(size=(k, k)) for k in (3, 5))
+    a = sp.block_diag([small, large], format="csc").astype(complex)
+    x = np.append(rng.normal(size=3) + 1j * rng.normal(size=3), np.zeros(5))
+    ad_vec = rng.normal(size=8)
+    grid = np.linspace(-2.0, 2.0, 9)
+    model = oracle._reduced_model(spla.splu(a), x, ad_vec, grid)
+    direct = [-(ad_vec @ np.linalg.solve(a.toarray() + 1j * w * np.eye(8), x)).real for w in grid]
+    assert model.basis.shape == (3, 8)
+    assert np.max(np.abs(model.spectrum - direct)) < 1e-13 * np.max(np.abs(direct))
 
 
 def test_dark_system_has_an_all_zero_spectrum():
@@ -396,6 +442,27 @@ def test_orbit_moments_equal_the_moments_of_the_lifted_rho(n_atoms):
         assert abs(value - lifted[name]) <= 1e-12 * max(1.0, abs(lifted[name])), name
 
 
+@pytest.mark.parametrize("n_atoms, extra", [
+    (1, {}), (2, {}), (3, dict(chi=0.03, omega_a=0.1, omega_c=-0.05)),
+    (4, dict(chi=0.03, omega_a=0.4)),
+], ids=["n1", "n2", "n3-detuned-chi", "n4-detuned-chi"])
+def test_stationary_solve_equals_the_stacked_bordered_form_bit_for_bit(n_atoms, extra):
+    # the bordered matrix built from the block's CSR arrays is the one that
+    # sp.vstack of the trace row and block[1:] builds
+    params = SystemParams(n_atoms=n_atoms, **DESK, **extra)
+    for n_max in (2, 6):
+        orbits, block = oracle._orbit_block(params, n_max, 0)
+        trace_row = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb),
+                             orbits.sqrt_size, 0.0)
+        b = np.zeros(block.shape[0], dtype=complex)
+        b[0] = 1.0
+        x = spla.splu(sp.vstack([sp.csr_matrix(trace_row.astype(complex)), block[1:]])
+                      .tocsc()).solve(b)
+        x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
+        x = x / (trace_row @ x).real
+        assert oracle._solve_stationary(block, orbits).tobytes() == x.tobytes()
+
+
 def test_stationary_solve_factors_the_orbit_block(monkeypatch):
     # N = 3, n_max = 6: the charge-0 sector's 388 entries fall in 118 orbits
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
@@ -494,6 +561,32 @@ def test_closure_rhs_is_exact_on_product_states():
     params = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03)
     assert derivative_match_error(params, n_states=5) < 1e-10
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_batched_derivative_check_equals_the_per_state_loop(n_atoms):
+    # the states' moments and derivatives come from one stacked moment call,
+    # and each row rounds as that state's own one-row call
+    from srlaser.cumulant import MomentState, rhs
+
+    params = SystemParams(n_atoms=n_atoms, chi=0.03, omega_a=0.1, **DESK)
+    rng = np.random.default_rng(oracle.CHECK_SEED)
+    orbits, block = oracle._orbit_block(params, oracle.CHECK_N_MAX, 0)
+    states = [oracle._product_orbit_state(orbits, *oracle._random_product_inputs(rng))
+              for _ in range(6)]
+    rows = oracle._moment_rows(orbits, np.array(states))
+    names = ["photon_number", "atom_photon", "inversion", "pair_corr"][:3 + (n_atoms >= 2)]
+    worst = 0.0
+    for i, x in enumerate(states):
+        mom, exact = oracle._orbit_moments(orbits, x), oracle._orbit_moments(orbits, block @ x)
+        assert [f[i] for f in rows] == list(mom.as_dict().values())
+        approx = rhs(MomentState(mom.photon_number, mom.atom_photon, mom.inversion,
+                                 mom.pair_corr), params)
+        pairs = [(getattr(exact, k), getattr(approx, k)) for k in names]
+        floor = 1e-3 * max(max(abs(a), abs(b)) for a, b in pairs)
+        for a, b in pairs:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor, 1e-300))
+    assert derivative_match_error(params, n_states=6) == worst
 
 
 # -------------------------------------------------------------- cutoff control
