@@ -23,6 +23,14 @@ atoms of one 4 x 4 pair superoperator, so its block (_orbit_block) is
 written from the labels and the cavity ladder alone, with no
 product-basis operator.
 
+Nothing in a block's structure depends on the rates: its orbit labels,
+its CSR pattern and the per-orbit structure that the solves read are
+built once per (N, n_max, charge) and kept in a least-recently-used cache
+of SECTOR_CACHE sectors (_sector), so a block build only fills in values,
+bit for bit the ones a fresh build gives.  The MAX_ORBITS count runs on
+every request, cached or not.  The largest sector under the cap, N = 30
+at n_max = 11, keeps about 11.6 MB.
+
 Each Fock cutoff builds and LU-solves its charge-0 block once for the
 stationary state, the permutation-invariant one; its moments and the
 residual max |L rho| are read off the orbit coordinates and that block.
@@ -45,8 +53,8 @@ basis |ground> = index 0, |excited> = index 1.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +94,48 @@ _DECAY, _PUMP, _DEPHASE = (np.kron(c, c) for c in (_SM, _SM.T, _SZ))
 _KET_DOWN, _KET_UP = np.kron(_SM, _ID2), np.kron(_SM.T, _ID2)
 _BRA_DOWN, _BRA_UP = np.kron(_ID2, _SM), np.kron(_ID2, _SM.T)
 _UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
+# Every move that an off-diagonal block entry can make, whatever the
+# parameters: (ket photon shift, bra photon shift, pair p an atom leaves,
+# pair q it enters, term).  Term 0 is kappa a rho a^dag, which moves no
+# atom (p = q); terms 1 to 5 are the nonzero entries M[q, p] of _TERMS'
+# pair superoperators: the atomic jumps, then sigma^- and sigma^+ on the
+# ket and on the bra.
+_TERMS = ((0, 0, _DECAY + _PUMP), (1, 0, _KET_DOWN), (-1, 0, _KET_UP),
+          (0, 1, _BRA_DOWN), (0, -1, _BRA_UP))
+_MOVES = np.array([(-1, -1, 0, 0, 0)] + [
+    (dk, db, p, q, term) for term, (dk, db, m) in enumerate(_TERMS, 1)
+    for q, p in zip(*np.nonzero(m))])
+_DIAGONAL = len(_MOVES)  # the move number of a block's diagonal entries
+# where _orbit_block's stack of the terms' matrices holds each M[q, p]
+_COEF_INDEX = (_MOVES[1:, 4] - 1, _MOVES[1:, 3], _MOVES[1:, 2])
+# sectors that _sector keeps: one pass of the oracle_small benchmark
+# workload builds blocks of 12 sectors, a climb and its spectrum up to 5
+SECTOR_CACHE = 16
+
+
+def _frozen(*arrays: np.ndarray):
+    """The arrays, made read-only: cached sectors share them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
+    """Raises ValueError for N < 1 or n_max < 0, and MemoryBudgetError if
+    the sector has more than MAX_ORBITS orbits, from a closed-form count,
+    so before any label is built."""
+    if n_atoms < 1 or n_max < 0:
+        raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
+    # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
+    # m = (N - |t|) // 2 + 1, each with n_max + 1 - |t - charge| cavity
+    # pairs; every t in range has an orbit, so MAX_ORBITS + 1 t suffice
+    lo, hi = max(charge - n_max, -n_atoms), min(charge + n_max, n_atoms)
+    t = np.arange(lo, min(hi, lo + MAX_ORBITS) + 1.0)
+    m = (n_atoms - np.abs(t)) // 2 + 1
+    count = np.sum(m * (n_atoms - np.abs(t) + 2 - m) * (n_max + 1 - np.abs(t - charge)))
+    if count > MAX_ORBITS:
+        raise MemoryBudgetError(f"N = {n_atoms}, n_max = {n_max} has at least {count:.0f} "
+                                f"orbits, more than MAX_ORBITS = {MAX_ORBITS}")
 
 
 class _Orbits:
@@ -103,22 +153,16 @@ class _Orbits:
     (nk, n_ge, n_eg, n_ee): orbit 0 of the charge-0 sector is rho[0, 0], the
     vacuum with every atom in g.  At N = 1 every orbit is one entry.  More
     than MAX_ORBITS orbits raise MemoryBudgetError before any label is built.
+
+    The labels are read-only, and so is the per-orbit structure that the
+    solves read (trace_row, partner, moment_terms, ad_vec, lowering),
+    built on first use: _sector keeps one _Orbits per (N, n_max, charge)
+    and shares it between calls.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
-        if n_atoms < 1 or n_max < 0:
-            raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
-        # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
-        # m = (N - |t|) // 2 + 1, each with n_max + 1 - |t - charge| cavity
-        # pairs; every t in range has an orbit, so MAX_ORBITS + 1 t suffice
-        lo, hi = max(charge - n_max, -n_atoms), min(charge + n_max, n_atoms)
-        t = np.arange(lo, min(hi, lo + MAX_ORBITS) + 1.0)
-        m = (n_atoms - np.abs(t)) // 2 + 1
-        count = np.sum(m * (n_atoms - np.abs(t) + 2 - m) * (n_max + 1 - np.abs(t - charge)))
-        if count > MAX_ORBITS:
-            raise MemoryBudgetError(f"N = {n_atoms}, n_max = {n_max} has at least {count:.0f} "
-                                    f"orbits, more than MAX_ORBITS = {MAX_ORBITS}")
-        self.n_atoms, self.n_max = n_atoms, n_max
+        _check_orbit_count(n_atoms, n_max, charge)
+        self.n_atoms, self.n_max, self.charge = n_atoms, n_max, charge
         # the (n_ge, n_eg) that some cavity pair reaches, each with every n_ee
         ge, eg = np.indices((n_atoms + 1,) * 2).reshape(2, -1)
         few = (ge + eg <= n_atoms) & (np.abs(eg - ge - charge) <= n_max)
@@ -129,11 +173,12 @@ class _Orbits:
         ge, eg, ee = (np.tile(c, n_max + 1) for c in (ge, eg, ee))
         nb = nk + eg - ge - charge
         keep = (nb >= 0) & (nb <= n_max)
-        self.nk, self.nb = nk[keep], nb[keep]
-        self.counts = np.stack([n_atoms - ge - eg - ee, ge, eg, ee])[:, keep]
-        self.code = self._code(self.nk, self.counts)  # increasing
+        self.nk, self.nb = _frozen(nk[keep], nb[keep])
+        self.counts = _frozen(np.stack([n_atoms - ge - eg - ee, ge, eg, ee])[:, keep])
+        self.code = _frozen(self._code(self.nk, self.counts))  # increasing
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_atoms + 1)))))
-        self.sqrt_size = np.exp(0.5 * (log_fact[n_atoms] - log_fact[self.counts].sum(axis=0)))
+        self.sqrt_size = _frozen(
+            np.exp(0.5 * (log_fact[n_atoms] - log_fact[self.counts].sum(axis=0))))
 
     def _code(self, nk, counts):
         base = self.n_atoms + 1
@@ -147,6 +192,96 @@ class _Orbits:
         """The orbits whose atoms all sit in gg or ee."""
         return (self.counts[1] == 0) & (self.counts[2] == 0)
 
+    @cached_property
+    def trace_row(self) -> np.ndarray:
+        """The trace functional: sqrt(size) on the orbits on rho's diagonal."""
+        return _frozen(np.where(self.atom_diagonal() & (self.nk == self.nb), self.sqrt_size, 0.0))
+
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """Each orbit's Hermitian partner: the adjoint swaps ket and bra,
+        nk <-> nb and ge <-> eg."""
+        return _frozen(self.find(self.nb, self.counts[[0, 2, 1, 3]]))
+
+    @cached_property
+    def moment_terms(self) -> tuple:
+        """The charge-0 orbits and label weights that _moment_rows reads:
+        the masks diag (on rho's diagonal, every atom in gg or ee), flips (on
+        rho's diagonal, one atom in ge and one in eg) and hop (one photon
+        more in the ket, one atom in ge: a sigma^+_i), then nk and
+        n_ee - n_gg on diag and sqrt(nk) on hop."""
+        nk, nb, (gg, ge, eg, ee) = self.nk, self.nb, self.counts
+        diag = self.atom_diagonal() & (nk == nb)
+        hop = (nb == nk - 1) & (ge == 1) & (eg == 0)
+        return _frozen(diag, (nk == nb) & (ge == 1) & (eg == 1), hop,
+                       nk[diag], (ee - gg)[diag], np.sqrt(nk[hop]))
+
+    @cached_property
+    def ad_vec(self) -> np.ndarray:
+        """Tr[a^dag V_o]: sqrt(size) sqrt(nb) on the atom-diagonal orbits."""
+        return _frozen(np.where(self.atom_diagonal(), self.sqrt_size * np.sqrt(self.nb), 0.0))
+
+    @cached_property
+    def lowering(self) -> tuple:
+        """a on the sector of charge + 1 at the same (N, n_max), which maps
+        its orbit (nk, nb, counts) to this sector's (nk - 1, nb, counts) with
+        factor sqrt(nk): the mask of its orbits with nk > 0, their images'
+        numbers here, and the factors."""
+        upper = _sector(self.n_atoms, self.n_max, self.charge + 1).orbits
+        lit = upper.nk > 0
+        return _frozen(lit, self.find(upper.nk[lit] - 1, upper.counts[:, lit]),
+                       np.sqrt(upper.nk[lit]))
+
+
+class _Sector(NamedTuple):
+    """The parameter-free part of one charge block (_sector): its orbits
+    and the CSR pattern of every entry that some parameters fill, in final
+    order.  Per entry: its move (a row of _MOVES, or _DIAGONAL) and the
+    three geometric factors that scale the move's coefficient."""
+    orbits: _Orbits
+    indptr: np.ndarray
+    indices: np.ndarray
+    move: np.ndarray
+    factors: tuple
+    diagonal: np.ndarray  # the positions of the diagonal entries
+
+
+@lru_cache(maxsize=SECTOR_CACHE)
+def _sector(n_atoms: int, n_max: int, charge: int) -> _Sector:
+    """The orbits and block pattern of one sector, built once per (N,
+    n_max, charge) and kept in a least-recently-used cache of SECTOR_CACHE
+    sectors; nothing in them depends on the rates.
+
+    Moving one atom from pair p to pair q scales the move's coefficient by
+    the atom factor sqrt(n_p (n_q + 1)); a photon shift scales it by the
+    ladder's sqrt of the larger occupation.  An entry is kept where the
+    atom factor is nonzero and the target lies inside the cutoff; no two
+    entries share a place, since each move changes (nk, nb, counts)
+    differently and none returns to its orbit, so (row, column) order is
+    the CSR order.  The largest sector under MAX_ORBITS, charge 0 at (N,
+    n_max) = (30, 11) with 28,552 orbits and 302,898 entries, keeps 9.1 MB
+    of pattern, 1.8 MB of labels and up to 0.7 MB of per-orbit structure,
+    so a full cache of such sectors would hold about 190 MB; it takes
+    0.1 s to build, against 79 s for one solve at that size."""
+    orbits = _Orbits(n_atoms, n_max, charge)
+    nk, nb, counts, size = orbits.nk, orbits.nb, orbits.counts, orbits.nk.size
+    dk, db, p, q = _MOVES[:, 0, None], _MOVES[:, 1, None], _MOVES[:, 2], _MOVES[:, 3]
+    new_nk, new_nb = nk + dk, nb + db
+    atom = np.where((p == q)[:, None], 1.0, np.sqrt(counts[p] * (counts[q] + 1.0)))
+    ket = np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
+    bra = np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
+    inside = (atom != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
+    new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
+    move, cols = np.nonzero(inside)  # in the order of a boolean index
+    rows = np.append(np.arange(size), orbits.find(new_nk[inside], new_counts[:, inside]))
+    cols = np.append(np.arange(size), cols)
+    order = np.lexsort((cols, rows))
+    move = np.append(np.full(size, _DIAGONAL), move)[order].astype(np.int8)
+    indptr = np.searchsorted(rows[order], np.arange(size + 1)).astype(np.int32)
+    factors = _frozen(*(np.append(np.ones(size), f[inside])[order] for f in (atom, ket, bra)))
+    return _Sector(orbits, *_frozen(indptr, cols[order].astype(np.int32), move),
+                   factors, _frozen(np.flatnonzero(move == _DIAGONAL)))
+
 
 def _orbit_block(params: SystemParams, n_max: int, charge: int):
     """The charge block of L in the orbit basis of _Orbits, written from
@@ -156,40 +291,37 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     superoperator M acting on atom i's (ket, bra) pair.  On the orbit of
     counts n the sum contributes sum_p M[p, p] n_p on the diagonal, and
     moving one atom from pair p to pair q gives M[q, p] sqrt(n_p (n_q + 1)),
-    each times the cavity matrix elements.  Returns (orbits, CSR block)."""
-    orbits = _Orbits(params.n_atoms, n_max, charge)
-    nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
-    g, size = params.g, nk.size
+    each times the cavity matrix elements.  The orbits and the pattern
+    come from _sector, cached per (N, n_max, charge) after the MAX_ORBITS
+    count, which runs on every call; this call fills in the values and
+    drops the entries whose coefficient is zero.  Returns (orbits, CSR
+    block)."""
+    _check_orbit_count(params.n_atoms, n_max, charge)
+    sector = _sector(params.n_atoms, n_max, charge)
+    orbits = sector.orbits
+    nk, nb, counts, size = orbits.nk, orbits.nb, orbits.counts, orbits.nk.size
+    g = params.g
     # K's atomic part, diagonal in (g, e); the ket takes K, the bra conj(K)
     k_atom = np.array([0.5j * params.omega_a - 0.5 * (params.eta + params.chi),
                        -0.5j * params.omega_a - 0.5 * (params.gamma + params.chi)])
     k_cavity = -1j * params.omega_c - 0.5 * params.kappa
     pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
-    diag = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
-    # (ket photon shift, bra photon shift, M's off-diagonal part): the
-    # atomic jumps, then -i g (a^dag sigma^- + a sigma^+) on the ket and
-    # its conjugate on the bra
-    terms = [(0, 0, params.gamma * _DECAY + params.eta * _PUMP),
-             (1, 0, -1j * g * _KET_DOWN), (-1, 0, -1j * g * _KET_UP),
-             (0, 1, 1j * g * _BRA_DOWN), (0, -1, 1j * g * _BRA_UP)]
-    # one row per move: kappa a rho a^dag moves no atom (p = q), the others one
-    moves = [(-1, -1, 0, 0, params.kappa)] + [
-        (dk, db, p, q, m[q, p]) for dk, db, m in terms for q, p in zip(*np.nonzero(m))]
-    dk, db, p, q, coef = (np.array(c) for c in zip(*moves))
-    dk, db = dk[:, None], db[:, None]
-    new_nk, new_nb = nk + dk, nb + db
-    # the atom factor, then the ladder's sqrt of the larger occupation
-    amp = coef[:, None] * np.where((p == q)[:, None], 1.0,
-                                   np.sqrt(counts[p] * (counts[q] + 1.0)))
-    amp = amp * np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
-    amp = amp * np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
-    inside = (amp != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
-    new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
-    rows = np.append(np.arange(size), orbits.find(new_nk[inside], new_counts[:, inside]))
-    cols = np.append(np.arange(size), np.broadcast_to(np.arange(size), amp.shape)[inside])
-    # one CSR build sums the entries that several terms put in one place
-    block = sp.csr_matrix((np.append(diag, amp[inside]), (rows, cols)), shape=(size, size))
-    return orbits, block
+    # each move's coefficient (_MOVES), then 0 for the diagonal: the atomic
+    # jumps, then -i g (a^dag sigma^- + a sigma^+) on the ket and its
+    # conjugate on the bra
+    terms = np.stack([params.gamma * _DECAY + params.eta * _PUMP, -1j * g * _KET_DOWN,
+                      -1j * g * _KET_UP, 1j * g * _BRA_DOWN, 1j * g * _BRA_UP])
+    coef = np.concatenate(([params.kappa], terms[_COEF_INDEX], [0.0]))
+    atom, ket, bra = sector.factors
+    data = ((coef[sector.move] * atom) * ket) * bra
+    data[sector.diagonal] = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    indices, indptr = sector.indices, sector.indptr
+    kept = data != 0.0
+    kept[sector.diagonal] = True
+    if not kept.all():
+        data, indices = data[kept], indices[kept]
+        indptr = np.append(0, np.cumsum(kept))[indptr]
+    return orbits, sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -237,20 +369,19 @@ def _moment_rows(orbits: _Orbits, x: np.ndarray) -> tuple:
     atom-symmetric forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N.
     Returns OracleMoments' fields in order, each an array of k.  Every sum
     runs along a contiguous row (compress, not a mask index, which leaves
-    rows strided), so a row's moments round as that row alone would."""
+    rows strided), so a row's moments round as that row alone would.  The
+    orbits each moment reads are the sector's cached moment_terms."""
     n = orbits.n_atoms
-    nk, nb, (gg, ge, eg, ee) = orbits.nk, orbits.nb, orbits.counts
+    diag, flips, hop, photons, z, root_photons = orbits.moment_terms
     s = orbits.sqrt_size * x
-    diag = orbits.atom_diagonal() & (nk == nb)
-    z, on_diag = (ee - gg)[diag], s.compress(diag, axis=-1)
+    on_diag = s.compress(diag, axis=-1)
     # sum of the orbits of sigma^+_i sigma^-_j, i != j
-    flip = s.compress((nk == nb) & (ge == 1) & (eg == 1), axis=-1).sum(axis=-1)
-    hop = (nb == nk - 1) & (ge == 1) & (eg == 0)  # a sigma^+_i
+    flip = s.compress(flips, axis=-1).sum(axis=-1)
     pairs = n * (n - 1)
     rows = x.shape[0]
     return (
-        np.sum(nk[diag] * on_diag, axis=-1).real,
-        np.sum(np.sqrt(nk[hop]) * s.compress(hop, axis=-1), axis=-1) / n,
+        np.sum(photons * on_diag, axis=-1).real,
+        np.sum(root_photons * s.compress(hop, axis=-1), axis=-1) / n,
         np.sum(z * on_diag, axis=-1).real / n,
         flip / pairs if n >= 2 else np.zeros(rows, dtype=complex),
         np.sum((z * z - n) * on_diag, axis=-1).real / pairs if n >= 2 else np.ones(rows),
@@ -278,10 +409,11 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     functional, sqrt(size) on the orbits on rho's diagonal.  rho is
     permutation invariant, so the orbit block holds it; a singular block
     means the invariant sector has no unique stationary state.  x is made
-    Hermitian (the adjoint swaps ket and bra: nk <-> nb, ge <-> eg) and of
-    unit trace."""
-    trace_row = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb),
-                         orbits.sqrt_size, 0.0)
+    Hermitian (orbits.partner: the adjoint swaps ket and bra, nk <-> nb and
+    ge <-> eg) and of unit trace.  The trace row and the partners are
+    built once per cached sector (_sector), so a solve only copies the
+    block's arrays into the bordered matrix and factors it."""
+    trace_row = orbits.trace_row
     # the bordered matrix's CSR arrays: the trace row's nonzeros, then
     # block rows 1.. as they are
     on = np.flatnonzero(trace_row)
@@ -293,7 +425,7 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     b = np.zeros(block.shape[0], dtype=complex)
     b[0] = 1.0
     x = _factor(bordered, "no unique stationary state").solve(b)
-    x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
+    x = 0.5 * (x + x[orbits.partner].conj())
     return x / (trace_row @ x).real
 
 
@@ -340,8 +472,9 @@ def _steady_once(params: SystemParams, n_max: int) -> _Stationary:
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
+    # the fields in order; astuple would deep-copy them
     return max(0.0, *(abs(va - vb) / max(abs(va), abs(vb), 1e-12)
-                      for va, vb in zip(astuple(a), astuple(b))))
+                      for va, vb in zip(vars(a).values(), vars(b).values())))
 
 
 def _climb(params: SystemParams, n_max: int) -> _Stationary:
@@ -434,9 +567,10 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
     so the solution is about V_m (I + i omega H_m)^-1 e1 |b|.  With the
     Schur form H_m = Z T Z^H that is one back substitution on the
     triangular I + i omega T, run for the whole grid at once.  m grows by
-    MODEL_STEP until the spectra of two successive models agree on the grid
-    to MODEL_TOL of the larger one's peak, or the Krylov space is exhausted
-    (m = n, or a step adds no direction), where the model is exact.  A
+    MODEL_STEP, and straight to n once one more step would reach n, until
+    the spectra of two successive models agree on the grid to MODEL_TOL of
+    the larger one's peak, or the Krylov space is exhausted (m = n, or a
+    step adds no direction), where the model is exact.  A
     basis of more than MAX_SUPEROP_DIM entries raises MemoryBudgetError."""
     n = x.size
     start = lu.solve(x)
@@ -445,7 +579,8 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
     hess = np.empty((1, 0), dtype=complex)  # H_m and its subdiagonal row m
     v, last, exhausted = start / scale, None, False
     while True:
-        m, size = basis.shape[0], min(basis.shape[0] + MODEL_STEP, n)
+        m = basis.shape[0]
+        size = m + MODEL_STEP if m + 2 * MODEL_STEP < n else n
         if size * n > MAX_SUPEROP_DIM:
             raise MemoryBudgetError(f"a Krylov basis of {size} x {n} is more than "
                                     f"MAX_SUPEROP_DIM = {MAX_SUPEROP_DIM} entries")
@@ -490,7 +625,8 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     is permutation invariant, so the resolvent stays in the charge -1 orbit
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
     (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
-    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits.  A is
+    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits (the
+    cached sector's lowering and ad_vec).  A is
     factored once, and the whole grid is read off a rational reduced model
     of the resolvent (_reduced_model), whose order grows until two
     successive models agree to MODEL_TOL of the peak.  Returns a
@@ -502,10 +638,10 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     stationary = _climb(params, n_max)
     lower, x_ss = stationary.orbits, stationary.x
     orbits, block = _orbit_block(params, lower.n_max, -1)
-    lit = lower.nk > 0
+    lit, target, root_photons = orbits.lowering
     x = np.zeros(orbits.nk.size, dtype=complex)
-    x[orbits.find(lower.nk[lit] - 1, lower.counts[:, lit])] = np.sqrt(lower.nk[lit]) * x_ss[lit]
-    ad_vec = np.where(orbits.atom_diagonal(), orbits.sqrt_size * np.sqrt(orbits.nb), 0.0)
+    x[target] = root_photons * x_ss[lit]
+    ad_vec = orbits.ad_vec
 
     c0 = ad_vec @ x
     if abs(c0) < 1e-14:
@@ -553,7 +689,7 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     checked = 4 if params.n_atoms >= 2 else 3  # n, <a sigma^+>, <sigma_z>, pair_corr
     for i in range(n_states):
         # MomentState's fields are OracleMoments' first four
-        approx = astuple(rhs(MomentState(*(f[i] for f in fields[:4])), params))
+        approx = vars(rhs(MomentState(*(f[i] for f in fields[:4])), params)).values()
         pairs = [(f[n_states + i], b) for f, b in zip(fields[:checked], approx)]
         floor = 1e-3 * max(max(abs(a), abs(b)) for a, b in pairs)
         for a, b in pairs:

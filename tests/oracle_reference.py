@@ -7,7 +7,9 @@ operators of cavity (x) [filter] (x) atom_1 ... atom_N, the Hamiltonian
 and collapse operators, the vectorised Liouvillian and its matrix-form
 action, the moments and their exact derivatives for any density matrix,
 uncorrelated product states, and the collective spin operators with
-their Dicke basis.
+their Dicke basis.  It also keeps the orbit block built the direct way,
+from one list of entries summed into CSR (coo_orbit_block), which the
+oracle's cached block pattern must reproduce byte for byte.
 
 Hilbert-space ordering is cavity (x) [filter] (x) atom_1 ... atom_N with
 the atomic basis |ground> = index 0, |excited> = index 1, and density
@@ -25,11 +27,20 @@ import scipy.sparse as sp
 from srlaser.errors import MemoryBudgetError
 from srlaser.model import SystemParams
 from srlaser.oracle import (
+    _BRA_DOWN,
+    _BRA_UP,
+    _DECAY,
+    _DEPHASE,
+    _KET_DOWN,
+    _KET_UP,
+    _PUMP,
     _SM,
     _SZ,
+    _UNIT,
     MAX_SUPEROP_DIM,
     OracleMoments,
     _atom_state,
+    _Orbits,
     _unit_vector,
 )
 
@@ -171,6 +182,39 @@ def build_liouvillian(params: SystemParams, n_max: int, probe=None,
     for rate, c in jumps:
         liouv = liouv + rate * sp.kron(c, c.conj())
     return liouv.tocsr()
+
+
+def coo_orbit_block(params: SystemParams, n_max: int, charge: int) -> sp.csr_matrix:
+    """The charge block of L in the orbit basis, built from scratch on
+    every call: each parameter set's moves, their nonzero amplitudes, and
+    one COO-to-CSR conversion that sorts the entries and sums any that
+    share a place.  The oracle's _orbit_block fills a cached pattern
+    instead and must give these CSR arrays byte for byte."""
+    orbits = _Orbits(params.n_atoms, n_max, charge)
+    nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
+    g, size = params.g, nk.size
+    k_atom = np.array([0.5j * params.omega_a - 0.5 * (params.eta + params.chi),
+                       -0.5j * params.omega_a - 0.5 * (params.gamma + params.chi)])
+    k_cavity = -1j * params.omega_c - 0.5 * params.kappa
+    pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
+    diag = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    terms = [(0, 0, params.gamma * _DECAY + params.eta * _PUMP),
+             (1, 0, -1j * g * _KET_DOWN), (-1, 0, -1j * g * _KET_UP),
+             (0, 1, 1j * g * _BRA_DOWN), (0, -1, 1j * g * _BRA_UP)]
+    moves = [(-1, -1, 0, 0, params.kappa)] + [
+        (dk, db, p, q, m[q, p]) for dk, db, m in terms for q, p in zip(*np.nonzero(m))]
+    dk, db, p, q, coef = (np.array(c) for c in zip(*moves))
+    dk, db = dk[:, None], db[:, None]
+    new_nk, new_nb = nk + dk, nb + db
+    amp = coef[:, None] * np.where((p == q)[:, None], 1.0,
+                                   np.sqrt(counts[p] * (counts[q] + 1.0)))
+    amp = amp * np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
+    amp = amp * np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
+    inside = (amp != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
+    new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
+    rows = np.append(np.arange(size), orbits.find(new_nk[inside], new_counts[:, inside]))
+    cols = np.append(np.arange(size), np.broadcast_to(np.arange(size), amp.shape)[inside])
+    return sp.csr_matrix((np.append(diag, amp[inside]), (rows, cols)), shape=(size, size))
 
 
 def _expect(op: np.ndarray, rho: np.ndarray) -> complex:

@@ -1,6 +1,7 @@
 """Exact-diagonalization reference solver: self-consistency and known limits."""
 from __future__ import annotations
 
+import json
 import time
 import tracemalloc
 
@@ -20,6 +21,7 @@ from oracle_reference import (
     apply_liouvillian,
     atomic_collective_ops,
     build_liouvillian,
+    coo_orbit_block,
     dicke_basis,
     hamiltonian,
     lindblad_channels,
@@ -764,6 +766,86 @@ def test_largest_block_of_the_product_cap_is_still_solved_and_lifted():
     bigger = oracle._Orbits(2, 256, 0)
     with pytest.raises(MemoryBudgetError, match="lifted rho"):
         oracle._orbit_rho(bigger, np.zeros(bigger.nk.size, dtype=complex))
+
+
+# ---------------------------------------------------------------- sector cache
+
+BLOCK_CASES = {
+    "desk": DESK,
+    "desk-chi-detuned": dict(DESK, chi=0.03, omega_a=0.4, omega_c=-0.1),
+    "g0": dict(DESK, g=0.0),
+    "eta0": dict(DESK, eta=0.0),
+    "gamma0": dict(DESK, gamma=0.0),
+    "kappa0": dict(DESK, kappa=0.0),
+    "lossless-detuned": dict(DESK, kappa=0.0, gamma=0.0, omega_a=0.3),
+}
+
+
+def _csr_bytes(block):
+    return [(a.dtype.str, a.tobytes()) for a in (block.data, block.indices, block.indptr)]
+
+
+@pytest.mark.parametrize("charge", [-1, 0, 1])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_cached_block_equals_a_cold_build_byte_for_byte(n_atoms, charge):
+    # a cold build (cache cleared) gives the direct COO build's CSR arrays,
+    # and so does every later build of the sector for any parameters
+    cases = [(SystemParams(n_atoms=n_atoms, **kw), n_max)
+             for kw in BLOCK_CASES.values() for n_max in (0, 2, 5)]
+    cold = []
+    for params, n_max in cases:
+        oracle._sector.cache_clear()
+        cold.append(_csr_bytes(oracle._orbit_block(params, n_max, charge)[1]))
+        assert cold[-1] == _csr_bytes(coo_orbit_block(params, n_max, charge))
+    for (params, n_max), expected in zip(cases, cold):
+        assert _csr_bytes(oracle._orbit_block(params, n_max, charge)[1]) == expected
+    # since the last clear: one sector per cutoff, every other build a hit
+    assert oracle._sector.cache_info().misses == 3
+
+
+def _oracle_small_outputs():
+    """The bytes of every output of one oracle_small benchmark pass."""
+    grid = np.linspace(-1.0, 1.0, 41)
+    steady = oracle_steady_state(SystemParams(n_atoms=3, **DESK), n_max=6)
+    return [json.dumps(oracle.consistency_report()), steady.x.tobytes(),
+            repr(steady.moments), repr(steady.residual)] + [
+        oracle_spectrum(SystemParams(n_atoms=n, **DESK), n_max=4, omega_grid=grid)
+        .intensity.tobytes() for n in (1, 2)]
+
+
+def test_oracle_small_outputs_are_the_same_cold_and_warm():
+    # one pass builds 12 sectors, all of which the cache keeps: a second
+    # pass builds none and returns the same bytes
+    oracle._sector.cache_clear()
+    cold = _oracle_small_outputs()
+    assert oracle._sector.cache_info().misses == 12
+    assert oracle._sector.cache_parameters()["maxsize"] == oracle.SECTOR_CACHE == 16
+    assert _oracle_small_outputs() == cold
+    assert oracle._sector.cache_info().misses == 12
+
+
+def test_orbit_cap_holds_on_a_cached_sector(monkeypatch):
+    params = SystemParams(n_atoms=2, **DESK)
+    orbits, _ = oracle._orbit_block(params, 4, 0)  # cached under the default cap
+    info = oracle._sector.cache_info()
+    monkeypatch.setattr(oracle, "MAX_ORBITS", orbits.nk.size - 1)
+    with pytest.raises(MemoryBudgetError, match=f"at least {orbits.nk.size} orbits"):
+        oracle._orbit_block(params, 4, 0)
+    monkeypatch.undo()
+    with pytest.raises(MemoryBudgetError, match="MAX_ORBITS"):
+        oracle._orbit_block(SystemParams(n_atoms=30, **DESK), 12, 0)
+    # neither over-cap request reached the cache
+    assert oracle._sector.cache_info() == info
+    assert oracle._orbit_block(params, 4, 0)[0] is orbits
+
+
+def test_cached_sectors_are_read_only():
+    orbits, block = oracle._orbit_block(SystemParams(n_atoms=2, **DESK), 4, -1)
+    sector = oracle._sector(2, 4, -1)
+    for shared in (orbits.nk, orbits.counts, orbits.ad_vec, sector.indices, *sector.factors):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+    block.data[0] = 0.0  # the values are the caller's own
 
 
 # ------------------------------------------------------- state/grid validation
