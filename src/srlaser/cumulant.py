@@ -252,25 +252,24 @@ def _rhs_vec(x, params: SystemParams) -> np.ndarray:
 
 def _jacobian_parts(params: SystemParams):
     """The twelve entries of _rhs's Jacobian that do not depend on x, as a
-    (6, 6) array, and the factors -g and -2 g of the four that do."""
-    g = params.g
-    nn = params.n_atoms
-    delta = params.detuning
-    gamma_c, gamma_p = _rates(params)
+    (6, 6) array, and the factors -g and -2 g of the four that do, all
+    from the _coefficients that _rhs reads; every negation is exact."""
+    (g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
+     n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p) = _coefficients(params)
     const = np.zeros((6, 6))
-    const[0, 0] = -params.kappa
-    const[0, 2] = -2.0 * g * nn
+    const[0, 0] = -kappa
+    const[0, 2] = n_gain
     const[1, 1] = -gamma_c
-    const[1, 2] = -delta
-    const[1, 5] = g * (nn - 1)
+    const[1, 2] = m_delta
+    const[1, 5] = pair_gain
     const[2, 1] = delta
     const[2, 2] = -gamma_c
-    const[2, 4] = -g * (nn - 1)
-    const[3, 2] = 4.0 * g
-    const[3, 3] = -(params.gamma + params.eta)
-    const[4, 4] = -gamma_p
-    const[5, 5] = -gamma_p
-    return const, -g, -2.0 * g
+    const[2, 4] = -pair_gain
+    const[3, 2] = g4
+    const[3, 3] = -(gamma + eta)
+    const[4, 4] = m_gamma_p
+    const[5, 5] = m_gamma_p
+    return const, -g, m2g
 
 
 def _fill_jacobian(out, m_g, m2g, x):

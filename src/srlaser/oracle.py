@@ -23,30 +23,31 @@ atoms of one 4 x 4 pair superoperator, so its block (_orbit_block) is
 written from the labels and the cavity ladder alone, with no
 product-basis operator.
 
-Nothing in a block's structure depends on the rates: its orbit labels,
-its CSR pattern and the per-orbit structure that the solves read are
-built once per (N, n_max, charge) and kept in a least-recently-used cache
-of SECTOR_CACHE sectors (_sector), so a block build only fills in values,
-bit for bit the ones a fresh build gives.  The MAX_ORBITS count runs on
-every request, cached or not.  The largest sector under the cap, N = 30
-at n_max = 11, keeps about 11.6 MB.
+Nothing in a block's structure depends on the rates, so one object per
+sector holds it: an _Orbits carries the orbit labels, the block's CSR
+pattern and the per-orbit structure that the solves read.  _sector keeps
+one per (N, n_max, charge) in a least-recently-used cache of
+SECTOR_CACHE sectors, so a block build only fills in values, bit for bit
+the ones a fresh build gives.  The MAX_ORBITS count runs on every
+request, cached or not.  The largest sector under the cap, N = 30 at
+n_max = 11, keeps about 11.7 MB.
 
 Each Fock cutoff builds and LU-solves its charge-0 block once for the
-stationary state, the permutation-invariant one; its moments and the
-residual max |L rho| are read off the orbit coordinates and that block.
-`OracleResult` lifts the returned cutoff's coordinates to the d x d
-product-basis rho (_orbit_rho) only when rho is read.  The moment
-derivatives that check the closure act on identical-atom product states,
-which are permutation invariant; every checked moment has charge 0 and L
-conserves charge, so the derivatives are the charge-0 block applied to
-the states' charge-0 orbit coordinates, all states in one product.  The
-spectrum is a resolvent of the returned cutoff's charge -1 block, which
-holds a rho_ss and has no zero eigenvalue.  That block is factored once,
-and the whole grid is read off a shift-invert Krylov reduced model whose
-order grows until two successive models agree to MODEL_TOL of the peak,
-so nothing is propagated in time and no LU has more than MAX_ORBITS
-unknowns.  Only the lift knows d.  The product-basis reference lives
-with the tests.
+stationary state, the permutation-invariant one, and returns it as one
+record, an `OracleResult`: the orbit coordinates, their moments and the
+residual max |L rho|, read off that cutoff's own block.  It lifts the
+coordinates to the d x d product-basis rho (_orbit_rho) only when rho is
+read.  The moment derivatives that check the closure act on
+identical-atom product states, which are permutation invariant; every
+checked moment has charge 0 and L conserves charge, so the derivatives
+are the charge-0 block applied to the states' charge-0 orbit
+coordinates, all states in one product.  The spectrum is a resolvent of
+the returned cutoff's charge -1 block, which holds a rho_ss and has no
+zero eigenvalue.  That block is factored once, and the whole grid is
+read off a shift-invert Krylov reduced model whose order grows until two
+successive models agree to MODEL_TOL of the peak, so nothing is
+propagated in time and no LU has more than MAX_ORBITS unknowns.  Only
+the lift knows d.  The product-basis reference lives with the tests.
 
 The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
 basis |ground> = index 0, |excited> = index 1.
@@ -121,9 +122,11 @@ def _frozen(*arrays: np.ndarray):
 
 
 def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
-    """Raises ValueError for N < 1 or n_max < 0, and MemoryBudgetError if
-    the sector has more than MAX_ORBITS orbits, from a closed-form count,
-    so before any label is built."""
+    """Raises ValueError for N < 1 or an n_max that is not an integer >= 0,
+    and MemoryBudgetError if the sector has more than MAX_ORBITS orbits,
+    from a closed-form count, so before any label is built."""
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
     if n_atoms < 1 or n_max < 0:
         raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
     # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
@@ -139,8 +142,10 @@ def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
 
 
 class _Orbits:
-    """The orbits of one charge sector of cavity (x) N atoms under atom
-    permutations, in the one numbering every orbit solve uses.
+    """One charge sector of cavity (x) N atoms: its orbits under atom
+    permutations, in the one numbering every orbit solve uses, and the CSR
+    pattern of its block.  Nothing here depends on the rates, so _sector
+    builds one per (N, n_max, charge) and shares it between calls.
 
     An orbit is labelled by the cavity occupations nk of the ket and nb of
     the bra and by counts[p], the number of atoms in the (ket, bra) pair
@@ -154,10 +159,21 @@ class _Orbits:
     vacuum with every atom in g.  At N = 1 every orbit is one entry.  More
     than MAX_ORBITS orbits raise MemoryBudgetError before any label is built.
 
-    The labels are read-only, and so is the per-orbit structure that the
-    solves read (trace_row, partner, moment_terms, ad_vec, lowering),
-    built on first use: _sector keeps one _Orbits per (N, n_max, charge)
-    and shares it between calls.
+    The pattern holds every entry that some parameters fill, in final CSR
+    order (indptr, indices), and per entry its move (a row of _MOVES, or
+    _DIAGONAL) and the three factors (atom, ket, bra) that scale the move's
+    coefficient; diagonal holds the positions of the diagonal entries.
+    Moving one atom from pair p to pair q scales the coefficient by the
+    atom factor sqrt(n_p (n_q + 1)); a photon shift scales it by the
+    ladder's sqrt of the larger occupation.  An entry is kept where the
+    atom factor is nonzero and the target lies inside the cutoff; no two
+    entries share a place, since each move changes (nk, nb, counts)
+    differently and none returns to its orbit, so (row, column) order is
+    the CSR order.
+
+    Every array is read-only: the labels and the pattern, built here, and
+    the per-orbit structure that the solves read (trace_row, partner,
+    moment_terms, ad_vec, lowering), built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -173,12 +189,31 @@ class _Orbits:
         ge, eg, ee = (np.tile(c, n_max + 1) for c in (ge, eg, ee))
         nb = nk + eg - ge - charge
         keep = (nb >= 0) & (nb <= n_max)
-        self.nk, self.nb = _frozen(nk[keep], nb[keep])
-        self.counts = _frozen(np.stack([n_atoms - ge - eg - ee, ge, eg, ee])[:, keep])
-        self.code = _frozen(self._code(self.nk, self.counts))  # increasing
+        self.nk, self.nb = nk, nb = _frozen(nk[keep], nb[keep])
+        self.counts = counts = _frozen(np.stack([n_atoms - ge - eg - ee, ge, eg, ee])[:, keep])
+        self.code = _frozen(self._code(nk, counts))  # increasing
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_atoms + 1)))))
         self.sqrt_size = _frozen(
-            np.exp(0.5 * (log_fact[n_atoms] - log_fact[self.counts].sum(axis=0))))
+            np.exp(0.5 * (log_fact[n_atoms] - log_fact[counts].sum(axis=0))))
+        # the block pattern
+        size = nk.size
+        dk, db, p, q = _MOVES[:, 0, None], _MOVES[:, 1, None], _MOVES[:, 2], _MOVES[:, 3]
+        new_nk, new_nb = nk + dk, nb + db
+        atom = np.where((p == q)[:, None], 1.0, np.sqrt(counts[p] * (counts[q] + 1.0)))
+        ket = np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
+        bra = np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
+        inside = (atom != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
+        new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
+        move, cols = np.nonzero(inside)  # in the order of a boolean index
+        rows = np.append(np.arange(size), self.find(new_nk[inside], new_counts[:, inside]))
+        cols = np.append(np.arange(size), cols)
+        order = np.lexsort((cols, rows))
+        self.move = _frozen(np.append(np.full(size, _DIAGONAL), move)[order].astype(np.int8))
+        self.indptr = _frozen(np.searchsorted(rows[order], np.arange(size + 1)).astype(np.int32))
+        self.indices = _frozen(cols[order].astype(np.int32))
+        self.factors = _frozen(*(np.append(np.ones(size), f[inside])[order]
+                                 for f in (atom, ket, bra)))
+        self.diagonal = _frozen(np.flatnonzero(self.move == _DIAGONAL))
 
     def _code(self, nk, counts):
         base = self.n_atoms + 1
@@ -227,60 +262,23 @@ class _Orbits:
         its orbit (nk, nb, counts) to this sector's (nk - 1, nb, counts) with
         factor sqrt(nk): the mask of its orbits with nk > 0, their images'
         numbers here, and the factors."""
-        upper = _sector(self.n_atoms, self.n_max, self.charge + 1).orbits
+        upper = _sector(self.n_atoms, self.n_max, self.charge + 1)
         lit = upper.nk > 0
         return _frozen(lit, self.find(upper.nk[lit] - 1, upper.counts[:, lit]),
                        np.sqrt(upper.nk[lit]))
 
 
-class _Sector(NamedTuple):
-    """The parameter-free part of one charge block (_sector): its orbits
-    and the CSR pattern of every entry that some parameters fill, in final
-    order.  Per entry: its move (a row of _MOVES, or _DIAGONAL) and the
-    three geometric factors that scale the move's coefficient."""
-    orbits: _Orbits
-    indptr: np.ndarray
-    indices: np.ndarray
-    move: np.ndarray
-    factors: tuple
-    diagonal: np.ndarray  # the positions of the diagonal entries
-
-
 @lru_cache(maxsize=SECTOR_CACHE)
-def _sector(n_atoms: int, n_max: int, charge: int) -> _Sector:
-    """The orbits and block pattern of one sector, built once per (N,
-    n_max, charge) and kept in a least-recently-used cache of SECTOR_CACHE
-    sectors; nothing in them depends on the rates.
-
-    Moving one atom from pair p to pair q scales the move's coefficient by
-    the atom factor sqrt(n_p (n_q + 1)); a photon shift scales it by the
-    ladder's sqrt of the larger occupation.  An entry is kept where the
-    atom factor is nonzero and the target lies inside the cutoff; no two
-    entries share a place, since each move changes (nk, nb, counts)
-    differently and none returns to its orbit, so (row, column) order is
-    the CSR order.  The largest sector under MAX_ORBITS, charge 0 at (N,
-    n_max) = (30, 11) with 28,552 orbits and 302,898 entries, keeps 9.1 MB
-    of pattern, 1.8 MB of labels and up to 0.7 MB of per-orbit structure,
-    so a full cache of such sectors would hold about 190 MB; it takes
-    0.1 s to build, against 79 s for one solve at that size."""
-    orbits = _Orbits(n_atoms, n_max, charge)
-    nk, nb, counts, size = orbits.nk, orbits.nb, orbits.counts, orbits.nk.size
-    dk, db, p, q = _MOVES[:, 0, None], _MOVES[:, 1, None], _MOVES[:, 2], _MOVES[:, 3]
-    new_nk, new_nb = nk + dk, nb + db
-    atom = np.where((p == q)[:, None], 1.0, np.sqrt(counts[p] * (counts[q] + 1.0)))
-    ket = np.sqrt(np.where(dk == 0, 1, np.maximum(nk, new_nk)))
-    bra = np.sqrt(np.where(db == 0, 1, np.maximum(nb, new_nb)))
-    inside = (atom != 0.0) & (new_nk >= 0) & (new_nk <= n_max) & (new_nb >= 0) & (new_nb <= n_max)
-    new_counts = counts[:, None, :] + (_UNIT[q] - _UNIT[p]).T[:, :, None]
-    move, cols = np.nonzero(inside)  # in the order of a boolean index
-    rows = np.append(np.arange(size), orbits.find(new_nk[inside], new_counts[:, inside]))
-    cols = np.append(np.arange(size), cols)
-    order = np.lexsort((cols, rows))
-    move = np.append(np.full(size, _DIAGONAL), move)[order].astype(np.int8)
-    indptr = np.searchsorted(rows[order], np.arange(size + 1)).astype(np.int32)
-    factors = _frozen(*(np.append(np.ones(size), f[inside])[order] for f in (atom, ket, bra)))
-    return _Sector(orbits, *_frozen(indptr, cols[order].astype(np.int32), move),
-                   factors, _frozen(np.flatnonzero(move == _DIAGONAL)))
+def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
+    """The _Orbits of one sector, its labels and block pattern, kept in a
+    least-recently-used cache of SECTOR_CACHE sectors keyed by (N, n_max,
+    charge); _orbit_block runs the MAX_ORBITS count before asking.  The
+    largest sector under MAX_ORBITS, charge 0 at (N, n_max) = (30, 11) with
+    28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
+    labels and, once the solves have read it all, 0.8 MB of per-orbit
+    structure, so a full cache of such sectors would hold about 190 MB; it
+    takes 0.1 s to build, against 79 s for one solve at that size."""
+    return _Orbits(n_atoms, n_max, charge)
 
 
 def _orbit_block(params: SystemParams, n_max: int, charge: int):
@@ -291,14 +289,13 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     superoperator M acting on atom i's (ket, bra) pair.  On the orbit of
     counts n the sum contributes sum_p M[p, p] n_p on the diagonal, and
     moving one atom from pair p to pair q gives M[q, p] sqrt(n_p (n_q + 1)),
-    each times the cavity matrix elements.  The orbits and the pattern
-    come from _sector, cached per (N, n_max, charge) after the MAX_ORBITS
-    count, which runs on every call; this call fills in the values and
-    drops the entries whose coefficient is zero.  Returns (orbits, CSR
-    block)."""
+    each times the cavity matrix elements.  The orbits, with their
+    pattern, come from _sector, cached per (N, n_max, charge) after the
+    MAX_ORBITS count, which runs on every call; this call fills in the
+    values and drops the entries whose coefficient is zero.  Returns
+    (orbits, CSR block)."""
     _check_orbit_count(params.n_atoms, n_max, charge)
-    sector = _sector(params.n_atoms, n_max, charge)
-    orbits = sector.orbits
+    orbits = _sector(params.n_atoms, n_max, charge)
     nk, nb, counts, size = orbits.nk, orbits.nb, orbits.counts, orbits.nk.size
     g = params.g
     # K's atomic part, diagonal in (g, e); the ket takes K, the bra conj(K)
@@ -312,12 +309,12 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     terms = np.stack([params.gamma * _DECAY + params.eta * _PUMP, -1j * g * _KET_DOWN,
                       -1j * g * _KET_UP, 1j * g * _BRA_DOWN, 1j * g * _BRA_UP])
     coef = np.concatenate(([params.kappa], terms[_COEF_INDEX], [0.0]))
-    atom, ket, bra = sector.factors
-    data = ((coef[sector.move] * atom) * ket) * bra
-    data[sector.diagonal] = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
-    indices, indptr = sector.indices, sector.indptr
+    atom, ket, bra = orbits.factors
+    data = ((coef[orbits.move] * atom) * ket) * bra
+    data[orbits.diagonal] = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    indices, indptr = orbits.indices, orbits.indptr
     kept = data != 0.0
-    kept[sector.diagonal] = True
+    kept[orbits.diagonal] = True
     if not kept.all():
         data, indices = data[kept], indices[kept]
         indptr = np.append(0, np.cumsum(kept))[indptr]
@@ -339,9 +336,9 @@ class OracleMoments:
 
 @dataclass
 class OracleResult:
-    """A stationary state at the returned cutoff: its charge-0 orbit
+    """A stationary state at one cutoff (_steady_once): its charge-0 orbit
     coordinates x on `orbits` (_Orbits), its moments, and the residual
-    max |L rho| over rho's entries, read off the orbit block."""
+    max |L rho| over rho's entries, read off that cutoff's orbit block."""
     orbits: _Orbits
     x: np.ndarray
     moments: OracleMoments
@@ -456,19 +453,13 @@ def _max_entry(orbits: _Orbits, y: np.ndarray) -> float:
     return float(np.max(np.abs(y) / orbits.sqrt_size))
 
 
-class _Stationary(NamedTuple):
-    """One cutoff's stationary state: its charge-0 orbits and block, the
-    orbit coordinates x and their moments."""
-    orbits: _Orbits
-    block: sp.csr_matrix
-    x: np.ndarray
-    moments: OracleMoments
-
-
-def _steady_once(params: SystemParams, n_max: int) -> _Stationary:
+def _steady_once(params: SystemParams, n_max: int) -> OracleResult:
+    """The stationary state at cutoff n_max, from one build and LU solve of
+    its charge-0 block.  L rho lies in the orbit span, so the residual
+    max |L rho| is read off that block times x (_max_entry)."""
     orbits, block = _orbit_block(params, n_max, 0)
     x = _solve_stationary(block, orbits)
-    return _Stationary(orbits, block, x, _orbit_moments(orbits, x))
+    return OracleResult(orbits, x, _orbit_moments(orbits, x), _max_entry(orbits, block @ x))
 
 
 def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
@@ -477,38 +468,35 @@ def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
                       for va, vb in zip(vars(a).values(), vars(b).values())))
 
 
-def _climb(params: SystemParams, n_max: int) -> _Stationary:
+def _climb(params: SystemParams, n_max: int) -> OracleResult:
     """Solves at n_max and n_max + 2 and requires every reported moment to
     agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2, at
     most MAX_ROUNDS times, so the last cutoff solved is n_max + 6.  Each
     round's upper solve is the next round's lower one, so every cutoff is
-    built and solved once.  CutoffError names the last cutoff and its
+    built and solved once.  Returns the upper cutoff's state, with the
+    residual of its own block.  CutoffError names the last cutoff and its
     drift."""
     low = _steady_once(params, n_max)
     for _ in range(MAX_ROUNDS):
-        high = _steady_once(params, low.orbits.n_max + 2)
+        high = _steady_once(params, low.n_max + 2)
         drift = _moment_drift(low.moments, high.moments)
         if drift < DRIFT_TOL:
             return high
         low = high
     raise CutoffError(
-        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.orbits.n_max}",
+        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.n_max}",
         drift=drift,
     )
 
 
 def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
-    """Stationary state with automatic Fock-cutoff convergence.
-
-    The climb (see _climb) solves orbit blocks only.  L rho lies in the
-    orbit span, so the residual max |L rho| is read off the returned
-    block times x (_max_entry).  The result keeps the returned cutoff's
-    orbit coordinates; its product-basis rho is lifted only when read.
+    """Stationary state with automatic Fock-cutoff convergence: the
+    climb's (_climb) returned cutoff, solved on orbit blocks only, with the
+    residual max |L rho| of that cutoff's own block (_steady_once).  The
+    result keeps the orbit coordinates; its product-basis rho is lifted
+    only when read.
     """
-    stationary = _climb(params, n_max)
-    orbits, x = stationary.orbits, stationary.x
-    return OracleResult(orbits=orbits, x=x, moments=stationary.moments,
-                        residual=_max_entry(orbits, stationary.block @ x))
+    return _climb(params, n_max)
 
 
 def _unit_vector(amps, dim: int) -> np.ndarray:
@@ -635,12 +623,11 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     from .spectrum import SpectrumScan, _checked_grid  # layering stays one-way
 
     omega_grid = _checked_grid(omega_grid)
-    stationary = _climb(params, n_max)
-    lower, x_ss = stationary.orbits, stationary.x
-    orbits, block = _orbit_block(params, lower.n_max, -1)
+    steady = _climb(params, n_max)
+    orbits, block = _orbit_block(params, steady.n_max, -1)
     lit, target, root_photons = orbits.lowering
     x = np.zeros(orbits.nk.size, dtype=complex)
-    x[target] = root_photons * x_ss[lit]
+    x[target] = root_photons * steady.x[lit]
     ad_vec = orbits.ad_vec
 
     c0 = ad_vec @ x
@@ -666,7 +653,8 @@ def _random_product_inputs(rng, support: int = 4):
 def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """Worst relative mismatch between the moment-closure right-hand side
     and the exact derivatives, over n_states uncorrelated product states
-    drawn with CHECK_SEED at cutoff CHECK_N_MAX.
+    drawn with CHECK_SEED at cutoff CHECK_N_MAX; n_states < 1 raises
+    ValueError before any block is built.
 
     On such states every factorization used by the closure is an exact
     identity, so the two must agree to round-off; this pins every sign
@@ -679,6 +667,8 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """
     from .cumulant import MomentState, rhs
 
+    if n_states < 1:
+        raise ValueError(f"need n_states >= 1, got {n_states}")
     rng = np.random.default_rng(CHECK_SEED)
     orbits, block = _orbit_block(params, CHECK_N_MAX, 0)
     states = np.array([_product_orbit_state(orbits, *_random_product_inputs(rng))

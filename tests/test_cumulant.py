@@ -993,6 +993,25 @@ def test_non_finite_end_time_raises_in_1d_and_batch(t_end):
         cumulant.solve_ivp(decay, (0.0, np.array([1.0, t_end])), np.ones((2, 1)))
 
 
+def test_batch_of_zero_length_spans_ends_at_y0_after_one_call():
+    # every row's span is empty, so no row steps: each ends at y0 after the
+    # one evaluation at t0, as its 1-D call does
+    y0 = np.arange(6.0).reshape(3, 2)
+    calls = []
+
+    def decay(t, y, rows):
+        calls.append(rows.tolist())
+        return -y
+
+    batch = cumulant.solve_ivp(decay, (1.0, 1.0), y0)
+    assert calls == [[0, 1, 2]]
+    assert np.array_equal(batch.y, y0) and batch.y is not y0
+    assert batch.success.tolist() == [True] * 3
+    assert batch.nfev == 3 and batch.row_nfev.tolist() == [1, 1, 1]
+    own = cumulant.solve_ivp(lambda t, y: -y, (1.0, 1.0), y0[1])
+    assert own.success and own.nfev == 1 and np.array_equal(own.y[:, -1], y0[1])
+
+
 # -------------------------------------------------------------- state plumbing
 
 def test_moment_state_vector_round_trip():

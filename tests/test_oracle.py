@@ -708,6 +708,47 @@ def test_space_validation_and_memory_budget():
         oracle._Orbits(30, 12, 0)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 6.0, "6"])
+def test_non_integer_cutoff_raises_value_error_before_any_work(n_max):
+    # the check runs before the sector cache is asked, so no sector is built
+    params = SystemParams(n_atoms=2, **DESK)
+    info = oracle._sector.cache_info()
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        oracle_steady_state(params, n_max=n_max)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        oracle_spectrum(params, n_max, np.linspace(-1.0, 1.0, 5))
+    assert oracle._sector.cache_info() == info
+
+
+def test_numpy_integer_cutoff_is_accepted():
+    params = SystemParams(n_atoms=2, **DESK)
+    result = oracle_steady_state(params, n_max=np.int64(4))
+    assert result.n_max == 8
+    assert result.moments == oracle_steady_state(params, n_max=4).moments
+    grid = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(oracle_spectrum(params, np.int32(4), grid).intensity,
+                          oracle_spectrum(params, 4, grid).intensity)
+
+
+@pytest.mark.parametrize("n_states", [0, -1])
+def test_derivative_check_needs_a_state(monkeypatch, n_states):
+    monkeypatch.setattr(oracle, "_orbit_block", None)  # no block is built
+    with pytest.raises(ValueError, match="n_states >= 1"):
+        derivative_match_error(SystemParams(n_atoms=2, **DESK), n_states=n_states)
+
+
+def test_spectrum_without_a_positive_peak_raises(monkeypatch):
+    # the reduced model's spectrum decides; a grid where it is nowhere
+    # positive is a typed error, not a normalisation by a non-positive peak
+    def no_peak(lu, x, ad_vec, omega):
+        return oracle._Model(None, None, -np.ones_like(omega))
+
+    monkeypatch.setattr(oracle, "_reduced_model", no_peak)
+    with pytest.raises(SimulationError, match="no positive peak"):
+        oracle_spectrum(SystemParams(n_atoms=1, **DESK), n_max=4,
+                        omega_grid=np.linspace(-1.0, 1.0, 5))
+
+
 @pytest.mark.parametrize("n_atoms, n_max, charge", [
     (1, 0, 0), (1, 3, -1), (2, 0, 2), (2, 5, 2), (5, 1, -2), (7, 2, 0), (12, 0, 1), (9, 20, -1)])
 def test_orbit_count_is_checked_exactly(monkeypatch, n_atoms, n_max, charge):
@@ -758,10 +799,10 @@ def test_ten_atom_state_is_solved_but_too_large_to_lift():
 def test_largest_block_of_the_product_cap_is_still_solved_and_lifted():
     # N = 2, n_max = 255 was the largest block under d^2 <= 2**20; one
     # cutoff more is still solved but no longer lifts
-    stationary = oracle._steady_once(SystemParams(n_atoms=2, **DESK), 255)
-    orbits, x = stationary.orbits, stationary.x
+    result = oracle._steady_once(SystemParams(n_atoms=2, **DESK), 255)
+    orbits, x = result.orbits, result.x
     assert orbits.nk.size == 2552
-    assert oracle._max_entry(orbits, stationary.block @ x) < 1e-12
+    assert result.residual < 1e-12
     assert oracle._orbit_rho(orbits, x).shape == (1024, 1024)
     bigger = oracle._Orbits(2, 256, 0)
     with pytest.raises(MemoryBudgetError, match="lifted rho"):

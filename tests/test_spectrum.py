@@ -165,6 +165,17 @@ def test_ode_scan_names_the_grid_point_that_cannot_converge(desk_params, monkeyp
     assert len(calls) < 10
 
 
+def test_ode_scan_on_a_singular_jacobian_names_the_live_points(desk_params, monkeypatch):
+    # a singular Newton matrix is a typed error that names the frequencies
+    # still iterating, not numpy's LinAlgError
+    base = steady_state(desk_params)
+    grid = np.linspace(-0.35, 0.35, 5)
+    monkeypatch.setattr(spectrum, "_ext_jacobian",
+                        lambda x, omega_f, params, probe: np.zeros((omega_f.size, 11, 11)))
+    with pytest.raises(SimulationError, match=f"omega_f in \\[{grid[0]:.6e}, {grid[-1]:.6e}\\]"):
+        scan(desk_params, FilterProbe(big_g=1e-3, beta=0.02), grid, method="ode", base=base)
+
+
 def test_extended_jacobian_matches_central_differences():
     params = SystemParams(n_atoms=4, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4)
@@ -250,6 +261,20 @@ def test_fit_that_exhausts_its_evaluations_raises(monkeypatch):
     data = _lorentzian(grid, 1.0, 0.0, width, 0.05)
     with pytest.raises(FitError, match="did not converge"):
         fit_lorentzian(SpectrumScan(omega=grid, intensity=data))
+
+
+def test_fit_that_least_squares_rejects_raises(monkeypatch):
+    # a negative status (least_squares' improper input) is a failed fit
+    import scipy.optimize
+
+    def rejected(fun, x0, **kwargs):
+        return SimpleNamespace(x=x0, fun=fun(x0), success=False, status=-1,
+                               message="improper input parameters")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", rejected)
+    grid = np.linspace(-3.0, 3.0, 61)
+    with pytest.raises(FitError, match="fit failed: improper input"):
+        fit_lorentzian(SpectrumScan(omega=grid, intensity=_lorentzian(grid, 1.0, 0.0, 1.0, 0.0)))
 
 
 def test_fit_rejects_scan_narrower_than_the_line():
