@@ -25,17 +25,28 @@ product-basis operator.
 
 Nothing in a block's structure depends on the rates, so one object per
 sector holds it: an _Orbits carries the orbit labels, the block's CSR
-pattern and the per-orbit structure that the solves read.  _sector keeps
-one per (N, n_max, charge) in a least-recently-used cache of
-SECTOR_CACHE sectors, so a block build only fills in values, bit for bit
-the ones a fresh build gives.  The MAX_ORBITS count runs on every
-request, cached or not.  The largest sector under the cap, N = 30 at
-n_max = 11, keeps about 11.7 MB.
+pattern, the per-orbit structure that the solves read and the fold maps
+of the real stationary solve.  _sector keeps one per (N, n_max, charge)
+in a least-recently-used cache of SECTOR_CACHE sectors, so a block build
+only fills in values, bit for bit the ones a fresh build gives.  The
+MAX_ORBITS count runs on every request, cached or not.  The largest
+sector under the cap, N = 30 at n_max = 11, keeps about 15 MB once
+solved on resonance and about 20 MB once solved detuned.
 
-Each Fock cutoff builds and LU-solves its charge-0 block once for the
-stationary state, the permutation-invariant one, and returns it as one
-record, an `OracleResult`: the orbit coordinates, their moments and the
-residual max |L rho|, read off that cutoff's own block.  It lifts the
+Two exact symmetries make the solves real: the adjoint, which pairs
+each orbit with its Hermitian partner (_Orbits.partner), and the
+resonance gauge x_o = i^(nk - nb) y_o (_Orbits.gauge, the cavity
+rotation i^(a^dag a)), which turns the -+i g of every photon move into a
+real entry, so on resonance (omega_a = omega_c = 0) every gauged block
+is real.  The stationary state is solved as a real system (_RealForm):
+on resonance its real, P-symmetric half, 80 of 118 unknowns at N = 3,
+n_max = 6, otherwise the size-n real adjoint form.
+
+Each Fock cutoff builds its charge-0 block once and LU-solves its real
+form for the stationary state, the permutation-invariant one, and
+returns it as one record, an `OracleResult`: the orbit coordinates,
+their moments and the residual max |L rho|, read off that cutoff's own
+block.  It lifts the
 coordinates to the d x d product-basis rho (_orbit_rho) only when rho is
 read.  The moment derivatives that check the closure act on
 identical-atom product states, which are permutation invariant; every
@@ -43,11 +54,12 @@ checked moment has charge 0 and L conserves charge, so the derivatives
 are the charge-0 block applied to the states' charge-0 orbit
 coordinates, all states in one product.  The spectrum is a resolvent of
 the returned cutoff's charge -1 block, which holds a rho_ss and has no
-zero eigenvalue.  That block is factored once, and the whole grid is
-read off a shift-invert Krylov reduced model whose order grows until two
-successive models agree to MODEL_TOL of the peak, so nothing is
-propagated in time and no LU has more than MAX_ORBITS unknowns.  Only
-the lift knows d.  The product-basis reference lives with the tests.
+zero eigenvalue.  That block is gauged, factored once, as float64 where
+it and a rho_ss are real, and the whole grid is read off a shift-invert
+Krylov reduced model whose order grows until two successive models agree
+to MODEL_TOL of the peak, so nothing is propagated in time and no LU has
+more than MAX_ORBITS unknowns.  Detuned, the spectrum stays complex.
+Only the lift knows d.  The product-basis reference lives with the tests.
 
 The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
 basis |ground> = index 0, |excited> = index 1.
@@ -66,10 +78,15 @@ import scipy.sparse.linalg as spla
 from .errors import CutoffError, MemoryBudgetError, SimulationError
 from .model import SystemParams
 
-# Cap on a block's orbits, so on every LU's unknowns.  One desk _steady_once
-# (one BLAS thread, 2-vCPU 8 GB Xeon) at (N, n_max) = (15, 16), 10,440 orbits:
-# 5.8 s CPU, 440 MB peak RSS; (20, 14), 16,977: 29 s, 1.0 GB; (20, 16), 20,449:
-# 43 s, 1.26 GB; (30, 11), 28,552: 79 s, 1.77 GB; (30, 12), 32,778, raises.
+# Cap on a block's orbits, so on every LU's unknowns.  One cold desk
+# _steady_once, which solves the real half on resonance (one BLAS thread,
+# 2-vCPU 8 GB Xeon), at (N, n_max) = (15, 16), 10,440 orbits: 0.62 s CPU,
+# 169 MB peak RSS; (20, 14), 16,977: 1.7 s, 259 MB; (20, 16), 20,449: 2.8 s,
+# 327 MB; (30, 11), 28,552: 4.7 s, 443 MB; (30, 12), 32,778, raises.
+# Detuned (chi = 0.03, omega_a = 0.3), the real adjoint form of all n
+# unknowns: 3.2 s, 327 MB at (15, 16); 10.9 s, 598 MB at (20, 14); 29.8 s,
+# 1.04 GB at (30, 11).  The complex solve this replaced took 79 s and 1.77 GB
+# at (30, 11) on resonance.
 MAX_ORBITS = 2**15
 # cap on the entries of a dense array whose size grows with the problem:
 # the d^2 of a rho lifted by _orbit_rho, the m n of the spectrum's Krylov basis
@@ -109,6 +126,7 @@ _MOVES = np.array([(-1, -1, 0, 0, 0)] + [
 _DIAGONAL = len(_MOVES)  # the move number of a block's diagonal entries
 # where _orbit_block's stack of the terms' matrices holds each M[q, p]
 _COEF_INDEX = (_MOVES[1:, 4] - 1, _MOVES[1:, 3], _MOVES[1:, 2])
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k, k = 0..3: the resonance gauge
 # sectors that _sector keeps: one pass of the oracle_small benchmark
 # workload builds blocks of 12 sectors, a climb and its spectrum up to 5
 SECTOR_CACHE = 16
@@ -121,12 +139,17 @@ def _frozen(*arrays: np.ndarray):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
+def _check_integer(name: str, value) -> None:
+    """ValueError unless value is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
     """Raises ValueError for N < 1 or an n_max that is not an integer >= 0,
     and MemoryBudgetError if the sector has more than MAX_ORBITS orbits,
     from a closed-form count, so before any label is built."""
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    _check_integer("n_max", n_max)
     if n_atoms < 1 or n_max < 0:
         raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
     # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
@@ -173,7 +196,8 @@ class _Orbits:
 
     Every array is read-only: the labels and the pattern, built here, and
     the per-orbit structure that the solves read (trace_row, partner,
-    moment_terms, ad_vec, lowering), built on first use.
+    moment_terms, ad_vec, lowering, gauge) and the fold maps of the real
+    stationary solve (half_form, adjoint_form), built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -267,6 +291,116 @@ class _Orbits:
         return _frozen(lit, self.find(upper.nk[lit] - 1, upper.counts[:, lit]),
                        np.sqrt(upper.nk[lit]))
 
+    @cached_property
+    def gauge(self) -> np.ndarray:
+        """The resonance gauge i^(nk - nb), the phase of x_o = i^(nk - nb) y_o."""
+        return _frozen(_I_POWERS[(self.nk - self.nb) % 4])
+
+    @cached_property
+    def half_form(self) -> _RealForm:
+        """The real, P-symmetric half of the stationary equations."""
+        return _RealForm(self, half=True)
+
+    @cached_property
+    def adjoint_form(self) -> _RealForm:
+        """The size-n real adjoint form of the stationary equations."""
+        return _RealForm(self, half=False)
+
+
+class _RealForm:
+    """The charge-0 stationary equations as a real bordered system, and the
+    map from its solution back to the orbit coordinates x (_solve_stationary).
+
+    In the gauged coordinates y, x_o = i^(nk - nb) y_o (_Orbits.gauge), the
+    block becomes G = D^-1 B D, D = diag(i^(nk - nb)), and a Hermitian rho
+    has y[P] = conj(y), P = partner.  So one orbit of each Hermitian pair,
+    its representative o <= P(o), carries the pair: unknown o is Re y_o and,
+    if P(o) != o, unknown P(o) is Im y_o.  The equations are Re (G y)_r in
+    row r and Im (G y)_r in row P(r), for each representative r; the other
+    rows are their conjugates.  That is the size-n real adjoint form, valid
+    at any parameters.  Where every gauged entry is real, as on resonance,
+    no Im part couples to a Re part, so the Im half drops and the real,
+    P-symmetric half remains (half): the representatives alone, renumbered
+    in order.  In both, row 0 (orbit 0, rho[0, 0], its own partner) is
+    replaced by the trace functional.
+
+    The fold, built once per cached sector: each entry of G in a kept row
+    (a representative's, but row 0) adds its Re or Im part (source, an
+    index into G's interleaved Re and Im values) times sign to one place
+    (target) of the real matrix's CSC pattern (indptr, indices), at most
+    four places per entry; trace_at holds the places of the trace row's
+    values trace, on the unknowns trace_cols.  bordered sums a solve's
+    values into place; lift reads y back: Re y from the unknowns re_pick,
+    Im y as im_sign times the unknowns im_pick (None in the half)."""
+
+    def __init__(self, orbits: _Orbits, half: bool):
+        n = orbits.nk.size
+        every, partner = np.arange(n), orbits.partner
+        rep = np.minimum(every, partner)  # each orbit's representative
+        rows = np.repeat(every, np.diff(orbits.indptr))
+        e = np.flatnonzero((rows == rep[rows]) & (rows > 0))  # the kept rows' entries
+        r, o = rows[e], rep[orbits.indices[e]]
+        on = np.flatnonzero(orbits.trace_row)  # orbits on rho's diagonal: their own partners
+        if half:
+            number = np.cumsum(rep == every) - 1
+            self.size = number[-1] + 1
+            row, col, source = number[r], number[o], 2 * e
+            sign = np.ones(e.size, dtype=np.int8)
+            self.trace_cols, self.re_pick = number[on], _frozen(number[rep])
+            self.im_pick = self.im_sign = None
+        else:
+            self.size = n
+            # column c of G meets y_c = Re y_o + i s Im y_o, s = -1 on the
+            # partner of a representative o
+            pr, po = partner[r], partner[o]
+            s = np.where(orbits.indices[e] == o, 1, -1).astype(np.int8)
+            one = np.ones_like(s)
+            keep = np.concatenate([one > 0, po != o, pr != r, (pr != r) & (po != o)])
+            row = np.concatenate([r, r, pr, pr])[keep]
+            col = np.concatenate([o, po, o, po])[keep]
+            source = np.concatenate([2 * e, 2 * e + 1, 2 * e + 1, 2 * e])[keep]
+            sign = np.concatenate([one, -s, one, s])[keep]
+            self.trace_cols = on
+            self.re_pick, self.im_pick, self.im_sign = _frozen(
+                rep, partner[rep], np.where(every == rep, 1.0, -1.0) * (partner != every))
+        size = self.size
+        place, at = np.unique(np.append(col * size + row, self.trace_cols * size),
+                              return_inverse=True)  # CSC order; the trace row is row 0
+        self.target, self.trace_at = _frozen(at[:row.size].astype(np.int32), at[row.size:])
+        self.source, self.sign = _frozen(source.astype(np.int32), sign)
+        self.indices = _frozen((place % size).astype(np.int32))
+        self.indptr = _frozen(np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
+        self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
+        self.gauge = orbits.gauge
+
+    def bordered(self, gauged: np.ndarray) -> sp.csc_matrix:
+        """The real bordered matrix from G's values on the sector's whole
+        pattern, without its zero entries."""
+        data = np.bincount(self.target, self.sign * gauged.view(float)[self.source],
+                           minlength=self.indices.size)
+        data[self.trace_at] = self.trace
+        return _compressed(sp.csc_matrix, data, self.indices, self.indptr, data != 0.0)
+
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """x of unit trace from the real solution z."""
+        z = z / (self.trace @ z[self.trace_cols])
+        y = np.zeros(self.gauge.size, dtype=complex)
+        y.real = z[self.re_pick]
+        if self.im_pick is not None:
+            y.imag = self.im_sign * z[self.im_pick]
+        return self.gauge * y
+
+
+def _compressed(kind, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                kept: np.ndarray):
+    """The square sparse matrix of kind (sp.csr_matrix or sp.csc_matrix)
+    that holds the compressed pattern's entries where kept is set."""
+    if not kept.all():
+        data, indices = data[kept], indices[kept]
+        indptr = np.append(0, np.cumsum(kept))[indptr]
+    size = indptr.size - 1
+    return kind((data, indices, indptr), shape=(size, size))
+
 
 @lru_cache(maxsize=SECTOR_CACHE)
 def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
@@ -275,9 +409,13 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     charge); _orbit_block runs the MAX_ORBITS count before asking.  The
     largest sector under MAX_ORBITS, charge 0 at (N, n_max) = (30, 11) with
     28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
-    labels and, once the solves have read it all, 0.8 MB of per-orbit
-    structure, so a full cache of such sectors would hold about 190 MB; it
-    takes 0.1 s to build, against 79 s for one solve at that size."""
+    labels, 1.2 MB of per-orbit structure once the solves have read it
+    all, and the fold of each real form solved: 2.4 MB for the resonant
+    half, 8.2 MB for the adjoint form.  So a full cache of such sectors
+    would hold about 235 MB on resonance and 325 MB detuned.  The sector
+    takes 0.1 s to build and its half's fold 0.01 s, against 4.7 s for one
+    resonant solve at that size (the adjoint form's fold 0.05 s, against
+    30 s)."""
     return _Orbits(n_atoms, n_max, charge)
 
 
@@ -296,7 +434,7 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     (orbits, CSR block)."""
     _check_orbit_count(params.n_atoms, n_max, charge)
     orbits = _sector(params.n_atoms, n_max, charge)
-    nk, nb, counts, size = orbits.nk, orbits.nb, orbits.counts, orbits.nk.size
+    nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
     g = params.g
     # K's atomic part, diagonal in (g, e); the ket takes K, the bra conj(K)
     k_atom = np.array([0.5j * params.omega_a - 0.5 * (params.eta + params.chi),
@@ -312,13 +450,9 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     atom, ket, bra = orbits.factors
     data = ((coef[orbits.move] * atom) * ket) * bra
     data[orbits.diagonal] = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
-    indices, indptr = orbits.indices, orbits.indptr
     kept = data != 0.0
     kept[orbits.diagonal] = True
-    if not kept.all():
-        data, indices = data[kept], indices[kept]
-        indptr = np.append(0, np.cumsum(kept))[indptr]
-    return orbits, sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    return orbits, _compressed(sp.csr_matrix, data, orbits.indices, orbits.indptr, kept)
 
 
 @dataclass(frozen=True)
@@ -400,30 +534,39 @@ def _factor(block: sp.spmatrix, what: str):
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
+def _gauged(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
+    """The values of D^-1 block D, D = diag(orbits.gauge), in block's CSR
+    order.  The phases are +-1 and +-i, so every product is exact."""
+    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+    return block.data * (orbits.gauge.conj()[rows] * orbits.gauge[block.indices])
+
+
 def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
-    """Orbit coordinates of the stationary rho from the charge-0 block, its
-    first row (orbit 0, the entry rho[0, 0]) replaced by the trace
-    functional, sqrt(size) on the orbits on rho's diagonal.  rho is
-    permutation invariant, so the orbit block holds it; a singular block
-    means the invariant sector has no unique stationary state.  x is made
-    Hermitian (orbits.partner: the adjoint swaps ket and bra, nk <-> nb and
-    ge <-> eg) and of unit trace.  The trace row and the partners are
-    built once per cached sector (_sector), so a solve only copies the
-    block's arrays into the bordered matrix and factors it."""
-    trace_row = orbits.trace_row
-    # the bordered matrix's CSR arrays: the trace row's nonzeros, then
-    # block rows 1.. as they are
-    on = np.flatnonzero(trace_row)
-    below = block.indptr[1]
-    bordered = sp.csr_matrix((np.append(trace_row[on].astype(complex), block.data[below:]),
-                              np.append(on, block.indices[below:]),
-                              np.append(0, block.indptr[1:] - below + on.size)),
-                             shape=block.shape)
-    b = np.zeros(block.shape[0], dtype=complex)
+    """Orbit coordinates of the stationary rho from the charge-0 block, as a
+    real system (_RealForm): the block, gauged, folded into real unknowns
+    and equations, its first row (orbit 0, the entry rho[0, 0]) replaced by
+    the trace functional, sqrt(size) on the orbits on rho's diagonal.  Where
+    every gauged entry is real, the real, P-symmetric half is solved, else
+    the size-n adjoint form.  rho is permutation invariant, so the orbit
+    block holds it; a singular system means the invariant sector has no
+    unique stationary state.  x is Hermitian by construction and of unit
+    trace.  The fold is built once per cached sector (_sector), so a solve
+    only gauges the block's values, sums them into the real matrix with
+    np.bincount and factors it as float64."""
+    gauged = _gauged(block, orbits)
+    form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
+    if block.nnz < orbits.indices.size:  # _orbit_block dropped zero entries
+        n = orbits.nk.size
+
+        def places(csr):
+            return np.repeat(np.arange(n) * n, np.diff(csr.indptr)) + csr.indices
+
+        whole = np.zeros(orbits.indices.size, dtype=complex)
+        whole[np.searchsorted(places(orbits), places(block))] = gauged
+        gauged = whole
+    b = np.zeros(form.size)
     b[0] = 1.0
-    x = _factor(bordered, "no unique stationary state").solve(b)
-    x = 0.5 * (x + x[orbits.partner].conj())
-    return x / (trace_row @ x).real
+    return form.lift(_factor(form.bordered(gauged), "no unique stationary state").solve(b))
 
 
 def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
@@ -537,7 +680,8 @@ def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
 class _Model(NamedTuple):
     """A reduced model of the resolvent: the Krylov basis V_m, kept as its
     m x n transpose (row j is column j of V_m), and per grid point the
-    coordinates y of (A + i omega)^-1 x ~ V_m y and -Re ad^T V_m y."""
+    coordinates y of (A + i omega)^-1 x ~ V_m y and -Re ad^T V_m y.  The
+    basis takes x's dtype: it is real when A and x are."""
     basis: np.ndarray
     coords: np.ndarray
     spectrum: np.ndarray
@@ -558,13 +702,17 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
     MODEL_STEP, and straight to n once one more step would reach n, until
     the spectra of two successive models agree on the grid to MODEL_TOL of
     the larger one's peak, or the Krylov space is exhausted (m = n, or a
-    step adds no direction), where the model is exact.  A
-    basis of more than MAX_SUPEROP_DIM entries raises MemoryBudgetError."""
+    step adds no direction), where the model is exact.  A model with no
+    predecessor whose next round reaches m = n is not evaluated: it could
+    end nothing, since the exact model returns without a comparison.  With
+    a real A and x (lu real), V_m and H_m are real, half the memory of a
+    complex basis.  A basis of more than MAX_SUPEROP_DIM entries raises
+    MemoryBudgetError."""
     n = x.size
     start = lu.solve(x)
     scale = np.linalg.norm(start)
-    basis = np.empty((0, n), dtype=complex)
-    hess = np.empty((1, 0), dtype=complex)  # H_m and its subdiagonal row m
+    basis = np.empty((0, n), dtype=x.dtype)
+    hess = np.empty((1, 0), dtype=x.dtype)  # H_m and its subdiagonal row m
     v, last, exhausted = start / scale, None, False
     while True:
         m = basis.shape[0]
@@ -572,7 +720,7 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
         if size * n > MAX_SUPEROP_DIM:
             raise MemoryBudgetError(f"a Krylov basis of {size} x {n} is more than "
                                     f"MAX_SUPEROP_DIM = {MAX_SUPEROP_DIM} entries")
-        basis = np.concatenate([basis, np.empty((size - m, n), dtype=complex)])
+        basis = np.concatenate([basis, np.empty((size - m, n), dtype=x.dtype)])
         hess = np.pad(hess, ((0, size - m), (0, size - m)))
         for j in range(m, size):
             basis[j] = v
@@ -587,6 +735,9 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
                 break
             v = w / norm
         m = basis.shape[0]
+        exact = exhausted or m == n
+        if not exact and last is None and m + 2 * MODEL_STEP >= n:
+            continue
         tri, z = la.schur(hess[:m], output="complex")
         # row k of (I + i omega T) u = Z^H e1 is u_k (1 + i omega T_kk)
         # + i omega sum_{l > k} T_kl u_l = conj(Z_0k)
@@ -596,8 +747,8 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
             u[k] -= gain[k] * (tri[k, k + 1:] @ u[k + 1:])
         coords = scale * (z @ u).T
         spectrum = -(coords @ (basis @ ad_vec)).real
-        if exhausted or m == n or (last is not None and np.max(np.abs(spectrum - last))
-                                   <= MODEL_TOL * np.max(np.abs(spectrum))):
+        if exact or (last is not None and np.max(np.abs(spectrum - last))
+                     <= MODEL_TOL * np.max(np.abs(spectrum))):
             return _Model(basis, coords, spectrum)
         last = spectrum
 
@@ -614,11 +765,17 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
     (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
     Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits (the
-    cached sector's lowering and ad_vec).  A is
-    factored once, and the whole grid is read off a rational reduced model
-    of the resolvent (_reduced_model), whose order grows until two
-    successive models agree to MODEL_TOL of the peak.  Returns a
-    unit-peak-normalised SpectrumScan.
+    cached sector's lowering and ad_vec).  The gauge x_o = i^(nk - nb + 1)
+    y_o, D^-1 A D with D its diagonal, leaves the resolvent's value alone:
+    ad_vec sits on orbits with nk - nb = -1, where the phase is 1.  It
+    turns a rho_ss's coordinates y into the stationary state's gauged ones
+    (_RealForm) times sqrt(nk), and where the gauged block and y are real,
+    as on resonance, the block is factored as float64 and the reduced
+    model is real; otherwise both stay complex.  The block is factored
+    once, and the whole grid is read off a rational reduced model of the
+    resolvent (_reduced_model), whose order grows until two successive
+    models agree to MODEL_TOL of the peak.  Returns a unit-peak-normalised
+    SpectrumScan.
     """
     from .spectrum import SpectrumScan, _checked_grid  # layering stays one-way
 
@@ -626,15 +783,19 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     steady = _climb(params, n_max)
     orbits, block = _orbit_block(params, steady.n_max, -1)
     lit, target, root_photons = orbits.lowering
-    x = np.zeros(orbits.nk.size, dtype=complex)
-    x[target] = root_photons * steady.x[lit]
+    y = np.zeros(orbits.nk.size, dtype=complex)
+    y[target] = root_photons * (steady.x[lit] * steady.orbits.gauge.conj()[lit])
     ad_vec = orbits.ad_vec
 
-    c0 = ad_vec @ x
+    c0 = ad_vec @ y
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
-    intensity = _reduced_model(_factor(block, "undamped correlation"), x, ad_vec,
+    data = _gauged(block, orbits)
+    if not (data.imag.any() or y.imag.any()):
+        data, y = data.real.copy(), y.real.copy()
+    gauged = sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
+    intensity = _reduced_model(_factor(gauged, "undamped correlation"), y, ad_vec,
                                omega_grid).spectrum
     peak = np.max(intensity)
     if peak <= 0.0:
@@ -653,8 +814,8 @@ def _random_product_inputs(rng, support: int = 4):
 def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """Worst relative mismatch between the moment-closure right-hand side
     and the exact derivatives, over n_states uncorrelated product states
-    drawn with CHECK_SEED at cutoff CHECK_N_MAX; n_states < 1 raises
-    ValueError before any block is built.
+    drawn with CHECK_SEED at cutoff CHECK_N_MAX; an n_states that is not
+    an integer >= 1 raises ValueError before any block is built.
 
     On such states every factorization used by the closure is an exact
     identity, so the two must agree to round-off; this pins every sign
@@ -667,6 +828,7 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """
     from .cumulant import MomentState, rhs
 
+    _check_integer("n_states", n_states)
     if n_states < 1:
         raise ValueError(f"need n_states >= 1, got {n_states}")
     rng = np.random.default_rng(CHECK_SEED)

@@ -82,6 +82,11 @@ def _oracle_numbering(orbits):
     return number
 
 
+def _gauge_phase(orbits, shift=0):
+    """i^(nk - nb + shift) per orbit: the resonance gauge x_o = phase_o y_o."""
+    return np.array([1, 1j, -1, -1j])[(orbits.nk - orbits.nb + shift) % 4]
+
+
 # ---------------------------------------------------------------- known limits
 
 def test_decay_only_atom_reaches_ground_vacuum():
@@ -224,7 +229,8 @@ def _direct_spectrum(params, n_max, grid):
 @pytest.mark.parametrize("n_atoms, extra", [
     (3, dict(chi=0.03, omega_a=0.1, omega_c=-0.05)),
     (4, {}),
-], ids=["n3-detuned-chi", "n4"])
+    (2, dict(chi=0.03)),
+], ids=["n3-detuned-chi", "n4", "n2-chi"])
 def test_wide_grid_spectrum_matches_per_frequency_solves(n_atoms, extra):
     # 401 points over +-4 kappa, the line's far tails included
     params = SystemParams(n_atoms=n_atoms, **DESK, **extra)
@@ -235,13 +241,17 @@ def test_wide_grid_spectrum_matches_per_frequency_solves(n_atoms, extra):
 
 @pytest.mark.parametrize("points", [5, 401])
 def test_spectrum_factors_one_correlation_lu_of_n_orbits(monkeypatch, points):
-    # the whole grid is read off one factorisation of the charge -1 block
-    params = SystemParams(n_atoms=2, **DESK)
-    shapes = []
-    _count_calls(monkeypatch, "_factor", shapes, lambda args: (args[1], args[0].shape))
-    oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-4.0, 4.0, points))
-    n = oracle._Orbits(2, oracle_steady_state(params, n_max=4).n_max, -1).nk.size
-    assert [s for what, s in shapes if what == "undamped correlation"] == [(n, n)]
+    # the whole grid is read off one factorisation of the charge -1 block,
+    # a real one once gauged on resonance
+    for extra, dtype in (({}, np.float64), (dict(omega_a=0.3), np.complex128)):
+        params = SystemParams(n_atoms=2, **DESK, **extra)
+        shapes = []
+        _count_calls(monkeypatch, "_factor", shapes,
+                     lambda args: (args[1], args[0].shape, args[0].dtype))
+        oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-4.0, 4.0, points))
+        monkeypatch.undo()
+        n = oracle._Orbits(2, oracle_steady_state(params, n_max=4).n_max, -1).nk.size
+        assert [s for what, *s in shapes if what == "undamped correlation"] == [[(n, n), dtype]]
 
 
 def _record_models(monkeypatch):
@@ -258,7 +268,8 @@ def _record_models(monkeypatch):
 
 @pytest.mark.parametrize("n_atoms", [1, 2])
 def test_reduced_model_solutions_satisfy_the_resolvent_equation(monkeypatch, n_atoms):
-    # (L + i omega) X = a rho_ss for X = V_m y, checked through the matrix form of L
+    # (L + i omega) X = a rho_ss for X = V_m y, checked through the matrix form
+    # of L; the model works in the gauged coordinates of x = i^(nk - nb + 1) y
     params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
     grid = np.linspace(-1.0, 1.0, 41)
     models = _record_models(monkeypatch)
@@ -272,9 +283,10 @@ def test_reduced_model_solutions_satisfy_the_resolvent_equation(monkeypatch, n_a
     assert n == orbits.nk.size and m <= n
     h, channels = hamiltonian(space, params), lindblad_channels(space, params)
     target = space.a @ result.rho
+    phase = _gauge_phase(orbits, 1)
     for w, coords in zip(grid, model.coords):
         vec = np.zeros(space.dim**2, dtype=complex)
-        vec[idx] = v @ (model.basis.T @ coords)  # lifted from the orbit basis
+        vec[idx] = v @ (phase * (model.basis.T @ coords))  # lifted from the orbit basis
         xmat = vec.reshape(space.dim, space.dim)
         resid = apply_liouvillian(xmat, h, channels) + 1j * w * xmat - target
         assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(target))
@@ -290,6 +302,29 @@ def test_krylov_basis_over_the_memory_bound_raises(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_SUPEROP_DIM", 25 * n)
     with pytest.raises(MemoryBudgetError, match=f"30 x {n}.*MAX_SUPEROP_DIM"):
         oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 41))
+
+
+def test_reduced_model_evaluates_no_model_that_can_end_nothing(monkeypatch):
+    # desk N = 1: n = 24, so the model of order 10 would be followed by the
+    # exact one of order 24, which returns without a comparison; only the
+    # exact model is evaluated, and its bytes are those of a model that
+    # reaches n in its first round
+    params = SystemParams(n_atoms=1, **DESK)
+    grid = np.linspace(-1.0, 1.0, 41)
+    orders = []
+    real_schur = oracle.la.schur
+
+    def counted(a, **kwargs):
+        orders.append(a.shape[0])
+        return real_schur(a, **kwargs)
+
+    monkeypatch.setattr(oracle.la, "schur", counted)
+    intensity = oracle_spectrum(params, n_max=4, omega_grid=grid).intensity
+    assert orders == [24]
+    monkeypatch.setattr(oracle, "MODEL_STEP", 24)
+    assert oracle_spectrum(params, n_max=4, omega_grid=grid).intensity.tobytes() \
+        == intensity.tobytes()
+    assert orders == [24, 24]
 
 
 def test_reduced_model_stops_where_the_krylov_space_is_exhausted():
@@ -425,13 +460,14 @@ def _full_sector_steady_state(params, n_max):
     return rho / np.trace(rho).real
 
 
-@pytest.mark.parametrize("n_atoms", [2, 3, 4])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_stationary_state_equals_the_full_sector_solve(n_atoms):
-    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
-                          chi=0.03, omega_a=0.4, omega_c=-0.1)
-    result = oracle_steady_state(params, n_max=4)
-    ref = _full_sector_steady_state(params, result.n_max)
-    assert np.max(np.abs(result.rho - ref)) <= 1e-12
+    # the real half on resonance, the real adjoint form detuned with chi
+    for extra in ({}, dict(chi=0.03, omega_a=0.4, omega_c=-0.1)):
+        params = SystemParams(n_atoms=n_atoms, **DESK, **extra)
+        result = oracle_steady_state(params, n_max=4)
+        ref = _full_sector_steady_state(params, result.n_max)
+        assert np.max(np.abs(result.rho - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -444,35 +480,114 @@ def test_orbit_moments_equal_the_moments_of_the_lifted_rho(n_atoms):
         assert abs(value - lifted[name]) <= 1e-12 * max(1.0, abs(lifted[name])), name
 
 
+def _stacked_real_solve(block, orbits):
+    """The stationary x by an sp.vstack build of the real form: the block
+    gauged by D = diag(i^(nk - nb)), y = T z with y_o = z_r + i s z_P(r) on
+    each Hermitian pair's representative r (s = -1 on its partner), the
+    equations Re (G y)_r and, in row P(r), Im (G y)_r, all as sparse
+    products; on resonance the representatives' half alone.  Row 0 is the
+    trace functional.  Returns (x, whether the half was solved)."""
+    n = orbits.nk.size
+    phase = _gauge_phase(orbits)
+    gauged = sp.diags(phase.conj()) @ block @ sp.diags(phase)
+    every = np.arange(n)
+    partner = orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])
+    rep = np.minimum(every, partner)
+    pair = partner != every
+    s = np.where(every == rep, 1, -1)
+    t = sp.csr_matrix((np.append(np.ones(n), 1j * s[pair]),
+                       (np.append(every, every[pair]), np.append(rep, partner[rep][pair]))),
+                      shape=(n, n))
+    reps = np.flatnonzero(every == rep)
+    paired = reps[pair[reps]]
+    w = sp.csr_matrix((np.append(np.ones(reps.size), -1j * np.ones(paired.size)),
+                       (np.append(reps, partner[paired]), np.append(reps, paired))), shape=(n, n))
+    real = (w @ gauged @ t).real.tocsr()
+    real.eliminate_zeros()
+    trace = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb), orbits.sqrt_size, 0.0)
+    keep = every == rep
+    half = real[keep][:, ~keep].nnz == 0 and real[~keep][:, keep].nnz == 0
+    if half:
+        real, trace = real[keep][:, keep], trace[keep]
+    bordered = sp.vstack([sp.csr_matrix(trace), real[1:]]).tocsr()
+    bordered.eliminate_zeros()
+    b = np.zeros(bordered.shape[0])
+    b[0] = 1.0
+    z = spla.splu(bordered.tocsc()).solve(b)
+    on = np.flatnonzero(trace)
+    z = z / (trace[on] @ z[on])
+    y = np.zeros(n, dtype=complex)
+    if half:
+        y.real = z[np.cumsum(keep)[rep] - 1]
+    else:
+        y.real = z[rep]
+        y.imag = s * pair * z[partner[rep]]
+    return phase * y, half
+
+
+def _complex_bordered_solve(block, orbits):
+    """The stationary x by a complex LU of the block with its first row
+    replaced by the trace functional, made Hermitian and of unit trace."""
+    trace = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb), orbits.sqrt_size, 0.0)
+    b = np.zeros(block.shape[0], dtype=complex)
+    b[0] = 1.0
+    x = spla.splu(sp.vstack([sp.csr_matrix(trace.astype(complex)), block[1:]])
+                  .tocsc()).solve(b)
+    x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
+    return x / (trace @ x).real
+
+
 @pytest.mark.parametrize("n_atoms, extra", [
     (1, {}), (2, {}), (3, dict(chi=0.03, omega_a=0.1, omega_c=-0.05)),
-    (4, dict(chi=0.03, omega_a=0.4)),
-], ids=["n1", "n2", "n3-detuned-chi", "n4-detuned-chi"])
+    (4, dict(chi=0.03, omega_a=0.4)), (3, dict(g=0.0)), (2, dict(eta=0.0, omega_a=0.3)),
+], ids=["n1", "n2", "n3-detuned-chi", "n4-detuned-chi", "n3-g0", "n2-eta0-detuned"])
 def test_stationary_solve_equals_the_stacked_bordered_form_bit_for_bit(n_atoms, extra):
-    # the bordered matrix built from the block's CSR arrays is the one that
-    # sp.vstack of the trace row and block[1:] builds
-    params = SystemParams(n_atoms=n_atoms, **DESK, **extra)
+    # the real matrix that the cached fold sums with np.bincount is the one
+    # that sparse products and sp.vstack build, so the solves agree byte
+    # for byte; both agree with the complex bordered solve to round-off.
+    # g = 0 and eta = 0 drop zero entries from the block, which the fold
+    # reads on the sector's whole pattern
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, **extra})
+    resonant = params.omega_a == params.omega_c
     for n_max in (2, 6):
         orbits, block = oracle._orbit_block(params, n_max, 0)
-        trace_row = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb),
-                             orbits.sqrt_size, 0.0)
-        b = np.zeros(block.shape[0], dtype=complex)
-        b[0] = 1.0
-        x = spla.splu(sp.vstack([sp.csr_matrix(trace_row.astype(complex)), block[1:]])
-                      .tocsc()).solve(b)
-        x = 0.5 * (x + x[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])].conj())
-        x = x / (trace_row @ x).real
-        assert oracle._solve_stationary(block, orbits).tobytes() == x.tobytes()
+        x, half = _stacked_real_solve(block, orbits)
+        assert half == resonant
+        got = oracle._solve_stationary(block, orbits)
+        assert got.tobytes() == x.tobytes()
+        assert np.max(np.abs(got - _complex_bordered_solve(block, orbits))) <= 1e-12
+        assert np.array_equal(got[orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])],
+                              got.conj())
 
 
 def test_stationary_solve_factors_the_orbit_block(monkeypatch):
-    # N = 3, n_max = 6: the charge-0 sector's 388 entries fall in 118 orbits
-    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    shapes = []
-    _count_calls(monkeypatch, "_factor", shapes, lambda args: args[0].shape)
-    oracle._steady_once(params, 6)
+    # N = 3, n_max = 6: the charge-0 sector's 388 entries fall in 118 orbits,
+    # 42 of them their own Hermitian partners; on resonance the real solve
+    # has one unknown per pair, 80, detuned one per orbit
     assert _sector(HilbertSpace(3, 6), 0).size == 388
-    assert shapes == [(118, 118)]
+    shapes = []
+    _count_calls(monkeypatch, "_factor", shapes, lambda args: (args[0].shape, args[0].dtype))
+    for extra in ({}, dict(chi=0.03, omega_a=0.4)):
+        oracle._steady_once(SystemParams(n_atoms=3, **DESK, **extra), 6)
+    assert shapes == [((80, 80), np.float64), ((118, 118), np.float64)]
+
+
+@pytest.mark.parametrize("charge", [0, -1])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_gauged_blocks_are_real_exactly_on_resonance(n_atoms, charge):
+    # x_o = i^(nk - nb) y_o turns the -+i g of every photon move into a real
+    # entry; off resonance the detuning leaves the diagonal complex
+    for name, kw in BLOCK_CASES.items():
+        params = SystemParams(n_atoms=n_atoms, **kw)
+        for n_max in (2, 5):
+            orbits, block = oracle._orbit_block(params, n_max, charge)
+            phase = _gauge_phase(orbits)
+            gauged = sp.diags(phase.conj()) @ block @ sp.diags(phase)
+            assert abs(block.imag).max() > 0 or params.g == 0.0, name
+            if params.omega_a == params.omega_c == 0.0:
+                assert abs(gauged.imag).max() == 0.0, name
+            else:
+                assert abs(gauged.imag).max() > 0.0, name
 
 
 def test_trace_functional_is_left_null_vector():
@@ -734,6 +849,13 @@ def test_numpy_integer_cutoff_is_accepted():
 def test_derivative_check_needs_a_state(monkeypatch, n_states):
     monkeypatch.setattr(oracle, "_orbit_block", None)  # no block is built
     with pytest.raises(ValueError, match="n_states >= 1"):
+        derivative_match_error(SystemParams(n_atoms=2, **DESK), n_states=n_states)
+
+
+@pytest.mark.parametrize("n_states", [2.0, "2", 2.5])
+def test_non_integer_state_count_raises_value_error(monkeypatch, n_states):
+    monkeypatch.setattr(oracle, "_orbit_block", None)  # no block is built
+    with pytest.raises(ValueError, match="n_states must be an integer"):
         derivative_match_error(SystemParams(n_atoms=2, **DESK), n_states=n_states)
 
 
