@@ -25,22 +25,26 @@ product-basis operator.
 
 Nothing in a block's structure depends on the rates, so one object per
 sector holds it: an _Orbits carries the orbit labels, the block's CSR
-pattern, the per-orbit structure that the solves read and the fold maps
-of the real stationary solve.  _sector keeps one per (N, n_max, charge)
-in a least-recently-used cache of SECTOR_CACHE sectors, so a block build
-only fills in values, bit for bit the ones a fresh build gives.  The
-MAX_ORBITS count runs on every request, cached or not.  The largest
-sector under the cap, N = 30 at n_max = 11, keeps about 15 MB once
-solved on resonance and about 20 MB once solved detuned.
+pattern, the per-orbit structure that the solves read, the fold maps
+of the real stationary solve and, once one LU has run on it, each whole
+pattern's column order (_Pattern).  _sector keeps one per (N, n_max,
+charge) in a least-recently-used cache of SECTOR_CACHE sectors, so a
+block build only fills in values, bit for bit the ones a fresh build
+gives, and an LU of a sector factored before only factors numbers, with
+the bytes of a fresh one.  The MAX_ORBITS comparison runs on every
+request, cached or not.  The largest sector under the cap, N = 30 at
+n_max = 11, keeps about 16 MB once solved on resonance and about 20 MB
+once solved detuned.
 
 Two exact symmetries make the solves real: the adjoint, which pairs
 each orbit with its Hermitian partner (_Orbits.partner), and the
 resonance gauge x_o = i^(nk - nb) y_o (_Orbits.gauge, the cavity
 rotation i^(a^dag a)), which turns the -+i g of every photon move into a
-real entry, so on resonance (omega_a = omega_c = 0) every gauged block
-is real.  The stationary state is solved as a real system (_RealForm):
-on resonance its real, P-symmetric half, 80 of 118 unknowns at N = 3,
-n_max = 6, otherwise the size-n real adjoint form.
+real entry, so on resonance (omega_a = omega_c) the gauged charge-0
+block is real, and at omega_a = omega_c = 0 every gauged block is.  The
+stationary state is solved as a real system (_RealForm): on resonance
+its real, P-symmetric half, 80 of 118 unknowns at N = 3, n_max = 6,
+otherwise the size-n real adjoint form.
 
 Each Fock cutoff builds its charge-0 block once and LU-solves its real
 form for the stationary state, the permutation-invariant one, and
@@ -82,10 +86,10 @@ from .model import SystemParams
 # _steady_once, which solves the real half on resonance (one BLAS thread,
 # 2-vCPU 8 GB Xeon), at (N, n_max) = (15, 16), 10,440 orbits: 0.62 s CPU,
 # 169 MB peak RSS; (20, 14), 16,977: 1.7 s, 259 MB; (20, 16), 20,449: 2.8 s,
-# 327 MB; (30, 11), 28,552: 4.7 s, 443 MB; (30, 12), 32,778, raises.
+# 327 MB; (30, 11), 28,552: 4.3 s, 448 MB; (30, 12), 32,778, raises.
 # Detuned (chi = 0.03, omega_a = 0.3), the real adjoint form of all n
-# unknowns: 3.2 s, 327 MB at (15, 16); 10.9 s, 598 MB at (20, 14); 29.8 s,
-# 1.04 GB at (30, 11).  The complex solve this replaced took 79 s and 1.77 GB
+# unknowns: 3.2 s, 327 MB at (15, 16); 10.9 s, 598 MB at (20, 14); 29.2 s,
+# 1.03 GB at (30, 11).  The complex solve this replaced took 79 s and 1.77 GB
 # at (30, 11) on resonance.
 MAX_ORBITS = 2**15
 # cap on the entries of a dense array whose size grows with the problem:
@@ -127,6 +131,9 @@ _DIAGONAL = len(_MOVES)  # the move number of a block's diagonal entries
 # where _orbit_block's stack of the terms' matrices holds each M[q, p]
 _COEF_INDEX = (_MOVES[1:, 4] - 1, _MOVES[1:, 3], _MOVES[1:, 2])
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^k, k = 0..3: the resonance gauge
+# conj(i^a) i^b at 4 a + b: the phase that the gauge puts on a block entry
+# whose row has the phase i^a and whose column i^b (_gauged)
+_ENTRY_PHASES = (_I_POWERS.conj()[:, None] * _I_POWERS).ravel()
 # sectors that _sector keeps: one pass of the oracle_small benchmark
 # workload builds blocks of 12 sectors, a climb and its spectrum up to 5
 SECTOR_CACHE = 16
@@ -148,20 +155,28 @@ def _check_integer(name: str, value) -> None:
 def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
     """Raises ValueError for N < 1 or an n_max that is not an integer >= 0,
     and MemoryBudgetError if the sector has more than MAX_ORBITS orbits,
-    from a closed-form count, so before any label is built."""
+    from a closed-form count (_orbit_count), so before any label is built.
+    The count is cached; its comparison with MAX_ORBITS runs on every call."""
     _check_integer("n_max", n_max)
     if n_atoms < 1 or n_max < 0:
         raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
-    # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
-    # m = (N - |t|) // 2 + 1, each with n_max + 1 - |t - charge| cavity
-    # pairs; every t in range has an orbit, so MAX_ORBITS + 1 t suffice
-    lo, hi = max(charge - n_max, -n_atoms), min(charge + n_max, n_atoms)
-    t = np.arange(lo, min(hi, lo + MAX_ORBITS) + 1.0)
-    m = (n_atoms - np.abs(t)) // 2 + 1
-    count = np.sum(m * (n_atoms - np.abs(t) + 2 - m) * (n_max + 1 - np.abs(t - charge)))
+    count = _orbit_count(n_atoms, n_max, charge, MAX_ORBITS)
     if count > MAX_ORBITS:
         raise MemoryBudgetError(f"N = {n_atoms}, n_max = {n_max} has at least {count:.0f} "
                                 f"orbits, more than MAX_ORBITS = {MAX_ORBITS}")
+
+
+@lru_cache(maxsize=SECTOR_CACHE)
+def _orbit_count(n_atoms: int, n_max: int, charge: int, cap: int) -> float:
+    """The sector's orbits in closed form, or a number above cap that is at
+    most that count; cached per (N, n_max, charge, cap) like _sector."""
+    # the atom labels with n_eg - n_ge = t number m (N - |t| + 2 - m),
+    # m = (N - |t|) // 2 + 1, each with n_max + 1 - |t - charge| cavity
+    # pairs; every t in range has an orbit, so cap + 1 t suffice
+    lo, hi = max(charge - n_max, -n_atoms), min(charge + n_max, n_atoms)
+    t = np.arange(lo, min(hi, lo + cap) + 1.0)
+    m = (n_atoms - np.abs(t)) // 2 + 1
+    return np.sum(m * (n_atoms - np.abs(t) + 2 - m) * (n_max + 1 - np.abs(t - charge)))
 
 
 class _Orbits:
@@ -196,8 +211,10 @@ class _Orbits:
 
     Every array is read-only: the labels and the pattern, built here, and
     the per-orbit structure that the solves read (trace_row, partner,
-    moment_terms, ad_vec, lowering, gauge) and the fold maps of the real
-    stationary solve (half_form, adjoint_form), built on first use.
+    moment_terms, ad_vec, lowering, gauge), the per-entry gauge phases
+    (entry_phase), the fold maps of the real stationary solve (half_form,
+    adjoint_form) and the pattern's CSC layout and LU column order
+    (pattern), built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -297,6 +314,28 @@ class _Orbits:
         return _frozen(_I_POWERS[(self.nk - self.nb) % 4])
 
     @cached_property
+    def entry_phase(self) -> np.ndarray:
+        """Where _ENTRY_PHASES holds each entry's gauge phase, per entry of
+        the whole pattern (_gauged)."""
+        return _frozen(self.phase_index(self.indptr, self.indices))
+
+    def phase_index(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """4 a + b per entry of a CSR pattern on this sector, with i^a the
+        gauge of the entry's row and i^b that of its column."""
+        power = (self.nk - self.nb) % 4
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return (4 * power[rows] + power[indices]).astype(np.int8)
+
+    @cached_property
+    def pattern(self) -> _Pattern:
+        """The whole block pattern as its LUs see it (_Pattern), its values
+        in CSR order; the spectrum factors the charge -1 block through it."""
+        take = np.argsort(self.indices, kind="stable").astype(np.int32)  # CSR to CSC
+        rows = np.repeat(np.arange(self.nk.size, dtype=np.int32), np.diff(self.indptr))
+        return _Pattern(take, rows[take], np.searchsorted(
+            self.indices[take], np.arange(self.nk.size + 1)).astype(np.int32))
+
+    @cached_property
     def half_form(self) -> _RealForm:
         """The real, P-symmetric half of the stationary equations."""
         return _RealForm(self, half=True)
@@ -327,10 +366,15 @@ class _RealForm:
     The fold, built once per cached sector: each entry of G in a kept row
     (a representative's, but row 0) adds its Re or Im part (source, an
     index into G's interleaved Re and Im values) times sign to one place
-    (target) of the real matrix's CSC pattern (indptr, indices), at most
-    four places per entry; trace_at holds the places of the trace row's
-    values trace, on the unknowns trace_cols.  bordered sums a solve's
-    values into place; lift reads y back: Re y from the unknowns re_pick,
+    (target) of the real matrix's CSC pattern (indptr, indices); trace_at
+    holds the places of the trace row's values trace, on the unknowns
+    trace_cols.  For real rates the gauge leaves every off-diagonal entry
+    of G real (each -+i g meets a photon move's phase +-i, every other
+    rate is real), so only diagonal entries fold an Im part: an entry
+    fills at most two places, or four on the diagonal.  bordered sums a
+    solve's values into place and factor factors the result, through the
+    cached column order of the whole pattern (pattern, a _Pattern) where
+    no place holds 0.0; lift reads y back: Re y from the unknowns re_pick,
     Im y as im_sign times the unknowns im_pick (None in the half)."""
 
     def __init__(self, orbits: _Orbits, half: bool):
@@ -351,11 +395,12 @@ class _RealForm:
         else:
             self.size = n
             # column c of G meets y_c = Re y_o + i s Im y_o, s = -1 on the
-            # partner of a representative o
+            # partner of a representative o; on the diagonal c = r = o, s = 1
             pr, po = partner[r], partner[o]
             s = np.where(orbits.indices[e] == o, 1, -1).astype(np.int8)
-            one = np.ones_like(s)
-            keep = np.concatenate([one > 0, po != o, pr != r, (pr != r) & (po != o)])
+            one, diagonal = np.ones_like(s), orbits.indices[e] == r
+            keep = np.concatenate([one > 0, diagonal & (pr != r), diagonal & (pr != r),
+                                   (pr != r) & (po != o)])
             row = np.concatenate([r, r, pr, pr])[keep]
             col = np.concatenate([o, po, o, po])[keep]
             source = np.concatenate([2 * e, 2 * e + 1, 2 * e + 1, 2 * e])[keep]
@@ -372,14 +417,25 @@ class _RealForm:
         self.indptr = _frozen(np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
         self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
         self.gauge = orbits.gauge
+        self.pattern = _Pattern(np.arange(place.size, dtype=np.int32), self.indices, self.indptr)
 
-    def bordered(self, gauged: np.ndarray) -> sp.csc_matrix:
-        """The real bordered matrix from G's values on the sector's whole
-        pattern, without its zero entries."""
+    def bordered(self, gauged: np.ndarray) -> np.ndarray:
+        """The real bordered matrix's values on its CSC pattern, from G's
+        values on the sector's whole pattern; a place can hold 0.0."""
         data = np.bincount(self.target, self.sign * gauged.view(float)[self.source],
                            minlength=self.indices.size)
         data[self.trace_at] = self.trace
-        return _compressed(sp.csc_matrix, data, self.indices, self.indptr, data != 0.0)
+        return data
+
+    def factor(self, gauged: np.ndarray, what: str):
+        """The LU of the real bordered matrix: through the cached column
+        order of the whole pattern where every place is nonzero, else of the
+        nonzero entries alone, ordered afresh."""
+        data = self.bordered(gauged)
+        kept = data != 0.0
+        if kept.all():
+            return self.pattern.factor(data, what)
+        return _factor(_compressed(sp.csc_matrix, data, self.indices, self.indptr, kept), what)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """x of unit trace from the real solution z."""
@@ -389,6 +445,58 @@ class _RealForm:
         if self.im_pick is not None:
             y.imag = self.im_sign * z[self.im_pick]
         return self.gauge * y
+
+
+class _Pattern:
+    """One whole block pattern as SuperLU factors it: the symbolic part of
+    every LU on it, kept with the cached sector (_Orbits.pattern,
+    _RealForm.pattern), so that a solve runs only the numeric part.
+
+    The values handed to factor are in the pattern's own order (the block's
+    CSR order, the real form's CSC order).  Entry k of the CSC matrix that
+    SuperLU sees is values[take[k]], in row indices[k] of the column that
+    indptr delimits.  The first factor orders the columns as spla.splu does
+    by default (COLAMD, then the postorder of the column elimination tree)
+    and keeps that order perm_c, rewriting the layout into it: its columns
+    become A's in the order argsort(perm_c), which is A Pc.  Every later
+    factor hands SuperLU that matrix with permc_spec="NATURAL": the
+    postorder of a postordered tree is the identity, so SuperLU factors the
+    same columns in the same order with the same pivots, and returns the
+    same bytes as a COLAMD solve once its solution w is read as w[perm_c]
+    (_Reordered).  The column order depends on the pattern alone; a matrix
+    with fewer entries has another pattern and is ordered afresh."""
+
+    def __init__(self, take: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        self.take, self.indices, self.indptr = _frozen(take, indices, indptr)
+        self.perm_c = None
+
+    def factor(self, values: np.ndarray, what: str):
+        """The LU of the matrix with these values on the whole pattern."""
+        size = self.indptr.size - 1
+        matrix = sp.csc_matrix((values[self.take], self.indices, self.indptr),
+                               shape=(size, size))
+        lu = _factor(matrix, what, self.perm_c)
+        if self.perm_c is None:
+            # a copy: SuperLU's own perm_c keeps the whole factorisation alive
+            perm_c = lu.perm_c.copy()
+            columns = np.argsort(perm_c)
+            lengths = np.diff(self.indptr)[columns]
+            indptr = np.append(0, np.cumsum(lengths)).astype(np.int32)
+            at = np.repeat(self.indptr[columns] - indptr[:-1], lengths) + np.arange(indptr[-1])
+            self.take, self.indices, self.indptr = _frozen(
+                self.take[at], self.indices[at], indptr)
+            self.perm_c = _frozen(perm_c)
+        return lu
+
+
+class _Reordered(NamedTuple):
+    """The LU of A Pc = A[:, argsort(perm_c)] (_Pattern), which solves
+    A x = b as x = w[perm_c], with w the solution of A Pc w = b."""
+    lu: spla.SuperLU
+    perm_c: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b)[self.perm_c]
 
 
 def _compressed(kind, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
@@ -409,13 +517,14 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     charge); _orbit_block runs the MAX_ORBITS count before asking.  The
     largest sector under MAX_ORBITS, charge 0 at (N, n_max) = (30, 11) with
     28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
-    labels, 1.2 MB of per-orbit structure once the solves have read it
-    all, and the fold of each real form solved: 2.4 MB for the resonant
-    half, 8.2 MB for the adjoint form.  So a full cache of such sectors
-    would hold about 235 MB on resonance and 325 MB detuned.  The sector
-    takes 0.1 s to build and its half's fold 0.01 s, against 4.7 s for one
-    resonant solve at that size (the adjoint form's fold 0.05 s, against
-    30 s)."""
+    labels, 1.0 MB of per-orbit structure and 0.3 MB of entry_phase once
+    the solves have read it all, and for each real form solved its fold
+    and its _Pattern's column order and layout: 2.4 + 1.4 MB for the
+    resonant half (157,642 places), 4.9 + 2.7 MB for the adjoint form
+    (308,287 places).  So a full cache of such sectors would hold about
+    260 MB on resonance and 320 MB detuned.  The sector takes 0.1 s to
+    build and its half's fold 0.02 s, against 4.3 s for one resonant solve
+    at that size (the adjoint form's fold 0.04 s, against 29 s)."""
     return _Orbits(n_atoms, n_max, charge)
 
 
@@ -449,7 +558,13 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     coef = np.concatenate(([params.kappa], terms[_COEF_INDEX], [0.0]))
     atom, ket, bra = orbits.factors
     data = ((coef[orbits.move] * atom) * ket) * bra
-    data[orbits.diagonal] = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    diagonal = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    # the sum leaves round-off in the imaginary part, which is exactly
+    # (omega_a - omega_c)(n_ge - n_eg) - omega_c charge (nk - nb = charge +
+    # n_ge - n_eg), so a common frame frequency leaves it at 0 in charge 0
+    diagonal.imag = ((params.omega_a - params.omega_c) * (counts[1] - counts[2])
+                     - params.omega_c * charge)
+    data[orbits.diagonal] = diagonal
     kept = data != 0.0
     kept[orbits.diagonal] = True
     return orbits, _compressed(sp.csr_matrix, data, orbits.indices, orbits.indptr, kept)
@@ -526,19 +641,27 @@ def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
     return OracleMoments(*(field[0].item() for field in _moment_rows(orbits, x[None])))
 
 
-def _factor(block: sp.spmatrix, what: str):
-    """Sparse LU of a Liouvillian block; a singular block is a typed error."""
+def _factor(block: sp.csc_matrix, what: str, perm_c: np.ndarray | None = None):
+    """Sparse LU of a Liouvillian block in CSC form; a singular block is a
+    typed error.  With perm_c, the block's columns are already in the order
+    that SuperLU chose for its pattern (_Pattern), so no ordering runs and
+    the LU solves for the unknowns in their own order (_Reordered)."""
     try:
-        return spla.splu(block.tocsc())
+        if perm_c is None:
+            return spla.splu(block)
+        return _Reordered(spla.splu(block, permc_spec="NATURAL"), perm_c)
     except RuntimeError as exc:
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
 def _gauged(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     """The values of D^-1 block D, D = diag(orbits.gauge), in block's CSR
-    order.  The phases are +-1 and +-i, so every product is exact."""
-    rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-    return block.data * (orbits.gauge.conj()[rows] * orbits.gauge[block.indices])
+    order.  The phases are +-1 and +-i, so every product is exact; on the
+    sector's whole pattern their places in _ENTRY_PHASES are cached
+    (orbits.entry_phase)."""
+    index = (orbits.entry_phase if block.nnz == orbits.indices.size
+             else orbits.phase_index(block.indptr, block.indices))
+    return block.data * _ENTRY_PHASES[index]
 
 
 def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
@@ -552,7 +675,9 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     unique stationary state.  x is Hermitian by construction and of unit
     trace.  The fold is built once per cached sector (_sector), so a solve
     only gauges the block's values, sums them into the real matrix with
-    np.bincount and factors it as float64."""
+    np.bincount and factors it as float64; where no place of the real
+    matrix is zero, that LU reuses the column order of the form's first
+    one (_Pattern), so a sector factored before runs no ordering."""
     gauged = _gauged(block, orbits)
     form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
     if block.nnz < orbits.indices.size:  # _orbit_block dropped zero entries
@@ -566,7 +691,7 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
         gauged = whole
     b = np.zeros(form.size)
     b[0] = 1.0
-    return form.lift(_factor(form.bordered(gauged), "no unique stationary state").solve(b))
+    return form.lift(form.factor(gauged, "no unique stationary state").solve(b))
 
 
 def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
@@ -770,9 +895,12 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     ad_vec sits on orbits with nk - nb = -1, where the phase is 1.  It
     turns a rho_ss's coordinates y into the stationary state's gauged ones
     (_RealForm) times sqrt(nk), and where the gauged block and y are real,
-    as on resonance, the block is factored as float64 and the reduced
-    model is real; otherwise both stay complex.  The block is factored
-    once, and the whole grid is read off a rational reduced model of the
+    as at omega_a = omega_c = 0, the block is factored as float64 and the
+    reduced model is real; otherwise both stay complex (a common frame
+    frequency omega_c leaves i omega_c on the diagonal).  The block is
+    factored once, through the cached column order of the sector's whole
+    pattern (_Orbits.pattern) unless _orbit_block dropped zero entries,
+    and the whole grid is read off a rational reduced model of the
     resolvent (_reduced_model), whose order grows until two successive
     models agree to MODEL_TOL of the peak.  Returns a unit-peak-normalised
     SpectrumScan.
@@ -791,12 +919,15 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
-    data = _gauged(block, orbits)
+    data, what = _gauged(block, orbits), "undamped correlation"
     if not (data.imag.any() or y.imag.any()):
         data, y = data.real.copy(), y.real.copy()
-    gauged = sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
-    intensity = _reduced_model(_factor(gauged, "undamped correlation"), y, ad_vec,
-                               omega_grid).spectrum
+    if block.nnz == orbits.indices.size:
+        lu = orbits.pattern.factor(data, what)
+    else:  # _orbit_block dropped zero entries
+        lu = _factor(sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
+                     .tocsc(), what)
+    intensity = _reduced_model(lu, y, ad_vec, omega_grid).spectrum
     peak = np.max(intensity)
     if peak <= 0.0:
         raise SimulationError("spectrum has no positive peak; grid may miss the line")

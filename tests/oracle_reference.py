@@ -198,6 +198,9 @@ def coo_orbit_block(params: SystemParams, n_max: int, charge: int) -> sp.csr_mat
     k_cavity = -1j * params.omega_c - 0.5 * params.kappa
     pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
     diag = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
+    # exactly, as _orbit_block writes it: nk - nb = charge + n_ge - n_eg
+    diag.imag = ((params.omega_a - params.omega_c) * (counts[1] - counts[2])
+                 - params.omega_c * charge)
     terms = [(0, 0, params.gamma * _DECAY + params.eta * _PUMP),
              (1, 0, -1j * g * _KET_DOWN), (-1, 0, -1j * g * _KET_UP),
              (0, 1, 1j * g * _BRA_DOWN), (0, -1, 1j * g * _BRA_UP)]

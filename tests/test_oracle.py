@@ -590,6 +590,36 @@ def test_gauged_blocks_are_real_exactly_on_resonance(n_atoms, charge):
                 assert abs(gauged.imag).max() > 0.0, name
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_gauge_leaves_every_off_diagonal_entry_real(n_atoms):
+    # the adjoint form folds Im parts from diagonal entries alone; detuned
+    # with chi, every place it keeps is nonzero, so bordered drops nothing
+    params = SystemParams(n_atoms=n_atoms, **DESK, chi=0.03, omega_a=0.4, omega_c=-0.1)
+    for n_max in (2, 5):
+        orbits, block = oracle._orbit_block(params, n_max, 0)
+        gauged = oracle._gauged(block, orbits)
+        off = orbits.move != oracle._DIAGONAL
+        assert block.nnz == off.size and np.all(gauged.imag[off] == 0.0)
+        assert np.all(orbits.adjoint_form.bordered(gauged) != 0.0)
+
+
+def test_common_frame_frequency_solves_the_real_half(monkeypatch):
+    # omega_a = omega_c = w leaves the gauged charge-0 block exactly real, so
+    # the stationary state is the w = 0 one byte for byte; the charge -1
+    # block keeps i w on its diagonal, so that spectrum stays complex
+    shapes = []
+    _count_calls(monkeypatch, "_factor", shapes,
+                 lambda args: (args[1], args[0].shape, args[0].dtype))
+    common = SystemParams(n_atoms=3, **DESK, omega_a=0.3, omega_c=0.3)
+    x = oracle._steady_once(common, 6).x
+    assert [s for _, *s in shapes] == [[(80, 80), np.float64]]
+    assert x.tobytes() == oracle._steady_once(SystemParams(n_atoms=3, **DESK), 6).x.tobytes()
+    assert np.all(oracle._orbit_block(common, 6, -1)[1].diagonal().imag == 0.3)
+    shapes.clear()
+    oracle_spectrum(common, 6, np.linspace(-1.0, 1.0, 5))
+    assert [s[2] for s in shapes if s[0] == "undamped correlation"] == [np.complex128]
+
+
 def test_trace_functional_is_left_null_vector():
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2,
                           chi=0.03, omega_a=0.4)
@@ -985,6 +1015,47 @@ def test_oracle_small_outputs_are_the_same_cold_and_warm():
     assert oracle._sector.cache_parameters()["maxsize"] == oracle.SECTOR_CACHE == 16
     assert _oracle_small_outputs() == cold
     assert oracle._sector.cache_info().misses == 12
+
+
+SPLIT_CASES = {  # name: (parameters, whether every LU's pattern is whole)
+    "resonant": (DESK, True),
+    "detuned-chi": (dict(DESK, chi=0.03, omega_a=0.4, omega_c=-0.1), True),
+    "g0": (dict(DESK, g=0.0), False),
+    "eta0": (dict(DESK, eta=0.0), False),
+    "gamma0": (dict(DESK, gamma=0.0), False),
+}
+
+
+def _split_outputs(params):
+    """The bytes of a charge-0 solve at n_max = 4 and of a spectrum."""
+    return (oracle._steady_once(params, 4).x.tobytes(),
+            oracle_spectrum(params, 4, np.linspace(-2.0, 2.0, 21)).intensity.tobytes())
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_a_sector_factored_before_skips_the_ordering_bit_for_bit(monkeypatch, n_atoms):
+    # a whole pattern keeps the column order of its first LU, and later LUs
+    # factor numbers only (permc_spec="NATURAL"); a pattern that lost
+    # entries is ordered afresh every time.  Either way a solve gives the
+    # bytes of a cold one, whatever the cache has seen
+    fresh = {}
+    for name, (kw, _) in SPLIT_CASES.items():
+        oracle._sector.cache_clear()
+        fresh[name] = _split_outputs(SystemParams(n_atoms=n_atoms, **kw))
+    orders, splu = [], spla.splu
+
+    def recording(matrix, **options):
+        orders.append(options.get("permc_spec"))
+        return splu(matrix, **options)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    oracle._sector.cache_clear()
+    for name, (kw, whole) in SPLIT_CASES.items():
+        params = SystemParams(n_atoms=n_atoms, **kw)
+        assert _split_outputs(params) == fresh[name], name
+        orders.clear()
+        assert _split_outputs(params) == fresh[name], name
+        assert orders and set(orders) == ({"NATURAL"} if whole else {None}), name
 
 
 def test_orbit_cap_holds_on_a_cached_sector(monkeypatch):
