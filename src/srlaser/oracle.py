@@ -26,12 +26,13 @@ product-basis operator.
 Nothing in a block's structure depends on the rates, so one object per
 sector holds it: an _Orbits carries the orbit labels, the block's CSR
 pattern, the per-orbit structure that the solves read, the fold maps
-of the real stationary solve and, once one LU has run on it, each whole
-pattern's column order (_Pattern).  _sector keeps one per (N, n_max,
-charge) in a least-recently-used cache of SECTOR_CACHE sectors, so a
-block build only fills in values, bit for bit the ones a fresh build
-gives, and an LU of a sector factored before only factors numbers, with
-the bytes of a fresh one.  The MAX_ORBITS comparison runs on every
+of the real stationary solve and, once one LU has run on it, each
+pattern's column order (_Pattern): the whole pattern's, and one per
+pattern that rates at 0 (g, eta or gamma) pruned.  _sector keeps one
+per (N, n_max, charge) in a least-recently-used cache of SECTOR_CACHE
+sectors, so a block build only fills in values, bit for bit the ones a
+fresh build gives, and an LU of a sector factored before only factors
+numbers, with the bytes of a fresh one.  The MAX_ORBITS comparison runs on every
 request, cached or not.  The largest sector under the cap, N = 30 at
 n_max = 11, keeps about 16 MB once solved on resonance and about 20 MB
 once solved detuned.
@@ -62,7 +63,10 @@ zero eigenvalue.  That block is gauged, factored once, as float64 where
 it and a rho_ss are real, and the whole grid is read off a shift-invert
 Krylov reduced model whose order grows until two successive models agree
 to MODEL_TOL of the peak, so nothing is propagated in time and no LU has
-more than MAX_ORBITS unknowns.  Detuned, the spectrum stays complex.
+more than MAX_ORBITS unknowns.  Where the block is real, so are the
+model's basis, its Hessenberg matrix and that matrix's Schur form, whose
+2 x 2 diagonal blocks the grid's back substitution solves in closed
+form.  Detuned, the spectrum stays complex.
 Only the lift knows d.  The product-basis reference lives with the tests.
 
 The lifted rho's basis is cavity (x) atom_1 ... atom_N with the atomic
@@ -118,18 +122,17 @@ _BRA_DOWN, _BRA_UP = np.kron(_ID2, _SM), np.kron(_ID2, _SM.T)
 _UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
 # Every move that an off-diagonal block entry can make, whatever the
 # parameters: (ket photon shift, bra photon shift, pair p an atom leaves,
-# pair q it enters, term).  Term 0 is kappa a rho a^dag, which moves no
-# atom (p = q); terms 1 to 5 are the nonzero entries M[q, p] of _TERMS'
-# pair superoperators: the atomic jumps, then sigma^- and sigma^+ on the
-# ket and on the bra.
-_TERMS = ((0, 0, _DECAY + _PUMP), (1, 0, _KET_DOWN), (-1, 0, _KET_UP),
-          (0, 1, _BRA_DOWN), (0, -1, _BRA_UP))
+# pair q it enters, rate).  The rate indexes _orbit_block's [kappa, gamma,
+# eta, -i g, i g, 0].  kappa a rho a^dag moves no atom (p = q); the other
+# moves are the nonzero entries M[q, p], each 1, of _TERMS' pair
+# superoperators: the atomic decay and pump, then sigma^- and sigma^+ on
+# the ket (-i g) and on the bra (i g).
+_TERMS = ((0, 0, _DECAY, 1), (0, 0, _PUMP, 2), (1, 0, _KET_DOWN, 3), (-1, 0, _KET_UP, 3),
+          (0, 1, _BRA_DOWN, 4), (0, -1, _BRA_UP, 4))
 _MOVES = np.array([(-1, -1, 0, 0, 0)] + [
-    (dk, db, p, q, term) for term, (dk, db, m) in enumerate(_TERMS, 1)
-    for q, p in zip(*np.nonzero(m))])
+    (dk, db, p, q, rate) for dk, db, m, rate in _TERMS for q, p in zip(*np.nonzero(m))])
 _DIAGONAL = len(_MOVES)  # the move number of a block's diagonal entries
-# where _orbit_block's stack of the terms' matrices holds each M[q, p]
-_COEF_INDEX = (_MOVES[1:, 4] - 1, _MOVES[1:, 3], _MOVES[1:, 2])
+_RATE_INDEX = np.append(_MOVES[:, 4], 5)  # each move's rate, then the diagonal's 0
 _I_POWERS = np.array([1, 1j, -1, -1j])  # i^k, k = 0..3: the resonance gauge
 # conj(i^a) i^b at 4 a + b: the phase that the gauge puts on a block entry
 # whose row has the phase i^a and whose column i^b (_gauged)
@@ -214,7 +217,9 @@ class _Orbits:
     moment_terms, ad_vec, lowering, gauge), the per-entry gauge phases
     (entry_phase), the fold maps of the real stationary solve (half_form,
     adjoint_form) and the pattern's CSC layout and LU column order
-    (pattern), built on first use.
+    (pattern), built on first use, and for each block pattern that rates
+    at 0 pruned, its entries' places and its own _Pattern (layout, kept
+    in pruned).
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -255,6 +260,7 @@ class _Orbits:
         self.factors = _frozen(*(np.append(np.ones(size), f[inside])[order]
                                  for f in (atom, ket, bra)))
         self.diagonal = _frozen(np.flatnonzero(self.move == _DIAGONAL))
+        self.pruned = {}
 
     def _code(self, nk, counts):
         base = self.n_atoms + 1
@@ -316,24 +322,38 @@ class _Orbits:
     @cached_property
     def entry_phase(self) -> np.ndarray:
         """Where _ENTRY_PHASES holds each entry's gauge phase, per entry of
-        the whole pattern (_gauged)."""
-        return _frozen(self.phase_index(self.indptr, self.indices))
-
-    def phase_index(self, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """4 a + b per entry of a CSR pattern on this sector, with i^a the
-        gauge of the entry's row and i^b that of its column."""
+        the whole pattern (_gauged): 4 a + b, with i^a the gauge of the
+        entry's row and i^b that of its column."""
         power = (self.nk - self.nb) % 4
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        return (4 * power[rows] + power[indices]).astype(np.int8)
+        rows = np.repeat(np.arange(self.nk.size), np.diff(self.indptr))
+        return _frozen((4 * power[rows] + power[self.indices]).astype(np.int8))
 
     @cached_property
     def pattern(self) -> _Pattern:
         """The whole block pattern as its LUs see it (_Pattern), its values
         in CSR order; the spectrum factors the charge -1 block through it."""
-        take = np.argsort(self.indices, kind="stable").astype(np.int32)  # CSR to CSC
-        rows = np.repeat(np.arange(self.nk.size, dtype=np.int32), np.diff(self.indptr))
-        return _Pattern(take, rows[take], np.searchsorted(
-            self.indices[take], np.arange(self.nk.size + 1)).astype(np.int32))
+        return _Pattern.of_csr(self.indptr, self.indices, np.arange(self.indices.size))
+
+    def layout(self, block: sp.csr_matrix) -> tuple:
+        """Where block's entries sit in the whole pattern's CSR order (None
+        if block has them all), and the _Pattern that its LUs factor
+        through, which reads values on the whole pattern.  A block that
+        _orbit_block pruned (g = 0, eta = 0, gamma = 0) gets both on first
+        use, kept per block pattern, so a sector factored before orders no
+        pruned block either."""
+        if block.nnz == self.indices.size:
+            return None, self.pattern
+        key = block.indptr.tobytes() + block.indices.tobytes()
+        if key not in self.pruned:
+            n = self.nk.size
+
+            def places(indptr, indices):
+                return np.repeat(np.arange(n) * n, np.diff(indptr)) + indices
+
+            at = _frozen(np.searchsorted(places(self.indptr, self.indices),
+                                         places(block.indptr, block.indices)))
+            self.pruned[key] = at, _Pattern.of_csr(block.indptr, block.indices, at)
+        return self.pruned[key]
 
     @cached_property
     def half_form(self) -> _RealForm:
@@ -372,10 +392,12 @@ class _RealForm:
     of G real (each -+i g meets a photon move's phase +-i, every other
     rate is real), so only diagonal entries fold an Im part: an entry
     fills at most two places, or four on the diagonal.  bordered sums a
-    solve's values into place and factor factors the result, through the
-    cached column order of the whole pattern (pattern, a _Pattern) where
-    no place holds 0.0; lift reads y back: Re y from the unknowns re_pick,
-    Im y as im_sign times the unknowns im_pick (None in the half)."""
+    solve's values into place and factor factors the result's nonzero
+    places, through the cached column order of their pattern (a _Pattern
+    per set of nonzero places, kept in patterns: the whole pattern, and one
+    per set of rates at 0); lift reads y back: Re y from the unknowns
+    re_pick, Im y as im_sign times the unknowns im_pick (None in the
+    half)."""
 
     def __init__(self, orbits: _Orbits, half: bool):
         n = orbits.nk.size
@@ -417,7 +439,7 @@ class _RealForm:
         self.indptr = _frozen(np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
         self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
         self.gauge = orbits.gauge
-        self.pattern = _Pattern(np.arange(place.size, dtype=np.int32), self.indices, self.indptr)
+        self.patterns = {}
 
     def bordered(self, gauged: np.ndarray) -> np.ndarray:
         """The real bordered matrix's values on its CSC pattern, from G's
@@ -428,14 +450,18 @@ class _RealForm:
         return data
 
     def factor(self, gauged: np.ndarray, what: str):
-        """The LU of the real bordered matrix: through the cached column
-        order of the whole pattern where every place is nonzero, else of the
-        nonzero entries alone, ordered afresh."""
+        """The LU of the real bordered matrix's nonzero entries, through the
+        _Pattern of its nonzero places, built on the first solve that has
+        them and kept in patterns, keyed by which places are nonzero: the
+        first LU of a pattern orders it, every later one factors numbers."""
         data = self.bordered(gauged)
         kept = data != 0.0
-        if kept.all():
-            return self.pattern.factor(data, what)
-        return _factor(_compressed(sp.csc_matrix, data, self.indices, self.indptr, kept), what)
+        key = kept.tobytes()
+        if key not in self.patterns:
+            self.patterns[key] = _Pattern(
+                np.flatnonzero(kept).astype(np.int32), self.indices[kept],
+                np.append(0, np.cumsum(kept))[self.indptr].astype(np.int32))
+        return self.patterns[key].factor(data, what)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """x of unit trace from the real solution z."""
@@ -448,66 +474,76 @@ class _RealForm:
 
 
 class _Pattern:
-    """One whole block pattern as SuperLU factors it: the symbolic part of
-    every LU on it, kept with the cached sector (_Orbits.pattern,
-    _RealForm.pattern), so that a solve runs only the numeric part.
+    """One block pattern as SuperLU factors it: the symbolic part of every
+    LU on it, kept with the cached sector (_Orbits.pattern and .layout,
+    _RealForm.patterns), so that a solve runs only the numeric part.
 
-    The values handed to factor are in the pattern's own order (the block's
-    CSR order, the real form's CSC order).  Entry k of the CSC matrix that
-    SuperLU sees is values[take[k]], in row indices[k] of the column that
-    indptr delimits.  The first factor orders the columns as spla.splu does
-    by default (COLAMD, then the postorder of the column elimination tree)
-    and keeps that order perm_c, rewriting the layout into it: its columns
-    become A's in the order argsort(perm_c), which is A Pc.  Every later
-    factor hands SuperLU that matrix with permc_spec="NATURAL": the
-    postorder of a postordered tree is the identity, so SuperLU factors the
-    same columns in the same order with the same pivots, and returns the
-    same bytes as a COLAMD solve once its solution w is read as w[perm_c]
-    (_Reordered).  The column order depends on the pattern alone; a matrix
-    with fewer entries has another pattern and is ordered afresh."""
+    The values handed to factor are in the order of the pattern they were
+    written on (a sector's whole CSR pattern, a real form's CSC pattern),
+    which can hold more places than this one.  Entry k of the CSC matrix
+    that SuperLU sees is values[take[k]], in row indices[k] of the column
+    that indptr delimits.  The first factor orders the columns as spla.splu
+    does by default (COLAMD, then the postorder of the column elimination
+    tree) and keeps that order perm_c and its inverse columns =
+    argsort(perm_c) (order), rewriting the layout into Pc^T A Pc: column j
+    is A's column columns[j], its row r renamed perm_c[r] and listed where
+    A lists it.  Every later factor hands SuperLU that matrix with
+    permc_spec="NATURAL": the postorder of a postordered tree is the
+    identity, so SuperLU factors the same columns in the same order.  It
+    walks a column's rows in the order listed, and prefers as pivot the
+    row of the column's own number when that row ties the column's largest
+    entry, which is A's diagonal entry in both LUs; so it makes the same
+    pivots, and returns the same bytes as the COLAMD solve once its
+    solution w of Pc^T A Pc w = b[columns] is read as w[perm_c]
+    (_Reordered).  spla.splu sorts the rows of a matrix that is not marked
+    canonical, so the reordered matrix, which has no duplicate entries, is
+    marked so.  The column order depends on the pattern alone, so a matrix
+    with fewer entries gets a _Pattern of its own."""
 
     def __init__(self, take: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
         self.take, self.indices, self.indptr = _frozen(take, indices, indptr)
-        self.perm_c = None
+        self.order = None
+
+    @classmethod
+    def of_csr(cls, indptr: np.ndarray, indices: np.ndarray, at: np.ndarray) -> _Pattern:
+        """The _Pattern of a square CSR pattern whose entry k reads
+        values[at[k]]."""
+        take = np.argsort(indices, kind="stable")  # CSR to CSC
+        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+        return cls(at[take].astype(np.int32), rows[take], np.searchsorted(
+            indices[take], np.arange(indptr.size)).astype(np.int32))
 
     def factor(self, values: np.ndarray, what: str):
         """The LU of the matrix with these values on the whole pattern."""
         size = self.indptr.size - 1
         matrix = sp.csc_matrix((values[self.take], self.indices, self.indptr),
                                shape=(size, size))
-        lu = _factor(matrix, what, self.perm_c)
-        if self.perm_c is None:
-            # a copy: SuperLU's own perm_c keeps the whole factorisation alive
-            perm_c = lu.perm_c.copy()
-            columns = np.argsort(perm_c)
-            lengths = np.diff(self.indptr)[columns]
-            indptr = np.append(0, np.cumsum(lengths)).astype(np.int32)
-            at = np.repeat(self.indptr[columns] - indptr[:-1], lengths) + np.arange(indptr[-1])
-            self.take, self.indices, self.indptr = _frozen(
-                self.take[at], self.indices[at], indptr)
-            self.perm_c = _frozen(perm_c)
+        if self.order is not None:
+            matrix.has_canonical_format = True  # rows listed as A lists them
+            return _factor(matrix, what, self.order)
+        lu = _factor(matrix, what)
+        # a copy: SuperLU's own perm_c keeps the whole factorisation alive
+        perm_c = lu.perm_c.copy()
+        columns = np.argsort(perm_c)
+        lengths = np.diff(self.indptr)[columns]
+        indptr = np.append(0, np.cumsum(lengths)).astype(np.int32)
+        at = np.repeat(self.indptr[columns] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        self.take, self.indices, self.indptr = _frozen(
+            self.take[at], perm_c[self.indices[at]], indptr)
+        self.order = _frozen(perm_c, columns)
         return lu
 
 
 class _Reordered(NamedTuple):
-    """The LU of A Pc = A[:, argsort(perm_c)] (_Pattern), which solves
-    A x = b as x = w[perm_c], with w the solution of A Pc w = b."""
+    """The LU of Pc^T A Pc (_Pattern), columns = argsort(perm_c), which
+    solves A x = b as x = w[perm_c], with w the solution of
+    Pc^T A Pc w = b[columns]."""
     lu: spla.SuperLU
     perm_c: np.ndarray
+    columns: np.ndarray
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b)[self.perm_c]
-
-
-def _compressed(kind, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
-                kept: np.ndarray):
-    """The square sparse matrix of kind (sp.csr_matrix or sp.csc_matrix)
-    that holds the compressed pattern's entries where kept is set."""
-    if not kept.all():
-        data, indices = data[kept], indices[kept]
-        indptr = np.append(0, np.cumsum(kept))[indptr]
-    size = indptr.size - 1
-    return kind((data, indices, indptr), shape=(size, size))
+        return self.lu.solve(b[self.columns])[self.perm_c]
 
 
 @lru_cache(maxsize=SECTOR_CACHE)
@@ -519,10 +555,11 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
     labels, 1.0 MB of per-orbit structure and 0.3 MB of entry_phase once
     the solves have read it all, and for each real form solved its fold
-    and its _Pattern's column order and layout: 2.4 + 1.4 MB for the
-    resonant half (157,642 places), 4.9 + 2.7 MB for the adjoint form
-    (308,287 places).  So a full cache of such sectors would hold about
-    260 MB on resonance and 320 MB detuned.  The sector takes 0.1 s to
+    and its _Pattern's column order and layout, with the key that finds
+    it: 2.4 + 1.7 MB for the resonant half (157,642 places), 4.9 + 3.2 MB
+    for the adjoint form (308,287 places).  Each pattern that rates at 0
+    prune adds its own.  So a full cache of such sectors would hold about
+    260 MB on resonance and 325 MB detuned.  The sector takes 0.1 s to
     build and its half's fold 0.02 s, against 4.3 s for one resonant solve
     at that size (the adjoint form's fold 0.04 s, against 29 s)."""
     return _Orbits(n_atoms, n_max, charge)
@@ -550,14 +587,11 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
                        -0.5j * params.omega_a - 0.5 * (params.gamma + params.chi)])
     k_cavity = -1j * params.omega_c - 0.5 * params.kappa
     pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
-    # each move's coefficient (_MOVES), then 0 for the diagonal: the atomic
-    # jumps, then -i g (a^dag sigma^- + a sigma^+) on the ket and its
-    # conjugate on the bra
-    terms = np.stack([params.gamma * _DECAY + params.eta * _PUMP, -1j * g * _KET_DOWN,
-                      -1j * g * _KET_UP, 1j * g * _BRA_DOWN, 1j * g * _BRA_UP])
-    coef = np.concatenate(([params.kappa], terms[_COEF_INDEX], [0.0]))
+    # each move's coefficient (_MOVES), then 0 for the diagonal: -i g
+    # (a^dag sigma^- + a sigma^+) on the ket and its conjugate on the bra
+    rates = np.array([params.kappa, params.gamma, params.eta, -1j * g, 1j * g, 0.0])
     atom, ket, bra = orbits.factors
-    data = ((coef[orbits.move] * atom) * ket) * bra
+    data = ((rates[_RATE_INDEX][orbits.move] * atom) * ket) * bra
     diagonal = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
     # the sum leaves round-off in the imaginary part, which is exactly
     # (omega_a - omega_c)(n_ge - n_eg) - omega_c charge (nk - nb = charge +
@@ -567,7 +601,11 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     data[orbits.diagonal] = diagonal
     kept = data != 0.0
     kept[orbits.diagonal] = True
-    return orbits, _compressed(sp.csr_matrix, data, orbits.indices, orbits.indptr, kept)
+    indices, indptr = orbits.indices, orbits.indptr
+    if not kept.all():
+        data, indices = data[kept], indices[kept]
+        indptr = np.append(0, np.cumsum(kept))[indptr]
+    return orbits, sp.csr_matrix((data, indices, indptr), shape=(nk.size, nk.size))
 
 
 @dataclass(frozen=True)
@@ -641,27 +679,31 @@ def _orbit_moments(orbits: _Orbits, x: np.ndarray) -> OracleMoments:
     return OracleMoments(*(field[0].item() for field in _moment_rows(orbits, x[None])))
 
 
-def _factor(block: sp.csc_matrix, what: str, perm_c: np.ndarray | None = None):
+def _factor(block: sp.csc_matrix, what: str, order: tuple | None = None):
     """Sparse LU of a Liouvillian block in CSC form; a singular block is a
-    typed error.  With perm_c, the block's columns are already in the order
-    that SuperLU chose for its pattern (_Pattern), so no ordering runs and
-    the LU solves for the unknowns in their own order (_Reordered)."""
+    typed error.  With order, (perm_c, argsort(perm_c)), the block is
+    already Pc^T A Pc for the order that SuperLU chose for its pattern
+    (_Pattern), so no ordering runs and the LU solves for the unknowns in
+    their own order (_Reordered)."""
     try:
-        if perm_c is None:
+        if order is None:
             return spla.splu(block)
-        return _Reordered(spla.splu(block, permc_spec="NATURAL"), perm_c)
+        return _Reordered(spla.splu(block, permc_spec="NATURAL"), *order)
     except RuntimeError as exc:
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
 def _gauged(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
-    """The values of D^-1 block D, D = diag(orbits.gauge), in block's CSR
-    order.  The phases are +-1 and +-i, so every product is exact; on the
-    sector's whole pattern their places in _ENTRY_PHASES are cached
-    (orbits.entry_phase)."""
-    index = (orbits.entry_phase if block.nnz == orbits.indices.size
-             else orbits.phase_index(block.indptr, block.indices))
-    return block.data * _ENTRY_PHASES[index]
+    """The values of D^-1 block D, D = diag(orbits.gauge), on the sector's
+    whole pattern in its CSR order, 0.0 where block has no entry
+    (orbits.layout).  The phases are +-1 and +-i, so every product is
+    exact; their places in _ENTRY_PHASES are cached (orbits.entry_phase)."""
+    at, _ = orbits.layout(block)
+    if at is None:
+        return block.data * _ENTRY_PHASES[orbits.entry_phase]
+    values = np.zeros(orbits.indices.size, dtype=complex)
+    values[at] = block.data * _ENTRY_PHASES[orbits.entry_phase[at]]
+    return values
 
 
 def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
@@ -674,21 +716,14 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     block holds it; a singular system means the invariant sector has no
     unique stationary state.  x is Hermitian by construction and of unit
     trace.  The fold is built once per cached sector (_sector), so a solve
-    only gauges the block's values, sums them into the real matrix with
-    np.bincount and factors it as float64; where no place of the real
-    matrix is zero, that LU reuses the column order of the form's first
-    one (_Pattern), so a sector factored before runs no ordering."""
+    only gauges the block's values onto the sector's whole pattern (a
+    pruned block's through its cached layout, _Orbits.layout), sums them
+    into the real matrix with np.bincount and factors it as float64,
+    through the column order of the first LU on the same nonzero places
+    (_RealForm.factor), so a sector factored before runs no ordering,
+    whichever rates are 0."""
     gauged = _gauged(block, orbits)
     form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
-    if block.nnz < orbits.indices.size:  # _orbit_block dropped zero entries
-        n = orbits.nk.size
-
-        def places(csr):
-            return np.repeat(np.arange(n) * n, np.diff(csr.indptr)) + csr.indices
-
-        whole = np.zeros(orbits.indices.size, dtype=complex)
-        whole[np.searchsorted(places(orbits), places(block))] = gauged
-        gauged = whole
     b = np.zeros(form.size)
     b[0] = 1.0
     return form.lift(form.factor(gauged, "no unique stationary state").solve(b))
@@ -768,20 +803,25 @@ def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
 
 
 def _unit_vector(amps, dim: int) -> np.ndarray:
-    """Fock amplitudes padded / truncated to dim entries and normalised."""
-    vec = np.zeros(dim, dtype=complex)
+    """Fock amplitudes padded / truncated to dim entries and normalised; a
+    stack of amplitude rows (k, m) gives k such vectors (k, dim), each with
+    the bytes of its own."""
     amps = np.asarray(amps, dtype=complex)
-    vec[: len(amps)] = amps[:dim]
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    vec = np.zeros(amps.shape[:-1] + (dim,), dtype=complex)
+    vec[..., :amps.shape[-1]] = amps[..., :dim]
+    # np.linalg.norm's two dot products per vector, as matmul's vector case
+    re, im = vec.real[..., None, :], vec.imag[..., None, :]
+    norm = np.sqrt(re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0]
+    if np.any(norm == 0.0):
         raise ValueError("state amplitudes are all zero")
     return vec / norm
 
 
 def _atom_state(bloch) -> np.ndarray:
-    """One atom's density matrix (I + r . sigma) / 2."""
-    rx, ry, rz = bloch
-    if rx * rx + ry * ry + rz * rz > 1.0 + 1e-12:
+    """One atom's density matrix (I + r . sigma) / 2 of bloch = (rx, ry,
+    rz); a stack of Bloch vectors (k, 3) gives k matrices (k, 2, 2)."""
+    rx, ry, rz = np.moveaxis(np.asarray(bloch, dtype=float), -1, 0)[..., None, None]
+    if np.any(rx * rx + ry * ry + rz * rz > 1.0 + 1e-12):
         raise ValueError("Bloch vector must satisfy |r| <= 1")
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sy = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -795,11 +835,14 @@ def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
     the Bloch state (I + r . sigma) / 2 of bloch = (rx, ry, rz).  Each
     entry of orbit o holds c[nk] conj(c[nb]) times prod_p atom_p^counts[p],
     atom_p the atom's matrix element on pair p (gg, ge, eg, ee), so x_o is
-    sqrt(size_o) times that; the state's other charges are dropped."""
+    sqrt(size_o) times that; the state's other charges are dropped.  k
+    amplitude rows and k Bloch vectors give the k states' coordinates as
+    one array (k, n), each row with the bytes of its own state."""
     c = _unit_vector(cavity_amps, orbits.n_max + 1)
-    atom = _atom_state(bloch).ravel()[:, None]
-    return (orbits.sqrt_size * c[orbits.nk] * c[orbits.nb].conj()
-            * np.prod(atom**orbits.counts, axis=0))
+    atom = _atom_state(bloch)
+    atom = atom.reshape(atom.shape[:-2] + (4, 1))
+    return (orbits.sqrt_size * c[..., orbits.nk] * c[..., orbits.nb].conj()
+            * np.prod(atom**orbits.counts, axis=-2))
 
 
 class _Model(NamedTuple):
@@ -822,8 +865,12 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
     on A^-1 from b, with Gram-Schmidt run twice per step, gives an
     orthonormal V_m and a Hessenberg H_m with A^-1 V_m = V_m H_m + h v e_m^T,
     so the solution is about V_m (I + i omega H_m)^-1 e1 |b|.  With the
-    Schur form H_m = Z T Z^H that is one back substitution on the
-    triangular I + i omega T, run for the whole grid at once.  m grows by
+    Schur form H_m = Z T Z^H that is one back substitution on I + i omega T,
+    run for the whole grid at once.  A complex H_m has a triangular T; a
+    real one, as on resonance, has LAPACK's real Schur form, cheaper to
+    compute, with a real Z and a quasi-triangular T whose 2 x 2 diagonal
+    blocks (one per complex pair of eigenvalues) are solved by Cramer's
+    rule.  m grows by
     MODEL_STEP, and straight to n once one more step would reach n, until
     the spectra of two successive models agree on the grid to MODEL_TOL of
     the larger one's peak, or the Krylov space is exhausted (m = n, or a
@@ -833,7 +880,7 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
     a real A and x (lu real), V_m and H_m are real, half the memory of a
     complex basis.  A basis of more than MAX_SUPEROP_DIM entries raises
     MemoryBudgetError."""
-    n = x.size
+    n, eps = x.size, np.finfo(float).eps
     start = lu.solve(x)
     scale = np.linalg.norm(start)
     basis = np.empty((0, n), dtype=x.dtype)
@@ -846,7 +893,9 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
             raise MemoryBudgetError(f"a Krylov basis of {size} x {n} is more than "
                                     f"MAX_SUPEROP_DIM = {MAX_SUPEROP_DIM} entries")
         basis = np.concatenate([basis, np.empty((size - m, n), dtype=x.dtype)])
-        hess = np.pad(hess, ((0, size - m), (0, size - m)))
+        grown = np.zeros((size + 1, size), dtype=x.dtype)
+        grown[:m + 1, :m] = hess
+        hess = grown
         for j in range(m, size):
             basis[j] = v
             w = before = lu.solve(v)
@@ -855,7 +904,7 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
                 w = w - h @ basis[:j + 1]
                 hess[:j + 1, j] += h
             hess[j + 1, j] = norm = np.linalg.norm(w)
-            if norm <= np.finfo(float).eps * np.linalg.norm(before):
+            if norm <= eps * np.linalg.norm(before):
                 basis, hess, exhausted = basis[:j + 1], hess[:j + 2, :j + 1], True
                 break
             v = w / norm
@@ -863,13 +912,27 @@ def _reduced_model(lu, x: np.ndarray, ad_vec: np.ndarray, omega: np.ndarray) -> 
         exact = exhausted or m == n
         if not exact and last is None and m + 2 * MODEL_STEP >= n:
             continue
-        tri, z = la.schur(hess[:m], output="complex")
+        tri, z = la.schur(hess[:m])
         # row k of (I + i omega T) u = Z^H e1 is u_k (1 + i omega T_kk)
-        # + i omega sum_{l > k} T_kl u_l = conj(Z_0k)
+        # + i omega sum_{l > k} T_kl u_l = conj(Z_0k); a real T pairs rows
+        # k - 1 and k where T[k, k - 1] != 0, and that 2 x 2 block is
+        # solved by Cramer's rule
         den = 1.0 + np.multiply.outer(tri.diagonal(), 1j * omega)
         u, gain = z[0].conj()[:, None] / den, 1j * omega / den
-        for k in range(m - 2, -1, -1):
-            u[k] -= gain[k] * (tri[k, k + 1:] @ u[k + 1:])
+        k = m - 1
+        while k >= 0:
+            if k and tri[k, k - 1] != 0.0:
+                pair = slice(k - 1, k + 1)
+                r0, r1 = z[0, pair, None] - 1j * omega * (tri[pair, k + 1:] @ u[k + 1:])
+                a, d = den[pair]
+                b, c = 1j * omega * tri[k - 1, k], 1j * omega * tri[k, k - 1]
+                det = a * d - b * c
+                u[k - 1], u[k] = (d * r0 - b * r1) / det, (a * r1 - c * r0) / det
+                k -= 2
+                continue
+            if k < m - 1:
+                u[k] -= gain[k] * (tri[k, k + 1:] @ u[k + 1:])
+            k -= 1
         coords = scale * (z @ u).T
         spectrum = -(coords @ (basis @ ad_vec)).real
         if exact or (last is not None and np.max(np.abs(spectrum - last))
@@ -898,12 +961,11 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     as at omega_a = omega_c = 0, the block is factored as float64 and the
     reduced model is real; otherwise both stay complex (a common frame
     frequency omega_c leaves i omega_c on the diagonal).  The block is
-    factored once, through the cached column order of the sector's whole
-    pattern (_Orbits.pattern) unless _orbit_block dropped zero entries,
-    and the whole grid is read off a rational reduced model of the
-    resolvent (_reduced_model), whose order grows until two successive
-    models agree to MODEL_TOL of the peak.  Returns a unit-peak-normalised
-    SpectrumScan.
+    factored once, through the cached column order of its pattern, whole
+    or pruned (_Orbits.layout), and the whole grid is read off a rational
+    reduced model of the resolvent (_reduced_model), whose order grows
+    until two successive models agree to MODEL_TOL of the peak.  Returns a
+    unit-peak-normalised SpectrumScan.
     """
     from .spectrum import SpectrumScan, _checked_grid  # layering stays one-way
 
@@ -922,11 +984,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     data, what = _gauged(block, orbits), "undamped correlation"
     if not (data.imag.any() or y.imag.any()):
         data, y = data.real.copy(), y.real.copy()
-    if block.nnz == orbits.indices.size:
-        lu = orbits.pattern.factor(data, what)
-    else:  # _orbit_block dropped zero entries
-        lu = _factor(sp.csr_matrix((data, block.indices, block.indptr), shape=block.shape)
-                     .tocsc(), what)
+    lu = orbits.layout(block)[1].factor(data, what)
     intensity = _reduced_model(lu, y, ad_vec, omega_grid).spectrum
     peak = np.max(intensity)
     if peak <= 0.0:
@@ -953,9 +1011,12 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     and rate convention in the moment equations.  The states are
     permutation invariant and the checked moments have charge 0, so the
     exact derivatives are the moments of the charge-0 orbit block times
-    the states' orbit coordinates (_product_orbit_state).  The block is
-    built and applied to the stacked states once per call, and one
-    _moment_rows call reads every state's moments and derivatives.
+    the states' orbit coordinates (_product_orbit_state).  The draws run
+    state by state, in order; the states' coordinates are then built as
+    one array, the block is built and applied to them once per call, and
+    one _moment_rows call reads every state's moments and derivatives.
+    Only the closure's rhs runs per state, so the result equals a loop
+    over the states, byte for byte.
     """
     from .cumulant import MomentState, rhs
 
@@ -964,8 +1025,8 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
         raise ValueError(f"need n_states >= 1, got {n_states}")
     rng = np.random.default_rng(CHECK_SEED)
     orbits, block = _orbit_block(params, CHECK_N_MAX, 0)
-    states = np.array([_product_orbit_state(orbits, *_random_product_inputs(rng))
-                       for _ in range(n_states)])
+    amps, bloch = zip(*(_random_product_inputs(rng) for _ in range(n_states)))
+    states = _product_orbit_state(orbits, np.array(amps), np.array(bloch))
     # rows 0..n_states-1 hold the states' moments, the rest their derivatives
     fields = _moment_rows(orbits, np.concatenate([states, (block @ states.T).T]))
     worst = 0.0

@@ -239,6 +239,53 @@ def test_wide_grid_spectrum_matches_per_frequency_solves(n_atoms, extra):
     assert np.max(np.abs(scan.intensity - _direct_spectrum(params, 6, grid))) < 1e-12
 
 
+def _record_schur(monkeypatch):
+    """The list that every (H_m, T) of the reduced model's Schur forms is
+    appended to."""
+    forms, real = [], oracle.la.schur
+
+    def recording(a, **kwargs):
+        tri, z = real(a, **kwargs)
+        forms.append((a, tri))
+        return tri, z
+
+    monkeypatch.setattr(oracle.la, "schur", recording)
+    return forms
+
+
+@pytest.mark.parametrize("points, width", [(41, 1.0), (401, 4.0)])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_resonant_spectrum_from_a_real_schur_form_matches_direct_solves(
+        monkeypatch, n_atoms, points, width):
+    # on resonance H_m is real and so is its Schur form T, whose 2 x 2
+    # diagonal blocks (one per complex pair of eigenvalues) the back
+    # substitution solves in closed form
+    params = SystemParams(n_atoms=n_atoms, **DESK)
+    grid = np.linspace(-width, width, points)
+    forms = _record_schur(monkeypatch)
+    scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
+    monkeypatch.undo()
+    assert forms and all(h.dtype == tri.dtype == np.float64 for h, tri in forms)
+    assert all(np.any(np.diagonal(tri, -1) != 0.0) for _, tri in forms)
+    assert np.max(np.abs(scan.intensity - _direct_spectrum(params, 4, grid))) < 1e-13
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+def test_detuned_spectrum_keeps_the_complex_schur_bytes(monkeypatch, n_atoms):
+    # detuned, H_m is complex and LAPACK's Schur form is triangular, so the
+    # back substitution takes 1 x 1 steps only, as with output="complex"
+    params = SystemParams(n_atoms=n_atoms, **DESK, chi=0.03, omega_a=0.3)
+    grid = np.linspace(-1.0, 1.0, 41)
+    forms = _record_schur(monkeypatch)
+    scan = oracle_spectrum(params, n_max=4, omega_grid=grid)
+    assert forms and all(h.dtype == tri.dtype == np.complex128 for h, tri in forms)
+    assert all(not np.tril(tri, -1).any() for _, tri in forms)
+    real = oracle.la.schur
+    monkeypatch.setattr(oracle.la, "schur", lambda a, **_: real(a, output="complex"))
+    assert oracle_spectrum(params, n_max=4, omega_grid=grid).intensity.tobytes() \
+        == scan.intensity.tobytes()
+
+
 @pytest.mark.parametrize("points", [5, 401])
 def test_spectrum_factors_one_correlation_lu_of_n_orbits(monkeypatch, points):
     # the whole grid is read off one factorisation of the charge -1 block,
@@ -736,6 +783,28 @@ def test_batched_derivative_check_equals_the_per_state_loop(n_atoms):
     assert derivative_match_error(params, n_states=6) == worst
 
 
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_stacked_product_states_equal_the_per_state_ones(n_atoms):
+    # the derivative check builds its states as one array; each row has the
+    # bytes of that state's own one-state build
+    orbits = oracle._sector(n_atoms, oracle.CHECK_N_MAX, 0)
+    rng = np.random.default_rng(oracle.CHECK_SEED)
+    amps, bloch = zip(*(oracle._random_product_inputs(rng) for _ in range(7)))
+    stacked = oracle._product_orbit_state(orbits, np.array(amps), np.array(bloch))
+    assert stacked.shape == (7, orbits.nk.size)
+    for row, a, r in zip(stacked, amps, bloch):
+        assert row.tobytes() == oracle._product_orbit_state(orbits, a, r).tobytes()
+    # each vector is normalised by np.linalg.norm's bytes
+    padded = np.zeros((7, 9), dtype=complex)
+    padded[:, :4] = amps
+    assert oracle._unit_vector(np.array(amps), 9).tobytes() \
+        == np.array([v / np.linalg.norm(v) for v in padded]).tobytes()
+    with pytest.raises(ValueError, match="zero"):
+        oracle._unit_vector(np.array([amps[0], np.zeros(4)]), 9)
+    with pytest.raises(ValueError, match="Bloch"):
+        oracle._atom_state(np.array([bloch[0], (0.9, 0.9, 0.9)]))
+
+
 # -------------------------------------------------------------- cutoff control
 
 def test_cutoff_is_raised_until_moments_converge():
@@ -1017,12 +1086,13 @@ def test_oracle_small_outputs_are_the_same_cold_and_warm():
     assert oracle._sector.cache_info().misses == 12
 
 
-SPLIT_CASES = {  # name: (parameters, whether every LU's pattern is whole)
-    "resonant": (DESK, True),
-    "detuned-chi": (dict(DESK, chi=0.03, omega_a=0.4, omega_c=-0.1), True),
-    "g0": (dict(DESK, g=0.0), False),
-    "eta0": (dict(DESK, eta=0.0), False),
-    "gamma0": (dict(DESK, gamma=0.0), False),
+SPLIT_CASES = {  # name: parameters; g0, eta0 and gamma0 prune their blocks
+    "resonant": DESK,
+    "equal-rates": dict(g=0.25, kappa=1.0, gamma=0.25, eta=0.25),  # pivots tie
+    "detuned-chi": dict(DESK, chi=0.03, omega_a=0.4, omega_c=-0.1),
+    "g0": dict(DESK, g=0.0),
+    "eta0": dict(DESK, eta=0.0),
+    "gamma0": dict(DESK, gamma=0.0),
 }
 
 
@@ -1034,12 +1104,11 @@ def _split_outputs(params):
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_a_sector_factored_before_skips_the_ordering_bit_for_bit(monkeypatch, n_atoms):
-    # a whole pattern keeps the column order of its first LU, and later LUs
-    # factor numbers only (permc_spec="NATURAL"); a pattern that lost
-    # entries is ordered afresh every time.  Either way a solve gives the
-    # bytes of a cold one, whatever the cache has seen
+    # each pattern, whole or pruned, keeps the column order of its first
+    # LU, and later LUs factor numbers only (permc_spec="NATURAL").  Either
+    # way a solve gives the bytes of a cold one, whatever the cache has seen
     fresh = {}
-    for name, (kw, _) in SPLIT_CASES.items():
+    for name, kw in SPLIT_CASES.items():
         oracle._sector.cache_clear()
         fresh[name] = _split_outputs(SystemParams(n_atoms=n_atoms, **kw))
     orders, splu = [], spla.splu
@@ -1050,12 +1119,12 @@ def test_a_sector_factored_before_skips_the_ordering_bit_for_bit(monkeypatch, n_
 
     monkeypatch.setattr(spla, "splu", recording)
     oracle._sector.cache_clear()
-    for name, (kw, whole) in SPLIT_CASES.items():
+    for name, kw in SPLIT_CASES.items():
         params = SystemParams(n_atoms=n_atoms, **kw)
         assert _split_outputs(params) == fresh[name], name
         orders.clear()
         assert _split_outputs(params) == fresh[name], name
-        assert orders and set(orders) == ({"NATURAL"} if whole else {None}), name
+        assert orders and set(orders) == {"NATURAL"}, name
 
 
 def test_orbit_cap_holds_on_a_cached_sector(monkeypatch):
