@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 #: Pump rate used for the flagship strontium-88 operating point, rad/s.
@@ -53,7 +55,8 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         try:
-            n_atoms = int(self.n_atoms)
+            # a bool is not a count, though int() takes it
+            n_atoms = 0 if isinstance(self.n_atoms, (bool, np.bool_)) else int(self.n_atoms)
         except (TypeError, ValueError, OverflowError):
             n_atoms = 0
         if n_atoms != self.n_atoms or n_atoms < 1:

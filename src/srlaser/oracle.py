@@ -26,16 +26,18 @@ product-basis operator.
 Nothing in a block's structure depends on the rates, so one object per
 sector holds it: an _Orbits carries the orbit labels, the block's CSR
 pattern, the per-orbit structure that the solves read, the fold maps
-of the real stationary solve and, once one LU has run on it, each
-pattern's column order (_Pattern): the whole pattern's, and one per
-pattern that rates at 0 (g, eta or gamma) pruned.  _sector keeps one
-per (N, n_max, charge) in a least-recently-used cache of SECTOR_CACHE
-sectors, so a block build only fills in values, bit for bit the ones a
-fresh build gives, and an LU of a sector factored before only factors
-numbers, with the bytes of a fresh one.  The MAX_ORBITS comparison runs on every
-request, cached or not.  The largest sector under the cap, N = 30 at
-n_max = 11, keeps about 16 MB once solved on resonance and about 20 MB
-once solved detuned.
+of the real stationary solve and, once one LU has run on them, the LU
+patterns (_Pattern) of the charge -1 block and of the real forms.  Every
+block keeps the whole pattern, with the exact zeros that rates at 0 (g,
+eta or gamma) leave; _Pattern alone decides which entries an LU factors,
+the nonzero ones, and keeps one column order per set of them.  _sector
+keeps one sector per (N, n_max, charge) in a least-recently-used cache of
+SECTOR_CACHE sectors, so a block build only fills in values, bit for bit
+the ones a fresh build gives, and an LU of a sector factored before only
+factors numbers, with the bytes of a fresh one.  The MAX_ORBITS
+comparison runs on every request, cached or not.  The largest sector
+under the cap, N = 30 at n_max = 11, keeps about 17 MB once solved on
+resonance and about 21 MB once solved detuned.
 
 Two exact symmetries make the solves real: the adjoint, which pairs
 each orbit with its Hermitian partner (_Orbits.partner), and the
@@ -150,8 +152,8 @@ def _frozen(*arrays: np.ndarray):
 
 
 def _check_integer(name: str, value) -> None:
-    """ValueError unless value is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """ValueError unless value is a Python or numpy integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -212,14 +214,15 @@ class _Orbits:
     differently and none returns to its orbit, so (row, column) order is
     the CSR order.
 
+    Every block of the sector is written on this whole pattern, with exact
+    zeros where rates at 0 (g, eta or gamma) leave them.
+
     Every array is read-only: the labels and the pattern, built here, and
     the per-orbit structure that the solves read (trace_row, partner,
     moment_terms, ad_vec, lowering, gauge), the per-entry gauge phases
     (entry_phase), the fold maps of the real stationary solve (half_form,
-    adjoint_form) and the pattern's CSC layout and LU column order
-    (pattern), built on first use, and for each block pattern that rates
-    at 0 pruned, its entries' places and its own _Pattern (layout, kept
-    in pruned).
+    adjoint_form) and the pattern's CSC layout with a column order per set
+    of nonzero places that an LU has met (pattern), built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -260,7 +263,6 @@ class _Orbits:
         self.factors = _frozen(*(np.append(np.ones(size), f[inside])[order]
                                  for f in (atom, ket, bra)))
         self.diagonal = _frozen(np.flatnonzero(self.move == _DIAGONAL))
-        self.pruned = {}
 
     def _code(self, nk, counts):
         base = self.n_atoms + 1
@@ -330,30 +332,9 @@ class _Orbits:
 
     @cached_property
     def pattern(self) -> _Pattern:
-        """The whole block pattern as its LUs see it (_Pattern), its values
-        in CSR order; the spectrum factors the charge -1 block through it."""
-        return _Pattern.of_csr(self.indptr, self.indices, np.arange(self.indices.size))
-
-    def layout(self, block: sp.csr_matrix) -> tuple:
-        """Where block's entries sit in the whole pattern's CSR order (None
-        if block has them all), and the _Pattern that its LUs factor
-        through, which reads values on the whole pattern.  A block that
-        _orbit_block pruned (g = 0, eta = 0, gamma = 0) gets both on first
-        use, kept per block pattern, so a sector factored before orders no
-        pruned block either."""
-        if block.nnz == self.indices.size:
-            return None, self.pattern
-        key = block.indptr.tobytes() + block.indices.tobytes()
-        if key not in self.pruned:
-            n = self.nk.size
-
-            def places(indptr, indices):
-                return np.repeat(np.arange(n) * n, np.diff(indptr)) + indices
-
-            at = _frozen(np.searchsorted(places(self.indptr, self.indices),
-                                         places(block.indptr, block.indices)))
-            self.pruned[key] = at, _Pattern.of_csr(block.indptr, block.indices, at)
-        return self.pruned[key]
+        """The block pattern as its LUs see it (_Pattern), its values in CSR
+        order; the spectrum factors the charge -1 block through it."""
+        return _Pattern.of_csr(self.indptr, self.indices)
 
     @cached_property
     def half_form(self) -> _RealForm:
@@ -386,18 +367,16 @@ class _RealForm:
     The fold, built once per cached sector: each entry of G in a kept row
     (a representative's, but row 0) adds its Re or Im part (source, an
     index into G's interleaved Re and Im values) times sign to one place
-    (target) of the real matrix's CSC pattern (indptr, indices); trace_at
+    (target) of the real matrix's CSC pattern (pattern); trace_at
     holds the places of the trace row's values trace, on the unknowns
     trace_cols.  For real rates the gauge leaves every off-diagonal entry
     of G real (each -+i g meets a photon move's phase +-i, every other
     rate is real), so only diagonal entries fold an Im part: an entry
     fills at most two places, or four on the diagonal.  bordered sums a
-    solve's values into place and factor factors the result's nonzero
-    places, through the cached column order of their pattern (a _Pattern
-    per set of nonzero places, kept in patterns: the whole pattern, and one
-    per set of rates at 0); lift reads y back: Re y from the unknowns
-    re_pick, Im y as im_sign times the unknowns im_pick (None in the
-    half)."""
+    solve's values into place, and pattern, the _Pattern of the CSC
+    pattern, factors them, its nonzero places only; lift reads y back: Re y
+    from the unknowns re_pick, Im y as im_sign times the unknowns im_pick
+    (None in the half)."""
 
     def __init__(self, orbits: _Orbits, half: bool):
         n = orbits.nk.size
@@ -435,33 +414,19 @@ class _RealForm:
                               return_inverse=True)  # CSC order; the trace row is row 0
         self.target, self.trace_at = _frozen(at[:row.size].astype(np.int32), at[row.size:])
         self.source, self.sign = _frozen(source.astype(np.int32), sign)
-        self.indices = _frozen((place % size).astype(np.int32))
-        self.indptr = _frozen(np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
+        self.pattern = _Pattern(
+            np.arange(place.size, dtype=np.int32), (place % size).astype(np.int32),
+            np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
         self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
         self.gauge = orbits.gauge
-        self.patterns = {}
 
     def bordered(self, gauged: np.ndarray) -> np.ndarray:
         """The real bordered matrix's values on its CSC pattern, from G's
         values on the sector's whole pattern; a place can hold 0.0."""
         data = np.bincount(self.target, self.sign * gauged.view(float)[self.source],
-                           minlength=self.indices.size)
+                           minlength=self.pattern.take.size)
         data[self.trace_at] = self.trace
         return data
-
-    def factor(self, gauged: np.ndarray, what: str):
-        """The LU of the real bordered matrix's nonzero entries, through the
-        _Pattern of its nonzero places, built on the first solve that has
-        them and kept in patterns, keyed by which places are nonzero: the
-        first LU of a pattern orders it, every later one factors numbers."""
-        data = self.bordered(gauged)
-        kept = data != 0.0
-        key = kept.tobytes()
-        if key not in self.patterns:
-            self.patterns[key] = _Pattern(
-                np.flatnonzero(kept).astype(np.int32), self.indices[kept],
-                np.append(0, np.cumsum(kept))[self.indptr].astype(np.int32))
-        return self.patterns[key].factor(data, what)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """x of unit trace from the real solution z."""
@@ -474,20 +439,26 @@ class _RealForm:
 
 
 class _Pattern:
-    """One block pattern as SuperLU factors it: the symbolic part of every
-    LU on it, kept with the cached sector (_Orbits.pattern and .layout,
-    _RealForm.patterns), so that a solve runs only the numeric part.
+    """One square CSC pattern as SuperLU factors it, and the one place that
+    decides which of its entries an LU factors: the nonzero ones.  It is
+    kept with the cached sector (_Orbits.pattern, _RealForm.pattern), with
+    the symbolic part of every LU on it, so that a solve runs only the
+    numeric part.
 
     The values handed to factor are in the order of the pattern they were
-    written on (a sector's whole CSR pattern, a real form's CSC pattern),
-    which can hold more places than this one.  Entry k of the CSC matrix
-    that SuperLU sees is values[take[k]], in row indices[k] of the column
-    that indptr delimits.  The first factor orders the columns as spla.splu
-    does by default (COLAMD, then the postorder of the column elimination
-    tree) and keeps that order perm_c and its inverse columns =
-    argsort(perm_c) (order), rewriting the layout into Pc^T A Pc: column j
-    is A's column columns[j], its row r renamed perm_c[r] and listed where
-    A lists it.  Every later factor hands SuperLU that matrix with
+    written on (a sector's CSR pattern, or a real form's CSC pattern, where
+    take is the identity): entry k of the CSC matrix is values[take[k]], in
+    row indices[k] of the column that indptr delimits.  Rates at 0 (g, eta
+    or gamma) and the real form's cancellations leave exact zeros among
+    them, and those places leave the LU: factored, they would leave
+    round-off in moments that are exactly 0 (at g = 0 the photon number
+    read -1.8e-16 at N = 4).  So each set of nonzero places has a column
+    order of its own, kept in orders under the set's bytes.  The first LU
+    on a set orders its columns as spla.splu does by default (COLAMD, then
+    the postorder of the column elimination tree) and keeps, with that
+    order perm_c and its inverse columns = argsort(perm_c), the layout of
+    Pc^T A Pc: column j is A's column columns[j], its row r renamed
+    perm_c[r] and listed where A lists it.  Every later LU on the set hands SuperLU that matrix with
     permc_spec="NATURAL": the postorder of a postordered tree is the
     identity, so SuperLU factors the same columns in the same order.  It
     walks a column's rows in the order listed, and prefers as pivot the
@@ -497,40 +468,42 @@ class _Pattern:
     solution w of Pc^T A Pc w = b[columns] is read as w[perm_c]
     (_Reordered).  spla.splu sorts the rows of a matrix that is not marked
     canonical, so the reordered matrix, which has no duplicate entries, is
-    marked so.  The column order depends on the pattern alone, so a matrix
-    with fewer entries gets a _Pattern of its own."""
+    marked so."""
 
     def __init__(self, take: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
         self.take, self.indices, self.indptr = _frozen(take, indices, indptr)
-        self.order = None
+        self.orders = {}
 
     @classmethod
-    def of_csr(cls, indptr: np.ndarray, indices: np.ndarray, at: np.ndarray) -> _Pattern:
-        """The _Pattern of a square CSR pattern whose entry k reads
-        values[at[k]]."""
+    def of_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> _Pattern:
+        """The _Pattern of a square CSR pattern, its values in CSR order."""
         take = np.argsort(indices, kind="stable")  # CSR to CSC
         rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
-        return cls(at[take].astype(np.int32), rows[take], np.searchsorted(
+        return cls(take.astype(np.int32), rows[take], np.searchsorted(
             indices[take], np.arange(indptr.size)).astype(np.int32))
 
     def factor(self, values: np.ndarray, what: str):
-        """The LU of the matrix with these values on the whole pattern."""
+        """The LU of the nonzero entries of the matrix with these values."""
         size = self.indptr.size - 1
-        matrix = sp.csc_matrix((values[self.take], self.indices, self.indptr),
-                               shape=(size, size))
-        if self.order is not None:
+        data = values[self.take]
+        kept = data != 0.0
+        key = kept.tobytes()
+        if key in self.orders:
+            take, indices, indptr, order = self.orders[key]
+            matrix = sp.csc_matrix((values[take], indices, indptr), shape=(size, size))
             matrix.has_canonical_format = True  # rows listed as A lists them
-            return _factor(matrix, what, self.order)
-        lu = _factor(matrix, what)
+            return _factor(matrix, what, order)
+        indices = self.indices[kept]
+        indptr = np.append(0, np.cumsum(kept))[self.indptr].astype(np.int32)
+        lu = _factor(sp.csc_matrix((data[kept], indices, indptr), shape=(size, size)), what)
         # a copy: SuperLU's own perm_c keeps the whole factorisation alive
         perm_c = lu.perm_c.copy()
         columns = np.argsort(perm_c)
-        lengths = np.diff(self.indptr)[columns]
-        indptr = np.append(0, np.cumsum(lengths)).astype(np.int32)
-        at = np.repeat(self.indptr[columns] - indptr[:-1], lengths) + np.arange(indptr[-1])
-        self.take, self.indices, self.indptr = _frozen(
-            self.take[at], perm_c[self.indices[at]], indptr)
-        self.order = _frozen(perm_c, columns)
+        lengths = np.diff(indptr)[columns]
+        reordered = np.append(0, np.cumsum(lengths)).astype(np.int32)
+        at = np.repeat(indptr[columns] - reordered[:-1], lengths) + np.arange(reordered[-1])
+        self.orders[key] = (*_frozen(self.take[kept][at], perm_c[indices[at]], reordered),
+                            _frozen(perm_c, columns))
         return lu
 
 
@@ -555,13 +528,16 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
     labels, 1.0 MB of per-orbit structure and 0.3 MB of entry_phase once
     the solves have read it all, and for each real form solved its fold
-    and its _Pattern's column order and layout, with the key that finds
-    it: 2.4 + 1.7 MB for the resonant half (157,642 places), 4.9 + 3.2 MB
-    for the adjoint form (308,287 places).  Each pattern that rates at 0
-    prune adds its own.  So a full cache of such sectors would hold about
-    260 MB on resonance and 325 MB detuned.  The sector takes 0.1 s to
-    build and its half's fold 0.02 s, against 4.3 s for one resonant solve
-    at that size (the adjoint form's fold 0.04 s, against 29 s)."""
+    and its _Pattern, whose layout of the whole CSC pattern counts with
+    the fold, and the column order and layout of the set of nonzero places
+    that the LU factored, with the key that finds it: 3.1 + 1.7 MB for the
+    resonant half (157,642 places), 6.1 + 3.2 MB for the adjoint form
+    (308,287 places).  Each further set of nonzero places that an LU meets
+    (rates at 0) adds at most as much again as the whole set.  So a full
+    cache of such sectors would hold about 270 MB on resonance and 345 MB
+    detuned.  The sector takes 0.1 s to build and its half's fold 0.02 s,
+    against 4.3 s for one resonant solve at that size (the adjoint form's
+    fold 0.04 s, against 29 s)."""
     return _Orbits(n_atoms, n_max, charge)
 
 
@@ -576,8 +552,9 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     each times the cavity matrix elements.  The orbits, with their
     pattern, come from _sector, cached per (N, n_max, charge) after the
     MAX_ORBITS count, which runs on every call; this call fills in the
-    values and drops the entries whose coefficient is zero.  Returns
-    (orbits, CSR block)."""
+    values on the sector's whole pattern, exact zeros included: a rate at
+    0 leaves its entries at 0.0, which the LUs leave out (_Pattern).
+    Returns (orbits, CSR block)."""
     _check_orbit_count(params.n_atoms, n_max, charge)
     orbits = _sector(params.n_atoms, n_max, charge)
     nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
@@ -599,13 +576,7 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     diagonal.imag = ((params.omega_a - params.omega_c) * (counts[1] - counts[2])
                      - params.omega_c * charge)
     data[orbits.diagonal] = diagonal
-    kept = data != 0.0
-    kept[orbits.diagonal] = True
-    indices, indptr = orbits.indices, orbits.indptr
-    if not kept.all():
-        data, indices = data[kept], indices[kept]
-        indptr = np.append(0, np.cumsum(kept))[indptr]
-    return orbits, sp.csr_matrix((data, indices, indptr), shape=(nk.size, nk.size))
+    return orbits, sp.csr_matrix((data, orbits.indices, orbits.indptr), shape=(nk.size, nk.size))
 
 
 @dataclass(frozen=True)
@@ -695,15 +666,10 @@ def _factor(block: sp.csc_matrix, what: str, order: tuple | None = None):
 
 def _gauged(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     """The values of D^-1 block D, D = diag(orbits.gauge), on the sector's
-    whole pattern in its CSR order, 0.0 where block has no entry
-    (orbits.layout).  The phases are +-1 and +-i, so every product is
-    exact; their places in _ENTRY_PHASES are cached (orbits.entry_phase)."""
-    at, _ = orbits.layout(block)
-    if at is None:
-        return block.data * _ENTRY_PHASES[orbits.entry_phase]
-    values = np.zeros(orbits.indices.size, dtype=complex)
-    values[at] = block.data * _ENTRY_PHASES[orbits.entry_phase[at]]
-    return values
+    whole pattern in its CSR order, which every block keeps.  The phases
+    are +-1 and +-i, so every product is exact; their places in
+    _ENTRY_PHASES are cached (orbits.entry_phase)."""
+    return block.data * _ENTRY_PHASES[orbits.entry_phase]
 
 
 def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
@@ -716,17 +682,17 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     block holds it; a singular system means the invariant sector has no
     unique stationary state.  x is Hermitian by construction and of unit
     trace.  The fold is built once per cached sector (_sector), so a solve
-    only gauges the block's values onto the sector's whole pattern (a
-    pruned block's through its cached layout, _Orbits.layout), sums them
-    into the real matrix with np.bincount and factors it as float64,
-    through the column order of the first LU on the same nonzero places
-    (_RealForm.factor), so a sector factored before runs no ordering,
-    whichever rates are 0."""
+    only gauges the block's values on the sector's whole pattern, sums them
+    into the real matrix with np.bincount and factors its nonzero entries
+    as float64, through the column order of the first LU on the same
+    nonzero places (_Pattern), so a sector factored before runs no
+    ordering, whichever rates are 0."""
     gauged = _gauged(block, orbits)
     form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
     b = np.zeros(form.size)
     b[0] = 1.0
-    return form.lift(form.factor(gauged, "no unique stationary state").solve(b))
+    return form.lift(form.pattern.factor(form.bordered(gauged), "no unique stationary state")
+                     .solve(b))
 
 
 def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
@@ -960,9 +926,9 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     (_RealForm) times sqrt(nk), and where the gauged block and y are real,
     as at omega_a = omega_c = 0, the block is factored as float64 and the
     reduced model is real; otherwise both stay complex (a common frame
-    frequency omega_c leaves i omega_c on the diagonal).  The block is
-    factored once, through the cached column order of its pattern, whole
-    or pruned (_Orbits.layout), and the whole grid is read off a rational
+    frequency omega_c leaves i omega_c on the diagonal).  The block's
+    nonzero entries are factored once, through the cached column order of
+    their places (_Orbits.pattern), and the whole grid is read off a rational
     reduced model of the resolvent (_reduced_model), whose order grows
     until two successive models agree to MODEL_TOL of the peak.  Returns a
     unit-peak-normalised SpectrumScan.
@@ -984,7 +950,7 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     data, what = _gauged(block, orbits), "undamped correlation"
     if not (data.imag.any() or y.imag.any()):
         data, y = data.real.copy(), y.real.copy()
-    lu = orbits.layout(block)[1].factor(data, what)
+    lu = orbits.pattern.factor(data, what)
     intensity = _reduced_model(lu, y, ad_vec, omega_grid).spectrum
     peak = np.max(intensity)
     if peak <= 0.0:

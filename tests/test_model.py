@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from srlaser import (
@@ -35,6 +36,15 @@ def test_rejects_non_integral_atom_count():
         load_config({"preset": "sr88", "n_atoms": math.inf})
     p = load_config({"preset": "sr88", "n_atoms": 1000.0})
     assert p.n_atoms == 1000 and isinstance(p.n_atoms, int)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_rejects_a_bool_atom_count(flag):
+    # int(True) is 1, but a bool is not a count
+    with pytest.raises(ValueError, match="n_atoms must be an integer >= 1"):
+        SystemParams(n_atoms=flag, g=1.0, kappa=1.0, gamma=0.1)
+    with pytest.raises(ValueError, match="n_atoms must be an integer >= 1"):
+        load_config({"preset": "sr88", "n_atoms": flag})
 
 
 @pytest.mark.parametrize("field", ["g", "kappa", "gamma", "eta", "chi"])

@@ -120,13 +120,19 @@ def test_uncoupled_pair_is_exact_product_state():
     assert abs(result.moments.pair_corr) < 1e-13
 
 
-@pytest.mark.parametrize("n_atoms", [1, 2, 3])
-def test_uncoupled_atoms_leave_the_cavity_empty(n_atoms):
-    # g = 0: the atoms relax to their pump balance, and n = 0 exactly
-    params = SystemParams(n_atoms=n_atoms, **{**DESK, "g": 0.0})
+@pytest.mark.parametrize("n_atoms, extra", [
+    *((n, {}) for n in (1, 2, 3, 4)), *((n, dict(chi=0.03, omega_a=0.3)) for n in (1, 2, 3, 4))],
+    ids=["1", "2", "3", "4", "1-detuned", "2-detuned", "3-detuned", "4-detuned"])
+def test_uncoupled_atoms_leave_the_cavity_empty(n_atoms, extra):
+    # g = 0: the atoms relax to their pump balance, and every moment with a
+    # photon is 0 exactly.  The block's zero entries must leave the LU:
+    # factored, its fill leaves round-off on these moments
+    params = SystemParams(n_atoms=n_atoms, **{**DESK, "g": 0.0, **extra})
     result = oracle_steady_state(params, n_max=4)
     assert result.n_max == 6
     assert result.moments.photon_number == 0.0
+    assert result.moments.atom_photon == 0.0
+    assert result.moments.pair_corr == 0.0
     assert abs(result.moments.inversion - 0.19 / 0.21) < 1e-12
 
 
@@ -592,8 +598,8 @@ def test_stationary_solve_equals_the_stacked_bordered_form_bit_for_bit(n_atoms, 
     # the real matrix that the cached fold sums with np.bincount is the one
     # that sparse products and sp.vstack build, so the solves agree byte
     # for byte; both agree with the complex bordered solve to round-off.
-    # g = 0 and eta = 0 drop zero entries from the block, which the fold
-    # reads on the sector's whole pattern
+    # g = 0 and eta = 0 leave exact zeros in the block, which the fold sums
+    # like any entry, and the LU leaves out with the real matrix's other zeros
     params = SystemParams(n_atoms=n_atoms, **{**DESK, **extra})
     resonant = params.omega_a == params.omega_c
     for n_max in (2, 6):
@@ -922,7 +928,7 @@ def test_space_validation_and_memory_budget():
         oracle._Orbits(30, 12, 0)
 
 
-@pytest.mark.parametrize("n_max", [2.5, 6.0, "6"])
+@pytest.mark.parametrize("n_max", [2.5, 6.0, "6", True, np.True_])
 def test_non_integer_cutoff_raises_value_error_before_any_work(n_max):
     # the check runs before the sector cache is asked, so no sector is built
     params = SystemParams(n_atoms=2, **DESK)
@@ -951,7 +957,7 @@ def test_derivative_check_needs_a_state(monkeypatch, n_states):
         derivative_match_error(SystemParams(n_atoms=2, **DESK), n_states=n_states)
 
 
-@pytest.mark.parametrize("n_states", [2.0, "2", 2.5])
+@pytest.mark.parametrize("n_states", [2.0, "2", 2.5, True, np.True_])
 def test_non_integer_state_count_raises_value_error(monkeypatch, n_states):
     monkeypatch.setattr(oracle, "_orbit_block", None)  # no block is built
     with pytest.raises(ValueError, match="n_states must be an integer"):
@@ -1044,6 +1050,11 @@ BLOCK_CASES = {
 
 
 def _csr_bytes(block):
+    """The bytes of block's nonzero entries: values, places and row starts.
+    A cached block keeps its exact zeros on the sector's pattern, and the
+    direct COO build leaves zero amplitudes out, so both drop them here."""
+    block = block.copy()
+    block.eliminate_zeros()
     return [(a.dtype.str, a.tobytes()) for a in (block.data, block.indices, block.indptr)]
 
 
@@ -1054,13 +1065,21 @@ def test_cached_block_equals_a_cold_build_byte_for_byte(n_atoms, charge):
     # and so does every later build of the sector for any parameters
     cases = [(SystemParams(n_atoms=n_atoms, **kw), n_max)
              for kw in BLOCK_CASES.values() for n_max in (0, 2, 5)]
+
+    def built(params, n_max):
+        # every block sits on its sector's whole pattern, exact zeros included
+        orbits, block = oracle._orbit_block(params, n_max, charge)
+        assert np.array_equal(block.indices, orbits.indices)
+        assert np.array_equal(block.indptr, orbits.indptr)
+        return _csr_bytes(block)
+
     cold = []
     for params, n_max in cases:
         oracle._sector.cache_clear()
-        cold.append(_csr_bytes(oracle._orbit_block(params, n_max, charge)[1]))
+        cold.append(built(params, n_max))
         assert cold[-1] == _csr_bytes(coo_orbit_block(params, n_max, charge))
     for (params, n_max), expected in zip(cases, cold):
-        assert _csr_bytes(oracle._orbit_block(params, n_max, charge)[1]) == expected
+        assert built(params, n_max) == expected
     # since the last clear: one sector per cutoff, every other build a hit
     assert oracle._sector.cache_info().misses == 3
 
@@ -1086,7 +1105,7 @@ def test_oracle_small_outputs_are_the_same_cold_and_warm():
     assert oracle._sector.cache_info().misses == 12
 
 
-SPLIT_CASES = {  # name: parameters; g0, eta0 and gamma0 prune their blocks
+SPLIT_CASES = {  # name: parameters; g0, eta0 and gamma0 leave zeros that no LU factors
     "resonant": DESK,
     "equal-rates": dict(g=0.25, kappa=1.0, gamma=0.25, eta=0.25),  # pivots tie
     "detuned-chi": dict(DESK, chi=0.03, omega_a=0.4, omega_c=-0.1),
