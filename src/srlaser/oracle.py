@@ -24,10 +24,12 @@ written from the labels and the cavity ladder alone, with no
 product-basis operator.
 
 Nothing in a block's structure depends on the rates, so one object per
-sector holds it: an _Orbits carries the orbit labels, the block's CSR
+sector holds it: an _Orbits carries the orbit labels, the block's
 pattern, the per-orbit structure that the solves read, the fold maps
 of the real stationary solve and, once one LU has run on them, the LU
-patterns (_Pattern) of the charge -1 block and of the real forms.  Every
+patterns (_Pattern) of the charge -1 block and of the real forms.  The
+pattern is in CSC order, the one sparse layout that blocks, folds and
+LUs share, so no values are gathered from one order to another.  Every
 block keeps the whole pattern, with the exact zeros that rates at 0 (g,
 eta or gamma) leave; _Pattern alone decides which entries an LU factors,
 the nonzero ones, and keeps one column order per set of them.  _sector
@@ -36,8 +38,8 @@ SECTOR_CACHE sectors, so a block build only fills in values, bit for bit
 the ones a fresh build gives, and an LU of a sector factored before only
 factors numbers, with the bytes of a fresh one.  The MAX_ORBITS
 comparison runs on every request, cached or not.  The largest sector
-under the cap, N = 30 at n_max = 11, keeps about 17 MB once solved on
-resonance and about 21 MB once solved detuned.
+under the cap, N = 30 at n_max = 11, keeps about 16 MB once solved on
+resonance and about 20 MB once solved detuned.
 
 Two exact symmetries make the solves real: the adjoint, which pairs
 each orbit with its Hermitian partner (_Orbits.partner), and the
@@ -186,7 +188,7 @@ def _orbit_count(n_atoms: int, n_max: int, charge: int, cap: int) -> float:
 
 class _Orbits:
     """One charge sector of cavity (x) N atoms: its orbits under atom
-    permutations, in the one numbering every orbit solve uses, and the CSR
+    permutations, in the one numbering every orbit solve uses, and the CSC
     pattern of its block.  Nothing here depends on the rates, so _sector
     builds one per (N, n_max, charge) and shares it between calls.
 
@@ -202,27 +204,29 @@ class _Orbits:
     vacuum with every atom in g.  At N = 1 every orbit is one entry.  More
     than MAX_ORBITS orbits raise MemoryBudgetError before any label is built.
 
-    The pattern holds every entry that some parameters fill, in final CSR
-    order (indptr, indices), and per entry its move (a row of _MOVES, or
-    _DIAGONAL) and the three factors (atom, ket, bra) that scale the move's
-    coefficient; diagonal holds the positions of the diagonal entries.
+    The pattern holds every entry that some parameters fill, in CSC order:
+    indptr delimits the columns and indices holds each entry's row.  Per
+    entry it keeps the move (a row of _MOVES, or _DIAGONAL) and the three
+    factors (atom, ket, bra) that scale the move's coefficient; diagonal
+    holds the positions of the diagonal entries.
     Moving one atom from pair p to pair q scales the coefficient by the
     atom factor sqrt(n_p (n_q + 1)); a photon shift scales it by the
     ladder's sqrt of the larger occupation.  An entry is kept where the
     atom factor is nonzero and the target lies inside the cutoff; no two
     entries share a place, since each move changes (nk, nb, counts)
-    differently and none returns to its orbit, so (row, column) order is
-    the CSR order.
+    differently and none returns to its orbit, so (column, row) order is
+    the CSC order.
 
     Every block of the sector is written on this whole pattern, with exact
-    zeros where rates at 0 (g, eta or gamma) leave them.
+    zeros where rates at 0 (g, eta or gamma) leave them, and every LU reads
+    that layout.
 
     Every array is read-only: the labels and the pattern, built here, and
     the per-orbit structure that the solves read (trace_row, partner,
     moment_terms, ad_vec, lowering, gauge), the per-entry gauge phases
     (entry_phase), the fold maps of the real stationary solve (half_form,
-    adjoint_form) and the pattern's CSC layout with a column order per set
-    of nonzero places that an LU has met (pattern), built on first use.
+    adjoint_form) and the column orders of the sets of nonzero places that
+    an LU has met on the pattern (pattern), built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -256,10 +260,10 @@ class _Orbits:
         move, cols = np.nonzero(inside)  # in the order of a boolean index
         rows = np.append(np.arange(size), self.find(new_nk[inside], new_counts[:, inside]))
         cols = np.append(np.arange(size), cols)
-        order = np.lexsort((cols, rows))
+        order = np.lexsort((rows, cols))
         self.move = _frozen(np.append(np.full(size, _DIAGONAL), move)[order].astype(np.int8))
-        self.indptr = _frozen(np.searchsorted(rows[order], np.arange(size + 1)).astype(np.int32))
-        self.indices = _frozen(cols[order].astype(np.int32))
+        self.indptr = _frozen(np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32))
+        self.indices = _frozen(rows[order].astype(np.int32))
         self.factors = _frozen(*(np.append(np.ones(size), f[inside])[order]
                                  for f in (atom, ket, bra)))
         self.diagonal = _frozen(np.flatnonzero(self.move == _DIAGONAL))
@@ -327,14 +331,14 @@ class _Orbits:
         the whole pattern (_gauged): 4 a + b, with i^a the gauge of the
         entry's row and i^b that of its column."""
         power = (self.nk - self.nb) % 4
-        rows = np.repeat(np.arange(self.nk.size), np.diff(self.indptr))
-        return _frozen((4 * power[rows] + power[self.indices]).astype(np.int8))
+        cols = np.repeat(np.arange(self.nk.size), np.diff(self.indptr))
+        return _frozen((4 * power[self.indices] + power[cols]).astype(np.int8))
 
     @cached_property
     def pattern(self) -> _Pattern:
-        """The block pattern as its LUs see it (_Pattern), its values in CSR
-        order; the spectrum factors the charge -1 block through it."""
-        return _Pattern.of_csr(self.indptr, self.indices)
+        """The block pattern as its LUs see it (_Pattern), on the sector's
+        own arrays; the spectrum factors the charge -1 block through it."""
+        return _Pattern(self.indices, self.indptr)
 
     @cached_property
     def half_form(self) -> _RealForm:
@@ -365,26 +369,30 @@ class _RealForm:
     replaced by the trace functional.
 
     The fold, built once per cached sector: each entry of G in a kept row
-    (a representative's, but row 0) adds its Re or Im part (source, an
-    index into G's interleaved Re and Im values) times sign to one place
-    (target) of the real matrix's CSC pattern (pattern); trace_at
-    holds the places of the trace row's values trace, on the unknowns
-    trace_cols.  For real rates the gauge leaves every off-diagonal entry
-    of G real (each -+i g meets a photon move's phase +-i, every other
-    rate is real), so only diagonal entries fold an Im part: an entry
-    fills at most two places, or four on the diagonal.  bordered sums a
-    solve's values into place, and pattern, the _Pattern of the CSC
-    pattern, factors them, its nonzero places only; lift reads y back: Re y
-    from the unknowns re_pick, Im y as im_sign times the unknowns im_pick
+    (a representative's, but row 0), taken in the sector's CSC order, adds
+    its Re or Im part (source, an index into G's interleaved Re and Im
+    values) times sign to one place (target) of the real matrix's CSC
+    pattern (pattern).  Two entries of one kept row share a place where
+    their columns are a Hermitian pair o < P(o), and they are summed in
+    that order, the order of the row alone.  trace_at holds the places of
+    the trace row's values trace, on the unknowns trace_cols.  For real
+    rates the gauge leaves every off-diagonal entry of G real (each -+i g
+    meets a photon move's phase +-i, every other rate is real), so only
+    diagonal entries fold an Im part: an entry fills at most two places,
+    or four on the diagonal.  bordered sums a solve's values into place,
+    in CSC order, and pattern, the _Pattern of the CSC pattern, factors
+    them, its nonzero places only; lift reads y back: Re y from the
+    unknowns re_pick, Im y as im_sign times the unknowns im_pick
     (None in the half)."""
 
     def __init__(self, orbits: _Orbits, half: bool):
         n = orbits.nk.size
         every, partner = np.arange(n), orbits.partner
         rep = np.minimum(every, partner)  # each orbit's representative
-        rows = np.repeat(every, np.diff(orbits.indptr))
+        rows, cols = orbits.indices, np.repeat(every, np.diff(orbits.indptr))
         e = np.flatnonzero((rows == rep[rows]) & (rows > 0))  # the kept rows' entries
-        r, o = rows[e], rep[orbits.indices[e]]
+        r, c = rows[e], cols[e]
+        o = rep[c]
         on = np.flatnonzero(orbits.trace_row)  # orbits on rho's diagonal: their own partners
         if half:
             number = np.cumsum(rep == every) - 1
@@ -398,8 +406,8 @@ class _RealForm:
             # column c of G meets y_c = Re y_o + i s Im y_o, s = -1 on the
             # partner of a representative o; on the diagonal c = r = o, s = 1
             pr, po = partner[r], partner[o]
-            s = np.where(orbits.indices[e] == o, 1, -1).astype(np.int8)
-            one, diagonal = np.ones_like(s), orbits.indices[e] == r
+            s = np.where(c == o, 1, -1).astype(np.int8)
+            one, diagonal = np.ones_like(s), c == r
             keep = np.concatenate([one > 0, diagonal & (pr != r), diagonal & (pr != r),
                                    (pr != r) & (po != o)])
             row = np.concatenate([r, r, pr, pr])[keep]
@@ -414,9 +422,8 @@ class _RealForm:
                               return_inverse=True)  # CSC order; the trace row is row 0
         self.target, self.trace_at = _frozen(at[:row.size].astype(np.int32), at[row.size:])
         self.source, self.sign = _frozen(source.astype(np.int32), sign)
-        self.pattern = _Pattern(
-            np.arange(place.size, dtype=np.int32), (place % size).astype(np.int32),
-            np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
+        self.pattern = _Pattern((place % size).astype(np.int32),
+                                np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
         self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
         self.gauge = orbits.gauge
 
@@ -424,7 +431,7 @@ class _RealForm:
         """The real bordered matrix's values on its CSC pattern, from G's
         values on the sector's whole pattern; a place can hold 0.0."""
         data = np.bincount(self.target, self.sign * gauged.view(float)[self.source],
-                           minlength=self.pattern.take.size)
+                           minlength=self.pattern.indices.size)
         data[self.trace_at] = self.trace
         return data
 
@@ -445,48 +452,38 @@ class _Pattern:
     the symbolic part of every LU on it, so that a solve runs only the
     numeric part.
 
-    The values handed to factor are in the order of the pattern they were
-    written on (a sector's CSR pattern, or a real form's CSC pattern, where
-    take is the identity): entry k of the CSC matrix is values[take[k]], in
-    row indices[k] of the column that indptr delimits.  Rates at 0 (g, eta
-    or gamma) and the real form's cancellations leave exact zeros among
-    them, and those places leave the LU: factored, they would leave
-    round-off in moments that are exactly 0 (at g = 0 the photon number
-    read -1.8e-16 at N = 4).  So each set of nonzero places has a column
-    order of its own, kept in orders under the set's bytes.  The first LU
-    on a set orders its columns as spla.splu does by default (COLAMD, then
-    the postorder of the column elimination tree) and keeps, with that
-    order perm_c and its inverse columns = argsort(perm_c), the layout of
-    Pc^T A Pc: column j is A's column columns[j], its row r renamed
-    perm_c[r] and listed where A lists it.  Every later LU on the set hands SuperLU that matrix with
-    permc_spec="NATURAL": the postorder of a postordered tree is the
-    identity, so SuperLU factors the same columns in the same order.  It
-    walks a column's rows in the order listed, and prefers as pivot the
-    row of the column's own number when that row ties the column's largest
-    entry, which is A's diagonal entry in both LUs; so it makes the same
-    pivots, and returns the same bytes as the COLAMD solve once its
-    solution w of Pc^T A Pc w = b[columns] is read as w[perm_c]
-    (_Reordered).  spla.splu sorts the rows of a matrix that is not marked
-    canonical, so the reordered matrix, which has no duplicate entries, is
-    marked so."""
+    The values handed to factor are in CSC order (a sector's pattern, or a
+    real form's): values[k] sits in row indices[k] of the column that
+    indptr delimits.  Rates at 0 (g, eta or gamma) and the real form's
+    cancellations leave exact zeros among them, and those places leave the
+    LU: factored, they would leave round-off in moments that are exactly 0
+    (at g = 0 the photon number read -1.8e-16 at N = 4).  So each set of
+    nonzero places has a column order of its own, kept in orders under the
+    set's bytes.  The first LU on a set orders its columns as spla.splu
+    does by default (COLAMD, then the postorder of the column elimination
+    tree) and keeps, with that order perm_c and its inverse columns =
+    argsort(perm_c), the layout of Pc^T A Pc: column j is A's column
+    columns[j], its row r renamed perm_c[r] and listed where A lists it,
+    and take holds the places in values of its entries.  Every later LU on
+    the set hands SuperLU that matrix with permc_spec="NATURAL": the
+    postorder of a postordered tree is the identity, so SuperLU factors the
+    same columns in the same order.  It walks a column's rows in the order
+    listed, and prefers as pivot the row of the column's own number when
+    that row ties the column's largest entry, which is A's diagonal entry
+    in both LUs; so it makes the same pivots, and returns the same bytes as
+    the COLAMD solve once its solution w of Pc^T A Pc w = b[columns] is
+    read as w[perm_c] (_Reordered).  spla.splu sorts the rows of a matrix
+    that is not marked canonical, so the reordered matrix, which has no
+    duplicate entries, is marked so."""
 
-    def __init__(self, take: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-        self.take, self.indices, self.indptr = _frozen(take, indices, indptr)
+    def __init__(self, indices: np.ndarray, indptr: np.ndarray):
+        self.indices, self.indptr = _frozen(indices, indptr)
         self.orders = {}
-
-    @classmethod
-    def of_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> _Pattern:
-        """The _Pattern of a square CSR pattern, its values in CSR order."""
-        take = np.argsort(indices, kind="stable")  # CSR to CSC
-        rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
-        return cls(take.astype(np.int32), rows[take], np.searchsorted(
-            indices[take], np.arange(indptr.size)).astype(np.int32))
 
     def factor(self, values: np.ndarray, what: str):
         """The LU of the nonzero entries of the matrix with these values."""
         size = self.indptr.size - 1
-        data = values[self.take]
-        kept = data != 0.0
+        kept = values != 0.0
         key = kept.tobytes()
         if key in self.orders:
             take, indices, indptr, order = self.orders[key]
@@ -495,14 +492,15 @@ class _Pattern:
             return _factor(matrix, what, order)
         indices = self.indices[kept]
         indptr = np.append(0, np.cumsum(kept))[self.indptr].astype(np.int32)
-        lu = _factor(sp.csc_matrix((data[kept], indices, indptr), shape=(size, size)), what)
+        lu = _factor(sp.csc_matrix((values[kept], indices, indptr), shape=(size, size)), what)
         # a copy: SuperLU's own perm_c keeps the whole factorisation alive
         perm_c = lu.perm_c.copy()
         columns = np.argsort(perm_c)
         lengths = np.diff(indptr)[columns]
         reordered = np.append(0, np.cumsum(lengths)).astype(np.int32)
         at = np.repeat(indptr[columns] - reordered[:-1], lengths) + np.arange(reordered[-1])
-        self.orders[key] = (*_frozen(self.take[kept][at], perm_c[indices[at]], reordered),
+        self.orders[key] = (*_frozen(np.flatnonzero(kept)[at].astype(np.int32),
+                                     perm_c[indices[at]], reordered),
                             _frozen(perm_c, columns))
         return lu
 
@@ -530,14 +528,16 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     the solves have read it all, and for each real form solved its fold
     and its _Pattern, whose layout of the whole CSC pattern counts with
     the fold, and the column order and layout of the set of nonzero places
-    that the LU factored, with the key that finds it: 3.1 + 1.7 MB for the
-    resonant half (157,642 places), 6.1 + 3.2 MB for the adjoint form
-    (308,287 places).  Each further set of nonzero places that an LU meets
-    (rates at 0) adds at most as much again as the whole set.  So a full
-    cache of such sectors would hold about 270 MB on resonance and 345 MB
-    detuned.  The sector takes 0.1 s to build and its half's fold 0.02 s,
-    against 4.3 s for one resonant solve at that size (the adjoint form's
-    fold 0.04 s, against 29 s)."""
+    that the LU factored, with the key that finds it: 2.4 + 1.7 MB for the
+    resonant half (157,642 places), 4.9 + 3.2 MB for the adjoint form
+    (308,287 places).  The spectrum's _Pattern (_Orbits.pattern) shares
+    the sector's pattern and adds only its column orders.  Each further
+    set of nonzero places that an LU meets (rates at 0) adds at most as
+    much again as the whole set.  So a full cache of such sectors would
+    hold about 260 MB on resonance and 325 MB detuned.  The sector takes
+    0.1 s to build and its half's fold 0.02 s, against 4.3 s for one
+    resonant solve at that size (the adjoint form's fold 0.04 s, against
+    29 s)."""
     return _Orbits(n_atoms, n_max, charge)
 
 
@@ -554,7 +554,7 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     MAX_ORBITS count, which runs on every call; this call fills in the
     values on the sector's whole pattern, exact zeros included: a rate at
     0 leaves its entries at 0.0, which the LUs leave out (_Pattern).
-    Returns (orbits, CSR block)."""
+    Returns (orbits, CSC block)."""
     _check_orbit_count(params.n_atoms, n_max, charge)
     orbits = _sector(params.n_atoms, n_max, charge)
     nk, nb, counts = orbits.nk, orbits.nb, orbits.counts
@@ -576,7 +576,7 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     diagonal.imag = ((params.omega_a - params.omega_c) * (counts[1] - counts[2])
                      - params.omega_c * charge)
     data[orbits.diagonal] = diagonal
-    return orbits, sp.csr_matrix((data, orbits.indices, orbits.indptr), shape=(nk.size, nk.size))
+    return orbits, sp.csc_matrix((data, orbits.indices, orbits.indptr), shape=(nk.size, nk.size))
 
 
 @dataclass(frozen=True)
@@ -664,15 +664,15 @@ def _factor(block: sp.csc_matrix, what: str, order: tuple | None = None):
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
-def _gauged(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
+def _gauged(block: sp.csc_matrix, orbits: _Orbits) -> np.ndarray:
     """The values of D^-1 block D, D = diag(orbits.gauge), on the sector's
-    whole pattern in its CSR order, which every block keeps.  The phases
+    whole pattern in its CSC order, which every block keeps.  The phases
     are +-1 and +-i, so every product is exact; their places in
     _ENTRY_PHASES are cached (orbits.entry_phase)."""
     return block.data * _ENTRY_PHASES[orbits.entry_phase]
 
 
-def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
+def _solve_stationary(block: sp.csc_matrix, orbits: _Orbits) -> np.ndarray:
     """Orbit coordinates of the stationary rho from the charge-0 block, as a
     real system (_RealForm): the block, gauged, folded into real unknowns
     and equations, its first row (orbit 0, the entry rho[0, 0]) replaced by
@@ -683,10 +683,10 @@ def _solve_stationary(block: sp.csr_matrix, orbits: _Orbits) -> np.ndarray:
     unique stationary state.  x is Hermitian by construction and of unit
     trace.  The fold is built once per cached sector (_sector), so a solve
     only gauges the block's values on the sector's whole pattern, sums them
-    into the real matrix with np.bincount and factors its nonzero entries
-    as float64, through the column order of the first LU on the same
-    nonzero places (_Pattern), so a sector factored before runs no
-    ordering, whichever rates are 0."""
+    into the real matrix with np.bincount, both in CSC order, and factors
+    its nonzero entries as float64 through the column order of the first
+    LU on the same nonzero places (_Pattern), so a sector factored before
+    runs no ordering, whichever rates are 0."""
     gauged = _gauged(block, orbits)
     form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
     b = np.zeros(form.size)

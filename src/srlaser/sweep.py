@@ -26,7 +26,7 @@ from .analytic import crossover_linewidth, tieri_linewidth
 from .cumulant import solve_all, steady_state
 from .dicke import classify_regime, dicke_numbers
 from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
-from .model import SystemParams, from_hz, params_to_config, to_hz
+from .model import SystemParams, _require, from_hz, params_to_config, to_hz
 from .spectrum import linewidth, pole_linewidth
 
 STATUS_VALUES = ("ok", "solver_error", "fit_error")
@@ -40,13 +40,6 @@ ONE_LORENTZIAN_WEIGHT = 1e-2
 # 9 significant digits, scientific: deterministic across platforms and
 # exactly round-trippable through float().
 _FMT = "%.8e"
-
-
-def _require(value, kind, name: str) -> None:
-    """A config value of the wrong type (a JSON string, a bool) is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -269,8 +262,9 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     workers > 1 (cumulant.solve_all: one batched relaxation, then the
     Newton stages in lock-step batches).  Each cell is then evaluated from
     its solved state, to the bytes that solving it alone gives, so a
-    worker pool runs only the per-cell observables.  A grid with a single
-    pending cell is solved alone.
+    worker pool runs only the per-cell observables.  The pool's size is
+    the least of workers, the pending cells and the CPUs.  A grid with a
+    single pending cell is solved alone.
     A JSON sidecar (path + ".meta.json") records the base parameters, observables,
     package version (srlaser.__version__), wall time and row counts, none
     of which enter the CSV.
@@ -315,10 +309,13 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     pending = [(cfg.base, n, eta, cfg.observables, row)
                for (n, eta), row in zip(pending, solved)]
 
-    if cfg.workers > 1 and len(pending) > 1:
+    # under the fork start method a pool starts all its workers at its
+    # first submit, so it gets no more than the pending cells and CPUs use
+    workers = min(cfg.workers, len(pending), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_cell_worker, pending, chunksize=1))
     else:
         computed = [_cell_worker(args) for args in pending]

@@ -146,6 +146,11 @@ def test_sweep_config_typo_is_a_usage_error(capsys, tmp_path, key, value, named)
     ("eta_grid", {"min_hz": 1000.0, "max_hz": 2000.0, "points": True}, "points"),
     ("eta_grid", {"min_hz": "1000", "max_hz": 2000.0, "points": 2}, "min_hz"),
     ("eta_grid", {"min_hz": 1000.0, "max_hz": "2e3", "points": 2}, "max_hz"),
+    ("eta_hz", "1e3", "eta_hz"),
+    ("eta_hz", True, "eta_hz"),
+    ("detuning_hz", None, "detuning_hz"),
+    ("g_hz", [1], "g_hz"),
+    ("chi_hz", "x", "chi_hz"),
 ])
 def test_sweep_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, value,
                                                           field):
@@ -159,6 +164,20 @@ def test_sweep_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, 
     assert code == 2
     assert err.startswith(f"usage error: {field} must be") and repr(bad) in err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eta_hz", "1e3"), ("eta_hz", True), ("detuning_hz", None), ("g_hz", [1]),
+    ("chi_hz", "x"), ("kappa_hz", "160e3"), ("gamma_hz", False),
+])
+def test_steady_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, value):
+    # a rate or frequency that is not a real number (a JSON string, null, a
+    # list or a bool) is a usage error, not a traceback and not 1 Hz
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 1000, key: value}))
+    code, out, err = run_cli(capsys, ["steady", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage error: {key} must be a number") and repr(value) in err
 
 
 def test_version_flag(capsys):

@@ -55,6 +55,14 @@ def test_rejects_negative_and_nonfinite_rates(field):
         SystemParams(**{"n_atoms": 2, "g": 1.0, "kappa": 1.0, "gamma": 0.1, field: math.nan})
 
 
+@pytest.mark.parametrize("value", ["1.0", None, [1.0], 1j, True, np.True_])
+@pytest.mark.parametrize("field", ["g", "kappa", "gamma", "eta", "chi", "omega_a", "omega_c"])
+def test_rejects_a_rate_that_is_not_a_real_number(field, value):
+    # a ValueError, not math.isfinite's TypeError; a bool is not a rate
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        SystemParams(**{"n_atoms": 2, "g": 1.0, "kappa": 1.0, "gamma": 0.1, field: value})
+
+
 def test_detuning_is_atom_minus_cavity():
     p = SystemParams(n_atoms=1, g=1.0, kappa=1.0, gamma=0.1, omega_a=3.0, omega_c=1.0)
     assert p.detuning == 2.0

@@ -1050,10 +1050,11 @@ BLOCK_CASES = {
 
 
 def _csr_bytes(block):
-    """The bytes of block's nonzero entries: values, places and row starts.
-    A cached block keeps its exact zeros on the sector's pattern, and the
-    direct COO build leaves zero amplitudes out, so both drop them here."""
-    block = block.copy()
+    """The bytes of block's nonzero entries in CSR form: values, places and
+    row starts.  A cached block is CSC and keeps its exact zeros on the
+    sector's pattern, and the direct COO build is CSR and leaves zero
+    amplitudes out, so both are taken to CSR and drop them here."""
+    block = block.tocsr(copy=True)
     block.eliminate_zeros()
     return [(a.dtype.str, a.tobytes()) for a in (block.data, block.indices, block.indptr)]
 
@@ -1082,6 +1083,29 @@ def test_cached_block_equals_a_cold_build_byte_for_byte(n_atoms, charge):
         assert built(params, n_max) == expected
     # since the last clear: one sector per cutoff, every other build a hit
     assert oracle._sector.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("charge", [-1, 0, 1])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_csc_block_products_keep_the_csr_bytes(n_atoms, charge):
+    # scipy's CSC products add into y[i] in increasing column order, as its
+    # CSR row sums do, so the residual (block @ x) and the derivative check
+    # (block @ states.T) read the bytes a CSR block gives; the spectrum's
+    # pattern is the sector's own arrays, not a copy
+    rng = np.random.default_rng(5)
+    for kw in BLOCK_CASES.values():
+        for n_max in (2, 5):
+            orbits, block = oracle._orbit_block(SystemParams(n_atoms=n_atoms, **kw), n_max,
+                                                charge)
+            csr = block.tocsr()
+            n = block.shape[0]
+            vectors = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                       for shape in ((n,), (n, 1), (n, 5), (5, n))]
+            vectors[-1] = vectors[-1].T  # a transposed view, as states.T
+            for v in vectors:
+                assert (block @ v).tobytes() == (csr @ v).tobytes()
+            assert orbits.pattern.indices is orbits.indices
+            assert orbits.pattern.indptr is orbits.indptr
 
 
 def _oracle_small_outputs():

@@ -67,6 +67,40 @@ def test_worker_count_does_not_change_output(tmp_path):
     assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
 
 
+class _InProcessPool:
+    """A stand-in ProcessPoolExecutor that records max_workers and maps in
+    this process, so no worker is started."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, pool", [
+    (64, 8, 6), (64, 4, 4), (3, 8, 3), (64, None, None), (2, 1, None), (1, 8, None),
+])
+def test_pool_has_at_most_the_pending_cells_and_cpus(tmp_path, monkeypatch, workers, cpus,
+                                                     pool):
+    # 6 pending cells: a pool of W > 6 would start W processes at once
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    rows = run_grid(_small_config(tmp_path / "grid.csv", workers=workers))
+    assert _InProcessPool.sizes == ([] if pool is None else [pool])
+    assert rows == run_grid(_small_config(tmp_path / "serial.csv"))
+
+
 def _count_integrations(monkeypatch):
     """Record the y0 shape of every cumulant.solve_ivp call."""
     shapes = []
