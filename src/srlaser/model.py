@@ -138,13 +138,14 @@ PRESET_NAMES = tuple(sorted(_PRESETS_HZ))
 
 
 def preset(name: str, **overrides) -> SystemParams:
-    """Return a named parameter preset, optionally updated via keywords."""
-    try:
-        base = _PRESETS_HZ[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        ) from None
+    """Return a named parameter preset, optionally updated via keywords.
+
+    Any name not in PRESET_NAMES raises KeyError, also one that is not a
+    str, such as a list or a dict read from a JSON config.
+    """
+    base = _PRESETS_HZ.get(name) if isinstance(name, str) else None
+    if base is None:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     params = SystemParams(
         n_atoms=1,
         g=from_hz(base["g"]),

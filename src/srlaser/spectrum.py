@@ -133,7 +133,7 @@ def _ext_jacobian(x: np.ndarray, omega_f: np.ndarray, params: SystemParams,
 
 
 def _response_terms(base: MomentState, params: SystemParams, beta: float, omega_f):
-    """w1, w2 and the numerator and denominator of the filter response ratio.
+    """w1, w2, the atomic term N g conj(c) and the denominator of the response.
 
     w1 and w2 are the complex filter-cavity and filter-atom frequencies;
     the ratio (w2 n + N g conj(c)) / (w1 w2 + N g^2 s) carries the whole
@@ -142,9 +142,9 @@ def _response_terms(base: MomentState, params: SystemParams, beta: float, omega_
     b1, b2 = _filter_widths(params, beta)
     w1 = omega_f - params.omega_c + 1j * b1
     w2 = omega_f - params.omega_a + 1j * b2
-    numer = w2 * base.photon_number + params.n_atoms * params.g * base.atom_photon.conjugate()
+    atom = params.n_atoms * params.g * base.atom_photon.conjugate()
     denom = w1 * w2 + params.n_atoms * params.g**2 * base.inversion
-    return w1, w2, numer, denom
+    return w1, w2, atom, denom
 
 
 def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
@@ -157,14 +157,19 @@ def filter_response(base: MomentState, params: SystemParams, probe: FilterProbe,
     filter-cavity and filter-atom frequencies.  Exact in the weak-probe
     limit; it also seeds the extended Newton solve.
     """
-    _, w2, numer, denom = _response_terms(base, params, probe.beta,
-                                          np.asarray(omega_f, dtype=float))
+    _, w2, atom, denom = _response_terms(base, params, probe.beta,
+                                         np.asarray(omega_f, dtype=float))
     if np.any(denom == 0.0):
         raise SimulationError("filter response denominator vanished")
-    ratio = numer / denom
+    ratio = (w2 * base.photon_number + atom) / denom
     y = -probe.big_g * ratio
     z = -(probe.big_g * base.atom_photon.conjugate() + params.g * base.inversion * y) / w2
     return -(2.0 * probe.big_g**2 / probe.beta) * ratio.imag, y, z
+
+
+def _quotient(x: float, y: float) -> float:
+    """x / y of two floats >= 0 or nan, as numpy divides: x / 0 is inf, 0 / 0 nan."""
+    return x / y if y else math.inf if x > 0.0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -185,11 +190,13 @@ class ResponsePoles:
         """Peak height of the broad pole's Lorentzian over the narrow one's.
 
         Small when the line is one Lorentzian of width delta_nu; nan when
-        the response has no residue at all (n = c = 0).
+        the response has no residue at all (n = c = 0).  The quotients are
+        Python floats.  The residues' moduli stay numpy's: its vectorised
+        complex abs rounds differently from hypot, which abs() of a Python
+        complex calls, in about 30 % of random values.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            peak = np.abs(self.residues) / np.abs(self.poles.imag)
-            return float(peak[1] / peak[0])
+        (r0, r1), (p0, p1) = np.abs(self.residues).tolist(), self.poles.tolist()
+        return _quotient(_quotient(r1, abs(p1.imag)), _quotient(r0, abs(p0.imag)))
 
 
 def pole_linewidth(params: SystemParams, base: MomentState) -> ResponsePoles:
@@ -201,20 +208,30 @@ def pole_linewidth(params: SystemParams, base: MomentState) -> ResponsePoles:
     Where the broad one carries no weight, the line is one Lorentzian and
     the narrow root's 2 |Im| is the width that linewidth() measures with a
     probe and a fit.
+
+    The arithmetic is on Python complex numbers, bar two operations that
+    stay numpy's so that the poles and residues keep their bits.  The
+    square root is np.sqrt: cmath.sqrt rounds differently at half of the
+    random points of the imaginary axis.  The divisions, for the small
+    root and the residues, are numpy's Smith algorithm: CPython's complex
+    division rounds differently in about 40 % of random pairs.  A double
+    pole's residues are numpy's numerator / 0, without its warning.
     """
-    w1, w2, _, d0 = _response_terms(base, params, 0.0, 0.0)
+    w1, w2, atom, d0 = _response_terms(base, params, 0.0, 0.0)
     # denominator = omega^2 - 2 half omega + d0; the larger root first,
     # the smaller from the product of the roots, without cancellation
     half = -0.5 * (w1 + w2)
-    root = np.sqrt(half**2 - d0)
+    root = complex(np.sqrt(half**2 - d0))
     big = half + root if abs(half + root) >= abs(half - root) else half - root
-    small = d0 / big if big != 0.0 else big
-    poles = np.array(sorted((small, big), key=lambda p: abs(p.imag)))
-    numer = _response_terms(base, params, 0.0, poles)[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residues = numer / (poles - poles[::-1])
-    return ResponsePoles(poles=poles, residues=residues,
-                         delta_nu=2.0 * abs(float(poles[0].imag)))
+    small = complex(np.complex128(d0) / big) if big else big
+    # the narrow pole first; on a tie in |Im| the small root, as a stable sort
+    p0, p1 = (big, small) if abs(big.imag) < abs(small.imag) else (small, big)
+    # the residue at a pole p is the numerator at omega_f = p,
+    # (w2 + p) n + N g conj(c) with w2 at 0, over p minus the other pole
+    n0, n1 = (w2 + p0) * base.photon_number + atom, (w2 + p1) * base.photon_number + atom
+    residues = ((np.complex128(n0) / (p0 - p1), np.complex128(n1) / (p1 - p0)) if p0 != p1
+                else (n0 * math.inf, n1 * math.inf))
+    return ResponsePoles(np.array((p0, p1)), np.array(residues), 2.0 * abs(p0.imag))
 
 
 # Newton steps of the extended solve; it stalls at round-off in a handful.

@@ -10,7 +10,9 @@ default-seed pass per workload, checked against the recorded references
 (the grids' CSVs and the Newton tolerance, the oracle's moments and
 spectra), so that a moved reference fails here too.  And the sha256 of
 every grid workload's CSVs at seeds 0 and 3, so that a change meant to
-keep every output bit for bit is checked to the byte.
+keep every output bit for bit is checked to the byte.  The response poles
+of every grid workload's steady states at seeds 0 and 3 are checked bit
+for bit against their array form (``pole_reference``).
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench import trace, workloads  # noqa: E402
+from pole_reference import assert_matches_reference  # noqa: E402
 from srlaser import sweep  # noqa: E402
+from srlaser.cumulant import solve_all, steady_state  # noqa: E402
 
 
 def _traced(run):
@@ -107,3 +111,20 @@ def test_grid_csvs_keep_their_recorded_bytes(tmp_path):
                 sweep.run_grid(replace(cfg, output_path=str(path)))
                 found[f"{name}/{seed}/{label}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert found == recorded
+
+
+def test_grid_states_poles_match_the_array_form():
+    # pole_linewidth on Python scalars against the array form it replaced,
+    # on all 970 steady states of the grid workloads at seeds 0 and 3, as
+    # run_grid solves them: one batch per grid, or alone for a single cell
+    checked = 0
+    for seed in (0, 3):
+        for name in ("threshold_grid", "detuned_grid", "linewidth_sweep"):
+            for _, cfg in workloads.grid_inputs(name, seed):
+                cells = [sweep._cell_params(cfg.base, n, float(eta)) for n in cfg.n_list
+                         for eta in cfg.eta_grid.values_hz()]
+                solved = solve_all(cells) if len(cells) > 1 else [None]
+                for params, row in zip(cells, solved):
+                    assert_matches_reference(params, steady_state(params, solved=row))
+                    checked += 1
+    assert checked == 970

@@ -180,6 +180,16 @@ def test_steady_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key,
     assert err.startswith(f"usage error: {key} must be a number") and repr(value) in err
 
 
+@pytest.mark.parametrize("name", [[1], {"name": "sr88"}, 5], ids=["list", "dict", "int"])
+def test_steady_config_preset_that_is_not_a_name_is_a_usage_error(capsys, tmp_path, name):
+    # a preset that is no str is an unknown preset, not a TypeError traceback
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"preset": name, "n_atoms": 10}))
+    code, out, err = run_cli(capsys, ["steady", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and f"unknown preset {name!r}" in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0

@@ -35,6 +35,7 @@ from srlaser.sweep import ONE_LORENTZIAN_WEIGHT
 
 from conftest import rel_err
 from oracle_reference import HilbertSpace, moment_derivatives, moments_from_rho, product_state
+from pole_reference import assert_matches_reference
 
 
 # ------------------------------------------------- probe equations vs oracle
@@ -416,6 +417,46 @@ def test_desk_line_has_a_weighted_broad_pole(n_atoms, weight):
     assert np.all(poles.residues != 0.0)
     assert poles.broad_weight == pytest.approx(weight, rel=1e-2)
     assert poles.broad_weight > ONE_LORENTZIAN_WEIGHT
+
+
+_DESK2 = SystemParams(n_atoms=2, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+_LOSSLESS_VACUUM = SystemParams(n_atoms=2, g=0.0, kappa=0.0, gamma=0.0, eta=0.0)
+# N g^2 s = -(b1 - b2)^2 / 4 on resonance: the two roots coincide exactly
+_DOUBLE = SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.1, eta=0.4)
+
+
+@pytest.mark.parametrize("params, base, weight", [
+    pytest.param(SystemParams(n_atoms=3, g=0.0, kappa=1.0, gamma=0.01, eta=0.2, chi=0.03),
+                 None, np.nan, id="g0"),
+    pytest.param(SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.0, eta=0.0),
+                 None, np.nan, id="gamma_eta_0"),
+    pytest.param(_DESK2, MomentState(0.0, 0j, 0.5, 0j), np.nan, id="n_c_0"),
+    pytest.param(_LOSSLESS_VACUUM, None, np.nan, id="lossless_vacuum"),
+    pytest.param(_DESK2, None, 0.0525, id="desk_n2"),
+    pytest.param(_DOUBLE, MomentState(1.0, 0.1j, -0.25, 0j), np.nan, id="double_pole"),
+    # half^2 - d0 = 0.14j, where cmath.sqrt rounds the root's Im otherwise
+    pytest.param(SystemParams(n_atoms=1, g=0.5, kappa=1.0, gamma=0.2, omega_a=0.7),
+                 MomentState(1.0, 0.2j, 0.32999999999999996, 0j), 0.5662, id="sqrt_imag_axis"),
+])
+def test_pole_edge_states_match_the_array_form(params, base, weight):
+    # Python-scalar poles keep the array form's bits where its divisions
+    # meet 0 / 0 or x / 0, and raise no RuntimeWarning there
+    base = steady_state(params) if base is None else base
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poles = assert_matches_reference(params, base)
+    if np.isnan(weight):
+        assert np.isnan(poles.broad_weight)
+    else:
+        assert poles.broad_weight == pytest.approx(weight, rel=1e-3)
+
+
+def test_double_pole_residues_are_numerator_over_zero():
+    poles = pole_linewidth(_DOUBLE, MomentState(1.0, 0.1j, -0.25, 0j))
+    assert poles.poles[0] == poles.poles[1] == -0.375j
+    assert np.all(np.isnan(poles.residues.real)) and np.all(poles.residues.imag == -np.inf)
+    poles = pole_linewidth(_LOSSLESS_VACUUM, steady_state(_LOSSLESS_VACUUM))
+    assert np.all(poles.poles == 0.0) and np.all(np.isnan(poles.residues))
 
 
 # the lowest sr87 pump of the sweep grids, eta = gamma, holds a plateau state;
