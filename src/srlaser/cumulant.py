@@ -70,9 +70,12 @@ class MomentState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """newton_tol: steady_state's scaled-residual tolerance."""
+    """newton_tol: None, steady_state's tolerance being 1e-10 max(1, kappa)
+    (_newton_stages).  Nothing in the package sets it or passes a
+    SolverConfig; the field stays because the perfbench harness and its
+    tests read SolverConfig().newton_tol."""
 
-    newton_tol: float | None = None  # None -> 1e-10 * max(1, kappa)
+    newton_tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -582,17 +585,17 @@ def _closed_form_only(params: SystemParams) -> bool:
     return params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0
 
 
-def _newton_stages(params_list, starts, cfg: SolverConfig) -> list:
+def _newton_stages(params_list, starts) -> list:
     """steady_state's stages 2 and 3 for every params at once, from the
-    relaxed states starts (M, 6); one (x, res, ok) per params.
+    relaxed states starts (M, 6); one (x, res, ok) per params.  A row is
+    accepted at scaled residual 1e-10 max(1, kappa).
 
     Stage 2 is one _newton batch from starts.  Stage 3 is one more, from
     the closed-form roots of the rows that failed or ended unphysical.
     A row that neither stage settles keeps stage 2's x and best residual,
     with ok False.
     """
-    tols = [cfg.newton_tol if cfg.newton_tol is not None else 1e-10 * max(1.0, p.kappa)
-            for p in params_list]
+    tols = [1e-10 * max(1.0, p.kappa) for p in params_list]
     x, res, ok = _newton(starts, params_list, tols)
     ok = [bool(good) and _is_physical(v) for good, v in zip(ok, x)]
     retry = [(i, _closed_form_root(params_list[i])) for i, good in enumerate(ok) if not good]
@@ -611,7 +614,7 @@ def solve_all(params_list) -> list:
     """steady_state's stages for many params at once, bit for bit.
 
     One batched relaxation (relax_all), then the two Newton stages as
-    lock-step batches, at the default SolverConfig.  Each entry is to be
+    lock-step batches.  Each entry is to be
     passed to steady_state(params, solved=...), which then returns or
     raises what steady_state(params) would, and runs no stage again.  It
     is None where steady_state solves params alone: a coupled lossless
@@ -623,21 +626,21 @@ def solve_all(params_list) -> list:
     todo = [i for i, x in enumerate(relaxed) if x is not None]
     if todo:
         rows = _newton_stages([params_list[i] for i in todo],
-                              np.array([relaxed[i] for i in todo]), SolverConfig())
+                              np.array([relaxed[i] for i in todo]))
         for i, row in zip(todo, rows):
             out[i] = row
     return out
 
 
-def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
-                 return_info: bool = False, *, solved: tuple | None = None):
+def steady_state(params: SystemParams, return_info: bool = False, *,
+                 solved: tuple | None = None):
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants,
        which removes the fast transient only.  The integrator is
        srlaser.dop853, so no scipy module is loaded.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
-       to the scaled-residual tolerance.
+       to the scaled-residual tolerance 1e-10 max(1, kappa).
     3. If that fails or lands on an unphysical root: Newton from the
        closed-form physical root, which exists at any detuning.  This
        stage, not a longer relaxation, settles the slow inputs.
@@ -645,8 +648,7 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     Stages 2 and 3 run as the batches of solve_all, here a batch of one.
     A caller that has solved many params at once passes params' entry of
     solve_all(params_list) as solved, and no stage runs again: the state
-    returned, or the error raised, is the one the stages give at the
-    default cfg.
+    returned, or the error raised, is the one the stages give.
 
     A returned state is a physical root within the tolerance.  Otherwise
     ConvergenceError is raised, carrying stage 2's best scaled residual.
@@ -661,7 +663,6 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
     the answer is the ground-state vacuum (0, 0, -1, 0) at scaled residual
     0: it is stationary, and relaxation starts from it.
     """
-    cfg = cfg or SolverConfig()
     if _closed_form_only(params):
         x = _closed_form_root(params)
         if x is None:
@@ -674,7 +675,7 @@ def steady_state(params: SystemParams, cfg: SolverConfig | None = None,
         res = scaled_residual(x, params)
     else:
         if solved is None:
-            (solved,) = _newton_stages([params], _relax(params)[None], cfg)
+            (solved,) = _newton_stages([params], _relax(params)[None])
         x, res, ok = solved
         if not ok:
             raise ConvergenceError(

@@ -26,7 +26,9 @@ class ProbeError(SimulationError):
 
 
 class CutoffError(SimulationError):
-    """Fock-space truncation did not converge within the allowed rounds."""
+    """No Fock cutoff converges: a lossless cavity pumped at or above
+    transparency, or a climb whose next cutoff is over the orbit cap.
+    drift is the last measured moment drift, None if none was measured."""
 
     def __init__(self, message, drift=None):
         super().__init__(message)

@@ -78,6 +78,7 @@ basis |ground> = index 0, |excited> = index 1.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -88,7 +89,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CutoffError, MemoryBudgetError, SimulationError
-from .model import SystemParams
+from .model import SystemParams, _require
 
 # Cap on a block's orbits, so on every LU's unknowns.  One cold desk
 # _steady_once, which solves the real half on resonance (one BLAS thread,
@@ -111,7 +112,6 @@ MODEL_STEP = 10  # Arnoldi steps between two reduced models
 # relative change of every reported moment between cutoffs n_max and
 # n_max + 2 below which the stationary state counts as converged
 DRIFT_TOL = 1e-6
-MAX_ROUNDS = 3  # cutoff raises before oracle_steady_state gives up
 CHECK_SEED, CHECK_N_MAX = 7, 6  # of derivative_match_error's product states
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -153,18 +153,12 @@ def _frozen(*arrays: np.ndarray):
     return arrays if len(arrays) > 1 else arrays[0]
 
 
-def _check_integer(name: str, value) -> None:
-    """ValueError unless value is a Python or numpy integer; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_orbit_count(n_atoms: int, n_max: int, charge: int) -> None:
     """Raises ValueError for N < 1 or an n_max that is not an integer >= 0,
     and MemoryBudgetError if the sector has more than MAX_ORBITS orbits,
     from a closed-form count (_orbit_count), so before any label is built.
     The count is cached; its comparison with MAX_ORBITS runs on every call."""
-    _check_integer("n_max", n_max)
+    _require(n_max, numbers.Integral, "n_max")
     if n_atoms < 1 or n_max < 0:
         raise ValueError(f"need n_atoms >= 1 and n_max >= 0, got {n_atoms}, {n_max}")
     count = _orbit_count(n_atoms, n_max, charge, MAX_ORBITS)
@@ -739,31 +733,48 @@ def _moment_drift(a: OracleMoments, b: OracleMoments) -> float:
 
 def _climb(params: SystemParams, n_max: int) -> OracleResult:
     """Solves at n_max and n_max + 2 and requires every reported moment to
-    agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2, at
-    most MAX_ROUNDS times, so the last cutoff solved is n_max + 6.  Each
-    round's upper solve is the next round's lower one, so every cutoff is
-    built and solved once.  Returns the upper cutoff's state, with the
-    residual of its own block.  CutoffError names the last cutoff and its
-    drift."""
-    low = _steady_once(params, n_max)
-    for _ in range(MAX_ROUNDS):
-        high = _steady_once(params, low.n_max + 2)
-        drift = _moment_drift(low.moments, high.moments)
-        if drift < DRIFT_TOL:
-            return high
+    agree to DRIFT_TOL relative; otherwise the cutoff is raised by 2 until
+    they do.  Each round's upper solve is the next round's lower one, so
+    every cutoff is built and solved once.  Returns the upper cutoff's
+    state, with the residual of its own block.
+
+    CutoffError is raised only where no cutoff can converge.  A lossless
+    cavity (kappa = 0, g > 0) pumped at or above transparency (eta >=
+    gamma, eta > 0) raises before any solve: with no photon loss, energy
+    balance needs P_e = eta / (eta + gamma) >= 1/2 of atoms that the
+    growing field saturates at 1/2, so the photons pile up against the
+    cutoff and the drift falls only algebraically (desk N = 1 to 3 from
+    n_max 4: 0.34, 0.25, 0.20, ... 0.063 after 14 rounds, with 31.9
+    photons at n_max 32).  A climb whose next cutoff has more than
+    MAX_ORBITS orbits raises, chained from the MemoryBudgetError, naming
+    the last cutoff solved and its drift, None if only the start was
+    solved.  At eta = gamma = 0 the block is singular, a SimulationError."""
+    if params.kappa == 0.0 and params.g > 0.0 and params.eta >= params.gamma and params.eta > 0.0:
+        raise CutoffError("a lossless cavity pumped at or above transparency (eta >= gamma) "
+                          "has no stationary state: its photons pile up at every cutoff")
+    high, drift = _steady_once(params, n_max), None
+    while drift is None or drift >= DRIFT_TOL:
         low = high
-    raise CutoffError(
-        f"moments still drift {drift:.2e} (> {DRIFT_TOL:.0e}) at n_max={high.n_max}",
-        drift=drift,
-    )
+        try:
+            high = _steady_once(params, low.n_max + 2)
+        except MemoryBudgetError as exc:
+            seen = "no drift yet" if drift is None else f"moments still drift {drift:.2e}"
+            raise CutoffError(f"{seen} at n_max={low.n_max}; the next cutoff is over MAX_ORBITS",
+                              drift=drift) from exc
+        drift = _moment_drift(low.moments, high.moments)
+    return high
 
 
 def oracle_steady_state(params: SystemParams, n_max: int = 6) -> OracleResult:
     """Stationary state with automatic Fock-cutoff convergence: the
     climb's (_climb) returned cutoff, solved on orbit blocks only, with the
     residual max |L rho| of that cutoff's own block (_steady_once).  The
-    result keeps the orbit coordinates; its product-basis rho is lifted
-    only when read.
+    climb starts at n_max and raises it by 2 until the moments converge,
+    so the start sets only where the climb begins: desk N = 8 and 10
+    converge at n_max 14 and 16 from the default.  CutoffError means no
+    cutoff can converge: a lossless cavity pumped at or above
+    transparency, or a next cutoff over MAX_ORBITS.  The result keeps the
+    orbit coordinates; its product-basis rho is lifted only when read.
     """
     return _climb(params, n_max)
 
@@ -914,7 +925,8 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     d tau = -Re Tr[a^dag (L + i omega)^-1 (a rho_ss)].  a rho_ss lies in
     the charge -1 block A of L, which has no zero eigenvalue, so nothing is
     propagated in time and omega = 0 is as regular as any other point.  The
-    cutoff climb is oracle_steady_state's, on orbit blocks only.  a rho_ss
+    cutoff climb is oracle_steady_state's (_climb), on orbit blocks only,
+    run again from n_max, with its CutoffError cases.  a rho_ss
     is permutation invariant, so the resolvent stays in the charge -1 orbit
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
     (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
@@ -986,7 +998,7 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     """
     from .cumulant import MomentState, rhs
 
-    _check_integer("n_states", n_states)
+    _require(n_states, numbers.Integral, "n_states")
     if n_states < 1:
         raise ValueError(f"need n_states >= 1, got {n_states}")
     rng = np.random.default_rng(CHECK_SEED)

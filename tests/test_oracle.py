@@ -138,10 +138,44 @@ def test_uncoupled_atoms_leave_the_cavity_empty(n_atoms, extra):
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
 def test_lossless_cavity_is_a_cutoff_error(n_atoms):
-    # kappa = 0: the photons pile up, so no cutoff converges
+    # kappa = 0 and eta >= gamma: the photons pile up, so no cutoff converges
     params = SystemParams(n_atoms=n_atoms, **{**DESK, "kappa": 0.0})
-    with pytest.raises(CutoffError, match="at n_max=10$"):
+    with pytest.raises(CutoffError, match=r"at or above transparency \(eta >= gamma\)"):
         oracle_steady_state(params, n_max=4)
+
+
+@pytest.mark.parametrize("gamma, eta", [(0.01, 0.2), (0.01, 0.01), (0.0, 0.2)])
+def test_lossless_cavity_at_transparency_raises_before_any_block(monkeypatch, gamma, eta):
+    # the drift of such a climb falls only algebraically, so no block is built
+    blocks = []
+    _count_calls(monkeypatch, "_orbit_block", blocks, lambda args: args[1:])
+    params = SystemParams(n_atoms=2, g=0.25, kappa=0.0, gamma=gamma, eta=eta)
+    with pytest.raises(CutoffError, match="no stationary state") as excinfo:
+        oracle_steady_state(params)
+    assert excinfo.value.drift is None
+    with pytest.raises(CutoffError, match="no stationary state"):
+        oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 5))
+    assert blocks == []
+
+
+def test_decoupled_lossless_cavity_is_no_transparency_error():
+    # g = 0: the pump never reaches the cavity, so the solve decides, and a
+    # free lossless cavity has no unique stationary state
+    params = SystemParams(n_atoms=1, g=0.0, kappa=0.0, gamma=0.01, eta=0.2)
+    with pytest.raises(SimulationError, match="singular"):
+        oracle_steady_state(params)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3])
+@pytest.mark.parametrize("eta", [0.005, 0.002])
+def test_lossless_cavity_below_transparency_converges_to_the_closed_form(n_atoms, eta):
+    # kappa = 0, eta < gamma: no photon leaves, so the atoms' net emission
+    # vanishes, and n = -(1 + d0) / (2 d0) with d0 = (eta - gamma) / (eta + gamma)
+    gamma = 0.01
+    d0 = (eta - gamma) / (eta + gamma)
+    params = SystemParams(n_atoms=n_atoms, g=0.25, kappa=0.0, gamma=gamma, eta=eta)
+    result = oracle_steady_state(params)
+    assert result.moments.photon_number == pytest.approx(-(1 + d0) / (2 * d0), rel=1e-7)
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])
@@ -821,11 +855,22 @@ def test_cutoff_is_raised_until_moments_converge():
     assert abs(result.moments.photon_number - 0.273060) < 1e-4
 
 
-def test_cutoff_error_reports_residual_drift():
+def _cap_at(monkeypatch, n_atoms, n_max):
+    """Lowers MAX_ORBITS to the charge-0 orbits at (n_atoms, n_max), so the
+    climb's next cutoff is over the cap; _orbit_count is cached per cap."""
+    monkeypatch.setattr(oracle, "MAX_ORBITS", int(oracle._orbit_count(n_atoms, n_max, 0, 2**15)))
+
+
+def test_cutoff_error_reports_residual_drift(monkeypatch):
+    # desk N = 3 from n_max = 0 converges at 10; a cap at 6 stops it with
+    # the drift between 4 and 6
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    assert oracle_steady_state(params, n_max=0).n_max == 10
+    _cap_at(monkeypatch, 3, 6)
     with pytest.raises(CutoffError, match="drift") as excinfo:
         oracle_steady_state(params, n_max=0)
-    assert excinfo.value.drift > 1e-6
+    low, high = (oracle._steady_once(params, k).moments for k in (4, 6))
+    assert excinfo.value.drift == oracle._moment_drift(low, high) > 1e-6
 
 
 def _count_calls(monkeypatch, name, log, key):
@@ -902,11 +947,36 @@ def test_six_atom_state_is_measured_without_a_lift_or_eigenvalues(monkeypatch):
     assert lifts == [] and eigvals == []
 
 
-def test_cutoff_error_names_the_highest_cutoff_solved():
+def test_cutoff_error_names_the_highest_cutoff_solved(monkeypatch):
+    # the climb stops where the next cutoff is over MAX_ORBITS, and the
+    # MemoryBudgetError that stopped it is the cause
     params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
-    # MAX_ROUNDS = 3 raises from n_max = 0 to 6
-    with pytest.raises(CutoffError, match="at n_max=6$"):
+    _cap_at(monkeypatch, 3, 6)
+    with pytest.raises(CutoffError, match="at n_max=6; the next cutoff") as excinfo:
         oracle_steady_state(params, n_max=0)
+    assert isinstance(excinfo.value.__cause__, MemoryBudgetError)
+    assert "n_max = 8" in str(excinfo.value.__cause__)
+
+
+def test_cap_over_the_first_upper_cutoff_raises_without_a_drift(monkeypatch):
+    params = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+    _cap_at(monkeypatch, 3, 4)
+    with pytest.raises(CutoffError, match="no drift yet at n_max=4;") as excinfo:
+        oracle_steady_state(params, n_max=4)
+    assert excinfo.value.drift is None
+    assert isinstance(excinfo.value.__cause__, MemoryBudgetError)
+    with pytest.raises(CutoffError, match="no drift yet at n_max=4;"):
+        oracle_spectrum(params, n_max=4, omega_grid=np.linspace(-1.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("n_atoms, converged", [(8, 14), (10, 16)])
+def test_default_start_climbs_until_the_moments_converge(n_atoms, converged):
+    # no round count stops the climb: from the default n_max = 6 it lands
+    # on the cutoff, and the bytes, of the climb started at n_max = N
+    params = SystemParams(n_atoms=n_atoms, **DESK)
+    result = oracle_steady_state(params)
+    assert result.n_max == converged
+    assert result.x.tobytes() == oracle_steady_state(params, n_max=n_atoms).x.tobytes()
 
 
 def test_space_validation_and_memory_budget():
