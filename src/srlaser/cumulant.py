@@ -50,13 +50,14 @@ class MomentState:
 
     @staticmethod
     def from_vector(x) -> "MomentState":
+        """The state of an as_vector() layout; any shape other than (6,) is
+        a ValueError.  One tolist() gives the Python floats that float(x[i])
+        would, bit for bit."""
         x = np.asarray(x, dtype=float)
-        return MomentState(
-            photon_number=float(x[0]),
-            atom_photon=complex(x[1], x[2]),
-            inversion=float(x[3]),
-            pair_corr=complex(x[4], x[5]),
-        )
+        if x.shape != (6,):
+            raise ValueError(f"a moment vector has 6 entries, got {x.size} in shape {x.shape}")
+        n, ap_re, ap_im, inversion, pc_re, pc_im = x.tolist()
+        return MomentState(n, complex(ap_re, ap_im), inversion, complex(pc_re, pc_im))
 
     def validate(self) -> None:
         vec = self.as_vector()

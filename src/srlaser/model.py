@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,25 @@ class SystemParams:
     def updated(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
+    @cached_property
+    def _rates(self) -> "DerivedRates":
+        # written once into this instance's __dict__, which the frozen
+        # fields, eq, hash and repr never read; a copy made by replace
+        # or updated computes its own
+        if self.kappa > 0.0:
+            purcell = 4.0 * self.g**2 / self.kappa
+        else:
+            purcell = math.inf if self.g > 0.0 else 0.0
+        pump_total = self.eta + self.gamma
+        d0 = (self.eta - self.gamma) / pump_total if pump_total > 0.0 else None
+        return DerivedRates(
+            purcell=purcell,
+            big_gamma=self.eta + self.gamma + 2.0 * self.chi,
+            c_collective=self.n_atoms * purcell,
+            d0=d0,
+            collective_coupling=math.sqrt(self.n_atoms) * self.g,
+        )
+
 
 @dataclass(frozen=True)
 class DerivedRates:
@@ -112,19 +132,10 @@ class DerivedRates:
 
 
 def derived(params: SystemParams) -> DerivedRates:
-    if params.kappa > 0.0:
-        purcell = 4.0 * params.g**2 / params.kappa
-    else:
-        purcell = math.inf if params.g > 0.0 else 0.0
-    pump_total = params.eta + params.gamma
-    d0 = (params.eta - params.gamma) / pump_total if pump_total > 0.0 else None
-    return DerivedRates(
-        purcell=purcell,
-        big_gamma=params.eta + params.gamma + 2.0 * params.chi,
-        c_collective=params.n_atoms * purcell,
-        d0=d0,
-        collective_coupling=math.sqrt(params.n_atoms) * params.g,
-    )
+    """The rates of params, computed on the first call for this instance;
+    every later call returns that same frozen record.  The cache is per
+    instance only: an equal SystemParams built anew computes its own."""
+    return params._rates
 
 
 # Preset transitions.  Values are ordinary frequencies in Hz and converted

@@ -748,8 +748,14 @@ def _climb(params: SystemParams, n_max: int) -> OracleResult:
     photons at n_max 32).  A climb whose next cutoff has more than
     MAX_ORBITS orbits raises, chained from the MemoryBudgetError, naming
     the last cutoff solved and its drift, None if only the start was
-    solved.  At eta = gamma = 0 the block is singular, a SimulationError."""
-    if params.kappa == 0.0 and params.g > 0.0 and params.eta >= params.gamma and params.eta > 0.0:
+    solved.  At eta = gamma = 0 the block is singular, a SimulationError.
+    So is a decoupled lossless cavity (g = kappa = 0), before any block is
+    built: every cavity state is stationary there, and the real half's LU
+    would miss the singularity from N = 2 on and return the vacuum."""
+    if params.kappa == 0.0 and params.g == 0.0:
+        raise SimulationError("Liouvillian block is singular (no unique stationary state): "
+                              "a decoupled lossless cavity keeps any photon state")
+    if params.kappa == 0.0 and params.eta >= params.gamma and params.eta > 0.0:
         raise CutoffError("a lossless cavity pumped at or above transparency (eta >= gamma) "
                           "has no stationary state: its photons pile up at every cutoff")
     high, drift = _steady_once(params, n_max), None

@@ -164,7 +164,12 @@ def _cell_key(n_atoms: int, eta_hz: float) -> tuple:
 
 
 def _cell_params(base: SystemParams, n_atoms: int, eta_hz: float) -> SystemParams:
-    return base.updated(n_atoms=int(n_atoms), eta=from_hz(eta_hz))
+    # one constructor call: base.updated's dataclasses.replace would first
+    # read every field back by name.  SystemParams validates n_atoms itself,
+    # so a bool or a fractional count raises.
+    return SystemParams(n_atoms=n_atoms, g=base.g, kappa=base.kappa, gamma=base.gamma,
+                        eta=from_hz(eta_hz), chi=base.chi, omega_a=base.omega_a,
+                        omega_c=base.omega_c)
 
 
 def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
@@ -186,7 +191,7 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     try:
         state = steady_state(params, solved=solved)
     except SimulationError:
-        return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status="solver_error")
+        return SweepRow(n_atoms=params.n_atoms, eta_hz=eta_hz, status="solver_error")
 
     point = dicke_numbers(state, params)
     values = {}
@@ -217,7 +222,7 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
             values.update(delta_nu_hz=to_hz(width))
         except (SimulationError, FitError, ProbeError):
             status = "fit_error"
-    return SweepRow(n_atoms=int(n_atoms), eta_hz=eta_hz, status=status, **values)
+    return SweepRow(n_atoms=params.n_atoms, eta_hz=eta_hz, status=status, **values)
 
 
 def _cell_worker(args) -> SweepRow:

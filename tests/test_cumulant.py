@@ -1,6 +1,8 @@
 """Moment-closure solver: exact limits, oracle agreement, solver plumbing."""
 from __future__ import annotations
 
+import math
+import struct
 import time
 import warnings
 
@@ -1018,6 +1020,46 @@ def test_moment_state_vector_round_trip():
     state = MomentState(1.5, 0.2 - 0.3j, -0.4, 0.01 + 0.02j)
     again = MomentState.from_vector(state.as_vector())
     assert again == state
+
+
+def _bits(state: MomentState) -> bytes:
+    parts = (state.photon_number, state.atom_photon.real, state.atom_photon.imag,
+             state.inversion, state.pair_corr.real, state.pair_corr.imag)
+    return struct.pack("<6d", *parts)
+
+
+def _float_at_a_time(x) -> MomentState:
+    # the conversion from_vector made before it took one tolist()
+    x = np.asarray(x, dtype=float)
+    return MomentState(photon_number=float(x[0]), atom_photon=complex(x[1], x[2]),
+                       inversion=float(x[3]), pair_corr=complex(x[4], x[5]))
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("values", [
+    [1.5, 0.2, -0.3, -0.4, 0.01, 0.02],
+    [-0.0, -0.0, 0.0, -0.0, -0.0, -0.0],
+    [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308],
+])
+def test_moment_state_from_vector_keeps_every_bit(kind, values):
+    state = MomentState.from_vector(kind(values))
+    assert type(state.photon_number) is float and type(state.inversion) is float
+    assert _bits(state) == _bits(_float_at_a_time(kind(values)))
+    assert _bits(state) == struct.pack("<6d", *values)
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("length", [0, 5, 7, 11])
+def test_moment_state_from_vector_needs_six_entries(kind, length):
+    with pytest.raises(ValueError, match=f"6 entries, got {length} in shape"):
+        MomentState.from_vector(kind([0.25] * length))
+
+
+def test_moment_state_from_vector_needs_a_flat_vector():
+    with pytest.raises(ValueError, match=r"got 6 in shape \(6, 1\)"):
+        MomentState.from_vector(np.zeros((6, 1)))
+    with pytest.raises(ValueError, match=r"got 1 in shape \(\)"):
+        MomentState.from_vector(0.5)
 
 
 def test_moment_state_validation():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +125,50 @@ def test_derived_degenerate_cases():
     assert derived(no_cavity).purcell == math.inf
     empty = SystemParams(n_atoms=2, g=0.0, kappa=0.0, gamma=0.1)
     assert derived(empty).purcell == 0.0
+
+
+def _every_field_set():
+    return SystemParams(n_atoms=40, g=0.3, kappa=2.0, gamma=0.05, eta=0.4, chi=0.02,
+                        omega_a=0.7, omega_c=-0.2)
+
+
+def test_derived_is_computed_once_per_instance():
+    p = _every_field_set()
+    first = derived(p)
+    assert derived(p) is first
+    again = derived(dataclasses.replace(p))
+    assert again == first and again is not first
+
+
+def test_cached_rates_leave_equality_hash_and_repr_alone():
+    p = _every_field_set()
+    before = (hash(p), repr(p), dataclasses.astuple(p))
+    derived(p)
+    assert (hash(p), repr(p), dataclasses.astuple(p)) == before
+    fresh = dataclasses.replace(p)
+    assert p == fresh and fresh == p and hash(fresh) == hash(p)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.kappa = 3.0
+
+
+def test_updated_params_get_their_own_rates():
+    p = _every_field_set()
+    rates = derived(p)
+    q = p.updated(kappa=4.0)
+    assert derived(q).purcell == 4.0 * 0.3**2 / 4.0 != rates.purcell
+    assert derived(q).c_collective == 40 * derived(q).purcell
+    assert derived(p) is rates
+
+
+def test_pickled_params_keep_equal_rates():
+    # the sweep's worker pool pickles the base params of every cell
+    p = _every_field_set()
+    rates = derived(p)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+    assert derived(q) == rates
+    cold = pickle.loads(pickle.dumps(_every_field_set()))
+    assert derived(cold) == rates
 
 
 @pytest.mark.parametrize("value", [1e-3, 1.0, 7.5e3, 160e3, 23.87e3, 1e9])

@@ -158,12 +158,23 @@ def test_lossless_cavity_at_transparency_raises_before_any_block(monkeypatch, ga
     assert blocks == []
 
 
-def test_decoupled_lossless_cavity_is_no_transparency_error():
-    # g = 0: the pump never reaches the cavity, so the solve decides, and a
-    # free lossless cavity has no unique stationary state
-    params = SystemParams(n_atoms=1, g=0.0, kappa=0.0, gamma=0.01, eta=0.2)
-    with pytest.raises(SimulationError, match="singular"):
-        oracle_steady_state(params)
+def test_decoupled_lossless_cavity_is_no_transparency_error(monkeypatch):
+    # g = 0: the pump never reaches the cavity, and a free lossless cavity
+    # keeps any photon state, so there is no unique stationary state at any
+    # N; the real half's LU missed that from N = 2 on and returned the vacuum
+    blocks = []
+    _count_calls(monkeypatch, "_orbit_block", blocks, lambda args: args[1:])
+    grid = np.linspace(-1.0, 1.0, 5)
+    for n_atoms in (1, 2, 3):
+        for gamma, eta in ((0.01, 0.2), (0.01, 0.0), (0.0, 0.0)):
+            params = SystemParams(n_atoms=n_atoms, g=0.0, kappa=0.0, gamma=gamma, eta=eta)
+            for n_max in (2, 4):
+                for solve in (lambda: oracle_steady_state(params, n_max=n_max),
+                              lambda: oracle_spectrum(params, n_max=n_max, omega_grid=grid)):
+                    with pytest.raises(SimulationError, match="singular") as excinfo:
+                        solve()
+                    assert not isinstance(excinfo.value, CutoffError)
+    assert blocks == []
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Grid sweeps: determinism, checkpoint/resume, quarantine, row codec."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import srlaser
-from srlaser import cumulant, sweep
+from srlaser import cumulant, model, sweep
 from srlaser.cumulant import scaled_residual, steady_state
 from srlaser.errors import FitError, StiffIntegrationError
 from srlaser.model import SystemParams, from_hz, preset, to_hz
@@ -288,6 +289,84 @@ def test_lossless_cavity_cell_has_nan_analytic_widths():
     row = evaluate_cell(base, 2, 0.01, Observables(analytic=True))
     assert row.status == "ok"
     assert math.isnan(row.delta_nu_eq3_hz) and math.isnan(row.delta_nu_eq4_hz)
+
+
+def _every_field_set():
+    return SystemParams(n_atoms=7, g=0.3, kappa=2.0, gamma=0.05, eta=0.4, chi=0.02,
+                        omega_a=0.7, omega_c=-0.2)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 40, np.int64(1000), 3.0])
+@pytest.mark.parametrize("eta_hz", [0.0, 0.01, 3.5e4])
+def test_cell_params_equal_the_updated_base_field_for_field(n_atoms, eta_hz):
+    base = _every_field_set()
+    cell = sweep._cell_params(base, n_atoms, eta_hz)
+    ref = base.updated(n_atoms=int(n_atoms), eta=from_hz(eta_hz))
+    assert [(type(v), v) for v in dataclasses.astuple(cell)] == \
+        [(type(v), v) for v in dataclasses.astuple(ref)]
+
+
+def test_cell_params_pass_every_field_of_system_params(monkeypatch):
+    # a field added to SystemParams must not silently take its default
+    passed = []
+
+    def record(**kwargs):
+        passed.append(list(kwargs))
+        return SystemParams(**kwargs)
+
+    monkeypatch.setattr(sweep, "SystemParams", record)
+    sweep._cell_params(_every_field_set(), 3, 0.1)
+    assert passed == [[f.name for f in dataclasses.fields(SystemParams)]]
+
+
+@pytest.mark.parametrize("n_atoms, eta_hz", [
+    (0, 0.1), (-2, 0.1), (True, 0.1), (0.5, 0.1), (2.5, 0.1),
+    (3, -0.1), (3, math.nan), (3, math.inf),
+])
+def test_invalid_cells_raise_system_params_own_error(n_atoms, eta_hz):
+    # SystemParams validates the count itself: int(n_atoms) no longer
+    # turns a bool into 1 or 2.5 into 2 first
+    base = _every_field_set()
+    with pytest.raises(ValueError) as expected:
+        dataclasses.replace(base, n_atoms=n_atoms, eta=from_hz(eta_hz))
+    with pytest.raises(ValueError) as raised:
+        sweep._cell_params(base, n_atoms, eta_hz)
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(ValueError) as raised:
+        evaluate_cell(base, n_atoms, eta_hz, Observables())
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, monkeypatch):
+    # classify_regime, tieri_linewidth and crossover_linewidth each read
+    # derived(params); the cell's params compute the rates for all three
+    built, replaced = [], []
+    rates, replace = model.DerivedRates, dataclasses.replace
+
+    def counted_rates(*args, **kwargs):
+        built.append(args or kwargs)
+        return rates(*args, **kwargs)
+
+    def counted_replace(*args, **kwargs):
+        replaced.append(args[1:] or kwargs)
+        return replace(*args, **kwargs)
+
+    obs = Observables(photons=True, dicke=True, analytic=True)
+    cfg = SweepConfig(base=preset("sr88"), n_list=(100, 10_000),
+                      eta_grid=EtaGrid(min_hz=1e3, max_hz=1e5, points=3),
+                      observables=obs, output_path=str(tmp_path / "grid.csv"))
+    monkeypatch.setattr(model, "DerivedRates", counted_rates)
+    monkeypatch.setattr(model, "replace", counted_replace)
+    monkeypatch.setattr(dataclasses, "replace", counted_replace)
+    row = evaluate_cell(cfg.base, 10_000, 1e4, obs)
+    assert row.status == "ok" and row.regime is not None
+    assert math.isfinite(row.delta_nu_eq3_hz) and math.isfinite(row.delta_nu_eq4_hz)
+    assert len(built) == 1
+    built.clear()
+    rows = run_grid(cfg)
+    assert [r.status for r in rows] == ["ok"] * 6
+    assert len(built) == 6
+    assert replaced == []
 
 
 def test_lorentzian_cell_takes_its_width_from_the_response_pole(monkeypatch):
