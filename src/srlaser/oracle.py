@@ -18,10 +18,13 @@ the orthonormal basis of a sector's orbits under atom permutations
 (_Orbits; Kirton and Keeling, NJP 20, 015009 (2018)): an orbit is
 labelled by the cavity occupations of ket and bra and by how many atoms
 sit in each (ket, bra) pair gg, ge, eg and ee, O(N^3) labels per pair of
-cavity occupations.  Each term of L is a cavity factor times a sum over
+cavity occupations.  Each orbit operator carries the phase i^(nk - nb)
+of its cavity occupations (_Orbits.gauge, the resonance gauge of the
+cavity rotation i^(a^dag a)), which turns the -+i g of every photon move
+into a real -+g.  Each term of L is a cavity factor times a sum over
 atoms of one 4 x 4 pair superoperator, so its block (_orbit_block) is
 written from the labels and the cavity ladder alone, with no
-product-basis operator.
+product-basis operator and no coordinate change.
 
 Nothing in a block's structure depends on the rates, so one object per
 sector holds it: an _Orbits carries the orbit labels, the block's
@@ -41,15 +44,15 @@ comparison runs on every request, cached or not.  The largest sector
 under the cap, N = 30 at n_max = 11, keeps about 16 MB once solved on
 resonance and about 20 MB once solved detuned.
 
-Two exact symmetries make the solves real: the adjoint, which pairs
-each orbit with its Hermitian partner (_Orbits.partner), and the
-resonance gauge x_o = i^(nk - nb) y_o (_Orbits.gauge, the cavity
-rotation i^(a^dag a)), which turns the -+i g of every photon move into a
-real entry, so on resonance (omega_a = omega_c) the gauged charge-0
-block is real, and at omega_a = omega_c = 0 every gauged block is.  The
-stationary state is solved as a real system (_RealForm): on resonance
-its real, P-symmetric half, 80 of 118 unknowns at N = 3, n_max = 6,
-otherwise the size-n real adjoint form.
+Two exact symmetries make the solves real: the phases, which leave every
+off-diagonal entry real, so that on resonance (omega_a = omega_c) the
+charge-0 block is real, and at omega_a = omega_c = 0 every block is; and
+the adjoint, which pairs each orbit with its Hermitian partner
+(_Orbits.partner).  The stationary state is solved as a real system
+(_RealForm): on resonance its real, P-symmetric half, 80 of 118 unknowns
+at N = 3, n_max = 6, otherwise the size-n real adjoint form.  The phases
+are read only where orbit coordinates meet the product basis: the
+lifted rho (_orbit_rho) and the product states (_product_orbit_state).
 
 Each Fock cutoff builds its charge-0 block once and LU-solves its real
 form for the stationary state, the permutation-invariant one, and
@@ -63,8 +66,8 @@ checked moment has charge 0 and L conserves charge, so the derivatives
 are the charge-0 block applied to the states' charge-0 orbit
 coordinates, all states in one product.  The spectrum is a resolvent of
 the returned cutoff's charge -1 block, which holds a rho_ss and has no
-zero eigenvalue.  That block is gauged, factored once, as float64 where
-it and a rho_ss are real, and the whole grid is read off a shift-invert
+zero eigenvalue.  That block is factored once, as float64 where it and
+a rho_ss are real, and the whole grid is read off a shift-invert
 Krylov reduced model whose order grows until two successive models agree
 to MODEL_TOL of the peak, so nothing is propagated in time and no LU has
 more than MAX_ORBITS unknowns.  Where the block is real, so are the
@@ -127,20 +130,17 @@ _UNIT = np.eye(4, dtype=int)  # _UNIT[p] adds one atom to pair p
 # Every move that an off-diagonal block entry can make, whatever the
 # parameters: (ket photon shift, bra photon shift, pair p an atom leaves,
 # pair q it enters, rate).  The rate indexes _orbit_block's [kappa, gamma,
-# eta, -i g, i g, 0].  kappa a rho a^dag moves no atom (p = q); the other
+# eta, -g, g, 0].  kappa a rho a^dag moves no atom (p = q); the other
 # moves are the nonzero entries M[q, p], each 1, of _TERMS' pair
-# superoperators: the atomic decay and pump, then sigma^- and sigma^+ on
-# the ket (-i g) and on the bra (i g).
-_TERMS = ((0, 0, _DECAY, 1), (0, 0, _PUMP, 2), (1, 0, _KET_DOWN, 3), (-1, 0, _KET_UP, 3),
-          (0, 1, _BRA_DOWN, 4), (0, -1, _BRA_UP, 4))
+# superoperators: the atomic decay and pump, then sigma^- (-g) and
+# sigma^+ (g) on the ket and on the bra (the -+i g of H in the orbit
+# basis, _Orbits)
+_TERMS = ((0, 0, _DECAY, 1), (0, 0, _PUMP, 2), (1, 0, _KET_DOWN, 3), (-1, 0, _KET_UP, 4),
+          (0, 1, _BRA_DOWN, 3), (0, -1, _BRA_UP, 4))
 _MOVES = np.array([(-1, -1, 0, 0, 0)] + [
     (dk, db, p, q, rate) for dk, db, m, rate in _TERMS for q, p in zip(*np.nonzero(m))])
 _DIAGONAL = len(_MOVES)  # the move number of a block's diagonal entries
 _RATE_INDEX = np.append(_MOVES[:, 4], 5)  # each move's rate, then the diagonal's 0
-_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k, k = 0..3: the resonance gauge
-# conj(i^a) i^b at 4 a + b: the phase that the gauge puts on a block entry
-# whose row has the phase i^a and whose column i^b (_gauged)
-_ENTRY_PHASES = (_I_POWERS.conj()[:, None] * _I_POWERS).ravel()
 # sectors that _sector keeps: one pass of the oracle_small benchmark
 # workload builds blocks of 12 sectors, a climb and its spectrum up to 5
 SECTOR_CACHE = 16
@@ -188,15 +188,17 @@ class _Orbits:
 
     An orbit is labelled by the cavity occupations nk of the ket and nb of
     the bra and by counts[p], the number of atoms in the (ket, bra) pair
-    p = 2 ket + bra: gg, ge, eg, ee.  Its basis operator is the sum of its
-    entries |i><j| over sqrt(size), size = N! / (n_gg! n_ge! n_eg! n_ee!),
-    so these operators are an orthonormal basis of the sector's
-    permutation-invariant operators, and x are the coordinates of
-    rho = sum_o x_o V_o.  The charge is nk - nb + n_eg - n_ge, so nb follows
-    from the rest, and orbits are numbered in increasing order of
-    (nk, n_ge, n_eg, n_ee): orbit 0 of the charge-0 sector is rho[0, 0], the
-    vacuum with every atom in g.  At N = 1 every orbit is one entry.  More
-    than MAX_ORBITS orbits raise MemoryBudgetError before any label is built.
+    p = 2 ket + bra: gg, ge, eg, ee.  Its basis operator V_o is i^(nk - nb)
+    (gauge) times the sum of its entries |i><j| over sqrt(size),
+    size = N! / (n_gg! n_ge! n_eg! n_ee!), so these operators are an
+    orthonormal basis of the sector's permutation-invariant operators, and
+    x are the coordinates of rho = sum_o x_o V_o.  The phase makes every
+    block entry of a photon move real (_orbit_block).  The charge is
+    nk - nb + n_eg - n_ge, so nb follows from the rest, and orbits are
+    numbered in increasing order of (nk, n_ge, n_eg, n_ee): orbit 0 of the
+    charge-0 sector is rho[0, 0], the vacuum with every atom in g.  At
+    N = 1 every orbit is one entry, times its phase.  More than MAX_ORBITS
+    orbits raise MemoryBudgetError before any label is built.
 
     The pattern holds every entry that some parameters fill, in CSC order:
     indptr delimits the columns and indices holds each entry's row.  Per
@@ -217,10 +219,10 @@ class _Orbits:
 
     Every array is read-only: the labels and the pattern, built here, and
     the per-orbit structure that the solves read (trace_row, partner,
-    moment_terms, ad_vec, lowering, gauge), the per-entry gauge phases
-    (entry_phase), the fold maps of the real stationary solve (half_form,
-    adjoint_form) and the column orders of the sets of nonzero places that
-    an LU has met on the pattern (pattern), built on first use.
+    moment_terms, ad_vec, lowering, gauge), the fold maps of the real
+    stationary solve (half_form, adjoint_form) and the column orders of the
+    sets of nonzero places that an LU has met on the pattern (pattern),
+    built on first use.
     """
 
     def __init__(self, n_atoms: int, n_max: int, charge: int):
@@ -300,15 +302,17 @@ class _Orbits:
 
     @cached_property
     def ad_vec(self) -> np.ndarray:
-        """Tr[a^dag V_o]: sqrt(size) sqrt(nb) on the atom-diagonal orbits."""
+        """Tr[a^dag V_o] over V_o's phase: sqrt(size) sqrt(nb) on the
+        atom-diagonal orbits."""
         return _frozen(np.where(self.atom_diagonal(), self.sqrt_size * np.sqrt(self.nb), 0.0))
 
     @cached_property
     def lowering(self) -> tuple:
         """a on the sector of charge + 1 at the same (N, n_max), which maps
         its orbit (nk, nb, counts) to this sector's (nk - 1, nb, counts) with
-        factor sqrt(nk): the mask of its orbits with nk > 0, their images'
-        numbers here, and the factors."""
+        factor sqrt(nk), times i from the two orbits' phases: the mask of
+        its orbits with nk > 0, their images' numbers here, and the factors
+        sqrt(nk)."""
         upper = _sector(self.n_atoms, self.n_max, self.charge + 1)
         lit = upper.nk > 0
         return _frozen(lit, self.find(upper.nk[lit] - 1, upper.counts[:, lit]),
@@ -316,17 +320,9 @@ class _Orbits:
 
     @cached_property
     def gauge(self) -> np.ndarray:
-        """The resonance gauge i^(nk - nb), the phase of x_o = i^(nk - nb) y_o."""
-        return _frozen(_I_POWERS[(self.nk - self.nb) % 4])
-
-    @cached_property
-    def entry_phase(self) -> np.ndarray:
-        """Where _ENTRY_PHASES holds each entry's gauge phase, per entry of
-        the whole pattern (_gauged): 4 a + b, with i^a the gauge of the
-        entry's row and i^b that of its column."""
-        power = (self.nk - self.nb) % 4
-        cols = np.repeat(np.arange(self.nk.size), np.diff(self.indptr))
-        return _frozen((4 * power[self.indices] + power[cols]).astype(np.int8))
+        """Each orbit operator's phase i^(nk - nb): an entry of orbit o holds
+        gauge_o x_o / sqrt(size_o)."""
+        return _frozen(np.array([1, 1j, -1, -1j])[(self.nk - self.nb) % 4])
 
     @cached_property
     def pattern(self) -> _Pattern:
@@ -349,34 +345,33 @@ class _RealForm:
     """The charge-0 stationary equations as a real bordered system, and the
     map from its solution back to the orbit coordinates x (_solve_stationary).
 
-    In the gauged coordinates y, x_o = i^(nk - nb) y_o (_Orbits.gauge), the
-    block becomes G = D^-1 B D, D = diag(i^(nk - nb)), and a Hermitian rho
-    has y[P] = conj(y), P = partner.  So one orbit of each Hermitian pair,
-    its representative o <= P(o), carries the pair: unknown o is Re y_o and,
-    if P(o) != o, unknown P(o) is Im y_o.  The equations are Re (G y)_r in
-    row r and Im (G y)_r in row P(r), for each representative r; the other
-    rows are their conjugates.  That is the size-n real adjoint form, valid
-    at any parameters.  Where every gauged entry is real, as on resonance,
-    no Im part couples to a Re part, so the Im half drops and the real,
-    P-symmetric half remains (half): the representatives alone, renumbered
-    in order.  In both, row 0 (orbit 0, rho[0, 0], its own partner) is
-    replaced by the trace functional.
+    An orbit and its partner P(o) have conjugate phases (_Orbits.gauge), so
+    a Hermitian rho has x[P] = conj(x), P = partner.  So one orbit of each
+    Hermitian pair, its representative o <= P(o), carries the pair: unknown
+    o is Re x_o and, if P(o) != o, unknown P(o) is Im x_o.  The equations
+    are Re (B x)_r in row r and Im (B x)_r in row P(r), for each
+    representative r, B the block; the other rows are their conjugates.
+    That is the size-n real adjoint form, valid at any parameters.  Where
+    every entry of B is real, as on resonance, no Im part couples to a Re
+    part, so the Im half drops and the real, P-symmetric half remains
+    (half): the representatives alone, renumbered in order.  In both, row 0
+    (orbit 0, rho[0, 0], its own partner) is replaced by the trace
+    functional.
 
-    The fold, built once per cached sector: each entry of G in a kept row
+    The fold, built once per cached sector: each entry of B in a kept row
     (a representative's, but row 0), taken in the sector's CSC order, adds
-    its Re or Im part (source, an index into G's interleaved Re and Im
+    its Re or Im part (source, an index into B's interleaved Re and Im
     values) times sign to one place (target) of the real matrix's CSC
     pattern (pattern).  Two entries of one kept row share a place where
     their columns are a Hermitian pair o < P(o), and they are summed in
     that order, the order of the row alone.  trace_at holds the places of
     the trace row's values trace, on the unknowns trace_cols.  For real
-    rates the gauge leaves every off-diagonal entry of G real (each -+i g
-    meets a photon move's phase +-i, every other rate is real), so only
-    diagonal entries fold an Im part: an entry fills at most two places,
-    or four on the diagonal.  bordered sums a solve's values into place,
+    rates every off-diagonal entry of B is real (the photon moves' -+g and
+    every other rate), so only diagonal entries fold an Im part: an entry
+    fills at most two places, or four on the diagonal.  bordered sums a solve's values into place,
     in CSC order, and pattern, the _Pattern of the CSC pattern, factors
-    them, its nonzero places only; lift reads y back: Re y from the
-    unknowns re_pick, Im y as im_sign times the unknowns im_pick
+    them, its nonzero places only; lift reads x back: Re x from the
+    unknowns re_pick, Im x as im_sign times the unknowns im_pick
     (None in the half)."""
 
     def __init__(self, orbits: _Orbits, half: bool):
@@ -419,12 +414,11 @@ class _RealForm:
         self.pattern = _Pattern((place % size).astype(np.int32),
                                 np.searchsorted(place // size, np.arange(size + 1)).astype(np.int32))
         self.trace_cols, self.trace = _frozen(self.trace_cols, orbits.trace_row[on])
-        self.gauge = orbits.gauge
 
-    def bordered(self, gauged: np.ndarray) -> np.ndarray:
-        """The real bordered matrix's values on its CSC pattern, from G's
-        values on the sector's whole pattern; a place can hold 0.0."""
-        data = np.bincount(self.target, self.sign * gauged.view(float)[self.source],
+    def bordered(self, values: np.ndarray) -> np.ndarray:
+        """The real bordered matrix's values on its CSC pattern, from the
+        block's values on the sector's whole pattern; a place can hold 0.0."""
+        data = np.bincount(self.target, self.sign * values.view(float)[self.source],
                            minlength=self.pattern.indices.size)
         data[self.trace_at] = self.trace
         return data
@@ -432,11 +426,11 @@ class _RealForm:
     def lift(self, z: np.ndarray) -> np.ndarray:
         """x of unit trace from the real solution z."""
         z = z / (self.trace @ z[self.trace_cols])
-        y = np.zeros(self.gauge.size, dtype=complex)
-        y.real = z[self.re_pick]
+        x = np.zeros(self.re_pick.size, dtype=complex)
+        x.real = z[self.re_pick]
         if self.im_pick is not None:
-            y.imag = self.im_sign * z[self.im_pick]
-        return self.gauge * y
+            x.imag = self.im_sign * z[self.im_pick]
+        return x
 
 
 class _Pattern:
@@ -518,17 +512,17 @@ def _sector(n_atoms: int, n_max: int, charge: int) -> _Orbits:
     charge); _orbit_block runs the MAX_ORBITS count before asking.  The
     largest sector under MAX_ORBITS, charge 0 at (N, n_max) = (30, 11) with
     28,552 orbits and 302,898 entries, keeps 9.1 MB of pattern, 1.8 MB of
-    labels, 1.0 MB of per-orbit structure and 0.3 MB of entry_phase once
-    the solves have read it all, and for each real form solved its fold
-    and its _Pattern, whose layout of the whole CSC pattern counts with
-    the fold, and the column order and layout of the set of nonzero places
+    labels and 1.0 MB of per-orbit structure once the solves have read it
+    all, and for each real form solved its fold and its _Pattern, whose
+    layout of the whole CSC pattern counts with the fold, and the column
+    order and layout of the set of nonzero places
     that the LU factored, with the key that finds it: 2.4 + 1.7 MB for the
     resonant half (157,642 places), 4.9 + 3.2 MB for the adjoint form
     (308,287 places).  The spectrum's _Pattern (_Orbits.pattern) shares
     the sector's pattern and adds only its column orders.  Each further
     set of nonzero places that an LU meets (rates at 0) adds at most as
     much again as the whole set.  So a full cache of such sectors would
-    hold about 260 MB on resonance and 325 MB detuned.  The sector takes
+    hold about 255 MB on resonance and 320 MB detuned.  The sector takes
     0.1 s to build and its half's fold 0.02 s, against 4.3 s for one
     resonant solve at that size (the adjoint form's fold 0.04 s, against
     29 s)."""
@@ -543,7 +537,11 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
     superoperator M acting on atom i's (ket, bra) pair.  On the orbit of
     counts n the sum contributes sum_p M[p, p] n_p on the diagonal, and
     moving one atom from pair p to pair q gives M[q, p] sqrt(n_p (n_q + 1)),
-    each times the cavity matrix elements.  The orbits, with their
+    each times the cavity matrix elements.  A move that changes nk - nb by
+    d also takes i^-d, the ratio of the two orbits' phases (_Orbits), so H's
+    -i g on the ket and i g on the bra become -g where a photon is made
+    and g where one is taken: every off-diagonal entry is real, and the
+    block is real where the diagonal is.  The orbits, with their
     pattern, come from _sector, cached per (N, n_max, charge) after the
     MAX_ORBITS count, which runs on every call; this call fills in the
     values on the sector's whole pattern, exact zeros included: a rate at
@@ -558,11 +556,11 @@ def _orbit_block(params: SystemParams, n_max: int, charge: int):
                        -0.5j * params.omega_a - 0.5 * (params.gamma + params.chi)])
     k_cavity = -1j * params.omega_c - 0.5 * params.kappa
     pair_diag = np.add.outer(k_atom, k_atom.conj()).ravel() + params.chi * _DEPHASE.diagonal()
-    # each move's coefficient (_MOVES), then 0 for the diagonal: -i g
-    # (a^dag sigma^- + a sigma^+) on the ket and its conjugate on the bra
-    rates = np.array([params.kappa, params.gamma, params.eta, -1j * g, 1j * g, 0.0])
+    # each move's coefficient (_MOVES), then 0 for the diagonal: -g where
+    # a photon is made, g where one is taken
+    rates = np.array([params.kappa, params.gamma, params.eta, -g, g, 0.0])
     atom, ket, bra = orbits.factors
-    data = ((rates[_RATE_INDEX][orbits.move] * atom) * ket) * bra
+    data = (((rates[_RATE_INDEX][orbits.move] * atom) * ket) * bra).astype(complex)
     diagonal = k_cavity * nk + np.conj(k_cavity) * nb + pair_diag @ counts
     # the sum leaves round-off in the imaginary part, which is exactly
     # (omega_a - omega_c)(n_ge - n_eg) - omega_c charge (nk - nb = charge +
@@ -614,8 +612,10 @@ class OracleResult:
 def _moment_rows(orbits: _Orbits, x: np.ndarray) -> tuple:
     """The moments of each row of x (k, n), charge-0 orbit coordinates, as
     linear functionals of the row: Tr[O rho] sums O's matrix element over
-    each orbit's entries, size / sqrt(size) = sqrt(size) times x.  The
-    atom-symmetric forms are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N.
+    each orbit's entries, size / sqrt(size) = sqrt(size) times x, times the
+    orbit's phase: 1 on rho's diagonal, i on the hop orbits of <a sigma^+>,
+    applied to those entries before their sum.  The atom-symmetric forms
+    are used, e.g. <sigma_z^1> = <sum_i sigma_z^i> / N.
     Returns OracleMoments' fields in order, each an array of k.  Every sum
     runs along a contiguous row (compress, not a mask index, which leaves
     rows strided), so a row's moments round as that row alone would.  The
@@ -630,7 +630,7 @@ def _moment_rows(orbits: _Orbits, x: np.ndarray) -> tuple:
     rows = x.shape[0]
     return (
         np.sum(photons * on_diag, axis=-1).real,
-        np.sum(root_photons * s.compress(hop, axis=-1), axis=-1) / n,
+        np.sum(root_photons * (1j * s.compress(hop, axis=-1)), axis=-1) / n,
         np.sum(z * on_diag, axis=-1).real / n,
         flip / pairs if n >= 2 else np.zeros(rows, dtype=complex),
         np.sum((z * z - n) * on_diag, axis=-1).real / pairs if n >= 2 else np.ones(rows),
@@ -658,39 +658,31 @@ def _factor(block: sp.csc_matrix, what: str, order: tuple | None = None):
         raise SimulationError(f"Liouvillian block is singular ({what}): {exc}") from exc
 
 
-def _gauged(block: sp.csc_matrix, orbits: _Orbits) -> np.ndarray:
-    """The values of D^-1 block D, D = diag(orbits.gauge), on the sector's
-    whole pattern in its CSC order, which every block keeps.  The phases
-    are +-1 and +-i, so every product is exact; their places in
-    _ENTRY_PHASES are cached (orbits.entry_phase)."""
-    return block.data * _ENTRY_PHASES[orbits.entry_phase]
-
-
 def _solve_stationary(block: sp.csc_matrix, orbits: _Orbits) -> np.ndarray:
     """Orbit coordinates of the stationary rho from the charge-0 block, as a
-    real system (_RealForm): the block, gauged, folded into real unknowns
-    and equations, its first row (orbit 0, the entry rho[0, 0]) replaced by
-    the trace functional, sqrt(size) on the orbits on rho's diagonal.  Where
-    every gauged entry is real, the real, P-symmetric half is solved, else
+    real system (_RealForm): the block folded into real unknowns and
+    equations, its first row (orbit 0, the entry rho[0, 0]) replaced by
+    the trace functional, sqrt(size) on the orbits on rho's diagonal.
+    Where every entry is real, the real, P-symmetric half is solved, else
     the size-n adjoint form.  rho is permutation invariant, so the orbit
     block holds it; a singular system means the invariant sector has no
     unique stationary state.  x is Hermitian by construction and of unit
     trace.  The fold is built once per cached sector (_sector), so a solve
-    only gauges the block's values on the sector's whole pattern, sums them
-    into the real matrix with np.bincount, both in CSC order, and factors
-    its nonzero entries as float64 through the column order of the first
-    LU on the same nonzero places (_Pattern), so a sector factored before
-    runs no ordering, whichever rates are 0."""
-    gauged = _gauged(block, orbits)
-    form = orbits.adjoint_form if gauged.imag.any() else orbits.half_form
+    only sums the block's values on the sector's whole pattern into the
+    real matrix with np.bincount, both in CSC order, and factors its
+    nonzero entries as float64 through the column order of the first LU on
+    the same nonzero places (_Pattern), so a sector factored before runs no
+    ordering, whichever rates are 0."""
+    form = orbits.adjoint_form if block.data.imag.any() else orbits.half_form
     b = np.zeros(form.size)
     b[0] = 1.0
-    return form.lift(form.pattern.factor(form.bordered(gauged), "no unique stationary state")
+    return form.lift(form.pattern.factor(form.bordered(block.data), "no unique stationary state")
                      .solve(b))
 
 
 def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
-    """The product-basis d x d rho of charge-0 orbit coordinates x.
+    """The product-basis d x d rho of charge-0 orbit coordinates x: each
+    entry of orbit o holds gauge_o x_o / sqrt(size_o).
 
     Basis state i holds i >> N photons, and its low N bits are the atoms'
     excitations, so each entry's pair counts are popcounts."""
@@ -706,20 +698,21 @@ def _orbit_rho(orbits: _Orbits, x: np.ndarray) -> np.ndarray:
     counts = np.stack([n - ge - eg - ee, ge, eg, ee])[:, inside]
     o = orbits.find(nk[inside], counts)
     rho = np.zeros((d, d), dtype=complex)
-    rho[inside] = x[o] / orbits.sqrt_size[o]
+    rho[inside] = orbits.gauge[o] * x[o] / orbits.sqrt_size[o]
     return rho
 
 
 def _max_entry(orbits: _Orbits, y: np.ndarray) -> float:
     """max |entry| of the operator with orbit coordinates y: each entry of
-    orbit o holds y_o / sqrt(size_o)."""
+    orbit o holds y_o / sqrt(size_o) times the orbit's phase, of modulus 1."""
     return float(np.max(np.abs(y) / orbits.sqrt_size))
 
 
 def _steady_once(params: SystemParams, n_max: int) -> OracleResult:
     """The stationary state at cutoff n_max, from one build and LU solve of
     its charge-0 block.  L rho lies in the orbit span, so the residual
-    max |L rho| is read off that block times x (_max_entry)."""
+    max |L rho| is read off that block times x (_max_entry), in the orbit
+    coordinates the solve returns."""
     orbits, block = _orbit_block(params, n_max, 0)
     x = _solve_stationary(block, orbits)
     return OracleResult(orbits, x, _orbit_moments(orbits, x), _max_entry(orbits, block @ x))
@@ -818,14 +811,15 @@ def _product_orbit_state(orbits: _Orbits, cavity_amps, bloch) -> np.ndarray:
     the Bloch state (I + r . sigma) / 2 of bloch = (rx, ry, rz).  Each
     entry of orbit o holds c[nk] conj(c[nb]) times prod_p atom_p^counts[p],
     atom_p the atom's matrix element on pair p (gg, ge, eg, ee), so x_o is
-    sqrt(size_o) times that; the state's other charges are dropped.  k
-    amplitude rows and k Bloch vectors give the k states' coordinates as
-    one array (k, n), each row with the bytes of its own state."""
+    sqrt(size_o) conj(gauge_o) times that; the state's other charges are
+    dropped.  k amplitude rows and k Bloch vectors give the k states'
+    coordinates as one array (k, n), each row with the bytes of its own
+    state."""
     c = _unit_vector(cavity_amps, orbits.n_max + 1)
     atom = _atom_state(bloch)
     atom = atom.reshape(atom.shape[:-2] + (4, 1))
     return (orbits.sqrt_size * c[..., orbits.nk] * c[..., orbits.nb].conj()
-            * np.prod(atom**orbits.counts, axis=-2))
+            * np.prod(atom**orbits.counts, axis=-2) * orbits.gauge.conj())
 
 
 class _Model(NamedTuple):
@@ -935,14 +929,13 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     run again from n_max, with its CutoffError cases.  a rho_ss
     is permutation invariant, so the resolvent stays in the charge -1 orbit
     block (_orbit_block): a lowers the ket's photons, mapping the orbit
-    (nk, nb, counts) to (nk - 1, nb, counts) with factor sqrt(nk), and
-    Tr[a^dag V_o] is sqrt(size) sqrt(nb) on the atom-diagonal orbits (the
-    cached sector's lowering and ad_vec).  The gauge x_o = i^(nk - nb + 1)
-    y_o, D^-1 A D with D its diagonal, leaves the resolvent's value alone:
-    ad_vec sits on orbits with nk - nb = -1, where the phase is 1.  It
-    turns a rho_ss's coordinates y into the stationary state's gauged ones
-    (_RealForm) times sqrt(nk), and where the gauged block and y are real,
-    as at omega_a = omega_c = 0, the block is factored as float64 and the
+    (nk, nb, counts) to (nk - 1, nb, counts) with factor i sqrt(nk), and
+    Tr[a^dag V_o] is -i sqrt(size) sqrt(nb) on the atom-diagonal orbits,
+    all with nk - nb = -1 (the cached sector's lowering and ad_vec, which
+    leave out the orbits' phases i and -i).  The two phases cancel, so the
+    resolvent is applied to the stationary coordinates times sqrt(nk) and
+    read with ad_vec; where the block and that vector are real, as at
+    omega_a = omega_c = 0, the block is factored as float64 and the
     reduced model is real; otherwise both stay complex (a common frame
     frequency omega_c leaves i omega_c on the diagonal).  The block's
     nonzero entries are factored once, through the cached column order of
@@ -958,14 +951,14 @@ def oracle_spectrum(params: SystemParams, n_max: int, omega_grid):
     orbits, block = _orbit_block(params, steady.n_max, -1)
     lit, target, root_photons = orbits.lowering
     y = np.zeros(orbits.nk.size, dtype=complex)
-    y[target] = root_photons * (steady.x[lit] * steady.orbits.gauge.conj()[lit])
+    y[target] = root_photons * steady.x[lit]
     ad_vec = orbits.ad_vec
 
     c0 = ad_vec @ y
     if abs(c0) < 1e-14:
         return SpectrumScan(omega=omega_grid, intensity=np.zeros_like(omega_grid))
 
-    data, what = _gauged(block, orbits), "undamped correlation"
+    data, what = block.data, "undamped correlation"
     if not (data.imag.any() or y.imag.any()):
         data, y = data.real.copy(), y.real.copy()
     lu = orbits.pattern.factor(data, what)
@@ -995,10 +988,11 @@ def derivative_match_error(params: SystemParams, n_states: int = 25) -> float:
     and rate convention in the moment equations.  The states are
     permutation invariant and the checked moments have charge 0, so the
     exact derivatives are the moments of the charge-0 orbit block times
-    the states' orbit coordinates (_product_orbit_state).  The draws run
-    state by state, in order; the states' coordinates are then built as
-    one array, the block is built and applied to them once per call, and
-    one _moment_rows call reads every state's moments and derivatives.
+    the states' orbit coordinates (_product_orbit_state, which puts the
+    orbits' phases on them).  The draws run state by state, in order; the
+    states' coordinates are then built as one array, the block is built
+    and applied to them once per call, and one _moment_rows call reads
+    every state's moments and derivatives.
     Only the closure's rhs runs per state, so the result equals a loop
     over the states, byte for byte.
     """

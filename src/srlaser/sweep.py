@@ -58,6 +58,8 @@ class EtaGrid:
         if not (math.isfinite(self.min_hz) and math.isfinite(self.max_hz)):
             raise ValueError(f"min_hz and max_hz must be finite, got "
                              f"{self.min_hz} and {self.max_hz}")
+        if self.min_hz < 0.0:
+            raise ValueError(f"min_hz must be >= 0, got {self.min_hz} Hz")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
         if self.points < 1:
@@ -66,7 +68,8 @@ class EtaGrid:
             raise ValueError("a single-point grid requires min_hz == max_hz")
         if self.max_hz < self.min_hz:
             raise ValueError("max_hz must be >= min_hz")
-        if self.spacing == "log" and self.min_hz <= 0.0:
+        # a single point is min_hz itself, so only a spread needs min_hz > 0
+        if self.spacing == "log" and self.points > 1 and self.min_hz <= 0.0:
             raise ValueError("log spacing requires min_hz > 0")
 
     def values_hz(self) -> np.ndarray:

@@ -185,7 +185,8 @@ def build_liouvillian(params: SystemParams, n_max: int, probe=None,
 
 
 def coo_orbit_block(params: SystemParams, n_max: int, charge: int) -> sp.csr_matrix:
-    """The charge block of L in the orbit basis, built from scratch on
+    """The charge block of L in the orbit basis, each orbit's operator
+    with its phase i^(nk - nb) (the oracle's _Orbits), built from scratch on
     every call: each parameter set's moves, their nonzero amplitudes, and
     one COO-to-CSR conversion that sorts the entries and sums any that
     share a place.  The oracle's _orbit_block fills a cached pattern
@@ -201,9 +202,11 @@ def coo_orbit_block(params: SystemParams, n_max: int, charge: int) -> sp.csr_mat
     # exactly, as _orbit_block writes it: nk - nb = charge + n_ge - n_eg
     diag.imag = ((params.omega_a - params.omega_c) * (counts[1] - counts[2])
                  - params.omega_c * charge)
+    # H's -i g on the ket and i g on the bra, times the phase i^-(dk - db)
+    # of the orbit basis: real, so that no imaginary part is -0.0
     terms = [(0, 0, params.gamma * _DECAY + params.eta * _PUMP),
-             (1, 0, -1j * g * _KET_DOWN), (-1, 0, -1j * g * _KET_UP),
-             (0, 1, 1j * g * _BRA_DOWN), (0, -1, 1j * g * _BRA_UP)]
+             (1, 0, -g * _KET_DOWN.real), (-1, 0, g * _KET_UP.real),
+             (0, 1, -g * _BRA_DOWN.real), (0, -1, g * _BRA_UP.real)]
     moves = [(-1, -1, 0, 0, params.kappa)] + [
         (dk, db, p, q, m[q, p]) for dk, db, m in terms for q, p in zip(*np.nonzero(m))]
     dk, db, p, q, coef = (np.array(c) for c in zip(*moves))

@@ -444,6 +444,34 @@ def test_sweep_takes_the_atom_number_of_the_config(capsys, tmp_path, desk_config
     assert out_csv.read_text().splitlines()[1].startswith("2,")
 
 
+def test_sweep_at_a_single_pump_of_0_hz_gives_the_unpumped_state(capsys, tmp_path):
+    # a single point is min_hz itself, so the default log spacing spans nothing
+    out_csv = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, [
+        "sweep", "--preset", "sr88", "--n", "1000", "--eta-hz", "0", "--out", str(out_csv),
+    ])
+    assert code == 0
+    assert "1 rows (1 ok)" in err
+    header, cells = out_csv.read_text().splitlines()
+    row = dict(zip(header.split(","), cells.split(",")))
+    assert float(row["eta_hz"]) == 0.0 and float(row["photon_number"]) == 0.0
+    assert float(row["inversion"]) == -1.0
+    assert row["regime"] == "subradiant" and row["status"] == "ok"
+
+
+def test_sweep_with_a_negative_pump_grid_names_it_in_hz_and_writes_nothing(capsys, tmp_path):
+    out_csv = tmp_path / "neg.csv"
+    cfg_path = tmp_path / "neg.json"
+    cfg_path.write_text(json.dumps({
+        "preset": "sr88", "n_list": [1000],
+        "eta_grid": {"min_hz": -5, "max_hz": 5, "points": 3, "spacing": "linear"},
+    }))
+    code, _, err = run_cli(capsys, ["sweep", "--config", str(cfg_path), "--out", str(out_csv)])
+    assert code == 2
+    assert "usage error: min_hz must be >= 0, got -5 Hz" in err
+    assert not out_csv.exists()
+
+
 def test_sweep_into_a_file_of_other_physics_exits_2(capsys, tmp_path):
     out_csv = tmp_path / "sweep.csv"
     argv = ["sweep", "--n", "2", "--eta-hz", "100", "--out", str(out_csv)]

@@ -1,9 +1,11 @@
 """Exact-diagonalization reference solver: self-consistency and known limits."""
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,8 +85,17 @@ def _oracle_numbering(orbits):
 
 
 def _gauge_phase(orbits, shift=0):
-    """i^(nk - nb + shift) per orbit: the resonance gauge x_o = phase_o y_o."""
+    """i^(nk - nb + shift) per orbit: the resonance gauge x_o = phase_o y_o
+    between the coordinates x on the bare orbit operators V_o, which
+    _orbit_matrix builds, and the oracle's y on phase_o V_o."""
     return np.array([1, 1j, -1, -1j])[(orbits.nk - orbits.nb + shift) % 4]
+
+
+def _in_oracle_basis(block, orbits):
+    """D^-1 block D, D = diag(_gauge_phase(orbits)): a block on the bare
+    orbit operators, taken to the oracle's orbit basis."""
+    phase = _gauge_phase(orbits)
+    return sp.diags(phase.conj()) @ block @ sp.diags(phase)
 
 
 # ---------------------------------------------------------------- known limits
@@ -509,10 +520,11 @@ def test_sector_block_is_the_slice_of_the_full_liouvillian(charge, with_filter):
     block = v.T @ sector @ v
     assert abs(block).max() > 0.1
     assert abs(sector @ v - v @ block).max() <= 1e-15 * abs(full).max()
-    if not with_filter:  # the oracle's block, built from counts, is this one
+    if not with_filter:  # the oracle's block, built from counts, is this one, gauged
         orbits, counted = oracle._orbit_block(params, 3, charge)
         idx, v = _orbit_matrix(HilbertSpace(2, 3), charge, _oracle_numbering(orbits))
-        assert abs(counted - v.T @ sector @ v).max() <= 1e-15 * abs(full).max()
+        projected = _in_oracle_basis(v.T @ sector @ v, orbits)
+        assert abs(counted - projected).max() <= 1e-15 * abs(full).max()
 
 
 @pytest.mark.parametrize("charge", [0, -1])
@@ -524,7 +536,7 @@ def test_count_built_block_is_the_projected_liouvillian(n_atoms, charge):
     space = HilbertSpace(n_atoms, 3)
     full = build_liouvillian(params, 3)
     idx, v = _orbit_matrix(space, charge, _oracle_numbering(orbits))
-    projected = v.T @ full[idx][:, idx] @ v
+    projected = _in_oracle_basis(v.T @ full[idx][:, idx] @ v, orbits)
     assert abs(block).max() > 0.1
     assert abs(block - projected).max() <= 1e-14 * abs(full).max()
     # the orbit sizes of the multinomial formula are the counted ones
@@ -579,15 +591,13 @@ def test_orbit_moments_equal_the_moments_of_the_lifted_rho(n_atoms):
 
 
 def _stacked_real_solve(block, orbits):
-    """The stationary x by an sp.vstack build of the real form: the block
-    gauged by D = diag(i^(nk - nb)), y = T z with y_o = z_r + i s z_P(r) on
-    each Hermitian pair's representative r (s = -1 on its partner), the
-    equations Re (G y)_r and, in row P(r), Im (G y)_r, all as sparse
-    products; on resonance the representatives' half alone.  Row 0 is the
-    trace functional.  Returns (x, whether the half was solved)."""
+    """The stationary x by an sp.vstack build of the real form: x = T z
+    with x_o = z_r + i s z_P(r) on each Hermitian pair's representative r
+    (s = -1 on its partner), the equations Re (B x)_r and, in row P(r),
+    Im (B x)_r, all as sparse products; on resonance the representatives'
+    half alone.  Row 0 is the trace functional.  Returns (x, whether the
+    half was solved)."""
     n = orbits.nk.size
-    phase = _gauge_phase(orbits)
-    gauged = sp.diags(phase.conj()) @ block @ sp.diags(phase)
     every = np.arange(n)
     partner = orbits.find(orbits.nb, orbits.counts[[0, 2, 1, 3]])
     rep = np.minimum(every, partner)
@@ -600,7 +610,7 @@ def _stacked_real_solve(block, orbits):
     paired = reps[pair[reps]]
     w = sp.csr_matrix((np.append(np.ones(reps.size), -1j * np.ones(paired.size)),
                        (np.append(reps, partner[paired]), np.append(reps, paired))), shape=(n, n))
-    real = (w @ gauged @ t).real.tocsr()
+    real = (w @ block @ t).real.tocsr()
     real.eliminate_zeros()
     trace = np.where(orbits.atom_diagonal() & (orbits.nk == orbits.nb), orbits.sqrt_size, 0.0)
     keep = every == rep
@@ -614,13 +624,13 @@ def _stacked_real_solve(block, orbits):
     z = spla.splu(bordered.tocsc()).solve(b)
     on = np.flatnonzero(trace)
     z = z / (trace[on] @ z[on])
-    y = np.zeros(n, dtype=complex)
+    x = np.zeros(n, dtype=complex)
     if half:
-        y.real = z[np.cumsum(keep)[rep] - 1]
+        x.real = z[np.cumsum(keep)[rep] - 1]
     else:
-        y.real = z[rep]
-        y.imag = s * pair * z[partner[rep]]
-    return phase * y, half
+        x.real = z[rep]
+        x.imag = s * pair * z[partner[rep]]
+    return x, half
 
 
 def _complex_bordered_solve(block, orbits):
@@ -673,19 +683,20 @@ def test_stationary_solve_factors_the_orbit_block(monkeypatch):
 @pytest.mark.parametrize("charge", [0, -1])
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
 def test_gauged_blocks_are_real_exactly_on_resonance(n_atoms, charge):
-    # x_o = i^(nk - nb) y_o turns the -+i g of every photon move into a real
-    # entry; off resonance the detuning leaves the diagonal complex
+    # the phase i^(nk - nb) of each orbit operator turns the -+i g of every
+    # photon move into a real entry, which the bare orbit operators leave
+    # imaginary; off resonance the detuning leaves the diagonal complex
     for name, kw in BLOCK_CASES.items():
         params = SystemParams(n_atoms=n_atoms, **kw)
         for n_max in (2, 5):
             orbits, block = oracle._orbit_block(params, n_max, charge)
             phase = _gauge_phase(orbits)
-            gauged = sp.diags(phase.conj()) @ block @ sp.diags(phase)
-            assert abs(block.imag).max() > 0 or params.g == 0.0, name
+            bare = sp.diags(phase) @ block @ sp.diags(phase.conj())
+            assert abs(bare.imag).max() > 0 or params.g == 0.0, name
             if params.omega_a == params.omega_c == 0.0:
-                assert abs(gauged.imag).max() == 0.0, name
+                assert abs(block.imag).max() == 0.0, name
             else:
-                assert abs(gauged.imag).max() > 0.0, name
+                assert abs(block.imag).max() > 0.0, name
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -695,10 +706,9 @@ def test_gauge_leaves_every_off_diagonal_entry_real(n_atoms):
     params = SystemParams(n_atoms=n_atoms, **DESK, chi=0.03, omega_a=0.4, omega_c=-0.1)
     for n_max in (2, 5):
         orbits, block = oracle._orbit_block(params, n_max, 0)
-        gauged = oracle._gauged(block, orbits)
         off = orbits.move != oracle._DIAGONAL
-        assert block.nnz == off.size and np.all(gauged.imag[off] == 0.0)
-        assert np.all(orbits.adjoint_form.bordered(gauged) != 0.0)
+        assert block.nnz == off.size and np.all(block.data.imag[off] == 0.0)
+        assert np.all(orbits.adjoint_form.bordered(block.data) != 0.0)
 
 
 def test_common_frame_frequency_solves_the_real_half(monkeypatch):
@@ -1208,6 +1218,45 @@ def test_oracle_small_outputs_are_the_same_cold_and_warm():
     assert oracle._sector.cache_parameters()["maxsize"] == oracle.SECTOR_CACHE == 16
     assert _oracle_small_outputs() == cold
     assert oracle._sector.cache_info().misses == 12
+
+
+PIN_CASES = {  # name: (N, parameters, n_max of the steady state and the spectrum)
+    "desk-n1": (1, DESK, 4),
+    "desk-n2": (2, DESK, 4),
+    "desk-n3": (3, DESK, 6),
+    "detuned-chi-n3": (3, dict(DESK, chi=0.03, omega_a=0.3), 4),
+    "detuned-both-n2": (2, dict(DESK, chi=0.03, omega_a=0.1, omega_c=-0.05), 4),
+    "common-frame-n3": (3, dict(DESK, omega_a=0.3, omega_c=0.3), 4),
+    "g0-n3": (3, dict(DESK, g=0.0), 4),
+    "eta0-n2": (2, dict(DESK, eta=0.0), 4),
+}
+
+
+def _pinned_output_hashes():
+    """sha256 of every public oracle output on PIN_CASES: the oracle-check
+    JSON, then per case the moments and residual by repr, the lifted rho and
+    the spectrum by bytes, and derivative_match_error by repr.  The orbit
+    coordinates are left out: they are not an output."""
+    grid = np.linspace(-1.0, 1.0, 41)
+    found = {"consistency_report": json.dumps(oracle.consistency_report()).encode()}
+    for name, (n_atoms, kw, n_max) in PIN_CASES.items():
+        params = SystemParams(n_atoms=n_atoms, **kw)
+        steady = oracle_steady_state(params, n_max=n_max)
+        found[f"{name}/moments"] = repr(steady.moments).encode()
+        found[f"{name}/residual"] = repr(steady.residual).encode()
+        found[f"{name}/rho"] = steady.rho.tobytes()
+        found[f"{name}/spectrum"] = oracle_spectrum(params, n_max, grid).intensity.tobytes()
+        found[f"{name}/derivative_match_error"] = repr(
+            derivative_match_error(params, n_states=5)).encode()
+    return {key: hashlib.sha256(value).hexdigest() for key, value in found.items()}
+
+
+def test_oracle_outputs_keep_their_recorded_bytes():
+    # a change to the oracle that claims to keep every output bit for bit
+    # must leave these hashes as they are; one that moves a byte on purpose
+    # records the new hashes in oracle_output_sha256.json and says why
+    recorded = json.loads((Path(__file__).parent / "oracle_output_sha256.json").read_text())
+    assert _pinned_output_hashes() == recorded
 
 
 SPLIT_CASES = {  # name: parameters; g0, eta0 and gamma0 leave zeros that no LU factors

@@ -502,6 +502,11 @@ def test_grid_validation():
         EtaGrid(min_hz=3.0, max_hz=2.0, points=4)
     with pytest.raises(ValueError, match="log"):
         EtaGrid(min_hz=0.0, max_hz=2.0, points=4)
+    with pytest.raises(ValueError, match="min_hz must be >= 0, got -5 Hz"):
+        EtaGrid(min_hz=-5, max_hz=5, points=3, spacing="linear")
+    with pytest.raises(ValueError, match="min_hz must be >= 0"):
+        EtaGrid(min_hz=-1.0, max_hz=-1.0, points=1)
+    assert EtaGrid(min_hz=0.0, max_hz=0.0, points=1).values_hz().tolist() == [0.0]
     with pytest.raises(ValueError, match="spacing"):
         EtaGrid(min_hz=1.0, max_hz=2.0, points=4, spacing="cubic")
     with pytest.raises(ValueError, match="finite"):
