@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +26,19 @@ def _require(value, kind, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+#: Largest Hz value whose rad/s value is finite.
+MAX_HZ = sys.float_info.max / TWO_PI
+
+
+def _require_hz(value, name: str, signed: bool = False) -> None:
+    """A Hz value that is no number, is not finite, overflows in rad/s or,
+    unless signed, is negative is a ValueError naming it in Hz."""
+    _require(value, numbers.Real, name)
+    if not (-MAX_HZ if signed else 0.0) <= value <= MAX_HZ:
+        span = "at most {:.6g} Hz in size" if signed else "between 0 and {:.6g} Hz"
+        raise ValueError(f"{name} must be finite and {span.format(MAX_HZ)}, got {value} Hz")
 
 
 def from_hz(value: float) -> float:
@@ -93,25 +106,6 @@ class SystemParams:
     def updated(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
-    @cached_property
-    def _rates(self) -> "DerivedRates":
-        # written once into this instance's __dict__, which the frozen
-        # fields, eq, hash and repr never read; a copy made by replace
-        # or updated computes its own
-        if self.kappa > 0.0:
-            purcell = 4.0 * self.g**2 / self.kappa
-        else:
-            purcell = math.inf if self.g > 0.0 else 0.0
-        pump_total = self.eta + self.gamma
-        d0 = (self.eta - self.gamma) / pump_total if pump_total > 0.0 else None
-        return DerivedRates(
-            purcell=purcell,
-            big_gamma=self.eta + self.gamma + 2.0 * self.chi,
-            c_collective=self.n_atoms * purcell,
-            d0=d0,
-            collective_coupling=math.sqrt(self.n_atoms) * self.g,
-        )
-
 
 @dataclass(frozen=True)
 class DerivedRates:
@@ -135,7 +129,23 @@ def derived(params: SystemParams) -> DerivedRates:
     """The rates of params, computed on the first call for this instance;
     every later call returns that same frozen record.  The cache is per
     instance only: an equal SystemParams built anew computes its own."""
-    return params._rates
+    # a plain slot in the instance's __dict__, which the frozen fields, eq,
+    # hash and repr never read; replace and updated build a copy without
+    # it.  functools.cached_property would take a lock on the first read.
+    slot = params.__dict__
+    rates = slot.get("_rates")
+    if rates is None:
+        purcell = (4.0 * params.g**2 / params.kappa if params.kappa > 0.0
+                   else math.inf if params.g > 0.0 else 0.0)
+        pump_total = params.eta + params.gamma
+        rates = slot["_rates"] = DerivedRates(
+            purcell=purcell,
+            big_gamma=params.eta + params.gamma + 2.0 * params.chi,
+            c_collective=params.n_atoms * purcell,
+            d0=(params.eta - params.gamma) / pump_total if pump_total > 0.0 else None,
+            collective_coupling=math.sqrt(params.n_atoms) * params.g,
+        )
+    return rates
 
 
 # Preset transitions.  Values are ordinary frequencies in Hz and converted
@@ -189,7 +199,7 @@ def load_config(config: dict) -> SystemParams:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in sorted(config):
         if key.endswith("_hz"):
-            _require(config[key], numbers.Real, key)
+            _require_hz(config[key], key, signed=key == "detuning_hz")
     if "preset" in config:
         params = preset(config["preset"])
         fields = {

@@ -26,7 +26,7 @@ from .analytic import crossover_linewidth, tieri_linewidth
 from .cumulant import solve_all, steady_state
 from .dicke import classify_regime, dicke_numbers
 from .errors import BelowThresholdError, FitError, ProbeError, SimulationError
-from .model import SystemParams, _require, from_hz, params_to_config, to_hz
+from .model import SystemParams, _require, _require_hz, from_hz, params_to_config, to_hz
 from .spectrum import linewidth, pole_linewidth
 
 STATUS_VALUES = ("ok", "solver_error", "fit_error")
@@ -71,6 +71,7 @@ class EtaGrid:
         # a single point is min_hz itself, so only a spread needs min_hz > 0
         if self.spacing == "log" and self.points > 1 and self.min_hz <= 0.0:
             raise ValueError("log spacing requires min_hz > 0")
+        _require_hz(self.max_hz, "max_hz")
 
     def values_hz(self) -> np.ndarray:
         if self.points == 1:
@@ -179,9 +180,11 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
                   obs: Observables, *, solved: tuple | None = None) -> SweepRow:
     """One grid cell; failures are recorded in the row, never raised.
 
-    solved is the cell's entry of cumulant.solve_all, handed on to
-    steady_state, which then runs no solver stage; without it the cell is
-    solved alone, to the same bits.
+    solved is (params, entry): the cell's params as _cell_params builds
+    them, and their entry of cumulant.solve_all, handed on to steady_state,
+    which then runs no solver stage; run_grid passes both, so no cell
+    builds its params twice.  Without it the cell builds its own params and
+    is solved alone, to the same bits.
 
     delta_nu_hz is the width of the narrow pole of the zero-probe filter
     response (pole_linewidth) where the broad pole's relative peak weight
@@ -190,9 +193,9 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     filter-probe pipeline's deconvolved fit width (linewidth), and a
     pipeline failure makes the row a fit_error.
     """
-    params = _cell_params(base, n_atoms, eta_hz)
+    params, entry = solved or (_cell_params(base, n_atoms, eta_hz), None)
     try:
-        state = steady_state(params, solved=solved)
+        state = steady_state(params, solved=entry)
     except SimulationError:
         return SweepRow(n_atoms=params.n_atoms, eta_hz=eta_hz, status="solver_error")
 
@@ -269,8 +272,9 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     steady states are solved together first, in this process, also when
     workers > 1 (cumulant.solve_all: one batched relaxation, then the
     Newton stages in lock-step batches).  Each cell is then evaluated from
-    its solved state, to the bytes that solving it alone gives, so a
-    worker pool runs only the per-cell observables.  The pool's size is
+    the params built for that solve and its solved state, to the bytes
+    that solving it alone gives, so a worker pool runs only the per-cell
+    observables and no cell builds its params twice.  The pool's size is
     the least of workers, the pending cells and the CPUs.  A grid with a
     single pending cell is solved alone.
     A JSON sidecar (path + ".meta.json") records the base parameters, observables,
@@ -311,11 +315,11 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     wanted = {_cell_key(n, eta) for n, eta in cells}
     kept = {k: v for k, v in kept.items() if k in wanted}
     pending = [(n, eta) for n, eta in cells if _cell_key(n, eta) not in kept]
+    params = [_cell_params(cfg.base, n, eta) for n, eta in pending]
     # a lone cell is solved faster alone, in steady_state
-    solved = (solve_all([_cell_params(cfg.base, n, eta) for n, eta in pending])
-              if len(pending) > 1 else [None] * len(pending))
-    pending = [(cfg.base, n, eta, cfg.observables, row)
-               for (n, eta), row in zip(pending, solved)]
+    solved = solve_all(params) if len(params) > 1 else [None] * len(params)
+    pending = [(cfg.base, n, eta, cfg.observables, cell)
+               for (n, eta), cell in zip(pending, zip(params, solved))]
 
     # under the fork start method a pool starts all its workers at its
     # first submit, so it gets no more than the pending cells and CPUs use

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import srlaser
 from srlaser import __version__, cli, oracle
 from srlaser.cli import main
 from srlaser.cumulant import MomentState, steady_state
@@ -180,6 +183,35 @@ def test_steady_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key,
     assert err.startswith(f"usage error: {key} must be a number") and repr(value) in err
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["--eta-hz", "-5"], {}, "eta_hz must be finite and between 0 and 2.86112e+307 Hz, "
+                             "got -5.0 Hz"),
+    (["--eta-hz", "1e308"], {}, "eta_hz must be finite and between 0 and 2.86112e+307 Hz, "
+                                "got 1e+308 Hz"),
+    ([], {"kappa_hz": -3}, "kappa_hz must be finite and between 0 and 2.86112e+307 Hz, "
+                           "got -3 Hz"),
+    ([], {"detuning_hz": 1e308}, "detuning_hz must be finite and at most 2.86112e+307 Hz "
+                                 "in size, got 1e+308 Hz"),
+], ids=["negative-pump-flag", "overflowing-pump-flag", "negative-kappa", "huge-detuning"])
+def test_steady_names_a_bad_rate_in_hz(capsys, tmp_path, argv, config, message):
+    # not the rad/s value SystemParams rejects, and not inf after an overflow
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"preset": "sr88", "n_atoms": 1000, **config}))
+    code, out, err = run_cli(capsys, ["steady", "--config", str(path), *argv])
+    assert code == 2 and out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_sweep_at_an_overflowing_pump_names_it_in_hz_and_writes_nothing(capsys, tmp_path):
+    out_csv = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, ["sweep", "--preset", "sr88", "--n", "1000",
+                                    "--eta-hz", "1e308", "--out", str(out_csv)])
+    assert code == 2
+    assert err == ("usage error: max_hz must be finite and between 0 and "
+                   "2.86112e+307 Hz, got 1e+308 Hz\n")
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("name", [[1], {"name": "sr88"}, 5], ids=["list", "dict", "int"])
 def test_steady_config_preset_that_is_not_a_name_is_a_usage_error(capsys, tmp_path, name):
     # a preset that is no str is an unknown preset, not a TypeError traceback
@@ -197,9 +229,13 @@ def test_version_flag(capsys):
 
 
 def test_console_script_is_installed():
+    # the subprocess imports srlaser from where this test did, also when
+    # only pytest's pythonpath setting put it on sys.path
+    root = str(Path(srlaser.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "srlaser.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert __version__ in result.stdout

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -18,6 +19,7 @@ from srlaser import (
     preset,
     to_hz,
 )
+from srlaser.model import MAX_HZ
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +162,20 @@ def test_updated_params_get_their_own_rates():
     assert derived(p) is rates
 
 
+def test_rates_are_a_plain_instance_slot_without_a_lock():
+    # functools.cached_property takes a lock on its first read before
+    # Python 3.12; derived fills the instance's __dict__ itself
+    assert not [name for cls in SystemParams.__mro__ for name, value in vars(cls).items()
+                if isinstance(value, functools.cached_property)]
+    p = _every_field_set()
+    assert "_rates" not in vars(p)
+    rates = derived(p)
+    assert vars(p)["_rates"] is rates and derived(p) is rates
+    for copy in (p.updated(), dataclasses.replace(p), p.updated(eta=0.4)):
+        assert "_rates" not in vars(copy)
+        assert derived(copy) == rates and derived(copy) is not rates
+
+
 def test_pickled_params_keep_equal_rates():
     # the sweep's worker pool pickles the base params of every cell
     p = _every_field_set()
@@ -184,6 +200,32 @@ def test_load_config_from_preset_with_overrides():
     assert to_hz(p.kappa) == pytest.approx(200e3)
     assert to_hz(p.g) == pytest.approx(10.6e3)
     assert to_hz(p.eta) == pytest.approx(75e3)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("eta_hz", -5), ("kappa_hz", -3), ("gamma_hz", -1e-9), ("chi_hz", -0.5),
+    ("g_hz", math.inf), ("eta_hz", math.nan), ("detuning_hz", math.nan),
+    ("detuning_hz", -math.inf), ("detuning_hz", 1e308), ("detuning_hz", -1e308),
+    ("eta_hz", 1e308), pytest.param("kappa_hz", 10**400, id="kappa_hz-10**400"),
+])
+def test_load_config_names_a_bad_rate_in_hz(key, value):
+    # the rad/s value SystemParams would reject (or overflow to) is never shown
+    with pytest.raises(ValueError) as raised:
+        load_config({"preset": "sr88", "n_atoms": 10, key: value})
+    message = str(raised.value)
+    assert message.startswith(f"{key} must be finite and ")
+    assert message.endswith(f", got {value} Hz")
+
+
+def test_load_config_takes_every_hz_value_with_a_finite_rad_s_value():
+    for key in ("g_hz", "kappa_hz", "gamma_hz", "eta_hz", "chi_hz", "detuning_hz"):
+        for value in (0, 0.0, MAX_HZ):
+            p = load_config({"preset": "sr88", key: value})
+            assert all(math.isfinite(v) for v in dataclasses.astuple(p))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_config({"preset": "sr88", key: math.nextafter(MAX_HZ, math.inf)})
+    assert load_config({"preset": "sr88", "detuning_hz": -MAX_HZ}).detuning == \
+        from_hz(-MAX_HZ)
 
 
 def test_load_config_requires_rates_without_preset():

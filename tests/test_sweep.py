@@ -1,9 +1,13 @@
 """Grid sweeps: determinism, checkpoint/resume, quarantine, row codec."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -337,15 +341,59 @@ def test_invalid_cells_raise_system_params_own_error(n_atoms, eta_hz):
     assert str(raised.value) == str(expected.value)
 
 
+def _count_params_built(monkeypatch) -> list:
+    built = []
+    check = SystemParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(SystemParams, "__post_init__", counted)
+    return built
+
+
+def test_a_grid_builds_one_system_params_per_pending_cell(tmp_path, monkeypatch):
+    # run_grid hands each cell the params it built for solve_all
+    obs = Observables(photons=True, dicke=True, analytic=True)
+    grid = EtaGrid(min_hz=1e3, max_hz=1e5, points=3)
+    cfg = SweepConfig(base=preset("sr88"), n_list=(100, 10_000), eta_grid=grid,
+                      observables=obs, output_path=str(tmp_path / "grid.csv"))
+    wider = dataclasses.replace(cfg, n_list=(100, 1000, 10_000))
+    lone = SweepConfig(base=preset("sr88"), n_list=(1000,), observables=obs,
+                       eta_grid=EtaGrid(min_hz=1e4, max_hz=1e4, points=1),
+                       output_path=str(tmp_path / "lone.csv"))
+    built = _count_params_built(monkeypatch)
+    assert [r.status for r in run_grid(cfg)] == ["ok"] * 6
+    assert len(built) == 6
+    built.clear()
+    assert len(run_grid(wider)) == 9  # resumes: 3 cells pending
+    assert len(built) == 3
+    built.clear()
+    assert [r.status for r in run_grid(lone)] == ["ok"]
+    assert len(built) == 1
+    built.clear()
+    assert evaluate_cell(cfg.base, 1000, 1e4, obs).status == "ok"
+    assert len(built) == 1
+
+
 def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, monkeypatch):
     # classify_regime, tieri_linewidth and crossover_linewidth each read
-    # derived(params); the cell's params compute the rates for all three
-    built, replaced = [], []
+    # derived(params); the cell's params compute the rates for all three.
+    # Every process appends to one file, so the pool's cells count too.
+    count_path = tmp_path / "rates.count"
+    replaced = []
     rates, replace = model.DerivedRates, dataclasses.replace
 
     def counted_rates(*args, **kwargs):
-        built.append(args or kwargs)
+        with open(count_path, "a") as fh:
+            fh.write("+")
         return rates(*args, **kwargs)
+
+    def count_built() -> int:
+        n = len(count_path.read_text()) if count_path.exists() else 0
+        count_path.unlink(missing_ok=True)
+        return n
 
     def counted_replace(*args, **kwargs):
         replaced.append(args[1:] or kwargs)
@@ -355,17 +403,23 @@ def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, mon
     cfg = SweepConfig(base=preset("sr88"), n_list=(100, 10_000),
                       eta_grid=EtaGrid(min_hz=1e3, max_hz=1e5, points=3),
                       observables=obs, output_path=str(tmp_path / "grid.csv"))
+    pool_cfg = dataclasses.replace(cfg, output_path=str(tmp_path / "pool.csv"), workers=2)
     monkeypatch.setattr(model, "DerivedRates", counted_rates)
     monkeypatch.setattr(model, "replace", counted_replace)
     monkeypatch.setattr(dataclasses, "replace", counted_replace)
     row = evaluate_cell(cfg.base, 10_000, 1e4, obs)
     assert row.status == "ok" and row.regime is not None
     assert math.isfinite(row.delta_nu_eq3_hz) and math.isfinite(row.delta_nu_eq4_hz)
-    assert len(built) == 1
-    built.clear()
+    assert count_built() == 1
     rows = run_grid(cfg)
     assert [r.status for r in rows] == ["ok"] * 6
-    assert len(built) == 6
+    assert count_built() == 6
+    # forked workers inherit the counter, whatever the default start method
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    assert len(run_grid(pool_cfg)) == 6
+    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
+    assert count_built() == 6
     assert replaced == []
 
 
