@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="run an (N, eta) grid to CSV")
     _add_shared(p)
     p.add_argument("--out", metavar="PATH", help="output CSV path (overrides config)")
-    p.add_argument("--workers", type=int, metavar="INT", help="parallel processes")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv",
                    help="row format echoed to stdout (the file is always CSV)")
 
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # config-file keys that only `sweep` reads; the rest describe the system
-_SWEEP_KEYS = ("n_list", "eta_grid", "observables", "output_path", "workers")
+_SWEEP_KEYS = ("n_list", "eta_grid", "observables", "output_path")
 
 
 def _read_config(args) -> tuple[dict, dict]:
@@ -225,10 +224,9 @@ def cmd_sweep(args) -> int:
     out_path = args.out or sweep_cfg.get("output_path")
     if not out_path:
         raise ValueError("sweep needs --out or an output_path in the config file")
-    workers = sweep_cfg.get("workers", 1) if args.workers is None else args.workers
 
     cfg = SweepConfig(base=base, n_list=tuple(n_list), eta_grid=grid,
-                      observables=obs, output_path=str(out_path), workers=workers)
+                      observables=obs, output_path=str(out_path))
     rows = run_grid(cfg)
     n_ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} rows ({n_ok} ok) -> {out_path}", file=sys.stderr)

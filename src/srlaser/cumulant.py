@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dop853 import solve_ivp
+from .dop853 import TOO_SMALL_STEP, solve_ivp
 from .errors import ConvergenceError, StiffIntegrationError
 from .model import SystemParams
 
@@ -345,6 +345,13 @@ def fixed_point_g0(params: SystemParams) -> MomentState:
     return MomentState(0.0, 0.0 + 0.0j, s, 0.0 + 0.0j)
 
 
+def _stiff_error(message: str) -> StiffIntegrationError:
+    return StiffIntegrationError(
+        f"explicit integration failed ({message}); the problem is "
+        "likely stiff on this horizon, use the Newton steady-state path"
+    )
+
+
 def _integrate_raw(x0, params, t_final):
     # trial steps may transiently overflow on stiff points; they get rejected
     f = _rhs(params)
@@ -354,10 +361,7 @@ def _integrate_raw(x0, params, t_final):
             (0.0, t_final), x0, rtol=_REL_TOL, atol=_ABS_TOL,
         )
     if not sol.success:
-        raise StiffIntegrationError(
-            f"explicit integration failed ({sol.message}); the problem is "
-            "likely stiff on this horizon, use the Newton steady-state path"
-        )
+        raise _stiff_error(sol.message)
     return sol
 
 
@@ -533,28 +537,22 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     return np.array([n, -delta * ci / gamma_c, ci, s, pr, 0.0])
 
 
-def _relax(params):
-    """Integrate the fast transient away: 30 fast time constants from the
-    initial state, with the package's DOP853 (srlaser.dop853), which takes
-    scipy's steps bit for bit.  The right-hand side is built once by _rhs
-    and evaluated on Python floats, which round as the array form does, so
-    the relaxed state is the one scipy's DOP853 reaches.  An initial state
-    that is already stationary, as wherever gamma_p = 0, is returned
-    untouched.  relax_all relaxes many params at once to the same bits."""
-    x = initial_state(params).as_vector()
-    if scaled_residual(x, params) == 0.0:
-        return x
-    return _integrate_raw(x, params, 30.0 / _fast_rate(params)).y[:, -1]
-
-
 def relax_all(params_list) -> list:
-    """_relax of each params, in one batched DOP853 integration.
+    """Integrate the fast transient away: 30 fast time constants from the
+    initial state of each params, with the package's DOP853
+    (srlaser.dop853), which takes scipy's steps bit for bit.  These are
+    the starts of solve_all's Newton stages.
 
-    Each entry is the state that _relax(params) returns, bit for bit: the
-    start of solve_all's Newton stages.  It is None where steady_state
-    does not relax (a coupled lossless cavity), and where the integration
-    failed.  Batching pays from a few states on; a single state relaxes
-    faster alone.
+    A lone state is integrated by the 1-D loop, on a right-hand side built
+    once by _rhs and evaluated on Python floats; two or more are one
+    batched integration of the array form.  Both round as scipy's DOP853
+    does, so each state ends on the same bits either way, and the lone
+    one runs several times faster than a batch of one.
+
+    Each entry is the relaxed state.  An initial state that is already
+    stationary, as wherever gamma_p = 0, is returned untouched.  The entry
+    is None where steady_state does not relax (a coupled lossless cavity),
+    and the StiffIntegrationError where the integration failed.
     """
     out: list = [None] * len(params_list)
     todo, starts = [], []
@@ -567,17 +565,22 @@ def relax_all(params_list) -> list:
         else:
             todo.append(i)
             starts.append(x)
-    if not todo:
-        return out
-    rows = [params_list[i] for i in todo]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
-            _rhs_rows(rows), (0.0, np.array([30.0 / _fast_rate(p) for p in rows])),
-            np.array(starts), rtol=_REL_TOL, atol=_ABS_TOL,
-        )
-    for i, x, ok in zip(todo, sol.y, sol.success):
-        if ok:
-            out[i] = x
+    if len(todo) == 1:
+        i = todo[0]
+        params = params_list[i]
+        try:
+            out[i] = _integrate_raw(starts[0], params, 30.0 / _fast_rate(params)).y[:, -1]
+        except StiffIntegrationError as exc:
+            out[i] = exc
+    elif todo:
+        rows = [params_list[i] for i in todo]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(
+                _rhs_rows(rows), (0.0, np.array([30.0 / _fast_rate(p) for p in rows])),
+                np.array(starts), rtol=_REL_TOL, atol=_ABS_TOL,
+            )
+        for i, x, ok in zip(todo, sol.y, sol.success):
+            out[i] = x if ok else _stiff_error(TOO_SMALL_STEP)
     return out
 
 
@@ -612,29 +615,26 @@ def _newton_stages(params_list, starts) -> list:
 
 
 def solve_all(params_list) -> list:
-    """steady_state's stages for many params at once, bit for bit.
+    """steady_state's stages for any number of params, bit for bit.
 
-    One batched relaxation (relax_all), then the two Newton stages as
-    lock-step batches.  Each entry is to be
-    passed to steady_state(params, solved=...), which then returns or
-    raises what steady_state(params) would, and runs no stage again.  It
-    is None where steady_state solves params alone: a coupled lossless
-    cavity, and a relaxation that failed, which raises there.  Batching
-    pays from a few params on; a single one is solved faster alone.
+    relax_all, then the two Newton stages as lock-step batches of the
+    relaxed states.  Each entry is to be passed to steady_state(params,
+    solved=...), which then returns or raises what steady_state(params)
+    would, and runs no stage again: (x, scaled residual, ok), the
+    StiffIntegrationError of a relaxation that failed, or None for a
+    coupled lossless cavity, which steady_state solves in closed form.
     """
-    out: list = [None] * len(params_list)
-    relaxed = relax_all(params_list)
-    todo = [i for i, x in enumerate(relaxed) if x is not None]
+    out = relax_all(params_list)
+    todo = [i for i, x in enumerate(out) if isinstance(x, np.ndarray)]
     if todo:
-        rows = _newton_stages([params_list[i] for i in todo],
-                              np.array([relaxed[i] for i in todo]))
+        rows = _newton_stages([params_list[i] for i in todo], np.array([out[i] for i in todo]))
         for i, row in zip(todo, rows):
             out[i] = row
     return out
 
 
 def steady_state(params: SystemParams, return_info: bool = False, *,
-                 solved: tuple | None = None):
+                 solved: tuple | StiffIntegrationError | None = None):
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants,
@@ -646,10 +646,12 @@ def steady_state(params: SystemParams, return_info: bool = False, *,
        closed-form physical root, which exists at any detuning.  This
        stage, not a longer relaxation, settles the slow inputs.
 
-    Stages 2 and 3 run as the batches of solve_all, here a batch of one.
-    A caller that has solved many params at once passes params' entry of
-    solve_all(params_list) as solved, and no stage runs again: the state
-    returned, or the error raised, is the one the stages give.
+    The stages are those of solve_all([params]), which relaxes a lone
+    state on the 1-D loop.  A caller that has solved many params at once
+    passes params' entry of solve_all(params_list) as solved, and no stage
+    runs again: the state returned, or the error raised, is the one the
+    stages give.  A relaxation that fails raises its
+    StiffIntegrationError.
 
     A returned state is a physical root within the tolerance.  Otherwise
     ConvergenceError is raised, carrying stage 2's best scaled residual.
@@ -676,7 +678,9 @@ def steady_state(params: SystemParams, return_info: bool = False, *,
         res = scaled_residual(x, params)
     else:
         if solved is None:
-            (solved,) = _newton_stages([params], _relax(params)[None])
+            (solved,) = solve_all([params])
+        if isinstance(solved, StiffIntegrationError):
+            raise solved
         x, res, ok = solved
         if not ok:
             raise ConvergenceError(

@@ -98,6 +98,8 @@ class SweepConfig:
     eta_grid: EtaGrid
     observables: Observables = Observables()
     output_path: str = "sweep.csv"
+    # 1 is the only value, as every cell runs in the calling process; the
+    # field stays for callers that pass workers=1, as perfbench/workloads.py does
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -105,9 +107,9 @@ class SweepConfig:
         if len(n_list) == 0:
             raise ValueError("n_list must not be empty")
         object.__setattr__(self, "n_list", n_list)
-        _require(self.workers, numbers.Integral, "workers")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if type(self.workers) is not int or self.workers != 1:
+            raise ValueError(f"workers must be 1, got {self.workers!r}: every grid "
+                             "cell runs in the calling process")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -182,9 +184,10 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
 
     solved is (params, entry): the cell's params as _cell_params builds
     them, and their entry of cumulant.solve_all, handed on to steady_state,
-    which then runs no solver stage; run_grid passes both, so no cell
-    builds its params twice.  Without it the cell builds its own params and
-    is solved alone, to the same bits.
+    which then runs no solver stage, also where the entry is a failed
+    relaxation; run_grid passes both, so no cell builds its params twice.
+    Without it the cell builds its own params and is solved alone, to the
+    same bits.
 
     delta_nu_hz is the width of the narrow pole of the zero-probe filter
     response (pole_linewidth) where the broad pole's relative peak weight
@@ -231,11 +234,6 @@ def evaluate_cell(base: SystemParams, n_atoms: int, eta_hz: float,
     return SweepRow(n_atoms=params.n_atoms, eta_hz=eta_hz, status=status, **values)
 
 
-def _cell_worker(args) -> SweepRow:
-    *cell, solved = args
-    return evaluate_cell(*cell, solved=solved)
-
-
 def load_checkpoint(path: Path):
     """Split an existing CSV into reusable ok rows and quarantined lines.
 
@@ -267,16 +265,11 @@ def load_checkpoint(path: Path):
 def run_grid(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the full grid, honoring any checkpoint at the output path.
 
-    Rows come back (and are written) sorted by (n_atoms, eta_hz)
-    regardless of execution order or worker count.  The pending cells'
-    steady states are solved together first, in this process, also when
-    workers > 1 (cumulant.solve_all: one batched relaxation, then the
-    Newton stages in lock-step batches).  Each cell is then evaluated from
-    the params built for that solve and its solved state, to the bytes
-    that solving it alone gives, so a worker pool runs only the per-cell
-    observables and no cell builds its params twice.  The pool's size is
-    the least of workers, the pending cells and the CPUs.  A grid with a
-    single pending cell is solved alone.
+    Rows come back (and are written) sorted by (n_atoms, eta_hz).  Each
+    distinct cell is computed once, in this process: the pending cells'
+    steady states are solved together first (cumulant.solve_all), and each
+    cell is then evaluated by evaluate_cell from the params built for that
+    solve and its entry, to the bytes that solving it alone gives.
     A JSON sidecar (path + ".meta.json") records the base parameters, observables,
     package version (srlaser.__version__), wall time and row counts, none
     of which enter the CSV.
@@ -310,27 +303,14 @@ def run_grid(cfg: SweepConfig) -> list[SweepRow]:
                              "the file or choose another output path")
         kept, quarantined = load_checkpoint(out)
 
-    eta_values = cfg.eta_grid.values_hz()
-    cells = [(n, float(eta)) for n in cfg.n_list for eta in eta_values]
-    wanted = {_cell_key(n, eta) for n, eta in cells}
-    kept = {k: v for k, v in kept.items() if k in wanted}
-    pending = [(n, eta) for n, eta in cells if _cell_key(n, eta) not in kept]
+    # a cell repeated in n_list or the pump grid is one key, computed once
+    cells = {_cell_key(n, eta): (n, eta) for n in cfg.n_list
+             for eta in cfg.eta_grid.values_hz().tolist()}
+    kept = {k: v for k, v in kept.items() if k in cells}
+    pending = [cell for key, cell in cells.items() if key not in kept]
     params = [_cell_params(cfg.base, n, eta) for n, eta in pending]
-    # a lone cell is solved faster alone, in steady_state
-    solved = solve_all(params) if len(params) > 1 else [None] * len(params)
-    pending = [(cfg.base, n, eta, cfg.observables, cell)
-               for (n, eta), cell in zip(pending, zip(params, solved))]
-
-    # under the fork start method a pool starts all its workers at its
-    # first submit, so it gets no more than the pending cells and CPUs use
-    workers = min(cfg.workers, len(pending), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_cell_worker, pending, chunksize=1))
-    else:
-        computed = [_cell_worker(args) for args in pending]
+    computed = [evaluate_cell(cfg.base, n, eta, cfg.observables, solved=solved)
+                for (n, eta), solved in zip(pending, zip(params, solve_all(params)))]
 
     lines = dict(kept)
     for row in computed:

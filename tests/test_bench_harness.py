@@ -116,15 +116,14 @@ def test_grid_csvs_keep_their_recorded_bytes(tmp_path):
 def test_grid_states_poles_match_the_array_form():
     # pole_linewidth on Python scalars against the array form it replaced,
     # on all 970 steady states of the grid workloads at seeds 0 and 3, as
-    # run_grid solves them: one batch per grid, or alone for a single cell
+    # run_grid solves them: one solve_all per grid
     checked = 0
     for seed in (0, 3):
         for name in ("threshold_grid", "detuned_grid", "linewidth_sweep"):
             for _, cfg in workloads.grid_inputs(name, seed):
                 cells = [sweep._cell_params(cfg.base, n, float(eta)) for n in cfg.n_list
                          for eta in cfg.eta_grid.values_hz()]
-                solved = solve_all(cells) if len(cells) > 1 else [None]
-                for params, row in zip(cells, solved):
+                for params, row in zip(cells, solve_all(cells)):
                     assert_matches_reference(params, steady_state(params, solved=row))
                     checked += 1
     assert checked == 970

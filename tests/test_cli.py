@@ -117,12 +117,15 @@ def test_non_integral_atom_number_is_a_usage_error(capsys, tmp_path):
 
 
 def test_sweep_with_zero_workers_is_a_usage_error(capsys, tmp_path):
-    code, _, err = run_cli(capsys, [
-        "sweep", "--preset", "sr88", "--n", "2", "--eta-hz", "100",
-        "--out", str(tmp_path / "sweep.csv"), "--workers", "0",
-    ])
-    assert code == 2
-    assert "usage error: workers must be >= 1" in err
+    # every cell runs in process: sweep has no --workers flag, whatever its value
+    for workers in ("0", "1", "2"):
+        code, _, err = run_cli(capsys, [
+            "sweep", "--preset", "sr88", "--n", "2", "--eta-hz", "100",
+            "--out", str(tmp_path / "sweep.csv"), "--workers", workers,
+        ])
+        assert code == 2
+        assert f"unrecognized arguments: --workers {workers}" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("key,value,named", [
@@ -165,7 +168,10 @@ def test_sweep_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, 
     code, _, err = run_cli(capsys, ["sweep", "--config", str(path)])
     bad = value[field] if isinstance(value, dict) else value
     assert code == 2
-    assert err.startswith(f"usage error: {field} must be") and repr(bad) in err
+    if key == "workers":  # not a config key: every cell runs in process
+        assert err.startswith("usage error: unknown config keys: ['workers']")
+    else:
+        assert err.startswith(f"usage error: {field} must be") and repr(bad) in err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -45,8 +45,6 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "numpy" in imported
     assert not SCIPY & imported
-    # the sweep's process pool is imported only when workers > 1
-    assert not {"concurrent.futures.process", "multiprocessing"} & imported
 
 
 def test_presets_runs_without_scipy():
@@ -66,6 +64,19 @@ def test_pumped_commands_run_without_scipy(command):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
     assert not SCIPY & imported
+
+
+def test_sweep_runs_in_process_without_scipy(tmp_path):
+    # a 2 x 3 grid: every cell is solved and evaluated in the calling process
+    out = tmp_path / "grid.csv"
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "preset": "sr88", "n_list": [1000, 10000], "output_path": str(out),
+        "eta_grid": {"min_hz": 1e3, "max_hz": 1e5, "points": 3}}))
+    proc, imported = run_fresh("-m", "srlaser.cli", "sweep", "--config", str(config))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert len(out.read_text().splitlines()) == 1 + 6
+    assert not (SCIPY | {"multiprocessing", "concurrent.futures.process"}) & imported
 
 
 def test_oracle_names_resolve_on_first_access():

@@ -24,7 +24,7 @@ from srlaser.cumulant import (
     steady_state,
 )
 from srlaser.errors import ConvergenceError, StiffIntegrationError
-from srlaser.model import ETA_EXP, SystemParams, from_hz, load_config, preset
+from srlaser.model import ETA_EXP, SystemParams, derived, from_hz, load_config, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
 from conftest import rel_err
@@ -616,7 +616,7 @@ def _newton_starts():
     # gamma, index 840), and four where Newton from the relaxed state
     # returns its best iterate with ok False
     for i in sorted(set(range(0, len(cells), 15)) | {63, 148, 739, 788}):
-        yield "relaxed", cumulant._relax(cells[i]), cells[i]
+        yield "relaxed", cumulant.relax_all([cells[i]])[0], cells[i]
     # gamma_p = 0: the polish ends on a singular Jacobian
     params = _NO_PUMP_NO_DECAY["sr88"]
     yield "no pump, no decay", initial_state(params).as_vector(), params
@@ -706,7 +706,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     # (lam = 1 ... 1/1024), also when the full step is the one accepted,
     # and each polish round evaluates the full step alone.
     params = _STEP_INPUTS["sr88"][0]
-    x0 = cumulant._relax(params)
+    (x0,) = cumulant.relax_all([params])
     evaluated, per_call = [], []
     stacked = cumulant._stacked
 
@@ -884,8 +884,10 @@ def test_relax_all_is_relax_of_each_params(monkeypatch):
     assert batches == [(3, 6)] * 2 and solved[1] is None
     for params, x, row in zip(inputs, relaxed, solved):
         if x is not None:
-            assert np.array_equal(x, cumulant._relax(params))
+            assert np.array_equal(x, cumulant.relax_all([params])[0])
             assert steady_state(params, solved=row) == steady_state(params)
+    # a lone state relaxes on the 1-D loop, the stationary one not at all
+    assert batches[2:] == [(6,)] * 6
     assert cumulant.relax_all([]) == []
     assert cumulant.solve_all([]) == []
 
@@ -897,7 +899,59 @@ def test_relax_all_matches_relax_on_a_threshold_scan():
     inputs = [sr88.updated(n_atoms=n, eta=pump * sr88.gamma)
               for n in (100, 1_000, 10_000, 100_000) for pump in np.geomspace(1e-2, 1e5, 10)]
     for params, x in zip(inputs, cumulant.relax_all(inputs)):
-        assert np.array_equal(x, cumulant._relax(params))
+        assert np.array_equal(x, cumulant.relax_all([params])[0])
+
+
+_DESK = SystemParams(n_atoms=3, g=0.25, kappa=1.0, gamma=0.01, eta=0.2)
+_SR88 = preset("sr88", n_atoms=1000)
+# the edge inputs, each with what every entry point gives for it: the
+# state vector, or the error class and the start of its message
+_EDGE_INPUTS = {
+    "g = 0": (_DESK.updated(g=0.0), [0.0, 0.0, 0.0, 0.9047619047619048, 0.0, 0.0]),
+    "kappa = 0 below transparency": (
+        _DESK.updated(kappa=0.0, gamma=0.2, eta=0.01),
+        [0.05263157894736849, 0.0, 0.0, -0.9047619047619047, 0.0, 0.0]),
+    "kappa = 0 at transparency": (
+        _DESK.updated(kappa=0.0, gamma=0.1, eta=0.1),
+        (ConvergenceError, "no physical steady state: with kappa = 0 and eta >= gamma")),
+    "g = kappa = 0": (_DESK.updated(g=0.0, kappa=0.0),
+                      [0.0, 0.0, 0.0, 0.9047619047679338, 0.0, 0.0]),
+    "eta = gamma = 0": (_DESK.updated(gamma=0.0, eta=0.0), [0.0, 0.0, 0.0, -1.0, 0.0, 0.0]),
+    "eta = gamma = 0, chi > 0": (_DESK.updated(gamma=0.0, eta=0.0, chi=0.03),
+                                 [0.0, 0.0, 0.0, -1.0, 0.0, 0.0]),
+    "below threshold": (
+        _SR88.updated(eta=0.5 * _SR88.gamma),
+        [0.06444464152413946, 0.0, -0.00048637465301237326, -0.3351664253589089,
+         -0.0003071954507830347, 0.0]),
+    "far over-pumped": (
+        _SR88.updated(eta=1e3 * derived(_SR88).c_collective),
+        [0.0010009386344739157, 0.0, -7.554253845086157e-06, 0.9999946599215914,
+         5.701277988802101e-11, 0.0]),
+}
+
+
+def _outcome(solve):
+    """The bytes of the state that solve() returns, or its error's class and message."""
+    try:
+        return _bits(solve())
+    except (ConvergenceError, StiffIntegrationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_each_edge_input_gives_one_answer_through_every_entry_point():
+    # steady_state alone, on its own solve_all entry, and on its row of one
+    # mixed batch of all the edge inputs
+    inputs = [params for params, _ in _EDGE_INPUTS.values()]
+    batch = cumulant.solve_all(inputs)
+    for (name, (params, expected)), row in zip(_EDGE_INPUTS.items(), batch):
+        alone = _outcome(lambda: steady_state(params))
+        assert _outcome(lambda: steady_state(params, solved=cumulant.solve_all([params])[0])) \
+            == alone, name
+        assert _outcome(lambda: steady_state(params, solved=row)) == alone, name
+        if isinstance(expected, tuple):
+            assert alone[0] is expected[0] and alone[1].startswith(expected[1]), name
+        else:
+            assert alone == _bits(MomentState.from_vector(expected)), name
 
 
 def test_error_norm_whose_weighted_sum_underflows_is_nan():

@@ -1,13 +1,9 @@
 """Grid sweeps: determinism, checkpoint/resume, quarantine, row codec."""
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import functools
 import json
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +32,12 @@ def _desk_base():
     return SystemParams(n_atoms=1, g=0.25, kappa=1.0, gamma=0.01, eta=0.0)
 
 
-def _small_config(path, n_list=(2, 3), workers=1):
+def _small_config(path, n_list=(2, 3), points=3):
     return SweepConfig(
         base=_desk_base(),
         n_list=n_list,
-        eta_grid=EtaGrid(min_hz=to_hz(0.05), max_hz=to_hz(0.5), points=3),
+        eta_grid=EtaGrid(min_hz=to_hz(0.05), max_hz=to_hz(0.5), points=points),
         output_path=str(path),
-        workers=workers,
     )
 
 
@@ -66,44 +61,23 @@ def test_rerun_and_fresh_run_are_byte_identical(tmp_path):
     assert (tmp_path / "b.csv").read_bytes() == bytes_a
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    run_grid(_small_config(tmp_path / "serial.csv", workers=1))
-    run_grid(_small_config(tmp_path / "pool.csv", workers=2))
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "pool.csv").read_bytes()
+def test_a_repeated_cell_is_computed_once(tmp_path, monkeypatch):
+    # n_list (2, 2, 3) names the N = 2 cells twice: 4 distinct cells, each
+    # solved and evaluated once, to the bytes of the n_list (2, 3) grid
+    run_grid(_small_config(tmp_path / "distinct.csv", points=2))
+    calls = []
+    evaluate = sweep.evaluate_cell
 
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return evaluate(*args, **kwargs)
 
-class _InProcessPool:
-    """A stand-in ProcessPoolExecutor that records max_workers and maps in
-    this process, so no worker is started."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("workers, cpus, pool", [
-    (64, 8, 6), (64, 4, 4), (3, 8, 3), (64, None, None), (2, 1, None), (1, 8, None),
-])
-def test_pool_has_at_most_the_pending_cells_and_cpus(tmp_path, monkeypatch, workers, cpus,
-                                                     pool):
-    # 6 pending cells: a pool of W > 6 would start W processes at once
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_InProcessPool, "sizes", [])
-    rows = run_grid(_small_config(tmp_path / "grid.csv", workers=workers))
-    assert _InProcessPool.sizes == ([] if pool is None else [pool])
-    assert rows == run_grid(_small_config(tmp_path / "serial.csv"))
+    monkeypatch.setattr(sweep, "evaluate_cell", counted)
+    rows = run_grid(_small_config(tmp_path / "repeated.csv", n_list=(2, 2, 3), points=2))
+    assert len(rows) == len(calls) == len(set(calls)) == 4
+    meta = json.loads((tmp_path / "repeated.csv.meta.json").read_text())
+    assert meta["computed"] == meta["rows"] == 4
+    assert (tmp_path / "repeated.csv").read_bytes() == (tmp_path / "distinct.csv").read_bytes()
 
 
 def _count_integrations(monkeypatch):
@@ -119,15 +93,16 @@ def _count_integrations(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("copies", [1, 2])
 def test_pending_cells_relax_in_one_batch_to_the_cell_by_cell_bytes(
-        tmp_path, monkeypatch, workers):
-    cfg = _small_config(tmp_path / "grid.csv", workers=workers)
+        tmp_path, monkeypatch, copies):
+    # n_list names each N `copies` times: the batch holds each distinct cell once
+    cfg = _small_config(tmp_path / "grid.csv", n_list=(2, 3) * copies)
     shapes = _count_integrations(monkeypatch)
     rows = run_grid(cfg)
-    assert shapes == [(6, 6)]  # in this process, also with a worker pool
+    assert shapes == [(6, 6)]
     alone = [evaluate_cell(cfg.base, n, eta, cfg.observables)
-             for n in cfg.n_list for eta in cfg.eta_grid.values_hz().tolist()]
+             for n in (2, 3) for eta in cfg.eta_grid.values_hz().tolist()]
     assert shapes[1:] == [(6,)] * 6
     assert [row_to_line(r) for r in rows] == [row_to_line(r) for r in alone]
 
@@ -140,23 +115,28 @@ def test_single_pending_cell_relaxes_alone(tmp_path, monkeypatch):
     assert shapes == [(6,)] and row.status == "ok"
 
 
-def test_cell_whose_batch_row_fails_relaxes_alone_and_is_a_solver_error(
+def test_cell_whose_batch_row_fails_is_a_solver_error_without_a_second_integration(
         tmp_path, monkeypatch):
     # y' = y * y + 1 on every component blows up near t = pi / 2, well
     # inside the desk cells' relaxation horizon of 30 / kappa: in the batch
-    # (the array formula) and in each cell's own integration (Python floats)
+    # (the array formula) and in a lone cell's 1-D loop (Python floats)
     monkeypatch.setattr(cumulant, "_stacked", lambda q, shape: lambda x: x * x + 1.0)
     monkeypatch.setattr(cumulant, "_formula",
                         lambda *numbers: lambda x: [v * v + 1.0 for v in x])
     cfg = _small_config(tmp_path / "grid.csv", n_list=(2,))
     cells = [sweep._cell_params(cfg.base, 2, eta) for eta in cfg.eta_grid.values_hz()]
-    assert cumulant.relax_all(cells) == [None] * 3
+    with pytest.raises(StiffIntegrationError, match="less than spacing") as alone:
+        steady_state(cells[0])
+    # each failed row carries the error that its own integration raises
+    for entry in cumulant.relax_all(cells) + cumulant.solve_all(cells):
+        assert isinstance(entry, StiffIntegrationError)
+        assert str(entry) == str(alone.value)
+    (entry,) = cumulant.solve_all(cells[:1])
+    assert str(entry) == str(alone.value)
     shapes = _count_integrations(monkeypatch)
     rows = run_grid(cfg)
-    assert shapes == [(3, 6)] + [(6,)] * 3
+    assert shapes == [(3, 6)]
     assert [row.status for row in rows] == ["solver_error"] * 3
-    with pytest.raises(StiffIntegrationError, match="less than spacing"):
-        steady_state(cells[0])
 
 
 def test_resume_computes_only_the_complement(tmp_path):
@@ -379,20 +359,17 @@ def test_a_grid_builds_one_system_params_per_pending_cell(tmp_path, monkeypatch)
 
 def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, monkeypatch):
     # classify_regime, tieri_linewidth and crossover_linewidth each read
-    # derived(params); the cell's params compute the rates for all three.
-    # Every process appends to one file, so the pool's cells count too.
-    count_path = tmp_path / "rates.count"
-    replaced = []
+    # derived(params); the cell's params compute the rates for all three
+    built, replaced = [], []
     rates, replace = model.DerivedRates, dataclasses.replace
 
     def counted_rates(*args, **kwargs):
-        with open(count_path, "a") as fh:
-            fh.write("+")
+        built.append(args or kwargs)
         return rates(*args, **kwargs)
 
     def count_built() -> int:
-        n = len(count_path.read_text()) if count_path.exists() else 0
-        count_path.unlink(missing_ok=True)
+        n = len(built)
+        built.clear()
         return n
 
     def counted_replace(*args, **kwargs):
@@ -403,7 +380,6 @@ def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, mon
     cfg = SweepConfig(base=preset("sr88"), n_list=(100, 10_000),
                       eta_grid=EtaGrid(min_hz=1e3, max_hz=1e5, points=3),
                       observables=obs, output_path=str(tmp_path / "grid.csv"))
-    pool_cfg = dataclasses.replace(cfg, output_path=str(tmp_path / "pool.csv"), workers=2)
     monkeypatch.setattr(model, "DerivedRates", counted_rates)
     monkeypatch.setattr(model, "replace", counted_replace)
     monkeypatch.setattr(dataclasses, "replace", counted_replace)
@@ -413,12 +389,6 @@ def test_a_cell_derives_its_rates_once_and_a_grid_replaces_nothing(tmp_path, mon
     assert count_built() == 1
     rows = run_grid(cfg)
     assert [r.status for r in rows] == ["ok"] * 6
-    assert count_built() == 6
-    # forked workers inherit the counter, whatever the default start method
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
-    assert len(run_grid(pool_cfg)) == 6
-    assert (tmp_path / "pool.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
     assert count_built() == 6
     assert replaced == []
 
@@ -584,10 +554,11 @@ def test_sweep_config_validation(tmp_path):
     with pytest.raises(ValueError, match="n_atoms"):
         SweepConfig(base=_desk_base(), n_list=(2.9,), eta_grid=grid)
     assert SweepConfig(base=_desk_base(), n_list=(3.0,), eta_grid=grid).n_list == (3,)
-    with pytest.raises(ValueError, match="workers"):
-        SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers=0)
-    with pytest.raises(ValueError, match="workers must be an integer"):
-        SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers="2")
+    # every cell runs in the calling process: workers is 1 or nothing
+    for workers in (True, 2, "2", 0, 1.0):
+        with pytest.raises(ValueError, match="workers must be 1.*calling process"):
+            SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers=workers)
+    assert SweepConfig(base=_desk_base(), n_list=(2,), eta_grid=grid, workers=1).workers == 1
     with pytest.raises(OSError, match="does not exist"):
         run_grid(SweepConfig(
             base=_desk_base(), n_list=(2,), eta_grid=grid,
