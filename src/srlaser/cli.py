@@ -222,11 +222,13 @@ def cmd_sweep(args) -> int:
 
     obs = _from_config(Observables, sweep_cfg.get("observables", {}), "observables")
     out_path = args.out or sweep_cfg.get("output_path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ValueError(f"output_path must be a JSON string, got {out_path!r}")
     if not out_path:
         raise ValueError("sweep needs --out or an output_path in the config file")
 
     cfg = SweepConfig(base=base, n_list=tuple(n_list), eta_grid=grid,
-                      observables=obs, output_path=str(out_path))
+                      observables=obs, output_path=out_path)
     rows = run_grid(cfg)
     n_ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} rows ({n_ok} ok) -> {out_path}", file=sys.stderr)

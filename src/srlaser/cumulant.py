@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dop853 import TOO_SMALL_STEP, solve_ivp
-from .errors import ConvergenceError, StiffIntegrationError
+from .errors import ConvergenceError, SimulationError, StiffIntegrationError
 from .model import SystemParams
 
 _PHYS_EPS = 1e-9
@@ -96,41 +96,49 @@ def _rates(params: SystemParams):
     return gamma_c, gamma_p
 
 
-def _coefficients(params: SystemParams) -> tuple:
-    """The numbers _formula reads, as it takes them.
+def _numbers(params: SystemParams) -> tuple:
+    """The 26 numbers of params' closure: the one place they are derived,
+    read by _formula, by _stacked as a column of a _table, and by the
+    Jacobians.
 
-    The parameter products are formed once per params, not on each of an
-    integration's hundreds of calls, and in the order that the expression
-    written out in full forms them left to right (-2 g N, g (N - 1), -2 g,
-    4 g, -delta, -gamma_p), so every component rounds as it would.
+    Numbers 0-18 are the factors of _stacked's 19 products; 19-21 are 1,
+    1, 1 and 22-24 are -gamma, eta, 0.5, which turn s, -s, s into -gamma
+    (1 + s), eta (1 - s) and 0.5 (1 + s); 25 is -g, the factor of the
+    source.  The negated ones turn the written-out a - b c into a + (-b)
+    c, the same IEEE operation; the 1s at 9, 12, 13 and 17 fill rows that
+    _stacked overwrites.  The parameter products are formed once per
+    params, not on each of an integration's hundreds of calls, and in the
+    order that the expression written out in full forms them left to right
+    (-2 g N, g (N - 1), -2 g, 4 g), so every number rounds as it would.
     """
-    g = params.g
-    nn = params.n_atoms
-    delta = params.detuning
+    g, kappa, nn, delta = params.g, params.kappa, params.n_atoms, params.detuning
     gamma_c, gamma_p = _rates(params)
-    return (g, params.kappa, params.gamma, params.eta, nn, delta, gamma_c, gamma_p,
-            -2.0 * g * nn, g * (nn - 1), -2.0 * g, 4.0 * g, -delta, -gamma_p)
+    return (-2.0 * g * nn, -delta, -gamma_c, 4.0 * g, -2.0 * g, -gamma_p,
+            -kappa, -gamma_c, delta, 1.0, -gamma_p,
+            g * (nn - 1), 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, nn - 1,
+            1.0, 1.0, 1.0, -params.gamma, params.eta, 0.5, -g)
 
 
-def _formula(g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
-             n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p):
+def _formula(q):
     """The time derivative as f(x) -> list of the six components, for x a
-    sequence of six Python floats, from _coefficients' numbers.
+    sequence of six Python floats, from _numbers' numbers q.
 
     This is the right-hand side of a lone state (the 1-D integration and
     _rhs_vec of a (6,) x); arrays of states go through _stacked.  Tests pin
     both to the formula written out in full.
     """
+    (n_gain, m_delta, m_gamma_c, g4, m2g, m_gamma_p, m_kappa, _, delta, _, _,
+     pair_gain, _, _, _, _, _, _, nn1, _, _, _, m_gamma, eta, _, m_g) = q
 
     def f(x):
         n, cr, ci, s, pr, pi = x
-        source = s * n + (nn - 1) * pr + 0.5 * (1.0 + s)
+        source = s * n + nn1 * pr + 0.5 * (1.0 + s)
         return [
-            n_gain * ci - kappa * n,
-            m_delta * ci - gamma_c * cr + pair_gain * pi,
-            delta * cr - gamma_c * ci - g * source,
-            g4 * ci - gamma * (1.0 + s) + eta * (1.0 - s),
-            m2g * s * ci - gamma_p * pr,
+            n_gain * ci + m_kappa * n,
+            m_delta * ci + m_gamma_c * cr + pair_gain * pi,
+            delta * cr + m_gamma_c * ci + m_g * source,
+            g4 * ci + m_gamma * (1.0 + s) + eta * (1.0 - s),
+            m2g * s * ci + m_gamma_p * pr,
             m_gamma_p * pi,
         ]
 
@@ -142,29 +150,20 @@ def _formula(g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
 _GATHER = np.array([2, 2, 2, 2, 3, 5, 0, 1, 1, 0, 4, 5, 0, 0, 3, 3, 3, 0, 4])
 
 
-def _stacked_numbers(params: SystemParams) -> tuple:
-    """The numbers _stacked reads: the factors of its product's 19 rows,
-    then 1, 1, 1 and -gamma, eta, 0.5, which turn s, -s, s into -gamma
-    (1 + s), eta (1 - s) and 0.5 (1 + s), and -g, the factor of the
-    source.  The negated ones turn _formula's a - b c into a + (-b) c,
-    the same IEEE operation; the 1s of rows 9, 12, 13 and 17 fill rows
-    that are overwritten."""
-    (g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
-     n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p) = _coefficients(params)
-    return (n_gain, m_delta, -gamma_c, g4, m2g, m_gamma_p,
-            -kappa, -gamma_c, delta, 1.0, -gamma_p,
-            pair_gain, 1.0, 1.0, 1.0, -1.0, 1.0, 1.0, nn - 1,
-            1.0, 1.0, 1.0, -gamma, eta, 0.5, -g)
+def _table(params_list) -> np.ndarray:
+    """_numbers of each params as one column of a (26, M) table, one
+    contiguous row per number, so that a gather of columns is contiguous too."""
+    return np.array([_numbers(p) for p in params_list], dtype=float).T.copy()
 
 
 def _stacked(q, shape):
     """The time derivative as f(x) -> (6,) + shape, for x the states
     shaped (6,) + shape, component-stacked: shape (M,), or (k, M) for M
-    states' k trials each.  q holds _stacked_numbers' numbers, shaped (26,
-    M), one column per state along the last axis, or (26, 1) for one
-    params.  This is the right-hand side of arrays of states; a lone state
-    goes through _formula, on Python floats.  Tests pin both to the
-    formula written out in full.
+    states' k trials each.  q holds _numbers' numbers, shaped (26, M), one
+    column per state along the last axis, or (26, 1) for one params.  This
+    is the right-hand side of arrays of states; a lone state goes through
+    _formula, on Python floats.  Tests pin both to the formula written out
+    in full.
 
     Each component is _formula's, with the same operands in the same
     order, so it rounds the same.  Every product of a per-params number
@@ -210,14 +209,14 @@ def _rhs(params: SystemParams):
     sequence of six Python floats, whose scalar arithmetic costs half that
     of numpy scalars and rounds the same: the integrator's form of a lone
     state.  Arrays of states go through _stacked (_rhs_vec, _rhs_rows)."""
-    return _formula(*_coefficients(params))
+    return _formula(_numbers(params))
 
 
-def _rhs_rows(params_list):
+def _rhs_rows(table):
     """The batch right-hand side fun(t, y, rows) of srlaser.dop853's
     batched solve_ivp and of _newton: row i of y (m, 6), or each of the
-    states y[i] (m, k, 6), evaluated with the numbers of
-    params_list[rows[i]].  This is the array form, _stacked, on the
+    states y[i] (m, k, 6), evaluated with column rows[i] of table, a
+    _table (26, M).  This is the array form, _stacked, on the
     component-stacked view y.T; a lone state's integration takes _rhs on
     Python floats.  Tests pin both to the formula written out in full.
 
@@ -227,8 +226,6 @@ def _rhs_rows(params_list):
     copies each into its stages at once, and _newton passes a new rows
     array every round.  Only dop853 gains from the reuse: it passes the
     same array for as long as its set of rows is unchanged."""
-    # one contiguous row per number, so that a gather of rows is contiguous too
-    table = np.array([_stacked_numbers(p) for p in params_list], dtype=float).T.copy()
     last_rows = last_shape = f = None
 
     def fun(_, y, rows):
@@ -251,29 +248,26 @@ def _rhs_vec(x, params: SystemParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return np.array(_rhs(params)(x.tolist()))
-    return _stacked(np.array(_stacked_numbers(params))[:, None], x.shape[1:])(x)
+    return _stacked(_table([params]), x.shape[1:])(x)
 
 
-def _jacobian_parts(params: SystemParams):
-    """The twelve entries of _rhs's Jacobian that do not depend on x, as a
-    (6, 6) array, and the factors -g and -2 g of the four that do, all
-    from the _coefficients that _rhs reads; every negation is exact."""
-    (g, kappa, gamma, eta, nn, delta, gamma_c, gamma_p,
-     n_gain, pair_gain, m2g, g4, m_delta, m_gamma_p) = _coefficients(params)
-    const = np.zeros((6, 6))
-    const[0, 0] = -kappa
-    const[0, 2] = n_gain
-    const[1, 1] = -gamma_c
-    const[1, 2] = m_delta
-    const[1, 5] = pair_gain
-    const[2, 1] = delta
-    const[2, 2] = -gamma_c
-    const[2, 4] = -pair_gain
-    const[3, 2] = g4
-    const[3, 3] = -(gamma + eta)
-    const[4, 4] = m_gamma_p
-    const[5, 5] = m_gamma_p
-    return const, -g, m2g
+# The twelve entries of the Jacobian that do not depend on x, at (_ROWS,
+# _COLS), and the numbers of a _table column they are read off (_CONST)
+_ROWS = np.array([0, 0, 1, 1, 1, 2, 2, 3, 4, 5, 2, 3])
+_COLS = np.array([0, 2, 1, 2, 5, 1, 2, 2, 4, 5, 4, 3])
+_CONST = np.array([6, 0, 2, 1, 11, 8, 2, 3, 5, 5, 11, 22])
+
+
+def _jacobian_constants(q) -> np.ndarray:
+    """The twelve entries of the Jacobian that do not depend on x, in a
+    zero array shaped q.shape[1:] + (6, 6), read off q (26, ...), _numbers'
+    numbers or a _table: ten as they stand, -g (N - 1) as -q[11] and
+    -(gamma + eta) as q[22] - q[23], both exact negations."""
+    entries = q[_CONST]
+    entries[10:] = -entries[10], entries[11] - q[23]
+    out = np.zeros(q.shape[1:] + (6, 6))
+    out[..., _ROWS, _COLS] = entries.T
+    return out
 
 
 def _fill_jacobian(out, m_g, m2g, x):
@@ -292,13 +286,14 @@ def _fill_jacobian(out, m_g, m2g, x):
 def _jacobian(x: np.ndarray, params: SystemParams) -> np.ndarray:
     """Jacobian of _rhs_vec: (6, 6) at x shaped (6,), (M, 6, 6) at x shaped (6, M).
 
-    The twelve entries that do not depend on x are copied from
-    _jacobian_parts, and _fill_jacobian fills in the four that do.
+    The twelve entries that do not depend on x are read off _numbers'
+    numbers by _jacobian_constants, and _fill_jacobian writes the four that
+    do from its -g and -2 g.
     """
-    const, m_g, m2g = _jacobian_parts(params)
+    q = np.array(_numbers(params))
     out = np.empty(np.shape(x[0]) + (6, 6))
-    out[...] = const
-    return _fill_jacobian(out, m_g, m2g, x)
+    out[...] = _jacobian_constants(q)
+    return _fill_jacobian(out, q[25], q[4], x)
 
 
 def rhs(state: MomentState, params: SystemParams) -> MomentState:
@@ -432,12 +427,15 @@ def _newton(x0, params_list, tols):
     the rungs in turn accepts, so each row ends on the iterates of a
     Newton run on it alone, bit for bit.  An accepted trial carries its
     rhs and residual into the next round.
+
+    One _table of the rows' numbers is built per call.  It feeds both the
+    right-hand side and the Jacobians: their twelve constant entries are
+    read off it once, by _jacobian_constants, and the four that depend on
+    x come from its -g and -2 g rows.
     """
-    rhs = _rhs_rows(params_list)
-    parts = [_jacobian_parts(p) for p in params_list]
-    const = np.array([c for c, _, _ in parts])
-    m_g = np.array([m for _, m, _ in parts])
-    m2g = np.array([m for _, _, m in parts])
+    table = _table(params_list)
+    rhs = _rhs_rows(table)
+    const, m_g, m2g = _jacobian_constants(table), table[25], table[4]
     tols = np.asarray(tols, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.array(x0, dtype=float)
@@ -551,7 +549,7 @@ def relax_all(params_list) -> list:
 
     Each entry is the relaxed state.  An initial state that is already
     stationary, as wherever gamma_p = 0, is returned untouched.  The entry
-    is None where steady_state does not relax (a coupled lossless cavity),
+    is None where solve_all does not relax (a coupled lossless cavity),
     and the StiffIntegrationError where the integration failed.
     """
     out: list = [None] * len(params_list)
@@ -576,7 +574,7 @@ def relax_all(params_list) -> list:
         rows = [params_list[i] for i in todo]
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(
-                _rhs_rows(rows), (0.0, np.array([30.0 / _fast_rate(p) for p in rows])),
+                _rhs_rows(_table(rows)), (0.0, np.array([30.0 / _fast_rate(p) for p in rows])),
                 np.array(starts), rtol=_REL_TOL, atol=_ABS_TOL,
             )
         for i, x, ok in zip(todo, sol.y, sol.success):
@@ -585,19 +583,19 @@ def relax_all(params_list) -> list:
 
 
 def _closed_form_only(params: SystemParams) -> bool:
-    """A coupled lossless cavity, which steady_state solves in closed form."""
+    """A coupled lossless cavity, which solve_all solves in closed form."""
     return params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0
 
 
 def _newton_stages(params_list, starts) -> list:
     """steady_state's stages 2 and 3 for every params at once, from the
-    relaxed states starts (M, 6); one (x, res, ok) per params.  A row is
-    accepted at scaled residual 1e-10 max(1, kappa).
+    relaxed states starts (M, 6); one solve_all entry per params.  A row
+    is accepted at scaled residual 1e-10 max(1, kappa).
 
     Stage 2 is one _newton batch from starts.  Stage 3 is one more, from
     the closed-form roots of the rows that failed or ended unphysical.
-    A row that neither stage settles keeps stage 2's x and best residual,
-    with ok False.
+    A row that neither stage settles is the ConvergenceError carrying
+    stage 2's best residual.
     """
     tols = [1e-10 * max(1.0, p.kappa) for p in params_list]
     x, res, ok = _newton(starts, params_list, tols)
@@ -611,18 +609,24 @@ def _newton_stages(params_list, starts) -> list:
         for (i, _), v, rv, good in zip(retry, x_seed, res_seed, ok_seed):
             if good and _is_physical(v):
                 x[i], res[i], ok[i] = v, rv, True
-    return [(v, float(rv), good) for v, rv, good in zip(x, res, ok)]
+    return [(v, float(rv)) if good else ConvergenceError(
+                f"no physical steady state found (best scaled residual {rv:.3e})",
+                best_residual=float(rv))
+            for v, rv, good in zip(x, res, ok)]
 
 
 def solve_all(params_list) -> list:
-    """steady_state's stages for any number of params, bit for bit.
+    """The answer of steady_state(params) for each of params_list, bit for
+    bit: the one place that decides what it is.
 
     relax_all, then the two Newton stages as lock-step batches of the
-    relaxed states.  Each entry is to be passed to steady_state(params,
-    solved=...), which then returns or raises what steady_state(params)
-    would, and runs no stage again: (x, scaled residual, ok), the
-    StiffIntegrationError of a relaxation that failed, or None for a
-    coupled lossless cavity, which steady_state solves in closed form.
+    relaxed states; a coupled lossless cavity, which relax_all leaves
+    alone, takes its closed form.  Each entry is (x, scaled residual), or
+    the SimulationError that steady_state(params) raises: the
+    StiffIntegrationError of a relaxation that failed, the
+    ConvergenceError carrying stage 2's best residual, or a lossless
+    cavity's ConvergenceError at or above transparency.  Passed to
+    steady_state(params, solved=...), an entry runs no stage again.
     """
     out = relax_all(params_list)
     todo = [i for i, x in enumerate(out) if isinstance(x, np.ndarray)]
@@ -630,11 +634,19 @@ def solve_all(params_list) -> list:
         rows = _newton_stages([params_list[i] for i in todo], np.array([out[i] for i in todo]))
         for i, row in zip(todo, rows):
             out[i] = row
+    for i, params in enumerate(params_list):
+        if out[i] is None:
+            x = _closed_form_root(params)
+            out[i] = (x, scaled_residual(x, params)) if x is not None else ConvergenceError(
+                "no physical steady state: with kappa = 0 and eta >= gamma the "
+                "only fixed point has photon number -(1 + d0) / (2 d0) with "
+                "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
+                "infinite")
     return out
 
 
 def steady_state(params: SystemParams, return_info: bool = False, *,
-                 solved: tuple | StiffIntegrationError | None = None):
+                 solved: tuple | SimulationError | None = None):
     """Stationary moments in three stages, or a ConvergenceError.
 
     1. Relaxation: one DOP853 integration over 30 fast time constants,
@@ -646,47 +658,31 @@ def steady_state(params: SystemParams, return_info: bool = False, *,
        closed-form physical root, which exists at any detuning.  This
        stage, not a longer relaxation, settles the slow inputs.
 
-    The stages are those of solve_all([params]), which relaxes a lone
-    state on the 1-D loop.  A caller that has solved many params at once
-    passes params' entry of solve_all(params_list) as solved, and no stage
-    runs again: the state returned, or the error raised, is the one the
-    stages give.  A relaxation that fails raises its
-    StiffIntegrationError.
+    solve_all runs the stages and decides the answer; this function only
+    unpacks it.  solved is params' entry of solve_all(params_list), from
+    a caller that has solved many params at once, and no stage runs
+    again; without it the entry is solve_all([params])'s, which relaxes a
+    lone state on the 1-D loop.  An error entry is raised: a failed
+    relaxation's StiffIntegrationError, or a ConvergenceError carrying
+    stage 2's best scaled residual.  A returned state is a physical root
+    within the tolerance.
 
-    A returned state is a physical root within the tolerance.  Otherwise
-    ConvergenceError is raised, carrying stage 2's best scaled residual.
     A coupled lossless cavity (kappa = 0, g > 0, gamma + eta > 0) skips
     the stages: below transparency the answer is the closed-form root, and
     at or above it, where that root does not exist, ConvergenceError is
-    raised at once.  The info's
-    growth_rate is the largest real part of the Jacobian's eigenvalues at
-    the returned state: positive where the closure is unstable there.
+    raised at once.  The info's growth_rate is the largest real part of
+    the Jacobian's eigenvalues at the returned state: positive where the
+    closure is unstable there.
 
     With gamma_p = gamma + eta + 4 chi = 0 (no pump, decay or dephasing)
     the answer is the ground-state vacuum (0, 0, -1, 0) at scaled residual
     0: it is stationary, and relaxation starts from it.
     """
-    if _closed_form_only(params):
-        x = _closed_form_root(params)
-        if x is None:
-            raise ConvergenceError(
-                "no physical steady state: with kappa = 0 and eta >= gamma the "
-                "only fixed point has photon number -(1 + d0) / (2 d0) with "
-                "d0 = (eta - gamma) / (eta + gamma) >= 0, which is negative or "
-                "infinite"
-            )
-        res = scaled_residual(x, params)
-    else:
-        if solved is None:
-            (solved,) = solve_all([params])
-        if isinstance(solved, StiffIntegrationError):
-            raise solved
-        x, res, ok = solved
-        if not ok:
-            raise ConvergenceError(
-                f"no physical steady state found (best scaled residual {res:.3e})",
-                best_residual=res,
-            )
+    if solved is None:
+        (solved,) = solve_all([params])
+    if isinstance(solved, SimulationError):
+        raise solved
+    x, res = solved
     state = MomentState.from_vector(x)
     if return_info:
         growth = float(np.max(np.linalg.eigvals(_jacobian(x, params)).real))

@@ -90,6 +90,12 @@ class Observables:
     linewidth: bool = False
     analytic: bool = False
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not True and value is not False:
+                raise ValueError(f"observables.{f.name} must be true or false, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:

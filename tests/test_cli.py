@@ -175,6 +175,27 @@ def test_sweep_config_of_the_wrong_type_is_a_usage_error(capsys, tmp_path, key, 
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("observables", {"linewidth": "false", "photons": 0},
+     "observables.photons must be true or false, got 0"),
+    ("observables", {"linewidth": "false"},
+     "observables.linewidth must be true or false, got 'false'"),
+    ("observables", {"analytic": None}, "observables.analytic must be true or false, got None"),
+    ("output_path", 5, "output_path must be a JSON string, got 5"),
+])
+def test_sweep_config_of_a_non_boolean_observable_or_a_non_string_path_is_a_usage_error(
+        capsys, tmp_path, monkeypatch, key, value, message):
+    monkeypatch.chdir(tmp_path)  # where an output_path of 5 would be written
+    config = {"preset": "sr88", "n_list": [2], "output_path": "s.csv",
+              "eta_grid": {"min_hz": 1000.0, "max_hz": 2000.0, "points": 2}}
+    config[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, ["sweep", "--config", str(path)])
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
 @pytest.mark.parametrize("key,value", [
     ("eta_hz", "1e3"), ("eta_hz", True), ("detuning_hz", None), ("g_hz", [1]),
     ("chi_hz", "x"), ("kappa_hz", "160e3"), ("gamma_hz", False),

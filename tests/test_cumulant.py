@@ -23,7 +23,7 @@ from srlaser.cumulant import (
     scaled_residual,
     steady_state,
 )
-from srlaser.errors import ConvergenceError, StiffIntegrationError
+from srlaser.errors import ConvergenceError, SimulationError, StiffIntegrationError
 from srlaser.model import ETA_EXP, SystemParams, derived, from_hz, load_config, preset
 from srlaser.oracle import derivative_match_error, oracle_steady_state
 
@@ -264,27 +264,30 @@ def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk
 
 
 def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk_params):
-    # solve_all keeps a row that neither Newton stage settles, so that
-    # steady_state raises its stage-2 residual with no stage run again
+    # a row that neither Newton stage settles is solve_all's
+    # ConvergenceError carrying its stage-2 residual, which steady_state
+    # raises with no stage run again
     inputs = [desk_params, desk_params.updated(n_atoms=4)]
-    calls = []
+    calls, residuals = [], []
     newton = cumulant._newton
 
     def stalled(x0, params_list, tols):
         calls.append(len(x0))
         x, res, ok = newton(x0, params_list, tols)
+        residuals.append(res.tolist())
         return x, res, np.zeros(len(x0), dtype=bool)
 
     monkeypatch.setattr(cumulant, "_newton", stalled)
     rows = cumulant.solve_all(inputs)
     assert calls == [2, 2]  # stage 2 from the relaxed states, stage 3 from the roots
-    for params, row in zip(inputs, rows):
-        assert row[2] is False
+    for params, row, stage2 in zip(inputs, rows, residuals[0]):
+        assert isinstance(row, ConvergenceError) and row.best_residual == stage2
         with pytest.raises(ConvergenceError, match="no physical steady state found") as solved:
             steady_state(params, solved=row)
+        assert solved.value is row
         with pytest.raises(ConvergenceError) as excinfo:
             steady_state(params)
-        assert solved.value.best_residual == excinfo.value.best_residual == row[1]
+        assert str(excinfo.value) == str(row) and excinfo.value.best_residual == stage2
     assert calls == [2, 2, 1, 1, 1, 1]
 
 
@@ -502,7 +505,7 @@ def test_stacked_rhs_rounds_as_the_written_out_formula():
     # _rhs_vec's (6, M) path is pinned by the test above
     x = _seeded_states()
     params_list = [_ROUNDING_CASES[j % 4] for j in range(200)]
-    fun = cumulant._rhs_rows(params_list)
+    fun = cumulant._rhs_rows(cumulant._table(params_list))
     assert np.array_equal(fun(None, x.T, np.arange(200)).T, _rows_written_out(x, params_list))
     trials = x.reshape(6, 8, 25)
     assert np.array_equal(fun(None, trials.T, np.arange(25)).T,
@@ -518,7 +521,7 @@ def test_stacked_rhs_overflows_where_the_written_out_formula_does():
     params_list = [_ROUNDING_CASES[j % 4] for j in range(40)]
     with np.errstate(over="ignore", invalid="ignore"):
         ref = _rows_written_out(trials, params_list)
-        got = cumulant._rhs_rows(params_list)(None, trials.T, np.arange(40)).T
+        got = cumulant._rhs_rows(cumulant._table(params_list))(None, trials.T, np.arange(40)).T
         assert np.isinf(ref).any() and np.isnan(ref).any() and np.isfinite(ref).any()
         assert np.array_equal(got, ref, equal_nan=True)
         desk = _ROUNDING_CASES[3]
@@ -528,7 +531,7 @@ def test_stacked_rhs_overflows_where_the_written_out_formula_does():
 
 def _jacobian_written_out(x, params):
     """The Jacobian with every entry written out, as _jacobian spelled it
-    before its constant entries came from _jacobian_parts."""
+    before its constant entries were read off a table of numbers."""
     n, _, ci, s, _, _ = x
     g = params.g
     nn = params.n_atoms
@@ -783,7 +786,7 @@ def _batched(names):
     """One batched solve_ivp over the rows names, on cumulant's batch rhs."""
     kinds = np.array(names)
     cells = [i for i, name in enumerate(names) if name not in _FAILING]
-    rhs = cumulant._rhs_rows([_STEP_INPUTS[names[i]][0] for i in cells])
+    rhs = cumulant._rhs_rows(cumulant._table([_STEP_INPUTS[names[i]][0] for i in cells]))
     cell_of = np.full(len(names), -1)
     cell_of[cells] = np.arange(len(cells))
 
@@ -867,7 +870,7 @@ def test_batch_steps_at_ten_ulps_of_t_as_the_1d_loop():
 def test_relax_all_is_relax_of_each_params(monkeypatch):
     desk = _STEP_INPUTS["desk"][0]
     still = desk.updated(gamma=0.0, eta=0.0, chi=0.0)  # gamma_p = 0: already stationary
-    lossless = desk.updated(kappa=0.0)  # steady_state's closed form, never relaxed
+    lossless = desk.updated(kappa=0.0)  # solve_all's closed form, never relaxed
     inputs = [_STEP_INPUTS["sr88"][0], lossless, desk, still, _STEP_INPUTS["sr87"][0]]
     batches = []
     solve_ivp = cumulant.solve_ivp
@@ -881,11 +884,16 @@ def test_relax_all_is_relax_of_each_params(monkeypatch):
     assert batches == [(3, 6)]
     assert relaxed[1] is None
     solved = cumulant.solve_all(inputs)
-    assert batches == [(3, 6)] * 2 and solved[1] is None
+    assert batches == [(3, 6)] * 2
+    # pumped above transparency, the lossless cavity's answer is the
+    # ConvergenceError that steady_state raises without a stage
+    assert isinstance(solved[1], ConvergenceError) and str(solved[1]).startswith(
+        "no physical steady state: with kappa = 0 and eta >= gamma")
     for params, x, row in zip(inputs, relaxed, solved):
         if x is not None:
             assert np.array_equal(x, cumulant.relax_all([params])[0])
-            assert steady_state(params, solved=row) == steady_state(params)
+        assert _outcome(lambda: steady_state(params, solved=row)) == \
+            _outcome(lambda: steady_state(params))
     # a lone state relaxes on the 1-D loop, the stationary one not at all
     assert batches[2:] == [(6,)] * 6
     assert cumulant.relax_all([]) == []
@@ -945,6 +953,14 @@ def test_each_edge_input_gives_one_answer_through_every_entry_point():
     batch = cumulant.solve_all(inputs)
     for (name, (params, expected)), row in zip(_EDGE_INPUTS.items(), batch):
         alone = _outcome(lambda: steady_state(params))
+        # the entry is the error steady_state raises, or (x, res) of its state
+        if isinstance(row, SimulationError):
+            assert (type(row), str(row)) == alone, name
+        else:
+            x, res = row
+            state, info = steady_state(params, return_info=True)
+            assert _bits(MomentState.from_vector(x)) == alone == _bits(state), name
+            assert res == info.scaled_residual, name
         assert _outcome(lambda: steady_state(params, solved=cumulant.solve_all([params])[0])) \
             == alone, name
         assert _outcome(lambda: steady_state(params, solved=row)) == alone, name

@@ -545,6 +545,15 @@ def test_grid_validation():
     assert linear.values_hz().tolist() == [0.0, 1.0, 2.0]
 
 
+def test_observables_take_only_true_or_false():
+    for key, value in (("linewidth", "false"), ("photons", 0), ("analytic", None),
+                       ("dicke", 1), ("photons", np.True_)):
+        with pytest.raises(ValueError, match=f"observables.{key} must be true or false"):
+            Observables(**{key: value})
+    assert Observables(photons=False, dicke=True, linewidth=True, analytic=False) == \
+        Observables(False, True, True, False)
+
+
 def test_sweep_config_validation(tmp_path):
     grid = EtaGrid(min_hz=1.0, max_hz=2.0, points=2)
     with pytest.raises(ValueError, match="n_list"):
