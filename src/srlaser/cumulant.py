@@ -72,7 +72,7 @@ class MomentState:
 @dataclass(frozen=True)
 class SolverConfig:
     """newton_tol: None, steady_state's tolerance being 1e-10 max(1, kappa)
-    (_newton_stages).  Nothing in the package sets it or passes a
+    (solve_all).  Nothing in the package sets it or passes a
     SolverConfig; the field stays because the perfbench harness and its
     tests read SolverConfig().newton_tol."""
 
@@ -409,7 +409,8 @@ def _newton_steps(jac, r):
 def _newton(x0, params_list, tols):
     """Damped Newton on the analytic Jacobian for the rows of x0 (M, 6),
     row i with params_list[i] and tolerance tols[i]; returns (x (M, 6),
-    res (M,), ok (M,)).
+    res (M,), ok (M,)).  This is solve_all's stage 2, one call per
+    solve_all on all of its relaxed states, a lone one too.
 
     Per row: each step is halved from 1 down to 1/1024 until the scaled
     residual falls; if none does, or the Jacobian is singular, the row ends
@@ -507,6 +508,10 @@ def _closed_form_root(params: SystemParams) -> np.ndarray | None:
     coherence vanishes, leaving n = -(1 + d0) / (2 d0), physical only below
     transparency (d0 < 0).  None above it, or when gamma_p, which the lossy
     root divides by, is 0.
+
+    This is solve_all's stage 3, taken as it stands: the root meets
+    Newton's tolerance unpolished wherever stage 2 leaves a grid cell
+    unsettled, so no Newton step follows it.
     """
     g, kappa, delta = params.g, params.kappa, params.detuning
     gamma_c, gamma_p = _rates(params)
@@ -539,7 +544,7 @@ def relax_all(params_list) -> list:
     """Integrate the fast transient away: 30 fast time constants from the
     initial state of each params, with the package's DOP853
     (srlaser.dop853), which takes scipy's steps bit for bit.  These are
-    the starts of solve_all's Newton stages.
+    the starts of solve_all's one Newton batch, stage 2.
 
     A lone state is integrated by the 1-D loop, on a right-hand side built
     once by _rhs and evaluated on Python floats; two or more are one
@@ -587,53 +592,41 @@ def _closed_form_only(params: SystemParams) -> bool:
     return params.kappa == 0.0 and params.g > 0.0 and params.eta + params.gamma > 0.0
 
 
-def _newton_stages(params_list, starts) -> list:
-    """steady_state's stages 2 and 3 for every params at once, from the
-    relaxed states starts (M, 6); one solve_all entry per params.  A row
-    is accepted at scaled residual 1e-10 max(1, kappa).
-
-    Stage 2 is one _newton batch from starts.  Stage 3 is one more, from
-    the closed-form roots of the rows that failed or ended unphysical.
-    A row that neither stage settles is the ConvergenceError carrying
-    stage 2's best residual.
-    """
-    tols = [1e-10 * max(1.0, p.kappa) for p in params_list]
-    x, res, ok = _newton(starts, params_list, tols)
-    ok = [bool(good) and _is_physical(v) for good, v in zip(ok, x)]
-    retry = [(i, _closed_form_root(params_list[i])) for i, good in enumerate(ok) if not good]
-    retry = [(i, seed) for i, seed in retry if seed is not None]
-    if retry:
-        x_seed, res_seed, ok_seed = _newton(
-            np.array([seed for _, seed in retry]), [params_list[i] for i, _ in retry],
-            [tols[i] for i, _ in retry])
-        for (i, _), v, rv, good in zip(retry, x_seed, res_seed, ok_seed):
-            if good and _is_physical(v):
-                x[i], res[i], ok[i] = v, rv, True
-    return [(v, float(rv)) if good else ConvergenceError(
-                f"no physical steady state found (best scaled residual {rv:.3e})",
-                best_residual=float(rv))
-            for v, rv, good in zip(x, res, ok)]
-
-
 def solve_all(params_list) -> list:
     """The answer of steady_state(params) for each of params_list, bit for
     bit: the one place that decides what it is.
 
-    relax_all, then the two Newton stages as lock-step batches of the
-    relaxed states; a coupled lossless cavity, which relax_all leaves
-    alone, takes its closed form.  Each entry is (x, scaled residual), or
-    the SimulationError that steady_state(params) raises: the
-    StiffIntegrationError of a relaxation that failed, the
-    ConvergenceError carrying stage 2's best residual, or a lossless
-    cavity's ConvergenceError at or above transparency.  Passed to
-    steady_state(params, solved=...), an entry runs no stage again.
+    relax_all, then stage 2 as one lock-step _newton batch of the relaxed
+    states, each row accepted at scaled residual tol = 1e-10 max(1,
+    kappa).  A row that stage 2 does not settle on a physical root takes
+    stage 3, _closed_form_root(params), if that root exists, is physical
+    and has a scaled_residual below the same tol; otherwise its entry is
+    the ConvergenceError carrying stage 2's best residual.  So _newton runs
+    once per call, for a lone state too.  A coupled lossless cavity, which
+    relax_all leaves alone, takes its closed form.  Each entry is (x,
+    scaled residual), or the SimulationError that steady_state(params)
+    raises: the StiffIntegrationError of a relaxation that failed, the
+    ConvergenceError above, or a lossless cavity's ConvergenceError at or
+    above transparency.  Passed to steady_state(params, solved=...), an
+    entry runs no stage again.
     """
     out = relax_all(params_list)
     todo = [i for i, x in enumerate(out) if isinstance(x, np.ndarray)]
     if todo:
-        rows = _newton_stages([params_list[i] for i in todo], np.array([out[i] for i in todo]))
-        for i, row in zip(todo, rows):
-            out[i] = row
+        rows = [params_list[i] for i in todo]
+        tols = [1e-10 * max(1.0, p.kappa) for p in rows]
+        x, res, ok = _newton(np.array([out[i] for i in todo]), rows, tols)
+        for i, params, tol, v, rv, good in zip(todo, rows, tols, x, res, ok):
+            if good and _is_physical(v):
+                out[i] = v, float(rv)
+                continue
+            root = _closed_form_root(params)  # stage 3
+            root_res = math.inf if root is None else scaled_residual(root, params)
+            if root_res < tol and _is_physical(root):
+                out[i] = root, root_res
+            else:
+                out[i] = ConvergenceError(f"no physical steady state found (best scaled "
+                                          f"residual {rv:.3e})", best_residual=float(rv))
     for i, params in enumerate(params_list):
         if out[i] is None:
             x = _closed_form_root(params)
@@ -654,18 +647,19 @@ def steady_state(params: SystemParams, return_info: bool = False, *,
        srlaser.dop853, so no scipy module is loaded.
     2. Damped Newton on the analytic Jacobian from the relaxed state, down
        to the scaled-residual tolerance 1e-10 max(1, kappa).
-    3. If that fails or lands on an unphysical root: Newton from the
-       closed-form physical root, which exists at any detuning.  This
-       stage, not a longer relaxation, settles the slow inputs.
+    3. If that fails or lands on an unphysical root: the closed-form
+       physical root itself, which exists at any detuning, if it is within
+       the same tolerance.  No Newton step follows it.  This stage, not a
+       longer relaxation, settles the slow inputs.
 
     solve_all runs the stages and decides the answer; this function only
     unpacks it.  solved is params' entry of solve_all(params_list), from
     a caller that has solved many params at once, and no stage runs
     again; without it the entry is solve_all([params])'s, which relaxes a
-    lone state on the 1-D loop.  An error entry is raised: a failed
-    relaxation's StiffIntegrationError, or a ConvergenceError carrying
-    stage 2's best scaled residual.  A returned state is a physical root
-    within the tolerance.
+    lone state on the 1-D loop and runs one Newton batch of one row.  An
+    error entry is raised: a failed relaxation's StiffIntegrationError, or
+    a ConvergenceError carrying stage 2's best scaled residual.  A returned
+    state is a physical root within the tolerance.
 
     A coupled lossless cavity (kappa = 0, g > 0, gamma + eta > 0) skips
     the stages: below transparency the answer is the closed-form root, and

@@ -471,21 +471,26 @@ class LinewidthResult:
     scan: SpectrumScan
 
 
+# The line-width estimate over the filter width beta that auto_probe sets,
+# so that linewidth reads the estimate back as this times beta.
+_WIDTH_OVER_BETA = 10.0
+
+
 def auto_probe(params: SystemParams, base: MomentState) -> FilterProbe:
     """Choose beta and big_g so the probe resolves the line of the lasing
     steady state base (steady_state(params)) faithfully.
 
     The design starts at the narrow response pole (pole_linewidth): its
     real part is the centre and its FWHM the width estimate.  Each estimate
-    sets beta = estimate / 10, big_g = min(1e-3 kappa, 1e-2 sqrt(beta *
-    estimate)) and a 201-point closed-form pass over +-3 (estimate + beta)
-    whose fitted FWHM minus beta is the next estimate, until it moves by
-    < 5 %.  An estimate below 1e-12 kappa, or 16 passes without settling,
-    raise ProbeError, as does a settled probe whose coupling, halved on the
-    full extended system, moves the normalised line shape by >= 0.5 %
-    point-wise.  The returned probe's omega_f holds the fitted line centre.
-    A lossless cavity (kappa = 0) emits no light to probe, and raises
-    ProbeError at once.
+    sets beta = estimate / 10 (_WIDTH_OVER_BETA), big_g = min(1e-3 kappa,
+    1e-2 sqrt(beta * estimate)) and a 201-point closed-form pass over +-3
+    (estimate + beta) whose fitted FWHM minus beta is the next estimate,
+    until it moves by < 5 %.  An estimate below 1e-12 kappa, or 16 passes
+    without settling, raise ProbeError, as does a settled probe whose
+    coupling, halved on the full extended system, moves the normalised line
+    shape by >= 0.5 % point-wise.  The returned probe's omega_f holds the
+    fitted line centre.  A lossless cavity (kappa = 0) emits no light to
+    probe, and raises ProbeError at once.
     """
     kappa = params.kappa
     if kappa == 0.0:
@@ -494,7 +499,7 @@ def auto_probe(params: SystemParams, base: MomentState) -> FilterProbe:
     floor = 1e-12 * kappa
 
     def design(est):
-        beta = est / 10.0
+        beta = est / _WIDTH_OVER_BETA
         return beta, min(1e-3 * kappa, 1e-2 * math.sqrt(beta * est)), 3.0 * (est + beta)
 
     pole = pole_linewidth(params, base)
@@ -535,7 +540,7 @@ def linewidth(params: SystemParams, base: MomentState | None = None) -> Linewidt
     if base is None:
         base = steady_state(params)
     probe = auto_probe(params, base=base)
-    est = 10.0 * probe.beta  # auto_probe sets beta = estimate / 10
+    est = _WIDTH_OVER_BETA * probe.beta
     grid = np.linspace(probe.omega_f - 6.0 * est, probe.omega_f + 6.0 * est, 101)
     scan_data = scan(params, probe, grid, base=base)
     fit = fit_lorentzian(scan_data)

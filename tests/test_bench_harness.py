@@ -12,7 +12,8 @@ spectra), so that a moved reference fails here too.  And the sha256 of
 every grid workload's CSVs at seeds 0 and 3, so that a change meant to
 keep every output bit for bit is checked to the byte.  The response poles
 of every grid workload's steady states at seeds 0 and 3 are checked bit
-for bit against their array form (``pole_reference``).
+for bit against their array form (``pole_reference``), and each of those
+states is checked to be the stage-2 Newton root or the closed-form root.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,7 +32,7 @@ if str(ROOT) not in sys.path:
 
 from perfbench import trace, workloads  # noqa: E402
 from pole_reference import assert_matches_reference  # noqa: E402
-from srlaser import sweep  # noqa: E402
+from srlaser import cumulant, sweep  # noqa: E402
 from srlaser.cumulant import solve_all, steady_state  # noqa: E402
 
 
@@ -127,3 +129,34 @@ def test_grid_states_poles_match_the_array_form():
                     assert_matches_reference(params, steady_state(params, solved=row))
                     checked += 1
     assert checked == 970
+
+
+def test_grid_answers_are_the_stage_two_root_or_the_closed_form():
+    # each solve_all answer on the 970 grid cells at seeds 0 and 3, solved
+    # as run_grid solves them (one solve_all per grid), is the root that
+    # one _newton batch from the relaxed states settles on, physical and
+    # within the tolerance, or, where that batch does not settle, the
+    # closed-form root bit for bit, within the tolerance; none is an error
+    stages = {0: [0, 0], 3: [0, 0]}
+    for seed in (0, 3):
+        for name in ("threshold_grid", "detuned_grid", "linewidth_sweep"):
+            for _, cfg in workloads.grid_inputs(name, seed):
+                cells = [sweep._cell_params(cfg.base, n, float(eta)) for n in cfg.n_list
+                         for eta in cfg.eta_grid.values_hz()]
+                tols = [1e-10 * max(1.0, p.kappa) for p in cells]
+                x, res, ok = cumulant._newton(np.array(cumulant.relax_all(cells)), cells, tols)
+                for params, tol, entry, v, rv, good in zip(
+                        cells, tols, solve_all(cells), x, res, ok):
+                    assert isinstance(entry, tuple), entry
+                    state, entry_res = entry
+                    if good and cumulant._is_physical(v):
+                        assert state.tobytes() == v.tobytes() and entry_res == rv < tol
+                        stages[seed][0] += 1
+                    else:
+                        root = cumulant._closed_form_root(params)
+                        assert state.tobytes() == root.tobytes()
+                        assert entry_res == cumulant.scaled_residual(root, params) < tol
+                        stages[seed][1] += 1
+    # of each seed's 485 cells, 236 take the closed form: 38 of threshold_grid's
+    # 160, 48 of detuned_grid's 144 and 150 of linewidth_sweep's 181
+    assert stages == {0: [249, 236], 3: [249, 236]}

@@ -256,17 +256,19 @@ def test_unconverged_newton_raises_with_the_stage_two_residual(monkeypatch, desk
                 np.zeros(len(x0), dtype=bool))
 
     monkeypatch.setattr(cumulant, "_newton", stalled)
+    monkeypatch.setattr(cumulant, "_closed_form_root", lambda params: None)
     with pytest.raises(ConvergenceError, match="no physical steady state found") as excinfo:
         steady_state(desk_params)
-    # stage 2 from the relaxed state, stage 3 from the closed-form root
-    assert len(residuals) == 2 and residuals[0] != residuals[1]
+    # stage 2 from the relaxed state is the one Newton batch
+    assert len(residuals) == 1
     assert excinfo.value.best_residual == residuals[0]
 
 
-def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk_params):
-    # a row that neither Newton stage settles is solve_all's
-    # ConvergenceError carrying its stage-2 residual, which steady_state
-    # raises with no stage run again
+def _unsettled_rows_raise(monkeypatch, desk_params, closed_form_root):
+    """A row that stage 2 does not settle and whose closed-form root
+    (closed_form_root) is no answer is solve_all's ConvergenceError carrying
+    its stage-2 residual, which steady_state raises with no stage run
+    again."""
     inputs = [desk_params, desk_params.updated(n_atoms=4)]
     calls, residuals = [], []
     newton = cumulant._newton
@@ -278,8 +280,9 @@ def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk
         return x, res, np.zeros(len(x0), dtype=bool)
 
     monkeypatch.setattr(cumulant, "_newton", stalled)
+    monkeypatch.setattr(cumulant, "_closed_form_root", closed_form_root)
     rows = cumulant.solve_all(inputs)
-    assert calls == [2, 2]  # stage 2 from the relaxed states, stage 3 from the roots
+    assert calls == [2]  # stage 2 from the relaxed states, the one Newton batch
     for params, row, stage2 in zip(inputs, rows, residuals[0]):
         assert isinstance(row, ConvergenceError) and row.best_residual == stage2
         with pytest.raises(ConvergenceError, match="no physical steady state found") as solved:
@@ -288,7 +291,22 @@ def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk
         with pytest.raises(ConvergenceError) as excinfo:
             steady_state(params)
         assert str(excinfo.value) == str(row) and excinfo.value.best_residual == stage2
-    assert calls == [2, 2, 1, 1, 1, 1]
+    assert calls == [2, 1, 1]
+
+
+def test_unsettled_row_of_a_batch_raises_without_solving_again(monkeypatch, desk_params):
+    _unsettled_rows_raise(monkeypatch, desk_params, lambda params: None)
+
+
+def test_closed_form_root_that_misses_the_tolerance_is_no_answer(monkeypatch, desk_params):
+    root = cumulant._closed_form_root
+
+    def missing(params):  # physical, but moved off stationarity by 1e-3
+        x = root(params) * (1.0 + 1e-3)
+        assert _is_physical(x) and scaled_residual(x, params) > 1e-10 * max(1.0, params.kappa)
+        return x
+
+    _unsettled_rows_raise(monkeypatch, desk_params, missing)
 
 
 @pytest.mark.parametrize("gamma,eta,photons", [(0.01, 0.2, None), (0.2, 0.01, 0.05263)])

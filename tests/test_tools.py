@@ -41,6 +41,16 @@ def test_code_lines_counts_only_code(tmp_path):
     assert code_lines.code_lines(path) == 7
 
 
+def test_a_parenthesized_docstring_is_not_code(tmp_path):
+    # 2 code lines, the def and the return, as with the bare docstring; a
+    # parenthesized expression keeps its closing line
+    path = tmp_path / "fixture.py"
+    path.write_text('def f():\n    ("a parenthesized "\n     "docstring")\n    return 1\n')
+    assert code_lines.code_lines(path) == 2
+    path.write_text('(f(\n    "x")\n)\n')
+    assert code_lines.code_lines(path) == 3
+
+
 def test_main_prints_each_module_and_their_sum(tmp_path, capsys):
     (tmp_path / "fixture.py").write_text(_FIXTURE)
     (tmp_path / "other.py").write_text('"""One line of code."""\nx = 1\n')

@@ -2,9 +2,10 @@
 
 A code line is a source line that holds at least one token other than a
 comment, a docstring or layout (newlines, indents, dedents).  A docstring
-is a string that forms a statement on its own: the first statement of a
-module, class or function, or any other bare string.  Only the standard
-library's ``tokenize`` is used, so the count needs no package installed.
+is a string that forms a statement on its own, bare or in one pair of
+parentheses: the first statement of a module, class or function, or any
+other such string.  Only the standard library's ``tokenize`` is used, so
+the count needs no package installed.
 
     python3 tools/code_lines.py [PACKAGE_DIR]
 
@@ -33,8 +34,12 @@ def code_lines(path: Path) -> int:
         if tok.type != tokenize.NEWLINE:
             statement.append(tok)
             continue
-        # a statement that is only strings (implicitly joined) is a docstring
-        if not all(t.type == tokenize.STRING for t in statement):
+        # a statement that is only strings (implicitly joined), bare or in
+        # one pair of parentheses, is a docstring
+        body = statement
+        if len(body) > 2 and body[0].string == "(" and body[-1].string == ")":
+            body = body[1:-1]
+        if not all(t.type == tokenize.STRING for t in body):
             for t in statement:
                 lines.update(range(t.start[0], t.end[0] + 1))
         statement = []
