@@ -157,13 +157,12 @@ def _table(params_list) -> np.ndarray:
 
 
 def _stacked(q, shape):
-    """The time derivative as f(x) -> (6,) + shape, for x the states
-    shaped (6,) + shape, component-stacked: shape (M,), or (k, M) for M
-    states' k trials each.  q holds _numbers' numbers, shaped (26, M), one
-    column per state along the last axis, or (26, 1) for one params.  This
-    is the right-hand side of arrays of states; a lone state goes through
-    _formula, on Python floats.  Tests pin both to the formula written out
-    in full.
+    """The time derivative as f(x) -> (6,) + shape, for x the M states
+    shaped (6,) + shape, component-stacked, shape being (M,).  q holds
+    _numbers' numbers, shaped (26, M), one column per state, or (26, 1)
+    for one params.  This is the right-hand side of arrays of states; a
+    lone state goes through _formula, on Python floats.  Tests pin both to
+    the formula written out in full.
 
     Each component is _formula's, with the same operands in the same
     order, so it rounds the same.  Every product of a per-params number
@@ -175,8 +174,6 @@ def _stacked(q, shape):
     on arrays.  The work arrays and their views are made here, once, so
     f(x) returns a view into them that its next call overwrites.
     """
-    if len(shape) == 2:
-        q = q[:, None]  # each state's numbers over its trials
     xs = np.empty((19,) + shape)  # x[_GATHER]
     p = np.empty((19,) + shape)
     q_p, q_one, q_ends, q_source = q[:19], q[19:22], q[22:25], q[25]
@@ -214,11 +211,11 @@ def _rhs(params: SystemParams):
 
 def _rhs_rows(table):
     """The batch right-hand side fun(t, y, rows) of srlaser.dop853's
-    batched solve_ivp and of _newton: row i of y (m, 6), or each of the
-    states y[i] (m, k, 6), evaluated with column rows[i] of table, a
-    _table (26, M).  This is the array form, _stacked, on the
-    component-stacked view y.T; a lone state's integration takes _rhs on
-    Python floats.  Tests pin both to the formula written out in full.
+    batched solve_ivp and of _newton: row i of y (m, 6) evaluated with
+    column rows[i] of table, a _table (26, M).  This is the array form,
+    _stacked, on the component-stacked view y.T; a lone state's
+    integration takes _rhs on Python floats.  Tests pin both to the
+    formula written out in full.
 
     The per-row numbers and _stacked's work arrays are made once for each
     rows array and kept until another one comes, and the derivatives
@@ -226,13 +223,13 @@ def _rhs_rows(table):
     copies each into its stages at once, and _newton passes a new rows
     array every round.  Only dop853 gains from the reuse: it passes the
     same array for as long as its set of rows is unchanged."""
-    last_rows = last_shape = f = None
+    last_rows = f = None
 
     def fun(_, y, rows):
-        nonlocal last_rows, last_shape, f
-        if rows is not last_rows or y.shape != last_shape:
-            last_rows, last_shape = rows, y.shape
-            f = _stacked(table[:, rows], y.T.shape[1:])
+        nonlocal last_rows, f
+        if rows is not last_rows:
+            last_rows = rows
+            f = _stacked(table[:, rows], (len(rows),))
         return f(y.T).T
 
     return fun
@@ -307,7 +304,7 @@ def rhs(state: MomentState, params: SystemParams) -> MomentState:
 def _residual(r: np.ndarray, x: np.ndarray):
     """max_i |r_i| / max(1, |x_i|) over the last axis: a number for (6,)
     arrays, one per row for (..., 6)."""
-    # ndarray.max propagates NaN, which the Newton line search relies on
+    # ndarray.max propagates NaN, so that Newton refuses a step to a NaN residual
     return (np.abs(r) / np.maximum(1.0, np.abs(x))).max(axis=-1)
 
 
@@ -382,10 +379,6 @@ def _is_physical(x: np.ndarray) -> bool:
     )
 
 
-# the damping ladder of a Newton step: lam = 1, 1/2, ..., 1/1024
-_LADDER = np.ldexp(1.0, -np.arange(11))
-
-
 def _newton_steps(jac, r):
     """The Newton steps of the rows, solving jac (m, 6, 6) @ step = -r
     (m, 6); returns (steps, solved).  A stacked solve raises if any one
@@ -407,27 +400,24 @@ def _newton_steps(jac, r):
 
 
 def _newton(x0, params_list, tols):
-    """Damped Newton on the analytic Jacobian for the rows of x0 (M, 6),
-    row i with params_list[i] and tolerance tols[i]; returns (x (M, 6),
-    res (M,), ok (M,)).  This is solve_all's stage 2, one call per
-    solve_all on all of its relaxed states, a lone one too.
+    """Newton on the analytic Jacobian, full steps only, for the rows of
+    x0 (M, 6), row i with params_list[i] and tolerance tols[i]; returns
+    (x (M, 6), res (M,), ok (M,)), ok being res < tol.  This is
+    solve_all's stage 2, one call per solve_all on all of its relaxed
+    states, a lone one too.
 
-    Per row: each step is halved from 1 down to 1/1024 until the scaled
-    residual falls; if none does, or the Jacobian is singular, the row ends
-    with ok False.  Every accepted step lowers the residual, so the
-    iterate a row ends on is its best.  Below tol, up to four full steps
-    follow while the residual falls; a singular Jacobian (gamma_p = 0), or
-    a full step that leaves x as it is, ends them.  After _NEWTON_MAX_ITER
-    steps: (x, res, res < tol), unpolished.
+    A row keeps a step only if it is finite and lowers the scaled
+    residual, so the iterate a row ends on is its best.  A row ends when
+    its step is refused, when its Jacobian is singular (gamma_p = 0), when
+    it has taken _NEWTON_MAX_ITER steps from above tol, or after four
+    steps from below it.  A step that leaves x as it is, whose residual
+    could not fall, is refused unevaluated.
 
     The rows run in lock-step.  Each round solves the Jacobians of the
-    rows still running in one stacked solve, and evaluates their trials in
-    one call of _rhs_rows: every rung of the ladder while any row is still
-    stepping, the full step alone once all of them polish.  A row takes
-    the first rung whose residual falls, which is the trial that trying
-    the rungs in turn accepts, so each row ends on the iterates of a
-    Newton run on it alone, bit for bit.  An accepted trial carries its
-    rhs and residual into the next round.
+    rows still running in one stacked solve and evaluates their trials in
+    one call of _rhs_rows, so each row ends on the iterates of a Newton
+    run on it alone, bit for bit.  A kept trial carries its rhs and
+    residual into the next round.
 
     One _table of the rows' numbers is built per call.  It feeds both the
     right-hand side and the Jacobians: their twelve constant entries are
@@ -443,52 +433,25 @@ def _newton(x0, params_list, tols):
         n_rows = len(x)
         r = rhs(None, x, np.arange(n_rows))
         res = _residual(r, x)
-        ok = np.zeros(n_rows, dtype=bool)
-        taken = np.zeros(n_rows, dtype=int)  # steps taken above tol
-        polish = np.full(n_rows, -1)  # full steps taken below tol; -1 above it
+        steps = np.zeros((n_rows, 2), dtype=int)  # steps taken from above and below tol
         live = np.arange(n_rows)
         while live.size:
-            stepping = polish[live] < 0
-            capped = stepping & (taken[live] == _NEWTON_MAX_ITER)
-            ok[live[capped]] = res[live[capped]] < tols[live[capped]]
-            live, stepping = live[~capped], stepping[~capped]
-            below = stepping & (res[live] < tols[live])
-            polish[live[below]] = 0
-            stepping &= ~below
-
+            live = live[(steps[live] < (_NEWTON_MAX_ITER, 4)).all(axis=1)]
             xl = x[live]
             jac = _fill_jacobian(const[live], m_g[live], m2g[live], xl.T)
             step, solved = _newton_steps(jac, r[live])
-            # a singular Jacobian ends a row; so does a polish step that is not
-            # finite or leaves x as it is, whose residual could not fall
-            full = xl + step
-            still = ~np.isfinite(full).all(axis=-1) | (full == xl).all(axis=-1)
-            ends = ~solved | (~stepping & still)
-            ok[live[~stepping & ends]] = True
-            live, stepping, xl, step = live[~ends], stepping[~ends], xl[~ends], step[~ends]
+            trial = xl + step
+            go = solved & np.isfinite(trial).all(axis=1) & (trial != xl).any(axis=1)
+            live, trial = live[go], trial[go]
             if not live.size:
                 break
-
-            lams = _LADDER if stepping.any() else _LADDER[:1]
-            # laid out component-stacked, (6, k, m), as _stacked takes them,
-            # so that the trials, their rhs and residuals share one layout
-            trials = np.add(xl.T[:, None], lams[:, None] * step.T[:, None], order="C").T
-            m = len(trials)
-            trial_r = rhs(None, trials, live)
-            trial_res = _residual(trial_r, trials)
-            accept = np.isfinite(trials).all(axis=-1) & (trial_res < res[live, None])
-            accept[~stepping, 1:] = False
-            pick = np.arange(m), accept.argmax(axis=1)
-            moved = accept[pick]
-            rows = live[moved]
-            x[rows], r[rows], res[rows] = (
-                trials[pick][moved], trial_r[pick][moved], trial_res[pick][moved])
-            taken[live[stepping & moved]] += 1
-            polish[live[~stepping & moved]] += 1
-            done = ~stepping & (~moved | (polish[live] == 4))
-            ok[live[done]] = True
-            live = live[moved & ~done]
-    return x, res, ok
+            trial_r = rhs(None, trial, live)
+            trial_res = _residual(trial_r, trial)
+            kept = trial_res < res[live]
+            live = live[kept]
+            steps[live, (res[live] < tols[live]).astype(int)] += 1
+            x[live], r[live], res[live] = trial[kept], trial_r[kept], trial_res[kept]
+    return x, res, res < tols
 
 
 def _closed_form_root(params: SystemParams) -> np.ndarray | None:
@@ -597,8 +560,9 @@ def solve_all(params_list) -> list:
     bit: the one place that decides what it is.
 
     relax_all, then stage 2 as one lock-step _newton batch of the relaxed
-    states, each row accepted at scaled residual tol = 1e-10 max(1,
-    kappa).  A row that stage 2 does not settle on a physical root takes
+    states, full steps only, each row accepted at scaled residual tol =
+    1e-10 max(1, kappa).  A row that stage 2 does not settle on a physical
+    root, a step that would not lower its residual among the causes, takes
     stage 3, _closed_form_root(params), if that root exists, is physical
     and has a scaled_residual below the same tol; otherwise its entry is
     the ConvergenceError carrying stage 2's best residual.  So _newton runs
@@ -645,8 +609,8 @@ def steady_state(params: SystemParams, return_info: bool = False, *,
     1. Relaxation: one DOP853 integration over 30 fast time constants,
        which removes the fast transient only.  The integrator is
        srlaser.dop853, so no scipy module is loaded.
-    2. Damped Newton on the analytic Jacobian from the relaxed state, down
-       to the scaled-residual tolerance 1e-10 max(1, kappa).
+    2. Newton on the analytic Jacobian from the relaxed state, full steps
+       only, down to the scaled-residual tolerance 1e-10 max(1, kappa).
     3. If that fails or lands on an unphysical root: the closed-form
        physical root itself, which exists at any detuning, if it is within
        the same tolerance.  No Newton step follows it.  This stage, not a

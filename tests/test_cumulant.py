@@ -411,6 +411,24 @@ def test_plateau_state_quoted_by_the_weakly_pumped_sr87_reason():
     assert f"{residual:.1e}" == "9.5e-08"
 
 
+def test_full_step_that_would_not_lower_the_residual_leaves_the_closed_form():
+    # one of 3,000 draws of _random_params: halved steps would creep from
+    # its relaxed state to n = 3.86e-6 at scaled residual 9.96e-11, inside
+    # the tolerance 1e-10 but no fixed point; a full step above the
+    # tolerance fails to lower the residual, so Newton ends unsettled and
+    # the answer is the closed-form root
+    params = SystemParams(n_atoms=243926, g=0.0011997015755313522, kappa=0.014836087085269345,
+                          gamma=7.404199364613861e-11, eta=1.0609471540140722e-10,
+                          chi=4.240301943525026e-09)
+    (relaxed,) = cumulant.relax_all([params])
+    _, res, (ok,) = _newton(relaxed[None], [params], [1e-10])
+    assert not ok and res[0] > 1e-10
+    ((x, residual),) = cumulant.solve_all([params])
+    assert x.tobytes() == _closed_form_root(params).tobytes()
+    assert f"{x[0]:.3e}" == "2.667e-04" and f"{residual:.1e}" == "2.9e-19"
+    assert np.array_equal(steady_state(params).as_vector(), x)
+
+
 # ----------------------------------------------------------- DOP853 stepper
 
 def _scipy_dop853(fun, t_span, y0):
@@ -509,42 +527,38 @@ def _rows_written_out(x, params_list):
 
 
 def _states_near_overflow():
-    """Ladder trials (6, 11, 40) of moments near 1e308, some of whose
-    products and sums overflow to inf and then meet as inf - inf = NaN."""
+    """200 states (6, 200) of moments near 1e308, some of whose products
+    and sums overflow to inf and then meet as inf - inf = NaN."""
     rng = np.random.default_rng(11)
-    sign = rng.choice([-1.0, 1.0], size=(6, 40))
-    x = sign * 10.0 ** rng.uniform(290.0, 308.0, size=(6, 40))
-    return x[:, None] * cumulant._LADDER[:, None]
+    sign = rng.choice([-1.0, 1.0], size=(6, 200))
+    return sign * 10.0 ** rng.uniform(290.0, 308.0, size=(6, 200))
 
 
 def test_stacked_rhs_rounds_as_the_written_out_formula():
-    # the _ROUNDING_CASES params in turn over the rows of a batch: the
-    # states as dop853 passes them, (m, 6), and as Newton's ladders, (m, k, 6);
-    # _rhs_vec's (6, M) path is pinned by the test above
+    # the _ROUNDING_CASES params in turn over the rows of a batch, the
+    # states as dop853 and Newton pass them, (m, 6); _rhs_vec's (6, M) path
+    # is pinned by the test above
     x = _seeded_states()
     params_list = [_ROUNDING_CASES[j % 4] for j in range(200)]
     fun = cumulant._rhs_rows(cumulant._table(params_list))
     assert np.array_equal(fun(None, x.T, np.arange(200)).T, _rows_written_out(x, params_list))
-    trials = x.reshape(6, 8, 25)
-    assert np.array_equal(fun(None, trials.T, np.arange(25)).T,
-                          _rows_written_out(trials, params_list[:25]))
     # rows gathered out of order
     rows = np.arange(199, -1, -8)
-    assert np.array_equal(fun(None, trials.T, rows).T,
-                          _rows_written_out(trials, [params_list[j] for j in rows]))
+    assert np.array_equal(fun(None, x[:, :25].T, rows).T,
+                          _rows_written_out(x[:, :25], [params_list[j] for j in rows]))
 
 
 def test_stacked_rhs_overflows_where_the_written_out_formula_does():
-    trials = _states_near_overflow()
-    params_list = [_ROUNDING_CASES[j % 4] for j in range(40)]
+    x = _states_near_overflow()
+    params_list = [_ROUNDING_CASES[j % 4] for j in range(200)]
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = _rows_written_out(trials, params_list)
-        got = cumulant._rhs_rows(cumulant._table(params_list))(None, trials.T, np.arange(40)).T
+        ref = _rows_written_out(x, params_list)
+        got = cumulant._rhs_rows(cumulant._table(params_list))(None, x.T, np.arange(200)).T
         assert np.isinf(ref).any() and np.isnan(ref).any() and np.isfinite(ref).any()
         assert np.array_equal(got, ref, equal_nan=True)
         desk = _ROUNDING_CASES[3]
-        assert np.array_equal(cumulant._rhs_vec(trials[:, 0], desk),
-                              _rows_written_out(trials[:, 0], [desk] * 40), equal_nan=True)
+        assert np.array_equal(cumulant._rhs_vec(x[:, :40], desk),
+                              _rows_written_out(x[:, :40], [desk] * 40), equal_nan=True)
 
 
 def _jacobian_written_out(x, params):
@@ -584,48 +598,30 @@ def test_jacobian_rounds_as_the_written_out_formula(params):
 
 
 def _newton_written_out(x0, params, tol):
-    """Damped Newton as written before it carried each iterate's rhs and
-    residual forward: it evaluates the rhs afresh for every residual and
-    every step, through the public helpers."""
+    """Full-step Newton written out, through the public helpers: it
+    evaluates the rhs afresh for every residual and every step, and keeps a
+    step only if it is finite and lowers the residual, for at most
+    _NEWTON_MAX_ITER steps from above tol and four from below it."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.array(x0, dtype=float)
-        best = x.copy()
-        best_res = scaled_residual(x, params)
-        for _ in range(cumulant._NEWTON_MAX_ITER):
-            res = scaled_residual(x, params)
-            if res < best_res:
-                best, best_res = x.copy(), res
-            if res < tol:
-                for _ in range(4):
-                    try:
-                        step = np.linalg.solve(_jacobian(x, params),
-                                               -cumulant._rhs_vec(x, params))
-                    except np.linalg.LinAlgError:
-                        break
-                    trial = x + step
-                    if not np.all(np.isfinite(trial)):
-                        break
-                    trial_res = scaled_residual(trial, params)
-                    if trial_res >= res:
-                        break
-                    x, res = trial, trial_res
-                return x, res, True
+        res = scaled_residual(x, params)
+        above = below = 0
+        while above < cumulant._NEWTON_MAX_ITER and below < 4:
             try:
                 step = np.linalg.solve(_jacobian(x, params), -cumulant._rhs_vec(x, params))
             except np.linalg.LinAlgError:
-                return best, best_res, False
-            lam = 1.0
-            while lam >= 1.0 / 1024.0:
-                trial = x + lam * step
-                if np.all(np.isfinite(trial)):
-                    trial_res = scaled_residual(trial, params)
-                    if trial_res < res:
-                        x = trial
-                        break
-                lam *= 0.5
+                break
+            trial = x + step
+            if not np.all(np.isfinite(trial)):
+                break
+            trial_res = scaled_residual(trial, params)
+            if not trial_res < res:
+                break
+            if res < tol:
+                below += 1
             else:
-                return best, best_res, False
-        res = scaled_residual(x, params)
+                above += 1
+            x, res = trial, trial_res
         return x, res, res < tol
 
 
@@ -711,7 +707,7 @@ def test_singular_row_of_a_newton_batch_ends_alone(monkeypatch):
 
 def test_scaled_residual_of_an_overflowing_rhs_is_nan(desk_params):
     # s n = +inf and (N - 1) pr = -inf: the source term is inf - inf.  The
-    # residual must stay NaN, so that a line-search trial landing here is
+    # residual must stay NaN, so that a Newton trial landing here is
     # rejected (trial_res < res is False); Python's max would drop it.
     x = np.array([1e308, 0.0, 0.0, 10.0, -1e308, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -720,12 +716,10 @@ def test_scaled_residual_of_an_overflowing_rhs_is_nan(desk_params):
 
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
-    # No state is evaluated twice: an accepted trial carries its rhs into
-    # the next step, and only the residual check before the first step
-    # evaluates x0.  A batch evaluates whole ladders, though: each round
-    # that takes a damped step evaluates all 11 rungs of a row's ladder
-    # (lam = 1 ... 1/1024), also when the full step is the one accepted,
-    # and each polish round evaluates the full step alone.
+    # No state is evaluated twice: a kept trial carries its rhs into the
+    # next step, and only the residual check before the first step
+    # evaluates x0.  Each round evaluates one full-step trial per running
+    # row, so a batch evaluates just the states its rows evaluate alone.
     params = _STEP_INPUTS["sr88"][0]
     (x0,) = cumulant.relax_all([params])
     evaluated, per_call = [], []
@@ -742,26 +736,82 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
         return g
 
-    def rounds(calls):
-        # the check of x0, the stepping rounds, then at most 4 polish rounds
-        stepping = len(calls) - 1 - calls[::-1].index(11) if 11 in calls else 0
-        return calls[0] == 1 and set(calls[1:stepping + 1]) <= {11} and \
-            calls[stepping + 1:] == [1] * (len(calls) - stepping - 1) <= [1] * 4
-
-    monkeypatch.setattr(cumulant, "_stacked", recording)
-    _, _, (ok,) = _newton(x0[None], [params], [1e-10 * max(1.0, params.kappa)])
-    assert ok and len(evaluated) >= 3
-    assert len(set(evaluated)) == len(evaluated)
-    assert rounds(per_call) and 11 in per_call, per_call
-    # a polish step that rounds to nothing (trial == x) ends the polish
-    # without evaluating x again; it happens on 8 of these closed-form roots
-    for params in _root_inputs(20):
+    def run(starts, params_list):
         evaluated.clear()
         per_call.clear()
-        _, _, (ok,) = _newton(_closed_form_root(params)[None], [params],
-                              [1e-10 * max(1.0, params.kappa)])
-        assert ok and len(set(evaluated)) == len(evaluated), params
-        assert rounds(per_call), (params, per_call)
+        _, _, ok = _newton(np.array(starts), params_list,
+                           [1e-10 * max(1.0, p.kappa) for p in params_list])
+        assert len(set(evaluated)) == len(evaluated), params_list
+        return ok, sorted(evaluated), list(per_call)
+
+    monkeypatch.setattr(cumulant, "_stacked", recording)
+    (ok,), states, calls = run([x0], [params])
+    assert ok and len(states) >= 3 and calls == [1] * len(calls), calls
+    # a polish step that rounds to nothing (trial == x) ends the polish
+    # without evaluating x again; it happens on 8 of these closed-form roots
+    inputs = [params] + list(_root_inputs(20))
+    starts = [x0] + [_closed_form_root(p) for p in inputs[1:]]
+    alone = []
+    for x, p in zip(starts, inputs):
+        (ok,), states, _ = run([x], [p])
+        assert ok, p
+        alone += states
+    ok, states, calls = run(starts, inputs)
+    assert ok.all() and states == sorted(alone)
+    # the check of every x0, then one trial per row still running
+    assert calls[0] == len(inputs) and calls == sorted(calls, reverse=True), calls
+
+
+def _random_params(count: int):
+    """Seeded random params over many decades: kappa = 10^U(-3, 6), then in
+    units of kappa g, gamma, eta (0 with probability 0.05), chi (0 with
+    probability 0.5) and omega_a (0 with probability 0.5); N up to 1e6."""
+    rng = np.random.default_rng(44)
+    for _ in range(count):
+        kappa = 10.0 ** rng.uniform(-3.0, 6.0)
+        n_atoms = int(10.0 ** rng.uniform(0.0, 6.0))
+        g = 10.0 ** rng.uniform(-6.0, 1.0) * kappa
+        gamma = 10.0 ** rng.uniform(-9.0, 0.0) * kappa
+        eta = 10.0 ** rng.uniform(-9.0, 1.0) * kappa
+        eta = 0.0 if rng.uniform() <= 0.05 else eta
+        chi = 10.0 ** rng.uniform(-9.0, -1.0) * kappa
+        chi = 0.0 if rng.uniform() <= 0.5 else chi
+        omega_a = 10.0 ** rng.uniform(-3.0, 1.0) * kappa
+        omega_a = 0.0 if rng.uniform() <= 0.5 else omega_a
+        yield SystemParams(n_atoms=n_atoms, g=g, kappa=kappa, gamma=gamma, eta=eta,
+                           chi=chi, omega_a=omega_a)
+
+
+def test_random_answers_are_the_full_step_root_or_the_closed_form():
+    # each answer on 350 seeded random params, solved as one batch, is the
+    # written-out full-step Newton root from the relaxed state, physical
+    # and within the tolerance, or else the closed-form root bit for bit,
+    # or else the error carrying that Newton's best residual; and a lone
+    # solve gives the same answer
+    inputs = list(_random_params(350))
+    kinds = {"newton": 0, "closed form": 0, "error": 0}
+    for params, entry in zip(inputs, cumulant.solve_all(inputs)):
+        tol = 1e-10 * max(1.0, params.kappa)
+        (relaxed,) = cumulant.relax_all([params])
+        x_ref, res_ref, ok_ref = _newton_written_out(relaxed, params, tol)
+        root = _closed_form_root(params)
+        if ok_ref and _is_physical(x_ref):
+            kinds["newton"] += 1
+            assert entry[0].tobytes() == x_ref.tobytes() and entry[1] == res_ref, params
+        elif isinstance(entry, tuple):
+            kinds["closed form"] += 1
+            assert entry[0].tobytes() == root.tobytes(), params
+            assert entry[1] == scaled_residual(root, params) < tol, params
+        else:
+            kinds["error"] += 1
+            assert isinstance(entry, ConvergenceError) and entry.best_residual == res_ref
+        (alone,) = cumulant.solve_all([params])
+        if isinstance(entry, tuple):
+            assert alone[0].tobytes() == entry[0].tobytes() and alone[1] == entry[1], params
+        else:
+            assert type(alone) is type(entry) and str(alone) == str(entry), params
+    # the first 350 draws take in one input with no physical root
+    assert kinds == {"newton": 261, "closed form": 88, "error": 1}
 
 
 def test_dop853_blow_up_stops_where_scipy_does():
